@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
 """Generate a synthetic TU-format dataset for experiments without downloads.
 
+The dataset name carries the generator parameters, so corpora of different
+settings never share file names: the first example writes
+ER500-n16-p0.3-v5-e3_*.txt, the second PA100-n50-a2_*.txt.
+
 Examples:
-    python3 scripts/gen_corpus.py --out /tmp/ER500 --kind er --num 500 --n 16 --p 0.3
-    python3 scripts/gen_corpus.py --out /tmp/PA100 --kind pa --num 100 --n 50 --attachment 2
+    python3 scripts/gen_corpus.py --out /tmp/corpora/ER500-n16-p0.3-v5-e3 --kind er \
+        --num 500 --n 16 --p 0.3 --vertex-alphabet 5 --edge-alphabet 3
+    python3 scripts/gen_corpus.py --out /tmp/corpora/PA100-n50-a2 --kind pa \
+        --num 100 --n 50 --attachment 2
 """
 
 import argparse
@@ -15,6 +21,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from shufflecodec.datasets import Corpus, write_tu_dataset
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
+
+
+def dataset_name(args: argparse.Namespace) -> str:
+    if args.kind == "pa":
+        return f"PA{args.num}-n{args.n}-a{args.attachment}"
+    name = f"ER{args.num}-n{args.n}-p{args.p:g}"
+    if args.vertex_alphabet:
+        name += f"-v{args.vertex_alphabet}"
+    if args.edge_alphabet:
+        name += f"-e{args.edge_alphabet}"
+    return name
 
 
 def main() -> int:
@@ -48,7 +65,7 @@ def main() -> int:
             )
         else:
             graphs.append(sample_pa_graph(rng, n, args.attachment))
-    name = f"{args.kind.upper()}{args.num}"
+    name = dataset_name(args)
     corpus = Corpus(
         tuple(graphs),
         name,

@@ -34,7 +34,7 @@ MAX_PRECISION = 48
 _HEADROOM_BITS = 16
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 
@@ -209,10 +209,20 @@ def quantize_masses(weights: Sequence, precision: int) -> List[int]:
     Every strictly positive weight receives mass >= 1; zero weights stay zero.
     Deterministic: remainder ties break toward lower indices, and mass needed
     to un-zero small weights is taken from the largest mass.
+
+    Weights may be ints, Fractions or floats; the result is exactly that of
+    apportioning their rational values. Non-integer weights are scaled by the
+    common denominator, so all arithmetic is on plain integers: weight w gets
+    floor(w * 2**precision / total), and the leftover units go to the largest
+    remainders.
     """
     if not 1 <= precision <= MAX_PRECISION:
         raise ParameterError(f"precision {precision} outside [1, {MAX_PRECISION}]")
-    ws = [Fraction(w) for w in weights]
+    ws = list(weights)
+    if not all(type(w) is int for w in ws):
+        fs = [Fraction(w) for w in ws]
+        scale = math.lcm(*(f.denominator for f in fs))
+        ws = [f.numerator * (scale // f.denominator) for f in fs]
     if any(w < 0 for w in ws):
         raise ParameterError("negative weight")
     total = sum(ws)
@@ -222,10 +232,12 @@ def quantize_masses(weights: Sequence, precision: int) -> List[int]:
     nonzero = sum(1 for w in ws if w > 0)
     if nonzero > denom:
         raise ParameterError("more nonzero weights than mass units")
-    ideal = [w / total * denom for w in ws]
-    masses = [int(x) for x in ideal]
+    scaled = [w << precision for w in ws]
+    masses = [x // total for x in scaled]
+    remainders = [x % total for x in scaled]
     shortfall = denom - sum(masses)
-    order = sorted(range(len(ws)), key=lambda i: (-(ideal[i] - masses[i]), i))
+    # A stable descending sort keeps equal remainders in index order.
+    order = sorted(range(len(ws)), key=remainders.__getitem__, reverse=True)
     for i in order[:shortfall]:
         masses[i] += 1
     for i, w in enumerate(ws):

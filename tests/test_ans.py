@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,9 @@ from shufflecodec.ans import (
     quantize_masses,
     uniform_codec,
 )
+from shufflecodec.compress import compress_corpus
+from shufflecodec.datasets import Corpus
+from shufflecodec.generate import sample_er_graph
 
 from conftest import random_message
 
@@ -205,6 +209,62 @@ class TestQuantize:
         assert sum(masses) == 1 << precision
         assert all((m > 0) == (w > 0) for m, w in zip(masses, weights))
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=0, max_value=10**12),
+                st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+                st.floats(min_value=0, max_value=1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=48),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_fraction_apportionment(self, weights, precision):
+        try:
+            expected = _fraction_quantize(weights, precision)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                quantize_masses(weights, precision)
+            return
+        assert quantize_masses(weights, precision) == expected
+
+    def test_remainder_ties_break_toward_lower_index(self):
+        weights = [1, 1, 1, 0, 1, 1]
+        assert quantize_masses(weights, 3) == _fraction_quantize(weights, 3)
+        assert quantize_masses(weights, 3) == [2, 2, 2, 0, 1, 1]
+
+
+def _fraction_quantize(weights, precision):
+    """Reference apportionment over Fractions (the integer version must agree
+    exactly, so that mass tables, and the bitstream, never depend on it)."""
+    if not 1 <= precision <= ans.MAX_PRECISION:
+        raise ParameterError("precision")
+    ws = [Fraction(w) for w in weights]
+    if any(w < 0 for w in ws):
+        raise ParameterError("negative weight")
+    total = sum(ws)
+    if total <= 0:
+        raise ParameterError("all weights zero")
+    denom = 1 << precision
+    if sum(1 for w in ws if w > 0) > denom:
+        raise ParameterError("more nonzero weights than mass units")
+    ideal = [w / total * denom for w in ws]
+    masses = [int(x) for x in ideal]
+    shortfall = denom - sum(masses)
+    order = sorted(range(len(ws)), key=lambda i: (-(ideal[i] - masses[i]), i))
+    for i in order[:shortfall]:
+        masses[i] += 1
+    for i, w in enumerate(ws):
+        if w > 0 and masses[i] == 0:
+            j = max(range(len(masses)), key=lambda k: (masses[k], -k))
+            masses[j] -= 1
+            masses[i] += 1
+    return masses
+
 
 def _arbitrary_codec(draw):
     kind = draw(st.integers(0, 2))
@@ -280,6 +340,31 @@ class TestSerialization:
             corrupted[i] ^= 0x40
             with pytest.raises(FormatError):
                 message_deserialize(bytes(corrupted))
+
+    def test_older_format_version_rejected(self):
+        data = bytearray(message_serialize(message_init()))
+        assert data[4:6] == ans.FORMAT_VERSION.to_bytes(2, "little")
+        data[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(FormatError, match="version 1"):
+            message_deserialize(bytes(data))
+
+    def test_er_corpus_bytes_unchanged_by_version_2(self):
+        # ER and attribute tables do not depend on the urn change that set
+        # version 2: everything after the version field is as version 1 wrote
+        # it for this corpus.
+        rng = random.Random(2408)
+        graphs = tuple(
+            sample_er_graph(
+                rng, rng.randint(5, 12), 0.3, vertex_alphabet=4, edge_alphabet=3
+            )
+            for _ in range(40)
+        )
+        data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
+        assert data[:6] == b"SHUF\x02\x00"
+        assert len(data) == 294
+        assert hashlib.sha256(data[6:]).hexdigest() == (
+            "4c0eb6ecf8eb64163afe6135b1131407dc43657892bb77270ae4cbb1dca619e9"
+        )
 
     def test_truncation_detected(self):
         data = message_serialize(message_init())

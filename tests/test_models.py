@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from shufflecodec.ans import ContractViolation, message_init
+from shufflecodec.ans import ContractViolation, ParameterError, message_init
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
 from shufflecodec.graphs import Graph, apply_perm
 from shufflecodec.models import (
@@ -143,6 +143,54 @@ class TestErdosRenyi:
         assert 0 < p < 1
 
 
+URN_SETTINGS = [(False, False), (True, False), (False, True), (True, True)]
+
+# Hand-picked sequences on 7 vertices: repeats where redraws are allowed,
+# self-loops (including repeated ones) where loops are.
+_FIXED_SEQUENCES = {
+    (False, False): ((0, 1), (1, 2), (1, 3), (0, 4), (2, 4), (3, 4), (0, 2), (5, 6)),
+    (True, False): ((0, 1), (0, 1), (1, 2), (0, 1), (2, 3), (1, 3), (5, 6)),
+    (False, True): ((0, 0), (0, 1), (1, 1), (1, 2), (0, 2), (6, 6)),
+    (True, True): ((0, 0), (0, 0), (0, 1), (2, 2), (0, 1), (6, 6)),
+}
+
+
+def _eligible_pairs(n, drawn, redraws, loops):
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i if loops else i + 1, n)
+        if redraws or (i, j) not in drawn
+    ]
+
+
+def _random_urn_sequence(rng, n, length, redraws, loops):
+    drawn = set()
+    seq = []
+    for _ in range(length):
+        pair = rng.choice(_eligible_pairs(n, drawn, redraws, loops))
+        drawn.add(pair)
+        seq.append(pair)
+    return tuple(seq)
+
+
+def _urn_sequence_prob(params, seq):
+    """Exact urn probability of an edge sequence: each pair with mass
+    w_i * w_j (w = degree + 1) over the masses of all eligible pairs."""
+    w = [1] * params.n
+    drawn = set()
+    p = Fraction(1)
+    for i, j in seq:
+        eligible = _eligible_pairs(
+            params.n, drawn, params.allow_redraws, params.allow_self_loops
+        )
+        p *= Fraction(w[i] * w[j], sum(w[a] * w[b] for a, b in eligible))
+        drawn.add((i, j))
+        w[i] += 1
+        w[j] += 1
+    return p
+
+
 class TestPolyaUrn:
     def test_empty_graph(self):
         codec = polya_urn_codec(PuParams(4, 0))
@@ -159,7 +207,7 @@ class TestPolyaUrn:
         codec.encode(m, Graph(3, [(0, 2)]))
         assert abs((m.length_bits - before) - math.log2(3)) <= 0.01
 
-    @pytest.mark.parametrize("redraws,loops", [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
     def test_round_trips(self, rng, redraws, loops):
         for _ in range(250):
             n = rng.randint(2, 8)
@@ -187,6 +235,57 @@ class TestPolyaUrn:
         codec = pu_sequence_codec(PuParams(3, 2))
         with pytest.raises(ContractViolation):
             codec.encode(message_init(), ((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_sequence_rate_is_exact_urn_probability(self, redraws, loops):
+        rng = random.Random(17)
+        n = 7
+        seqs = [_FIXED_SEQUENCES[redraws, loops]]
+        seqs += [_random_urn_sequence(rng, n, 12, redraws, loops) for _ in range(6)]
+        for seq in seqs:
+            params = PuParams(n, len(seq), allow_redraws=redraws, allow_self_loops=loops)
+            codec = pu_sequence_codec(params)
+            m = random_message(seed=len(seq), tail_words=64)
+            snapshot = m.copy()
+            before = m.length_bits
+            codec.encode(m, seq)
+            bits = m.length_bits - before
+            exact = -math.log2(_urn_sequence_prob(params, seq))
+            assert abs(bits - exact) <= 1e-3 * len(seq)
+            assert codec.decode(m) == seq
+            assert m == snapshot
+
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_bad_pairs_rejected_message_unchanged(self, redraws, loops):
+        bad = [((2, 1),), ((0, 4),), ((-1, 2),), ((4, 4),), ((0, 1, 2),), ((0.5, 2),)]
+        if not loops:
+            bad.append(((1, 1),))
+        if not redraws:
+            bad.append(((0, 1), (0, 1)))
+        for seq in bad:
+            params = PuParams(4, len(seq), allow_redraws=redraws, allow_self_loops=loops)
+            m = random_message(seed=5, tail_words=16)
+            snapshot = m.copy()
+            with pytest.raises(ContractViolation):
+                pu_sequence_codec(params).encode(m, seq)
+            assert m == snapshot
+
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_exhausted_urn_is_contract_violation(self, redraws, loops):
+        # Without redraws PuParams already refuses more edges than pairs.
+        n = 0 if loops else 1
+        if not redraws:
+            with pytest.raises(ParameterError):
+                PuParams(n, 1, allow_self_loops=loops)
+            return
+        codec = pu_sequence_codec(PuParams(n, 1, True, loops))
+        m = random_message(seed=2, tail_words=4)
+        snapshot = m.copy()
+        with pytest.raises(ContractViolation):
+            codec.encode(m, ((0, 0),))
+        assert m == snapshot
+        with pytest.raises(ContractViolation):
+            codec.decode(m)
 
     def test_edge_count_cap_validated(self):
         with pytest.raises(Exception):
