@@ -25,7 +25,6 @@ from .canon import (
     Canonized,
     canon_equal,
     canonize,
-    canonize_bruteforce,
     canonize_string,
     embed_edge_colors,
 )
@@ -44,6 +43,7 @@ from .models import (
     erdos_renyi_codec,
     polya_urn_codec,
     string_codec,
+    with_attributes,
 )
 from .params import (
     DatasetParams,
@@ -65,7 +65,6 @@ from .perms import (
     element_unrank,
     group_order,
     inverse,
-    orbit_of,
     schreier_sims,
 )
 from .shuffle import (
@@ -74,7 +73,6 @@ from .shuffle import (
     discount_bits,
     graph_class,
     sequence_class,
-    symmetrize_check,
 )
 
 __version__ = "0.1.0"

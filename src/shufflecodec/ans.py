@@ -17,6 +17,7 @@ bits per symbol.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import struct
 import zlib
@@ -34,7 +35,7 @@ MAX_PRECISION = 48
 _HEADROOM_BITS = 16
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 
@@ -240,11 +241,18 @@ def quantize_masses(weights: Sequence, precision: int) -> List[int]:
     order = sorted(range(len(ws)), key=remainders.__getitem__, reverse=True)
     for i in order[:shortfall]:
         masses[i] += 1
-    for i, w in enumerate(ws):
-        if w > 0 and masses[i] == 0:
-            j = max(range(len(masses)), key=lambda k: (masses[k], -k))
+    zeroed = [i for i, w in enumerate(ws) if w > 0 and masses[i] == 0]
+    if zeroed:
+        # Each zeroed weight takes one unit from the largest mass (ties to the
+        # lower index); the heap keeps that lookup O(log n).
+        heap = [(-x, j) for j, x in enumerate(masses) if x]
+        heapq.heapify(heap)
+        for i in zeroed:
+            neg, j = heap[0]
             masses[j] -= 1
-            masses[i] += 1
+            heapq.heapreplace(heap, (neg + 1, j))
+            masses[i] = 1
+            heapq.heappush(heap, (-1, i))
     return masses
 
 

@@ -100,11 +100,17 @@ def _individualize(colors: List[int], v: int) -> List[int]:
 
 
 def _target_cell(colors: List[int]) -> List[int]:
+    """The smallest non-singleton cell, ties broken by the lower color.
+
+    Colors are canonical and vertex labels are not, so the choice must not
+    look at the labels: otherwise relabelings explore different trees and
+    can reach different minimum leaves.
+    """
     cells: Dict[int, List[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    candidates = [vs for vs in cells.values() if len(vs) > 1]
-    return min(candidates, key=lambda vs: (len(vs), min(vs)))
+    _, color = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)
+    return cells[color]
 
 
 def _orbit_closure(points: List[int], gens: List[Perm]) -> set:

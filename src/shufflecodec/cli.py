@@ -1,4 +1,4 @@
-"""Command-line interface: compress / decompress / bench / selftest."""
+"""Command-line interface: compress / decompress / bench."""
 
 from __future__ import annotations
 
@@ -60,19 +60,21 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    corpus = load_tu_dataset(args.dataset)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    reports = []
     for model in models:
         if model not in MODELS:
             raise DatasetError(f"unknown model {model!r}")
-        data, report = compress_corpus(
-            corpus, model=model, attrs=args.attrs, seed=_seed_from(args)
-        )
-        started = time.perf_counter()
-        decompress_corpus(data)
-        report.decode_seconds = time.perf_counter() - started
-        reports.append(report)
+    reports = []
+    for directory in args.dataset:
+        corpus = load_tu_dataset(directory)
+        for model in models:
+            data, report = compress_corpus(
+                corpus, model=model, attrs=args.attrs, seed=_seed_from(args)
+            )
+            started = time.perf_counter()
+            decompress_corpus(data)
+            report.decode_seconds = time.perf_counter() - started
+            reports.append(report)
     if args.json:
         print(json.dumps([asdict(r) for r in reports], sort_keys=True, indent=2))
     else:
@@ -84,93 +86,6 @@ def _cmd_bench(args) -> int:
                 f"{r.initial_bits_per_edge:.4f} b/e, canonize "
                 f"{100 * r.canonize_share:.0f}% of encode time)"
             )
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    import math
-    import random
-    from fractions import Fraction
-    from itertools import combinations
-
-    from .ans import message_deserialize, message_init, message_serialize, uniform_codec
-    from .canon import canonize, canonize_bruteforce
-    from .generate import sample_er_graph
-    from .graphs import Graph, apply_perm
-    from .models import ErParams, erdos_renyi_codec
-    from .perms import PermGroup, compose, group_order, identity, schreier_sims
-    from .shuffle import ShuffleCodec, discount_bits, graph_class
-
-    rng = random.Random(_seed_from(args))
-    failures = []
-
-    def check(name: str, ok: bool) -> None:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-
-    m = message_init()
-    codec = uniform_codec(6)
-    symbols = [rng.randrange(6) for _ in range(2000)]
-    before = m.length_bits
-    for x in symbols:
-        codec.encode(m, x)
-    rate_ok = abs((m.length_bits - before) - 2000 * math.log2(6)) <= 1.0
-    trip_ok = [codec.decode(m) for _ in symbols] == symbols[::-1]
-    check("rans uniform rate and round trip", rate_ok and trip_ok and m == message_init())
-
-    orders_ok = True
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
-        members = {identity(n)}
-        frontier = [identity(n)]
-        while frontier:
-            h = frontier.pop()
-            for g in gens:
-                p = compose(g, h)
-                if p not in members:
-                    members.add(p)
-                    frontier.append(p)
-        orders_ok &= group_order(schreier_sims(PermGroup(n, gens))) == len(members)
-    check("schreier-sims orders match brute-force closure", orders_ok)
-
-    canon_ok = True
-    pairs4 = list(combinations(range(4), 2))
-    for bits in range(1 << len(pairs4)):
-        g = Graph(4, [e for k, e in enumerate(pairs4) if bits >> k & 1])
-        canon_ok &= canonize(g).aut_order == canonize_bruteforce(g).aut_order
-    check("canonization agrees with brute force on all n=4 graphs", canon_ok)
-
-    water = Graph(3, [(0, 1), (0, 2)], vertex_attrs=[0, 1, 1])
-    check("order discount of the water graph", abs(discount_bits(water) - 1.58) < 0.005)
-
-    shuffle_ok = True
-    sc = ShuffleCodec(erdos_renyi_codec(ErParams(7, Fraction(1, 3))), graph_class())
-    for trial in range(25):
-        g = sample_er_graph(rng, 7, 0.3)
-        s = tuple(rng.sample(range(7), 7))
-        m1 = message_init(pad_seed=trial)
-        m2 = message_init(pad_seed=trial)
-        sc.encode(m1, g)
-        sc.encode(m2, apply_perm(s, g))
-        shuffle_ok &= m1 == m2
-        out = sc.decode(m1)
-        shuffle_ok &= out == canonize(g).canon_graph
-    check("shuffle coding is isomorphism-invariant and invertible", shuffle_ok)
-
-    m = message_init()
-    for _ in range(100):
-        uniform_codec(1000).encode(m, rng.randrange(1000))
-    check(
-        "message serialization round trip",
-        message_deserialize(message_serialize(m)) == m,
-    )
-
-    if failures:
-        print(f"{len(failures)} check(s) failed", file=sys.stderr)
-        return 1
-    print("all checks passed")
     return 0
 
 
@@ -199,14 +114,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_decompress)
 
     p = sub.add_parser("bench", help="compress+decompress and report rates")
-    p.add_argument("--dataset", required=True)
+    p.add_argument(
+        "--dataset", required=True, action="append", help="repeat for more datasets"
+    )
     p.add_argument("--models", default="er")
     p.add_argument("--attrs", choices=ATTR_MODES, default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("selftest", help="run built-in oracle checks")
-    p.set_defaults(func=_cmd_selftest)
 
     args = parser.parse_args(argv)
     try:

@@ -12,9 +12,8 @@ restores original positions.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -28,9 +27,8 @@ from .ans import (
     pad_word,
     quantize_masses,
 )
-from .canon import canonize
 from .datasets import Corpus, DatasetError
-from .graphs import Graph, pair_count
+from .graphs import Graph, pair_count, plain_graph
 from .models import (
     PARAM_PRECISION,
     ErParams,
@@ -41,7 +39,7 @@ from .models import (
     with_attributes,
 )
 from .params import DatasetParams, decode_dataset_params, encode_dataset_params
-from .shuffle import CanonStats, ShuffleCodec, graph_class, log2_factorial
+from .shuffle import CanonStats, ShuffleCodec, discount_bits, graph_class, log2_factorial
 
 ATTR_MODES = ("auto", "none", "uniform")
 MODELS = ("er", "pu")
@@ -70,15 +68,11 @@ class BenchmarkReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-def _strip_attrs(g: Graph) -> Graph:
-    return Graph(g.n, g.edges, None, None, g.self_loops_allowed)
-
-
 def _prepared_graphs(corpus: Corpus, attrs: str) -> List[Graph]:
     if attrs not in ATTR_MODES:
         raise ValueError(f"attrs must be one of {ATTR_MODES}, got {attrs!r}")
     if attrs == "none":
-        return [_strip_attrs(g) for g in corpus.graphs]
+        return [plain_graph(g) for g in corpus.graphs]
     return list(corpus.graphs)
 
 
@@ -150,7 +144,10 @@ def build_dataset_params(
 
 
 def validate_dataset_params(params: DatasetParams, corpus: Corpus, attrs: str) -> None:
-    """Reject a parameter block that does not describe the corpus."""
+    """Reject a parameter block that does not describe the corpus.
+
+    compress_corpus does not call this: the block it builds always matches.
+    """
     rebuilt, _ = build_dataset_params(
         corpus, params.model, attrs, params.redraws, params.order_perm is not None
     )
@@ -172,31 +169,28 @@ def _er_probability(params: DatasetParams) -> Fraction:
 
 
 def graph_codec_for(params: DatasetParams, n: int, num_edges: Optional[int] = None) -> Codec:
-    """The ordered-graph codec for one graph slot under the dataset params."""
-    v_ps = _attr_masses(params.vertex_attr_counts)
-    e_ps = _attr_masses(params.edge_attr_counts)
+    """The ordered-graph codec for one graph slot under the dataset params:
+    the plain-graph model, under the attribute layer when the dataset has
+    attributes."""
     if params.model == "er":
-        return erdos_renyi_codec(
-            ErParams(
+        base = erdos_renyi_codec(ErParams(n, _er_probability(params), params.self_loops))
+    else:
+        base = polya_urn_codec(
+            PuParams(
                 n,
-                _er_probability(params),
-                vertex_attr_ps=v_ps,
-                edge_attr_ps=e_ps,
-                uniform_attrs=params.uniform_attrs,
-                self_loops=params.self_loops,
+                num_edges,
+                allow_redraws=params.redraws,
+                allow_self_loops=params.self_loops,
             )
         )
-    base = polya_urn_codec(
-        PuParams(
-            n,
-            num_edges,
-            allow_redraws=params.redraws,
-            allow_self_loops=params.self_loops,
-        )
-    )
-    if v_ps is None and e_ps is None:
+    if params.vertex_attr_counts is None and params.edge_attr_counts is None:
         return base
-    return with_attributes(base, n, v_ps, e_ps, params.uniform_attrs)
+    return with_attributes(
+        base,
+        _attr_masses(params.vertex_attr_counts),
+        _attr_masses(params.edge_attr_counts),
+        params.uniform_attrs,
+    )
 
 
 def compress_corpus(
@@ -210,7 +204,6 @@ def compress_corpus(
     """Compress a corpus into one SHUF message; returns bytes and a report."""
     started = time.perf_counter()
     params, order = build_dataset_params(corpus, model, attrs, redraws, keep_order)
-    validate_dataset_params(params, corpus, attrs)
     graphs = _prepared_graphs(corpus, attrs)
     stats = CanonStats()
     pclass = graph_class(stats)
@@ -297,39 +290,18 @@ def net_rate_single(
 ) -> float:
     """Net cost in bits of shuffle-coding one graph into a message that
     already holds data: the fair single-graph comparison (model parameter
-    bits excluded; p defaults to the graph's empirical edge density)."""
-    c = canonize(graph)
-    discount = log2_factorial(graph.n) - math.log2(c.aut_order)
+    bits excluded). The codec is the one compress_corpus would use for a
+    one-graph corpus; er_p, when given, replaces the empirical edge density."""
+    corpus = Corpus((graph,), "single", graph.has_vertex_attrs, graph.has_edge_attrs)
+    params, _ = build_dataset_params(corpus, model)
+    if model == "er" and er_p is not None:
+        p = Fraction(er_p)
+        params = replace(params, er_counts=(p.numerator, p.denominator - p.numerator))
+    shuffler = ShuffleCodec(graph_codec_for(params, graph.n, graph.num_edges), graph_class())
     # The urn model's inner edge-list shuffle decodes up to log2(m!) more.
-    prefill_bits = discount + 64
+    prefill_bits = discount_bits(graph) + 64
     if model == "pu":
         prefill_bits += log2_factorial(graph.num_edges)
-    if model == "er":
-        loops = any(i == j for i, j in graph.edges)
-        pairs = pair_count(graph.n, loops)
-        if er_p is None:
-            er_p = Fraction(graph.num_edges, pairs) if pairs else Fraction(1, 2)
-        v_ps = (
-            _attr_masses(_attr_counts(graph.vertex_attrs))
-            if graph.has_vertex_attrs
-            else None
-        )
-        e_ps = (
-            _attr_masses(_attr_counts(list(graph.edge_attrs.values())))
-            if graph.has_edge_attrs
-            else None
-        )
-        codec = erdos_renyi_codec(
-            ErParams(graph.n, clamp_probability(er_p), v_ps, e_ps, False, loops)
-        )
-    elif model == "pu":
-        loops = any(i == j for i, j in graph.edges)
-        codec = polya_urn_codec(
-            PuParams(graph.n, graph.num_edges, allow_self_loops=loops)
-        )
-    else:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    shuffler = ShuffleCodec(codec, graph_class())
     words = int(prefill_bits) // 16 + 1
     while True:
         m = Message(tail=[pad_word(seed, i) for i in range(words)], pad_seed=seed)

@@ -8,16 +8,9 @@ covering every edge.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .perms import DegreeMismatch, Perm
-
-Edge = Tuple[int, int]
-
-
-def _normalize_edge(e) -> Edge:
-    i, j = e
-    return (i, j) if i <= j else (j, i)
 
 
 class Graph:
@@ -33,7 +26,7 @@ class Graph:
         edge_attrs: Optional[Mapping] = None,
         self_loops_allowed: bool = False,
     ):
-        edge_list = [_normalize_edge(e) for e in edges]
+        edge_list = [(i, j) if i <= j else (j, i) for i, j in edges]
         edge_set = frozenset(edge_list)
         if len(edge_list) != len(edge_set):
             raise ValueError("duplicate edges")
@@ -52,7 +45,9 @@ class Graph:
                 raise ValueError("negative vertex attribute")
         self.vertex_attrs = vertex_attrs
         if edge_attrs is not None:
-            edge_attrs = {_normalize_edge(e): a for e, a in edge_attrs.items()}
+            edge_attrs = {
+                ((i, j) if i <= j else (j, i)): a for (i, j), a in edge_attrs.items()
+            }
             if set(edge_attrs) != edge_set:
                 raise ValueError("edge attributes must cover exactly the edge set")
             if any(a < 0 for a in edge_attrs.values()):
@@ -118,6 +113,17 @@ def apply_perm(s: Perm, g: Graph) -> Graph:
     if g.edge_attrs is not None:
         edge_attrs = {(s[i], s[j]): a for (i, j), a in g.edge_attrs.items()}
     return Graph(g.n, edges, vertex_attrs, edge_attrs, g.self_loops_allowed)
+
+
+def plain_graph(g: Graph) -> Graph:
+    """The graph with its attributes dropped. It shares g's validated edge
+    set instead of checking it again."""
+    if g.vertex_attrs is None and g.edge_attrs is None:
+        return g
+    out = Graph.__new__(Graph)
+    out.n, out.edges, out.self_loops_allowed = g.n, g.edges, g.self_loops_allowed
+    out.vertex_attrs = out.edge_attrs = None
+    return out
 
 
 def graph_pairs(n: int, self_loops: bool = False):

@@ -1,6 +1,7 @@
 """Exchangeable ordered-object models: i.i.d.-categorical strings,
-Erdős-Rényi graphs with i.i.d. attributes, and the Pólya-urn edge-sequence
-model (preferential attachment) with an inner shuffle over the edge list.
+Erdős-Rényi graphs, the Pólya-urn edge-sequence model (preferential
+attachment) with an inner shuffle over the edge list, and one i.i.d.
+attribute layer over either graph model.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .ans import (
     categorical_codec,
     uniform_codec,
 )
-from .graphs import Graph, graph_pairs, pair_count
+from .graphs import Graph, graph_pairs, pair_count, plain_graph
 
 # Probability resolution for model parameters derived from data. Encoder and
 # decoder rebuild identical tables from identical integer counts.
@@ -36,14 +37,11 @@ def clamp_probability(p) -> Fraction:
 
 @dataclass(frozen=True)
 class ErParams:
-    """Erdős-Rényi model: edge probability plus optional i.i.d. attribute
-    tables (fixed-point masses)."""
+    """Erdős-Rényi model on plain graphs: the edge probability of every
+    vertex pair (self-loops included when enabled)."""
 
     n: int
     edge_p: Fraction
-    vertex_attr_ps: Optional[Tuple[int, ...]] = None
-    edge_attr_ps: Optional[Tuple[int, ...]] = None
-    uniform_attrs: bool = False
     self_loops: bool = False
 
     def __post_init__(self):
@@ -103,58 +101,33 @@ def _attr_codec(ps: Optional[Tuple[int, ...]], uniform_attrs: bool) -> Optional[
     return categorical_codec(list(ps))
 
 
-def erdos_renyi_codec(params: ErParams) -> Codec:
-    """Graphs under G(n, p) with i.i.d. attributes.
+def _check_plain(g, n: int) -> None:
+    if not isinstance(g, Graph) or g.n != n:
+        raise ContractViolation(f"expected a graph on {n} vertices")
+    if g.has_vertex_attrs or g.has_edge_attrs:
+        raise ContractViolation("attributed graph: code it through with_attributes")
 
-    Decode order: one Bernoulli per vertex pair in row order, then vertex
-    attributes, then one attribute per present edge in pair order. Pairwise
-    symmetric probabilities make the model exchangeable.
-    """
+
+def erdos_renyi_codec(params: ErParams) -> Codec:
+    """Plain graphs under G(n, p): one Bernoulli per vertex pair in
+    graph_pairs order. Equal pair probabilities make it exchangeable."""
     n = params.n
     bern = bernoulli_codec(params.edge_p, PARAM_PRECISION)
-    v_codec = _attr_codec(params.vertex_attr_ps, params.uniform_attrs)
-    e_codec = _attr_codec(params.edge_attr_ps, params.uniform_attrs)
     pairs = list(graph_pairs(n, params.self_loops))
 
     def encode(m: Message, g: Graph) -> None:
-        if not isinstance(g, Graph) or g.n != n:
-            raise ContractViolation(f"expected a graph on {n} vertices")
-        if (g.vertex_attrs is not None) != (v_codec is not None):
-            raise ContractViolation("vertex attribute presence mismatch")
-        if (g.edge_attrs is not None) != (e_codec is not None):
-            raise ContractViolation("edge attribute presence mismatch")
-        if e_codec is not None:
-            for e in reversed([e for e in pairs if e in g.edges]):
-                e_codec.encode(m, g.edge_attrs[e])
-        if v_codec is not None:
-            for v in reversed(range(n)):
-                v_codec.encode(m, g.vertex_attrs[v])
+        _check_plain(g, n)
         for e in reversed(pairs):
             bern.encode(m, 1 if e in g.edges else 0)
 
     def decode(m: Message) -> Graph:
         edges = [e for e in pairs if bern.decode(m)]
-        vertex_attrs = None
-        if v_codec is not None:
-            vertex_attrs = [v_codec.decode(m) for v in range(n)]
-        edge_attrs = None
-        if e_codec is not None:
-            edge_attrs = {e: e_codec.decode(m) for e in edges}
-        return Graph(n, edges, vertex_attrs, edge_attrs, params.self_loops)
+        return Graph(n, edges, self_loops_allowed=params.self_loops)
 
     def prob(g: Graph) -> Fraction:
-        p = Fraction(1)
         p_edge = bern.prob(1)
-        for e in pairs:
-            p *= p_edge if e in g.edges else 1 - p_edge
-        if v_codec is not None:
-            for a in g.vertex_attrs:
-                p *= v_codec.prob(a)
-        if e_codec is not None:
-            for e in pairs:
-                if e in g.edges:
-                    p *= e_codec.prob(g.edge_attrs[e])
-        return p
+        present = sum(1 for e in pairs if e in g.edges)
+        return p_edge**present * (1 - p_edge) ** (len(pairs) - present)
 
     return Codec(encode, decode, prob)
 
@@ -261,45 +234,63 @@ def pu_sequence_codec(params: PuParams) -> Codec:
     return Codec(encode, decode)
 
 
+# Sort key that lists edges (i, j), i <= j, in graph_pairs order.
+_pair_order = operator.itemgetter(1, 0)
+
+
 def with_attributes(
     base: Codec,
-    n: int,
     vertex_attr_ps: Optional[Tuple[int, ...]] = None,
     edge_attr_ps: Optional[Tuple[int, ...]] = None,
     uniform_attrs: bool = False,
 ) -> Codec:
-    """Layer i.i.d. attribute coding over a plain-graph codec.
+    """Layer i.i.d. attribute coding over a plain-graph codec (either model).
 
-    Decode order: the base graph, then vertex attributes, then one attribute
-    per edge in sorted edge order.
+    Decode order: the base graph, then one attribute per vertex, then one per
+    edge in graph_pairs order. The attribute masses are fixed-point tables;
+    uniform_attrs codes every attribute uniformly over the table's alphabet.
+    ``prob`` is the base probability times the attribute masses, when the
+    base has one.
     """
     v_codec = _attr_codec(vertex_attr_ps, uniform_attrs)
     e_codec = _attr_codec(edge_attr_ps, uniform_attrs)
 
     def encode(m: Message, g: Graph) -> None:
-        if (g.vertex_attrs is not None) != (v_codec is not None):
+        if not isinstance(g, Graph):
+            raise ContractViolation("expected a graph")
+        if g.has_vertex_attrs != (v_codec is not None):
             raise ContractViolation("vertex attribute presence mismatch")
-        if (g.edge_attrs is not None) != (e_codec is not None):
+        if g.has_edge_attrs != (e_codec is not None):
             raise ContractViolation("edge attribute presence mismatch")
         if e_codec is not None:
-            for e in reversed(sorted(g.edges)):
+            for e in sorted(g.edges, key=_pair_order, reverse=True):
                 e_codec.encode(m, g.edge_attrs[e])
         if v_codec is not None:
             for a in reversed(g.vertex_attrs):
                 v_codec.encode(m, a)
-        base.encode(m, Graph(g.n, g.edges, None, None, g.self_loops_allowed))
+        base.encode(m, plain_graph(g))
 
     def decode(m: Message) -> Graph:
         g = base.decode(m)
         vertex_attrs = None
         if v_codec is not None:
-            vertex_attrs = [v_codec.decode(m) for _ in range(n)]
+            vertex_attrs = [v_codec.decode(m) for _ in range(g.n)]
         edge_attrs = None
         if e_codec is not None:
-            edge_attrs = {e: e_codec.decode(m) for e in sorted(g.edges)}
+            edge_attrs = {e: e_codec.decode(m) for e in sorted(g.edges, key=_pair_order)}
         return Graph(g.n, g.edges, vertex_attrs, edge_attrs, g.self_loops_allowed)
 
-    return Codec(encode, decode)
+    def prob(g: Graph) -> Fraction:
+        p = base.prob(plain_graph(g))
+        if v_codec is not None:
+            for a in g.vertex_attrs:
+                p *= v_codec.prob(a)
+        if e_codec is not None:
+            for a in g.edge_attrs.values():
+                p *= e_codec.prob(a)
+        return p
+
+    return Codec(encode, decode, prob if base.prob is not None else None)
 
 
 def polya_urn_codec(params: PuParams) -> Codec:
@@ -310,8 +301,7 @@ def polya_urn_codec(params: PuParams) -> Codec:
     inner = ShuffleCodec(pu_sequence_codec(params), sequence_class())
 
     def encode(m: Message, g: Graph) -> None:
-        if not isinstance(g, Graph) or g.n != params.n:
-            raise ContractViolation(f"expected a graph on {params.n} vertices")
+        _check_plain(g, params.n)
         if g.num_edges != params.num_edges:
             raise ContractViolation(
                 f"graph has {g.num_edges} edges, params say {params.num_edges}"

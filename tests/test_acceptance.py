@@ -20,7 +20,13 @@ from shufflecodec.compress import compress_corpus
 from shufflecodec.datasets import Corpus, load_tu_dataset
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
 from shufflecodec.graphs import Graph, apply_perm
-from shufflecodec.models import ErParams, PuParams, erdos_renyi_codec, polya_urn_codec
+from shufflecodec.models import (
+    ErParams,
+    PuParams,
+    erdos_renyi_codec,
+    polya_urn_codec,
+    with_attributes,
+)
 from shufflecodec.perm_codecs import uniform_perm_grp_codec, uniform_s_codec
 from shufflecodec.perms import (
     PermGroup,
@@ -73,16 +79,12 @@ def shuffle_codec_for(g, model, p, rng):
     e_ps = (3, 1) if g.has_edge_attrs else None
     if model == "er":
         ordered = erdos_renyi_codec(
-            ErParams(g.n, Fraction(p).limit_denominator(100), v_ps, e_ps, False, loops)
+            ErParams(g.n, Fraction(p).limit_denominator(100), loops)
         )
     else:
-        base = polya_urn_codec(PuParams(g.n, g.num_edges, allow_self_loops=loops))
-        if v_ps or e_ps:
-            from shufflecodec.models import with_attributes
-
-            ordered = with_attributes(base, g.n, v_ps, e_ps, False)
-        else:
-            ordered = base
+        ordered = polya_urn_codec(PuParams(g.n, g.num_edges, allow_self_loops=loops))
+    if v_ps or e_ps:
+        ordered = with_attributes(ordered, v_ps, e_ps)
     return ShuffleCodec(ordered, graph_class())
 
 

@@ -237,6 +237,14 @@ class TestQuantize:
         assert quantize_masses(weights, 3) == _fraction_quantize(weights, 3)
         assert quantize_masses(weights, 3) == [2, 2, 2, 0, 1, 1]
 
+    def test_unzeroing_takes_from_the_largest_mass_lower_index_first(self):
+        weights = [100, 100, 1, 1, 1, 1, 1, 0, 1]
+        assert quantize_masses(weights, 3) == _fraction_quantize(weights, 3)
+        assert quantize_masses(weights, 3) == [1, 1, 1, 1, 1, 1, 1, 0, 1]
+        # Each of the 2000 small weights rounds to 0 and is given one unit.
+        masses = quantize_masses([2**40] + [1] * 2000, 24)
+        assert masses == [2**24 - 2000] + [1] * 2000
+
 
 def _fraction_quantize(weights, precision):
     """Reference apportionment over Fractions (the integer version must agree
@@ -344,14 +352,16 @@ class TestSerialization:
     def test_older_format_version_rejected(self):
         data = bytearray(message_serialize(message_init()))
         assert data[4:6] == ans.FORMAT_VERSION.to_bytes(2, "little")
-        data[4:6] = (1).to_bytes(2, "little")
-        with pytest.raises(FormatError, match="version 1"):
-            message_deserialize(bytes(data))
+        for version in range(1, ans.FORMAT_VERSION):
+            data[4:6] = version.to_bytes(2, "little")
+            with pytest.raises(FormatError, match=f"version {version}"):
+                message_deserialize(bytes(data))
 
     def test_er_corpus_bytes_unchanged_by_version_2(self):
         # ER and attribute tables do not depend on the urn change that set
-        # version 2: everything after the version field is as version 1 wrote
-        # it for this corpus.
+        # version 2, nor on the attribute layer or the canonization tie-break
+        # of version 3: everything after the version field is as version 1
+        # wrote it for this corpus.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -360,7 +370,7 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x02\x00"
+        assert data[:6] == b"SHUF\x03\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "4c0eb6ecf8eb64163afe6135b1131407dc43657892bb77270ae4cbb1dca619e9"

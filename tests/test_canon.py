@@ -14,6 +14,8 @@ from shufflecodec.canon import (
     canonize_via_embedding,
     embed_edge_colors,
 )
+from shufflecodec.compress import compress_corpus, decompress_corpus
+from shufflecodec.datasets import Corpus
 from shufflecodec.graphs import Graph, apply_perm
 from shufflecodec.perms import compose, group_order, identity, inverse
 
@@ -222,6 +224,37 @@ class TestStructuredOracle:
                 c2 = canonize(apply_perm(s, g))
                 assert c2.canon_graph == ref.canon_graph
                 assert signature(c2.chain) == signature(ref.chain)
+
+
+def grid_graph(a, b):
+    edges = [(v, v + 1) for v in range(a * b) if v % b + 1 < b]
+    edges += [(v, v + b) for v in range(a * b - b)]
+    return Graph(a * b, edges)
+
+
+def hypercube(d):
+    return Graph(
+        1 << d,
+        [(v, v | 1 << k) for v in range(1 << d) for k in range(d) if not v >> k & 1],
+    )
+
+
+class TestLabelIndependence:
+    # These graphs refine to many equal-size cells. If the target cell among
+    # them depended on vertex labels, relabelings would search different
+    # trees and could reach different canonical forms.
+    @pytest.mark.parametrize(
+        "name, g", [("grid5x5", grid_graph(5, 5)), ("Q4", hypercube(4))]
+    )
+    def test_relabelings_share_one_canonical_form(self, name, g):
+        rng = random.Random(name)
+        relabeled = [
+            apply_perm(tuple(rng.sample(range(g.n), g.n)), g) for _ in range(12)
+        ]
+        canon = canonize(g).canon_graph
+        assert all(canonize(h).canon_graph == canon for h in relabeled)
+        data, _ = compress_corpus(Corpus(tuple(relabeled), name, False, False))
+        assert list(decompress_corpus(data).graphs) == [canon] * len(relabeled)
 
 
 class TestEdgeColorEmbedding:

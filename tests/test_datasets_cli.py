@@ -283,12 +283,19 @@ class TestNetRateSingle:
         assert net_rate_single(g) <= ordered - discount_bits(g) + 2
 
 
-class TestCli:
-    def test_selftest_exits_zero(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
+    def test_pu_codes_attributes(self):
+        # Attributes cost about the same under either model; the urn's inner
+        # edge-list shuffle moves its bits by a fraction of a bit.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (4, 5), (3, 6)]
+        plain = Graph(7, edges)
+        g = Graph(7, edges, [0, 1, 1, 0, 1, 1, 1], {e: k % 2 for k, e in enumerate(edges)})
+        er_cost = net_rate_single(g) - net_rate_single(plain)
+        pu_cost = net_rate_single(g, model="pu") - net_rate_single(plain, model="pu")
+        assert er_cost > 10
+        assert abs(pu_cost - er_cost) < 1
 
+
+class TestCli:
     def test_compress_decompress_cycle(self, tmp_path, capsys):
         blob = tmp_path / "toy.shuf"
         report = tmp_path / "report.json"
@@ -315,9 +322,20 @@ class TestCli:
             assert canon_equal(got, want)
 
     def test_bench_json(self, tmp_path, capsys):
-        assert main(["bench", "--dataset", FIXTURE, "--models", "er,pu", "--json"]) == 0
+        rng = random.Random(17)
+        plain = Corpus(
+            tuple(sample_er_graph(rng, 6, 0.4) for _ in range(3)), "PLAIN", False, False
+        )
+        write_tu_dataset(plain, str(tmp_path / "plain"))
+        argv = ["bench", "--dataset", FIXTURE, "--dataset", str(tmp_path / "plain")]
+        assert main(argv + ["--models", "er,pu", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert {r["model"] for r in payload} == {"er", "pu"}
+        assert [(r["dataset"], r["model"]) for r in payload] == [
+            ("TOY", "er"),
+            ("TOY", "pu"),
+            ("PLAIN", "er"),
+            ("PLAIN", "pu"),
+        ]
         for r in payload:
             assert r["shuffle_bits_per_edge"] > 0
             assert r["decode_seconds"] > 0
@@ -344,7 +362,7 @@ class TestCli:
 
     def test_console_script_installed(self):
         result = subprocess.run(
-            [sys.executable, "-m", "shufflecodec.cli", "selftest"],
+            [sys.executable, "-m", "shufflecodec.cli", "--help"],
             capture_output=True,
             text=True,
         )

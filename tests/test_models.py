@@ -15,6 +15,7 @@ from shufflecodec.models import (
     polya_urn_codec,
     pu_sequence_codec,
     string_codec,
+    with_attributes,
 )
 
 from conftest import random_message
@@ -87,13 +88,11 @@ class TestErdosRenyi:
         assert abs(expected - 24672) < 400
 
     def test_round_trip_with_attributes(self, rng):
-        params = ErParams(
-            6,
-            Fraction(2, 5),
+        codec = with_attributes(
+            erdos_renyi_codec(ErParams(6, Fraction(2, 5))),
             vertex_attr_ps=(3, 1),
             edge_attr_ps=(1, 1, 2),
         )
-        codec = erdos_renyi_codec(params)
         for _ in range(50):
             g = sample_er_graph(rng, 6, 0.4, vertex_alphabet=2, edge_alphabet=3)
             m = random_message(seed=3, tail_words=8)
@@ -112,8 +111,8 @@ class TestErdosRenyi:
             assert codec.decode(m) == g
 
     def test_exchangeable_exact(self, rng):
-        codec = erdos_renyi_codec(
-            ErParams(7, Fraction(1, 4), vertex_attr_ps=(2, 1, 1))
+        codec = with_attributes(
+            erdos_renyi_codec(ErParams(7, Fraction(1, 4))), vertex_attr_ps=(2, 1, 1)
         )
         for _ in range(100):
             g = sample_er_graph(rng, 7, 0.25, vertex_alphabet=3)
@@ -153,6 +152,59 @@ _FIXED_SEQUENCES = {
     (False, True): ((0, 0), (0, 1), (1, 1), (1, 2), (0, 2), (6, 6)),
     (True, True): ((0, 0), (0, 0), (0, 1), (2, 2), (0, 1), (6, 6)),
 }
+
+
+class TestAttributeLayer:
+    def test_probabilities_sum_to_one_n3(self):
+        from itertools import combinations, product
+
+        for uniform in (False, True):
+            codec = with_attributes(
+                erdos_renyi_codec(ErParams(3, Fraction(1, 3))), (3, 1), (1, 2), uniform
+            )
+            pairs = list(combinations(range(3), 2))
+            total = Fraction(0)
+            for bits in range(8):
+                edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+                for vattrs in product(range(2), repeat=3):
+                    for eattrs in product(range(2), repeat=len(edges)):
+                        g = Graph(3, edges, vattrs, dict(zip(edges, eattrs)))
+                        total += codec.prob(g)
+            assert total == 1
+
+    def test_prob_matches_coded_bits(self, rng):
+        codec = with_attributes(
+            erdos_renyi_codec(ErParams(6, Fraction(2, 5))), (3, 1), (1, 1, 2)
+        )
+        for _ in range(20):
+            g = sample_er_graph(rng, 6, 0.4, vertex_alphabet=2, edge_alphabet=3)
+            m = random_message(seed=5, tail_words=8)
+            before = m.length_bits
+            codec.encode(m, g)
+            bits = m.length_bits - before
+            assert abs(bits + math.log2(codec.prob(g))) <= 0.01
+
+    def test_prob_only_over_a_base_with_prob(self):
+        urn = with_attributes(polya_urn_codec(PuParams(3, 1)), (1, 1))
+        assert urn.prob is None
+
+    def test_plain_codecs_reject_attributes(self):
+        g = Graph(3, [(0, 1)], vertex_attrs=[0, 1, 0])
+        for codec in (
+            erdos_renyi_codec(ErParams(3, Fraction(1, 2))),
+            polya_urn_codec(PuParams(3, 1)),
+        ):
+            with pytest.raises(ContractViolation):
+                codec.encode(message_init(), g)
+
+    def test_presence_mismatch_rejected(self):
+        codec = with_attributes(erdos_renyi_codec(ErParams(3, Fraction(1, 2))), (1, 1))
+        with pytest.raises(ContractViolation):
+            codec.encode(message_init(), Graph(3, [(0, 1)]))
+        with pytest.raises(ContractViolation):
+            codec.encode(
+                message_init(), Graph(3, [(0, 1)], [0, 0, 0], {(0, 1): 0})
+            )
 
 
 def _eligible_pairs(n, drawn, redraws, loops):

@@ -7,7 +7,13 @@ from shufflecodec.ans import message_init
 from shufflecodec.canon import canon_equal
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, apply_perm
-from shufflecodec.models import ErParams, PuParams, erdos_renyi_codec, polya_urn_codec
+from shufflecodec.models import (
+    ErParams,
+    PuParams,
+    erdos_renyi_codec,
+    polya_urn_codec,
+    with_attributes,
+)
 from shufflecodec.shuffle import (
     ShuffleCodec,
     discount_bits,
@@ -19,8 +25,11 @@ from shufflecodec.shuffle import (
 from conftest import random_message
 
 
-def er_shuffle(n, p, **kw):
-    return ShuffleCodec(erdos_renyi_codec(ErParams(n, p, **kw)), graph_class())
+def er_shuffle(n, p, vertex_attr_ps=None):
+    ordered = erdos_renyi_codec(ErParams(n, p))
+    if vertex_attr_ps is not None:
+        ordered = with_attributes(ordered, vertex_attr_ps)
+    return ShuffleCodec(ordered, graph_class())
 
 
 def all_simple_graphs(n):
