@@ -117,6 +117,8 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
 
     def encode(m: Message, g: Graph) -> None:
         _check_plain(g, n)
+        if not params.self_loops and any(i == j for i, j in g.edges):
+            raise ContractViolation("graph has self-loops but params disallow them")
         for e in reversed(pairs):
             bern.encode(m, 1 if e in g.edges else 0)
 

@@ -6,6 +6,13 @@ generator lists; stabilizer chains built here use the fixed base 0, 1, ..., n-1
 (levels with trivial orbits are omitted), which makes every derived quantity
 deterministic for a given generator list and makes the coset-canonical element
 the lexicographic minimum in one-line notation.
+
+Chains come from two functions. schreier_sims works for any generator list
+and keeps a Schreier-tree transversal per level. symmetric_runs_chain builds
+the chain of a product of symmetric groups on runs of consecutive points in
+closed form, in O(n) time and memory: its levels compute each orbit index in
+O(1) and each transversal element in O(n), and equal what schreier_sims gives
+for the adjacent transpositions within the runs.
 """
 
 from __future__ import annotations
@@ -133,12 +140,43 @@ class ChainLevel:
     def rep(self, point: int) -> Perm:
         """Coset representative u with u(base) = point, by tree walk with
         path compression."""
-        r = self._reps.get(point)
-        if r is None:
-            parent, gen = self._tree[point]
-            r = compose(gen, self.rep(parent))
-            self._reps[point] = r
-        return r
+        return _tree_rep(self._tree, self._reps, point)
+
+
+class RunLevel(ChainLevel):
+    """Level p of the chain of a product of symmetric groups whose factor
+    acts on the run [a, b) containing p, in closed form.
+
+    The orbit is range(p, b) and the transversal element for w is the cycle
+    p -> w, k -> k-1 on (p, w]: the element the Schreier tree of the adjacent
+    transpositions gives. rep is O(n) and orbit_index O(1); nothing is cached.
+    gens, the adjacent transpositions (k, k+1) with k >= p within the runs, is
+    built on demand, since no coset operation reads it.
+    """
+
+    __slots__ = ("_end", "_degree", "_runs")
+
+    def __init__(
+        self, point: int, end: int, degree: int, runs: Tuple[Tuple[int, int], ...]
+    ):
+        self.point = point
+        self.orbit = range(point, end)
+        self._end = end
+        self._degree = degree
+        self._runs = runs
+
+    @property
+    def gens(self) -> Tuple[Perm, ...]:
+        return run_transpositions(self._degree, self._runs, self.point)
+
+    def orbit_index(self, point: int) -> Optional[int]:
+        return point - self.point if self.point <= point < self._end else None
+
+    def rep(self, point: int) -> Perm:
+        p = self.point
+        if not p <= point < self._end:
+            raise KeyError(point)
+        return (*range(p), point, *range(p, point), *range(point + 1, self._degree))
 
 
 @dataclass(frozen=True)
@@ -148,6 +186,24 @@ class StabilizerChain:
 
     degree: int
     levels: Tuple[ChainLevel, ...]
+
+
+def _tree_rep(
+    tree: Dict[int, Tuple[int, Perm]], reps: Dict[int, Perm], point: int
+) -> Perm:
+    """Transversal element for point: climb the Schreier tree to the nearest
+    cached ancestor, then compose back down, caching every node on the path.
+    Iterative, so a tree as deep as the degree needs no deep recursion."""
+    path = []
+    r = reps.get(point)
+    while r is None:
+        path.append(point)
+        point = tree[point][0]
+        r = reps.get(point)
+    for w in reversed(path):
+        r = compose(tree[w][1], r)
+        reps[w] = r
+    return r
 
 
 def _bfs_tree(point: int, gens: Sequence[Perm]) -> Dict[int, Tuple[int, Perm]]:
@@ -195,13 +251,7 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
         lvl.reps = {lvl.point: e}
 
     def rep(idx: int, point: int) -> Perm:
-        lvl = levels[idx]
-        r = lvl.reps.get(point)
-        if r is None:
-            parent, gen = lvl.tree[point]
-            r = compose(gen, rep(idx, parent))
-            lvl.reps[point] = r
-        return r
+        return _tree_rep(levels[idx].tree, levels[idx].reps, point)
 
     def sift(g: Perm, start_idx: int) -> Perm:
         for idx in range(start_idx, len(levels)):
@@ -259,6 +309,40 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
         gens = strong_gens(k)
         frozen.append(ChainLevel(lvl.point, n, gens, _bfs_tree(lvl.point, gens)))
     return StabilizerChain(n, tuple(frozen))
+
+
+def run_transpositions(
+    n: int, runs: Sequence[Tuple[int, int]], start: int = 0
+) -> Tuple[Perm, ...]:
+    """The adjacent transpositions (k, k+1) inside the runs [a, b) with
+    k >= start, in increasing k. With start = 0 they generate the product of
+    the symmetric groups on the runs; with start = p, its pointwise stabilizer
+    of the points below p."""
+    gens = []
+    for a, b in runs:
+        for k in range(max(a, start), b - 1):
+            gens.append((*range(k), k + 1, k, *range(k + 2, n)))
+    return tuple(gens)
+
+
+def symmetric_runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerChain:
+    """Stabilizer chain of S_{k1} x ... x S_{kr}, one factor per run [a, b) of
+    consecutive points, without Schreier-Sims: one RunLevel per point of a
+    run except its last. Equal, level by level, to the schreier_sims chain of
+    run_transpositions(n, runs). Runs must be disjoint, increasing and inside
+    [0, n); runs of one point contribute nothing."""
+    runs = tuple((a, b) for a, b in runs)
+    prev = 0
+    for a, b in runs:
+        if not prev <= a < b <= n:
+            raise ValueError(
+                f"runs {runs!r} are not disjoint increasing runs in [0, {n})"
+            )
+        prev = b
+    levels = tuple(
+        RunLevel(p, b, n, runs) for a, b in runs for p in range(a, b - 1)
+    )
+    return StabilizerChain(n, levels)
 
 
 def group_order(chain: StabilizerChain) -> int:

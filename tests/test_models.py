@@ -130,6 +130,14 @@ class TestErdosRenyi:
             total += codec.prob(g)
         assert total == 1
 
+    def test_self_loop_rejected_without_loops(self):
+        codec = erdos_renyi_codec(ErParams(3, Fraction(1, 2)))
+        g = Graph(3, [(0, 0), (0, 1)], self_loops_allowed=True)
+        m = message_init()
+        with pytest.raises(ContractViolation, match="self-loops"):
+            codec.encode(m, g)
+        assert m == message_init()
+
     def test_vertex_count_mismatch(self):
         codec = erdos_renyi_codec(ErParams(4, Fraction(1, 2)))
         with pytest.raises(ContractViolation):

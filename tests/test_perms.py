@@ -3,9 +3,10 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflecodec.canon import canonize_string
 from shufflecodec.perms import (
     DegreeMismatch,
     NotInGroup,
@@ -21,6 +22,7 @@ from shufflecodec.perms import (
     orbit_of,
     schreier_sims,
     smallest_moved,
+    symmetric_runs_chain,
 )
 
 
@@ -253,3 +255,50 @@ def test_chain_handles_all_subgroups_of_s4():
             canon = coset_canon(chain, (3, 2, 1, 0))
             assert canon == min(compose((3, 2, 1, 0), h) for h in members)
     assert {1, 2, 3, 4, 6, 8, 12, 24} <= seen_orders
+
+
+def test_deep_schreier_tree_reps():
+    # One 1500-cycle: the Schreier tree is a path of depth 1499, deeper than
+    # the interpreter's recursion limit, so rep must walk it iteratively.
+    n = 1500
+    cycle = tuple(range(1, n)) + (0,)
+    chain = schreier_sims(PermGroup(n, (cycle,)))
+    (lvl,) = chain.levels
+    for w in reversed(range(n)):
+        assert lvl.rep(w)[0] == w
+    for k in (1, 311, 750, 1499):
+        h = tuple((i + k) % n for i in range(n))
+        assert element_unrank(chain, element_rank(chain, h)) == h
+
+
+class TestSymmetricRunsChain:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.lists(st.integers(0, k - 1), max_size=40)))
+    def test_equals_schreier_sims_chain(self, xs):
+        # The closed-form chain of a sorted sequence's automorphism group is
+        # the chain schreier_sims builds from the adjacent transpositions,
+        # level by level, so coset codes over either are the same bits.
+        c = canonize_string(xs)
+        ref = schreier_sims(c.aut_generators)
+        assert len(c.chain.levels) == len(ref.levels)
+        for lvl, want in zip(c.chain.levels, ref.levels):
+            assert lvl.point == want.point
+            assert tuple(lvl.orbit) == want.orbit
+            assert lvl.gens == want.gens
+            for w in want.orbit:
+                assert lvl.rep(w) == want.rep(w)
+            for v in range(len(xs)):
+                assert lvl.orbit_index(v) == want.orbit_index(v)
+        assert group_order(c.chain) == group_order(ref) == c.aut_order
+
+    def test_runs_validated(self):
+        for runs in ([(0, 3), (2, 4)], [(2, 4), (0, 2)], [(0, 5)], [(1, 1)]):
+            with pytest.raises(ValueError):
+                symmetric_runs_chain(4, runs)
+
+    def test_rep_outside_orbit_rejected(self):
+        lvl = symmetric_runs_chain(5, [(1, 4)]).levels[0]
+        assert [lvl.orbit_index(v) for v in range(5)] == [None, 0, 1, 2, None]
+        for w in (0, 4):
+            with pytest.raises(KeyError):
+                lvl.rep(w)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from shufflecodec.ans import message_init
+from shufflecodec import canon, perms
+from shufflecodec.ans import message_init, message_serialize
 from shufflecodec.canon import canon_equal
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, apply_perm
@@ -12,6 +14,7 @@ from shufflecodec.models import (
     PuParams,
     erdos_renyi_codec,
     polya_urn_codec,
+    string_codec,
     with_attributes,
 )
 from shufflecodec.shuffle import (
@@ -179,12 +182,49 @@ class TestShuffleEncodeDecode:
 
     def test_sequence_class_shuffle(self, rng):
         # Multiset coding via the string canonizer.
-        from shufflecodec.models import string_codec
-
         codec = ShuffleCodec(string_codec([2, 1, 1], 8), sequence_class())
         for _ in range(50):
             xs = tuple(rng.randrange(3) for _ in range(8))
             m = random_message(seed=8, tail_words=32)
+            snapshot = m.copy()
+            codec.encode(m, xs)
+            assert codec.decode(m) == tuple(sorted(xs))
+            assert m == snapshot
+
+
+class TestMultisets:
+    def test_message_bytes_unchanged(self):
+        # Seeded multisets shuffle-coded into one message; the SHA-256 is the
+        # one the Schreier-Sims chain gave, which the closed-form chain of
+        # canonize_string must reproduce.
+        rng = random.Random(2408)
+        masses = (5, 2, 1)
+        m = message_init()
+        for _ in range(30):
+            length = rng.randint(0, 48)
+            xs = tuple(rng.choices(range(3), weights=masses, k=length))
+            ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
+        data = message_serialize(m)
+        assert data[:6] == b"SHUF\x03\x00"
+        assert hashlib.sha256(data).hexdigest() == (
+            "9100256c91ffff9b92f864cc3f2d5b07e91844c9c2b10fa752f955ee8c36df5a"
+        )
+
+    def test_long_multisets_without_schreier_sims(self, monkeypatch):
+        # Bounded work: sequence canonization must not reach the general
+        # Schreier-Sims, whose cost on long runs is polynomial of high degree.
+        def refuse(group):
+            raise AssertionError("schreier_sims called")
+
+        monkeypatch.setattr(perms, "schreier_sims", refuse)
+        monkeypatch.setattr(canon, "schreier_sims", refuse)
+        n = 1000
+        rng = random.Random(5)
+        for xs in ((1,) * n, tuple(rng.randrange(2) for _ in range(n))):
+            c = canon.canonize_string(xs)
+            assert len(c.chain.levels) == n - len(set(xs))
+            codec = ShuffleCodec(string_codec([1, 1], n), sequence_class())
+            m = random_message(seed=6, tail_words=640)
             snapshot = m.copy()
             codec.encode(m, xs)
             assert codec.decode(m) == tuple(sorted(xs))
