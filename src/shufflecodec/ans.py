@@ -35,7 +35,7 @@ MAX_PRECISION = 48
 _HEADROOM_BITS = 16
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 
@@ -120,9 +120,6 @@ class Message:
     def length_bits(self) -> float:
         """Exact-log size: log2(head) plus 16 bits per stack word."""
         return math.log2(self.head) + WORD_BITS * len(self.tail)
-
-    def push_word(self, word: int) -> None:
-        self.tail.append(word)
 
     def pop_word(self) -> int:
         if self.tail:

@@ -6,10 +6,10 @@ form under the fixed total order of Graph.key(). Equal-form leaves certify
 automorphisms, which both prune the search and generate Aut. Sequences
 (strings) are canonized by stable sorting.
 
-The canonical form and the automorphism generators returned for a graph depend
-only on its isomorphism class representative, never on the input labeling:
-generators are recomputed on the canonical graph itself. That determinism is
-what makes compressed bitstreams identical across isomorphic inputs.
+The canonical form of a graph depends only on its isomorphism class, never on
+the input labeling. The automorphisms found by its one search are conjugated
+onto the canonical form; the chain they build depends only on the group (see
+perms), which makes compressed bitstreams identical across isomorphic inputs.
 """
 
 from __future__ import annotations
@@ -211,17 +211,10 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
 def canonize(g: Graph) -> Canonized:
     """Canonical form, canonical permutation, and Aut of the canonical form."""
     perm, auts = _search(g)
-    canon_graph = apply_perm(perm, g)
-    if not auts:
-        chain = schreier_sims(PermGroup.trivial(g.n))
-        return Canonized(canon_graph, perm, PermGroup.trivial(g.n), 1, chain)
-    if perm == identity(g.n):
-        canon_auts = auts
-    else:
-        _, canon_auts = _search(canon_graph)
-    grp = PermGroup(g.n, tuple(canon_auts))
+    perm_inv = inverse(perm)
+    grp = PermGroup(g.n, tuple(compose(perm, compose(a, perm_inv)) for a in auts))
     chain = schreier_sims(grp)
-    return Canonized(canon_graph, perm, grp, group_order(chain), chain)
+    return Canonized(apply_perm(perm, g), perm, grp, group_order(chain), chain)
 
 
 def canon_equal(a: Graph, b: Graph) -> bool:

@@ -131,6 +131,11 @@ def load_tu_dataset(directory: str) -> Corpus:
         else:
             seen[e] = label
 
+    vertex_attrs_of = [[0] * n for n in counters]
+    if node_labels is not None:
+        for (gi, li), label in zip(local, node_labels):
+            vertex_attrs_of[gi][li] = node_map[label]
+
     # Loop permission is a dataset-level property: a uniform flag keeps graphs
     # comparable across a compress/decompress round trip.
     loops = any(i == j for g in per_graph_edges for i, j in g)
@@ -138,12 +143,7 @@ def load_tu_dataset(directory: str) -> Corpus:
     for gi in range(num_graphs):
         n = counters[gi]
         edges = sorted(per_graph_edges[gi])
-        vertex_attrs = None
-        if node_labels is not None:
-            vertex_attrs = [0] * n
-            for global_id, (g_idx, l_idx) in enumerate(local):
-                if g_idx == gi:
-                    vertex_attrs[l_idx] = node_map[node_labels[global_id]]
+        vertex_attrs = vertex_attrs_of[gi] if node_labels is not None else None
         edge_attrs = (
             {e: per_graph_edges[gi][e] for e in edges}
             if edge_labels is not None

@@ -129,6 +129,8 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
     def prob(g: Graph) -> Fraction:
         p_edge = bern.prob(1)
         present = sum(1 for e in pairs if e in g.edges)
+        if present != len(g.edges):  # an edge the model cannot draw
+            return Fraction(0)
         return p_edge**present * (1 - p_edge) ** (len(pairs) - present)
 
     return Codec(encode, decode, prob)

@@ -6,7 +6,8 @@ attribute count tables, and the model's count parameters. Lists of naturals
 are coded as: list length (46-bit uniform), the bit count B of the maximum
 element (uniform over 0..32), then each element with a log-uniform code: a
 bit-length k uniform on {0..B} followed by the k-1 free bits (k = 0 encodes
-the value 0).
+the value 0). Zeros cost no bits when B = 0, so such a list is capped at
+_ZERO_LIST_LIMIT elements: a few header bits cannot demand 2**46 of them.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .ans import Codec, ContractViolation, Message, bernoulli_codec, uniform_codec
+from .ans import Codec, ContractViolation, FormatError, Message
+from .ans import bernoulli_codec, uniform_codec
 from .graphs import pair_count
 
 _LENGTH_LIMIT = 1 << 46
 _ELEMENT_LIMIT = 1 << 32
+_ZERO_LIST_LIMIT = 1 << 16
 
 _length_codec = uniform_codec(_LENGTH_LIMIT)
 _bitcount_codec = uniform_codec(33)
@@ -37,6 +40,8 @@ def natural_list_codec() -> Codec:
         if any(x < 0 for x in xs) or top >= _ELEMENT_LIMIT:
             raise ContractViolation("element outside [0, 2**32)")
         bit_count = top.bit_length()
+        if bit_count == 0 and len(xs) > _ZERO_LIST_LIMIT:
+            raise ContractViolation(f"all-zero list longer than {_ZERO_LIST_LIMIT}")
         k_codec = uniform_codec(bit_count + 1)
         for x in reversed(xs):
             k = x.bit_length()
@@ -49,6 +54,8 @@ def natural_list_codec() -> Codec:
     def decode(m: Message) -> List[int]:
         length = _length_codec.decode(m)
         bit_count = _bitcount_codec.decode(m)
+        if bit_count == 0 and length > _ZERO_LIST_LIMIT:
+            raise FormatError(f"all-zero list of length {length}")
         k_codec = uniform_codec(bit_count + 1)
         xs = []
         for _ in range(length):
@@ -99,10 +106,6 @@ class DatasetParams:
             raise ValueError("er model requires er_counts")
         if self.model == "pu" and self.pu_edge_counts is None:
             raise ValueError("pu model requires pu_edge_counts")
-
-    @property
-    def num_graphs(self) -> int:
-        return sum(count for _, count in self.vertex_count_runs)
 
     def sizes_in_coding_order(self) -> List[int]:
         return sizes_largest_first(self.vertex_count_runs)

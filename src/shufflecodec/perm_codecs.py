@@ -20,7 +20,6 @@ from .perms import (
     coset_canon,
     element_rank,
     element_unrank,
-    identity,
     inverse,
 )
 

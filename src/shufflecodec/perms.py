@@ -3,16 +3,17 @@
 Permutations are tuples in one-line notation (p[i] is the image of i) and
 compose like functions: compose(s, t) performs t, then s. Groups are stored as
 generator lists; stabilizer chains built here use the fixed base 0, 1, ..., n-1
-(levels with trivial orbits are omitted), which makes every derived quantity
-deterministic for a given generator list and makes the coset-canonical element
-the lexicographic minimum in one-line notation.
+(levels with trivial orbits are omitted), which makes the coset-canonical
+element the lexicographic minimum in one-line notation. A level's transversal
+element for orbit point w is the lex-min element of its group mapping the base
+point to w, so all derived quantities depend only on the group and the base.
 
-Chains come from two functions. schreier_sims works for any generator list
-and keeps a Schreier-tree transversal per level. symmetric_runs_chain builds
-the chain of a product of symmetric groups on runs of consecutive points in
-closed form, in O(n) time and memory: its levels compute each orbit index in
-O(1) and each transversal element in O(n), and equal what schreier_sims gives
-for the adjacent transpositions within the runs.
+Chains come from two functions. schreier_sims works for any generator list; a
+level walks its Schreier tree to some element mapping the base point to w and
+takes the lex-min of its coset over the levels below. symmetric_runs_chain
+builds the chain of a product of symmetric groups on runs of consecutive
+points in closed form, in O(n) time and memory: its levels compute each orbit
+index in O(1) and each transversal element in O(n).
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def orbit_of(group: PermGroup, point: int) -> frozenset:
 
 class ChainLevel:
     """One level of a stabilizer chain: a base point, its orbit under the
-    current stabilizer subgroup, and a Schreier-tree transversal."""
+    current stabilizer subgroup G, and the canonical transversal of G."""
 
-    __slots__ = ("point", "gens", "orbit", "_index", "_tree", "_reps")
+    __slots__ = ("point", "gens", "orbit", "_index", "_tree", "_walk", "_reps", "_below")
 
     def __init__(
         self,
@@ -126,21 +127,30 @@ class ChainLevel:
         degree: int,
         gens: Sequence[Perm],
         tree: Dict[int, Tuple[int, Perm]],
+        below: "StabilizerChain",
     ):
         self.point = point
         self.gens = tuple(gens)
         self.orbit = tuple(sorted(tree))
         self._index = {w: i for i, w in enumerate(self.orbit)}
         self._tree = tree
-        self._reps: Dict[int, Perm] = {point: identity(degree)}
+        self._walk: Dict[int, Perm] = {point: identity(degree)}
+        self._reps = dict(self._walk)
+        self._below = below
 
     def orbit_index(self, point: int) -> Optional[int]:
         return self._index.get(point)
 
+    def any_rep(self, point: int) -> Perm:
+        """Some u in G with u(base) = point (Schreier-tree walk, path-compressed)."""
+        return _tree_rep(self._tree, self._walk, point)
+
     def rep(self, point: int) -> Perm:
-        """Coset representative u with u(base) = point, by tree walk with
-        path compression."""
-        return _tree_rep(self._tree, self._reps, point)
+        """The lex-min u in G with u(base) = point: the coset_canon of
+        any_rep(point) over the levels below. Cached per point."""
+        if point not in self._reps:
+            self._reps[point] = coset_canon(self._below, self.any_rep(point))
+        return self._reps[point]
 
 
 class RunLevel(ChainLevel):
@@ -148,8 +158,8 @@ class RunLevel(ChainLevel):
     acts on the run [a, b) containing p, in closed form.
 
     The orbit is range(p, b) and the transversal element for w is the cycle
-    p -> w, k -> k-1 on (p, w]: the element the Schreier tree of the adjacent
-    transpositions gives. rep is O(n) and orbit_index O(1); nothing is cached.
+    p -> w, k -> k-1 on (p, w]: the closed form of the lex-min element that
+    maps p to w. rep is O(n) and orbit_index O(1); nothing is cached.
     gens, the adjacent transpositions (k, k+1) with k >= p within the runs, is
     built on demand, since no coset operation reads it.
     """
@@ -177,6 +187,8 @@ class RunLevel(ChainLevel):
         if not p <= point < self._end:
             raise KeyError(point)
         return (*range(p), point, *range(p, point), *range(point + 1, self._degree))
+
+    any_rep = rep
 
 
 @dataclass(frozen=True)
@@ -304,11 +316,11 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
         else:
             idx = install(residue)
 
-    frozen = []
-    for k, lvl in enumerate(levels):
-        gens = strong_gens(k)
-        frozen.append(ChainLevel(lvl.point, n, gens, _bfs_tree(lvl.point, gens)))
-    return StabilizerChain(n, tuple(frozen))
+    frozen: Tuple[ChainLevel, ...] = ()  # bottom-up: a level reads those below
+    for k in reversed(range(len(levels))):
+        lvl, below = levels[k], StabilizerChain(n, frozen)
+        frozen = (ChainLevel(lvl.point, n, strong_gens(k), lvl.tree, below),) + frozen
+    return StabilizerChain(n, frozen)
 
 
 def run_transpositions(
@@ -376,14 +388,14 @@ def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
     """Lexicographically smallest one-line vector in the left coset s*H.
 
     Descends the stabilizer chain: at each level the base point's image is
-    minimized over the orbit, which is globally optimal because the base is
-    increasing and points between base points have trivial orbits.
+    minimized over the orbit, globally optimal as the base is increasing and
+    points between base points have trivial orbits. Any transversal will do.
     """
     _check_degree(chain, s)
     cur = s
     for lvl in chain.levels:
         best = min(lvl.orbit, key=lambda w: cur[w])
-        cur = compose(cur, lvl.rep(best))
+        cur = compose(cur, lvl.any_rep(best))
     return cur
 
 

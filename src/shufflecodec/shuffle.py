@@ -133,12 +133,6 @@ class ShuffleCodec:
         uniform_l_coset_codec(info.chain).encode(m, s)
         return info.value
 
-    def as_codec(self) -> Codec:
-        def encode(m: Message, f) -> None:
-            self.encode(m, f)
-
-        return Codec(encode, self.decode)
-
 
 @dataclass(frozen=True)
 class ClassReport:

@@ -360,8 +360,9 @@ class TestSerialization:
     def test_er_corpus_bytes_unchanged_by_version_2(self):
         # ER and attribute tables do not depend on the urn change that set
         # version 2, nor on the attribute layer or the canonization tie-break
-        # of version 3: everything after the version field is as version 1
-        # wrote it for this corpus.
+        # of version 3, nor on the canonical transversals of version 4:
+        # everything after the version field is as version 1 wrote it for
+        # this corpus.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -370,7 +371,7 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x03\x00"
+        assert data[:6] == b"SHUF\x04\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "4c0eb6ecf8eb64163afe6135b1131407dc43657892bb77270ae4cbb1dca619e9"

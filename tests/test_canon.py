@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from shufflecodec import canon
 from shufflecodec.canon import (
     SizeError,
     apply_sequence,
@@ -96,6 +97,22 @@ class TestCanonize:
             c = canonize(g)
             for a in c.aut_generators.generators:
                 assert apply_perm(a, c.canon_graph) == c.canon_graph
+
+    def test_one_search_per_graph(self, monkeypatch):
+        # The automorphisms found on the input are conjugated onto the
+        # canonical form; nothing searches the canonical graph again.
+        calls = []
+        search = canon._search
+
+        def counted(g):
+            calls.append(g)
+            return search(g)
+
+        monkeypatch.setattr(canon, "_search", counted)
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        c = canonize(g)
+        assert c.canon_perm != identity(4) and c.aut_order == 6
+        assert len(calls) == 1
 
     def test_invariance_ten_thousand_pairs(self):
         rng = random.Random(7)
@@ -203,10 +220,14 @@ class TestStructuredOracle:
                 assert apply_perm(a, c.canon_graph) == c.canon_graph
 
     def test_chain_identical_across_relabelings(self):
-        # the coset codec's bitstream depends on the chain's points, orbits,
-        # and generator lists, so all three must be labeling-independent
+        # the coset codec's bitstream depends on the chain's points, orbits
+        # and transversal elements, so all three must be labeling-independent;
+        # the generators are conjugates of whichever automorphisms the search
+        # found, and no coset operation reads them
         def signature(chain):
-            return [(l.point, l.orbit, l.gens) for l in chain.levels]
+            return [
+                (l.point, l.orbit, [l.rep(w) for w in l.orbit]) for l in chain.levels
+            ]
 
         rng = random.Random(101)
         for trial in range(20):

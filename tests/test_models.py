@@ -138,6 +138,18 @@ class TestErdosRenyi:
             codec.encode(m, g)
         assert m == message_init()
 
+    def test_prob_zero_for_graphs_refused(self):
+        # A self-loop lies outside the pairs of a loop-free model: encode
+        # refuses the graph, so prob must give it nothing.
+        codec = erdos_renyi_codec(ErParams(3, Fraction(1, 2)))
+        assert codec.prob(Graph(3, [(0, 1)])) == Fraction(1, 8)
+        g = Graph(3, [(0, 0), (0, 1)], self_loops_allowed=True)
+        assert codec.prob(g) == 0
+        attributed = Graph(
+            3, g.edges, vertex_attrs=[0, 1, 0], self_loops_allowed=True
+        )
+        assert with_attributes(codec, (1, 1)).prob(attributed) == 0
+
     def test_vertex_count_mismatch(self):
         codec = erdos_renyi_codec(ErParams(4, Fraction(1, 2)))
         with pytest.raises(ContractViolation):

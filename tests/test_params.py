@@ -1,11 +1,21 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflecodec.ans import ContractViolation, message_init
+from shufflecodec.ans import (
+    CodecError,
+    ContractViolation,
+    FormatError,
+    bernoulli_codec,
+    message_init,
+    message_serialize,
+    uniform_codec,
+)
+from shufflecodec.compress import decompress_corpus
 from shufflecodec.params import (
     DatasetParams,
     decode_dataset_params,
@@ -63,6 +73,33 @@ class TestNaturalList:
             codec.encode(message_init(), [1 << 32])
         with pytest.raises(ContractViolation):
             codec.encode(message_init(), [-1])
+        with pytest.raises(ContractViolation, match="all-zero"):
+            codec.encode(message_init(), [0] * (1 << 20))
+
+
+def zero_list_header(m, length):
+    """Push the header of a list of `length` zeros: bit count 0, then length."""
+    uniform_codec(33).encode(m, 0)
+    uniform_codec(1 << 46).encode(m, length)
+
+
+class TestUntrustedLists:
+    # Zeros cost no bits when the bit count is 0, so without a cap a few
+    # header bits could make the decoder loop for 2**46 elements.
+    def test_long_zero_list_refused(self):
+        m = message_init()
+        zero_list_header(m, (1 << 20) + 1)
+        with pytest.raises(FormatError, match="all-zero"):
+            natural_list_codec().decode(m)
+
+    def test_framed_message_with_long_zero_list_refused(self):
+        m = message_init()
+        zero_list_header(m, (1 << 20) + 1)
+        bit = bernoulli_codec(Fraction(1, 2))
+        for _ in range(5):  # model, loops, uniform attrs, redraws, order flags
+            bit.encode(m, 0)
+        with pytest.raises(CodecError, match="all-zero"):
+            decompress_corpus(message_serialize(m))
 
 
 def make_params(**kw):

@@ -20,6 +20,7 @@ from shufflecodec.perms import (
     identity,
     inverse,
     orbit_of,
+    run_transpositions,
     schreier_sims,
     smallest_moved,
     symmetric_runs_chain,
@@ -128,6 +129,41 @@ class TestSchreierSims:
         assert [lvl.point for lvl in a.levels] == [lvl.point for lvl in b.levels]
         assert [lvl.orbit for lvl in a.levels] == [lvl.orbit for lvl in b.levels]
         assert [lvl.gens for lvl in a.levels] == [lvl.gens for lvl in b.levels]
+
+    def test_chain_independent_of_generators(self):
+        # Points, orbits and transversal elements, and so every coset code,
+        # depend only on the group: two generating lists give one chain.
+        def signature(chain):
+            return [
+                (l.point, l.orbit, [l.rep(w) for w in l.orbit]) for l in chain.levels
+            ]
+
+        s5 = PermGroup(5, run_transpositions(5, [(0, 5)]))
+        pairs = [(PermGroup.symmetric(5), s5)]
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+            other = gens[::-1] + [compose(gens[0], gens[-1])]
+            pairs.append((PermGroup(n, tuple(gens)), PermGroup(n, tuple(other))))
+        for a, b in pairs:
+            assert signature(schreier_sims(a)) == signature(schreier_sims(b))
+
+    def test_reps_are_lex_min(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
+            chain = schreier_sims(PermGroup(n, gens))
+            members = closure(n, gens)
+            for lvl in chain.levels:
+                for w in lvl.orbit:
+                    want = min(
+                        h for h in members
+                        if all(h[p] == p for p in range(lvl.point))
+                        and h[lvl.point] == w
+                    )
+                    assert lvl.rep(w) == want
 
     def test_base_points_strictly_increase(self):
         rng = random.Random(5)

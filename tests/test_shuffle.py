@@ -194,9 +194,10 @@ class TestShuffleEncodeDecode:
 
 class TestMultisets:
     def test_message_bytes_unchanged(self):
-        # Seeded multisets shuffle-coded into one message; the SHA-256 is the
-        # one the Schreier-Sims chain gave, which the closed-form chain of
-        # canonize_string must reproduce.
+        # Seeded multisets shuffle-coded into one message; the SHA-256 of
+        # everything after the version field is the one the Schreier-Sims
+        # chain gave, which the closed-form chain of canonize_string must
+        # reproduce.
         rng = random.Random(2408)
         masses = (5, 2, 1)
         m = message_init()
@@ -205,9 +206,9 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x03\x00"
-        assert hashlib.sha256(data).hexdigest() == (
-            "9100256c91ffff9b92f864cc3f2d5b07e91844c9c2b10fa752f955ee8c36df5a"
+        assert data[:6] == b"SHUF\x04\x00"
+        assert hashlib.sha256(data[6:]).hexdigest() == (
+            "64a41947c05663d0206fe21953ed28eebb23c270e5b1111ae9d1d9f0947fadb7"
         )
 
     def test_long_multisets_without_schreier_sims(self, monkeypatch):
