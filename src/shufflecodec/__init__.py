@@ -26,7 +26,6 @@ from .canon import (
     canon_equal,
     canonize,
     canonize_string,
-    embed_edge_colors,
 )
 from .compress import (
     BenchmarkReport,

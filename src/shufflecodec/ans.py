@@ -130,22 +130,6 @@ class Message:
         self.pad_consumed += 1
         return word
 
-    def without_pad_residue(self) -> "Message":
-        """Copy with re-materialized pad words stripped from the stack top.
-
-        After a full encode/decode round trip that dipped into the pad, the
-        consumed pad words sit back on top of the stack; stripping them
-        recovers the original message for comparison.
-        """
-        m = self.copy()
-        if m.pad_seed is None:
-            return m
-        index = 0
-        while m.tail and m.tail[-1] == pad_word(m.pad_seed, index):
-            m.tail.pop()
-            index += 1
-        return m
-
 
 def message_init(pad_seed: Optional[int] = DEFAULT_PAD_SEED) -> Message:
     """The fixed initial message: lowest valid head, empty stack."""

@@ -25,7 +25,6 @@ from .perms import (
     StabilizerChain,
     compose,
     group_order,
-    identity,
     inverse,
     run_transpositions,
     schreier_sims,
@@ -43,10 +42,6 @@ class Canonized:
     aut_generators: PermGroup
     aut_order: int
     chain: StabilizerChain
-
-
-class SizeError(ValueError):
-    pass
 
 
 def _adjacency(g: Graph) -> List[List[Tuple[int, int]]]:
@@ -222,77 +217,6 @@ def canon_equal(a: Graph, b: Graph) -> bool:
     if a.n != b.n:
         return False
     return canonize(a).canon_graph == canonize(b).canon_graph
-
-
-def canonize_bruteforce(g: Graph) -> Canonized:
-    """Oracle canonizer: minimum over all n! relabelings; n <= 9."""
-    if g.n > 9:
-        raise SizeError(f"brute-force canonization limited to n <= 9, got {g.n}")
-    from itertools import permutations
-
-    g_key = g.key()
-    best_key = None
-    best_perm = None
-    auts = []
-    for s in permutations(range(g.n)):
-        key = apply_perm(s, g).key()
-        if best_key is None or key < best_key:
-            best_key, best_perm = key, s
-        if key == g_key:
-            auts.append(s)
-    grp = PermGroup(g.n, tuple(a for a in auts if a != identity(g.n)))
-    chain = schreier_sims(grp)
-    assert group_order(chain) == len(auts)
-    return Canonized(
-        apply_perm(best_perm, g), best_perm, grp, len(auts), chain
-    )
-
-
-def embed_edge_colors(g: Graph) -> Tuple[Graph, Tuple[Tuple[int, int], ...]]:
-    """Embed an edge-colored graph into a vertex-colored one.
-
-    Each edge becomes a fresh vertex carrying the edge's attribute, adjacent
-    to the edge's endpoints. Original vertex colors and edge colors live in
-    disjoint ranges so no spurious symmetry arises. Returns the embedded graph
-    and the edge order assigning edge k to vertex n + k.
-    """
-    if g.edge_attrs is None:
-        raise ValueError("graph has no edge attributes to embed")
-    base = (max(g.vertex_attrs) + 1) if g.vertex_attrs else 1
-    edge_order = tuple(sorted(g.edges))
-    attrs = list(g.vertex_attrs) if g.vertex_attrs is not None else [0] * g.n
-    edges = []
-    for k, (i, j) in enumerate(edge_order):
-        ve = g.n + k
-        attrs.append(base + g.edge_attrs[(i, j)])
-        edges.append((i, ve))
-        if j != i:
-            edges.append((j, ve))
-    return (
-        Graph(g.n + len(edge_order), edges, attrs),
-        edge_order,
-    )
-
-
-def canonize_via_embedding(g: Graph) -> Canonized:
-    """Canonize an edge-attributed graph through its vertex-colored embedding.
-
-    The embedding's canonical order restricted to the original vertices is a
-    valid canonical order of the original, and Aut restricts isomorphically.
-    """
-    embedded, _ = embed_edge_colors(g)
-    c = canonize(embedded)
-    originals = list(range(g.n))
-    rank = {v: r for r, v in enumerate(sorted(originals, key=lambda v: c.canon_perm[v]))}
-    perm = tuple(rank[v] for v in originals)
-    restricted = tuple(
-        tuple(a[v] for v in originals) for a in c.aut_generators.generators
-    )
-    grp = PermGroup(g.n, restricted)
-    chain = schreier_sims(grp)
-    result = Canonized(apply_perm(perm, g), perm, grp, group_order(chain), chain)
-    assert result.aut_order == c.aut_order
-    return result
 
 
 @dataclass(frozen=True)

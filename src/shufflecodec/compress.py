@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .ans import (
     DEFAULT_PAD_SEED,
@@ -39,7 +39,7 @@ from .models import (
     with_attributes,
 )
 from .params import DatasetParams, decode_dataset_params, encode_dataset_params
-from .shuffle import CanonStats, ShuffleCodec, discount_bits, graph_class, log2_factorial
+from .shuffle import ShuffleCodec, discount_bits, graph_class, log2_factorial
 
 ATTR_MODES = ("auto", "none", "uniform")
 MODELS = ("er", "pu")
@@ -193,6 +193,30 @@ def graph_codec_for(params: DatasetParams, n: int, num_edges: Optional[int] = No
     )
 
 
+def _slots(params: DatasetParams) -> List[Tuple[int, Optional[int]]]:
+    """The (vertex count, edge count) key of each graph slot in coding order.
+    The edge count is None under er, whose codec does not depend on it."""
+    sizes = params.sizes_in_coding_order()
+    if params.model == "pu":
+        return list(zip(sizes, params.pu_edge_counts))
+    return [(n, None) for n in sizes]
+
+
+def _slot_codecs(
+    params: DatasetParams, slots: Iterable[Tuple[int, Optional[int]]]
+) -> Iterator[ShuffleCodec]:
+    """The shuffle codec of each slot in turn. A slot whose key repeats the
+    previous slot's reuses its codec, so each run of equal keys builds one and
+    at most one is alive at a time."""
+    pclass = graph_class()
+    key = codec = None
+    for slot in slots:
+        if slot != key:
+            key = slot
+            codec = ShuffleCodec(graph_codec_for(params, *slot), pclass)
+        yield codec
+
+
 def compress_corpus(
     corpus: Corpus,
     model: str = "er",
@@ -205,19 +229,16 @@ def compress_corpus(
     started = time.perf_counter()
     params, order = build_dataset_params(corpus, model, attrs, redraws, keep_order)
     graphs = _prepared_graphs(corpus, attrs)
-    stats = CanonStats()
-    pclass = graph_class(stats)
 
     m = message_init(pad_seed=seed)
     initial_bits = m.length_bits
-    ordered_bits = discount_bits_total = 0.0
+    ordered_bits = canonize_seconds = 0.0
     # Encode in reverse coding order so decoding runs largest-first.
-    for pos in reversed(range(len(order))):
-        g = graphs[order[pos]]
-        codec = ShuffleCodec(graph_codec_for(params, g.n, g.num_edges), pclass)
-        report = codec.encode(m, g)
+    codecs = _slot_codecs(params, reversed(_slots(params)))
+    for i, codec in zip(reversed(order), codecs):
+        report = codec.encode(m, graphs[i])
         ordered_bits += report.ordered_bits
-        discount_bits_total += report.discount_bits
+        canonize_seconds += report.canonize_seconds
     before_params = m.length_bits
     encode_dataset_params(m, params)
     param_bits = m.length_bits - before_params
@@ -245,8 +266,8 @@ def compress_corpus(
             100.0 * (1.0 - total_bits / ordered_total) if ordered_total else 0.0
         ),
         encode_seconds=encode_seconds,
-        canonize_seconds=stats.seconds,
-        canonize_share=stats.seconds / encode_seconds if encode_seconds else 0.0,
+        canonize_seconds=canonize_seconds,
+        canonize_share=canonize_seconds / encode_seconds if encode_seconds else 0.0,
     )
     return data, report
 
@@ -260,19 +281,11 @@ def decompress_corpus(data: bytes, name: str = "decoded") -> Corpus:
     """
     m = message_deserialize(data)
     params = decode_dataset_params(m)
-    pclass = graph_class()
-    graphs: List[Graph] = []
-    sizes = params.sizes_in_coding_order()
-    for pos, n in enumerate(sizes):
-        num_edges = params.pu_edge_counts[pos] if params.model == "pu" else None
-        codec = ShuffleCodec(graph_codec_for(params, n, num_edges), pclass)
-        graphs.append(codec.decode(m))
+    graphs = [codec.decode(m) for codec in _slot_codecs(params, _slots(params))]
     if params.order_perm is not None:
         restored: List[Optional[Graph]] = [None] * len(graphs)
         for pos, original in enumerate(params.order_perm):
             restored[original] = graphs[pos]
-        if any(g is None for g in restored):
-            raise DatasetError("ordering permutation is not a bijection")
         graphs = restored
     return Corpus(
         tuple(graphs),

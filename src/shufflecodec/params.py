@@ -170,6 +170,9 @@ def encode_dataset_params(m: Message, params: DatasetParams) -> None:
 
 
 def decode_dataset_params(m: Message) -> DatasetParams:
+    """Pop the parameter block. Raises FormatError for vertex-count runs or a
+    graph order that encode_dataset_params never writes, before any graph is
+    decoded."""
     model = "pu" if _bit.decode(m) else "er"
     self_loops = bool(_bit.decode(m))
     uniform_attrs = bool(_bit.decode(m))
@@ -178,6 +181,8 @@ def decode_dataset_params(m: Message) -> DatasetParams:
     lengths = _naturals.decode(m)
     diffs = _naturals.decode(m)
     runs = _lists_to_runs(lengths, diffs)
+    if 0 in lengths or 0 in diffs[1:]:
+        raise FormatError("vertex-count runs need positive lengths and distinct counts")
     vertex_attr_counts = tuple(_naturals.decode(m)) if _bit.decode(m) else None
     edge_attr_counts = tuple(_naturals.decode(m)) if _bit.decode(m) else None
     er_counts = None
@@ -192,7 +197,12 @@ def decode_dataset_params(m: Message) -> DatasetParams:
             uniform_codec(pair_count(n, self_loops) + 1).decode(m)
             for n in sizes_largest_first(runs)
         )
-    order_perm = tuple(_naturals.decode(m)) if has_order else None
+    order_perm = None
+    if has_order:
+        order_perm = tuple(_naturals.decode(m))
+        k = len(order_perm)
+        if k != sum(lengths) or sorted(order_perm) != list(range(k)):
+            raise FormatError("graph order is not a permutation of the graphs")
     return DatasetParams(
         model,
         runs,

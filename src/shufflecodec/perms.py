@@ -97,24 +97,6 @@ class PermGroup:
         return cls(degree, (swap, cycle))
 
 
-def orbit_of(group: PermGroup, point: int) -> frozenset:
-    """The orbit of a point under the generated group (breadth-first closure)."""
-    if not 0 <= point < group.degree:
-        raise ValueError(f"point {point} outside [0, {group.degree})")
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for w in sorted(frontier):
-            for g in group.generators:
-                img = g[w]
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
-
-
 class ChainLevel:
     """One level of a stabilizer chain: a base point, its orbit under the
     current stabilizer subgroup G, and the canonical transversal of G."""
@@ -362,21 +344,6 @@ def group_order(chain: StabilizerChain) -> int:
     for lvl in chain.levels:
         order *= len(lvl.orbit)
     return order
-
-
-def chain_elements(chain: StabilizerChain):
-    """Iterate all group elements (for testing; order can be huge)."""
-    n = chain.degree
-
-    def walk(idx: int, acc: Perm):
-        if idx == len(chain.levels):
-            yield acc
-            return
-        lvl = chain.levels[idx]
-        for w in lvl.orbit:
-            yield from walk(idx + 1, compose(acc, lvl.rep(w)))
-
-    yield from walk(0, identity(n))
 
 
 def _check_degree(chain: StabilizerChain, s: Perm) -> None:

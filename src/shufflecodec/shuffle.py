@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Callable, List, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
 
 from .ans import WORD_BITS, Codec, Message
 from .canon import canonize, canonize_string, apply_sequence
@@ -43,23 +42,9 @@ class PermutableClass:
     degree: Callable[[Any], int]
 
 
-@dataclass
-class CanonStats:
-    """Accumulates canonization call counts and wall time (for speed reports)."""
-
-    calls: int = 0
-    seconds: float = 0.0
-
-
-def graph_class(stats: Optional[CanonStats] = None) -> PermutableClass:
+def graph_class() -> PermutableClass:
     def canon(g: Graph) -> CanonInfo:
-        if stats is None:
-            c = canonize(g)
-        else:
-            start = time.perf_counter()
-            c = canonize(g)
-            stats.seconds += time.perf_counter() - start
-            stats.calls += 1
+        c = canonize(g)
         return CanonInfo(c.canon_graph, c.canon_perm, c.chain, c.aut_order)
 
     return PermutableClass(apply_perm, canon, lambda g: g.n)
@@ -76,13 +61,15 @@ def sequence_class() -> PermutableClass:
 @dataclass(frozen=True)
 class RateReport:
     """Exact accounting for one shuffle-coded object, from measured message
-    length deltas (so it stays meaningful for stochastic models)."""
+    length deltas (so it stays meaningful for stochastic models), and the
+    wall time its canonization took."""
 
     ordered_bits: float
     discount_bits: float
     net_bits: float
     aut_order: int
     initial_bits_overhead: float
+    canonize_seconds: float
 
 
 def log2_factorial(n: int) -> float:
@@ -108,7 +95,9 @@ class ShuffleCodec:
         self.pclass = pclass
 
     def encode(self, m: Message, f) -> RateReport:
+        started = time.perf_counter()
         info = self.pclass.canonize(f)
+        canonize_seconds = time.perf_counter() - started
         n = self.pclass.degree(f)
         pad_before = m.pad_consumed
         coset_codec = uniform_l_coset_codec(info.chain)
@@ -124,6 +113,7 @@ class ShuffleCodec:
             net_bits=ordered - discount,
             aut_order=info.aut_order,
             initial_bits_overhead=WORD_BITS * (m.pad_consumed - pad_before),
+            canonize_seconds=canonize_seconds,
         )
 
     def decode(self, m: Message):
@@ -132,85 +122,3 @@ class ShuffleCodec:
         s = inverse(info.perm)
         uniform_l_coset_codec(info.chain).encode(m, s)
         return info.value
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    """Per-isomorphism-class findings of symmetrize_check."""
-
-    representative: Any
-    size: int
-    aut_order: int
-    orbit_formula_holds: bool  # size * |Aut| == n!
-    equal_probability: bool
-    class_mass: Optional[Any]  # sum of member probabilities (Fraction)
-    mass_matches_formula: Optional[bool]  # class_mass == size * P(rep)
-
-
-@dataclass(frozen=True)
-class SymmetrizeReport:
-    exchangeable: bool
-    num_classes: int
-    classes: List[ClassReport]
-    total_mass: Optional[Any]
-
-
-def symmetrize_check(
-    codec: Codec, samples, pclass: Optional[PermutableClass] = None
-) -> SymmetrizeReport:
-    """Diagnostic: verify that an ordered codec treats isomorphic objects
-    equally, and that class masses match the orbit-size formula.
-
-    With an exact probability function on the codec, checks are exact; for
-    stochastic codecs (no ``prob``) members are compared by measured encode
-    length from a fixed reference message, which flags non-exchangeable
-    behaviour without proving it absent.
-    """
-    pclass = pclass or graph_class()
-    by_class = {}
-    for f in samples:
-        info = pclass.canonize(f)
-        key = info.value.key() if isinstance(info.value, Graph) else tuple(info.value)
-        by_class.setdefault(key, (info, []))[1].append(f)
-
-    def measured_bits(f) -> float:
-        m = Message(pad_seed=1)
-        before = m.length_bits
-        codec.encode(m, f)
-        return m.length_bits - before
-
-    classes = []
-    exchangeable = True
-    total_mass = Fraction(0) if codec.prob is not None else None
-    for key, (info, members) in sorted(by_class.items()):
-        n = pclass.degree(members[0])
-        orbit_ok = len(members) * info.aut_order == math.factorial(n)
-        if codec.prob is not None:
-            probs = [codec.prob(f) for f in members]
-            equal = len(set(probs)) == 1
-            mass = sum(probs)
-            matches = mass == len(members) * probs[0] if equal else False
-            total_mass += mass
-        else:
-            lengths = [measured_bits(f) for f in members]
-            equal = max(lengths) - min(lengths) < 1e-6
-            mass = None
-            matches = None
-        exchangeable = exchangeable and equal
-        classes.append(
-            ClassReport(
-                representative=info.value,
-                size=len(members),
-                aut_order=info.aut_order,
-                orbit_formula_holds=orbit_ok,
-                equal_probability=equal,
-                class_mass=mass,
-                mass_matches_formula=matches,
-            )
-        )
-    return SymmetrizeReport(
-        exchangeable=exchangeable,
-        num_classes=len(classes),
-        classes=classes,
-        total_mass=total_mass,
-    )

@@ -1,0 +1,236 @@
+"""Reference implementations the tests compare the codec against.
+
+Each is a slow, direct version of something the package computes fast, or a
+diagnostic only tests run: brute-force canonization over all n! relabelings,
+canonization of edge-attributed graphs through a vertex-colored embedding, an
+exchangeability check for ordered codecs, orbits by breadth-first closure,
+enumeration of a stabilizer chain's group, and stripping re-materialized pad
+words from a message.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import permutations
+from typing import Any, List, Optional, Tuple
+
+from shufflecodec.ans import Codec, Message, pad_word
+from shufflecodec.canon import Canonized, canonize
+from shufflecodec.graphs import Graph, apply_perm
+from shufflecodec.perms import (
+    Perm,
+    PermGroup,
+    StabilizerChain,
+    compose,
+    group_order,
+    identity,
+    schreier_sims,
+)
+from shufflecodec.shuffle import PermutableClass, graph_class
+
+
+class SizeError(ValueError):
+    pass
+
+
+def canonize_bruteforce(g: Graph) -> Canonized:
+    """Oracle canonizer: minimum over all n! relabelings; n <= 9."""
+    if g.n > 9:
+        raise SizeError(f"brute-force canonization limited to n <= 9, got {g.n}")
+    g_key = g.key()
+    best_key = None
+    best_perm = None
+    auts = []
+    for s in permutations(range(g.n)):
+        key = apply_perm(s, g).key()
+        if best_key is None or key < best_key:
+            best_key, best_perm = key, s
+        if key == g_key:
+            auts.append(s)
+    grp = PermGroup(g.n, tuple(a for a in auts if a != identity(g.n)))
+    chain = schreier_sims(grp)
+    assert group_order(chain) == len(auts)
+    return Canonized(
+        apply_perm(best_perm, g), best_perm, grp, len(auts), chain
+    )
+
+
+def embed_edge_colors(g: Graph) -> Tuple[Graph, Tuple[Tuple[int, int], ...]]:
+    """Embed an edge-colored graph into a vertex-colored one.
+
+    Each edge becomes a fresh vertex carrying the edge's attribute, adjacent
+    to the edge's endpoints. Original vertex colors and edge colors live in
+    disjoint ranges so no spurious symmetry arises. Returns the embedded graph
+    and the edge order assigning edge k to vertex n + k.
+    """
+    if g.edge_attrs is None:
+        raise ValueError("graph has no edge attributes to embed")
+    base = (max(g.vertex_attrs) + 1) if g.vertex_attrs else 1
+    edge_order = tuple(sorted(g.edges))
+    attrs = list(g.vertex_attrs) if g.vertex_attrs is not None else [0] * g.n
+    edges = []
+    for k, (i, j) in enumerate(edge_order):
+        ve = g.n + k
+        attrs.append(base + g.edge_attrs[(i, j)])
+        edges.append((i, ve))
+        if j != i:
+            edges.append((j, ve))
+    return (
+        Graph(g.n + len(edge_order), edges, attrs),
+        edge_order,
+    )
+
+
+def canonize_via_embedding(g: Graph) -> Canonized:
+    """Canonize an edge-attributed graph through its vertex-colored embedding.
+
+    The embedding's canonical order restricted to the original vertices is a
+    valid canonical order of the original, and Aut restricts isomorphically.
+    """
+    embedded, _ = embed_edge_colors(g)
+    c = canonize(embedded)
+    originals = list(range(g.n))
+    rank = {v: r for r, v in enumerate(sorted(originals, key=lambda v: c.canon_perm[v]))}
+    perm = tuple(rank[v] for v in originals)
+    restricted = tuple(
+        tuple(a[v] for v in originals) for a in c.aut_generators.generators
+    )
+    grp = PermGroup(g.n, restricted)
+    chain = schreier_sims(grp)
+    result = Canonized(apply_perm(perm, g), perm, grp, group_order(chain), chain)
+    assert result.aut_order == c.aut_order
+    return result
+
+
+@dataclass(frozen=True)
+class ClassReport:
+    """Per-isomorphism-class findings of symmetrize_check."""
+
+    representative: Any
+    size: int
+    aut_order: int
+    orbit_formula_holds: bool  # size * |Aut| == n!
+    equal_probability: bool
+    class_mass: Optional[Any]  # sum of member probabilities (Fraction)
+    mass_matches_formula: Optional[bool]  # class_mass == size * P(rep)
+
+
+@dataclass(frozen=True)
+class SymmetrizeReport:
+    exchangeable: bool
+    num_classes: int
+    classes: List[ClassReport]
+    total_mass: Optional[Any]
+
+
+def symmetrize_check(
+    codec: Codec, samples, pclass: Optional[PermutableClass] = None
+) -> SymmetrizeReport:
+    """Diagnostic: verify that an ordered codec treats isomorphic objects
+    equally, and that class masses match the orbit-size formula.
+
+    With an exact probability function on the codec, checks are exact; for
+    stochastic codecs (no ``prob``) members are compared by measured encode
+    length from a fixed reference message, which flags non-exchangeable
+    behaviour without proving it absent.
+    """
+    pclass = pclass or graph_class()
+    by_class = {}
+    for f in samples:
+        info = pclass.canonize(f)
+        key = info.value.key() if isinstance(info.value, Graph) else tuple(info.value)
+        by_class.setdefault(key, (info, []))[1].append(f)
+
+    def measured_bits(f) -> float:
+        m = Message(pad_seed=1)
+        before = m.length_bits
+        codec.encode(m, f)
+        return m.length_bits - before
+
+    classes = []
+    exchangeable = True
+    total_mass = Fraction(0) if codec.prob is not None else None
+    for key, (info, members) in sorted(by_class.items()):
+        n = pclass.degree(members[0])
+        orbit_ok = len(members) * info.aut_order == math.factorial(n)
+        if codec.prob is not None:
+            probs = [codec.prob(f) for f in members]
+            equal = len(set(probs)) == 1
+            mass = sum(probs)
+            matches = mass == len(members) * probs[0] if equal else False
+            total_mass += mass
+        else:
+            lengths = [measured_bits(f) for f in members]
+            equal = max(lengths) - min(lengths) < 1e-6
+            mass = None
+            matches = None
+        exchangeable = exchangeable and equal
+        classes.append(
+            ClassReport(
+                representative=info.value,
+                size=len(members),
+                aut_order=info.aut_order,
+                orbit_formula_holds=orbit_ok,
+                equal_probability=equal,
+                class_mass=mass,
+                mass_matches_formula=matches,
+            )
+        )
+    return SymmetrizeReport(
+        exchangeable=exchangeable,
+        num_classes=len(classes),
+        classes=classes,
+        total_mass=total_mass,
+    )
+
+
+def orbit_of(group: PermGroup, point: int) -> frozenset:
+    """The orbit of a point under the generated group (breadth-first closure)."""
+    if not 0 <= point < group.degree:
+        raise ValueError(f"point {point} outside [0, {group.degree})")
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for w in sorted(frontier):
+            for g in group.generators:
+                img = g[w]
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def chain_elements(chain: StabilizerChain):
+    """Iterate all group elements (for testing; order can be huge)."""
+    n = chain.degree
+
+    def walk(idx: int, acc: Perm):
+        if idx == len(chain.levels):
+            yield acc
+            return
+        lvl = chain.levels[idx]
+        for w in lvl.orbit:
+            yield from walk(idx + 1, compose(acc, lvl.rep(w)))
+
+    yield from walk(0, identity(n))
+
+
+def without_pad_residue(m: Message) -> Message:
+    """Copy with re-materialized pad words stripped from the stack top.
+
+    After a full encode/decode round trip that dipped into the pad, the
+    consumed pad words sit back on top of the stack; stripping them
+    recovers the original message for comparison.
+    """
+    m = m.copy()
+    if m.pad_seed is None:
+        return m
+    index = 0
+    while m.tail and m.tail[-1] == pad_word(m.pad_seed, index):
+        m.tail.pop()
+        index += 1
+    return m

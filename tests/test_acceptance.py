@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 import pytest
 
 from shufflecodec.ans import message_init
-from shufflecodec.canon import canon_equal, canonize, canonize_bruteforce
+from shufflecodec.canon import canon_equal, canonize
 from shufflecodec.compress import compress_corpus
 from shufflecodec.datasets import Corpus, load_tu_dataset
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
@@ -30,7 +30,6 @@ from shufflecodec.models import (
 from shufflecodec.perm_codecs import uniform_perm_grp_codec, uniform_s_codec
 from shufflecodec.perms import (
     PermGroup,
-    chain_elements,
     compose,
     coset_canon,
     element_rank,
@@ -42,6 +41,7 @@ from shufflecodec.perms import (
 from shufflecodec.shuffle import ShuffleCodec, discount_bits, graph_class
 
 from conftest import random_message
+from oracles import canonize_bruteforce, chain_elements
 
 
 def report(criterion: str, detail: str = "") -> None:

@@ -3,9 +3,11 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from shufflecodec import compress, shuffle
 from shufflecodec.canon import canon_equal, canonize
 from shufflecodec.cli import main
 from shufflecodec.compress import (
@@ -24,6 +26,7 @@ from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "toy_tu")
+GEN_CORPUS = os.path.join(os.path.dirname(__file__), "..", "scripts", "gen_corpus.py")
 
 
 def fixture_corpus():
@@ -228,6 +231,55 @@ class TestCompressDecompress:
         assert 0 < report.canonize_share <= 1
         assert report.canonize_seconds <= report.encode_seconds
 
+    def test_canonize_seconds_sum_the_per_graph_times(self, monkeypatch):
+        # A fake clock that only canonization advances: one second per graph.
+        clock = SimpleNamespace(now=0.0)
+        fake_time = SimpleNamespace(perf_counter=lambda: clock.now)
+        original = shuffle.canonize
+
+        def one_second_canonize(g):
+            clock.now += 1.0
+            return original(g)
+
+        monkeypatch.setattr(shuffle, "time", fake_time)
+        monkeypatch.setattr(compress, "time", fake_time)
+        monkeypatch.setattr(shuffle, "canonize", one_second_canonize)
+        for model in ("er", "pu"):
+            clock.now = 0.0
+            _, report = compress_corpus(synthetic_corpus(seed=17, num=10), model)
+            assert report.canonize_seconds == 10.0
+            assert report.encode_seconds == 10.0
+            assert report.canonize_share == 1.0
+
+    @pytest.mark.parametrize("model", ["er", "pu"])
+    def test_one_codec_per_run_of_equal_slots(self, model, monkeypatch):
+        # Coding order is largest-first, so graphs with equal codec keys are
+        # adjacent: each run of them builds one codec, on both sides.
+        corpus = synthetic_corpus(seed=5, num=15, with_attrs=True)
+        params, order = build_dataset_params(corpus, model)
+        keys = [
+            (g.n, g.num_edges if model == "pu" else None)
+            for g in (corpus.graphs[i] for i in order)
+        ]
+        runs = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        if model == "er":
+            assert runs == len(params.vertex_count_runs) < len(keys)
+        built = []
+        original = compress.graph_codec_for
+
+        def counting(params, n, num_edges=None):
+            built.append((n, num_edges))
+            return original(params, n, num_edges)
+
+        monkeypatch.setattr(compress, "graph_codec_for", counting)
+        data, _ = compress_corpus(corpus, model=model)
+        assert len(built) == runs
+        built.clear()
+        out = decompress_corpus(data)
+        assert len(built) == runs
+        for pos, original_index in enumerate(order):
+            assert canon_equal(out.graphs[pos], corpus.graphs[original_index])
+
     def test_corrupted_file_rejected(self):
         corpus = synthetic_corpus(seed=13, num=5)
         data, _ = compress_corpus(corpus)
@@ -293,6 +345,36 @@ class TestNetRateSingle:
         pu_cost = net_rate_single(g, model="pu") - net_rate_single(plain, model="pu")
         assert er_cost > 10
         assert abs(pu_cost - er_cost) < 1
+
+
+class TestGenCorpus:
+    @pytest.mark.parametrize(
+        "args, name, model",
+        [
+            (
+                ["--kind", "er", "--vertex-alphabet", "3", "--edge-alphabet", "2"],
+                "ER6-n8-p0.3-v3-e2",
+                "er",
+            ),
+            (["--kind", "pa", "--attachment", "2"], "PA6-n8-a2", "pu"),
+        ],
+    )
+    def test_generated_corpus_round_trips(self, tmp_path, args, name, model):
+        out = tmp_path / "corpus"
+        argv = ["--out", str(out), "--num", "6", "--n", "8", "--n-jitter", "2"]
+        subprocess.run(
+            [sys.executable, GEN_CORPUS, *argv, *args], check=True, capture_output=True
+        )
+        assert (out / f"{name}_A.txt").exists()
+        corpus = load_tu_dataset(str(out))
+        assert corpus.name == name
+        assert len(corpus.graphs) == 6
+        assert corpus.has_vertex_attrs == corpus.has_edge_attrs == (model == "er")
+        data, _ = compress_corpus(corpus, model)
+        _, order = build_dataset_params(corpus, model)
+        assert list(decompress_corpus(data).graphs) == [
+            canonize(corpus.graphs[i]).canon_graph for i in order
+        ]
 
 
 class TestCli:

@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflecodec import compress
 from shufflecodec.ans import (
     CodecError,
     ContractViolation,
     FormatError,
     bernoulli_codec,
+    message_deserialize,
     message_init,
     message_serialize,
     uniform_codec,
 )
-from shufflecodec.compress import decompress_corpus
+from shufflecodec.cli import main
+from shufflecodec.compress import compress_corpus, decompress_corpus
+from shufflecodec.datasets import Corpus
+from shufflecodec.graphs import Graph
 from shufflecodec.params import (
     DatasetParams,
     decode_dataset_params,
@@ -100,6 +105,56 @@ class TestUntrustedLists:
             bit.encode(m, 0)
         with pytest.raises(CodecError, match="all-zero"):
             decompress_corpus(message_serialize(m))
+
+
+def tampered_message(**fields) -> bytes:
+    """A framed message of three er graphs (vertex counts 3, 4, 4, stored
+    order) whose parameter block has the given fields instead, bypassing the
+    checks an encoder's DatasetParams makes."""
+    graphs = (Graph(3, [(0, 1)]), Graph(4, [(0, 1)]), Graph(4, [(1, 2), (2, 3)]))
+    data, _ = compress_corpus(Corpus(graphs, "t", False, False), keep_order=True)
+    m = message_deserialize(data)
+    params = decode_dataset_params(m)
+    assert params.vertex_count_runs == ((3, 1), (4, 2))
+    assert params.order_perm == (1, 2, 0)
+    for name, value in fields.items():
+        object.__setattr__(params, name, value)
+    encode_dataset_params(m, params)
+    return message_serialize(m)
+
+
+MALFORMED_BLOCKS = {
+    "repeated vertex count": dict(vertex_count_runs=((3, 1), (3, 2))),
+    "zero run length": dict(vertex_count_runs=((3, 0), (4, 3))),
+    "order entry past the last graph": dict(order_perm=(1, 2, 3)),
+    "order longer than the graphs": dict(order_perm=(1, 2, 0, 0)),
+    "order shorter than the graphs": dict(order_perm=(1, 2)),
+    "order with a duplicate": dict(order_perm=(1, 1, 0)),
+}
+
+
+class TestMalformedParameterBlocks:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+    def test_refused_before_any_graph(self, case, monkeypatch, tmp_path, capsys):
+        data = tampered_message(**MALFORMED_BLOCKS[case])
+        with pytest.raises(FormatError):
+            decode_dataset_params(message_deserialize(data))
+
+        def no_graph(*args):
+            raise AssertionError("a graph codec was built")
+
+        monkeypatch.setattr(compress, "graph_codec_for", no_graph)
+        with pytest.raises(CodecError):
+            decompress_corpus(data)
+        blob = tmp_path / "bad.shuf"
+        blob.write_bytes(data)
+        argv = ["decompress", "--in", str(blob), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_untampered_message_decodes(self):
+        corpus = decompress_corpus(tampered_message())
+        assert [g.n for g in corpus.graphs] == [3, 4, 4]
 
 
 def make_params(**kw):

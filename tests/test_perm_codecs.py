@@ -13,7 +13,6 @@ from shufflecodec.perm_codecs import (
 from shufflecodec.perms import (
     NotInGroup,
     PermGroup,
-    chain_elements,
     compose,
     coset_canon,
     group_order,
@@ -22,6 +21,7 @@ from shufflecodec.perms import (
 )
 
 from conftest import random_message
+from oracles import chain_elements
 
 
 class TestUniformS:

@@ -11,7 +11,6 @@ from shufflecodec.perms import (
     DegreeMismatch,
     NotInGroup,
     PermGroup,
-    chain_elements,
     compose,
     coset_canon,
     element_rank,
@@ -19,12 +18,13 @@ from shufflecodec.perms import (
     group_order,
     identity,
     inverse,
-    orbit_of,
     run_transpositions,
     schreier_sims,
     smallest_moved,
     symmetric_runs_chain,
 )
+
+from oracles import chain_elements, orbit_of
 
 
 def closure(n, gens):

@@ -1,10 +1,15 @@
+import ast
 import hashlib
+import inspect
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
-from shufflecodec import canon, perms
+import shufflecodec
+from shufflecodec import canon, perms, shuffle
 from shufflecodec.ans import message_init, message_serialize
 from shufflecodec.canon import canon_equal
 from shufflecodec.generate import sample_er_graph
@@ -18,14 +23,15 @@ from shufflecodec.models import (
     with_attributes,
 )
 from shufflecodec.shuffle import (
+    PermutableClass,
     ShuffleCodec,
     discount_bits,
     graph_class,
     sequence_class,
-    symmetrize_check,
 )
 
 from conftest import random_message
+from oracles import symmetrize_check, without_pad_residue
 
 
 def er_shuffle(n, p, vertex_attr_ps=None):
@@ -134,7 +140,7 @@ class TestShuffleEncodeDecode:
         assert report.initial_bits_overhead > 0
         out = codec.decode(m)
         assert canon_equal(out, g)
-        assert m.without_pad_residue() == message_init()
+        assert without_pad_residue(m) == message_init()
 
     def test_rate_identity_g8(self, rng):
         # Acceptance-style: 100 G(8, 0.3) graphs, matched model.
@@ -264,3 +270,36 @@ class TestSymmetrize:
         ]
         report = symmetrize_check(codec, seqs, pclass=sequence_class())
         assert not report.exchangeable
+
+
+class TestPackageScope:
+    def test_src_holds_no_test_oracles(self):
+        moved = {
+            "canonize_bruteforce", "SizeError", "embed_edge_colors",
+            "canonize_via_embedding", "symmetrize_check", "ClassReport",
+            "SymmetrizeReport", "orbit_of", "chain_elements",
+            "without_pad_residue", "CanonStats",
+        }
+        defined = set()
+        for path in pathlib.Path(shufflecodec.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+        assert not moved & defined
+        assert not inspect.signature(graph_class).parameters
+
+    def test_encode_reports_its_canonize_time(self, monkeypatch):
+        # A fake clock that only the class's canonizer advances.
+        clock = [0.0]
+        monkeypatch.setattr(shuffle, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        graphs = graph_class()
+
+        def slow_canonize(g):
+            clock[0] += 2.5
+            return graphs.canonize(g)
+
+        pclass = PermutableClass(graphs.apply, slow_canonize, graphs.degree)
+        codec = ShuffleCodec(erdos_renyi_codec(ErParams(4, Fraction(1, 2))), pclass)
+        m = random_message(seed=3, tail_words=8)
+        report = codec.encode(m, Graph(4, [(0, 1), (1, 2)]))
+        assert report.canonize_seconds == 2.5
