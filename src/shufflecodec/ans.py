@@ -12,6 +12,14 @@ where f is the coded symbol's mass and h >= 2**48 the head. Builders below
 leave >= 16 bits of headroom between the largest mass and 2**48 whenever the
 alphabet permits, so measured rates track the ideal rate to well under 0.001
 bits per symbol.
+
+Runs of symbols go through two loop kernels that keep the head in a local
+variable: push_symbols/pop_symbols code a run over one cumulative Table (the
+table of a categorical or Bernoulli codec, Codec.table), and
+push_uniforms/pop_uniforms a run of uniform symbols of varying sizes. They do
+exactly the arithmetic of the single-symbol codecs, symbol by symbol, so a run
+costs the bits and produces the bytes of coding its symbols one at a time. A
+push checks every symbol before the message changes.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import math
 import struct
 import zlib
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence
+from itertools import accumulate, repeat
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 WORD_BITS = 16
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -33,6 +42,8 @@ MAX_PRECISION = 48
 # Headroom (in bits) kept between the largest symbol mass and the head's lower
 # bound when we are free to choose the denominator.
 _HEADROOM_BITS = 16
+
+_UNIFORM_LIMIT = 1 << MAX_PRECISION
 
 MAGIC = b"SHUF"
 FORMAT_VERSION = 4
@@ -164,25 +175,167 @@ def _pop(
     return symbol
 
 
+class Table:
+    """A fixed-point distribution on {0..k-1}: symbol x owns the subrange
+    [cums[x], cums[x] + masses[x]) of 2**precision."""
+
+    __slots__ = ("precision", "masses", "cums")
+
+    def __init__(self, masses: Sequence[int], precision: int):
+        self.precision = precision
+        self.masses = list(masses)
+        self.cums = list(accumulate(masses, initial=0))
+
+
+def _bad_symbol(masses: List[int], x: Any) -> ContractViolation:
+    k = len(masses)
+    if isinstance(x, int) and 0 <= x < k:
+        return ContractViolation(f"symbol {x} has zero mass")
+    return ContractViolation(f"symbol {x!r} outside [0, {k})")
+
+
+def push_symbols(m: Message, table: Table, symbols: Sequence[int]) -> None:
+    """Push a run of symbols over one table, last symbol first, so that
+    pop_symbols returns them in order. Raises ContractViolation, before the
+    message changes, if a symbol has no mass."""
+    masses, cums, precision = table.masses, table.cums, table.precision
+    k = len(masses)
+    if symbols and not (
+        min(symbols) >= 0 and max(symbols) < k and all(map(masses.__getitem__, symbols))
+    ):
+        bad = next(x for x in symbols if not (0 <= x < k and masses[x]))
+        raise _bad_symbol(masses, bad)
+    shift = 64 - precision
+    head = m.head
+    append = m.tail.append
+    for x in reversed(symbols):
+        freq = masses[x]
+        limit = freq << shift
+        while head >= limit:
+            append(head & WORD_MASK)
+            head >>= WORD_BITS
+        head = ((head // freq) << precision) + head % freq + cums[x]
+    m.head = head
+
+
+def pop_symbols(m: Message, table: Table, count: int) -> List[int]:
+    """Pop a run of count symbols over one table, first symbol first."""
+    masses, cums, precision = table.masses, table.cums, table.precision
+    mask = (1 << precision) - 1
+    locate = bisect.bisect_right
+    head, tail = m.head, m.tail
+    out: List[int] = []
+    append = out.append
+    for _ in range(count):
+        cf = head & mask
+        x = locate(cums, cf) - 1
+        head = masses[x] * (head >> precision) + cf - cums[x]
+        while head < HEAD_MIN:
+            head = (head << WORD_BITS) | (tail.pop() if tail else m.pop_word())
+        append(x)
+    m.head = head
+    return out
+
+
+def _uniform_split(n: int) -> Tuple[int, int, int]:
+    """(precision, base, rem) of the uniform distribution on {0..n-1}: symbols
+    below rem have mass base + 1 and the others base, so symbol x starts at
+    x*base + min(x, rem). Powers of two are exact (base 1, rem 0; n = 1 codes
+    nothing); other sizes get 2**p mass units with headroom, which perturbs
+    the rate by under n/2**p bits per symbol."""
+    if n & (n - 1) == 0:
+        return n.bit_length() - 1, 1, 0
+    precision = min(MAX_PRECISION, (n - 1).bit_length() + _HEADROOM_BITS)
+    base, rem = divmod(1 << precision, n)
+    return precision, base, rem
+
+
+def _check_uniform_size(n: Any) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ParameterError(f"uniform size must be a positive integer, got {n!r}")
+    if n > _UNIFORM_LIMIT:
+        raise ParameterError(f"uniform size {n} exceeds 2**{MAX_PRECISION}")
+
+
+def push_uniforms(m: Message, symbols: Sequence[int], sizes: Sequence[int]) -> None:
+    """Push symbols[k], uniform on {0..sizes[k]-1}, last symbol first, so
+    that pop_uniforms(m, sizes) returns them in order. Raises, before the
+    message changes, ParameterError for a bad size and ContractViolation for
+    a symbol outside its range."""
+    if len(symbols) != len(sizes):
+        raise ContractViolation(f"{len(symbols)} symbols for {len(sizes)} sizes")
+    for x, n in zip(symbols, sizes):
+        if not 0 <= x < n <= _UNIFORM_LIMIT:
+            _check_uniform_size(n)
+            raise ContractViolation(f"symbol {x!r} outside [0, {n})")
+    head = m.head
+    append = m.tail.append
+    for x, n in zip(reversed(symbols), reversed(sizes)):
+        precision, base, rem = _uniform_split(n)
+        if x < rem:
+            freq = base + 1
+            start = x * freq
+        else:
+            freq = base
+            start = x * base + rem
+        limit = freq << (64 - precision)
+        while head >= limit:
+            append(head & WORD_MASK)
+            head >>= WORD_BITS
+        head = ((head // freq) << precision) + head % freq + start
+    m.head = head
+
+
+def pop_uniforms(m: Message, sizes: Sequence[int]) -> List[int]:
+    """Pop one uniform symbol on {0..n-1} per size n, first size first."""
+    for n in sizes:
+        if not 1 <= n <= _UNIFORM_LIMIT:
+            _check_uniform_size(n)
+    head, tail = m.head, m.tail
+    out = []
+    for n in sizes:
+        precision, base, rem = _uniform_split(n)
+        cf = head & ((1 << precision) - 1)
+        split = rem * (base + 1)
+        if cf < split:
+            freq = base + 1
+            x = cf // freq
+            start = x * freq
+        else:
+            freq = base
+            x = rem + (cf - split) // base
+            start = x * base + rem
+        head = freq * (head >> precision) + cf - start
+        while head < HEAD_MIN:
+            head = (head << WORD_BITS) | (tail.pop() if tail else m.pop_word())
+        out.append(x)
+    m.head = head
+    return out
+
+
 class Codec:
     """A paired encode/decode over a value set.
 
     encode(m, x) pushes x onto the message; decode(m) pops the last-pushed
     value and restores the message exactly (LIFO discipline). ``prob``, when
-    set, maps a value to its exact probability as a Fraction.
+    set, maps a value to its exact probability as a Fraction. ``table``, when
+    set, is the one Table the codec codes its symbol over, so that runs of
+    such symbols can go through push_symbols/pop_symbols.
     """
 
-    __slots__ = ("encode", "decode", "prob")
+    __slots__ = ("encode", "decode", "prob", "table")
 
     def __init__(
         self,
         encode: Callable[[Message, Any], None],
         decode: Callable[[Message], Any],
         prob: Optional[Callable[[Any], Fraction]] = None,
+        table: Optional[Table] = None,
     ):
         self.encode = encode
         self.decode = decode
         self.prob = prob
+        self.table = table
 
 
 def quantize_masses(weights: Sequence, precision: int) -> List[int]:
@@ -201,39 +354,41 @@ def quantize_masses(weights: Sequence, precision: int) -> List[int]:
     if not 1 <= precision <= MAX_PRECISION:
         raise ParameterError(f"precision {precision} outside [1, {MAX_PRECISION}]")
     ws = list(weights)
-    if not all(type(w) is int for w in ws):
+    if not {int}.issuperset(map(type, ws)):
         fs = [Fraction(w) for w in ws]
         scale = math.lcm(*(f.denominator for f in fs))
         ws = [f.numerator * (scale // f.denominator) for f in fs]
-    if any(w < 0 for w in ws):
+    if min(ws, default=0) < 0:
         raise ParameterError("negative weight")
     total = sum(ws)
     if total <= 0:
         raise ParameterError("all weights zero")
     denom = 1 << precision
-    nonzero = sum(1 for w in ws if w > 0)
-    if nonzero > denom:
+    if len(ws) > denom and sum(1 for w in ws if w) > denom:
         raise ParameterError("more nonzero weights than mass units")
     scaled = [w << precision for w in ws]
     masses = [x // total for x in scaled]
     remainders = [x % total for x in scaled]
     shortfall = denom - sum(masses)
-    # A stable descending sort keeps equal remainders in index order.
-    order = sorted(range(len(ws)), key=remainders.__getitem__, reverse=True)
-    for i in order[:shortfall]:
-        masses[i] += 1
-    zeroed = [i for i, w in enumerate(ws) if w > 0 and masses[i] == 0]
-    if zeroed:
+    if shortfall:
+        # A stable descending sort keeps equal remainders in index order.
+        order = sorted(range(len(ws)), key=remainders.__getitem__, reverse=True)
+        for i in order[:shortfall]:
+            masses[i] += 1
+    if total << _HEADROOM_BITS > denom:
+        # Below 16 bits of headroom a positive weight can floor to zero mass.
         # Each zeroed weight takes one unit from the largest mass (ties to the
         # lower index); the heap keeps that lookup O(log n).
-        heap = [(-x, j) for j, x in enumerate(masses) if x]
-        heapq.heapify(heap)
-        for i in zeroed:
-            neg, j = heap[0]
-            masses[j] -= 1
-            heapq.heapreplace(heap, (neg + 1, j))
-            masses[i] = 1
-            heapq.heappush(heap, (-1, i))
+        zeroed = [i for i, w in enumerate(ws) if w > 0 and masses[i] == 0]
+        if zeroed:
+            heap = [(-x, j) for j, x in enumerate(masses) if x]
+            heapq.heapify(heap)
+            for i in zeroed:
+                neg, j = heap[0]
+                masses[j] -= 1
+                heapq.heapreplace(heap, (neg + 1, j))
+                masses[i] = 1
+                heapq.heappush(heap, (-1, i))
     return masses
 
 
@@ -244,53 +399,21 @@ def uniform_codec(n: int) -> Codec:
     are apportioned as evenly as possible, which perturbs the rate by under
     n/2**p bits per symbol.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"uniform size must be a positive integer, got {n!r}")
-    if n > (1 << MAX_PRECISION):
-        raise ParameterError(f"uniform size {n} exceeds 2**{MAX_PRECISION}")
-
-    if n == 1:
-        def encode1(m: Message, x: Any) -> None:
-            if x != 0:
-                raise ContractViolation(f"symbol {x!r} outside {{0}}")
-
-        return Codec(encode1, lambda m: 0, prob=lambda x: Fraction(1))
-
-    if n & (n - 1) == 0:
-        precision = n.bit_length() - 1
-
-        def encode_pow2(m: Message, x: Any) -> None:
-            if not 0 <= x < n:
-                raise ContractViolation(f"symbol {x!r} outside [0, {n})")
-            _push(m, x, 1, precision)
-
-        def decode_pow2(m: Message) -> int:
-            return _pop(m, precision, lambda cf: (cf, cf, 1))
-
-        return Codec(encode_pow2, decode_pow2, prob=lambda x: Fraction(1, n))
-
-    precision = min(MAX_PRECISION, (n - 1).bit_length() + _HEADROOM_BITS)
-    base, rem = divmod(1 << precision, n)
-    # Symbols < rem get mass base+1; cum(x) = x*base + min(x, rem).
-
-    def mass(x: int) -> int:
-        return base + (1 if x < rem else 0)
-
-    def cum(x: int) -> int:
-        return x * base + min(x, rem)
+    _check_uniform_size(n)
+    precision, base, rem = _uniform_split(n)
+    split = rem * (base + 1)
 
     def encode(m: Message, x: Any) -> None:
         if not 0 <= x < n:
             raise ContractViolation(f"symbol {x!r} outside [0, {n})")
-        _push(m, cum(x), mass(x), precision)
+        _push(m, x * base + min(x, rem), base + (x < rem), precision)
 
     def locate(cf: int) -> "tuple[int, int, int]":
-        split = rem * (base + 1)
         if cf < split:
             x = cf // (base + 1)
         else:
             x = rem + (cf - split) // base
-        return x, cum(x), mass(x)
+        return x, x * base + min(x, rem), base + (x < rem)
 
     def decode(m: Message) -> int:
         return _pop(m, precision, locate)
@@ -298,17 +421,14 @@ def uniform_codec(n: int) -> Codec:
     return Codec(encode, decode, prob=lambda x: Fraction(1, n))
 
 
-def _masses_codec(masses: Sequence[int], precision: int) -> Codec:
-    """Categorical codec over integer masses summing to exactly 2**precision."""
-    cums = [0]
-    for w in masses:
-        cums.append(cums[-1] + w)
+def _table_codec(table: Table) -> Codec:
+    """Single-symbol codec over a table; prob is the table's exact mass."""
+    masses, cums, precision = table.masses, table.cums, table.precision
+    k = len(masses)
 
     def encode(m: Message, x: Any) -> None:
-        if not 0 <= x < len(masses):
-            raise ContractViolation(f"symbol {x!r} outside [0, {len(masses)})")
-        if masses[x] == 0:
-            raise ContractViolation(f"symbol {x} has zero mass")
+        if not (0 <= x < k and masses[x]):
+            raise _bad_symbol(masses, x)
         _push(m, cums[x], masses[x], precision)
 
     def locate(cf: int) -> "tuple[int, int, int]":
@@ -318,8 +438,10 @@ def _masses_codec(masses: Sequence[int], precision: int) -> Codec:
     def decode(m: Message) -> int:
         return _pop(m, precision, locate)
 
-    total = 1 << precision
-    return Codec(encode, decode, prob=lambda x: Fraction(masses[x], total))
+    def prob(x: int) -> Fraction:
+        return Fraction(masses[x], 1 << precision)
+
+    return Codec(encode, decode, prob, table)
 
 
 def categorical_codec(masses: Sequence[int]) -> Codec:
@@ -327,27 +449,25 @@ def categorical_codec(masses: Sequence[int]) -> Codec:
 
     Masses are nonnegative integers; their sum (the denominator) must be at
     most 2**48. Non power-of-two denominators are rescaled internally to one,
-    preserving ratios to within 2**-16.
+    preserving ratios to within 2**-16. ``prob`` is the input masses' exact
+    ratio.
     """
     masses = list(masses)
     if not masses:
         raise ParameterError("empty mass table")
-    if any(not isinstance(w, int) or w < 0 for w in masses):
+    if not all(map(isinstance, masses, repeat(int))) or min(masses) < 0:
         raise ParameterError("masses must be nonnegative integers")
     total = sum(masses)
     if total <= 0:
         raise ParameterError("all masses zero")
     if total > (1 << MAX_PRECISION):
         raise ParameterError(f"mass sum {total} exceeds 2**{MAX_PRECISION}")
-    input_masses = list(masses)
     if total & (total - 1) == 0:
-        precision = total.bit_length() - 1
-        scaled = masses
+        codec = _table_codec(Table(masses, total.bit_length() - 1))
     else:
         precision = min(MAX_PRECISION, (total - 1).bit_length() + _HEADROOM_BITS)
-        scaled = quantize_masses(masses, precision)
-    codec = _masses_codec(scaled, precision)
-    codec.prob = lambda x, t=total, mm=input_masses: Fraction(mm[x], t)
+        codec = _table_codec(Table(quantize_masses(masses, precision), precision))
+        codec.prob = lambda x: Fraction(masses[x], total)
     return codec
 
 
@@ -356,10 +476,7 @@ def bernoulli_codec(p, precision: int = 32) -> Codec:
     pf = Fraction(p)
     if not 0 < pf < 1:
         raise ParameterError(f"Bernoulli p={p!r} outside (0, 1)")
-    masses = quantize_masses([1 - pf, pf], precision)
-    codec = _masses_codec(masses, precision)
-    codec.prob = lambda x, q=Fraction(masses[1], 1 << precision): q if x else 1 - q
-    return codec
+    return _table_codec(Table(quantize_masses([1 - pf, pf], precision), precision))
 
 
 def message_serialize(m: Message) -> bytes:

@@ -26,6 +26,7 @@ from .perms import (
     compose,
     group_order,
     inverse,
+    is_perm,
     run_transpositions,
     schreier_sims,
     symmetric_runs_chain,
@@ -46,12 +47,14 @@ class Canonized:
 
 def _adjacency(g: Graph) -> List[List[Tuple[int, int]]]:
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        if i == j:
-            continue  # loops are folded into vertex colors
-        a = g.edge_attrs[(i, j)] if g.edge_attrs is not None else 0
-        adj[i].append((j, a))
-        adj[j].append((i, a))
+    if g.edge_attrs is not None:
+        labelled = g.edge_attrs.items()
+    else:
+        labelled = [(e, 0) for e in g.edges]
+    for (i, j), a in labelled:
+        if i != j:  # loops are folded into vertex colors
+            adj[i].append((j, a))
+            adj[j].append((i, a))
     return adj
 
 
@@ -70,20 +73,29 @@ def _refine(adj: List[List[Tuple[int, int]]], colors: List[int]) -> List[int]:
 
     Signatures are full sorted multisets of (neighbor color, edge attribute)
     pairs; new color ids follow signature order, so the result is canonical
-    for isomorphic (graph, coloring) pairs.
+    for isomorphic (graph, coloring) pairs. Colors are 0..k-1, so a discrete
+    coloring is returned as it is: one more pass could only give it back.
     """
     n = len(colors)
     num = len(set(colors))
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted((colors[u], a) for u, a in adj[v])))
-            for v in range(n)
-        ]
-        rank = {sig: c for c, sig in enumerate(sorted(set(sigs)))}
-        new = [rank[sigs[v]] for v in range(n)]
-        if len(rank) == num:
+    while num < n:
+        new = _refine_pass(adj, colors)
+        new_num = max(new) + 1
+        if new_num == num:
             return new
-        colors, num = new, len(rank)
+        colors, num = new, new_num
+    return colors
+
+
+def _refine_pass(adj: List[List[Tuple[int, int]]], colors: List[int]) -> List[int]:
+    """One refinement pass: each vertex's color becomes the rank of its
+    signature, so the new colors are 0..k-1."""
+    sigs = [
+        (colors[v], tuple(sorted([(colors[u], a) for u, a in adj[v]])))
+        for v in range(len(colors))
+    ]
+    rank = {sig: c for c, sig in enumerate(sorted(set(sigs)))}
+    return [rank[sig] for sig in sigs]
 
 
 def _individualize(colors: List[int], v: int) -> List[int]:
@@ -154,8 +166,9 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
     permutation minimizing apply(s, g).key() over the leaves) and a list of
     discovered automorphisms of g (complete as a generating set)."""
     adj = _adjacency(g)
-    best: Optional[Tuple[tuple, Perm]] = None
-    first: Optional[Tuple[tuple, Perm]] = None
+    # [key, perm] of the first and of the best leaf so far.
+    best: Optional[list] = None
+    first: Optional[list] = None
     auts: List[Perm] = []
     aut_set = set()
 
@@ -166,15 +179,20 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
             auts.append(a)
 
     def leaf(colors: List[int]) -> None:
+        # A leaf's key is computed only once a second leaf needs it: most
+        # graphs reach one leaf, which is then canonical without comparison.
         nonlocal best, first
         perm = tuple(colors)
-        key = _leaf_key(g, perm)
         if first is None:
-            first = (key, perm)
-        elif key == first[0] and perm != first[1]:
+            first = best = [None, perm]
+            return
+        if first[0] is None:
+            first[0] = _leaf_key(g, first[1])
+        key = _leaf_key(g, perm)
+        if key == first[0] and perm != first[1]:
             note_aut(first[1], perm)
-        if best is None or key < best[0]:
-            best = (key, perm)
+        if key < best[0]:
+            best = [key, perm]
         elif key == best[0] and perm != best[1]:
             note_aut(best[1], perm)
 
@@ -238,11 +256,15 @@ class SequenceCanonized:
 
 
 def apply_sequence(s: Perm, x: Sequence) -> Sequence:
-    """The rearrangement action: the element at position i moves to s(i)."""
+    """The rearrangement action: the element at position i moves to s(i).
+    Raises DegreeMismatch for a wrong length and ValueError if s is not a
+    permutation."""
     if len(s) != len(x):
         raise DegreeMismatch(
             f"permutation degree {len(s)} != sequence length {len(x)}"
         )
+    if not is_perm(s):
+        raise ValueError(f"not a permutation: {tuple(s)!r}")
     out = [None] * len(x)
     for i, item in enumerate(x):
         out[s[i]] = item
@@ -270,7 +292,7 @@ def canonize_string(x: Sequence) -> SequenceCanonized:
     product of the factorials of the element multiplicities. Its stabilizer
     chain is built in closed form by symmetric_runs_chain, with no
     Schreier-Sims: canonization costs O(n log n) for the sort and O(n) for the
-    chain, and the coset step over the chain's n - r levels (r runs) O(n^2).
+    chain, and the coset step works on the runs in closed form (see perms).
     """
     n = len(x)
     order = sorted(range(n), key=lambda i: (x[i], i))

@@ -124,7 +124,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader went away, which is not a data error. Point stdout at
+        # the null device so that the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a writer it killed
     except (CodecError, DatasetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .perms import DegreeMismatch, Perm
+from .perms import DegreeMismatch, Perm, is_perm
 
 
 class Graph:
@@ -97,22 +97,54 @@ class Graph:
         )
 
 
+def trusted_graph(
+    n: int,
+    edges: frozenset,
+    vertex_attrs: Optional[tuple] = None,
+    edge_attrs: Optional[dict] = None,
+    self_loops_allowed: bool = False,
+) -> Graph:
+    """A Graph from parts that are valid by construction, without checking
+    them again: edges a frozenset of (i, j), i <= j, inside [0, n) and loops
+    only when allowed; vertex_attrs a tuple of n naturals; edge_attrs a dict
+    of naturals keyed by exactly the edges. The relabeling action and the
+    model decoders build their graphs this way."""
+    g = Graph.__new__(Graph)
+    g.n, g.edges, g.self_loops_allowed = n, edges, self_loops_allowed
+    g.vertex_attrs, g.edge_attrs = vertex_attrs, edge_attrs
+    return g
+
+
 def apply_perm(s: Perm, g: Graph) -> Graph:
     """Relabel: edge {i, j} moves to {s(i), s(j)}; the attribute of vertex i
-    moves to position s(i). A left group action."""
-    if len(s) != g.n:
-        raise DegreeMismatch(f"permutation degree {len(s)} != graph order {g.n}")
-    edges = [(s[i], s[j]) for i, j in g.edges]
+    moves to position s(i). A left group action.
+
+    Raises DegreeMismatch for a wrong length and ValueError if s is not a
+    permutation, in O(n); g's edges are valid already, so the result is
+    built without checking them again."""
+    n = g.n
+    if len(s) != n:
+        raise DegreeMismatch(f"permutation degree {len(s)} != graph order {n}")
+    if not is_perm(s):
+        raise ValueError(f"not a permutation: {tuple(s)!r}")
     vertex_attrs = None
     if g.vertex_attrs is not None:
-        out = [0] * g.n
+        out = [0] * n
         for i, a in enumerate(g.vertex_attrs):
             out[s[i]] = a
-        vertex_attrs = out
+        vertex_attrs = tuple(out)
     edge_attrs = None
     if g.edge_attrs is not None:
-        edge_attrs = {(s[i], s[j]): a for (i, j), a in g.edge_attrs.items()}
-    return Graph(g.n, edges, vertex_attrs, edge_attrs, g.self_loops_allowed)
+        edge_attrs = {
+            ((s[i], s[j]) if s[i] <= s[j] else (s[j], s[i])): attr
+            for (i, j), attr in g.edge_attrs.items()
+        }
+        edges = frozenset(edge_attrs)  # the attributes cover exactly the edges
+    else:
+        edges = frozenset(
+            [(s[i], s[j]) if s[i] <= s[j] else (s[j], s[i]) for i, j in g.edges]
+        )
+    return trusted_graph(n, edges, vertex_attrs, edge_attrs, g.self_loops_allowed)
 
 
 def plain_graph(g: Graph) -> Graph:
@@ -120,10 +152,7 @@ def plain_graph(g: Graph) -> Graph:
     set instead of checking it again."""
     if g.vertex_attrs is None and g.edge_attrs is None:
         return g
-    out = Graph.__new__(Graph)
-    out.n, out.edges, out.self_loops_allowed = g.n, g.edges, g.self_loops_allowed
-    out.vertex_attrs = out.edge_attrs = None
-    return out
+    return trusted_graph(g.n, g.edges, self_loops_allowed=g.self_loops_allowed)
 
 
 def graph_pairs(n: int, self_loops: bool = False):

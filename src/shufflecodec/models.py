@@ -18,9 +18,10 @@ from .ans import (
     ParameterError,
     bernoulli_codec,
     categorical_codec,
-    uniform_codec,
+    pop_symbols,
+    push_symbols,
 )
-from .graphs import Graph, graph_pairs, pair_count, plain_graph
+from .graphs import Graph, graph_pairs, pair_count, plain_graph, trusted_graph
 
 # Probability resolution for model parameters derived from data. Encoder and
 # decoder rebuild identical tables from identical integer counts.
@@ -70,19 +71,20 @@ class PuParams:
 
 
 def string_codec(ps: Sequence[int], length: int) -> Codec:
-    """Fixed-length strings of alphabet symbols, coded i.i.d. categorical."""
+    """Fixed-length strings of alphabet symbols, coded i.i.d. categorical,
+    as one run of the table kernel."""
     if length < 0:
         raise ParameterError("negative length")
     char_codec = categorical_codec(ps)
+    table = char_codec.table
 
     def encode(m: Message, string) -> None:
         if len(string) != length:
             raise ContractViolation(f"string length {len(string)} != {length}")
-        for c in reversed(string):
-            char_codec.encode(m, c)
+        push_symbols(m, table, string)
 
     def decode(m: Message) -> Tuple[int, ...]:
-        return tuple(char_codec.decode(m) for _ in range(length))
+        return tuple(pop_symbols(m, table, length))
 
     def prob(string) -> Fraction:
         p = Fraction(1)
@@ -94,11 +96,12 @@ def string_codec(ps: Sequence[int], length: int) -> Codec:
 
 
 def _attr_codec(ps: Optional[Tuple[int, ...]], uniform_attrs: bool) -> Optional[Codec]:
+    """The categorical codec of one attribute. Uniform attributes use equal
+    weights, whose table is the uniform codec's: quantize_masses gives the
+    spare units to the lowest symbols, as uniform_codec does."""
     if ps is None:
         return None
-    if uniform_attrs:
-        return uniform_codec(len(ps))
-    return categorical_codec(list(ps))
+    return categorical_codec([1] * len(ps) if uniform_attrs else ps)
 
 
 def _check_plain(g, n: int) -> None:
@@ -110,21 +113,24 @@ def _check_plain(g, n: int) -> None:
 
 def erdos_renyi_codec(params: ErParams) -> Codec:
     """Plain graphs under G(n, p): one Bernoulli per vertex pair in
-    graph_pairs order. Equal pair probabilities make it exchangeable."""
+    graph_pairs order, as one run of the table kernel. Equal pair
+    probabilities make it exchangeable."""
     n = params.n
     bern = bernoulli_codec(params.edge_p, PARAM_PRECISION)
     pairs = list(graph_pairs(n, params.self_loops))
 
     def encode(m: Message, g: Graph) -> None:
         _check_plain(g, n)
-        if not params.self_loops and any(i == j for i, j in g.edges):
+        edges = g.edges
+        bits = [e in edges for e in pairs]
+        if sum(bits) != len(edges):  # only a disallowed self-loop is not a pair
             raise ContractViolation("graph has self-loops but params disallow them")
-        for e in reversed(pairs):
-            bern.encode(m, 1 if e in g.edges else 0)
+        push_symbols(m, bern.table, bits)
 
     def decode(m: Message) -> Graph:
-        edges = [e for e in pairs if bern.decode(m)]
-        return Graph(n, edges, self_loops_allowed=params.self_loops)
+        bits = pop_symbols(m, bern.table, len(pairs))
+        edges = frozenset([e for e, bit in zip(pairs, bits) if bit])
+        return trusted_graph(n, edges, self_loops_allowed=params.self_loops)
 
     def prob(g: Graph) -> Fraction:
         p_edge = bern.prob(1)
@@ -267,22 +273,25 @@ def with_attributes(
         if g.has_edge_attrs != (e_codec is not None):
             raise ContractViolation("edge attribute presence mismatch")
         if e_codec is not None:
-            for e in sorted(g.edges, key=_pair_order, reverse=True):
-                e_codec.encode(m, g.edge_attrs[e])
+            edge_attrs = g.edge_attrs
+            attrs = [edge_attrs[e] for e in sorted(g.edges, key=_pair_order)]
+            push_symbols(m, e_codec.table, attrs)
         if v_codec is not None:
-            for a in reversed(g.vertex_attrs):
-                v_codec.encode(m, a)
+            push_symbols(m, v_codec.table, g.vertex_attrs)
         base.encode(m, plain_graph(g))
 
     def decode(m: Message) -> Graph:
         g = base.decode(m)
         vertex_attrs = None
         if v_codec is not None:
-            vertex_attrs = [v_codec.decode(m) for _ in range(g.n)]
+            vertex_attrs = tuple(pop_symbols(m, v_codec.table, g.n))
         edge_attrs = None
         if e_codec is not None:
-            edge_attrs = {e: e_codec.decode(m) for e in sorted(g.edges, key=_pair_order)}
-        return Graph(g.n, g.edges, vertex_attrs, edge_attrs, g.self_loops_allowed)
+            ordered = sorted(g.edges, key=_pair_order)
+            edge_attrs = dict(zip(ordered, pop_symbols(m, e_codec.table, len(ordered))))
+        return trusted_graph(
+            g.n, g.edges, vertex_attrs, edge_attrs, g.self_loops_allowed
+        )
 
     def prob(g: Graph) -> Fraction:
         p = base.prob(plain_graph(g))

@@ -131,7 +131,7 @@ def _runs_to_lists(runs) -> Tuple[List[int], List[int]]:
 
 def _lists_to_runs(lengths, diffs) -> Tuple[Tuple[int, int], ...]:
     if len(lengths) != len(diffs):
-        raise ContractViolation("run/diff length mismatch")
+        raise FormatError("run/diff length mismatch")
     runs = []
     n = 0
     for count, diff in zip(lengths, diffs):
@@ -170,9 +170,9 @@ def encode_dataset_params(m: Message, params: DatasetParams) -> None:
 
 
 def decode_dataset_params(m: Message) -> DatasetParams:
-    """Pop the parameter block. Raises FormatError for vertex-count runs or a
-    graph order that encode_dataset_params never writes, before any graph is
-    decoded."""
+    """Pop the parameter block. Raises FormatError for vertex-count runs,
+    er_counts or a graph order that encode_dataset_params never writes,
+    before any graph is decoded."""
     model = "pu" if _bit.decode(m) else "er"
     self_loops = bool(_bit.decode(m))
     uniform_attrs = bool(_bit.decode(m))
@@ -190,7 +190,7 @@ def decode_dataset_params(m: Message) -> DatasetParams:
     if model == "er":
         pair = _naturals.decode(m)
         if len(pair) != 2:
-            raise ContractViolation("er_counts must hold two numbers")
+            raise FormatError("er_counts must hold two numbers")
         er_counts = (pair[0], pair[1])
     else:
         pu_edge_counts = tuple(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .ans import Codec, ContractViolation, Message, uniform_codec
+from .ans import Codec, ContractViolation, Message, pop_uniforms, push_uniforms
 from .perms import (
     Perm,
     StabilizerChain,
@@ -29,10 +29,11 @@ def uniform_s_codec(n: int) -> Codec:
 
     The decoder is the Fisher-Yates shuffle driven by Uniform(j) draws for
     j = n..2; the encoder recovers the draw sequence by unshuffling and then
-    encodes it in reverse. Both directions run in O(n) coder operations and
-    the aggregate rate is log2 n! per permutation.
+    encodes it in reverse. Both directions run in O(n) coder operations, one
+    run of the uniform kernel, and the aggregate rate is log2 n! per
+    permutation.
     """
-    sub_codecs = [uniform_codec(j) for j in range(2, n + 1)]
+    sizes = range(n, 1, -1)
 
     def encode(m: Message, s) -> None:
         s = as_perm(s)
@@ -40,19 +41,17 @@ def uniform_s_codec(n: int) -> Codec:
             raise ContractViolation(f"permutation degree {len(s)} != {n}")
         p = list(range(n))
         p_inv = list(range(n))
-        to_encode: List[int] = []
-        for j in reversed(range(2, n + 1)):
+        draws: List[int] = []
+        for j in sizes:
             i = p_inv[s[j - 1]]
             p_inv[p[j - 1]], p_inv[s[j - 1]] = p_inv[s[j - 1]], p_inv[p[j - 1]]
             p[i], p[j - 1] = p[j - 1], p[i]
-            to_encode.append(i)
-        for codec, i in zip(sub_codecs, reversed(to_encode)):
-            codec.encode(m, i)
+            draws.append(i)
+        push_uniforms(m, draws, sizes)
 
     def decode(m: Message) -> Perm:
         s = list(range(n))
-        for j in reversed(range(2, n + 1)):
-            i = sub_codecs[j - 2].decode(m)
+        for j, i in zip(sizes, pop_uniforms(m, sizes)):
             s[i], s[j - 1] = s[j - 1], s[i]
         return tuple(s)
 
@@ -65,16 +64,13 @@ def uniform_perm_grp_codec(chain: StabilizerChain) -> Codec:
     Codes the orbit-index tuple of the transversal factorization, one uniform
     symbol per chain level, for a total of sum_k log2 |O_k| = log2 |H| bits.
     """
-    level_codecs = [uniform_codec(len(lvl.orbit)) for lvl in chain.levels]
+    sizes = [len(lvl.orbit) for lvl in chain.levels]
 
     def encode(m: Message, h) -> None:
-        indices = element_rank(chain, as_perm(h))
-        for codec, idx in zip(reversed(level_codecs), reversed(indices)):
-            codec.encode(m, idx)
+        push_uniforms(m, element_rank(chain, as_perm(h)), sizes)
 
     def decode(m: Message) -> Perm:
-        indices = [codec.decode(m) for codec in level_codecs]
-        return element_unrank(chain, indices)
+        return element_unrank(chain, pop_uniforms(m, sizes))
 
     return Codec(encode, decode)
 

@@ -13,7 +13,10 @@ level walks its Schreier tree to some element mapping the base point to w and
 takes the lex-min of its coset over the levels below. symmetric_runs_chain
 builds the chain of a product of symmetric groups on runs of consecutive
 points in closed form, in O(n) time and memory: its levels compute each orbit
-index in O(1) and each transversal element in O(n).
+index in O(1) and each transversal element in O(n). On such a chain the coset
+operations skip the level walk: coset_canon sorts each run, element_rank
+takes each run's Lehmer code and element_unrank decodes it, with O(n log n)
+Python steps in place of O(n) per level.
 """
 
 from __future__ import annotations
@@ -37,9 +40,14 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
+def is_perm(s: Sequence[int]) -> bool:
+    """Whether s lists each of 0..len(s)-1 once, in O(n)."""
+    return set(s).issuperset(range(len(s)))
+
+
 def as_perm(images: Iterable[int]) -> Perm:
     p = tuple(images)
-    if sorted(p) != list(range(len(p))):
+    if not is_perm(p):
         raise ValueError(f"not a permutation: {p!r}")
     return p
 
@@ -176,10 +184,17 @@ class RunLevel(ChainLevel):
 @dataclass(frozen=True)
 class StabilizerChain:
     """Stabilizer chain with base points in increasing order; levels with
-    trivial orbits are omitted. The terminal subgroup is trivial."""
+    trivial orbits are omitted. The terminal subgroup is trivial.
+
+    ``runs`` is set on the chains of symmetric_runs_chain: the runs [a, b) of
+    two or more points whose symmetric groups the product has as factors.
+    coset_canon, element_rank and element_unrank then work on the runs in
+    closed form, with the results of the level walk.
+    """
 
     degree: int
     levels: Tuple[ChainLevel, ...]
+    runs: Optional[Tuple[Tuple[int, int], ...]] = None
 
 
 def _tree_rep(
@@ -336,7 +351,7 @@ def symmetric_runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerC
     levels = tuple(
         RunLevel(p, b, n, runs) for a, b in runs for p in range(a, b - 1)
     )
-    return StabilizerChain(n, levels)
+    return StabilizerChain(n, levels, tuple((a, b) for a, b in runs if b - a > 1))
 
 
 def group_order(chain: StabilizerChain) -> int:
@@ -351,14 +366,26 @@ def _check_degree(chain: StabilizerChain, s: Perm) -> None:
         raise DegreeMismatch(f"degrees {len(s)} and {chain.degree} differ")
 
 
+def _sort_runs(runs: Tuple[Tuple[int, int], ...], s: Perm) -> List[int]:
+    """s with the values inside each run sorted."""
+    out = list(s)
+    for a, b in runs:
+        out[a:b] = sorted(s[a:b])
+    return out
+
+
 def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
     """Lexicographically smallest one-line vector in the left coset s*H.
 
     Descends the stabilizer chain: at each level the base point's image is
     minimized over the orbit, globally optimal as the base is increasing and
     points between base points have trivial orbits. Any transversal will do.
+    On a chain with runs, s*H permutes the values inside each run, so the
+    minimum sorts them.
     """
     _check_degree(chain, s)
+    if chain.runs is not None:
+        return tuple(_sort_runs(chain.runs, s))
     cur = s
     for lvl in chain.levels:
         best = min(lvl.orbit, key=lambda w: cur[w])
@@ -368,8 +395,25 @@ def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
 
 def element_rank(chain: StabilizerChain, h: Perm) -> Tuple[int, ...]:
     """Orbit-index tuple of a group member under the chain's transversal
-    factorization h = u_0 * u_1 * ... Raises NotInGroup for non-members."""
+    factorization h = u_0 * u_1 * ... Raises NotInGroup for non-members.
+
+    On a chain with runs, the index at level p is the number of later
+    positions in p's run whose value is below h[p]: each run's Lehmer code.
+    """
     _check_degree(chain, h)
+    if chain.runs is not None:
+        if _sort_runs(chain.runs, h) != list(range(chain.degree)):
+            raise NotInGroup("permutation does not keep the runs")
+        indices: List[int] = []
+        for a, b in chain.runs:
+            below = [h[b - 1]]  # the run's later values, sorted
+            code = []
+            for p in range(b - 2, a - 1, -1):
+                i = bisect.bisect_left(below, h[p])
+                code.append(i)
+                below.insert(i, h[p])
+            indices.extend(reversed(code))
+        return tuple(indices)
     cur = h
     indices = []
     for lvl in chain.levels:
@@ -385,11 +429,24 @@ def element_rank(chain: StabilizerChain, h: Perm) -> Tuple[int, ...]:
 
 
 def element_unrank(chain: StabilizerChain, indices: Sequence[int]) -> Perm:
-    """Inverse of element_rank."""
+    """Inverse of element_rank. On a chain with runs, level p takes the
+    index-th smallest value of its run not taken yet."""
     if len(indices) != len(chain.levels):
         raise ValueError(
             f"expected {len(chain.levels)} indices, got {len(indices)}"
         )
+    if chain.runs is not None:
+        h = list(range(chain.degree))
+        it = iter(indices)
+        for a, b in chain.runs:
+            left = list(range(a, b))
+            for p in range(a, b - 1):
+                idx = next(it)
+                if not 0 <= idx < b - p:
+                    raise ValueError(f"index {idx} outside orbit of size {b - p}")
+                h[p] = left.pop(idx)
+            h[b - 1] = left[0]
+        return tuple(h)
     h = identity(chain.degree)
     for lvl, idx in zip(chain.levels, indices):
         if not 0 <= idx < len(lvl.orbit):

@@ -18,12 +18,16 @@ from shufflecodec.ans import (
     message_deserialize,
     message_init,
     message_serialize,
+    pop_symbols,
+    pop_uniforms,
+    push_symbols,
+    push_uniforms,
     quantize_masses,
     uniform_codec,
 )
 from shufflecodec.compress import compress_corpus
 from shufflecodec.datasets import Corpus
-from shufflecodec.generate import sample_er_graph
+from shufflecodec.generate import sample_er_graph, sample_pa_graph
 
 from conftest import random_message
 
@@ -178,6 +182,20 @@ class TestCategorical:
         codec = categorical_codec([2, 0, 2])
         with pytest.raises(ContractViolation):
             codec.encode(message_init(), 1)
+
+    def test_equal_weights_code_as_uniform(self, rng):
+        # The uniform-attribute layer codes through categorical_codec([1] * k):
+        # its table must be uniform_codec(k)'s, spare units on the lowest
+        # symbols, so that both give the same bytes.
+        for k in list(range(1, 70)) + [255, 256, 1000, 4097]:
+            xs = [rng.randrange(k) for _ in range(20)]
+            a, b = random_message(k, 2), random_message(k, 2)
+            cat, uni = categorical_codec([1] * k), uniform_codec(k)
+            for x in xs:
+                cat.encode(a, x)
+                uni.encode(b, x)
+            assert a == b
+            assert [cat.decode(a) for _ in xs] == [uni.decode(b) for _ in xs]
 
     def test_mass_overflow_rejected(self):
         with pytest.raises(ParameterError):
@@ -377,9 +395,157 @@ class TestSerialization:
             "4c0eb6ecf8eb64163afe6135b1131407dc43657892bb77270ae4cbb1dca619e9"
         )
 
+    def test_pu_corpus_bytes_pinned(self):
+        # Seeded preferential-attachment graphs under the urn model: the urn's
+        # categorical tables and both shuffle levels (graph and edge list).
+        rng = random.Random(2408)
+        graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
+        data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
+        assert data[:6] == b"SHUF\x04\x00"
+        assert len(data) == 104
+        assert hashlib.sha256(data[6:]).hexdigest() == (
+            "dc91b5ff0b1fcf29b182929e08e0a44c81928b9abefa49bdd06eab3edbe84607"
+        )
+
+    def test_uniform_attrs_er_corpus_bytes_pinned(self):
+        # The uniform-attribute ablation: attributes coded uniformly over the
+        # alphabets of the count tables.
+        rng = random.Random(2408)
+        graphs = tuple(
+            sample_er_graph(
+                rng, rng.randint(5, 12), 0.3, vertex_alphabet=5, edge_alphabet=3
+            )
+            for _ in range(40)
+        )
+        corpus = Corpus(graphs, "golden-uniform", True, True)
+        data, _ = compress_corpus(corpus, model="er", attrs="uniform")
+        assert data[:6] == b"SHUF\x04\x00"
+        assert len(data) == 338
+        assert hashlib.sha256(data[6:]).hexdigest() == (
+            "7357e3a4f4b4e21fcbd5755188c56c068408c35feab761bfc802f7f528df95ac"
+        )
+
     def test_truncation_detected(self):
         data = message_serialize(message_init())
         with pytest.raises(FormatError):
             message_deserialize(data[:-3])
         with pytest.raises(FormatError):
             message_deserialize(data + b"\x00")
+
+
+def _state(m):
+    return m.head, list(m.tail), m.pad_consumed
+
+
+# Heads near both ends of the renormalization interval and anywhere between.
+_heads = st.one_of(
+    st.integers(ans.HEAD_MIN, ans.HEAD_MIN + (1 << 20)),
+    st.integers(ans.HEAD_LIMIT - (1 << 20), ans.HEAD_LIMIT - 1),
+    st.integers(ans.HEAD_MIN, ans.HEAD_LIMIT - 1),
+)
+
+
+@st.composite
+def _messages(draw):
+    """A message with a pad source and a short tail, often empty, so that
+    pops run into the pad words."""
+    tail = draw(st.lists(st.integers(0, ans.WORD_MASK), max_size=3))
+    return Message(draw(_heads), tail, pad_seed=draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def _table_codecs(draw):
+    """categorical_codec over a table of any precision 1..48: masses summing
+    to 2**precision are coded as given; other totals are rescaled."""
+    weight = st.one_of(st.just(0), st.integers(1, 1 << 24))
+    weights = draw(st.lists(weight, min_size=1, max_size=6).filter(any))
+    if draw(st.booleans()):
+        nonzero = sum(1 for w in weights if w)
+        precision = draw(st.integers(max(1, (nonzero - 1).bit_length()), 48))
+        weights = quantize_masses(weights, precision)
+    return categorical_codec(weights)
+
+
+# Sizes of uniform symbols: small, powers of two up to 2**48, and large.
+_sizes = st.one_of(
+    st.integers(1, 300),
+    st.sampled_from([1 << k for k in range(49)]),
+    st.integers(1, 1 << 48),
+)
+
+
+class TestRunKernels:
+    """The run kernels against the single-symbol codecs they replace."""
+
+    @given(_messages(), _table_codecs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_table_kernel_matches_per_symbol(self, m, codec, data):
+        support = [x for x, w in enumerate(codec.table.masses) if w]
+        xs = data.draw(st.lists(st.sampled_from(support), max_size=30))
+        a, b = m.copy(), m.copy()
+        push_symbols(a, codec.table, xs)
+        for x in reversed(xs):
+            codec.encode(b, x)
+        assert _state(a) == _state(b)
+        count = data.draw(st.integers(0, 30))
+        popped = pop_symbols(a, codec.table, count)
+        assert popped == [codec.decode(b) for _ in range(count)]
+        assert _state(a) == _state(b)
+
+    @given(_messages(), st.lists(_sizes, max_size=30), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_uniform_kernel_matches_per_symbol(self, m, sizes, data):
+        xs = [data.draw(st.integers(0, n - 1)) for n in sizes]
+        a, b = m.copy(), m.copy()
+        push_uniforms(a, xs, sizes)
+        for x, n in zip(reversed(xs), reversed(sizes)):
+            uniform_codec(n).encode(b, x)
+        assert _state(a) == _state(b)
+        sizes = data.draw(st.lists(_sizes, max_size=30))
+        assert pop_uniforms(a, sizes) == [uniform_codec(n).decode(b) for n in sizes]
+        assert _state(a) == _state(b)
+
+    @given(_messages(), _table_codecs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_table_symbol_leaves_message_unchanged(self, m, codec, data):
+        masses = codec.table.masses
+        bad = [-1, len(masses)] + [x for x, w in enumerate(masses) if not w]
+        support = [x for x, w in enumerate(masses) if w]
+        xs = data.draw(st.lists(st.sampled_from(support), max_size=10))
+        xs.insert(data.draw(st.integers(0, len(xs))), data.draw(st.sampled_from(bad)))
+        before = _state(m)
+        with pytest.raises(ContractViolation):
+            push_symbols(m, codec.table, xs)
+        assert _state(m) == before
+
+    def test_zero_mass_symbol_in_a_run_rejected(self):
+        codec = categorical_codec([2, 0, 2])
+        m = random_message(5, 2)
+        before = _state(m)
+        with pytest.raises(ContractViolation, match="zero mass"):
+            push_symbols(m, codec.table, [0, 2, 1, 0])
+        assert _state(m) == before
+
+    @given(_messages(), st.lists(_sizes, min_size=1, max_size=10), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_uniform_symbol_leaves_message_unchanged(self, m, sizes, data):
+        xs = [data.draw(st.integers(0, n - 1)) for n in sizes]
+        k = data.draw(st.integers(0, len(xs) - 1))
+        xs[k] = data.draw(st.sampled_from([-1, sizes[k]]))
+        before = _state(m)
+        with pytest.raises(ContractViolation):
+            push_uniforms(m, xs, sizes)
+        assert _state(m) == before
+
+    def test_bad_sizes_rejected_before_the_message_changes(self):
+        m = random_message(3, 2)
+        before = _state(m)
+        for sizes in ([4, 0], [4, (1 << 48) + 1]):
+            with pytest.raises(ParameterError):
+                push_uniforms(m, [1, 0], sizes)
+            with pytest.raises(ParameterError):
+                pop_uniforms(m, sizes)
+            assert _state(m) == before
+        with pytest.raises(ContractViolation):
+            push_uniforms(m, [1, 0], [4])
+        assert _state(m) == before

@@ -66,6 +66,50 @@ class TestApplyPerm:
         out = apply_perm((2, 0, 1), g)
         assert out.vertex_attrs == (8, 7, 9)
 
+    def test_result_equals_the_validated_graph(self):
+        # apply_perm builds its result without checking the edges again; it
+        # must be the Graph the checking constructor builds from the same
+        # relabeled parts.
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            g = random_graph(rng, n, attr_alphabet=rng.choice([0, 3]), edge_alphabet=2)
+            s = tuple(rng.sample(range(n), n))
+            out = apply_perm(s, g)
+            vertex_attrs = None
+            if g.vertex_attrs is not None:
+                vertex_attrs = [g.vertex_attrs[inverse(s)[v]] for v in range(n)]
+            want = Graph(
+                n,
+                [(s[i], s[j]) for i, j in g.edges],
+                vertex_attrs,
+                {(s[i], s[j]): a for (i, j), a in g.edge_attrs.items()},
+            )
+            assert out == want and out.key() == want.key()
+            assert type(out.edges) is frozenset
+            assert out.vertex_attrs is None or type(out.vertex_attrs) is tuple
+
+    def test_non_permutations_rejected(self):
+        from shufflecodec.perms import DegreeMismatch
+
+        g = Graph(2, [], [1, 2])
+        for s in ((0, 0), (1, 1), (0, 2), (-1, 0)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                apply_perm(s, g)
+        with pytest.raises(DegreeMismatch):
+            apply_perm((0, 1, 2), g)
+
+    def test_apply_sequence_rejects_non_permutations(self):
+        from shufflecodec.perms import DegreeMismatch
+
+        for s in ((0, 0), (1, 1), (0, 2)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                apply_sequence(s, (5, 6))
+        with pytest.raises(DegreeMismatch):
+            apply_sequence((0,), (5, 6))
+        assert apply_sequence((1, 0), (5, 6)) == (6, 5)
+        assert apply_sequence((1, 2, 0), "abc") == "cab"
+
 
 class TestCanonize:
     def test_paper_graph_aut_order_two(self):
@@ -116,6 +160,49 @@ class TestCanonize:
         c = canonize(g)
         assert c.canon_perm != identity(4) and c.aut_order == 6
         assert len(calls) == 1
+
+    def test_discrete_first_refinement_needs_one_pass_and_no_leaf_key(
+        self, monkeypatch
+    ):
+        # A path with one odd vertex label: its initial coloring is not
+        # discrete, one refinement pass makes it so. Refinement stops there,
+        # and the single leaf is canonical without a key to compare.
+        passes, keys = [], []
+        refine_pass, leaf_key = canon._refine_pass, canon._leaf_key
+
+        def counted_pass(adj, colors):
+            passes.append(colors)
+            return refine_pass(adj, colors)
+
+        def counted_key(g, perm):
+            keys.append(perm)
+            return leaf_key(g, perm)
+
+        monkeypatch.setattr(canon, "_refine_pass", counted_pass)
+        monkeypatch.setattr(canon, "_leaf_key", counted_key)
+        g = Graph(3, [(0, 1), (1, 2)], vertex_attrs=[0, 0, 1])
+        c = canonize(g)
+        assert len(passes) == 1 and keys == []
+        assert c.aut_order == 1
+        for s in permutations(range(3)):
+            assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
+
+    def test_leaf_keys_only_once_a_second_leaf_exists(self, monkeypatch):
+        # The 4-cycle reaches several leaves; keys are computed then, and the
+        # result still matches the brute-force canonical form.
+        keys = []
+        leaf_key = canon._leaf_key
+
+        def counted_key(g, perm):
+            keys.append(perm)
+            return leaf_key(g, perm)
+
+        monkeypatch.setattr(canon, "_leaf_key", counted_key)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        c = canonize(g)
+        assert keys and c.aut_order == 8
+        for s in permutations(range(4)):
+            assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
 
     def test_invariance_ten_thousand_pairs(self):
         rng = random.Random(7)

@@ -442,6 +442,25 @@ class TestCli:
         main(["--seed", "12345", "compress", "--dataset", corpus_dir, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_closed_stdout_exits_quietly(self):
+        # A reader that is gone before any output (`bench --json | head -c 0`)
+        # is not a data error: exit 141 (128 + SIGPIPE), nothing on stderr.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "shufflecodec.cli", "bench", "--dataset",
+                 FIXTURE, "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert result.stderr == ""
+
     def test_console_script_installed(self):
         result = subprocess.run(
             [sys.executable, "-m", "shufflecodec.cli", "--help"],

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflecodec import compress
+from shufflecodec import params as params_module
 from shufflecodec.ans import (
     CodecError,
     ContractViolation,
@@ -130,6 +131,7 @@ MALFORMED_BLOCKS = {
     "order longer than the graphs": dict(order_perm=(1, 2, 0, 0)),
     "order shorter than the graphs": dict(order_perm=(1, 2)),
     "order with a duplicate": dict(order_perm=(1, 1, 0)),
+    "er_counts of three numbers": dict(er_counts=(4, 9, 1)),
 }
 
 
@@ -151,6 +153,24 @@ class TestMalformedParameterBlocks:
         argv = ["decompress", "--in", str(blob), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_run_and_diff_lists_of_different_lengths(self, monkeypatch):
+        m = message_deserialize(tampered_message())
+        params = decode_dataset_params(m)
+        real = params_module._runs_to_lists
+
+        def uneven(runs):
+            lengths, diffs = real(runs)
+            return lengths, diffs[:-1]
+
+        monkeypatch.setattr(params_module, "_runs_to_lists", uneven)
+        encode_dataset_params(m, params)
+        monkeypatch.undo()
+        data = message_serialize(m)
+        with pytest.raises(FormatError, match="run/diff length mismatch"):
+            decode_dataset_params(message_deserialize(data))
+        with pytest.raises(FormatError):
+            decompress_corpus(data)
 
     def test_untampered_message_decodes(self):
         corpus = decompress_corpus(tampered_message())

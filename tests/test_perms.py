@@ -11,6 +11,7 @@ from shufflecodec.perms import (
     DegreeMismatch,
     NotInGroup,
     PermGroup,
+    StabilizerChain,
     compose,
     coset_canon,
     element_rank,
@@ -326,6 +327,48 @@ class TestSymmetricRunsChain:
             for v in range(len(xs)):
                 assert lvl.orbit_index(v) == want.orbit_index(v)
         assert group_order(c.chain) == group_order(ref) == c.aut_order
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(st.integers(0, k - 1), max_size=30)
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_closed_forms_equal_the_level_walk(self, xs, rnd):
+        # coset_canon, element_rank and element_unrank on a runs chain sort
+        # runs, take Lehmer codes and pick the idx-th smallest value left.
+        # The same levels without runs go through the level walk; both must
+        # give the same permutations and indices, so coset bytes are equal.
+        chain = canonize_string(xs).chain
+        walk = StabilizerChain(chain.degree, chain.levels)
+        n = chain.degree
+        s = tuple(rnd.sample(range(n), n))
+        assert coset_canon(chain, s) == coset_canon(walk, s)
+        indices = [rnd.randrange(len(lvl.orbit)) for lvl in chain.levels]
+        h = element_unrank(walk, indices)
+        assert element_unrank(chain, indices) == h
+        assert element_rank(chain, h) == element_rank(walk, h) == tuple(indices)
+        if group_order(chain) < math.factorial(n):
+            # A permutation outside the group: its coset is not the group's.
+            while coset_canon(walk, s) == identity(n):
+                s = tuple(rnd.sample(range(n), n))
+            for c in (chain, walk):
+                with pytest.raises(NotInGroup):
+                    element_rank(c, s)
+
+    def test_closed_forms_reject_bad_input(self):
+        chain = symmetric_runs_chain(5, [(0, 2), (2, 5)])
+        with pytest.raises(DegreeMismatch):
+            coset_canon(chain, (0, 1, 2, 3))
+        with pytest.raises(NotInGroup):
+            element_rank(chain, (0, 0, 2, 3, 4))
+        with pytest.raises(NotInGroup):
+            element_rank(chain, (2, 1, 0, 3, 4))
+        with pytest.raises(ValueError):
+            element_unrank(chain, (0, 3, 0))
+        with pytest.raises(ValueError):
+            element_unrank(chain, (0, 0))
 
     def test_runs_validated(self):
         for runs in ([(0, 3), (2, 4)], [(2, 4), (0, 2)], [(0, 5)], [(1, 1)]):
