@@ -20,6 +20,16 @@ push_uniforms/pop_uniforms a run of uniform symbols of varying sizes. They do
 exactly the arithmetic of the single-symbol codecs, symbol by symbol, so a run
 costs the bits and produces the bytes of coding its symbols one at a time. A
 push checks every symbol before the message changes.
+
+A third primitive pair, push_exact/pop_exact, codes symbols given as the
+subrange [start, start + mass) of an exact integer total T <= 2**48, for
+alphabets too large or too short-lived to tabulate; each symbol may have its
+own total, and push_exact takes a run of them. It quantizes by
+cumulative floors: the symbol owns [floor(start * 2**p / T),
+floor((start + mass) * 2**p / T)) of 2**p, p = min(48, bitlen(T - 1) + 16),
+which is non-empty for every mass >= 1 because T <= 2**p. There is no
+apportionment, sort or Table; the decoder maps the popped value back to the
+exact target in [0, T) and lets the caller find the symbol there.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ _HEADROOM_BITS = 16
 _UNIFORM_LIMIT = 1 << MAX_PRECISION
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 
@@ -311,6 +321,64 @@ def pop_uniforms(m: Message, sizes: Sequence[int]) -> List[int]:
         out.append(x)
     m.head = head
     return out
+
+
+def _exact_precision(total: int) -> int:
+    if not (isinstance(total, int) and 1 <= total <= _UNIFORM_LIMIT):
+        raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
+    return min(MAX_PRECISION, (total - 1).bit_length() + _HEADROOM_BITS)
+
+
+def push_exact(m: Message, symbols: Sequence[Tuple[int, int, int]]) -> None:
+    """Push a run of symbols, each given as (start, mass, total): the subrange
+    [start, start + mass) of an exact integer total. Last symbol first, so
+    that pop_exact pops them in order. Raises, before the message changes,
+    ParameterError for a total outside [1, 2**48] and ContractViolation for
+    an empty, non-integral or out-of-range subrange."""
+    precisions = []
+    for start, mass, total in symbols:
+        precisions.append(_exact_precision(total))
+        if not (type(start) is int and type(mass) is int):
+            raise ContractViolation(f"subrange ({start!r}, {mass!r}) is not integral")
+        if not 0 <= start < start + mass <= total:
+            raise ContractViolation(
+                f"subrange [{start}, {start + mass}) empty or outside [0, {total})"
+            )
+    head = m.head
+    append = m.tail.append
+    for (start, mass, total), precision in zip(reversed(symbols), reversed(precisions)):
+        lo = (start << precision) // total
+        freq = ((start + mass) << precision) // total - lo
+        limit = freq << (64 - precision)
+        while head >= limit:
+            append(head & WORD_MASK)
+            head >>= WORD_BITS
+        head = ((head // freq) << precision) + head % freq + lo
+    m.head = head
+
+
+def pop_exact(
+    m: Message, total: int, locate: Callable[[int], "tuple[Any, int, int]"]
+) -> Any:
+    """Pop a symbol pushed by push_exact with the same total. locate maps the
+    exact target t in [0, total) to (symbol, start, mass) with
+    start <= t < start + mass, for the symbol that owns t. Raises, before the
+    message changes, ParameterError for a bad total and ContractViolation if
+    locate's subrange misses t."""
+    precision = _exact_precision(total)
+    head = m.head
+    cf = head & ((1 << precision) - 1)
+    t = ((cf + 1) * total - 1) >> precision
+    symbol, start, mass = locate(t)
+    if not start <= t < start + mass:
+        raise ContractViolation(f"located subrange [{start}, {start + mass}) misses {t}")
+    lo = (start << precision) // total
+    freq = ((start + mass) << precision) // total - lo
+    head = freq * (head >> precision) + cf - lo
+    while head < HEAD_MIN:
+        head = (head << WORD_BITS) | m.pop_word()
+    m.head = head
+    return symbol
 
 
 class Codec:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import glob
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph
@@ -35,8 +36,9 @@ class Corpus:
             if g.has_edge_attrs != self.has_edge_attrs:
                 raise DatasetError("inconsistent edge attribute presence")
 
-    @property
+    @cached_property
     def self_loops(self) -> bool:
+        """Whether any graph has a self-loop; scanned once per corpus."""
         return any(i == j for g in self.graphs for i, j in g.edges)
 
     @property

@@ -6,9 +6,11 @@ attribute layer over either graph model.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .ans import (
@@ -18,7 +20,9 @@ from .ans import (
     ParameterError,
     bernoulli_codec,
     categorical_codec,
+    pop_exact,
     pop_symbols,
+    push_exact,
     push_symbols,
 )
 from .graphs import Graph, graph_pairs, pair_count, plain_graph, trusted_graph
@@ -148,66 +152,99 @@ class _Urn:
 
     The urn draws a pair (i, j), i < j (i <= j with self-loops), with
     probability proportional to w_i * w_j among the eligible pairs: all of
-    them with redraws, the ones not drawn yet without. That draw is factorized
-    into two categoricals at most n wide. The lower endpoint i has mass
-    w_i * S_i, where S_i is the total weight of the partners still eligible
-    for i; the partner j then has mass w_j among those. Their product is
-    w_i * w_j over the sum of all eligible pair masses, the joint exactly.
-    S_i is a suffix sum of the weights minus the drawn partners of i, so a
-    step costs O(n + m) integer work for n vertices and m drawn pairs.
+    them with redraws, the ones not drawn yet without. That draw is one
+    symbol over the exact integer masses. Pairs are listed by lower endpoint
+    i, then partner j; i's block has mass w_i * S_i, where S_i is the total
+    weight of the partners still eligible for i, and starts at the prefix sum
+    C_i of the blocks below it. Within the block, j starts at w_i * P_i(j),
+    with P_i(j) the weight of i's eligible partners below j. The total T is
+    the sum of all eligible pair masses, so the symbol's probability is
+    w_i * w_j / T, the joint exactly. C and P_i are prefix sums over at most
+    n vertices, and the drawn partners' weights are kept up to date as
+    weights grow, so a step costs O(n) integer work for n vertices, most of
+    it in C-level accumulate and bisect.
     """
 
     def __init__(self, params: PuParams):
-        self.params = params
+        self.allow_redraws = params.allow_redraws
         self.weights = [1] * params.n
         self.drawn: List[List[int]] = [[] for _ in range(params.n)]
+        # drawn_by[j]: the lower endpoints i with j in drawn[i]; drawn_weight[i]:
+        # the total weight of drawn[i], kept up to date as weights grow.
+        self.drawn_by: List[List[int]] = [[] for _ in range(params.n)]
+        self.drawn_weight = [0] * params.n
         self.offset = 0 if params.allow_self_loops else 1
+        self._lower_cums()
 
-    def lower_masses(self) -> List[int]:
+    def _lower_cums(self) -> None:
+        """C_0..C_n: the prefix sums of the lower-endpoint block masses."""
         w = self.weights
-        masses = [0] * len(w)
-        suffix = 0  # total weight of the vertices above i
-        for i in range(len(w) - 1, -1, -1):
-            partners = suffix if self.offset else suffix + w[i]
-            for j in self.drawn[i]:
-                partners -= w[j]
-            masses[i] = w[i] * partners
-            suffix += w[i]
-        return masses
+        suffix = list(accumulate(reversed(w), initial=0))
+        suffix.reverse()  # suffix[i]: the total weight of the vertices >= i
+        partners = map(operator.sub, suffix[self.offset :], self.drawn_weight)
+        self.cums = list(accumulate(map(operator.mul, w, partners), initial=0))
 
-    def partner_masses(self, i: int) -> List[int]:
-        """Masses of the partners j = i + offset + k, indexed by k."""
+    @property
+    def total(self) -> int:
+        """T, the sum of the eligible pair masses; raises once none is left."""
+        total = self.cums[-1]
+        if not total:
+            raise ContractViolation("no eligible pairs left")
+        return total
+
+    def _partner_cums(self, i: int) -> List[int]:
+        """P_i at the partners j = i + offset + k, indexed by k."""
         lo = i + self.offset
         masses = self.weights[lo:]
         for j in self.drawn[i]:
             masses[j - lo] = 0
-        return masses
+        return list(accumulate(masses, initial=0))
 
-    def draw(self, pair: Tuple[int, int]) -> None:
-        i, j = pair
-        if not self.params.allow_redraws:
+    def subrange(self, i: int, j: int) -> Tuple[int, int]:
+        """(start, mass) of the pair (i, j); ContractViolation if it is not
+        eligible."""
+        k = j - i - self.offset
+        cums = self._partner_cums(i) if 0 <= i < len(self.weights) else [0]
+        if not (0 <= k < len(cums) - 1 and cums[k] < cums[k + 1]):
+            raise ContractViolation(f"pair {(i, j)} not eligible")
+        w_i = self.weights[i]
+        return self.cums[i] + w_i * cums[k], w_i * self.weights[j]
+
+    def locate(self, t: int) -> Tuple[Tuple[int, int], int, int]:
+        """The pair whose subrange holds t in [0, T), with its start and mass."""
+        i = bisect.bisect_right(self.cums, t) - 1
+        w_i = self.weights[i]
+        cums = self._partner_cums(i)
+        k = bisect.bisect_right(cums, (t - self.cums[i]) // w_i) - 1
+        j = i + self.offset + k
+        return (i, j), self.cums[i] + w_i * cums[k], w_i * self.weights[j]
+
+    def draw(self, i: int, j: int) -> None:
+        w, drawn_weight = self.weights, self.drawn_weight
+        if not self.allow_redraws:
             self.drawn[i].append(j)
-        self.weights[i] += 1
-        self.weights[j] += 1
+            self.drawn_by[j].append(i)
+            drawn_weight[i] += w[j]
+        for v in (i, j):  # a self-loop adds 2 to w_i
+            w[v] += 1
+            for a in self.drawn_by[v]:
+                drawn_weight[a] += 1
+        self._lower_cums()
 
 
 def pu_sequence_codec(params: PuParams) -> Codec:
     """Ordered codec over length-m edge sequences under the urn model.
 
-    Each step codes one pair as its lower endpoint, then its partner (see
-    _Urn), at O(n + m) integer work. Without redraws the masses depend on the
-    draw history, so the model is not edge-exchangeable: a graph's bits depend
-    on the edge order that the inner shuffle codec picks, by a fraction of a
-    percent. It stays exactly invertible either way.
+    Each step codes one pair as one exact-mass symbol (see _Urn): one
+    push_exact symbol to encode, one pop_exact to decode, at O(n) integer
+    work and with no table built. The encoder checks every pair, the
+    exhausted urn and the 2**48 bound on T before the message changes.
+    Without redraws the masses depend on the draw history, so the model is
+    not edge-exchangeable: a graph's bits depend on the edge order that the
+    inner shuffle codec picks, by a fraction of a percent. It stays exactly
+    invertible either way.
     """
     m_edges = params.num_edges
-    n = params.n
-
-    def lower_codec(urn: _Urn) -> Codec:
-        masses = urn.lower_masses()
-        if not any(masses):
-            raise ContractViolation("no eligible pairs left")
-        return categorical_codec(masses)
 
     def encode(msg: Message, seq) -> None:
         if len(seq) != m_edges:
@@ -215,30 +252,22 @@ def pu_sequence_codec(params: PuParams) -> Codec:
         urn = _Urn(params)
         plan = []
         for pair in seq:
-            lower = lower_codec(urn)
+            total = urn.total
             try:
                 i, j = map(operator.index, pair)
             except (TypeError, ValueError):
                 raise ContractViolation(f"{pair!r} is not a vertex pair") from None
-            k = j - i - urn.offset
-            masses = urn.partner_masses(i) if 0 <= i < n else []
-            if not (0 <= k < len(masses) and masses[k]):
-                raise ContractViolation(f"pair {pair} not eligible")
-            plan.append((lower, i, categorical_codec(masses), k))
-            urn.draw((i, j))
-        for lower, i, partner, k in reversed(plan):
-            partner.encode(msg, k)
-            lower.encode(msg, i)
+            plan.append((*urn.subrange(i, j), total))
+            urn.draw(i, j)
+        push_exact(msg, plan)
 
     def decode(msg: Message) -> Tuple[Tuple[int, int], ...]:
         urn = _Urn(params)
         seq = []
         for _ in range(m_edges):
-            i = lower_codec(urn).decode(msg)
-            k = categorical_codec(urn.partner_masses(i)).decode(msg)
-            pair = (i, i + urn.offset + k)
+            pair = pop_exact(msg, urn.total, urn.locate)
             seq.append(pair)
-            urn.draw(pair)
+            urn.draw(*pair)
         return tuple(seq)
 
     return Codec(encode, decode)
@@ -324,9 +353,9 @@ def polya_urn_codec(params: PuParams) -> Codec:
         inner.encode(m, tuple(sorted(g.edges)))
 
     def decode(m: Message) -> Graph:
-        seq = inner.decode(m)
-        return Graph(
-            params.n, set(seq), self_loops_allowed=params.allow_self_loops
-        )
+        # Decoded pairs are eligible by construction: i <= j inside [0, n),
+        # loops only when allowed.
+        edges = frozenset(inner.decode(m))
+        return trusted_graph(params.n, edges, self_loops_allowed=params.allow_self_loops)
 
     return Codec(encode, decode)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .ans import Codec, ContractViolation, FormatError, Message
-from .ans import bernoulli_codec, uniform_codec
+from .ans import bernoulli_codec, pop_uniforms, push_uniforms, uniform_codec
 from .graphs import pair_count
 
 _LENGTH_LIMIT = 1 << 46
@@ -140,6 +140,11 @@ def _lists_to_runs(lengths, diffs) -> Tuple[Tuple[int, int], ...]:
     return tuple(runs)
 
 
+def _edge_count_sizes(sizes: List[int], self_loops: bool) -> List[int]:
+    """The uniform alphabet sizes of the urn edge counts: 0..pairs per graph."""
+    return [pair_count(n, self_loops) + 1 for n in sizes]
+
+
 def encode_dataset_params(m: Message, params: DatasetParams) -> None:
     """Push the parameter block; the reverse of decode_dataset_params."""
     if params.order_perm is not None:
@@ -151,8 +156,7 @@ def encode_dataset_params(m: Message, params: DatasetParams) -> None:
         counts = params.pu_edge_counts
         if len(counts) != len(sizes):
             raise ContractViolation("one edge count per graph required")
-        for n, count in zip(reversed(sizes), reversed(counts)):
-            uniform_codec(pair_count(n, params.self_loops) + 1).encode(m, count)
+        push_uniforms(m, counts, _edge_count_sizes(sizes, params.self_loops))
     if params.edge_attr_counts is not None:
         _naturals.encode(m, list(params.edge_attr_counts))
     _bit.encode(m, 1 if params.edge_attr_counts is not None else 0)
@@ -193,10 +197,8 @@ def decode_dataset_params(m: Message) -> DatasetParams:
             raise FormatError("er_counts must hold two numbers")
         er_counts = (pair[0], pair[1])
     else:
-        pu_edge_counts = tuple(
-            uniform_codec(pair_count(n, self_loops) + 1).decode(m)
-            for n in sizes_largest_first(runs)
-        )
+        sizes = _edge_count_sizes(sizes_largest_first(runs), self_loops)
+        pu_edge_counts = tuple(pop_uniforms(m, sizes))
     order_perm = None
     if has_order:
         order_perm = tuple(_naturals.decode(m))

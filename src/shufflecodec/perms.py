@@ -41,8 +41,9 @@ def identity(n: int) -> Perm:
 
 
 def is_perm(s: Sequence[int]) -> bool:
-    """Whether s lists each of 0..len(s)-1 once, in O(n)."""
-    return set(s).issuperset(range(len(s)))
+    """Whether s lists each of 0..len(s)-1 once, in O(n). Entries must be
+    ints: floats and bools equal to an index are rejected."""
+    return {int}.issuperset(map(type, s)) and set(s).issuperset(range(len(s)))
 
 
 def as_perm(images: Iterable[int]) -> Perm:

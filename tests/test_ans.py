@@ -1,7 +1,9 @@
+import bisect
 import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from shufflecodec.ans import (
     message_deserialize,
     message_init,
     message_serialize,
+    pop_exact,
     pop_symbols,
     pop_uniforms,
+    push_exact,
     push_symbols,
     push_uniforms,
     quantize_masses,
@@ -378,9 +382,9 @@ class TestSerialization:
     def test_er_corpus_bytes_unchanged_by_version_2(self):
         # ER and attribute tables do not depend on the urn change that set
         # version 2, nor on the attribute layer or the canonization tie-break
-        # of version 3, nor on the canonical transversals of version 4:
-        # everything after the version field is as version 1 wrote it for
-        # this corpus.
+        # of version 3, nor on the canonical transversals of version 4, nor
+        # on the exact-mass urn symbols of version 5: everything after the
+        # version field is as version 1 wrote it for this corpus.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -389,7 +393,7 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x04\x00"
+        assert data[:6] == b"SHUF\x05\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "4c0eb6ecf8eb64163afe6135b1131407dc43657892bb77270ae4cbb1dca619e9"
@@ -397,14 +401,14 @@ class TestSerialization:
 
     def test_pu_corpus_bytes_pinned(self):
         # Seeded preferential-attachment graphs under the urn model: the urn's
-        # categorical tables and both shuffle levels (graph and edge list).
+        # exact-mass pair symbols and both shuffle levels (graph and edge list).
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x04\x00"
-        assert len(data) == 104
+        assert data[:6] == b"SHUF\x05\x00"
+        assert len(data) == 102
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "dc91b5ff0b1fcf29b182929e08e0a44c81928b9abefa49bdd06eab3edbe84607"
+            "58302687bd735d2044e69306e26c3f1051dadf134b63f9767d97ef7877c62b02"
         )
 
     def test_uniform_attrs_er_corpus_bytes_pinned(self):
@@ -419,7 +423,7 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x04\x00"
+        assert data[:6] == b"SHUF\x05\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "7357e3a4f4b4e21fcbd5755188c56c068408c35feab761bfc802f7f528df95ac"
@@ -548,4 +552,93 @@ class TestRunKernels:
             assert _state(m) == before
         with pytest.raises(ContractViolation):
             push_uniforms(m, [1, 0], [4])
+        assert _state(m) == before
+
+
+@st.composite
+def _exact_tables(draw, max_total=1 << 48):
+    """Integer masses, zeros included, with total at most max_total (often
+    exactly max_total), and one symbol of positive mass drawn from them."""
+    cap = max(1, max_total // 8)
+    weight = st.one_of(st.just(0), st.integers(1, 16), st.integers(1, cap))
+    masses = draw(st.lists(weight, min_size=1, max_size=8).filter(any))
+    if draw(st.booleans()):
+        masses.append(max_total - sum(masses))
+    x = draw(st.sampled_from([x for x, w in enumerate(masses) if w]))
+    return masses, x
+
+
+def _exact_symbol(masses, x):
+    """(start, mass, total) of symbol x."""
+    return sum(masses[:x]), masses[x], sum(masses)
+
+
+def _exact_locate(masses):
+    cums = list(accumulate(masses, initial=0))
+
+    def locate(t):
+        assert 0 <= t < cums[-1]
+        x = bisect.bisect_right(cums, t) - 1
+        return x, cums[x], masses[x]
+
+    return locate
+
+
+class TestExactMass:
+    """push_exact/pop_exact: one symbol per exact integer subrange."""
+
+    @given(_messages(), st.lists(_exact_tables(), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, m, run):
+        before = m.copy()
+        push_exact(m, [_exact_symbol(masses, x) for masses, x in run])
+        popped = [
+            pop_exact(m, sum(masses), _exact_locate(masses)) for masses, _ in run
+        ]
+        assert popped == [x for _, x in run]
+        assert m == before
+
+    @given(_messages(), st.lists(_exact_tables(1 << 20), max_size=30), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rate_tracks_the_exact_masses(self, m, run, data):
+        # Cumulative floors at bitlen(T - 1) + 16 bits keep every symbol
+        # within 2**-16 of its exact mass, and the head within 2**-12 of
+        # the largest one.
+        if data.draw(st.booleans()):
+            m = random_message(data.draw(st.integers(0, 99)), 16)
+        before = m.length_bits
+        push_exact(m, [_exact_symbol(masses, x) for masses, x in run])
+        ideal = sum(-math.log2(masses[x] / sum(masses)) for masses, x in run)
+        assert abs(m.length_bits - before - ideal) <= 1e-3 * len(run)
+
+    def test_total_above_2_pow_48_rejected(self):
+        m = random_message(3, 2)
+        before = _state(m)
+        for total in ((1 << 48) + 1, 0, 2.0):
+            with pytest.raises(ParameterError):
+                push_exact(m, [(0, 1, 4), (0, 1, total)])
+            with pytest.raises(ParameterError):
+                pop_exact(m, total, _exact_locate([1] * 4))
+            assert _state(m) == before
+
+    def test_bad_subranges_rejected(self):
+        m = random_message(3, 2)
+        before = _state(m)
+        for bad in ((1, 0, 4), (2, -1, 4), (3, 2, 4), (-1, 1, 4), (0.0, 1, 4)):
+            with pytest.raises(ContractViolation):
+                push_exact(m, [(0, 1, 4), bad, (2, 2, 4)])
+            assert _state(m) == before
+
+    def test_locate_missing_the_target_rejected(self):
+        m = random_message(8, 2)
+        before = _state(m)
+        with pytest.raises(ContractViolation, match="misses"):
+            pop_exact(m, 5, lambda t: (0, t + 1, 1))
+        assert _state(m) == before
+
+    def test_zero_mass_rejected_message_unchanged(self):
+        m = random_message(6, 2)
+        before = _state(m)
+        with pytest.raises(ContractViolation, match="empty"):
+            push_exact(m, [_exact_symbol([2, 0, 2], 0), _exact_symbol([2, 0, 2], 1)])
         assert _state(m) == before

@@ -99,6 +99,14 @@ class TestApplyPerm:
         with pytest.raises(DegreeMismatch):
             apply_perm((0, 1, 2), g)
 
+    def test_non_integer_entries_rejected(self):
+        # Floats and bools compare equal to indices but are not vertices.
+        g = Graph(2, [(0, 1)])
+        for s in ((1.0, 0.0), (1, 0.0), (True, False), (1, False)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                apply_perm(s, g)
+        assert apply_perm((1, 0), g).edges == {(0, 1)}
+
     def test_apply_sequence_rejects_non_permutations(self):
         from shufflecodec.perms import DegreeMismatch
 

@@ -116,6 +116,19 @@ def synthetic_corpus(seed=0, num=12, with_attrs=False, loops=False):
     return Corpus(tuple(graphs), "synthetic", with_attrs, with_attrs)
 
 
+class TestCorpus:
+    def test_self_loops_read_once(self):
+        loops = synthetic_corpus(seed=3, loops=True)
+        plain = synthetic_corpus(seed=3)
+        for corpus, want in ((loops, True), (plain, False)):
+            assert any(i == j for g in corpus.graphs for i, j in g.edges) == want
+            assert "self_loops" not in vars(corpus)
+            assert corpus.self_loops is want
+            assert vars(corpus)["self_loops"] is want  # cached, not rescanned
+            assert corpus.self_loops is want
+        assert Corpus((), "empty", False, False).self_loops is False
+
+
 class TestBuildParams:
     def test_er_counts_ten_single_edge_graphs(self):
         graphs = tuple(Graph(3, [(0, 1)]) for _ in range(10))

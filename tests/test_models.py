@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from shufflecodec import ans, models
 from shufflecodec.ans import ContractViolation, ParameterError, message_init
+from shufflecodec.canon import canonize
+from shufflecodec.compress import compress_corpus, decompress_corpus
+from shufflecodec.datasets import Corpus
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
-from shufflecodec.graphs import Graph, apply_perm
+from shufflecodec.graphs import Graph, apply_perm, pair_count
 from shufflecodec.models import (
     ErParams,
     PuParams,
@@ -293,6 +297,19 @@ class TestPolyaUrn:
             assert out == Graph(n, g.edges, self_loops_allowed=loops)
             assert m == snapshot
 
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_any_message_decodes_to_a_valid_graph(self, redraws, loops):
+        # polya_urn_codec.decode skips the Graph checks: every decoded pair
+        # must be eligible whatever the message holds.
+        rng = random.Random(23)
+        for seed in range(60):
+            n = rng.randint(1, 7)
+            params = PuParams(n, rng.randint(0, pair_count(n, loops)), redraws, loops)
+            g = polya_urn_codec(params).decode(random_message(seed, rng.randint(0, 8)))
+            assert g == Graph(n, g.edges, self_loops_allowed=loops)
+            if not redraws:
+                assert g.num_edges == params.num_edges
+
     def test_sequence_codec_tracks_urn_state(self, rng):
         params = PuParams(5, 4)
         codec = pu_sequence_codec(params)
@@ -358,6 +375,25 @@ class TestPolyaUrn:
         assert m == snapshot
         with pytest.raises(ContractViolation):
             codec.decode(m)
+
+    @pytest.mark.parametrize("redraws", [False, True])
+    def test_corpus_without_quantized_tables(self, monkeypatch, redraws):
+        # Each urn draw is one exact-mass symbol: no categorical codec and no
+        # quantize_masses call on either side of a PU corpus round trip.
+        def refuse(*args, **kwargs):
+            raise AssertionError("quantized table built")
+
+        rng = random.Random(41)
+        graphs = tuple(sample_pa_graph(rng, rng.randint(2, 16), 2) for _ in range(12))
+        monkeypatch.setattr(ans, "quantize_masses", refuse)
+        monkeypatch.setattr(models, "categorical_codec", refuse)
+        data, _ = compress_corpus(
+            Corpus(graphs, "pa", False, False), model="pu", redraws=redraws
+        )
+        out = decompress_corpus(data)
+        assert sorted(canonize(g).canon_graph.key() for g in out.graphs) == sorted(
+            canonize(g).canon_graph.key() for g in graphs
+        )
 
     def test_edge_count_cap_validated(self):
         with pytest.raises(Exception):

@@ -212,7 +212,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x04\x00"
+        assert data[:6] == b"SHUF\x05\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "64a41947c05663d0206fe21953ed28eebb23c270e5b1111ae9d1d9f0947fadb7"
         )
