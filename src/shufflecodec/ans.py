@@ -2,45 +2,43 @@
 
 The coder state is a Message: a 64-bit head register plus a stack of 16-bit
 words. The head is kept in the renormalization interval [2**48, 2**64), which
-admits fixed-point symbol distributions with denominators up to 2**48. All
-primitive codecs here use power-of-two denominators; that keeps every
-renormalization interval exactly b-unique and the encode/decode pair an exact
-bijection.
+admits distributions over 2**p mass units for p <= 48; with power-of-two
+denominators every renormalization interval is exactly b-unique and each
+encode/decode pair an exact bijection.
 
-Rate accuracy: the per-operation overhead of rANS is about log2(1 + f/h) bits
-where f is the coded symbol's mass and h >= 2**48 the head. Builders below
-leave >= 16 bits of headroom between the largest mass and 2**48 whenever the
-alphabet permits, so measured rates track the ideal rate to well under 0.001
-bits per symbol.
+One rounding rule serves every symbol. A symbol is the subrange [C, C + w)
+of a distribution over k symbols whose exact integer weights sum to
+T <= 2**48, and it owns the subrange
 
-Runs of symbols go through two loop kernels that keep the head in a local
-variable: push_symbols/pop_symbols code a run over one cumulative Table (the
-table of a categorical or Bernoulli codec, Codec.table), and
-push_uniforms/pop_uniforms a run of uniform symbols of varying sizes. They do
-exactly the arithmetic of the single-symbol codecs, symbol by symbol, so a run
-costs the bits and produces the bytes of coding its symbols one at a time. A
-push checks every symbol before the message changes.
+    [floor(C * 2**p / T), floor((C + w) * 2**p / T))  of 2**p,
+    p = min(48, max(bitlen(T - 1), bitlen(k - 1) + 16)).
 
-A third primitive pair, push_exact/pop_exact, codes symbols given as the
-subrange [start, start + mass) of an exact integer total T <= 2**48, for
-alphabets too large or too short-lived to tabulate; each symbol may have its
-own total, and push_exact takes a run of them. It quantizes by
-cumulative floors: the symbol owns [floor(start * 2**p / T),
-floor((start + mass) * 2**p / T)) of 2**p, p = min(48, bitlen(T - 1) + 16),
-which is non-empty for every mass >= 1 because T <= 2**p. There is no
-apportionment, sort or Table; the decoder maps the popped value back to the
-exact target in [0, T) and lets the caller find the symbol there.
+Since T <= 2**p, every positive weight keeps at least one unit, zero weights
+get none, and the masses sum to 2**p with no sort or repair. Each coded
+probability is off by less than 2**-p, which bounds the expected rounding
+cost by k * 2**-p nats <= 2**-16 nats (about 2.2e-5 bits) per symbol. A
+uniform symbol x < n is the subrange (x, 1, n), with k = T = n. The rANS
+step itself adds about log2(1 + f/h) bits for mass f and head h >= 2**48.
+
+Three kernel pairs code runs of symbols with the head in a local variable:
+push_symbols/pop_symbols over one Table (the floors of a weight vector),
+push_uniforms/pop_uniforms over uniform symbols of varying sizes, and
+push_exact/pop_exact over symbols given only by their subrange of an exact
+total, for alphabets too large or too short-lived to tabulate; there the
+decoder maps the popped value back to the exact target in [0, T) and lets
+the caller find the symbol. A push checks every symbol before the message
+changes. The uniform, categorical and Bernoulli codecs code one-symbol runs.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
+import operator
 import struct
 import zlib
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 WORD_BITS = 16
@@ -49,14 +47,14 @@ HEAD_MIN = 1 << 48
 HEAD_LIMIT = 1 << 64
 MAX_PRECISION = 48
 
-# Headroom (in bits) kept between the largest symbol mass and the head's lower
-# bound when we are free to choose the denominator.
+# Headroom (in bits) between the mass unit 2**-p and the smallest probability
+# 1/k of a uniform choice among k symbols.
 _HEADROOM_BITS = 16
 
-_UNIFORM_LIMIT = 1 << MAX_PRECISION
+_TOTAL_LIMIT = 1 << MAX_PRECISION
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 
@@ -157,44 +155,55 @@ def message_init(pad_seed: Optional[int] = DEFAULT_PAD_SEED) -> Message:
     return Message(HEAD_MIN, (), pad_seed)
 
 
-def _push(m: Message, start: int, freq: int, precision: int) -> None:
-    """Encode one symbol given its subrange [start, start+freq) of 2**precision."""
-    if freq <= 0:
-        raise ContractViolation("symbol has zero mass")
-    head = m.head
-    limit = freq << (64 - precision)
-    while head >= limit:
-        m.tail.append(head & WORD_MASK)
-        head >>= WORD_BITS
-    m.head = ((head // freq) << precision) + (head % freq) + start
+def _precision(total: int, size: int) -> int:
+    """The precision p of a distribution over `size` symbols whose weights
+    sum to `total`; ParameterError unless total is an integer in [1, 2**48]."""
+    if not (isinstance(total, int) and 1 <= total <= _TOTAL_LIMIT):
+        raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
+    # Plain comparisons: the uniform kernels call this once per symbol, and
+    # builtin min/max calls would make it about three times as slow.
+    precision = (size - 1).bit_length() + _HEADROOM_BITS
+    exact = (total - 1).bit_length()
+    if exact > precision:
+        precision = exact
+    return precision if precision < MAX_PRECISION else MAX_PRECISION
 
 
-def _pop(
-    m: Message,
-    precision: int,
-    locate: Callable[[int], "tuple[Any, int, int]"],
-) -> Any:
-    """Decode one symbol; locate maps a cumulative value to (symbol, start, freq)."""
-    mask = (1 << precision) - 1
-    cf = m.head & mask
-    symbol, start, freq = locate(cf)
-    head = freq * (m.head >> precision) + cf - start
-    while head < HEAD_MIN:
-        head = (head << WORD_BITS) | m.pop_word()
-    m.head = head
-    return symbol
+def quantize_masses(weights: Sequence[int], precision: int) -> List[int]:
+    """The cumulative floors of integer weights over 2**precision: a weight w
+    whose predecessors weigh C gets floor((C + w) * 2**precision / T) -
+    floor(C * 2**precision / T), T the total.
+
+    The masses sum to 2**precision; as T <= 2**precision, every positive
+    weight keeps at least one unit and zeros stay zero. Raises ParameterError
+    for a precision outside [1, 48], weights that are not nonnegative
+    integers, and a total outside [1, 2**precision].
+    """
+    if not 1 <= precision <= MAX_PRECISION:
+        raise ParameterError(f"precision {precision} outside [1, {MAX_PRECISION}]")
+    ws = list(weights)
+    if not {int}.issuperset(map(type, ws)) or min(ws, default=0) < 0:
+        raise ParameterError("weights must be nonnegative integers")
+    cums = list(accumulate(ws, initial=0))
+    total = cums[-1]
+    if not 1 <= total <= 1 << precision:
+        raise ParameterError(f"weight total {total} outside [1, 2**{precision}]")
+    floors = [(c << precision) // total for c in cums]
+    return list(map(operator.sub, floors[1:], floors))
 
 
 class Table:
-    """A fixed-point distribution on {0..k-1}: symbol x owns the subrange
+    """The distribution on {0..k-1} of k exact integer weights with total at
+    most 2**48, rounded by cumulative floors: symbol x owns the subrange
     [cums[x], cums[x] + masses[x]) of 2**precision."""
 
     __slots__ = ("precision", "masses", "cums")
 
-    def __init__(self, masses: Sequence[int], precision: int):
-        self.precision = precision
-        self.masses = list(masses)
-        self.cums = list(accumulate(masses, initial=0))
+    def __init__(self, weights: Sequence[int]):
+        weights = list(weights)
+        self.precision = _precision(sum(weights), len(weights))
+        self.masses = quantize_masses(weights, self.precision)
+        self.cums = list(accumulate(self.masses, initial=0))
 
 
 def _bad_symbol(masses: List[int], x: Any) -> ContractViolation:
@@ -247,86 +256,47 @@ def pop_symbols(m: Message, table: Table, count: int) -> List[int]:
     return out
 
 
-def _uniform_split(n: int) -> Tuple[int, int, int]:
-    """(precision, base, rem) of the uniform distribution on {0..n-1}: symbols
-    below rem have mass base + 1 and the others base, so symbol x starts at
-    x*base + min(x, rem). Powers of two are exact (base 1, rem 0; n = 1 codes
-    nothing); other sizes get 2**p mass units with headroom, which perturbs
-    the rate by under n/2**p bits per symbol."""
-    if n & (n - 1) == 0:
-        return n.bit_length() - 1, 1, 0
-    precision = min(MAX_PRECISION, (n - 1).bit_length() + _HEADROOM_BITS)
-    base, rem = divmod(1 << precision, n)
-    return precision, base, rem
-
-
-def _check_uniform_size(n: Any) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"uniform size must be a positive integer, got {n!r}")
-    if n > _UNIFORM_LIMIT:
-        raise ParameterError(f"uniform size {n} exceeds 2**{MAX_PRECISION}")
-
-
 def push_uniforms(m: Message, symbols: Sequence[int], sizes: Sequence[int]) -> None:
-    """Push symbols[k], uniform on {0..sizes[k]-1}, last symbol first, so
-    that pop_uniforms(m, sizes) returns them in order. Raises, before the
-    message changes, ParameterError for a bad size and ContractViolation for
-    a symbol outside its range."""
+    """Push symbols[i], uniform on {0..sizes[i]-1}, last symbol first, so
+    that pop_uniforms(m, sizes) returns them in order. Each symbol x < n is
+    the subrange (x, 1, n) of push_exact, with its bytes. Raises, before the
+    message changes, ParameterError for a size outside [1, 2**48] and
+    ContractViolation for a symbol that is not an int in its range."""
     if len(symbols) != len(sizes):
         raise ContractViolation(f"{len(symbols)} symbols for {len(sizes)} sizes")
+    precisions = list(map(_precision, sizes, sizes))
     for x, n in zip(symbols, sizes):
-        if not 0 <= x < n <= _UNIFORM_LIMIT:
-            _check_uniform_size(n)
+        if type(x) is not int or not 0 <= x < n:
             raise ContractViolation(f"symbol {x!r} outside [0, {n})")
     head = m.head
     append = m.tail.append
-    for x, n in zip(reversed(symbols), reversed(sizes)):
-        precision, base, rem = _uniform_split(n)
-        if x < rem:
-            freq = base + 1
-            start = x * freq
-        else:
-            freq = base
-            start = x * base + rem
+    for x, n, precision in zip(reversed(symbols), reversed(sizes), reversed(precisions)):
+        lo = (x << precision) // n
+        freq = ((x + 1) << precision) // n - lo
         limit = freq << (64 - precision)
         while head >= limit:
             append(head & WORD_MASK)
             head >>= WORD_BITS
-        head = ((head // freq) << precision) + head % freq + start
+        head = ((head // freq) << precision) + head % freq + lo
     m.head = head
 
 
 def pop_uniforms(m: Message, sizes: Sequence[int]) -> List[int]:
-    """Pop one uniform symbol on {0..n-1} per size n, first size first."""
-    for n in sizes:
-        if not 1 <= n <= _UNIFORM_LIMIT:
-            _check_uniform_size(n)
+    """Pop one uniform symbol on {0..n-1} per size n, first size first.
+    Raises ParameterError, before the message changes, for a bad size."""
+    precisions = list(map(_precision, sizes, sizes))
     head, tail = m.head, m.tail
     out = []
-    for n in sizes:
-        precision, base, rem = _uniform_split(n)
+    for n, precision in zip(sizes, precisions):
         cf = head & ((1 << precision) - 1)
-        split = rem * (base + 1)
-        if cf < split:
-            freq = base + 1
-            x = cf // freq
-            start = x * freq
-        else:
-            freq = base
-            x = rem + (cf - split) // base
-            start = x * base + rem
-        head = freq * (head >> precision) + cf - start
+        x = ((cf + 1) * n - 1) >> precision
+        lo = (x << precision) // n
+        head = (((x + 1) << precision) // n - lo) * (head >> precision) + cf - lo
         while head < HEAD_MIN:
             head = (head << WORD_BITS) | (tail.pop() if tail else m.pop_word())
         out.append(x)
     m.head = head
     return out
-
-
-def _exact_precision(total: int) -> int:
-    if not (isinstance(total, int) and 1 <= total <= _UNIFORM_LIMIT):
-        raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
-    return min(MAX_PRECISION, (total - 1).bit_length() + _HEADROOM_BITS)
 
 
 def push_exact(m: Message, symbols: Sequence[Tuple[int, int, int]]) -> None:
@@ -337,7 +307,7 @@ def push_exact(m: Message, symbols: Sequence[Tuple[int, int, int]]) -> None:
     an empty, non-integral or out-of-range subrange."""
     precisions = []
     for start, mass, total in symbols:
-        precisions.append(_exact_precision(total))
+        precisions.append(_precision(total, total))
         if not (type(start) is int and type(mass) is int):
             raise ContractViolation(f"subrange ({start!r}, {mass!r}) is not integral")
         if not 0 <= start < start + mass <= total:
@@ -365,7 +335,7 @@ def pop_exact(
     start <= t < start + mass, for the symbol that owns t. Raises, before the
     message changes, ParameterError for a bad total and ContractViolation if
     locate's subrange misses t."""
-    precision = _exact_precision(total)
+    precision = _precision(total, total)
     head = m.head
     cf = head & ((1 << precision) - 1)
     t = ((cf + 1) * total - 1) >> precision
@@ -406,145 +376,49 @@ class Codec:
         self.table = table
 
 
-def quantize_masses(weights: Sequence, precision: int) -> List[int]:
-    """Largest-remainder apportionment of 2**precision over the given weights.
-
-    Every strictly positive weight receives mass >= 1; zero weights stay zero.
-    Deterministic: remainder ties break toward lower indices, and mass needed
-    to un-zero small weights is taken from the largest mass.
-
-    Weights may be ints, Fractions or floats; the result is exactly that of
-    apportioning their rational values. Non-integer weights are scaled by the
-    common denominator, so all arithmetic is on plain integers: weight w gets
-    floor(w * 2**precision / total), and the leftover units go to the largest
-    remainders.
-    """
-    if not 1 <= precision <= MAX_PRECISION:
-        raise ParameterError(f"precision {precision} outside [1, {MAX_PRECISION}]")
-    ws = list(weights)
-    if not {int}.issuperset(map(type, ws)):
-        fs = [Fraction(w) for w in ws]
-        scale = math.lcm(*(f.denominator for f in fs))
-        ws = [f.numerator * (scale // f.denominator) for f in fs]
-    if min(ws, default=0) < 0:
-        raise ParameterError("negative weight")
-    total = sum(ws)
-    if total <= 0:
-        raise ParameterError("all weights zero")
-    denom = 1 << precision
-    if len(ws) > denom and sum(1 for w in ws if w) > denom:
-        raise ParameterError("more nonzero weights than mass units")
-    scaled = [w << precision for w in ws]
-    masses = [x // total for x in scaled]
-    remainders = [x % total for x in scaled]
-    shortfall = denom - sum(masses)
-    if shortfall:
-        # A stable descending sort keeps equal remainders in index order.
-        order = sorted(range(len(ws)), key=remainders.__getitem__, reverse=True)
-        for i in order[:shortfall]:
-            masses[i] += 1
-    if total << _HEADROOM_BITS > denom:
-        # Below 16 bits of headroom a positive weight can floor to zero mass.
-        # Each zeroed weight takes one unit from the largest mass (ties to the
-        # lower index); the heap keeps that lookup O(log n).
-        zeroed = [i for i, w in enumerate(ws) if w > 0 and masses[i] == 0]
-        if zeroed:
-            heap = [(-x, j) for j, x in enumerate(masses) if x]
-            heapq.heapify(heap)
-            for i in zeroed:
-                neg, j = heap[0]
-                masses[j] -= 1
-                heapq.heapreplace(heap, (neg + 1, j))
-                masses[i] = 1
-                heapq.heappush(heap, (-1, i))
-    return masses
-
-
 def uniform_codec(n: int) -> Codec:
-    """Optimal codec for a uniform distribution on {0..n-1}; n <= 2**48.
-
-    Power-of-two n is coded exactly; otherwise 2**p mass units (with headroom)
-    are apportioned as evenly as possible, which perturbs the rate by under
-    n/2**p bits per symbol.
-    """
-    _check_uniform_size(n)
-    precision, base, rem = _uniform_split(n)
-    split = rem * (base + 1)
+    """Codec for the uniform distribution on {0..n-1}, 1 <= n <= 2**48."""
+    _precision(n, n)
+    sizes = (n,)
 
     def encode(m: Message, x: Any) -> None:
-        if not 0 <= x < n:
-            raise ContractViolation(f"symbol {x!r} outside [0, {n})")
-        _push(m, x * base + min(x, rem), base + (x < rem), precision)
-
-    def locate(cf: int) -> "tuple[int, int, int]":
-        if cf < split:
-            x = cf // (base + 1)
-        else:
-            x = rem + (cf - split) // base
-        return x, x * base + min(x, rem), base + (x < rem)
+        push_uniforms(m, (x,), sizes)
 
     def decode(m: Message) -> int:
-        return _pop(m, precision, locate)
+        return pop_uniforms(m, sizes)[0]
 
     return Codec(encode, decode, prob=lambda x: Fraction(1, n))
 
 
-def _table_codec(table: Table) -> Codec:
-    """Single-symbol codec over a table; prob is the table's exact mass."""
-    masses, cums, precision = table.masses, table.cums, table.precision
-    k = len(masses)
+def categorical_codec(weights: Sequence[int]) -> Codec:
+    """Codec for the categorical distribution of nonnegative integer weights
+    with total in [1, 2**48], coded over their Table. ``prob`` is the exact
+    weight ratio."""
+    weights = list(weights)
+    table = Table(weights)
+    total = sum(weights)
 
     def encode(m: Message, x: Any) -> None:
-        if not (0 <= x < k and masses[x]):
-            raise _bad_symbol(masses, x)
-        _push(m, cums[x], masses[x], precision)
-
-    def locate(cf: int) -> "tuple[int, int, int]":
-        x = bisect.bisect_right(cums, cf) - 1
-        return x, cums[x], masses[x]
+        push_symbols(m, table, (x,))
 
     def decode(m: Message) -> int:
-        return _pop(m, precision, locate)
+        return pop_symbols(m, table, 1)[0]
 
-    def prob(x: int) -> Fraction:
-        return Fraction(masses[x], 1 << precision)
-
-    return Codec(encode, decode, prob, table)
+    return Codec(encode, decode, lambda x: Fraction(weights[x], total), table)
 
 
-def categorical_codec(masses: Sequence[int]) -> Codec:
-    """Optimal codec for a categorical distribution given fixed-point masses.
-
-    Masses are nonnegative integers; their sum (the denominator) must be at
-    most 2**48. Non power-of-two denominators are rescaled internally to one,
-    preserving ratios to within 2**-16. ``prob`` is the input masses' exact
-    ratio.
-    """
-    masses = list(masses)
-    if not masses:
-        raise ParameterError("empty mass table")
-    if not all(map(isinstance, masses, repeat(int))) or min(masses) < 0:
-        raise ParameterError("masses must be nonnegative integers")
-    total = sum(masses)
-    if total <= 0:
-        raise ParameterError("all masses zero")
-    if total > (1 << MAX_PRECISION):
-        raise ParameterError(f"mass sum {total} exceeds 2**{MAX_PRECISION}")
-    if total & (total - 1) == 0:
-        codec = _table_codec(Table(masses, total.bit_length() - 1))
-    else:
-        precision = min(MAX_PRECISION, (total - 1).bit_length() + _HEADROOM_BITS)
-        codec = _table_codec(Table(quantize_masses(masses, precision), precision))
-        codec.prob = lambda x: Fraction(masses[x], total)
-    return codec
-
-
-def bernoulli_codec(p, precision: int = 32) -> Codec:
-    """Optimal codec for a Bernoulli(p) bit; p must lie strictly in (0, 1)."""
+def bernoulli_codec(p) -> Codec:
+    """Codec for a Bernoulli(p) bit, p strictly in (0, 1): the categorical
+    codec of the weights (den - num, num) of p = num/den. A denominator above
+    2**48 (a float such as 0.3) is first rounded to the 2**-48 grid inside
+    (0, 1)."""
     pf = Fraction(p)
     if not 0 < pf < 1:
         raise ParameterError(f"Bernoulli p={p!r} outside (0, 1)")
-    return _table_codec(Table(quantize_masses([1 - pf, pf], precision), precision))
+    if pf.denominator > _TOTAL_LIMIT:
+        num = min(max(round(pf * _TOTAL_LIMIT), 1), _TOTAL_LIMIT - 1)
+        pf = Fraction(num, _TOTAL_LIMIT)
+    return categorical_codec([pf.denominator - pf.numerator, pf.numerator])
 
 
 def message_serialize(m: Message) -> bytes:

@@ -25,12 +25,10 @@ from .ans import (
     message_init,
     message_serialize,
     pad_word,
-    quantize_masses,
 )
 from .datasets import Corpus, DatasetError
 from .graphs import Graph, pair_count, plain_graph
 from .models import (
-    PARAM_PRECISION,
     ErParams,
     PuParams,
     clamp_probability,
@@ -155,12 +153,6 @@ def validate_dataset_params(params: DatasetParams, corpus: Corpus, attrs: str) -
         raise DatasetError("parameters inconsistent with corpus")
 
 
-def _attr_masses(counts: Optional[Tuple[int, ...]]) -> Optional[Tuple[int, ...]]:
-    if counts is None:
-        return None
-    return tuple(quantize_masses(counts, PARAM_PRECISION))
-
-
 def _er_probability(params: DatasetParams) -> Fraction:
     edges, non_edges = params.er_counts
     total = edges + non_edges
@@ -187,8 +179,8 @@ def graph_codec_for(params: DatasetParams, n: int, num_edges: Optional[int] = No
         return base
     return with_attributes(
         base,
-        _attr_masses(params.vertex_attr_counts),
-        _attr_masses(params.edge_attr_counts),
+        params.vertex_attr_counts,
+        params.edge_attr_counts,
         params.uniform_attrs,
     )
 

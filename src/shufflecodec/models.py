@@ -27,12 +27,8 @@ from .ans import (
 )
 from .graphs import Graph, graph_pairs, pair_count, plain_graph, trusted_graph
 
-# Probability resolution for model parameters derived from data. Encoder and
-# decoder rebuild identical tables from identical integer counts.
-PARAM_PRECISION = 20
-
-# Degenerate empirical edge probabilities are clamped into this open interval.
-_P_FLOOR = Fraction(1, 1 << PARAM_PRECISION)
+# Degenerate empirical edge probabilities are clamped into [_P_FLOOR, 1 - _P_FLOOR].
+_P_FLOOR = Fraction(1, 1 << 20)
 
 
 def clamp_probability(p) -> Fraction:
@@ -100,11 +96,14 @@ def string_codec(ps: Sequence[int], length: int) -> Codec:
 
 
 def _attr_codec(ps: Optional[Tuple[int, ...]], uniform_attrs: bool) -> Optional[Codec]:
-    """The categorical codec of one attribute. Uniform attributes use equal
-    weights, whose table is the uniform codec's: quantize_masses gives the
-    spare units to the lowest symbols, as uniform_codec does."""
+    """The categorical codec of one attribute over its count table. Uniform
+    attributes use equal weights, which round as uniform symbols do. Counts
+    that are all zero (no vertex or no edge carries the attribute) get a
+    one-symbol table, which never codes a symbol."""
     if ps is None:
         return None
+    if not any(ps):
+        return categorical_codec([1])
     return categorical_codec([1] * len(ps) if uniform_attrs else ps)
 
 
@@ -120,7 +119,7 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
     graph_pairs order, as one run of the table kernel. Equal pair
     probabilities make it exchangeable."""
     n = params.n
-    bern = bernoulli_codec(params.edge_p, PARAM_PRECISION)
+    bern = bernoulli_codec(params.edge_p)
     pairs = list(graph_pairs(n, params.self_loops))
 
     def encode(m: Message, g: Graph) -> None:
@@ -286,10 +285,10 @@ def with_attributes(
     """Layer i.i.d. attribute coding over a plain-graph codec (either model).
 
     Decode order: the base graph, then one attribute per vertex, then one per
-    edge in graph_pairs order. The attribute masses are fixed-point tables;
-    uniform_attrs codes every attribute uniformly over the table's alphabet.
-    ``prob`` is the base probability times the attribute masses, when the
-    base has one.
+    edge in graph_pairs order. Each attribute is coded over the table of its
+    integer counts; uniform_attrs codes every attribute uniformly over the
+    table's alphabet. ``prob`` is the base probability times the attribute
+    probabilities, when the base has one.
     """
     v_codec = _attr_codec(vertex_attr_ps, uniform_attrs)
     e_codec = _attr_codec(edge_attr_ps, uniform_attrs)

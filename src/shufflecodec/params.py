@@ -3,11 +3,12 @@
 Everything the decoder needs is carried inside the single compressed message,
 decoded before any graph: model and flag bits, run-length coded vertex counts,
 attribute count tables, and the model's count parameters. Lists of naturals
-are coded as: list length (46-bit uniform), the bit count B of the maximum
-element (uniform over 0..32), then each element with a log-uniform code: a
-bit-length k uniform on {0..B} followed by the k-1 free bits (k = 0 encodes
-the value 0). Zeros cost no bits when B = 0, so such a list is capped at
-_ZERO_LIST_LIMIT elements: a few header bits cannot demand 2**46 of them.
+are coded as one run of uniform symbols: list length (46-bit uniform), the
+bit count B of the maximum element (uniform over 0..32), then each element
+with a log-uniform code: a bit-length k uniform on {0..B} followed by the
+k-1 free bits (k = 0 encodes the value 0). Zeros cost no bits when B = 0,
+so such a list is capped at _ZERO_LIST_LIMIT elements: a few header bits
+cannot demand 2**46 of them.
 """
 
 from __future__ import annotations
@@ -17,20 +18,21 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .ans import Codec, ContractViolation, FormatError, Message
-from .ans import bernoulli_codec, pop_uniforms, push_uniforms, uniform_codec
+from .ans import bernoulli_codec, pop_uniforms, push_uniforms
 from .graphs import pair_count
 
 _LENGTH_LIMIT = 1 << 46
 _ELEMENT_LIMIT = 1 << 32
 _ZERO_LIST_LIMIT = 1 << 16
 
-_length_codec = uniform_codec(_LENGTH_LIMIT)
-_bitcount_codec = uniform_codec(33)
+_HEADER_SIZES = (_LENGTH_LIMIT, 33)  # list length, bit count of the maximum
 _bit = bernoulli_codec(Fraction(1, 2))
 
 
 def natural_list_codec() -> Codec:
-    """Codec over lists of naturals below 2**32, any length below 2**46."""
+    """Codec over lists of naturals below 2**32, any length below 2**46.
+    Element x is its bit length k and then x - 2**(k-1) as one uniform symbol
+    over 2**(k-1) values (over one value, which costs nothing, for k <= 1)."""
 
     def encode(m: Message, xs) -> None:
         xs = list(xs)
@@ -42,30 +44,25 @@ def natural_list_codec() -> Codec:
         bit_count = top.bit_length()
         if bit_count == 0 and len(xs) > _ZERO_LIST_LIMIT:
             raise ContractViolation(f"all-zero list longer than {_ZERO_LIST_LIMIT}")
-        k_codec = uniform_codec(bit_count + 1)
-        for x in reversed(xs):
+        symbols = [len(xs), bit_count]
+        sizes = list(_HEADER_SIZES)
+        for x in xs:
             k = x.bit_length()
-            if k >= 2:
-                uniform_codec(1 << (k - 1)).encode(m, x - (1 << (k - 1)))
-            k_codec.encode(m, k)
-        _bitcount_codec.encode(m, bit_count)
-        _length_codec.encode(m, len(xs))
+            lead = 1 << k >> 1
+            symbols += (k, x - lead)
+            sizes += (bit_count + 1, lead or 1)
+        push_uniforms(m, symbols, sizes)
 
     def decode(m: Message) -> List[int]:
-        length = _length_codec.decode(m)
-        bit_count = _bitcount_codec.decode(m)
+        length, bit_count = pop_uniforms(m, _HEADER_SIZES)
         if bit_count == 0 and length > _ZERO_LIST_LIMIT:
             raise FormatError(f"all-zero list of length {length}")
-        k_codec = uniform_codec(bit_count + 1)
+        k_sizes = (bit_count + 1,)
         xs = []
         for _ in range(length):
-            k = k_codec.decode(m)
-            if k == 0:
-                xs.append(0)
-            elif k == 1:
-                xs.append(1)
-            else:
-                xs.append((1 << (k - 1)) + uniform_codec(1 << (k - 1)).decode(m))
+            (k,) = pop_uniforms(m, k_sizes)
+            lead = 1 << k >> 1
+            xs.append(lead + pop_uniforms(m, (lead or 1,))[0])
         return xs
 
     return Codec(encode, decode)

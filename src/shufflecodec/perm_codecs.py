@@ -24,6 +24,30 @@ from .perms import (
 )
 
 
+def _push_shuffle(m: Message, s: Perm) -> None:
+    """Push the Fisher-Yates draws that shuffle the identity into s, a
+    permutation already checked, as one run of the uniform kernel."""
+    n = len(s)
+    p = list(range(n))
+    p_inv = list(range(n))
+    draws: List[int] = []
+    for j in range(n, 1, -1):
+        i = p_inv[s[j - 1]]
+        p_inv[p[j - 1]], p_inv[s[j - 1]] = p_inv[s[j - 1]], p_inv[p[j - 1]]
+        p[i], p[j - 1] = p[j - 1], p[i]
+        draws.append(i)
+    push_uniforms(m, draws, range(n, 1, -1))
+
+
+def _pop_shuffle(m: Message, n: int) -> Perm:
+    """Pop the Fisher-Yates draws for j = n..2 and shuffle the identity."""
+    s = list(range(n))
+    sizes = range(n, 1, -1)
+    for j, i in zip(sizes, pop_uniforms(m, sizes)):
+        s[i], s[j - 1] = s[j - 1], s[i]
+    return tuple(s)
+
+
 def uniform_s_codec(n: int) -> Codec:
     """Uniform codec over the symmetric group on n points, via Fisher-Yates.
 
@@ -33,27 +57,15 @@ def uniform_s_codec(n: int) -> Codec:
     run of the uniform kernel, and the aggregate rate is log2 n! per
     permutation.
     """
-    sizes = range(n, 1, -1)
 
     def encode(m: Message, s) -> None:
         s = as_perm(s)
         if len(s) != n:
             raise ContractViolation(f"permutation degree {len(s)} != {n}")
-        p = list(range(n))
-        p_inv = list(range(n))
-        draws: List[int] = []
-        for j in sizes:
-            i = p_inv[s[j - 1]]
-            p_inv[p[j - 1]], p_inv[s[j - 1]] = p_inv[s[j - 1]], p_inv[p[j - 1]]
-            p[i], p[j - 1] = p[j - 1], p[i]
-            draws.append(i)
-        push_uniforms(m, draws, sizes)
+        _push_shuffle(m, s)
 
     def decode(m: Message) -> Perm:
-        s = list(range(n))
-        for j, i in zip(sizes, pop_uniforms(m, sizes)):
-            s[i], s[j - 1] = s[j - 1], s[i]
-        return tuple(s)
+        return _pop_shuffle(m, n)
 
     return Codec(encode, decode)
 
@@ -80,22 +92,23 @@ def uniform_l_coset_codec(chain: StabilizerChain) -> Codec:
 
     encode accepts any member of the coset and is constant on it; decode
     returns the canonical (lex-min) member. Net rate: log2 n! - log2 |H|.
+    Only the permutation passed to encode is checked; the group element t
+    and the shuffle u are built here and coded through element_rank and
+    the Fisher-Yates draws directly.
     """
     n = chain.degree
-    grp_codec = uniform_perm_grp_codec(chain)
-    s_codec = uniform_s_codec(n)
+    sizes = [len(lvl.orbit) for lvl in chain.levels]
 
     def encode(m: Message, s) -> None:
         s_canon = coset_canon(chain, as_perm(s))
-        t = grp_codec.decode(m)
-        u = compose(s_canon, t)
-        s_codec.encode(m, u)
+        t = element_unrank(chain, pop_uniforms(m, sizes))
+        _push_shuffle(m, compose(s_canon, t))
 
     def decode(m: Message) -> Perm:
-        u = s_codec.decode(m)
+        u = _pop_shuffle(m, n)
         s_canon = coset_canon(chain, u)
         t = compose(inverse(s_canon), u)
-        grp_codec.encode(m, t)
+        push_uniforms(m, element_rank(chain, t), sizes)
         return s_canon
 
     return Codec(encode, decode)

@@ -206,13 +206,27 @@ class TestCategorical:
             categorical_codec([1 << 48, 1])
 
 
+@st.composite
+def _weight_lists(draw):
+    """Integer weights, zeros included, with total in [1, 2**48]: tables of
+    every precision from 16 to 48."""
+    weight = st.one_of(
+        st.just(0), st.integers(1, 16), st.integers(1, 1 << 24), st.integers(1, 1 << 45)
+    )
+    return draw(st.lists(weight, min_size=1, max_size=6).filter(any))
+
+
 class TestQuantize:
+    """quantize_masses and Table against a Fraction reference of the
+    cumulative-floor rule."""
+
     def test_sums_to_denominator(self):
-        masses = quantize_masses([0.2, 0.3, 0.5], 20)
+        masses = quantize_masses([2, 3, 5], 20)
         assert sum(masses) == 1 << 20
+        assert masses == _fraction_quantize([2, 3, 5], 20)
 
     def test_nonzero_weights_keep_mass(self):
-        masses = quantize_masses([1, 1 << 40, 1], 20)
+        masses = quantize_masses([1, (1 << 20) - 2, 1], 20)
         assert masses[0] >= 1 and masses[2] >= 1
         assert sum(masses) == 1 << 20
 
@@ -225,7 +239,9 @@ class TestQuantize:
         st.integers(min_value=8, max_value=48),
     )
     def test_apportionment_properties(self, weights, precision):
-        if sum(weights) == 0 or sum(1 for w in weights if w) > 1 << precision:
+        if not 1 <= sum(weights) <= 1 << precision:
+            with pytest.raises(ParameterError):
+                quantize_masses(weights, precision)
             return
         masses = quantize_masses(weights, precision)
         assert sum(masses) == 1 << precision
@@ -235,14 +251,14 @@ class TestQuantize:
         st.lists(
             st.one_of(
                 st.just(0),
-                st.integers(min_value=0, max_value=10**12),
+                st.integers(min_value=-3, max_value=10**12),
                 st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
                 st.floats(min_value=0, max_value=1e6, allow_nan=False),
             ),
-            min_size=1,
+            min_size=0,
             max_size=40,
         ),
-        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=0, max_value=49),
     )
     @settings(max_examples=500, deadline=None)
     def test_matches_fraction_apportionment(self, weights, precision):
@@ -254,46 +270,38 @@ class TestQuantize:
             return
         assert quantize_masses(weights, precision) == expected
 
-    def test_remainder_ties_break_toward_lower_index(self):
-        weights = [1, 1, 1, 0, 1, 1]
-        assert quantize_masses(weights, 3) == _fraction_quantize(weights, 3)
-        assert quantize_masses(weights, 3) == [2, 2, 2, 0, 1, 1]
+    @given(_weight_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_table_takes_the_precision_rule(self, weights):
+        table = ans.Table(weights)
+        total, k = sum(weights), len(weights)
+        assert table.precision == min(
+            48, max((total - 1).bit_length(), (k - 1).bit_length() + 16)
+        )
+        assert table.masses == _fraction_quantize(weights, table.precision)
+        assert table.cums == list(accumulate(table.masses, initial=0))
 
-    def test_unzeroing_takes_from_the_largest_mass_lower_index_first(self):
-        weights = [100, 100, 1, 1, 1, 1, 1, 0, 1]
-        assert quantize_masses(weights, 3) == _fraction_quantize(weights, 3)
-        assert quantize_masses(weights, 3) == [1, 1, 1, 1, 1, 1, 1, 0, 1]
-        # Each of the 2000 small weights rounds to 0 and is given one unit.
-        masses = quantize_masses([2**40] + [1] * 2000, 24)
-        assert masses == [2**24 - 2000] + [1] * 2000
+    def test_bad_tables_rejected(self):
+        for weights in ([], [0, 0], [1, -1, 2], [1.0, 2], [1 << 48, 1]):
+            with pytest.raises(ParameterError):
+                ans.Table(weights)
 
 
 def _fraction_quantize(weights, precision):
-    """Reference apportionment over Fractions (the integer version must agree
-    exactly, so that mass tables, and the bitstream, never depend on it)."""
+    """Reference cumulative floors over Fractions: weight w after weights
+    summing to C gets floor((C + w) 2**p / T) - floor(C 2**p / T)."""
     if not 1 <= precision <= ans.MAX_PRECISION:
         raise ParameterError("precision")
-    ws = [Fraction(w) for w in weights]
-    if any(w < 0 for w in ws):
-        raise ParameterError("negative weight")
-    total = sum(ws)
-    if total <= 0:
-        raise ParameterError("all weights zero")
-    denom = 1 << precision
-    if sum(1 for w in ws if w > 0) > denom:
-        raise ParameterError("more nonzero weights than mass units")
-    ideal = [w / total * denom for w in ws]
-    masses = [int(x) for x in ideal]
-    shortfall = denom - sum(masses)
-    order = sorted(range(len(ws)), key=lambda i: (-(ideal[i] - masses[i]), i))
-    for i in order[:shortfall]:
-        masses[i] += 1
-    for i, w in enumerate(ws):
-        if w > 0 and masses[i] == 0:
-            j = max(range(len(masses)), key=lambda k: (masses[k], -k))
-            masses[j] -= 1
-            masses[i] += 1
-    return masses
+    if any(type(w) is not int or w < 0 for w in weights):
+        raise ParameterError("weights must be nonnegative integers")
+    total = sum(weights)
+    if not 1 <= total <= 1 << precision:
+        raise ParameterError("total")
+    floors = [
+        math.floor(Fraction(c << precision, total))
+        for c in accumulate(weights, initial=0)
+    ]
+    return [b - a for a, b in zip(floors, floors[1:])]
 
 
 def _arbitrary_codec(draw):
@@ -380,11 +388,10 @@ class TestSerialization:
                 message_deserialize(bytes(data))
 
     def test_er_corpus_bytes_unchanged_by_version_2(self):
-        # ER and attribute tables do not depend on the urn change that set
-        # version 2, nor on the attribute layer or the canonization tie-break
-        # of version 3, nor on the canonical transversals of version 4, nor
-        # on the exact-mass urn symbols of version 5: everything after the
-        # version field is as version 1 wrote it for this corpus.
+        # ER and attribute tables, pinned as version 6 writes them: the
+        # Bernoulli and attribute tables are the cumulative floors of their
+        # exact integer counts, the parameter block's lists are runs of
+        # uniform symbols under the same rule.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -393,10 +400,10 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x05\x00"
+        assert data[:6] == b"SHUF\x06\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "4c0eb6ecf8eb64163afe6135b1131407dc43657892bb77270ae4cbb1dca619e9"
+            "2aee97080af742eeda2cd47d9340ff30769f32e07b584386075333b00b60bf48"
         )
 
     def test_pu_corpus_bytes_pinned(self):
@@ -405,10 +412,10 @@ class TestSerialization:
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x05\x00"
-        assert len(data) == 102
+        assert data[:6] == b"SHUF\x06\x00"
+        assert len(data) == 104
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "58302687bd735d2044e69306e26c3f1051dadf134b63f9767d97ef7877c62b02"
+            "7e12f12a6361ffddbdd21aa91e21690fae58ac7061c719fb3e03bc4acd27d86b"
         )
 
     def test_uniform_attrs_er_corpus_bytes_pinned(self):
@@ -423,10 +430,10 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x05\x00"
+        assert data[:6] == b"SHUF\x06\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "7357e3a4f4b4e21fcbd5755188c56c068408c35feab761bfc802f7f528df95ac"
+            "a40cd077c6220eb64556fe40e15e8345286ad2c10372f03fe819e0e39b89f621"
         )
 
     def test_truncation_detected(self):
@@ -459,15 +466,12 @@ def _messages(draw):
 
 @st.composite
 def _table_codecs(draw):
-    """categorical_codec over a table of any precision 1..48: masses summing
-    to 2**precision are coded as given; other totals are rescaled."""
-    weight = st.one_of(st.just(0), st.integers(1, 1 << 24))
-    weights = draw(st.lists(weight, min_size=1, max_size=6).filter(any))
-    if draw(st.booleans()):
-        nonzero = sum(1 for w in weights if w)
-        precision = draw(st.integers(max(1, (nonzero - 1).bit_length()), 48))
-        weights = quantize_masses(weights, precision)
-    return categorical_codec(weights)
+    """categorical_codec over weights whose tables span every precision
+    from 16 to 48, each table the Fraction reference's cumulative floors."""
+    weights = draw(_weight_lists())
+    codec = categorical_codec(weights)
+    assert codec.table.masses == _fraction_quantize(weights, codec.table.precision)
+    return codec
 
 
 # Sizes of uniform symbols: small, powers of two up to 2**48, and large.
@@ -509,6 +513,16 @@ class TestRunKernels:
         assert pop_uniforms(a, sizes) == [uniform_codec(n).decode(b) for n in sizes]
         assert _state(a) == _state(b)
 
+    def test_uniform_kernel_has_the_bytes_of_exact_symbols(self):
+        sizes = [1, 2, 3, 6, 1000, 1 << 20, (1 << 20) + 1, (1 << 48) - 1, 1 << 48]
+        rng = random.Random(11)
+        xs = [rng.randrange(n) for n in sizes]
+        a, b = random_message(4, 2), random_message(4, 2)
+        push_uniforms(a, xs, sizes)
+        push_exact(b, [(x, 1, n) for x, n in zip(xs, sizes)])
+        assert _state(a) == _state(b)
+        assert pop_uniforms(a, sizes) == xs
+
     @given(_messages(), _table_codecs(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_bad_table_symbol_leaves_message_unchanged(self, m, codec, data):
@@ -540,6 +554,16 @@ class TestRunKernels:
         with pytest.raises(ContractViolation):
             push_uniforms(m, xs, sizes)
         assert _state(m) == before
+
+    def test_non_integer_uniform_symbol_leaves_message_unchanged(self):
+        # A float used to pass the range check and fail mid-run, after the
+        # later symbols had already moved words onto the stack.
+        m = Message(ans.HEAD_LIMIT - 1, [7])
+        before = _state(m)
+        for bad in (1.5, 1.0, True, None):
+            with pytest.raises(ContractViolation):
+                push_uniforms(m, [bad, 3], [4, 5])
+            assert _state(m) == before
 
     def test_bad_sizes_rejected_before_the_message_changes(self):
         m = random_message(3, 2)
@@ -642,3 +666,29 @@ class TestExactMass:
         with pytest.raises(ContractViolation, match="empty"):
             push_exact(m, [_exact_symbol([2, 0, 2], 0), _exact_symbol([2, 0, 2], 1)])
         assert _state(m) == before
+
+
+class TestTableRate:
+    """Table runs against the exact weights."""
+
+    @given(_messages(), _exact_tables(1 << 20), st.integers(0, (1 << 14) - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_table_run_rate_tracks_the_weights(self, m, table, offset):
+        # The floors keep each probability within 2**-p of w/T, so a run
+        # drawn from the weights costs at most 2**-16 nats per symbol more
+        # than the ideal. The run holds every symbol about N*w/T times
+        # (systematic sampling, within one of it), so a rare symbol whose
+        # mass is off by up to a unit, up to one bit, is not over-counted:
+        # that adds at most k bits per run of N.
+        weights, _ = table
+        count = 1 << 14
+        total = sum(weights)
+        cums = list(accumulate(weights, initial=0))
+        xs = [
+            bisect.bisect_right(cums, (j * count + offset) * total // count**2) - 1
+            for j in range(count)
+        ]
+        before = m.length_bits
+        push_symbols(m, ans.Table(weights), xs)
+        ideal = sum(-math.log2(weights[x] / total) for x in xs)
+        assert abs(m.length_bits - before - ideal) <= 1e-3 * count

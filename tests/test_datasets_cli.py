@@ -169,6 +169,27 @@ class TestCompressDecompress:
             assert canon_equal(out.graphs[pos], reference)
 
     @pytest.mark.parametrize("model", ["er", "pu"])
+    @pytest.mark.parametrize("attrs", ["auto", "uniform"])
+    @pytest.mark.parametrize(
+        "graphs,edge_attrs",
+        [
+            ((Graph(3, [], vertex_attrs=(0, 1, 0), edge_attrs={}),), True),
+            ((Graph(0, [], vertex_attrs=()),), False),
+        ],
+        ids=["no-edge-carries-one", "no-vertex-carries-one"],
+    )
+    def test_attribute_that_never_occurs(self, graphs, edge_attrs, model, attrs):
+        # An attribute whose count table is empty codes no symbol; its
+        # one-symbol table must not stop the corpus from compressing.
+        corpus = Corpus(graphs, "unused-attr", True, edge_attrs)
+        data, _ = compress_corpus(corpus, model=model, attrs=attrs)
+        out = decompress_corpus(data)
+        assert len(out.graphs) == len(graphs)
+        for got, want in zip(out.graphs, graphs):
+            assert canon_equal(got, want)
+            assert got.has_edge_attrs == edge_attrs
+
+    @pytest.mark.parametrize("model", ["er", "pu"])
     def test_keep_order_restores_positions(self, model):
         corpus = synthetic_corpus(seed=3, with_attrs=True)
         data, _ = compress_corpus(corpus, model=model, keep_order=True)

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from shufflecodec import perms
 from shufflecodec.ans import message_init, uniform_codec
 from shufflecodec.perm_codecs import (
     uniform_l_coset_codec,
@@ -212,3 +213,26 @@ class TestUniformLCoset:
             uniform_l_coset_codec(chain).encode(
                 Message(pad_seed=None), (5, 4, 3, 2, 1, 0)
             )
+
+    def test_only_the_input_permutation_is_checked(self, monkeypatch, rng):
+        # The group element and the shuffle that the codec builds itself are
+        # coded without a second check: one is_perm call per encode (its
+        # input), none per decode.
+        chain = schreier_sims(PermGroup(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2))))
+        codec = uniform_l_coset_codec(chain)
+        calls = []
+        is_perm = perms.is_perm
+
+        def counting(s):
+            calls.append(tuple(s))
+            return is_perm(s)
+
+        monkeypatch.setattr(perms, "is_perm", counting)
+        m = random_message(seed=9, tail_words=16)
+        snapshot = m.copy()
+        s = tuple(rng.sample(range(6), 6))
+        codec.encode(m, s)
+        assert calls == [s]
+        assert codec.decode(m) == coset_canon(chain, s)
+        assert calls == [s]
+        assert m == snapshot

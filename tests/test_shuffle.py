@@ -212,9 +212,9 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x05\x00"
+        assert data[:6] == b"SHUF\x06\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "64a41947c05663d0206fe21953ed28eebb23c270e5b1111ae9d1d9f0947fadb7"
+            "435dc044f0aad518e110f2645ca8c48829474673d2aabd75ab36202fcd9d4d3d"
         )
 
     def test_long_multisets_without_schreier_sims(self, monkeypatch):
