@@ -52,9 +52,10 @@ MAX_PRECISION = 48
 _HEADROOM_BITS = 16
 
 _TOTAL_LIMIT = 1 << MAX_PRECISION
+_BERNOULLI_GRID = 1 << 32
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 
@@ -410,14 +411,14 @@ def categorical_codec(weights: Sequence[int]) -> Codec:
 def bernoulli_codec(p) -> Codec:
     """Codec for a Bernoulli(p) bit, p strictly in (0, 1): the categorical
     codec of the weights (den - num, num) of p = num/den. A denominator above
-    2**48 (a float such as 0.3) is first rounded to the 2**-48 grid inside
-    (0, 1)."""
+    2**32 (a float such as 0.3) is first rounded to the 2**-32 grid inside
+    (0, 1): at totals near 2**48 each rANS step would lose rate."""
     pf = Fraction(p)
     if not 0 < pf < 1:
         raise ParameterError(f"Bernoulli p={p!r} outside (0, 1)")
-    if pf.denominator > _TOTAL_LIMIT:
-        num = min(max(round(pf * _TOTAL_LIMIT), 1), _TOTAL_LIMIT - 1)
-        pf = Fraction(num, _TOTAL_LIMIT)
+    if pf.denominator > _BERNOULLI_GRID:
+        num = min(max(round(pf * _BERNOULLI_GRID), 1), _BERNOULLI_GRID - 1)
+        pf = Fraction(num, _BERNOULLI_GRID)
     return categorical_codec([pf.denominator - pf.numerator, pf.numerator])
 
 

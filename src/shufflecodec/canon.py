@@ -3,7 +3,8 @@
 Graphs are canonized by color refinement plus individualization search: refine
 to an equitable coloring, branch on a target cell, and take the minimum leaf
 form under the fixed total order of Graph.key(). Equal-form leaves certify
-automorphisms, which both prune the search and generate Aut. Sequences
+automorphisms, which generate Aut and prune the search: a backjump past the
+automorphic subtree, and orbit pruning at each node. Sequences
 (strings) are canonized by stable sorting.
 
 The canonical form of a graph depends only on its isomorphism class, never on
@@ -133,88 +134,56 @@ def _orbit_closure(points: List[int], gens: List[Perm]) -> set:
     return seen
 
 
-def _leaf_key(g: Graph, perm: Perm) -> tuple:
-    """Equals apply_perm(perm, g).key() without building the Graph."""
-    edges = sorted(
-        (perm[i], perm[j]) if perm[i] <= perm[j] else (perm[j], perm[i])
-        for i, j in g.edges
-    )
-    if g.vertex_attrs is not None:
-        vattrs = [0] * g.n
-        for i, a in enumerate(g.vertex_attrs):
-            vattrs[perm[i]] = a
-        vattrs = tuple(vattrs)
-    else:
-        vattrs = ()
-    if g.edge_attrs:
-        eattrs = tuple(
-            sorted(
-                (
-                    (perm[i], perm[j]) if perm[i] <= perm[j] else (perm[j], perm[i]),
-                    a,
-                )
-                for (i, j), a in g.edge_attrs.items()
-            )
-        )
-    else:
-        eattrs = ()
-    return (g.n, vattrs, tuple(edges), eattrs)
-
-
 def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
     """Individualization-refinement: returns the canonical labeling (the
     permutation minimizing apply(s, g).key() over the leaves) and a list of
-    discovered automorphisms of g (complete as a generating set)."""
+    discovered automorphisms of g (complete as a generating set).
+
+    A leaf with the key of the first or the best leaf maps that leaf's subtree
+    onto its own, so the search jumps back to where their paths split
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014)."""
     adj = _adjacency(g)
-    # [key, perm] of the first and of the best leaf so far.
+    # [key, perm, path] of the first and of the best leaf so far.
     best: Optional[list] = None
     first: Optional[list] = None
     auts: List[Perm] = []
-    aut_set = set()
 
-    def note_aut(p1: Perm, p2: Perm) -> None:
-        a = compose(inverse(p1), p2)
-        if any(i != x for i, x in enumerate(a)) and a not in aut_set:
-            aut_set.add(a)
-            auts.append(a)
-
-    def leaf(colors: List[int]) -> None:
+    def leaf(colors: List[int], path: List[int]) -> int:
         # A leaf's key is computed only once a second leaf needs it: most
         # graphs reach one leaf, which is then canonical without comparison.
         nonlocal best, first
         perm = tuple(colors)
         if first is None:
-            first = best = [None, perm]
-            return
+            first = best = [None, perm, path]
+            return len(path)
         if first[0] is None:
-            first[0] = _leaf_key(g, first[1])
-        key = _leaf_key(g, perm)
-        if key == first[0] and perm != first[1]:
-            note_aut(first[1], perm)
+            first[0] = apply_perm(first[1], g).key()
+        key = apply_perm(perm, g).key()
+        for ref in (first, best):
+            if key == ref[0]:
+                # Distinct leaves have distinct perms and split paths, so
+                # the automorphism is new and never the identity.
+                auts.append(compose(inverse(ref[1]), perm))
+                return next(k for k, (u, v) in enumerate(zip(ref[2], path)) if u != v)
         if key < best[0]:
-            best = [key, perm]
-        elif key == best[0] and perm != best[1]:
-            note_aut(best[1], perm)
+            best = [key, perm, path]
+        return len(path)
 
-    def rec(colors: List[int], fixed: List[int]) -> None:
+    def rec(colors: List[int], path: List[int]) -> int:
+        """Explores the subtree at path; returns the depth to resume at."""
         if len(set(colors)) == len(colors):
-            leaf(colors)
-            return
-        cell = _target_cell(colors)
+            return leaf(colors, path)
         processed: List[int] = []
-        prefix_gens: List[Perm] = []
-        seen_auts = 0
-        for v in sorted(cell):
+        for v in sorted(_target_cell(colors)):
             if processed:
-                while seen_auts < len(auts):
-                    a = auts[seen_auts]
-                    seen_auts += 1
-                    if all(a[u] == u for u in fixed):
-                        prefix_gens.append(a)
-                if prefix_gens and v in _orbit_closure(processed, prefix_gens):
+                gens = [a for a in auts if all(a[u] == u for u in path)]
+                if gens and v in _orbit_closure(processed, gens):
                     continue
-            rec(_refine(adj, _individualize(colors, v)), fixed + [v])
+            depth = rec(_refine(adj, _individualize(colors, v)), path + [v])
+            if depth < len(path):
+                return depth
             processed.append(v)
+        return len(path)
 
     rec(_refine(adj, _initial_colors(g)), [])
     assert best is not None

@@ -74,9 +74,8 @@ def _prepared_graphs(corpus: Corpus, attrs: str) -> List[Graph]:
     return list(corpus.graphs)
 
 
-def _attr_counts(values, alphabet_hint=0) -> Tuple[int, ...]:
-    size = max(max(values, default=-1) + 1, alphabet_hint)
-    counts = [0] * size
+def _attr_counts(values) -> Tuple[int, ...]:
+    counts = [0] * (max(values, default=-1) + 1)
     for v in values:
         counts[v] += 1
     return tuple(counts)

@@ -176,18 +176,18 @@ class TestCanonize:
         # discrete, one refinement pass makes it so. Refinement stops there,
         # and the single leaf is canonical without a key to compare.
         passes, keys = [], []
-        refine_pass, leaf_key = canon._refine_pass, canon._leaf_key
+        refine_pass, graph_key = canon._refine_pass, Graph.key
 
         def counted_pass(adj, colors):
             passes.append(colors)
             return refine_pass(adj, colors)
 
-        def counted_key(g, perm):
-            keys.append(perm)
-            return leaf_key(g, perm)
+        def counted_key(g):
+            keys.append(g)
+            return graph_key(g)
 
         monkeypatch.setattr(canon, "_refine_pass", counted_pass)
-        monkeypatch.setattr(canon, "_leaf_key", counted_key)
+        monkeypatch.setattr(Graph, "key", counted_key)
         g = Graph(3, [(0, 1), (1, 2)], vertex_attrs=[0, 0, 1])
         c = canonize(g)
         assert len(passes) == 1 and keys == []
@@ -199,13 +199,13 @@ class TestCanonize:
         # The 4-cycle reaches several leaves; keys are computed then, and the
         # result still matches the brute-force canonical form.
         keys = []
-        leaf_key = canon._leaf_key
+        graph_key = Graph.key
 
-        def counted_key(g, perm):
-            keys.append(perm)
-            return leaf_key(g, perm)
+        def counted_key(g):
+            keys.append(g)
+            return graph_key(g)
 
-        monkeypatch.setattr(canon, "_leaf_key", counted_key)
+        monkeypatch.setattr(Graph, "key", counted_key)
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         c = canonize(g)
         assert keys and c.aut_order == 8
@@ -374,6 +374,96 @@ class TestLabelIndependence:
         assert all(canonize(h).canon_graph == canon for h in relabeled)
         data, _ = compress_corpus(Corpus(tuple(relabeled), name, False, False))
         assert list(decompress_corpus(data).graphs) == [canon] * len(relabeled)
+
+
+def disjoint_copies(k, g):
+    edges = [(c * g.n + i, c * g.n + j) for c in range(k) for i, j in g.edges]
+    return Graph(k * g.n, edges)
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def star(leaves):
+    return complete_bipartite(1, leaves)
+
+
+def hub(spokes, twins):
+    """A hub joined to `spokes` vertices, each with `twins` pendant leaves."""
+    edges = [(0, s) for s in range(1, spokes + 1)]
+    edges += [
+        (s, spokes + 1 + (s - 1) * twins + t)
+        for s in range(1, spokes + 1)
+        for t in range(twins)
+    ]
+    return Graph(1 + spokes * (1 + twins), edges)
+
+
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def twin_blow_up(rng):
+    """A random base graph whose vertices become classes of independent or
+    clique twins, joined completely along base edges, with vertex labels;
+    at most 8 vertices."""
+    n = rng.randint(1, 8)
+    classes, v = [], 0
+    while v < n:
+        size = min(rng.randint(1, 3), n - v)
+        classes.append(list(range(v, v + size)))
+        v += size
+    edges = set()
+    for a, ca in enumerate(classes):
+        if rng.random() < 0.5:
+            edges.update(combinations(ca, 2))
+        for cb in classes[a + 1 :]:
+            if rng.random() < 0.4:
+                edges.update((u, v) for u in ca for v in cb)
+    labels = [rng.randrange(2) for _ in classes]
+    vertex_attrs = [labels[c] for c, cls in enumerate(classes) for _ in cls]
+    if rng.random() < 0.3:
+        vertex_attrs[rng.randrange(n)] = 2
+    return Graph(n, edges, vertex_attrs)
+
+
+class TestTwinHeavyGraphs:
+    # Graphs with large classes of twins reach many automorphic leaves. The
+    # search leaves a subtree once it is proved automorphic to an explored
+    # one, so it keeps fewer generators than vertices.
+    @pytest.mark.parametrize(
+        "name, g, order",
+        [
+            pytest.param(name, g, order, id=name)
+            for name, g, order in [
+                ("E30", Graph(30), math.factorial(30)),
+                ("K1,30", star(30), math.factorial(30)),
+                ("10K3", disjoint_copies(10, cycle(3)), 6**10 * math.factorial(10)),
+                ("hub3x4", hub(3, 4), 24**3 * 6),
+                ("K4,4", complete_bipartite(4, 4), 24 * 24 * 2),
+                ("K3,5", complete_bipartite(3, 5), 6 * 120),
+                ("C12", cycle(12), 24),
+            ]
+        ],
+    )
+    def test_closed_form_orders_and_few_generators(self, name, g, order):
+        c = canonize(g)
+        assert c.aut_order == order
+        assert len(c.aut_generators.generators) < g.n
+        rng = random.Random(name)
+        for _ in range(3):
+            s = tuple(rng.sample(range(g.n), g.n))
+            assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
+
+    def test_random_twin_blow_ups_match_bruteforce(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g = twin_blow_up(rng)
+            c = canonize(g)
+            assert c.aut_order == canonize_bruteforce(g).aut_order
+            s = tuple(rng.sample(range(g.n), g.n))
+            assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
 
 
 class TestEdgeColorEmbedding:

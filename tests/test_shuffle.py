@@ -212,7 +212,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x06\x00"
+        assert data[:6] == b"SHUF\x07\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "435dc044f0aad518e110f2645ca8c48829474673d2aabd75ab36202fcd9d4d3d"
         )
