@@ -20,14 +20,17 @@ cost by k * 2**-p nats <= 2**-16 nats (about 2.2e-5 bits) per symbol. A
 uniform symbol x < n is the subrange (x, 1, n), with k = T = n. The rANS
 step itself adds about log2(1 + f/h) bits for mass f and head h >= 2**48.
 
-Three kernel pairs code runs of symbols with the head in a local variable:
+Four kernel pairs code runs of symbols with the head in a local variable:
 push_symbols/pop_symbols over one Table (the floors of a weight vector),
-push_uniforms/pop_uniforms over uniform symbols of varying sizes, and
+push_uniforms/pop_uniforms over uniform symbols of varying sizes,
 push_exact/pop_exact over symbols given only by their subrange of an exact
-total, for alphabets too large or too short-lived to tabulate; there the
+total, for alphabets too large or too short-lived to tabulate (there the
 decoder maps the popped value back to the exact target in [0, T) and lets
-the caller find the symbol. A push checks every symbol before the message
-changes. The uniform, categorical and Bernoulli codecs code one-symbol runs.
+the caller find the symbol), and push_arrangement/pop_arrangement over a
+uniformly random arrangement of a label multiset, one exact-mass draw
+without replacement per element. A push checks every symbol before the
+message changes. The uniform, categorical and Bernoulli codecs code
+one-symbol runs.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ _TOTAL_LIMIT = 1 << MAX_PRECISION
 _BERNOULLI_GRID = 1 << 32
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 
@@ -159,7 +162,7 @@ def message_init(pad_seed: Optional[int] = DEFAULT_PAD_SEED) -> Message:
 def _precision(total: int, size: int) -> int:
     """The precision p of a distribution over `size` symbols whose weights
     sum to `total`; ParameterError unless total is an integer in [1, 2**48]."""
-    if not (isinstance(total, int) and 1 <= total <= _TOTAL_LIMIT):
+    if not (type(total) is int and 1 <= total <= _TOTAL_LIMIT):
         raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
     # Plain comparisons: the uniform kernels call this once per symbol, and
     # builtin min/max calls would make it about three times as slow.
@@ -168,6 +171,18 @@ def _precision(total: int, size: int) -> int:
     if exact > precision:
         precision = exact
     return precision if precision < MAX_PRECISION else MAX_PRECISION
+
+
+def _check_totals(totals: Sequence[int]) -> None:
+    """ParameterError unless every total is an int in [1, 2**48]: one pass
+    over the set of types, then min and max, in place of a call per total."""
+    if totals and not (
+        {int}.issuperset(map(type, totals))
+        and min(totals) >= 1
+        and max(totals) <= _TOTAL_LIMIT
+    ):
+        bad = next(t for t in totals if not (type(t) is int and 1 <= t <= _TOTAL_LIMIT))
+        raise ParameterError(f"total {bad!r} outside [1, 2**{MAX_PRECISION}]")
 
 
 def quantize_masses(weights: Sequence[int], precision: int) -> List[int]:
@@ -265,13 +280,16 @@ def push_uniforms(m: Message, symbols: Sequence[int], sizes: Sequence[int]) -> N
     ContractViolation for a symbol that is not an int in its range."""
     if len(symbols) != len(sizes):
         raise ContractViolation(f"{len(symbols)} symbols for {len(sizes)} sizes")
-    precisions = list(map(_precision, sizes, sizes))
+    _check_totals(sizes)
     for x, n in zip(symbols, sizes):
         if type(x) is not int or not 0 <= x < n:
             raise ContractViolation(f"symbol {x!r} outside [0, {n})")
     head = m.head
     append = m.tail.append
-    for x, n, precision in zip(reversed(symbols), reversed(sizes), reversed(precisions)):
+    for x, n in zip(reversed(symbols), reversed(sizes)):
+        precision = (n - 1).bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
         lo = (x << precision) // n
         freq = ((x + 1) << precision) // n - lo
         limit = freq << (64 - precision)
@@ -285,10 +303,13 @@ def push_uniforms(m: Message, symbols: Sequence[int], sizes: Sequence[int]) -> N
 def pop_uniforms(m: Message, sizes: Sequence[int]) -> List[int]:
     """Pop one uniform symbol on {0..n-1} per size n, first size first.
     Raises ParameterError, before the message changes, for a bad size."""
-    precisions = list(map(_precision, sizes, sizes))
+    _check_totals(sizes)
     head, tail = m.head, m.tail
     out = []
-    for n, precision in zip(sizes, precisions):
+    for n in sizes:
+        precision = (n - 1).bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
         cf = head & ((1 << precision) - 1)
         x = ((cf + 1) * n - 1) >> precision
         lo = (x << precision) // n
@@ -306,18 +327,25 @@ def push_exact(m: Message, symbols: Sequence[Tuple[int, int, int]]) -> None:
     that pop_exact pops them in order. Raises, before the message changes,
     ParameterError for a total outside [1, 2**48] and ContractViolation for
     an empty, non-integral or out-of-range subrange."""
-    precisions = []
     for start, mass, total in symbols:
-        precisions.append(_precision(total, total))
+        _precision(total, total)
         if not (type(start) is int and type(mass) is int):
             raise ContractViolation(f"subrange ({start!r}, {mass!r}) is not integral")
         if not 0 <= start < start + mass <= total:
             raise ContractViolation(
                 f"subrange [{start}, {start + mass}) empty or outside [0, {total})"
             )
+    _push_subranges(m, symbols)
+
+
+def _push_subranges(m: Message, symbols: Sequence[Tuple[int, int, int]]) -> None:
+    """push_exact's coding loop, for subranges already checked."""
     head = m.head
     append = m.tail.append
-    for (start, mass, total), precision in zip(reversed(symbols), reversed(precisions)):
+    for start, mass, total in reversed(symbols):
+        precision = (total - 1).bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
         lo = (start << precision) // total
         freq = ((start + mass) << precision) // total - lo
         limit = freq << (64 - precision)
@@ -350,6 +378,114 @@ def pop_exact(
         head = (head << WORD_BITS) | m.pop_word()
     m.head = head
     return symbol
+
+
+def _arrangement_state(counts: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """The counts as a list, their Fenwick tree (tree[i] sums the counts of
+    labels i - (i & -i) .. i - 1) and the number of labels with a positive
+    count. ParameterError unless the counts are nonnegative ints with total
+    at most 2**48."""
+    left = list(counts)
+    if not {int}.issuperset(map(type, left)) or min(left, default=0) < 0:
+        raise ParameterError("label counts must be nonnegative integers")
+    if sum(left) > _TOTAL_LIMIT:
+        raise ParameterError(f"label count total above 2**{MAX_PRECISION}")
+    tree = [0, *left]
+    r = len(left)
+    for i in range(1, r + 1):
+        j = i + (i & -i)
+        if j <= r:
+            tree[j] += tree[i]
+    return left, tree, r - left.count(0)
+
+
+def push_arrangement(m: Message, labels: Sequence[int], counts: Sequence[int]) -> None:
+    """Push labels, an arrangement of the multiset holding counts[j] copies of
+    each label j, as a uniform choice among its n!/prod(counts[j]!)
+    arrangements. Element i is one exact-mass symbol drawn without
+    replacement from the n - i labels left: its start is the count left of
+    the lower labels, its mass the count left of its own label, rounded as
+    push_exact rounds. Once a single label is left the rest is known and
+    coded by nothing. A Fenwick tree over the counts makes each draw
+    O(log r) for r labels. Raises ParameterError for bad counts and
+    ContractViolation, before the message changes, unless labels is such an
+    arrangement."""
+    left, tree, live = _arrangement_state(counts)
+    r, total = len(left), sum(left)
+    if len(labels) != total:
+        raise ContractViolation(f"{len(labels)} labels for counts totalling {total}")
+    subranges = []
+    for x in labels:
+        if live <= 1:
+            break
+        if type(x) is not int or not 0 <= x < r or not left[x]:
+            raise ContractViolation(f"label {x!r} outside [0, {r}) or over its count")
+        start = 0
+        i = x
+        while i:
+            start += tree[i]
+            i &= i - 1
+        mass = left[x]
+        subranges.append((start, mass, total))
+        left[x] = mass - 1
+        if mass == 1:
+            live -= 1
+        i = x + 1
+        while i <= r:
+            tree[i] -= 1
+            i += i & -i
+        total -= 1
+    if total:
+        last = next(j for j, c in enumerate(left) if c)
+        for x in labels[len(labels) - total:]:
+            if type(x) is not int or x != last:
+                raise ContractViolation(f"label {x!r} over its count")
+    _push_subranges(m, subranges)
+
+
+def pop_arrangement(m: Message, counts: Sequence[int]) -> List[int]:
+    """Pop an arrangement pushed by push_arrangement with the same counts,
+    first element first. Raises ParameterError, before the message changes,
+    for bad counts."""
+    left, tree, live = _arrangement_state(counts)
+    r, total = len(left), sum(left)
+    top = 1 << (r.bit_length() - 1) if r else 0
+    head, tail = m.head, m.tail
+    out: List[int] = []
+    append = out.append
+    while live > 1:
+        precision = (total - 1).bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
+        cf = head & ((1 << precision) - 1)
+        t = ((cf + 1) * total - 1) >> precision
+        # The label x whose counts below sum to at most t: the largest
+        # Fenwick prefix x with tree-prefix(x) <= t.
+        x, rest, step = 0, t, top
+        while step:
+            i = x + step
+            if i <= r and tree[i] <= rest:
+                x = i
+                rest -= tree[i]
+            step >>= 1
+        start, mass = t - rest, left[x]
+        lo = (start << precision) // total
+        head = (((start + mass) << precision) // total - lo) * (head >> precision) + cf - lo
+        while head < HEAD_MIN:
+            head = (head << WORD_BITS) | (tail.pop() if tail else m.pop_word())
+        append(x)
+        left[x] = mass - 1
+        if mass == 1:
+            live -= 1
+        i = x + 1
+        while i <= r:
+            tree[i] -= 1
+            i += i & -i
+        total -= 1
+    m.head = head
+    if total:
+        out.extend([next(j for j, c in enumerate(left) if c)] * total)
+    return out
 
 
 class Codec:

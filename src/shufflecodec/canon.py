@@ -260,8 +260,9 @@ def canonize_string(x: Sequence) -> SequenceCanonized:
     symmetric groups on its runs of equal elements, so aut_order is the
     product of the factorials of the element multiplicities. Its stabilizer
     chain is built in closed form by symmetric_runs_chain, with no
-    Schreier-Sims: canonization costs O(n log n) for the sort and O(n) for the
-    chain, and the coset step works on the runs in closed form (see perms).
+    Schreier-Sims and no level: canonization costs O(n log n) for the sort
+    and O(n) for the runs, and the coset step codes the runs directly (see
+    perm_codecs).
     """
     n = len(x)
     order = sorted(range(n), key=lambda i: (x[i], i))

@@ -43,9 +43,10 @@ def _cmd_compress(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
+    rate = report.shuffle_bits_per_edge
     print(
         f"{corpus.name}: {report.num_graphs} graphs, {report.total_edges} edges -> "
-        f"{len(data)} bytes ({report.shuffle_bits_per_edge:.3f} bits/edge)"
+        f"{len(data)} bytes ({'no edges' if rate is None else f'{rate:.3f} bits/edge'})"
     )
     return 0
 
@@ -79,11 +80,17 @@ def _cmd_bench(args) -> int:
         print(json.dumps([asdict(r) for r in reports], sort_keys=True, indent=2))
     else:
         for r in reports:
+            if r.total_edges:
+                rates = (
+                    f"ordered {r.ordered_bits_per_edge:.3f}, "
+                    f"shuffle {r.shuffle_bits_per_edge:.3f} bits/edge "
+                    f"(discount {r.discount_percent:.1f}%, initial "
+                    f"{r.initial_bits_per_edge:.4f} b/e"
+                )
+            else:
+                rates = f"no edges ({r.total_bits:.1f} bits, discount {r.discount_percent:.1f}%"
             print(
-                f"{r.dataset} {r.model}: ordered {r.ordered_bits_per_edge:.3f}, "
-                f"shuffle {r.shuffle_bits_per_edge:.3f} bits/edge "
-                f"(discount {r.discount_percent:.1f}%, initial "
-                f"{r.initial_bits_per_edge:.4f} b/e, canonize "
+                f"{r.dataset} {r.model}: {rates}, canonize "
                 f"{100 * r.canonize_share:.0f}% of encode time)"
             )
     return 0

@@ -52,10 +52,11 @@ class BenchmarkReport:
     total_edges: int
     total_bits: float
     param_bits: float
-    ordered_bits_per_edge: float
-    shuffle_bits_per_edge: float
-    net_bits_per_edge: float
-    initial_bits_per_edge: float
+    # Per-edge rates; None for a corpus without edges.
+    ordered_bits_per_edge: Optional[float]
+    shuffle_bits_per_edge: Optional[float]
+    net_bits_per_edge: Optional[float]
+    initial_bits_per_edge: Optional[float]
     discount_percent: float
     encode_seconds: float
     decode_seconds: float = 0.0
@@ -239,7 +240,10 @@ def compress_corpus(
     total_bits = m.length_bits - initial_bits
     pad_bits = 16.0 * m.pad_consumed
     edges = sum(g.num_edges for g in graphs)
-    div = edges if edges else 1
+
+    def per_edge(bits: float) -> Optional[float]:
+        return bits / edges if edges else None
+
     ordered_total = ordered_bits + param_bits
     report = BenchmarkReport(
         dataset=corpus.name,
@@ -249,10 +253,10 @@ def compress_corpus(
         total_edges=edges,
         total_bits=total_bits,
         param_bits=param_bits,
-        ordered_bits_per_edge=ordered_total / div,
-        shuffle_bits_per_edge=total_bits / div,
-        net_bits_per_edge=(total_bits - pad_bits) / div,
-        initial_bits_per_edge=pad_bits / div,
+        ordered_bits_per_edge=per_edge(ordered_total),
+        shuffle_bits_per_edge=per_edge(total_bits),
+        net_bits_per_edge=per_edge(total_bits - pad_bits),
+        initial_bits_per_edge=per_edge(pad_bits),
         discount_percent=(
             100.0 * (1.0 - total_bits / ordered_total) if ordered_total else 0.0
         ),

@@ -4,15 +4,28 @@ permutation group given by a stabilizer chain, and left cosets of such a group.
 The coset codec is the bits-back workhorse: encoding a coset first *decodes* a
 group element from the message (reclaiming log2 |H| bits) and then encodes a
 permutation of the full symmetric group (paying log2 n!), for a net rate of
-log2(n!/|H|).
+log2(n!/|H|). On the chain of a product of symmetric groups on runs (a
+multiset's automorphism group) it codes the coset itself instead, as an
+arrangement of run labels over the values and a Fisher-Yates shuffle of the
+values outside the runs: log2(n!/|H|) bits with no group element, no level
+and no Lehmer code.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from .ans import Codec, ContractViolation, Message, pop_uniforms, push_uniforms
+from .ans import (
+    Codec,
+    ContractViolation,
+    Message,
+    pop_arrangement,
+    pop_uniforms,
+    push_arrangement,
+    push_uniforms,
+)
 from .perms import (
+    DegreeMismatch,
     Perm,
     StabilizerChain,
     as_perm,
@@ -94,8 +107,11 @@ def uniform_l_coset_codec(chain: StabilizerChain) -> Codec:
     returns the canonical (lex-min) member. Net rate: log2 n! - log2 |H|.
     Only the permutation passed to encode is checked; the group element t
     and the shuffle u are built here and coded through element_rank and
-    the Fisher-Yates draws directly.
+    the Fisher-Yates draws directly. A chain with runs codes its cosets
+    directly (see _runs_coset_codec).
     """
+    if chain.runs is not None:
+        return _runs_coset_codec(chain.degree, chain.runs)
     n = chain.degree
     sizes = [len(lvl.orbit) for lvl in chain.levels]
 
@@ -110,5 +126,56 @@ def uniform_l_coset_codec(chain: StabilizerChain) -> Codec:
         t = compose(inverse(s_canon), u)
         push_uniforms(m, element_rank(chain, t), sizes)
         return s_canon
+
+    return Codec(encode, decode)
+
+
+def _runs_coset_codec(n: int, runs: Tuple[Tuple[int, int], ...]) -> Codec:
+    """The coset codec of S_{k1} x ... x S_{kr}, one factor per run [a, b).
+
+    A coset s*H is fixed by which values s puts on each run, and by the
+    values on the positions outside the runs. Each run is one label, the
+    positions outside them share one more label, and the coset is the
+    arrangement of these labels over the values 0..n-1 (push_arrangement,
+    log2 of n!/(k1! ... kr! q!) bits for q positions outside the runs),
+    then a Fisher-Yates shuffle of the q values labelled outside (log2 q!
+    bits). With no runs the arrangement codes nothing and the shuffle is
+    that of uniform_s_codec. No level is built.
+    """
+    r = len(runs)
+    label_of = [r] * n
+    counts = []
+    for j, (a, b) in enumerate(runs):
+        label_of[a:b] = [j] * (b - a)
+        counts.append(b - a)
+    counts.append(n - sum(counts))
+    singles = [i for i in range(n) if label_of[i] == r]
+
+    def encode(m: Message, s) -> None:
+        s = as_perm(s)
+        if len(s) != n:
+            raise DegreeMismatch(f"degrees {len(s)} and {n} differ")
+        labels = [label_of[i] for i in inverse(s)]
+        rank = [0] * n
+        for k, v in enumerate([v for v in range(n) if labels[v] == r]):
+            rank[v] = k
+        _push_shuffle(m, [rank[s[i]] for i in singles])
+        push_arrangement(m, labels, counts)
+
+    def decode(m: Message) -> Perm:
+        labels = pop_arrangement(m, counts)
+        u = _pop_shuffle(m, len(singles))
+        s = [0] * n
+        fill = [a for a, _ in runs]
+        outside = []
+        for v, j in enumerate(labels):
+            if j == r:
+                outside.append(v)
+            else:
+                s[fill[j]] = v
+                fill[j] += 1
+        for i, k in zip(singles, u):
+            s[i] = outside[k]
+        return tuple(s)
 
     return Codec(encode, decode)

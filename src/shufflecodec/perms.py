@@ -12,16 +12,18 @@ Chains come from two functions. schreier_sims works for any generator list; a
 level walks its Schreier tree to some element mapping the base point to w and
 takes the lex-min of its coset over the levels below. symmetric_runs_chain
 builds the chain of a product of symmetric groups on runs of consecutive
-points in closed form, in O(n) time and memory: its levels compute each orbit
-index in O(1) and each transversal element in O(n). On such a chain the coset
-operations skip the level walk: coset_canon sorts each run, element_rank
-takes each run's Lehmer code and element_unrank decodes it, with O(n log n)
-Python steps in place of O(n) per level.
+points in closed form: it keeps the runs, and builds its levels (each orbit
+index in O(1), each transversal element in O(n)) only when they are read.
+The coset codec of such a chain codes the runs directly and reads no level
+(see perm_codecs). group_order and coset_canon work on the runs too, and
+element_rank and element_unrank take and decode each run's Lehmer code, with
+O(n log n) Python steps in place of O(n) per level.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -182,20 +184,38 @@ class RunLevel(ChainLevel):
     any_rep = rep
 
 
-@dataclass(frozen=True)
 class StabilizerChain:
     """Stabilizer chain with base points in increasing order; levels with
     trivial orbits are omitted. The terminal subgroup is trivial.
 
     ``runs`` is set on the chains of symmetric_runs_chain: the runs [a, b) of
     two or more points whose symmetric groups the product has as factors.
-    coset_canon, element_rank and element_unrank then work on the runs in
-    closed form, with the results of the level walk.
+    group_order, coset_canon, element_rank and element_unrank then work on
+    the runs in closed form, with the results of the level walk, and the
+    levels are built only when something reads them.
     """
 
-    degree: int
-    levels: Tuple[ChainLevel, ...]
-    runs: Optional[Tuple[Tuple[int, int], ...]] = None
+    __slots__ = ("degree", "runs", "_levels")
+
+    def __init__(
+        self,
+        degree: int,
+        levels: Optional[Tuple[ChainLevel, ...]] = None,
+        runs: Optional[Tuple[Tuple[int, int], ...]] = None,
+    ):
+        self.degree = degree
+        self.runs = runs
+        self._levels = levels
+
+    @property
+    def levels(self) -> Tuple[ChainLevel, ...]:
+        if self._levels is None:
+            self._levels = tuple(
+                RunLevel(p, b, self.degree, self.runs)
+                for a, b in self.runs
+                for p in range(a, b - 1)
+            )
+        return self._levels
 
 
 def _tree_rep(
@@ -338,9 +358,10 @@ def run_transpositions(
 def symmetric_runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerChain:
     """Stabilizer chain of S_{k1} x ... x S_{kr}, one factor per run [a, b) of
     consecutive points, without Schreier-Sims: one RunLevel per point of a
-    run except its last. Equal, level by level, to the schreier_sims chain of
-    run_transpositions(n, runs). Runs must be disjoint, increasing and inside
-    [0, n); runs of one point contribute nothing."""
+    run except its last, built when the levels are first read. Equal, level
+    by level, to the schreier_sims chain of run_transpositions(n, runs). Runs
+    must be disjoint, increasing and inside [0, n); runs of one point
+    contribute nothing."""
     runs = tuple((a, b) for a, b in runs)
     prev = 0
     for a, b in runs:
@@ -349,13 +370,12 @@ def symmetric_runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerC
                 f"runs {runs!r} are not disjoint increasing runs in [0, {n})"
             )
         prev = b
-    levels = tuple(
-        RunLevel(p, b, n, runs) for a, b in runs for p in range(a, b - 1)
-    )
-    return StabilizerChain(n, levels, tuple((a, b) for a, b in runs if b - a > 1))
+    return StabilizerChain(n, runs=tuple((a, b) for a, b in runs if b - a > 1))
 
 
 def group_order(chain: StabilizerChain) -> int:
+    if chain.runs is not None:
+        return math.prod(math.factorial(b - a) for a, b in chain.runs)
     order = 1
     for lvl in chain.levels:
         order *= len(lvl.orbit)

@@ -20,9 +20,11 @@ from shufflecodec.ans import (
     message_deserialize,
     message_init,
     message_serialize,
+    pop_arrangement,
     pop_exact,
     pop_symbols,
     pop_uniforms,
+    push_arrangement,
     push_exact,
     push_symbols,
     push_uniforms,
@@ -413,7 +415,7 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x07\x00"
+        assert data[:6] == b"SHUF\x08\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "2aee97080af742eeda2cd47d9340ff30769f32e07b584386075333b00b60bf48"
@@ -425,7 +427,7 @@ class TestSerialization:
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x07\x00"
+        assert data[:6] == b"SHUF\x08\x00"
         assert len(data) == 104
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "7e12f12a6361ffddbdd21aa91e21690fae58ac7061c719fb3e03bc4acd27d86b"
@@ -443,7 +445,7 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x07\x00"
+        assert data[:6] == b"SHUF\x08\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "a40cd077c6220eb64556fe40e15e8345286ad2c10372f03fe819e0e39b89f621"
@@ -536,6 +538,20 @@ class TestRunKernels:
         assert _state(a) == _state(b)
         assert pop_uniforms(a, sizes) == xs
 
+    @pytest.mark.parametrize("n", [1, 2, 3, (1 << 16) + 1, 1 << 48])
+    def test_uniform_kernel_bytes_equal_exact_symbols_at_edge_sizes(self, n):
+        # Each size's precision is computed inline, with no call per symbol;
+        # the bytes must stay those of push_exact's subrange (x, 1, n), the
+        # head and every word pushed, for the first, a middle and the last x.
+        xs = sorted({0, n // 2, n - 1})
+        for seed in range(3):
+            a, b = random_message(seed, 2), random_message(seed, 2)
+            push_uniforms(a, xs, [n] * len(xs))
+            push_exact(b, [(x, 1, n) for x in xs])
+            assert _state(a) == _state(b)
+            assert pop_uniforms(a, [n] * len(xs)) == xs
+            assert pop_exact(b, n, lambda t: (t, t, 1)) == xs[0]
+
     @given(_messages(), _table_codecs(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_bad_table_symbol_leaves_message_unchanged(self, m, codec, data):
@@ -589,6 +605,20 @@ class TestRunKernels:
             assert _state(m) == before
         with pytest.raises(ContractViolation):
             push_uniforms(m, [1, 0], [4])
+        assert _state(m) == before
+
+    def test_sizes_that_are_not_ints_rejected(self):
+        # The kernels check the set of size types once; the one-symbol codec
+        # must refuse the same sizes when it is built.
+        m = random_message(3, 2)
+        before = _state(m)
+        for sizes in ([True], [4, 2.0]):
+            with pytest.raises(ParameterError):
+                push_uniforms(m, [0] * len(sizes), sizes)
+            with pytest.raises(ParameterError):
+                pop_uniforms(m, sizes)
+            with pytest.raises(ParameterError):
+                uniform_codec(sizes[-1])
         assert _state(m) == before
 
 
@@ -679,6 +709,110 @@ class TestExactMass:
         with pytest.raises(ContractViolation, match="empty"):
             push_exact(m, [_exact_symbol([2, 0, 2], 0), _exact_symbol([2, 0, 2], 1)])
         assert _state(m) == before
+
+
+@st.composite
+def _arrangements(draw):
+    """Counts of up to 12 labels, zeros included, and one arrangement."""
+    counts = draw(st.lists(st.integers(0, 6), max_size=12))
+    labels = [j for j, c in enumerate(counts) for _ in range(c)]
+    return counts, draw(st.permutations(labels))
+
+
+def _arrangement_subranges(labels, counts):
+    """The (start, mass, total) draws of an arrangement, by hand: the count
+    left of the lower labels, of the label itself and of all labels, until a
+    single label is left."""
+    left = list(counts)
+    out = []
+    for x in labels:
+        if sum(1 for c in left if c) <= 1:
+            break
+        out.append((sum(left[:x]), left[x], sum(left)))
+        left[x] -= 1
+    return out
+
+
+class TestArrangement:
+    """push_arrangement/pop_arrangement: draws without replacement."""
+
+    @given(_messages(), _arrangements())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, m, arrangement):
+        counts, labels = arrangement
+        before = m.copy()
+        push_arrangement(m, labels, counts)
+        assert pop_arrangement(m, counts) == labels
+        assert m == before
+
+    @given(_messages(), _arrangements())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_are_those_of_the_exact_draws(self, m, arrangement):
+        counts, labels = arrangement
+        a, b = m.copy(), m.copy()
+        push_arrangement(a, labels, counts)
+        push_exact(b, _arrangement_subranges(labels, counts))
+        assert _state(a) == _state(b)
+
+    @pytest.mark.parametrize(
+        "counts", [[40], [1] * 30, [7, 0, 3, 20], [2] * 25, [100, 1], [0, 0, 5, 5]]
+    )
+    def test_rate_is_the_log_multinomial(self, counts):
+        rng = random.Random(len(counts))
+        labels = [j for j, c in enumerate(counts) for _ in range(c)]
+        n = len(labels)
+        exact = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
+        for seed in range(5):
+            rng.shuffle(labels)
+            m = random_message(seed, 8)
+            before = m.length_bits
+            push_arrangement(m, labels, counts)
+            assert abs(m.length_bits - before - exact / math.log(2)) <= 1e-3 * max(n, 1)
+
+    def test_long_arrangements_are_fast(self):
+        # O(log r) per element: 2000 labels of two copies each, which a
+        # linear scan over the labels would make O(n**2).
+        rng = random.Random(4)
+        counts = [2] * 2000
+        labels = [j for j in range(2000) for _ in range(2)]
+        rng.shuffle(labels)
+        m = random_message(1, 4)
+        before = m.copy()
+        push_arrangement(m, labels, counts)
+        assert pop_arrangement(m, counts) == labels
+        assert m == before
+
+    def test_bad_arrangements_rejected_before_the_message_changes(self):
+        m = random_message(3, 2)
+        before = _state(m)
+        counts = [2, 0, 3]
+        for labels in (
+            [0, 2, 2, 0],  # too short
+            [0, 2, 2, 0, 2, 2],  # too long
+            [0, 0, 0, 2, 2],  # label 0 over its count
+            [2, 2, 2, 2, 0],  # label 2 over its count, in the uncoded tail
+            [0, 1, 2, 2, 0],  # label 1 has count 0
+            [0, 3, 2, 2, 0],  # no label 3
+            [0, 2.0, 2, 2, 0],
+        ):
+            with pytest.raises(ContractViolation):
+                push_arrangement(m, labels, counts)
+            assert _state(m) == before
+        for bad in ([2, -1], [2, 1.0], [1 << 48, 1]):
+            with pytest.raises(ParameterError):
+                push_arrangement(m, [0, 0, 1], bad)
+            with pytest.raises(ParameterError):
+                pop_arrangement(m, bad)
+            assert _state(m) == before
+
+    def test_one_label_codes_nothing(self):
+        m = random_message(2, 3)
+        before = m.copy()
+        push_arrangement(m, [1] * 9, [0, 9, 0])
+        assert m == before
+        assert pop_arrangement(m, [0, 9, 0]) == [1] * 9
+        assert pop_arrangement(m, []) == []
+        assert m == before
 
 
 class TestTableRate:

@@ -456,6 +456,30 @@ class TestCli:
             assert r["shuffle_bits_per_edge"] > 0
             assert r["decode_seconds"] > 0
 
+    def test_edgeless_corpus_has_no_per_edge_rates(self, tmp_path, capsys):
+        # Two empty graphs on 40 vertices: there is no edge to divide by, so
+        # the per-edge rates are None (null in JSON) and the CLI prints
+        # "no edges" where a rate would be.
+        empty = Corpus((Graph(40), Graph(40)), "EMPTY", False, False)
+        corpus_dir = str(tmp_path / "empty")
+        write_tu_dataset(empty, corpus_dir)
+        rates = (
+            "ordered_bits_per_edge", "shuffle_bits_per_edge",
+            "net_bits_per_edge", "initial_bits_per_edge",
+        )
+        report = tmp_path / "report.json"
+        argv = ["compress", "--dataset", corpus_dir, "--out", str(tmp_path / "e.shuf")]
+        assert main(argv + ["--report", str(report)]) == 0
+        assert capsys.readouterr().out.endswith("(no edges)\n")
+        payload = json.loads(report.read_text())
+        assert payload["total_edges"] == 0 and payload["total_bits"] > 0
+        assert [payload[k] for k in rates] == [None] * 4
+        assert main(["bench", "--dataset", corpus_dir, "--json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert [entry[k] for k in rates] == [None] * 4
+        assert main(["bench", "--dataset", corpus_dir]) == 0
+        assert capsys.readouterr().out.startswith("EMPTY er: no edges (")
+
     def test_data_error_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         assert main(["compress", "--dataset", str(missing), "--out", "x"]) == 1

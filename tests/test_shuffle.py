@@ -201,9 +201,9 @@ class TestShuffleEncodeDecode:
 class TestMultisets:
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field is the one the Schreier-Sims
-        # chain gave, which the closed-form chain of canonize_string must
-        # reproduce.
+        # everything after the version field, as version 8 writes it: each
+        # coset is one exact-mass draw per element of its run labels, then a
+        # Fisher-Yates shuffle of the values outside the runs.
         rng = random.Random(2408)
         masses = (5, 2, 1)
         m = message_init()
@@ -212,9 +212,9 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x07\x00"
+        assert data[:6] == b"SHUF\x08\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "435dc044f0aad518e110f2645ca8c48829474673d2aabd75ab36202fcd9d4d3d"
+            "b0364eb80a980dc273636149ac867453f921dbcc6d35521272364fd0d8432900"
         )
 
     def test_long_multisets_without_schreier_sims(self, monkeypatch):
@@ -236,6 +236,23 @@ class TestMultisets:
             codec.encode(m, xs)
             assert codec.decode(m) == tuple(sorted(xs))
             assert m == snapshot
+
+
+    def test_multisets_build_no_chain_level(self, monkeypatch):
+        # canonize_string takes the group order from the runs, and the coset
+        # step codes the runs directly: no level of the chain is built.
+        def refuse(*args):
+            raise AssertionError("RunLevel built")
+
+        monkeypatch.setattr(perms.RunLevel, "__init__", refuse)
+        xs = (2, 0, 1, 1, 0, 2, 2, 3)
+        assert canon.canonize_string(xs).aut_order == 2 * 2 * 6
+        codec = ShuffleCodec(string_codec([1, 1, 1, 1], len(xs)), sequence_class())
+        m = random_message(seed=2, tail_words=8)
+        snapshot = m.copy()
+        codec.encode(m, xs)
+        assert codec.decode(m) == tuple(sorted(xs))
+        assert m == snapshot
 
 
 class TestSymmetrize:
