@@ -24,13 +24,12 @@ from .perms import (
     Perm,
     PermGroup,
     StabilizerChain,
+    SymmetricRuns,
     compose,
     group_order,
     inverse,
     is_perm,
-    run_transpositions,
     schreier_sims,
-    symmetric_runs_chain,
 )
 
 
@@ -214,14 +213,7 @@ class SequenceCanonized:
     canon_seq: Sequence
     canon_perm: Perm
     aut_order: int
-    chain: StabilizerChain
-
-    @property
-    def aut_generators(self) -> PermGroup:
-        """The adjacent transpositions within the equal runs, built on demand:
-        the chain does not need them."""
-        n = len(self.canon_seq)
-        return PermGroup(n, run_transpositions(n, _equal_runs(self.canon_seq)))
+    aut_group: SymmetricRuns
 
 
 def apply_sequence(s: Perm, x: Sequence) -> Sequence:
@@ -258,11 +250,10 @@ def canonize_string(x: Sequence) -> SequenceCanonized:
 
     The automorphism group of the sorted sequence is the product of the
     symmetric groups on its runs of equal elements, so aut_order is the
-    product of the factorials of the element multiplicities. Its stabilizer
-    chain is built in closed form by symmetric_runs_chain, with no
-    Schreier-Sims and no level: canonization costs O(n log n) for the sort
-    and O(n) for the runs, and the coset step codes the runs directly (see
-    perm_codecs).
+    product of the factorials of the element multiplicities. It is kept as
+    its runs (SymmetricRuns), with no Schreier-Sims and no chain:
+    canonization costs O(n log n) for the sort and O(n) for the runs, and
+    the coset step codes the runs directly (see perm_codecs).
     """
     n = len(x)
     order = sorted(range(n), key=lambda i: (x[i], i))
@@ -271,5 +262,5 @@ def canonize_string(x: Sequence) -> SequenceCanonized:
         perm[i] = pos
     perm = tuple(perm)
     canon = apply_sequence(perm, x)
-    chain = symmetric_runs_chain(n, _equal_runs(canon))
-    return SequenceCanonized(canon, perm, group_order(chain), chain)
+    group = SymmetricRuns(n, _equal_runs(canon))
+    return SequenceCanonized(canon, perm, group_order(group), group)

@@ -4,20 +4,20 @@ permutation group given by a stabilizer chain, and left cosets of such a group.
 The coset codec is the bits-back workhorse: encoding a coset first *decodes* a
 group element from the message (reclaiming log2 |H| bits) and then encodes a
 permutation of the full symmetric group (paying log2 n!), for a net rate of
-log2(n!/|H|). On the chain of a product of symmetric groups on runs (a
+log2(n!/|H|). On a product of symmetric groups on runs (SymmetricRuns, a
 multiset's automorphism group) it codes the coset itself instead, as an
 arrangement of run labels over the values and a Fisher-Yates shuffle of the
-values outside the runs: log2(n!/|H|) bits with no group element, no level
-and no Lehmer code.
+values outside the runs: log2(n!/|H|) bits with no group element. The
+uniform codec over the symmetric group is that coset codec of the trivial
+group.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from .ans import (
     Codec,
-    ContractViolation,
     Message,
     pop_arrangement,
     pop_uniforms,
@@ -28,6 +28,7 @@ from .perms import (
     DegreeMismatch,
     Perm,
     StabilizerChain,
+    SymmetricRuns,
     as_perm,
     compose,
     coset_canon,
@@ -62,25 +63,11 @@ def _pop_shuffle(m: Message, n: int) -> Perm:
 
 
 def uniform_s_codec(n: int) -> Codec:
-    """Uniform codec over the symmetric group on n points, via Fisher-Yates.
-
-    The decoder is the Fisher-Yates shuffle driven by Uniform(j) draws for
-    j = n..2; the encoder recovers the draw sequence by unshuffling and then
-    encodes it in reverse. Both directions run in O(n) coder operations, one
-    run of the uniform kernel, and the aggregate rate is log2 n! per
-    permutation.
-    """
-
-    def encode(m: Message, s) -> None:
-        s = as_perm(s)
-        if len(s) != n:
-            raise ContractViolation(f"permutation degree {len(s)} != {n}")
-        _push_shuffle(m, s)
-
-    def decode(m: Message) -> Perm:
-        return _pop_shuffle(m, n)
-
-    return Codec(encode, decode)
+    """Uniform codec over the symmetric group on n points: the coset codec of
+    the trivial SymmetricRuns, a Fisher-Yates shuffle driven by Uniform(j)
+    draws for j = n..2. One run of the uniform kernel each way; the
+    aggregate rate is log2 n! per permutation."""
+    return uniform_l_coset_codec(SymmetricRuns(n, ()))
 
 
 def uniform_perm_grp_codec(chain: StabilizerChain) -> Codec:
@@ -100,31 +87,31 @@ def uniform_perm_grp_codec(chain: StabilizerChain) -> Codec:
     return Codec(encode, decode)
 
 
-def uniform_l_coset_codec(chain: StabilizerChain) -> Codec:
+def uniform_l_coset_codec(group: Union[StabilizerChain, SymmetricRuns]) -> Codec:
     """Uniform codec over left cosets of H in the symmetric group.
 
     encode accepts any member of the coset and is constant on it; decode
     returns the canonical (lex-min) member. Net rate: log2 n! - log2 |H|.
     Only the permutation passed to encode is checked; the group element t
     and the shuffle u are built here and coded through element_rank and
-    the Fisher-Yates draws directly. A chain with runs codes its cosets
+    the Fisher-Yates draws directly. SymmetricRuns codes its cosets
     directly (see _runs_coset_codec).
     """
-    if chain.runs is not None:
-        return _runs_coset_codec(chain.degree, chain.runs)
-    n = chain.degree
-    sizes = [len(lvl.orbit) for lvl in chain.levels]
+    if isinstance(group, SymmetricRuns):
+        return _runs_coset_codec(group.degree, group.runs)
+    n = group.degree
+    sizes = [len(lvl.orbit) for lvl in group.levels]
 
     def encode(m: Message, s) -> None:
-        s_canon = coset_canon(chain, as_perm(s))
-        t = element_unrank(chain, pop_uniforms(m, sizes))
+        s_canon = coset_canon(group, as_perm(s))
+        t = element_unrank(group, pop_uniforms(m, sizes))
         _push_shuffle(m, compose(s_canon, t))
 
     def decode(m: Message) -> Perm:
         u = _pop_shuffle(m, n)
-        s_canon = coset_canon(chain, u)
+        s_canon = coset_canon(group, u)
         t = compose(inverse(s_canon), u)
-        push_uniforms(m, element_rank(chain, t), sizes)
+        push_uniforms(m, element_rank(group, t), sizes)
         return s_canon
 
     return Codec(encode, decode)
@@ -140,7 +127,7 @@ def _runs_coset_codec(n: int, runs: Tuple[Tuple[int, int], ...]) -> Codec:
     log2 of n!/(k1! ... kr! q!) bits for q positions outside the runs),
     then a Fisher-Yates shuffle of the q values labelled outside (log2 q!
     bits). With no runs the arrangement codes nothing and the shuffle is
-    that of uniform_s_codec. No level is built.
+    that of the trivial group's chain.
     """
     r = len(runs)
     label_of = [r] * n

@@ -8,16 +8,12 @@ element the lexicographic minimum in one-line notation. A level's transversal
 element for orbit point w is the lex-min element of its group mapping the base
 point to w, so all derived quantities depend only on the group and the base.
 
-Chains come from two functions. schreier_sims works for any generator list; a
-level walks its Schreier tree to some element mapping the base point to w and
-takes the lex-min of its coset over the levels below. symmetric_runs_chain
-builds the chain of a product of symmetric groups on runs of consecutive
-points in closed form: it keeps the runs, and builds its levels (each orbit
-index in O(1), each transversal element in O(n)) only when they are read.
-The coset codec of such a chain codes the runs directly and reads no level
-(see perm_codecs). group_order and coset_canon work on the runs too, and
-element_rank and element_unrank take and decode each run's Lehmer code, with
-O(n log n) Python steps in place of O(n) per level.
+schreier_sims builds the chain of any generator list; a level walks its
+Schreier tree to some element mapping the base point to w and takes the
+lex-min of its coset over the levels below. A product of symmetric groups on
+runs of consecutive points (a sorted sequence's automorphism group) is no
+chain but a SymmetricRuns value: its order is a product of factorials, and
+its coset codec codes the runs directly (see perm_codecs).
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Perm = Tuple[int, ...]
 
@@ -112,18 +108,16 @@ class ChainLevel:
     """One level of a stabilizer chain: a base point, its orbit under the
     current stabilizer subgroup G, and the canonical transversal of G."""
 
-    __slots__ = ("point", "gens", "orbit", "_index", "_tree", "_walk", "_reps", "_below")
+    __slots__ = ("point", "orbit", "_index", "_tree", "_walk", "_reps", "_below")
 
     def __init__(
         self,
         point: int,
         degree: int,
-        gens: Sequence[Perm],
         tree: Dict[int, Tuple[int, Perm]],
         below: "StabilizerChain",
     ):
         self.point = point
-        self.gens = tuple(gens)
         self.orbit = tuple(sorted(tree))
         self._index = {w: i for i, w in enumerate(self.orbit)}
         self._tree = tree
@@ -146,76 +140,44 @@ class ChainLevel:
         return self._reps[point]
 
 
-class RunLevel(ChainLevel):
-    """Level p of the chain of a product of symmetric groups whose factor
-    acts on the run [a, b) containing p, in closed form.
-
-    The orbit is range(p, b) and the transversal element for w is the cycle
-    p -> w, k -> k-1 on (p, w]: the closed form of the lex-min element that
-    maps p to w. rep is O(n) and orbit_index O(1); nothing is cached.
-    gens, the adjacent transpositions (k, k+1) with k >= p within the runs, is
-    built on demand, since no coset operation reads it.
-    """
-
-    __slots__ = ("_end", "_degree", "_runs")
-
-    def __init__(
-        self, point: int, end: int, degree: int, runs: Tuple[Tuple[int, int], ...]
-    ):
-        self.point = point
-        self.orbit = range(point, end)
-        self._end = end
-        self._degree = degree
-        self._runs = runs
-
-    @property
-    def gens(self) -> Tuple[Perm, ...]:
-        return run_transpositions(self._degree, self._runs, self.point)
-
-    def orbit_index(self, point: int) -> Optional[int]:
-        return point - self.point if self.point <= point < self._end else None
-
-    def rep(self, point: int) -> Perm:
-        p = self.point
-        if not p <= point < self._end:
-            raise KeyError(point)
-        return (*range(p), point, *range(p, point), *range(point + 1, self._degree))
-
-    any_rep = rep
-
-
 class StabilizerChain:
     """Stabilizer chain with base points in increasing order; levels with
-    trivial orbits are omitted. The terminal subgroup is trivial.
+    trivial orbits are omitted. The terminal subgroup is trivial."""
 
-    ``runs`` is set on the chains of symmetric_runs_chain: the runs [a, b) of
-    two or more points whose symmetric groups the product has as factors.
-    group_order, coset_canon, element_rank and element_unrank then work on
-    the runs in closed form, with the results of the level walk, and the
-    levels are built only when something reads them.
+    __slots__ = ("degree", "levels")
+
+    def __init__(self, degree: int, levels: Tuple[ChainLevel, ...]):
+        self.degree = degree
+        self.levels = levels
+
+
+@dataclass(frozen=True)
+class SymmetricRuns:
+    """S_{k1} x ... x S_{kr}, one symmetric group per run [a, b) of
+    consecutive points: the automorphism group of a sorted sequence.
+
+    Runs must be disjoint, increasing and inside [0, degree), with int
+    endpoints; runs of one point contribute nothing and are dropped. No chain
+    is built: group_order and the coset codec (see perm_codecs) read the
+    runs.
     """
 
-    __slots__ = ("degree", "runs", "_levels")
+    degree: int
+    runs: Tuple[Tuple[int, int], ...]
 
-    def __init__(
-        self,
-        degree: int,
-        levels: Optional[Tuple[ChainLevel, ...]] = None,
-        runs: Optional[Tuple[Tuple[int, int], ...]] = None,
-    ):
-        self.degree = degree
-        self.runs = runs
-        self._levels = levels
-
-    @property
-    def levels(self) -> Tuple[ChainLevel, ...]:
-        if self._levels is None:
-            self._levels = tuple(
-                RunLevel(p, b, self.degree, self.runs)
-                for a, b in self.runs
-                for p in range(a, b - 1)
-            )
-        return self._levels
+    def __post_init__(self):
+        n = self.degree
+        if type(n) is not int or n < 0:
+            raise ValueError(f"degree {n!r} is not a nonnegative int")
+        runs = tuple((a, b) for a, b in self.runs)
+        prev = 0
+        for a, b in runs:
+            if type(a) is not int or type(b) is not int or not prev <= a < b <= n:
+                raise ValueError(
+                    f"runs {runs!r} are not disjoint increasing int runs in [0, {n})"
+                )
+            prev = b
+        object.__setattr__(self, "runs", tuple((a, b) for a, b in runs if b - a > 1))
 
 
 def _tree_rep(
@@ -337,62 +299,19 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
     frozen: Tuple[ChainLevel, ...] = ()  # bottom-up: a level reads those below
     for k in reversed(range(len(levels))):
         lvl, below = levels[k], StabilizerChain(n, frozen)
-        frozen = (ChainLevel(lvl.point, n, strong_gens(k), lvl.tree, below),) + frozen
+        frozen = (ChainLevel(lvl.point, n, lvl.tree, below),) + frozen
     return StabilizerChain(n, frozen)
 
 
-def run_transpositions(
-    n: int, runs: Sequence[Tuple[int, int]], start: int = 0
-) -> Tuple[Perm, ...]:
-    """The adjacent transpositions (k, k+1) inside the runs [a, b) with
-    k >= start, in increasing k. With start = 0 they generate the product of
-    the symmetric groups on the runs; with start = p, its pointwise stabilizer
-    of the points below p."""
-    gens = []
-    for a, b in runs:
-        for k in range(max(a, start), b - 1):
-            gens.append((*range(k), k + 1, k, *range(k + 2, n)))
-    return tuple(gens)
-
-
-def symmetric_runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerChain:
-    """Stabilizer chain of S_{k1} x ... x S_{kr}, one factor per run [a, b) of
-    consecutive points, without Schreier-Sims: one RunLevel per point of a
-    run except its last, built when the levels are first read. Equal, level
-    by level, to the schreier_sims chain of run_transpositions(n, runs). Runs
-    must be disjoint, increasing and inside [0, n); runs of one point
-    contribute nothing."""
-    runs = tuple((a, b) for a, b in runs)
-    prev = 0
-    for a, b in runs:
-        if not prev <= a < b <= n:
-            raise ValueError(
-                f"runs {runs!r} are not disjoint increasing runs in [0, {n})"
-            )
-        prev = b
-    return StabilizerChain(n, runs=tuple((a, b) for a, b in runs if b - a > 1))
-
-
-def group_order(chain: StabilizerChain) -> int:
-    if chain.runs is not None:
-        return math.prod(math.factorial(b - a) for a, b in chain.runs)
-    order = 1
-    for lvl in chain.levels:
-        order *= len(lvl.orbit)
-    return order
+def group_order(group: Union[StabilizerChain, SymmetricRuns]) -> int:
+    if isinstance(group, SymmetricRuns):
+        return math.prod(math.factorial(b - a) for a, b in group.runs)
+    return math.prod(len(lvl.orbit) for lvl in group.levels)
 
 
 def _check_degree(chain: StabilizerChain, s: Perm) -> None:
     if len(s) != chain.degree:
         raise DegreeMismatch(f"degrees {len(s)} and {chain.degree} differ")
-
-
-def _sort_runs(runs: Tuple[Tuple[int, int], ...], s: Perm) -> List[int]:
-    """s with the values inside each run sorted."""
-    out = list(s)
-    for a, b in runs:
-        out[a:b] = sorted(s[a:b])
-    return out
 
 
 def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
@@ -401,12 +320,8 @@ def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
     Descends the stabilizer chain: at each level the base point's image is
     minimized over the orbit, globally optimal as the base is increasing and
     points between base points have trivial orbits. Any transversal will do.
-    On a chain with runs, s*H permutes the values inside each run, so the
-    minimum sorts them.
     """
     _check_degree(chain, s)
-    if chain.runs is not None:
-        return tuple(_sort_runs(chain.runs, s))
     cur = s
     for lvl in chain.levels:
         best = min(lvl.orbit, key=lambda w: cur[w])
@@ -416,25 +331,8 @@ def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
 
 def element_rank(chain: StabilizerChain, h: Perm) -> Tuple[int, ...]:
     """Orbit-index tuple of a group member under the chain's transversal
-    factorization h = u_0 * u_1 * ... Raises NotInGroup for non-members.
-
-    On a chain with runs, the index at level p is the number of later
-    positions in p's run whose value is below h[p]: each run's Lehmer code.
-    """
+    factorization h = u_0 * u_1 * ... Raises NotInGroup for non-members."""
     _check_degree(chain, h)
-    if chain.runs is not None:
-        if _sort_runs(chain.runs, h) != list(range(chain.degree)):
-            raise NotInGroup("permutation does not keep the runs")
-        indices: List[int] = []
-        for a, b in chain.runs:
-            below = [h[b - 1]]  # the run's later values, sorted
-            code = []
-            for p in range(b - 2, a - 1, -1):
-                i = bisect.bisect_left(below, h[p])
-                code.append(i)
-                below.insert(i, h[p])
-            indices.extend(reversed(code))
-        return tuple(indices)
     cur = h
     indices = []
     for lvl in chain.levels:
@@ -450,24 +348,11 @@ def element_rank(chain: StabilizerChain, h: Perm) -> Tuple[int, ...]:
 
 
 def element_unrank(chain: StabilizerChain, indices: Sequence[int]) -> Perm:
-    """Inverse of element_rank. On a chain with runs, level p takes the
-    index-th smallest value of its run not taken yet."""
+    """Inverse of element_rank."""
     if len(indices) != len(chain.levels):
         raise ValueError(
             f"expected {len(chain.levels)} indices, got {len(indices)}"
         )
-    if chain.runs is not None:
-        h = list(range(chain.degree))
-        it = iter(indices)
-        for a, b in chain.runs:
-            left = list(range(a, b))
-            for p in range(a, b - 1):
-                idx = next(it)
-                if not 0 <= idx < b - p:
-                    raise ValueError(f"index {idx} outside orbit of size {b - p}")
-                h[p] = left.pop(idx)
-            h[b - 1] = left[0]
-        return tuple(h)
     h = identity(chain.degree)
     for lvl, idx in zip(chain.levels, indices):
         if not 0 <= idx < len(lvl.orbit):

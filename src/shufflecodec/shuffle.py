@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Union
 
 from .ans import WORD_BITS, Codec, Message
 from .canon import canonize, canonize_string, apply_sequence
 from .graphs import Graph, apply_perm
 from .perm_codecs import uniform_l_coset_codec
-from .perms import Perm, StabilizerChain, inverse
+from .perms import Perm, StabilizerChain, SymmetricRuns, inverse
 
 
 class CanonInfo(NamedTuple):
@@ -29,7 +29,7 @@ class CanonInfo(NamedTuple):
 
     value: Any
     perm: Perm
-    chain: StabilizerChain
+    aut_group: Union[StabilizerChain, SymmetricRuns]
     aut_order: int
 
 
@@ -53,7 +53,7 @@ def graph_class() -> PermutableClass:
 def sequence_class() -> PermutableClass:
     def canon(x) -> CanonInfo:
         c = canonize_string(x)
-        return CanonInfo(c.canon_seq, c.canon_perm, c.chain, c.aut_order)
+        return CanonInfo(c.canon_seq, c.canon_perm, c.aut_group, c.aut_order)
 
     return PermutableClass(apply_sequence, canon, len)
 
@@ -100,7 +100,7 @@ class ShuffleCodec:
         canonize_seconds = time.perf_counter() - started
         n = self.pclass.degree(f)
         pad_before = m.pad_consumed
-        coset_codec = uniform_l_coset_codec(info.chain)
+        coset_codec = uniform_l_coset_codec(info.aut_group)
         s = coset_codec.decode(m)
         length_mid = m.length_bits
         g = self.pclass.apply(s, info.value)
@@ -120,5 +120,5 @@ class ShuffleCodec:
         g = self.ordered_codec.decode(m)
         info = self.pclass.canonize(g)
         s = inverse(info.perm)
-        uniform_l_coset_codec(info.chain).encode(m, s)
+        uniform_l_coset_codec(info.aut_group).encode(m, s)
         return info.value

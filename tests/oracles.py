@@ -4,8 +4,9 @@ Each is a slow, direct version of something the package computes fast, or a
 diagnostic only tests run: brute-force canonization over all n! relabelings,
 canonization of edge-attributed graphs through a vertex-colored embedding, an
 exchangeability check for ordered codecs, orbits by breadth-first closure,
-enumeration of a stabilizer chain's group, and stripping re-materialized pad
-words from a message.
+enumeration of a stabilizer chain's group, the Schreier-Sims chain of a
+product of symmetric groups on runs, and stripping re-materialized pad words
+from a message.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from shufflecodec.ans import Codec, Message, pad_word
 from shufflecodec.canon import Canonized, canonize
@@ -217,6 +218,21 @@ def chain_elements(chain: StabilizerChain):
             yield from walk(idx + 1, compose(acc, lvl.rep(w)))
 
     yield from walk(0, identity(n))
+
+
+def run_transpositions(n: int, runs: Sequence[Tuple[int, int]]) -> Tuple[Perm, ...]:
+    """The adjacent transpositions (k, k+1) inside the runs [a, b), in
+    increasing k: generators of the product of the symmetric groups on the
+    runs."""
+    return tuple(
+        (*range(k), k + 1, k, *range(k + 2, n)) for a, b in runs for k in range(a, b - 1)
+    )
+
+
+def runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerChain:
+    """The schreier_sims chain of the product of the symmetric groups on the
+    runs: the reference for SymmetricRuns, for small n."""
+    return schreier_sims(PermGroup(n, run_transpositions(n, runs)))
 
 
 def without_pad_residue(m: Message) -> Message:

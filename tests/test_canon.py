@@ -540,7 +540,7 @@ class TestSequenceCanon:
             for v in set(xs):
                 expected *= math.factorial(xs.count(v))
             assert c.aut_order == expected
-            assert group_order(c.chain) == expected
+            assert group_order(c.aut_group) == expected
 
     def test_invariance(self):
         rng = random.Random(10)

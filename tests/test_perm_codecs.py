@@ -14,16 +14,16 @@ from shufflecodec.perm_codecs import (
 from shufflecodec.perms import (
     NotInGroup,
     PermGroup,
+    SymmetricRuns,
     compose,
     coset_canon,
     group_order,
     identity,
     schreier_sims,
-    symmetric_runs_chain,
 )
 
 from conftest import random_message
-from oracles import chain_elements
+from oracles import chain_elements, runs_chain
 
 
 class TestUniformS:
@@ -240,8 +240,9 @@ class TestUniformLCoset:
 
 
 class TestRunsCoset:
-    """uniform_l_coset_codec on chains with runs: the arrangement of the run
-    labels over the values, then a shuffle of the values outside the runs."""
+    """uniform_l_coset_codec on SymmetricRuns: the arrangement of the run
+    labels over the values, then a shuffle of the values outside the runs.
+    The reference is the schreier_sims chain of the same group."""
 
     # Runs of two or more points with single points before, between and
     # after them, and the edge cases of no run and of one run over all.
@@ -256,10 +257,10 @@ class TestRunsCoset:
 
     @pytest.mark.parametrize("n, runs", RUNS)
     def test_decode_is_coset_canon_and_encode_constant_on_coset(self, n, runs):
-        chain = symmetric_runs_chain(n, runs)
-        codec = uniform_l_coset_codec(chain)
+        codec = uniform_l_coset_codec(SymmetricRuns(n, runs))
+        ref = runs_chain(n, runs)
         rng = random.Random(n * 31 + len(runs))
-        elements = list(chain_elements(chain))
+        elements = list(chain_elements(ref))
         for trial in range(10):
             s = tuple(rng.sample(range(n), n))
             start = random_message(seed=trial, tail_words=16)
@@ -270,60 +271,47 @@ class TestRunsCoset:
                 if reference is None:
                     reference = m.copy()
                 assert m == reference
-            assert codec.decode(m) == coset_canon(chain, s)
+            assert codec.decode(m) == coset_canon(ref, s)
             assert m == start
 
     @pytest.mark.parametrize("n, runs", RUNS)
     def test_net_rate(self, n, runs):
-        chain = symmetric_runs_chain(n, runs)
-        codec = uniform_l_coset_codec(chain)
+        group = SymmetricRuns(n, runs)
+        codec = uniform_l_coset_codec(group)
+        ref = runs_chain(n, runs)
         rng = random.Random(5)
         m = random_message(seed=7, tail_words=16)
         before = m.length_bits
         cosets = [tuple(rng.sample(range(n), n)) for _ in range(300)]
         for s in cosets:
             codec.encode(m, s)
-        exact = math.log2(math.factorial(n) // group_order(chain))
+        assert group_order(group) == group_order(ref)
+        exact = math.log2(math.factorial(n) // group_order(ref))
         assert abs(m.length_bits - before - 300 * exact) <= 1e-3 * 300 * n
         assert [codec.decode(m) for _ in cosets] == [
-            coset_canon(chain, s) for s in reversed(cosets)
+            coset_canon(ref, s) for s in reversed(cosets)
         ]
 
     def test_no_runs_codes_the_shuffle_of_uniform_s(self, rng):
-        # With no run the cosets are the permutations and the bytes are
-        # those of uniform_s_codec: graphs and urn edge lists keep theirs.
-        chain = symmetric_runs_chain(9, [])
+        # With no run the cosets are the permutations and the bytes are those
+        # of the trivial group's chain: graphs and urn edge lists keep theirs.
+        trivial = uniform_l_coset_codec(schreier_sims(PermGroup.trivial(9)))
         for trial in range(10):
             s = tuple(rng.sample(range(9), 9))
             a = random_message(seed=trial, tail_words=4)
-            b = a.copy()
-            uniform_l_coset_codec(chain).encode(a, s)
+            b, c = a.copy(), a.copy()
+            uniform_l_coset_codec(SymmetricRuns(9, [])).encode(a, s)
             uniform_s_codec(9).encode(b, s)
-            assert a == b
-            assert uniform_l_coset_codec(chain).decode(a) == s
-
-    def test_builds_no_level(self, monkeypatch, rng):
-        # The codec reads the runs only; the chain's levels stay unbuilt.
-        def refuse(*args):
-            raise AssertionError("RunLevel built")
-
-        monkeypatch.setattr(perms.RunLevel, "__init__", refuse)
-        chain = symmetric_runs_chain(40, [(0, 10), (12, 30), (31, 33)])
-        codec = uniform_l_coset_codec(chain)
-        m = random_message(seed=3, tail_words=8)
-        before = m.copy()
-        s = tuple(rng.sample(range(40), 40))
-        codec.encode(m, s)
-        assert codec.decode(m) == coset_canon(chain, s)
-        assert m == before
-        assert group_order(chain) == math.factorial(10) * math.factorial(18) * 2
+            trivial.encode(c, s)
+            assert a == b == c
+            assert uniform_l_coset_codec(SymmetricRuns(9, [])).decode(a) == s
 
     def test_bad_input_rejected_before_the_message_changes(self):
-        codec = uniform_l_coset_codec(symmetric_runs_chain(4, [(0, 2)]))
         m = random_message(seed=1, tail_words=4)
         before = m.copy()
-        with pytest.raises(perms.DegreeMismatch):
-            codec.encode(m, (0, 1, 2))
-        with pytest.raises(ValueError):
-            codec.encode(m, (0, 1, 1, 3))
+        for codec in (uniform_l_coset_codec(SymmetricRuns(4, [(0, 2)])), uniform_s_codec(4)):
+            with pytest.raises(perms.DegreeMismatch):
+                codec.encode(m, (0, 1, 2))
+            with pytest.raises(ValueError):
+                codec.encode(m, (0, 1, 1, 3))
         assert m == before

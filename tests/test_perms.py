@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflecodec.canon import canonize_string
+from shufflecodec.perm_codecs import uniform_l_coset_codec
 from shufflecodec.perms import (
     DegreeMismatch,
     NotInGroup,
     PermGroup,
-    StabilizerChain,
+    SymmetricRuns,
     compose,
     coset_canon,
     element_rank,
@@ -19,13 +20,12 @@ from shufflecodec.perms import (
     group_order,
     identity,
     inverse,
-    run_transpositions,
     schreier_sims,
     smallest_moved,
-    symmetric_runs_chain,
 )
 
-from oracles import chain_elements, orbit_of
+from conftest import random_message
+from oracles import chain_elements, orbit_of, run_transpositions, runs_chain
 
 
 def closure(n, gens):
@@ -129,7 +129,9 @@ class TestSchreierSims:
         b = schreier_sims(grp)
         assert [lvl.point for lvl in a.levels] == [lvl.point for lvl in b.levels]
         assert [lvl.orbit for lvl in a.levels] == [lvl.orbit for lvl in b.levels]
-        assert [lvl.gens for lvl in a.levels] == [lvl.gens for lvl in b.levels]
+        assert [[lvl.rep(w) for w in lvl.orbit] for lvl in a.levels] == [
+            [lvl.rep(w) for w in lvl.orbit] for lvl in b.levels
+        ]
 
     def test_chain_independent_of_generators(self):
         # Points, orbits and transversal elements, and so every coset code,
@@ -250,6 +252,23 @@ class TestRankUnrank:
             for h in members:
                 assert element_unrank(chain, element_rank(chain, h)) == h
 
+    def test_bad_input_rejected(self):
+        # One chain of S2 x S3 on five points: a wrong degree, a
+        # non-permutation, a non-member and malformed index tuples.
+        chain = runs_chain(5, [(0, 2), (2, 5)])
+        with pytest.raises(DegreeMismatch):
+            coset_canon(chain, (0, 1, 2, 3))
+        with pytest.raises(DegreeMismatch):
+            element_rank(chain, (0, 1, 2, 3))
+        with pytest.raises(NotInGroup):
+            element_rank(chain, (0, 0, 2, 3, 4))
+        with pytest.raises(NotInGroup):
+            element_rank(chain, (2, 1, 0, 3, 4))
+        with pytest.raises(ValueError):
+            element_unrank(chain, (0, 3, 0))
+        with pytest.raises(ValueError):
+            element_unrank(chain, (0, 0))
+
     def test_non_member_detected(self):
         chain = schreier_sims(PermGroup(4, ((1, 0, 3, 2),)))
         with pytest.raises(NotInGroup):
@@ -312,21 +331,12 @@ class TestSymmetricRunsChain:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda k: st.lists(st.integers(0, k - 1), max_size=40)))
     def test_equals_schreier_sims_chain(self, xs):
-        # The closed-form chain of a sorted sequence's automorphism group is
-        # the chain schreier_sims builds from the adjacent transpositions,
-        # level by level, so coset codes over either are the same bits.
+        # The order of a sorted sequence's automorphism group, read from its
+        # runs, is that of the chain schreier_sims builds from the adjacent
+        # transpositions within the runs.
         c = canonize_string(xs)
-        ref = schreier_sims(c.aut_generators)
-        assert len(c.chain.levels) == len(ref.levels)
-        for lvl, want in zip(c.chain.levels, ref.levels):
-            assert lvl.point == want.point
-            assert tuple(lvl.orbit) == want.orbit
-            assert lvl.gens == want.gens
-            for w in want.orbit:
-                assert lvl.rep(w) == want.rep(w)
-            for v in range(len(xs)):
-                assert lvl.orbit_index(v) == want.orbit_index(v)
-        assert group_order(c.chain) == group_order(ref) == c.aut_order
+        ref = runs_chain(len(xs), c.aut_group.runs)
+        assert group_order(c.aut_group) == group_order(ref) == c.aut_order
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -336,48 +346,35 @@ class TestSymmetricRunsChain:
         st.randoms(use_true_random=False),
     )
     def test_closed_forms_equal_the_level_walk(self, xs, rnd):
-        # coset_canon, element_rank and element_unrank on a runs chain sort
-        # runs, take Lehmer codes and pick the idx-th smallest value left.
-        # The same levels without runs go through the level walk; both must
-        # give the same permutations and indices, so coset bytes are equal.
-        chain = canonize_string(xs).chain
-        walk = StabilizerChain(chain.degree, chain.levels)
-        n = chain.degree
+        # SymmetricRuns has closed forms where a chain walks its levels: the
+        # order is the product of the k!, and the coset codec decodes s to s
+        # with the values inside each run sorted. Both must agree with the
+        # level walk over the reference chain, and the member of the group
+        # that takes s to its canonical form must rank and unrank there.
+        group = canonize_string(xs).aut_group
+        n = group.degree
+        ref = runs_chain(n, group.runs)
+        assert group_order(group) == group_order(ref)
         s = tuple(rnd.sample(range(n), n))
-        assert coset_canon(chain, s) == coset_canon(walk, s)
-        indices = [rnd.randrange(len(lvl.orbit)) for lvl in chain.levels]
-        h = element_unrank(walk, indices)
-        assert element_unrank(chain, indices) == h
-        assert element_rank(chain, h) == element_rank(walk, h) == tuple(indices)
-        if group_order(chain) < math.factorial(n):
-            # A permutation outside the group: its coset is not the group's.
-            while coset_canon(walk, s) == identity(n):
-                s = tuple(rnd.sample(range(n), n))
-            for c in (chain, walk):
-                with pytest.raises(NotInGroup):
-                    element_rank(c, s)
-
-    def test_closed_forms_reject_bad_input(self):
-        chain = symmetric_runs_chain(5, [(0, 2), (2, 5)])
-        with pytest.raises(DegreeMismatch):
-            coset_canon(chain, (0, 1, 2, 3))
-        with pytest.raises(NotInGroup):
-            element_rank(chain, (0, 0, 2, 3, 4))
-        with pytest.raises(NotInGroup):
-            element_rank(chain, (2, 1, 0, 3, 4))
-        with pytest.raises(ValueError):
-            element_unrank(chain, (0, 3, 0))
-        with pytest.raises(ValueError):
-            element_unrank(chain, (0, 0))
+        closed = list(s)
+        for a, b in group.runs:
+            closed[a:b] = sorted(s[a:b])
+        codec = uniform_l_coset_codec(group)
+        m = random_message(seed=len(xs), tail_words=8)
+        codec.encode(m, s)
+        canon = codec.decode(m)
+        assert tuple(canon) == tuple(closed) == coset_canon(ref, s)
+        h = compose(inverse(s), canon)
+        assert element_unrank(ref, element_rank(ref, h)) == h
 
     def test_runs_validated(self):
-        for runs in ([(0, 3), (2, 4)], [(2, 4), (0, 2)], [(0, 5)], [(1, 1)]):
+        bad = (
+            [(0, 3), (2, 4)], [(2, 4), (0, 2)], [(0, 5)], [(1, 1)],
+            [(0.0, 2.0)], [(0, 2.0)], [(False, True)], [(0, True)],
+        )
+        for runs in bad:
             with pytest.raises(ValueError):
-                symmetric_runs_chain(4, runs)
-
-    def test_rep_outside_orbit_rejected(self):
-        lvl = symmetric_runs_chain(5, [(1, 4)]).levels[0]
-        assert [lvl.orbit_index(v) for v in range(5)] == [None, 0, 1, 2, None]
-        for w in (0, 4):
-            with pytest.raises(KeyError):
-                lvl.rep(w)
+                SymmetricRuns(4, runs)
+        for n in (4.0, True, -1):
+            with pytest.raises(ValueError):
+                SymmetricRuns(n, [])

@@ -229,7 +229,7 @@ class TestMultisets:
         rng = random.Random(5)
         for xs in ((1,) * n, tuple(rng.randrange(2) for _ in range(n))):
             c = canon.canonize_string(xs)
-            assert len(c.chain.levels) == n - len(set(xs))
+            assert c.aut_order == math.prod(math.factorial(xs.count(v)) for v in set(xs))
             codec = ShuffleCodec(string_codec([1, 1], n), sequence_class())
             m = random_message(seed=6, tail_words=640)
             snapshot = m.copy()
@@ -240,11 +240,11 @@ class TestMultisets:
 
     def test_multisets_build_no_chain_level(self, monkeypatch):
         # canonize_string takes the group order from the runs, and the coset
-        # step codes the runs directly: no level of the chain is built.
+        # step codes the runs directly: no chain level is built.
         def refuse(*args):
-            raise AssertionError("RunLevel built")
+            raise AssertionError("chain level built")
 
-        monkeypatch.setattr(perms.RunLevel, "__init__", refuse)
+        monkeypatch.setattr(perms.ChainLevel, "__init__", refuse)
         xs = (2, 0, 1, 1, 0, 2, 2, 3)
         assert canon.canonize_string(xs).aut_order == 2 * 2 * 6
         codec = ShuffleCodec(string_codec([1, 1, 1, 1], len(xs)), sequence_class())
@@ -295,7 +295,8 @@ class TestPackageScope:
             "canonize_bruteforce", "SizeError", "embed_edge_colors",
             "canonize_via_embedding", "symmetrize_check", "ClassReport",
             "SymmetrizeReport", "orbit_of", "chain_elements",
-            "without_pad_residue", "CanonStats",
+            "without_pad_residue", "CanonStats", "run_transpositions",
+            "runs_chain",
         }
         defined = set()
         for path in pathlib.Path(shufflecodec.__file__).parent.glob("*.py"):
