@@ -235,10 +235,14 @@ def push_symbols(m: Message, table: Table, symbols: Sequence[int]) -> None:
     message changes, if a symbol has no mass."""
     masses, cums, precision = table.masses, table.cums, table.precision
     k = len(masses)
-    if symbols and not (
-        min(symbols) >= 0 and max(symbols) < k and all(map(masses.__getitem__, symbols))
-    ):
-        bad = next(x for x in symbols if not (0 <= x < k and masses[x]))
+    try:
+        valid = not symbols or (
+            min(symbols) >= 0 and max(symbols) < k and all(map(masses.__getitem__, symbols))
+        )
+    except TypeError:  # a symbol that is not an int
+        valid = False
+    if not valid:
+        bad = next(x for x in symbols if not (isinstance(x, int) and 0 <= x < k and masses[x]))
         raise _bad_symbol(masses, bad)
     shift = 64 - precision
     head = m.head

@@ -15,6 +15,7 @@ perms), which makes compressed bitstreams identical across isomorphic inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -234,26 +235,29 @@ def apply_sequence(s: Perm, x: Sequence) -> Sequence:
     return tuple(out)
 
 
-def _equal_runs(seq: Sequence) -> List[Tuple[int, int]]:
-    """The maximal runs [a, b) of equal adjacent elements."""
+def equal_runs(ordered: Sequence) -> List[Tuple[int, int]]:
+    """The maximal runs [a, b) of equal elements of a sorted sequence, found
+    by bisection: one step per run."""
     runs = []
     a = 0
-    for k in range(1, len(seq) + 1):
-        if k == len(seq) or seq[k] != seq[k - 1]:
-            runs.append((a, k))
-            a = k
+    while a < len(ordered):
+        b = bisect_right(ordered, ordered[a], a)
+        runs.append((a, b))
+        a = b
     return runs
 
 
 def canonize_string(x: Sequence) -> SequenceCanonized:
-    """Canonical ordering for sequences/multisets: stable sort.
+    """Canonical ordering for sequences/multisets: stable sort, with the sort
+    permutation.
 
     The automorphism group of the sorted sequence is the product of the
     symmetric groups on its runs of equal elements, so aut_order is the
     product of the factorials of the element multiplicities. It is kept as
-    its runs (SymmetricRuns), with no Schreier-Sims and no chain:
-    canonization costs O(n log n) for the sort and O(n) for the runs, and
-    the coset step codes the runs directly (see perm_codecs).
+    its runs (SymmetricRuns), with no Schreier-Sims and no chain. This is
+    sequence_class's canonizer for the generic permutation interface
+    (symmetrize checks, verifying a decoded multiset); its coding path
+    sorts the values and builds no permutation (see shuffle).
     """
     n = len(x)
     order = sorted(range(n), key=lambda i: (x[i], i))
@@ -262,5 +266,5 @@ def canonize_string(x: Sequence) -> SequenceCanonized:
         perm[i] = pos
     perm = tuple(perm)
     canon = apply_sequence(perm, x)
-    group = SymmetricRuns(n, _equal_runs(canon))
+    group = SymmetricRuns(n, equal_runs(canon))
     return SequenceCanonized(canon, perm, group_order(group), group)

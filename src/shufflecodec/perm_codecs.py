@@ -6,15 +6,16 @@ group element from the message (reclaiming log2 |H| bits) and then encodes a
 permutation of the full symmetric group (paying log2 n!), for a net rate of
 log2(n!/|H|). On a product of symmetric groups on runs (SymmetricRuns, a
 multiset's automorphism group) it codes the coset itself instead, as an
-arrangement of run labels over the values and a Fisher-Yates shuffle of the
-values outside the runs: log2(n!/|H|) bits with no group element. The
-uniform codec over the symmetric group is that coset codec of the trivial
-group.
+arrangement of groups over the values: log2(n!/|H|) bits with no group
+element. That arrangement (pop_group_arrangement/push_group_arrangement)
+holds the one label layout for such cosets, and the sequence class codes a
+multiset's ordering with it directly, with no permutation. The uniform
+codec over the symmetric group is the coset codec of the trivial group.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .ans import (
     Codec,
@@ -117,52 +118,80 @@ def uniform_l_coset_codec(group: Union[StabilizerChain, SymmetricRuns]) -> Codec
     return Codec(encode, decode)
 
 
+def _label_layout(sizes: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """The labels of a group arrangement, which decide its bytes: one label
+    per group of two or more slots, in group order, then one label shared by
+    the groups of one slot. Returns the groups of two or more, the groups of
+    one and the label counts."""
+    runs = [g for g, k in enumerate(sizes) if k > 1]
+    singles = [g for g, k in enumerate(sizes) if k == 1]
+    return runs, singles, [sizes[g] for g in runs] + [len(singles)]
+
+
+def pop_group_arrangement(m: Message, sizes: Sequence[int]) -> List[int]:
+    """Pop a uniformly random arrangement of groups over n = sum(sizes)
+    slots: for each slot, the group in it, each group g in sizes[g] slots
+    (every size at least 1). pop_arrangement gives each slot its label (see
+    _label_layout); then a Fisher-Yates shuffle places the groups of one
+    slot, in group order, on the slots of the shared label, in slot order.
+    log2(n!/prod(sizes[g]!)) bits in all."""
+    runs, singles, counts = _label_layout(sizes)
+    labels = pop_arrangement(m, counts)
+    shuffle = _pop_shuffle(m, len(singles))
+    runs.append(-1)  # the shared label: its slots wait for the shuffle
+    slots = [runs[j] for j in labels]
+    outside = [v for v, g in enumerate(slots) if g < 0]
+    for g, k in zip(singles, shuffle):
+        slots[outside[k]] = g
+    return slots
+
+
+def push_group_arrangement(m: Message, slots: Sequence[int], sizes: Sequence[int]) -> None:
+    """Push slots, an arrangement of groups that pop_group_arrangement(m,
+    sizes) pops back. The caller builds it; it is not checked."""
+    runs, singles, counts = _label_layout(sizes)
+    r = len(runs)
+    label_of = [r] * len(sizes)
+    for j, g in enumerate(runs):
+        label_of[g] = j
+    labels = [label_of[g] for g in slots]
+    rank = [0] * len(sizes)
+    for k, g in enumerate([g for g, j in zip(slots, labels) if j == r]):
+        rank[g] = k
+    _push_shuffle(m, [rank[g] for g in singles])
+    push_arrangement(m, labels, counts)
+
+
 def _runs_coset_codec(n: int, runs: Tuple[Tuple[int, int], ...]) -> Codec:
     """The coset codec of S_{k1} x ... x S_{kr}, one factor per run [a, b).
 
     A coset s*H is fixed by which values s puts on each run, and by the
-    values on the positions outside the runs. Each run is one label, the
-    positions outside them share one more label, and the coset is the
-    arrangement of these labels over the values 0..n-1 (push_arrangement,
-    log2 of n!/(k1! ... kr! q!) bits for q positions outside the runs),
-    then a Fisher-Yates shuffle of the q values labelled outside (log2 q!
-    bits). With no runs the arrangement codes nothing and the shuffle is
-    that of the trivial group's chain.
+    value on each position outside the runs. So the positions fall into
+    groups, each run one group and each other position one of its own, in
+    position order, and the coset is the arrangement of these groups over
+    the values 0..n-1 (see pop_group_arrangement): log2 of n!/(k1! ... kr!)
+    bits.
     """
-    r = len(runs)
-    label_of = [r] * n
-    counts = []
-    for j, (a, b) in enumerate(runs):
-        label_of[a:b] = [j] * (b - a)
-        counts.append(b - a)
-    counts.append(n - sum(counts))
-    singles = [i for i in range(n) if label_of[i] == r]
+    inside = {i for a, b in runs for i in range(a + 1, b)}
+    first = [i for i in range(n) if i not in inside]
+    sizes = [b - a for a, b in zip(first, first[1:] + [n])]
+    group_of = [g for g, k in enumerate(sizes) for _ in range(k)]
 
     def encode(m: Message, s) -> None:
         s = as_perm(s)
         if len(s) != n:
             raise DegreeMismatch(f"degrees {len(s)} and {n} differ")
-        labels = [label_of[i] for i in inverse(s)]
-        rank = [0] * n
-        for k, v in enumerate([v for v in range(n) if labels[v] == r]):
-            rank[v] = k
-        _push_shuffle(m, [rank[s[i]] for i in singles])
-        push_arrangement(m, labels, counts)
+        slots = [0] * n
+        for i, v in enumerate(s):
+            slots[v] = group_of[i]
+        push_group_arrangement(m, slots, sizes)
 
     def decode(m: Message) -> Perm:
-        labels = pop_arrangement(m, counts)
-        u = _pop_shuffle(m, len(singles))
+        fill = list(first)
         s = [0] * n
-        fill = [a for a, _ in runs]
-        outside = []
-        for v, j in enumerate(labels):
-            if j == r:
-                outside.append(v)
-            else:
-                s[fill[j]] = v
-                fill[j] += 1
-        for i, k in zip(singles, u):
-            s[i] = outside[k]
+        for v, g in enumerate(pop_group_arrangement(m, sizes)):
+            s[fill[g]] = v
+            fill[g] += 1
         return tuple(s)
 
     return Codec(encode, decode)

@@ -1,26 +1,33 @@
 """Shuffle coding: turn a codec for ordered objects into a codec for their
 isomorphism classes.
 
-Encoding bits-back decodes a coset of the object's automorphism group (worth
-log2(n!/|Aut|) bits), applies the decoded ordering to the canonical form, and
-encodes the resulting ordered object under the model. Decoding inverts the
-three steps and returns the canonical representative. Near the initial message
-the coset decode draws deterministic pseudo-random pad words instead of
-content, so the first object costs about its ordered rate and the discount is
-amortized over later objects.
+Encoding bits-back pops a uniformly random ordered member of the object's
+class (log2(n!/|Aut|) bits) and encodes it under the model; decoding decodes
+it, pushes its ordering back and returns the canonical member. The class owns
+that ordering step: in general a coset of the canonical form's automorphism
+group, coded as a permutation and applied to the canonical form; for
+sequences the arrangement of the values, with the same bytes and no
+permutation. Near the initial message the pop draws deterministic
+pseudo-random pad words instead of content, so the first object costs about
+its ordered rate and the discount is amortized over later objects.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from .ans import WORD_BITS, Codec, Message
-from .canon import canonize, canonize_string, apply_sequence
+from .canon import apply_sequence, canonize, canonize_string, equal_runs
 from .graphs import Graph, apply_perm
-from .perm_codecs import uniform_l_coset_codec
+from .perm_codecs import (
+    pop_group_arrangement,
+    push_group_arrangement,
+    uniform_l_coset_codec,
+)
 from .perms import Perm, StabilizerChain, SymmetricRuns, inverse
 
 
@@ -33,13 +40,38 @@ class CanonInfo(NamedTuple):
     aut_order: int
 
 
+class Drawn(NamedTuple):
+    """pop_ordered's member, its automorphism group order and canonize time."""
+
+    ordered: Any
+    aut_order: int
+    canonize_seconds: float
+
+
 @dataclass(frozen=True)
 class PermutableClass:
-    """A set with a vertex/position relabeling action and a canonizer."""
+    """A set with a vertex/position relabeling action and a canonizer, and
+    the bits-back ordering step over it: pop_ordered and push_ordering."""
 
     apply: Callable[[Perm, Any], Any]
     canonize: Callable[[Any], CanonInfo]
     degree: Callable[[Any], int]
+
+    def pop_ordered(self, m: Message, f) -> Drawn:
+        """Pop a uniformly random ordered member of f's class: the canonical
+        member relabeled by a coset of its automorphism group."""
+        started = time.perf_counter()
+        info = self.canonize(f)
+        canonize_seconds = time.perf_counter() - started
+        s = uniform_l_coset_codec(info.aut_group).decode(m)
+        return Drawn(self.apply(s, info.value), info.aut_order, canonize_seconds)
+
+    def push_ordering(self, m: Message, g):
+        """Push back the ordering of g, an ordered member, as the coset that
+        maps the canonical member onto it; return the canonical member."""
+        info = self.canonize(g)
+        uniform_l_coset_codec(info.aut_group).encode(m, inverse(info.perm))
+        return info.value
 
 
 def graph_class() -> PermutableClass:
@@ -50,12 +82,38 @@ def graph_class() -> PermutableClass:
     return PermutableClass(apply_perm, canon, lambda g: g.n)
 
 
+def _value_counts(xs: Sequence) -> Tuple[List[Any], List[Any], List[int]]:
+    """xs sorted, its distinct values, increasing, and how often each occurs."""
+    ordered = sorted(xs)
+    runs = equal_runs(ordered)
+    return ordered, [ordered[a] for a, _ in runs], [b - a for a, b in runs]
+
+
+class _SequenceClass(PermutableClass):
+    """Sequences under rearrangement. The ordering step is the arrangement of
+    the groups of equal values (perm_codecs.pop_group_arrangement), with the
+    bytes of the sorted sequence's SymmetricRuns coset and no permutation."""
+
+    def pop_ordered(self, m: Message, f) -> Drawn:
+        started = time.perf_counter()
+        _, values, sizes = _value_counts(f)
+        canonize_seconds = time.perf_counter() - started
+        g = list(map(values.__getitem__, pop_group_arrangement(m, sizes)))
+        g = "".join(g) if isinstance(f, str) else tuple(g)
+        return Drawn(g, math.prod(map(math.factorial, sizes)), canonize_seconds)
+
+    def push_ordering(self, m: Message, g):
+        canon, values, sizes = _value_counts(g)
+        push_group_arrangement(m, [bisect_left(values, x) for x in g], sizes)
+        return tuple(canon)
+
+
 def sequence_class() -> PermutableClass:
     def canon(x) -> CanonInfo:
         c = canonize_string(x)
         return CanonInfo(c.canon_seq, c.canon_perm, c.aut_group, c.aut_order)
 
-    return PermutableClass(apply_sequence, canon, len)
+    return _SequenceClass(apply_sequence, canon, len)
 
 
 @dataclass(frozen=True)
@@ -95,30 +153,21 @@ class ShuffleCodec:
         self.pclass = pclass
 
     def encode(self, m: Message, f) -> RateReport:
-        started = time.perf_counter()
-        info = self.pclass.canonize(f)
-        canonize_seconds = time.perf_counter() - started
         n = self.pclass.degree(f)
         pad_before = m.pad_consumed
-        coset_codec = uniform_l_coset_codec(info.aut_group)
-        s = coset_codec.decode(m)
+        drawn = self.pclass.pop_ordered(m, f)
         length_mid = m.length_bits
-        g = self.pclass.apply(s, info.value)
-        self.ordered_codec.encode(m, g)
+        self.ordered_codec.encode(m, drawn.ordered)
         ordered = m.length_bits - length_mid
-        discount = log2_factorial(n) - math.log2(info.aut_order)
+        discount = log2_factorial(n) - math.log2(drawn.aut_order)
         return RateReport(
             ordered_bits=ordered,
             discount_bits=discount,
             net_bits=ordered - discount,
-            aut_order=info.aut_order,
+            aut_order=drawn.aut_order,
             initial_bits_overhead=WORD_BITS * (m.pad_consumed - pad_before),
-            canonize_seconds=canonize_seconds,
+            canonize_seconds=drawn.canonize_seconds,
         )
 
     def decode(self, m: Message):
-        g = self.ordered_codec.decode(m)
-        info = self.pclass.canonize(g)
-        s = inverse(info.perm)
-        uniform_l_coset_codec(info.aut_group).encode(m, s)
-        return info.value
+        return self.pclass.push_ordering(m, self.ordered_codec.decode(m))

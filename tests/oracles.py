@@ -5,8 +5,9 @@ diagnostic only tests run: brute-force canonization over all n! relabelings,
 canonization of edge-attributed graphs through a vertex-colored embedding, an
 exchangeability check for ordered codecs, orbits by breadth-first closure,
 enumeration of a stabilizer chain's group, the Schreier-Sims chain of a
-product of symmetric groups on runs, and stripping re-materialized pad words
-from a message.
+product of symmetric groups on runs, the sequence class's ordering step coded
+through permutations, and stripping re-materialized pad words from a
+message.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from shufflecodec.perms import (
     identity,
     schreier_sims,
 )
-from shufflecodec.shuffle import PermutableClass, graph_class
+from shufflecodec.shuffle import PermutableClass, graph_class, sequence_class
 
 
 class SizeError(ValueError):
@@ -233,6 +234,16 @@ def runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerChain:
     """The schreier_sims chain of the product of the symmetric groups on the
     runs: the reference for SymmetricRuns, for small n."""
     return schreier_sims(PermGroup(n, run_transpositions(n, runs)))
+
+
+def permutation_sequence_class() -> PermutableClass:
+    """Sequences on PermutableClass's generic ordering step: canonize_string's
+    sort permutation, the coset codec of its SymmetricRuns
+    (uniform_l_coset_codec) and apply_sequence. The reference for
+    sequence_class, which codes the same ordering on the values, with no
+    permutation."""
+    seq = sequence_class()
+    return PermutableClass(seq.apply, seq.canonize, seq.degree)
 
 
 def without_pad_residue(m: Message) -> Message:

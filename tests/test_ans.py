@@ -34,6 +34,7 @@ from shufflecodec.ans import (
 from shufflecodec.compress import compress_corpus
 from shufflecodec.datasets import Corpus
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
+from shufflecodec.models import string_codec
 
 from conftest import random_message
 
@@ -571,6 +572,25 @@ class TestRunKernels:
         before = _state(m)
         with pytest.raises(ContractViolation, match="zero mass"):
             push_symbols(m, codec.table, [0, 2, 1, 0])
+        assert _state(m) == before
+
+    def test_non_integer_table_symbol_leaves_message_unchanged(self):
+        # A str, float or None symbol used to escape the range check as a
+        # TypeError. Bools stay symbols: the ER pair bits are bools.
+        codec = string_codec((1, 1, 1), 4)
+        m = random_message(5, 2)
+        before = _state(m)
+        with pytest.raises(ContractViolation, match="'a' outside"):
+            codec.encode(m, "abca")
+        assert _state(m) == before
+        table = categorical_codec([2, 1, 1]).table
+        for bad in (1.0, None):
+            for xs in ([bad], [0, bad, 2], [2, 1, bad]):
+                with pytest.raises(ContractViolation, match="outside"):
+                    push_symbols(m, table, xs)
+                assert _state(m) == before
+        push_symbols(m, table, [True, False, 2])
+        assert pop_symbols(m, table, 3) == [1, 0, 2]
         assert _state(m) == before
 
     @given(_messages(), st.lists(_sizes, min_size=1, max_size=10), st.data())

@@ -8,8 +8,11 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import shufflecodec
-from shufflecodec import canon, perms, shuffle
+from shufflecodec import canon, perm_codecs, perms, shuffle
 from shufflecodec.ans import message_init, message_serialize
 from shufflecodec.canon import canon_equal
 from shufflecodec.generate import sample_er_graph
@@ -31,7 +34,7 @@ from shufflecodec.shuffle import (
 )
 
 from conftest import random_message
-from oracles import symmetrize_check, without_pad_residue
+from oracles import permutation_sequence_class, symmetrize_check, without_pad_residue
 
 
 def er_shuffle(n, p, vertex_attr_ps=None):
@@ -198,7 +201,70 @@ class TestShuffleEncodeDecode:
             assert m == snapshot
 
 
+# Empty, one element, all distinct, all equal, runs mixed with singletons,
+# and tuple-valued elements (the urn model's edge pairs).
+_SEQUENCES = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(0, 5)),
+    st.lists(st.integers(0, 60), max_size=30, unique=True),
+    st.builds(lambda x, k: (x,) * k, st.integers(0, 3), st.integers(2, 30)),
+    st.lists(st.integers(0, 6), max_size=40),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=25),
+).map(tuple)
+
+
 class TestMultisets:
+    # An empty stack draws pad words; 16 words are more than any draw here.
+    @given(_SEQUENCES, st.integers(0, 1 << 16), st.sampled_from([0, 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_sequence_path_matches_the_permutation_path(self, xs, seed, words):
+        # sequence_class draws and gives back the ordering on the values; the
+        # reference codes it as a coset permutation. Same messages throughout.
+        direct, reference = sequence_class(), permutation_sequence_class()
+        a, b = random_message(seed, words), random_message(seed, words)
+        snapshot = a.copy()
+        drawn = direct.pop_ordered(a, xs)
+        expected = reference.pop_ordered(b, xs)
+        assert drawn.ordered == expected.ordered
+        assert drawn.aut_order == expected.aut_order
+        assert a == b
+        assert direct.push_ordering(a, drawn.ordered) == tuple(sorted(xs))
+        assert reference.push_ordering(b, drawn.ordered) == tuple(sorted(xs))
+        assert a == b
+        assert without_pad_residue(a) == snapshot
+        # The input's own ordering goes back and comes out again.
+        direct.push_ordering(a, xs)
+        reference.push_ordering(b, xs)
+        assert a == b
+        assert direct.pop_ordered(a, xs).ordered == reference.pop_ordered(b, xs).ordered == xs
+        assert a == b
+        if all(type(x) is int for x in xs):
+            ordered = string_codec([1] * (max(xs, default=0) + 1), len(xs))
+            for pclass, m in ((direct, a), (reference, b)):
+                ShuffleCodec(ordered, pclass).encode(m, xs)
+            assert a == b
+            assert ShuffleCodec(ordered, direct).decode(a) == tuple(sorted(xs))
+            assert without_pad_residue(a) == snapshot
+
+    def test_sequence_path_builds_no_permutation(self, monkeypatch):
+        # The sequence class codes its ordering on the values: no sort
+        # permutation, coset permutation or permutation check.
+        def refuse(*args):
+            raise AssertionError("permutation path reached")
+
+        for module in (shuffle, canon, perm_codecs):
+            for name in ("canonize_string", "apply_sequence", "uniform_l_coset_codec", "inverse"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(perms, "is_perm", refuse)
+        for xs in ((2, 0, 1, 1, 0, 2, 2, 3), (5, 1, 4, 0), (3,) * 6, ()):
+            codec = ShuffleCodec(string_codec([1] * 6, len(xs)), sequence_class())
+            m = random_message(seed=4, tail_words=8)
+            snapshot = m.copy()
+            codec.encode(m, xs)
+            assert codec.decode(m) == tuple(sorted(xs))
+            assert m == snapshot
+
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
         # everything after the version field, as version 8 writes it: each
