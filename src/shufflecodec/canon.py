@@ -9,8 +9,9 @@ automorphic subtree, and orbit pruning at each node. Sequences
 
 The canonical form of a graph depends only on its isomorphism class, never on
 the input labeling. The automorphisms found by its one search are conjugated
-onto the canonical form; the chain they build depends only on the group (see
-perms), which makes compressed bitstreams identical across isomorphic inputs.
+onto the canonical form. The chain they build may have other Schreier trees
+for another input, but its base points, orbits and coset codes depend only on
+the group (see perms): compressed bitstreams match across isomorphic inputs.
 """
 
 from __future__ import annotations

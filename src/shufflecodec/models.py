@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ans import (
     Codec,
+    CodecError,
     ContractViolation,
     Message,
     ParameterError,
@@ -306,7 +307,14 @@ def with_attributes(
             push_symbols(m, e_codec.table, attrs)
         if v_codec is not None:
             push_symbols(m, v_codec.table, g.vertex_attrs)
-        base.encode(m, plain_graph(g))
+        try:
+            base.encode(m, plain_graph(g))
+        except CodecError:
+            if v_codec is not None:
+                pop_symbols(m, v_codec.table, g.n)
+            if e_codec is not None:
+                pop_symbols(m, e_codec.table, len(attrs))
+            raise
 
     def decode(m: Message) -> Graph:
         g = base.decode(m)

@@ -32,12 +32,16 @@ _bit = bernoulli_codec(Fraction(1, 2))
 def natural_list_codec() -> Codec:
     """Codec over lists of naturals below 2**32, any length below 2**46.
     Element x is its bit length k and then x - 2**(k-1) as one uniform symbol
-    over 2**(k-1) values (over one value, which costs nothing, for k <= 1)."""
+    over 2**(k-1) values (over one value, which costs nothing, for k <= 1).
+    encode raises ContractViolation, before the message changes, for a list
+    it cannot code, bools and other non-int elements included."""
 
     def encode(m: Message, xs) -> None:
         xs = list(xs)
         if len(xs) >= _LENGTH_LIMIT:
             raise ContractViolation("list too long")
+        if not {int}.issuperset(map(type, xs)):
+            raise ContractViolation("elements must be ints")
         top = max(xs, default=0)
         if any(x < 0 for x in xs) or top >= _ELEMENT_LIMIT:
             raise ContractViolation("element outside [0, 2**32)")

@@ -1,16 +1,19 @@
 """Uniform codecs over permutations: the full symmetric group, an arbitrary
 permutation group given by a stabilizer chain, and left cosets of such a group.
 
-The coset codec is the bits-back workhorse: encoding a coset first *decodes* a
-group element from the message (reclaiming log2 |H| bits) and then encodes a
-permutation of the full symmetric group (paying log2 n!), for a net rate of
-log2(n!/|H|). On a product of symmetric groups on runs (SymmetricRuns, a
-multiset's automorphism group) it codes the coset itself instead, as an
-arrangement of groups over the values: log2(n!/|H|) bits with no group
-element. That arrangement (pop_group_arrangement/push_group_arrangement)
-holds the one label layout for such cosets, and the sequence class codes a
-multiset's ordering with it directly, with no permutation. The uniform
-codec over the symmetric group is the coset codec of the trivial group.
+The coset codec is the bits-back workhorse. Encoding a coset s*H first
+*decodes* the lexicographic rank of one of its members from the message
+(reclaiming log2 |H| bits, one uniform digit per chain level) and then
+encodes that member as a permutation of the full symmetric group (paying
+log2 n!), for a net rate of log2(n!/|H|). Decoding pops the permutation,
+pushes its rank back and returns the coset's lex-min member; no group
+element is formed. On a product of symmetric groups on runs (SymmetricRuns,
+a multiset's automorphism group) it codes the coset itself instead, as an
+arrangement of groups over the values: log2(n!/|H|) bits. That arrangement
+(pop_group_arrangement/push_group_arrangement) holds the one label layout
+for such cosets, and the sequence class codes a multiset's ordering with it
+directly, with no permutation. The uniform codec over the symmetric group
+is the coset codec of the trivial group.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from .perms import (
     StabilizerChain,
     SymmetricRuns,
     as_perm,
-    compose,
     coset_canon,
+    coset_rank,
+    coset_unrank,
     element_rank,
     element_unrank,
-    inverse,
 )
 
 
@@ -74,8 +77,9 @@ def uniform_s_codec(n: int) -> Codec:
 def uniform_perm_grp_codec(chain: StabilizerChain) -> Codec:
     """Uniform codec over the members of a permutation group.
 
-    Codes the orbit-index tuple of the transversal factorization, one uniform
-    symbol per chain level, for a total of sum_k log2 |O_k| = log2 |H| bits.
+    Codes a member's lexicographic rank among the members (element_rank),
+    one uniform digit per chain level, for a total of sum_k log2 |O_k| =
+    log2 |H| bits.
     """
     sizes = [len(lvl.orbit) for lvl in chain.levels]
 
@@ -88,14 +92,22 @@ def uniform_perm_grp_codec(chain: StabilizerChain) -> Codec:
     return Codec(encode, decode)
 
 
+def _checked(s, n: int) -> Perm:
+    """s as a permutation of degree n; raises before any coding."""
+    s = as_perm(s)
+    if len(s) != n:
+        raise DegreeMismatch(f"degrees {len(s)} and {n} differ")
+    return s
+
+
 def uniform_l_coset_codec(group: Union[StabilizerChain, SymmetricRuns]) -> Codec:
     """Uniform codec over left cosets of H in the symmetric group.
 
     encode accepts any member of the coset and is constant on it; decode
     returns the canonical (lex-min) member. Net rate: log2 n! - log2 |H|.
-    Only the permutation passed to encode is checked; the group element t
-    and the shuffle u are built here and coded through element_rank and
-    the Fisher-Yates draws directly. SymmetricRuns codes its cosets
+    A chain codes the lexicographic rank of the shuffled member within its
+    coset (coset_rank/coset_unrank) and its Fisher-Yates draws; only the
+    permutation passed to encode is checked. SymmetricRuns codes its cosets
     directly (see _runs_coset_codec).
     """
     if isinstance(group, SymmetricRuns):
@@ -104,16 +116,13 @@ def uniform_l_coset_codec(group: Union[StabilizerChain, SymmetricRuns]) -> Codec
     sizes = [len(lvl.orbit) for lvl in group.levels]
 
     def encode(m: Message, s) -> None:
-        s_canon = coset_canon(group, as_perm(s))
-        t = element_unrank(group, pop_uniforms(m, sizes))
-        _push_shuffle(m, compose(s_canon, t))
+        s = _checked(s, n)
+        _push_shuffle(m, coset_unrank(group, s, pop_uniforms(m, sizes)))
 
     def decode(m: Message) -> Perm:
         u = _pop_shuffle(m, n)
-        s_canon = coset_canon(group, u)
-        t = compose(inverse(s_canon), u)
-        push_uniforms(m, element_rank(group, t), sizes)
-        return s_canon
+        push_uniforms(m, coset_rank(group, u), sizes)
+        return coset_canon(group, u)
 
     return Codec(encode, decode)
 
@@ -178,11 +187,8 @@ def _runs_coset_codec(n: int, runs: Tuple[Tuple[int, int], ...]) -> Codec:
     group_of = [g for g, k in enumerate(sizes) for _ in range(k)]
 
     def encode(m: Message, s) -> None:
-        s = as_perm(s)
-        if len(s) != n:
-            raise DegreeMismatch(f"degrees {len(s)} and {n} differ")
         slots = [0] * n
-        for i, v in enumerate(s):
+        for i, v in enumerate(_checked(s, n)):
             slots[v] = group_of[i]
         push_group_arrangement(m, slots, sizes)
 

@@ -3,22 +3,25 @@
 Permutations are tuples in one-line notation (p[i] is the image of i) and
 compose like functions: compose(s, t) performs t, then s. Groups are stored as
 generator lists; stabilizer chains built here use the fixed base 0, 1, ..., n-1
-(levels with trivial orbits are omitted), which makes the coset-canonical
-element the lexicographic minimum in one-line notation. A level's transversal
-element for orbit point w is the lex-min element of its group mapping the base
-point to w, so all derived quantities depend only on the group and the base.
+(levels with trivial orbits are omitted), so a level's subgroup fixes every
+point below its base point. The members of a left coset s*H are coded by
+their lexicographic rank in one-line notation: coset_rank reads one digit per
+level off the member itself, and coset_unrank walks from any member to the
+member of given digits, one Schreier-tree element per level. The base points,
+the orbits and so every rank depend only on the group, never on its
+generators; coset_canon is rank zero, and element_rank/element_unrank are the
+same order on the group itself.
 
-schreier_sims builds the chain of any generator list; a level walks its
-Schreier tree to some element mapping the base point to w and takes the
-lex-min of its coset over the levels below. A product of symmetric groups on
-runs of consecutive points (a sorted sequence's automorphism group) is no
-chain but a SymmetricRuns value: its order is a product of factorials, and
-its coset codec codes the runs directly (see perm_codecs).
+A product of symmetric groups on runs of consecutive points (a sorted
+sequence's automorphism group) is no chain but a SymmetricRuns value: its
+order is a product of factorials, and its coset codec codes the runs directly
+(see perm_codecs).
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -105,39 +108,50 @@ class PermGroup:
 
 
 class ChainLevel:
-    """One level of a stabilizer chain: a base point, its orbit under the
-    current stabilizer subgroup G, and the canonical transversal of G."""
+    """One level of a stabilizer chain: a base point and the Schreier tree of
+    its orbit under the level's subgroup G, which fixes every point below the
+    base point."""
 
-    __slots__ = ("point", "orbit", "_index", "_tree", "_walk", "_reps", "_below")
+    __slots__ = ("point", "orbit", "tree", "_walk")
 
-    def __init__(
-        self,
-        point: int,
-        degree: int,
-        tree: Dict[int, Tuple[int, Perm]],
-        below: "StabilizerChain",
-    ):
+    def __init__(self, point: int, degree: int):
         self.point = point
-        self.orbit = tuple(sorted(tree))
-        self._index = {w: i for i, w in enumerate(self.orbit)}
-        self._tree = tree
         self._walk: Dict[int, Perm] = {point: identity(degree)}
-        self._reps = dict(self._walk)
-        self._below = below
+        self.grow(())
 
-    def orbit_index(self, point: int) -> Optional[int]:
-        return self._index.get(point)
+    def grow(self, gens: Sequence[Perm]) -> None:
+        """Rebuild the Schreier tree breadth-first over gens, which generate G."""
+        tree: Dict[int, Tuple[int, Perm]] = {self.point: None}  # type: ignore[dict-item]
+        frontier = [self.point]
+        while frontier:
+            nxt = []
+            for w in sorted(frontier):
+                for g in gens:
+                    img = g[w]
+                    if img not in tree:
+                        tree[img] = (w, g)
+                        nxt.append(img)
+            frontier = nxt
+        self.tree = tree
+        self.orbit = tuple(sorted(tree))
+        self._walk = {self.point: self._walk[self.point]}
 
     def any_rep(self, point: int) -> Perm:
-        """Some u in G with u(base) = point (Schreier-tree walk, path-compressed)."""
-        return _tree_rep(self._tree, self._walk, point)
-
-    def rep(self, point: int) -> Perm:
-        """The lex-min u in G with u(base) = point: the coset_canon of
-        any_rep(point) over the levels below. Cached per point."""
-        if point not in self._reps:
-            self._reps[point] = coset_canon(self._below, self.any_rep(point))
-        return self._reps[point]
+        """Some u in G with u(base) = point: climb the Schreier tree to the
+        nearest walked ancestor, then compose back down, caching every node
+        on the path. Iterative, so a tree as deep as the degree needs no deep
+        recursion."""
+        tree, walk = self.tree, self._walk
+        path = []
+        r = walk.get(point)
+        while r is None:
+            path.append(point)
+            point = tree[point][0]
+            r = walk.get(point)
+        for w in reversed(path):
+            r = compose(tree[w][1], r)
+            walk[w] = r
+        return r
 
 
 class StabilizerChain:
@@ -180,49 +194,6 @@ class SymmetricRuns:
         object.__setattr__(self, "runs", tuple((a, b) for a, b in runs if b - a > 1))
 
 
-def _tree_rep(
-    tree: Dict[int, Tuple[int, Perm]], reps: Dict[int, Perm], point: int
-) -> Perm:
-    """Transversal element for point: climb the Schreier tree to the nearest
-    cached ancestor, then compose back down, caching every node on the path.
-    Iterative, so a tree as deep as the degree needs no deep recursion."""
-    path = []
-    r = reps.get(point)
-    while r is None:
-        path.append(point)
-        point = tree[point][0]
-        r = reps.get(point)
-    for w in reversed(path):
-        r = compose(tree[w][1], r)
-        reps[w] = r
-    return r
-
-
-def _bfs_tree(point: int, gens: Sequence[Perm]) -> Dict[int, Tuple[int, Perm]]:
-    tree: Dict[int, Tuple[int, Perm]] = {point: None}  # type: ignore[dict-item]
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for w in sorted(frontier):
-            for g in gens:
-                img = g[w]
-                if img not in tree:
-                    tree[img] = (w, g)
-                    nxt.append(img)
-        frontier = nxt
-    return tree
-
-
-class _BuildLevel:
-    __slots__ = ("point", "gens", "tree", "reps")
-
-    def __init__(self, point: int, degree: int):
-        self.point = point
-        self.gens: List[Perm] = []
-        self.tree: Dict[int, Tuple[int, Perm]] = {point: None}  # type: ignore[dict-item]
-        self.reps: Dict[int, Perm] = {point: identity(degree)}
-
-
 def schreier_sims(group: PermGroup) -> StabilizerChain:
     """Deterministic Schreier-Sims relative to the fixed base 0..n-1.
 
@@ -231,29 +202,20 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
     generators at that level and below.
     """
     n = group.degree
-    e = identity(n)
-    levels: List[_BuildLevel] = []  # ascending by point
+    levels: List[ChainLevel] = []  # ascending by point
+    gens_at: Dict[int, List[Perm]] = {}  # strong generators by smallest moved point
 
     def strong_gens(idx: int) -> List[Perm]:
-        return [g for lvl in levels[idx:] for g in lvl.gens]
-
-    def recompute(idx: int) -> None:
-        lvl = levels[idx]
-        lvl.tree = _bfs_tree(lvl.point, strong_gens(idx))
-        lvl.reps = {lvl.point: e}
-
-    def rep(idx: int, point: int) -> Perm:
-        return _tree_rep(levels[idx].tree, levels[idx].reps, point)
+        return [g for lvl in levels[idx:] for g in gens_at[lvl.point]]
 
     def sift(g: Perm, start_idx: int) -> Perm:
-        for idx in range(start_idx, len(levels)):
-            lvl = levels[idx]
+        for lvl in levels[start_idx:]:
             img = g[lvl.point]
             if img == lvl.point:
                 continue
             if img not in lvl.tree:
                 return g
-            g = compose(inverse(rep(idx, img)), g)
+            g = compose(inverse(lvl.any_rep(img)), g)
         return g
 
     def install(g: Perm) -> int:
@@ -262,20 +224,20 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
         points = [lvl.point for lvl in levels]
         idx = bisect.bisect_left(points, mp)
         if idx == len(levels) or levels[idx].point != mp:
-            levels.insert(idx, _BuildLevel(mp, n))
-        levels[idx].gens.append(g)
+            levels.insert(idx, ChainLevel(mp, n))
+        gens_at.setdefault(mp, []).append(g)
         for k in range(idx + 1):
-            recompute(k)
+            levels[k].grow(strong_gens(k))
         return idx
 
     def first_open_residue(idx: int) -> Optional[Perm]:
-        recompute(idx)
         lvl = levels[idx]
         gens = strong_gens(idx)
-        for w in sorted(lvl.tree):
-            uw = rep(idx, w)
+        lvl.grow(gens)
+        for w in lvl.orbit:
+            uw = lvl.any_rep(w)
             for g in gens:
-                sch = compose(inverse(rep(idx, g[w])), compose(g, uw))
+                sch = compose(inverse(lvl.any_rep(g[w])), compose(g, uw))
                 if is_identity(sch):
                     continue
                 residue = sift(sch, idx + 1)
@@ -295,12 +257,7 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
             idx -= 1
         else:
             idx = install(residue)
-
-    frozen: Tuple[ChainLevel, ...] = ()  # bottom-up: a level reads those below
-    for k in reversed(range(len(levels))):
-        lvl, below = levels[k], StabilizerChain(n, frozen)
-        frozen = (ChainLevel(lvl.point, n, lvl.tree, below),) + frozen
-    return StabilizerChain(n, frozen)
+    return StabilizerChain(n, tuple(levels))
 
 
 def group_order(group: Union[StabilizerChain, SymmetricRuns]) -> int:
@@ -314,48 +271,55 @@ def _check_degree(chain: StabilizerChain, s: Perm) -> None:
         raise DegreeMismatch(f"degrees {len(s)} and {chain.degree} differ")
 
 
-def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
-    """Lexicographically smallest one-line vector in the left coset s*H.
+def coset_rank(chain: StabilizerChain, s: Perm) -> Tuple[int, ...]:
+    """The lexicographic rank of s among the one-line vectors of its left
+    coset s*H, one digit per level, most significant first.
 
-    Descends the stabilizer chain: at each level the base point's image is
-    minimized over the orbit, globally optimal as the base is increasing and
-    points between base points have trivial orbits. Any transversal will do.
+    The members of s*H that agree with s below a level's base point b take
+    the images s(O) at b, O the level's orbit; the digit is how many of them
+    lie below s[b]. No composition.
     """
     _check_degree(chain, s)
-    cur = s
+    digits = []
     for lvl in chain.levels:
-        best = min(lvl.orbit, key=lambda w: cur[w])
-        cur = compose(cur, lvl.any_rep(best))
+        image = s[lvl.point]
+        digits.append(sum(s[w] < image for w in lvl.orbit))
+    return tuple(digits)
+
+
+def coset_unrank(chain: StabilizerChain, s: Perm, digits: Sequence[int]) -> Perm:
+    """The member of s*H whose coset_rank is digits, from any member s.
+
+    At each level the walk moves the base point's image to the digit-th
+    smallest image of the orbit, by one Schreier-tree element of the level's
+    subgroup, which fixes every point below. So the result depends only on
+    the coset, the group and the digits.
+    """
+    _check_degree(chain, s)
+    if len(digits) != len(chain.levels):
+        raise ValueError(f"expected {len(chain.levels)} digits, got {len(digits)}")
+    cur = s
+    for lvl, digit in zip(chain.levels, digits):
+        if not 0 <= digit < len(lvl.orbit):
+            raise ValueError(f"digit {digit} outside orbit of size {len(lvl.orbit)}")
+        w = heapq.nsmallest(digit + 1, lvl.orbit, key=cur.__getitem__)[-1]
+        cur = compose(cur, lvl.any_rep(w))
     return cur
 
 
+def coset_canon(chain: StabilizerChain, s: Perm) -> Perm:
+    """Lexicographically smallest one-line vector in the left coset s*H."""
+    return coset_unrank(chain, s, (0,) * len(chain.levels))
+
+
 def element_rank(chain: StabilizerChain, h: Perm) -> Tuple[int, ...]:
-    """Orbit-index tuple of a group member under the chain's transversal
-    factorization h = u_0 * u_1 * ... Raises NotInGroup for non-members."""
-    _check_degree(chain, h)
-    cur = h
-    indices = []
-    for lvl in chain.levels:
-        img = cur[lvl.point]
-        idx = lvl.orbit_index(img)
-        if idx is None:
-            raise NotInGroup(f"image {img} of base point {lvl.point} outside orbit")
-        indices.append(idx)
-        cur = compose(inverse(lvl.rep(img)), cur)
-    if not is_identity(cur):
-        raise NotInGroup("nontrivial residue after sifting")
-    return tuple(indices)
+    """The lexicographic rank of a group member among all members (see
+    coset_rank). Raises NotInGroup for non-members."""
+    if not is_identity(coset_canon(chain, h)):
+        raise NotInGroup(f"{h!r} is not in the group")
+    return coset_rank(chain, h)
 
 
-def element_unrank(chain: StabilizerChain, indices: Sequence[int]) -> Perm:
+def element_unrank(chain: StabilizerChain, digits: Sequence[int]) -> Perm:
     """Inverse of element_rank."""
-    if len(indices) != len(chain.levels):
-        raise ValueError(
-            f"expected {len(chain.levels)} indices, got {len(indices)}"
-        )
-    h = identity(chain.degree)
-    for lvl, idx in zip(chain.levels, indices):
-        if not 0 <= idx < len(lvl.orbit):
-            raise ValueError(f"index {idx} outside orbit of size {len(lvl.orbit)}")
-        h = compose(h, lvl.rep(lvl.orbit[idx]))
-    return h
+    return coset_unrank(chain, identity(chain.degree), digits)

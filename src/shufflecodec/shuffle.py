@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
 
-from .ans import WORD_BITS, Codec, Message
+from .ans import WORD_BITS, Codec, CodecError, Message
 from .canon import apply_sequence, canonize, canonize_string, equal_runs
 from .graphs import Graph, apply_perm
 from .perm_codecs import (
@@ -145,7 +145,8 @@ class ShuffleCodec:
     The ordered codec should be exchangeable for the optimal-rate guarantee;
     invertibility holds regardless. encode accepts any member of the class and
     produces the same bitstream for all of them; decode returns the canonical
-    member.
+    member. An encode that the ordered codec refuses with a CodecError leaves
+    the message and its pad count as they were.
     """
 
     def __init__(self, ordered_codec: Codec, pclass: PermutableClass):
@@ -157,7 +158,16 @@ class ShuffleCodec:
         pad_before = m.pad_consumed
         drawn = self.pclass.pop_ordered(m, f)
         length_mid = m.length_bits
-        self.ordered_codec.encode(m, drawn.ordered)
+        try:
+            self.ordered_codec.encode(m, drawn.ordered)
+        except CodecError:
+            # The ordered codec raises before it changes the message, so
+            # pushing the ordering back restores it, with the pad words the
+            # pop drew re-materialized at the bottom of the stack.
+            self.pclass.push_ordering(m, drawn.ordered)
+            del m.tail[: m.pad_consumed - pad_before]
+            m.pad_consumed = pad_before
+            raise
         ordered = m.length_bits - length_mid
         discount = log2_factorial(n) - math.log2(drawn.aut_order)
         return RateReport(

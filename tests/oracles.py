@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Any, List, Optional, Sequence, Tuple
 
 from shufflecodec.ans import Codec, Message, pad_word
@@ -25,7 +25,7 @@ from shufflecodec.perms import (
     Perm,
     PermGroup,
     StabilizerChain,
-    compose,
+    element_unrank,
     group_order,
     identity,
     schreier_sims,
@@ -207,18 +207,12 @@ def orbit_of(group: PermGroup, point: int) -> frozenset:
 
 
 def chain_elements(chain: StabilizerChain):
-    """Iterate all group elements (for testing; order can be huge)."""
-    n = chain.degree
-
-    def walk(idx: int, acc: Perm):
-        if idx == len(chain.levels):
-            yield acc
-            return
-        lvl = chain.levels[idx]
-        for w in lvl.orbit:
-            yield from walk(idx + 1, compose(acc, lvl.rep(w)))
-
-    yield from walk(0, identity(n))
+    """Iterate all group elements in increasing lexicographic order, through
+    element_unrank of every digit tuple in mixed-radix order (for testing;
+    the order can be huge)."""
+    sizes = [range(len(lvl.orbit)) for lvl in chain.levels]
+    for digits in product(*sizes):
+        yield element_unrank(chain, digits)
 
 
 def run_transpositions(n: int, runs: Sequence[Tuple[int, int]]) -> Tuple[Perm, ...]:

@@ -416,7 +416,7 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x08\x00"
+        assert data[:6] == b"SHUF\x09\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "2aee97080af742eeda2cd47d9340ff30769f32e07b584386075333b00b60bf48"
@@ -428,7 +428,7 @@ class TestSerialization:
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x08\x00"
+        assert data[:6] == b"SHUF\x09\x00"
         assert len(data) == 104
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "7e12f12a6361ffddbdd21aa91e21690fae58ac7061c719fb3e03bc4acd27d86b"
@@ -446,7 +446,7 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x08\x00"
+        assert data[:6] == b"SHUF\x09\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "a40cd077c6220eb64556fe40e15e8345286ad2c10372f03fe819e0e39b89f621"

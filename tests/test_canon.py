@@ -14,7 +14,14 @@ from shufflecodec.canon import (
 from shufflecodec.compress import compress_corpus, decompress_corpus
 from shufflecodec.datasets import Corpus
 from shufflecodec.graphs import Graph, apply_perm
-from shufflecodec.perms import compose, group_order, identity, inverse
+from shufflecodec.perms import (
+    compose,
+    coset_rank,
+    coset_unrank,
+    group_order,
+    identity,
+    inverse,
+)
 
 from oracles import (
     SizeError,
@@ -319,13 +326,22 @@ class TestStructuredOracle:
 
     def test_chain_identical_across_relabelings(self):
         # the coset codec's bitstream depends on the chain's points, orbits
-        # and transversal elements, so all three must be labeling-independent;
-        # the generators are conjugates of whichever automorphisms the search
-        # found, and no coset operation reads them
+        # and the lexicographic ranks of coset members, so all three must be
+        # labeling-independent; the generators and Schreier trees come from
+        # whichever automorphisms the search found, and no rank reads them
         def signature(chain):
-            return [
-                (l.point, l.orbit, [l.rep(w) for w in l.orbit]) for l in chain.levels
+            probe = random.Random(chain.degree)
+            n = chain.degree
+            members = [tuple(probe.sample(range(n), n)) for _ in range(5)]
+            digits = [
+                tuple(probe.randrange(len(l.orbit)) for l in chain.levels)
+                for _ in range(5)
             ]
+            return (
+                [(l.point, l.orbit) for l in chain.levels],
+                [coset_rank(chain, s) for s in members],
+                [coset_unrank(chain, s, d) for s in members for d in digits],
+            )
 
         rng = random.Random(101)
         for trial in range(20):

@@ -82,6 +82,15 @@ class TestNaturalList:
         with pytest.raises(ContractViolation, match="all-zero"):
             codec.encode(message_init(), [0] * (1 << 20))
 
+    def test_non_int_elements_refused_before_the_message_changes(self):
+        codec = natural_list_codec()
+        for xs in ([1.5], ["a"], [None], [True, 2], [3, False], [2.0]):
+            m = random_message(seed=4, tail_words=8)
+            snapshot = m.copy()
+            with pytest.raises(ContractViolation):
+                codec.encode(m, xs)
+            assert m == snapshot
+
 
 def zero_list_header(m, length):
     """Push the header of a list of `length` zeros: bit count 0, then length."""

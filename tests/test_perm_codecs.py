@@ -6,6 +6,8 @@ import pytest
 
 from shufflecodec import perms
 from shufflecodec.ans import message_init, uniform_codec
+from shufflecodec.canon import canonize
+from shufflecodec.graphs import Graph
 from shufflecodec.perm_codecs import (
     uniform_l_coset_codec,
     uniform_perm_grp_codec,
@@ -216,7 +218,7 @@ class TestUniformLCoset:
             )
 
     def test_only_the_input_permutation_is_checked(self, monkeypatch, rng):
-        # The group element and the shuffle that the codec builds itself are
+        # The coset member and the shuffle that the codec builds itself are
         # coded without a second check: one is_perm call per encode (its
         # input), none per decode.
         chain = schreier_sims(PermGroup(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2))))
@@ -236,6 +238,33 @@ class TestUniformLCoset:
         assert calls == [s]
         assert codec.decode(m) == coset_canon(chain, s)
         assert calls == [s]
+        assert m == snapshot
+
+    def test_coset_step_composes_once_per_level(self, monkeypatch, rng):
+        # Bounded work on a large group: the coset step on the empty graph on
+        # 40 vertices (Aut = S_40, 39 levels) reads its ranks off the members
+        # and walks one Schreier-tree element per level each way, so it
+        # makes at most a few compose calls per level. Lex-min transversal
+        # elements, each built over the levels below, took over a thousand.
+        chain = canonize(Graph(40)).chain
+        assert len(chain.levels) == 39
+        codec = uniform_l_coset_codec(chain)
+        calls = [0]
+        compose_ = perms.compose
+
+        def counting(s, t):
+            calls[0] += 1
+            return compose_(s, t)
+
+        monkeypatch.setattr(perms, "compose", counting)
+        m = random_message(seed=11, tail_words=64)
+        snapshot = m.copy()
+        s = codec.decode(m)
+        assert s == identity(40)
+        assert calls[0] <= 4 * 39
+        calls[0] = 0
+        codec.encode(m, tuple(rng.sample(range(40), 40)))
+        assert calls[0] <= 4 * 39
         assert m == snapshot
 
 

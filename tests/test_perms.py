@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +11,13 @@ from shufflecodec.perm_codecs import uniform_l_coset_codec
 from shufflecodec.perms import (
     DegreeMismatch,
     NotInGroup,
+    ChainLevel,
     PermGroup,
     SymmetricRuns,
     compose,
     coset_canon,
+    coset_rank,
+    coset_unrank,
     element_rank,
     element_unrank,
     group_order,
@@ -46,6 +49,16 @@ def closure(n, gens):
 
 def perm_strategy(n):
     return st.permutations(range(n)).map(tuple)
+
+
+def digit_tuples(chain):
+    """Every digit tuple of the chain, in mixed-radix order."""
+    return product(*(range(len(lvl.orbit)) for lvl in chain.levels))
+
+
+def coset_members(chain, s):
+    """coset_unrank from s of every digit tuple, in mixed-radix order."""
+    return [coset_unrank(chain, s, d) for d in digit_tuples(chain)]
 
 
 class TestPermOps:
@@ -129,44 +142,54 @@ class TestSchreierSims:
         b = schreier_sims(grp)
         assert [lvl.point for lvl in a.levels] == [lvl.point for lvl in b.levels]
         assert [lvl.orbit for lvl in a.levels] == [lvl.orbit for lvl in b.levels]
-        assert [[lvl.rep(w) for w in lvl.orbit] for lvl in a.levels] == [
-            [lvl.rep(w) for w in lvl.orbit] for lvl in b.levels
-        ]
+        s = (3, 5, 0, 2, 1, 4)
+        assert coset_members(a, s) == coset_members(b, s)
 
     def test_chain_independent_of_generators(self):
-        # Points, orbits and transversal elements, and so every coset code,
-        # depend only on the group: two generating lists give one chain.
-        def signature(chain):
-            return [
-                (l.point, l.orbit, [l.rep(w) for w in l.orbit]) for l in chain.levels
-            ]
-
+        # Points, orbits and the lexicographic order of every coset, and so
+        # every coset code, depend only on the group: from any member of
+        # s*H, coset_unrank enumerates sorted(s*H) for two generating lists.
         s5 = PermGroup(5, run_transpositions(5, [(0, 5)]))
         pairs = [(PermGroup.symmetric(5), s5)]
         rng = random.Random(2024)
-        for _ in range(200):
-            n = rng.randint(2, 7)
+        for _ in range(60):
+            n = rng.randint(2, 6)
             gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
             other = gens[::-1] + [compose(gens[0], gens[-1])]
             pairs.append((PermGroup(n, tuple(gens)), PermGroup(n, tuple(other))))
         for a, b in pairs:
-            assert signature(schreier_sims(a)) == signature(schreier_sims(b))
+            n = a.degree
+            members = closure(n, a.generators)
+            s = tuple(rng.sample(range(n), n))
+            coset = sorted(compose(s, h) for h in members)
+            ca, cb = schreier_sims(a), schreier_sims(b)
+            assert [(l.point, l.orbit) for l in ca.levels] == [
+                (l.point, l.orbit) for l in cb.levels
+            ]
+            for chain in (ca, cb):
+                assert coset_members(chain, rng.choice(coset)) == coset
 
-    def test_reps_are_lex_min(self):
+    def test_element_unrank_enumerates_the_group_in_order(self):
         rng = random.Random(77)
         for _ in range(40):
             n = rng.randint(2, 6)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
             chain = schreier_sims(PermGroup(n, gens))
-            members = closure(n, gens)
-            for lvl in chain.levels:
-                for w in lvl.orbit:
-                    want = min(
-                        h for h in members
-                        if all(h[p] == p for p in range(lvl.point))
-                        and h[lvl.point] == w
-                    )
-                    assert lvl.rep(w) == want
+            want = sorted(closure(n, gens))
+            assert [element_unrank(chain, d) for d in digit_tuples(chain)] == want
+            assert list(chain_elements(chain)) == want
+
+    def test_coset_rank_inverts_coset_unrank(self):
+        rng = random.Random(78)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 2)))
+            chain = schreier_sims(PermGroup(n, gens))
+            s = tuple(rng.sample(range(n), n))
+            for d in digit_tuples(chain):
+                t = coset_unrank(chain, s, d)
+                assert coset_rank(chain, t) == d
+                assert coset_unrank(chain, t, d) == t
 
     def test_base_points_strictly_increase(self):
         rng = random.Random(5)
@@ -315,16 +338,18 @@ def test_chain_handles_all_subgroups_of_s4():
 
 def test_deep_schreier_tree_reps():
     # One 1500-cycle: the Schreier tree is a path of depth 1499, deeper than
-    # the interpreter's recursion limit, so rep must walk it iteratively.
+    # the interpreter's recursion limit, so any_rep must walk it iteratively.
     n = 1500
     cycle = tuple(range(1, n)) + (0,)
-    chain = schreier_sims(PermGroup(n, (cycle,)))
-    (lvl,) = chain.levels
+    lvl = ChainLevel(0, n)
+    lvl.grow((cycle,))
     for w in reversed(range(n)):
-        assert lvl.rep(w)[0] == w
+        assert lvl.any_rep(w)[0] == w
+    chain = schreier_sims(PermGroup(n, (cycle,)))
     for k in (1, 311, 750, 1499):
         h = tuple((i + k) % n for i in range(n))
-        assert element_unrank(chain, element_rank(chain, h)) == h
+        assert element_rank(chain, h) == (k,)
+        assert element_unrank(chain, (k,)) == h
 
 
 class TestSymmetricRunsChain:

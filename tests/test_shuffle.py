@@ -8,12 +8,13 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shufflecodec
 from shufflecodec import canon, perm_codecs, perms, shuffle
-from shufflecodec.ans import message_init, message_serialize
+from shufflecodec.ans import CodecError, ContractViolation, message_init, message_serialize
 from shufflecodec.canon import canon_equal
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, apply_perm
@@ -189,6 +190,33 @@ class TestShuffleEncodeDecode:
             codec.encode(m2, apply_perm(s, g))
             assert m1 == m2
 
+    def test_symmetric_graph_bytes_pinned(self, rng):
+        # Large automorphism groups in one message, as version 9 writes it:
+        # each coset member is coded by its lexicographic rank. The empty
+        # graph on 12 vertices, K1,8, C10, the cube Q3 and 3 disjoint K3,
+        # each under ER(n, 1/2), under any relabeling.
+        triangle = ((0, 1), (1, 2), (0, 2))
+        graphs = [
+            Graph(12),
+            Graph(9, [(0, i) for i in range(1, 9)]),
+            Graph(10, [(i, (i + 1) % 10) for i in range(10)]),
+            Graph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b]),
+            Graph(9, [(3 * t + a, 3 * t + b) for t in range(3) for a, b in triangle]),
+        ]
+        codecs = [er_shuffle(g.n, Fraction(1, 2)) for g in graphs]
+        for trial in range(3):
+            m = message_init()
+            for codec, g in zip(codecs, graphs):
+                s = tuple(rng.sample(range(g.n), g.n)) if trial else tuple(range(g.n))
+                codec.encode(m, apply_perm(s, g))
+            data = message_serialize(m)
+            assert data[:6] == b"SHUF\x09\x00"
+            assert hashlib.sha256(data[6:]).hexdigest() == (
+                "1390e31c57e5e4c265bb646cfbea8db80041ae011958ecf0fa22ea08cb267d7d"
+            )
+            for codec, g in reversed(list(zip(codecs, graphs))):
+                assert canon_equal(codec.decode(m), g)
+
     def test_sequence_class_shuffle(self, rng):
         # Multiset coding via the string canonizer.
         codec = ShuffleCodec(string_codec([2, 1, 1], 8), sequence_class())
@@ -199,6 +227,71 @@ class TestShuffleEncodeDecode:
             codec.encode(m, xs)
             assert codec.decode(m) == tuple(sorted(xs))
             assert m == snapshot
+
+
+def _attributed_er4():
+    return with_attributes(erdos_renyi_codec(ErParams(4, Fraction(1, 2))), (1, 1), (2, 1))
+
+
+# Objects the ordered codec refuses after the ordering step has popped: a
+# sequence of the wrong length, a symbol outside the table, a graph on too
+# many vertices, with and without attributes.
+_REFUSED = {
+    "short-sequence": (
+        lambda: ShuffleCodec(string_codec((1, 1), 6), sequence_class()),
+        (1, 0, 1, 1, 0),
+    ),
+    "symbol-outside-table": (
+        lambda: ShuffleCodec(string_codec((1, 1), 6), sequence_class()),
+        (0, 1, 7, 0, 1, 1),
+    ),
+    "graph-too-large": (
+        lambda: ShuffleCodec(erdos_renyi_codec(ErParams(4, Fraction(1, 2))), graph_class()),
+        Graph(5, [(0, 1), (1, 2), (3, 4)]),
+    ),
+    "attributed-graph-too-large": (
+        lambda: ShuffleCodec(_attributed_er4(), graph_class()),
+        Graph(
+            5,
+            [(0, 1), (1, 2), (3, 4)],
+            vertex_attrs=[0, 1, 1, 0, 1],
+            edge_attrs={(0, 1): 0, (1, 2): 1, (3, 4): 0},
+        ),
+    ),
+}
+
+
+class TestFailedEncode:
+    # An encode that raises must leave the message as it was: the ordering
+    # popped before the ordered codec refused the object goes back, and so
+    # does any pad it drew, on a full, a one-word and an empty message.
+    @staticmethod
+    def message(words):
+        return random_message(seed=9, tail_words=words) if words else message_init()
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    @pytest.mark.parametrize("words", [8, 1, 0])
+    def test_message_unchanged(self, case, words):
+        make, obj = _REFUSED[case]
+        m = self.message(words)
+        if not words:  # the lowest head: the ordering step draws pad words
+            probe = m.copy()
+            make().pclass.pop_ordered(probe, obj)
+            assert probe.pad_consumed > 0
+        snapshot = m.copy()
+        with pytest.raises(CodecError):
+            make().encode(m, obj)
+        assert m == snapshot
+        assert m.pad_consumed == 0
+
+    @pytest.mark.parametrize("words", [8, 1, 0])
+    def test_attribute_layer_pops_its_symbols_back(self, words):
+        _, g = _REFUSED["attributed-graph-too-large"]
+        m = self.message(words)
+        snapshot = m.copy()
+        with pytest.raises(ContractViolation):
+            _attributed_er4().encode(m, g)
+        assert m == snapshot
 
 
 # Empty, one element, all distinct, all equal, runs mixed with singletons,
@@ -267,9 +360,9 @@ class TestMultisets:
 
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field, as version 8 writes it: each
-        # coset is one exact-mass draw per element of its run labels, then a
-        # Fisher-Yates shuffle of the values outside the runs.
+        # everything after the version field, as versions 8 and 9 write it:
+        # each coset is one exact-mass draw per element of its run labels,
+        # then a Fisher-Yates shuffle of the values outside the runs.
         rng = random.Random(2408)
         masses = (5, 2, 1)
         m = message_init()
@@ -278,7 +371,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x08\x00"
+        assert data[:6] == b"SHUF\x09\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "b0364eb80a980dc273636149ac867453f921dbcc6d35521272364fd0d8432900"
         )
