@@ -19,7 +19,8 @@ from .ans import (
     ContractViolation,
     Message,
     ParameterError,
-    bernoulli_codec,
+    bernoulli_block_table,
+    bernoulli_weights,
     categorical_codec,
     pop_exact,
     pop_symbols,
@@ -115,29 +116,56 @@ def _check_plain(g, n: int) -> None:
         raise ContractViolation("attributed graph: code it through with_attributes")
 
 
+# _SET_BITS[x]: the positions of the set bits of the byte x, in order.
+_SET_BITS = tuple(tuple(t for t in range(8) if x >> t & 1) for x in range(256))
+
+
 def erdos_renyi_codec(params: ErParams) -> Codec:
-    """Plain graphs under G(n, p): one Bernoulli per vertex pair in
-    graph_pairs order, as one run of the table kernel. Equal pair
-    probabilities make it exchangeable."""
-    n = params.n
-    bern = bernoulli_codec(params.edge_p)
-    pairs = list(graph_pairs(n, params.self_loops))
+    """Plain graphs under G(n, p), coded eight vertex pairs per symbol.
+
+    The N pairs in graph_pairs order are cut into blocks of 8 and a last
+    block of N mod 8; a block is the symbol whose bit t says whether its pair
+    t is an edge. The blocks of 8 are one run of the table kernel over
+    bernoulli_block_table(p, 8), the last block one symbol over
+    bernoulli_block_table(p, N mod 8): p is rounded as bernoulli_codec rounds
+    it, and the tables' rounding costs below 256 * 2**-32 relative per block.
+    Encode sets bit k of a mask per edge, k the edge's pair index, so both
+    directions cost O(m + N/8) for m edges. Equal pair probabilities make it
+    exchangeable; ``prob`` is the exact model probability.
+    """
+    n, loops, p = params.n, params.self_loops, params.edge_p
+    pairs = list(graph_pairs(n, loops))
+    block_pairs = [pairs[k : k + 8] for k in range(0, len(pairs), 8)]
+    full, rest = divmod(len(pairs), 8)
+    block_table = bernoulli_block_table(p, 8)
+    rest_table = bernoulli_block_table(p, rest) if rest else None
 
     def encode(m: Message, g: Graph) -> None:
         _check_plain(g, n)
-        edges = g.edges
-        bits = [e in edges for e in pairs]
-        if sum(bits) != len(edges):  # only a disallowed self-loop is not a pair
-            raise ContractViolation("graph has self-loops but params disallow them")
-        push_symbols(m, bern.table, bits)
+        mask = 0
+        # Pair (j, i), j <= i, has index i(i-1)/2 + j, or i(i+1)/2 + j with loops.
+        for j, i in g.edges:
+            if j == i and not loops:
+                raise ContractViolation("graph has self-loops but params disallow them")
+            mask |= 1 << (i * (i + 1) >> 1 if loops else i * (i - 1) >> 1) + j
+        blocks = mask.to_bytes(len(block_pairs), "little")
+        if rest:
+            push_symbols(m, rest_table, blocks[full:])
+        push_symbols(m, block_table, blocks[:full])
 
     def decode(m: Message) -> Graph:
-        bits = pop_symbols(m, bern.table, len(pairs))
-        edges = frozenset([e for e, bit in zip(pairs, bits) if bit])
-        return trusted_graph(n, edges, self_loops_allowed=params.self_loops)
+        blocks = pop_symbols(m, block_table, full)
+        if rest:
+            blocks += pop_symbols(m, rest_table, 1)
+        edges = []
+        for block, x in zip(block_pairs, blocks):
+            if x:
+                edges += map(block.__getitem__, _SET_BITS[x])
+        return trusted_graph(n, frozenset(edges), self_loops_allowed=loops)
 
     def prob(g: Graph) -> Fraction:
-        p_edge = bern.prob(1)
+        q0, q1 = bernoulli_weights(p)
+        p_edge = Fraction(q1, q0 + q1)
         present = sum(1 for e in pairs if e in g.edges)
         if present != len(g.edges):  # an edge the model cannot draw
             return Fraction(0)

@@ -221,6 +221,19 @@ class TestCategorical:
         with pytest.raises(ParameterError):
             categorical_codec([1 << 48, 1])
 
+    def test_tables_shared_per_weight_tuple(self):
+        assert categorical_codec([5, 2, 1]).table is categorical_codec((5, 2, 1)).table
+        assert categorical_codec([5, 2, 1]).table is not categorical_codec([5, 2, 2]).table
+
+    def test_bools_refused_with_equal_ints_cached(self):
+        # (True, True) == (1, 1) and both hash alike: the weight check must
+        # run before the cached (1, 1) table is looked up.
+        categorical_codec((1, 1))
+        with pytest.raises(ParameterError):
+            categorical_codec((True, True))
+        with pytest.raises(ParameterError):
+            categorical_codec((1, True))
+
 
 @st.composite
 def _weight_lists(draw):
@@ -240,6 +253,8 @@ class TestQuantize:
         masses = quantize_masses([2, 3, 5], 20)
         assert sum(masses) == 1 << 20
         assert masses == _fraction_quantize([2, 3, 5], 20)
+        # A total of exactly 2**precision keeps the weights as the masses.
+        assert quantize_masses([3, 0, 5], 3) == _fraction_quantize([3, 0, 5], 3) == [3, 0, 5]
 
     def test_nonzero_weights_keep_mass(self):
         masses = quantize_masses([1, (1 << 20) - 2, 1], 20)
@@ -404,10 +419,11 @@ class TestSerialization:
                 message_deserialize(bytes(data))
 
     def test_er_corpus_bytes_unchanged_by_version_2(self):
-        # ER and attribute tables, pinned as versions 6 and 7 write them: the
-        # Bernoulli and attribute tables are the cumulative floors of their
-        # exact integer counts, the parameter block's lists are runs of
-        # uniform symbols under the same rule.
+        # ER and attribute tables, pinned as version 10 writes them: the ER
+        # pairs are coded eight per block symbol, the block and attribute
+        # tables are the cumulative floors of their integer weights, the
+        # parameter block's lists are runs of uniform symbols under the same
+        # rule.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -416,10 +432,10 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x09\x00"
+        assert data[:6] == b"SHUF\x0a\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "2aee97080af742eeda2cd47d9340ff30769f32e07b584386075333b00b60bf48"
+            "c48e6da291a1c04cb5df26f6820e0b8864e87e3d4f5784c3e149659e4e7befcf"
         )
 
     def test_pu_corpus_bytes_pinned(self):
@@ -428,7 +444,7 @@ class TestSerialization:
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x09\x00"
+        assert data[:6] == b"SHUF\x0a\x00"
         assert len(data) == 104
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "7e12f12a6361ffddbdd21aa91e21690fae58ac7061c719fb3e03bc4acd27d86b"
@@ -436,7 +452,7 @@ class TestSerialization:
 
     def test_uniform_attrs_er_corpus_bytes_pinned(self):
         # The uniform-attribute ablation: attributes coded uniformly over the
-        # alphabets of the count tables.
+        # alphabets of the count tables, as version 10 writes it.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -446,10 +462,10 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x09\x00"
+        assert data[:6] == b"SHUF\x0a\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "a40cd077c6220eb64556fe40e15e8345286ad2c10372f03fe819e0e39b89f621"
+            "d259fda9c068041a8ba687113d316024e46ed2d0cedc1f1c4bfd6e88d940ee7b"
         )
 
     def test_truncation_detected(self):

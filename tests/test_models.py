@@ -166,6 +166,95 @@ class TestErdosRenyi:
         assert 0 < p < 1
 
 
+# Edge probabilities of the block tests: the clamp floor and ceiling, a float
+# whose denominator exceeds 2**32 (rounded to the 2**-32 grid), and two exact
+# fractions.
+BLOCK_PS = [
+    Fraction(1, 1 << 20),
+    1 - Fraction(1, 1 << 20),
+    0.3,
+    Fraction(3, 10),
+    Fraction(1, 2),
+]
+
+
+class TestErBlocks:
+    """Vertex pairs coded eight per block symbol, the last N mod 8 pairs as
+    one more symbol. n = 0..20 with and without self-loops covers every
+    residue N mod 8, 0 included."""
+
+    @pytest.mark.parametrize("p", BLOCK_PS)
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_round_trip_every_residue(self, p, loops):
+        rng = random.Random(17)
+        residues = set()
+        for n in range(21):
+            params = ErParams(n, p, loops)
+            codec = erdos_renyi_codec(params)
+            residues.add(pair_count(n, loops) % 8)
+            for t in range(4):
+                q = float(params.edge_p) if t < 2 else (0.0, 1.0)[t - 2]
+                g = sample_er_graph(rng, n, q, self_loops=loops)
+                m = random_message(seed=n, tail_words=4)
+                snapshot = m.copy()
+                codec.encode(m, g)
+                assert codec.decode(m) == g
+                assert m == snapshot
+        assert residues == set(range(8))
+
+    @pytest.mark.parametrize("p", BLOCK_PS)
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_coded_bits_track_prob(self, p, loops):
+        # Summed over graphs drawn from the model: block rounding and the
+        # rANS steps together cost under 1e-6 bits per pair.
+        rng = random.Random(23)
+        coded = exact = pairs = 0.0
+        for n in range(21):
+            params = ErParams(n, p, loops)
+            codec = erdos_renyi_codec(params)
+            for t in range(5):
+                g = sample_er_graph(rng, n, float(params.edge_p), self_loops=loops)
+                m = random_message(seed=t, tail_words=4)
+                before = m.length_bits
+                codec.encode(m, g)
+                coded += m.length_bits - before
+                prob = codec.prob(g)
+                exact -= math.log2(prob.numerator) - math.log2(prob.denominator)
+                pairs += pair_count(n, loops)
+        assert abs(coded - exact) <= 1e-6 * pairs
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(5, [(1, 1), (0, 3)], self_loops_allowed=True),
+            Graph(6, [(0, 1)]),
+            Graph(5, [(0, 1)], vertex_attrs=[0, 1, 0, 0, 1]),
+        ],
+        ids=["loop-under-loop-free-params", "wrong-n", "attributed"],
+    )
+    def test_refused_graphs_leave_the_message_unchanged(self, g):
+        codec = erdos_renyi_codec(ErParams(5, Fraction(3, 10)))
+        m = random_message(seed=9, tail_words=4)
+        snapshot = m.copy()
+        with pytest.raises(ContractViolation):
+            codec.encode(m, g)
+        assert m == snapshot
+        assert m.pad_consumed == snapshot.pad_consumed
+
+    @pytest.mark.parametrize("p", BLOCK_PS)
+    def test_every_block_mass_positive(self, p):
+        p = clamp_probability(p)
+        for size in range(1, 9):
+            table = ans.bernoulli_block_table(p, size)
+            assert len(table.masses) == 1 << size
+            assert min(table.masses) > 0
+            assert table.precision == 32 and sum(table.masses) == 1 << 32
+            assert ans.bernoulli_block_table(p, size) is table
+        for size in (0, 9, 8.0, True):
+            with pytest.raises(ParameterError):
+                ans.bernoulli_block_table(p, size)
+
+
 URN_SETTINGS = [(False, False), (True, False), (False, True), (True, True)]
 
 # Hand-picked sequences on 7 vertices: repeats where redraws are allowed,

@@ -191,10 +191,11 @@ class TestShuffleEncodeDecode:
             assert m1 == m2
 
     def test_symmetric_graph_bytes_pinned(self, rng):
-        # Large automorphism groups in one message, as version 9 writes it:
-        # each coset member is coded by its lexicographic rank. The empty
-        # graph on 12 vertices, K1,8, C10, the cube Q3 and 3 disjoint K3,
-        # each under ER(n, 1/2), under any relabeling.
+        # Large automorphism groups in one message, as version 10 writes it:
+        # each coset member is coded by its lexicographic rank, each graph's
+        # vertex pairs eight per block symbol. The empty graph on 12
+        # vertices, K1,8, C10, the cube Q3 and 3 disjoint K3, each under
+        # ER(n, 1/2), under any relabeling.
         triangle = ((0, 1), (1, 2), (0, 2))
         graphs = [
             Graph(12),
@@ -210,9 +211,9 @@ class TestShuffleEncodeDecode:
                 s = tuple(rng.sample(range(g.n), g.n)) if trial else tuple(range(g.n))
                 codec.encode(m, apply_perm(s, g))
             data = message_serialize(m)
-            assert data[:6] == b"SHUF\x09\x00"
+            assert data[:6] == b"SHUF\x0a\x00"
             assert hashlib.sha256(data[6:]).hexdigest() == (
-                "1390e31c57e5e4c265bb646cfbea8db80041ae011958ecf0fa22ea08cb267d7d"
+                "886065aca63976e2e61b4b49b3dc38c204e1d1231643ffab40520ff818d75096"
             )
             for codec, g in reversed(list(zip(codecs, graphs))):
                 assert canon_equal(codec.decode(m), g)
@@ -360,7 +361,7 @@ class TestMultisets:
 
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field, as versions 8 and 9 write it:
+        # everything after the version field, as versions 8 to 10 write it:
         # each coset is one exact-mass draw per element of its run labels,
         # then a Fisher-Yates shuffle of the values outside the runs.
         rng = random.Random(2408)
@@ -371,7 +372,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x09\x00"
+        assert data[:6] == b"SHUF\x0a\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "b0364eb80a980dc273636149ac867453f921dbcc6d35521272364fd0d8432900"
         )
