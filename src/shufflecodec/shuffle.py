@@ -6,10 +6,11 @@ class (log2(n!/|Aut|) bits) and encodes it under the model; decoding decodes
 it, pushes its ordering back and returns the canonical member. The class owns
 that ordering step: in general a coset of the canonical form's automorphism
 group, coded as a permutation and applied to the canonical form; for
-sequences the arrangement of the values, with the same bytes and no
-permutation. Near the initial message the pop draws deterministic
-pseudo-random pad words instead of content, so the first object costs about
-its ordered rate and the discount is amortized over later objects.
+sequences the arrangement of the values, one label per distinct value, with
+the bytes of that coset and no permutation. Near the initial message the pop
+draws deterministic pseudo-random pad words instead of content, so the first
+object costs about its ordered rate and the discount is amortized over later
+objects.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
 
-from .ans import WORD_BITS, Codec, CodecError, Message
+from .ans import WORD_BITS, Codec, CodecError, Message, pop_arrangement, push_arrangement
 from .canon import apply_sequence, canonize, canonize_string, equal_runs
 from .graphs import Graph, apply_perm
-from .perm_codecs import (
-    pop_group_arrangement,
-    push_group_arrangement,
-    uniform_l_coset_codec,
-)
+from .perm_codecs import uniform_l_coset_codec
 from .perms import Perm, StabilizerChain, SymmetricRuns, inverse
 
 
@@ -91,20 +88,21 @@ def _value_counts(xs: Sequence) -> Tuple[List[Any], List[Any], List[int]]:
 
 class _SequenceClass(PermutableClass):
     """Sequences under rearrangement. The ordering step is the arrangement of
-    the groups of equal values (perm_codecs.pop_group_arrangement), with the
-    bytes of the sorted sequence's SymmetricRuns coset and no permutation."""
+    the values, each labelled by its index among the distinct values
+    (ans.pop_arrangement), with the bytes of the sorted sequence's
+    SymmetricRuns coset and no permutation."""
 
     def pop_ordered(self, m: Message, f) -> Drawn:
         started = time.perf_counter()
         _, values, sizes = _value_counts(f)
         canonize_seconds = time.perf_counter() - started
-        g = list(map(values.__getitem__, pop_group_arrangement(m, sizes)))
+        g = list(map(values.__getitem__, pop_arrangement(m, sizes)))
         g = "".join(g) if isinstance(f, str) else tuple(g)
         return Drawn(g, math.prod(map(math.factorial, sizes)), canonize_seconds)
 
     def push_ordering(self, m: Message, g):
         canon, values, sizes = _value_counts(g)
-        push_group_arrangement(m, [bisect_left(values, x) for x in g], sizes)
+        push_arrangement(m, [bisect_left(values, x) for x in g], sizes)
         return tuple(canon)
 
 

@@ -419,11 +419,11 @@ class TestSerialization:
                 message_deserialize(bytes(data))
 
     def test_er_corpus_bytes_unchanged_by_version_2(self):
-        # ER and attribute tables, pinned as version 10 writes them: the ER
-        # pairs are coded eight per block symbol, the block and attribute
-        # tables are the cumulative floors of their integer weights, the
-        # parameter block's lists are runs of uniform symbols under the same
-        # rule.
+        # ER and attribute tables, pinned as versions 10 and 11 write them:
+        # the ER pairs are coded eight per block symbol, the block and
+        # attribute tables are the cumulative floors of their integer
+        # weights, the parameter block's lists are runs of uniform symbols
+        # under the same rule.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -432,7 +432,7 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x0a\x00"
+        assert data[:6] == b"SHUF\x0b\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "c48e6da291a1c04cb5df26f6820e0b8864e87e3d4f5784c3e149659e4e7befcf"
@@ -440,19 +440,20 @@ class TestSerialization:
 
     def test_pu_corpus_bytes_pinned(self):
         # Seeded preferential-attachment graphs under the urn model: the urn's
-        # exact-mass pair symbols and both shuffle levels (graph and edge list).
+        # exact-mass pair symbols and both shuffle levels (graph and edge list),
+        # as version 11 writes them: one arrangement label per distinct edge.
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x0a\x00"
+        assert data[:6] == b"SHUF\x0b\x00"
         assert len(data) == 104
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "7e12f12a6361ffddbdd21aa91e21690fae58ac7061c719fb3e03bc4acd27d86b"
+            "8173664f290b0f11c7cd6221ac2b1d4e5d04fa3338e01fb0b42ce7102c340e1a"
         )
 
     def test_uniform_attrs_er_corpus_bytes_pinned(self):
         # The uniform-attribute ablation: attributes coded uniformly over the
-        # alphabets of the count tables, as version 10 writes it.
+        # alphabets of the count tables, as versions 10 and 11 write it.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -462,7 +463,7 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x0a\x00"
+        assert data[:6] == b"SHUF\x0b\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "d259fda9c068041a8ba687113d316024e46ed2d0cedc1f1c4bfd6e88d940ee7b"
@@ -806,17 +807,18 @@ class TestArrangement:
             assert abs(m.length_bits - before - exact / math.log(2)) <= 1e-3 * max(n, 1)
 
     def test_long_arrangements_are_fast(self):
-        # O(log r) per element: 2000 labels of two copies each, which a
+        # O(log r) per element: 2000 labels of two copies each, and 4000
+        # labels of one copy each (a multiset of distinct values), which a
         # linear scan over the labels would make O(n**2).
         rng = random.Random(4)
-        counts = [2] * 2000
-        labels = [j for j in range(2000) for _ in range(2)]
-        rng.shuffle(labels)
-        m = random_message(1, 4)
-        before = m.copy()
-        push_arrangement(m, labels, counts)
-        assert pop_arrangement(m, counts) == labels
-        assert m == before
+        for counts in ([2] * 2000, [1] * 4000):
+            labels = [j for j, c in enumerate(counts) for _ in range(c)]
+            rng.shuffle(labels)
+            m = random_message(1, 4)
+            before = m.copy()
+            push_arrangement(m, labels, counts)
+            assert pop_arrangement(m, counts) == labels
+            assert m == before
 
     def test_bad_arrangements_rejected_before_the_message_changes(self):
         m = random_message(3, 2)

@@ -269,9 +269,9 @@ class TestUniformLCoset:
 
 
 class TestRunsCoset:
-    """uniform_l_coset_codec on SymmetricRuns: the arrangement of the run
-    labels over the values, then a shuffle of the values outside the runs.
-    The reference is the schreier_sims chain of the same group."""
+    """uniform_l_coset_codec on SymmetricRuns: one arrangement of the group
+    labels over the values, a run one group and a point outside the runs one
+    of its own. The reference is the schreier_sims chain of the same group."""
 
     # Runs of two or more points with single points before, between and
     # after them, and the edge cases of no run and of one run over all.
@@ -322,18 +322,22 @@ class TestRunsCoset:
         ]
 
     def test_no_runs_codes_the_shuffle_of_uniform_s(self, rng):
-        # With no run the cosets are the permutations and the bytes are those
-        # of the trivial group's chain: graphs and urn edge lists keep theirs.
+        # uniform_s_codec is the trivial chain's coset codec, a Fisher-Yates
+        # shuffle, byte for byte. With no run the SymmetricRuns cosets are the
+        # permutations too, coded as an arrangement of n labels: other bytes,
+        # the same round trip.
         trivial = uniform_l_coset_codec(schreier_sims(PermGroup.trivial(9)))
+        no_runs = uniform_l_coset_codec(SymmetricRuns(9, []))
         for trial in range(10):
             s = tuple(rng.sample(range(9), 9))
-            a = random_message(seed=trial, tail_words=4)
-            b, c = a.copy(), a.copy()
-            uniform_l_coset_codec(SymmetricRuns(9, [])).encode(a, s)
-            uniform_s_codec(9).encode(b, s)
-            trivial.encode(c, s)
-            assert a == b == c
-            assert uniform_l_coset_codec(SymmetricRuns(9, [])).decode(a) == s
+            start = random_message(seed=trial, tail_words=4)
+            a, b, c = start.copy(), start.copy(), start.copy()
+            uniform_s_codec(9).encode(a, s)
+            trivial.encode(b, s)
+            assert a == b
+            no_runs.encode(c, s)
+            assert no_runs.decode(c) == s
+            assert c == start
 
     def test_bad_input_rejected_before_the_message_changes(self):
         m = random_message(seed=1, tail_words=4)

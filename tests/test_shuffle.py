@@ -191,11 +191,11 @@ class TestShuffleEncodeDecode:
             assert m1 == m2
 
     def test_symmetric_graph_bytes_pinned(self, rng):
-        # Large automorphism groups in one message, as version 10 writes it:
-        # each coset member is coded by its lexicographic rank, each graph's
-        # vertex pairs eight per block symbol. The empty graph on 12
-        # vertices, K1,8, C10, the cube Q3 and 3 disjoint K3, each under
-        # ER(n, 1/2), under any relabeling.
+        # Large automorphism groups in one message, as versions 10 and 11
+        # write it: each coset member is coded by its lexicographic rank,
+        # each graph's vertex pairs eight per block symbol. The empty graph
+        # on 12 vertices, K1,8, C10, the cube Q3 and 3 disjoint K3, each
+        # under ER(n, 1/2), under any relabeling.
         triangle = ((0, 1), (1, 2), (0, 2))
         graphs = [
             Graph(12),
@@ -211,7 +211,7 @@ class TestShuffleEncodeDecode:
                 s = tuple(rng.sample(range(g.n), g.n)) if trial else tuple(range(g.n))
                 codec.encode(m, apply_perm(s, g))
             data = message_serialize(m)
-            assert data[:6] == b"SHUF\x0a\x00"
+            assert data[:6] == b"SHUF\x0b\x00"
             assert hashlib.sha256(data[6:]).hexdigest() == (
                 "886065aca63976e2e61b4b49b3dc38c204e1d1231643ffab40520ff818d75096"
             )
@@ -359,11 +359,29 @@ class TestMultisets:
             assert codec.decode(m) == tuple(sorted(xs))
             assert m == snapshot
 
+    def test_sequence_ordering_draws_no_shuffle(self, monkeypatch):
+        # Every distinct value has a label of its own, so the ordering is one
+        # arrangement draw: values that occur once go through no Fisher-Yates
+        # shuffle.
+        def refuse(*args):
+            raise AssertionError("Fisher-Yates shuffle reached")
+
+        monkeypatch.setattr(perm_codecs, "_pop_shuffle", refuse)
+        monkeypatch.setattr(perm_codecs, "_push_shuffle", refuse)
+        pclass = sequence_class()
+        for xs in ((2, 0, 1, 1, 0, 2, 2, 3), (5, 1, 4, 0), "shuffle", (3,) * 6, ()):
+            m = random_message(seed=6, tail_words=8)
+            snapshot = m.copy()
+            drawn = pclass.pop_ordered(m, xs)
+            assert sorted(drawn.ordered) == sorted(xs)
+            assert pclass.push_ordering(m, drawn.ordered) == tuple(sorted(xs))
+            assert m == snapshot
+
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field, as versions 8 to 10 write it:
-        # each coset is one exact-mass draw per element of its run labels,
-        # then a Fisher-Yates shuffle of the values outside the runs.
+        # everything after the version field, as version 11 writes it: each
+        # ordering is one exact-mass draw per element, without replacement,
+        # of the labels 0..r-1 of its r distinct values.
         rng = random.Random(2408)
         masses = (5, 2, 1)
         m = message_init()
@@ -372,9 +390,9 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0a\x00"
+        assert data[:6] == b"SHUF\x0b\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "b0364eb80a980dc273636149ac867453f921dbcc6d35521272364fd0d8432900"
+            "97dea0b19c12facb24fecccf9c00de60aaf4eecc9abee9557e8a508014784b55"
         )
 
     def test_long_multisets_without_schreier_sims(self, monkeypatch):
