@@ -409,11 +409,10 @@ def pop_exact(
     return symbol
 
 
-def _arrangement_state(counts: Sequence[int]) -> Tuple[List[int], List[int], int]:
-    """The counts as a list, their Fenwick tree (tree[i] sums the counts of
-    labels i - (i & -i) .. i - 1) and the number of labels with a positive
-    count. ParameterError unless the counts are nonnegative ints with total
-    at most 2**48."""
+def _arrangement_state(counts: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The counts as a list and their Fenwick tree (tree[i] sums the counts
+    of labels i - (i & -i) .. i - 1). ParameterError unless the counts are
+    nonnegative ints with total at most 2**48."""
     left = list(counts)
     if not {int}.issuperset(map(type, left)) or min(left, default=0) < 0:
         raise ParameterError("label counts must be nonnegative integers")
@@ -425,7 +424,7 @@ def _arrangement_state(counts: Sequence[int]) -> Tuple[List[int], List[int], int
         j = i + (i & -i)
         if j <= r:
             tree[j] += tree[i]
-    return left, tree, r - left.count(0)
+    return left, tree
 
 
 def push_arrangement(m: Message, labels: Sequence[int], counts: Sequence[int]) -> None:
@@ -434,19 +433,17 @@ def push_arrangement(m: Message, labels: Sequence[int], counts: Sequence[int]) -
     arrangements. Element i is one exact-mass symbol drawn without
     replacement from the n - i labels left: its start is the count left of
     the lower labels, its mass the count left of its own label, rounded as
-    push_exact rounds. Once a single label is left the rest is known and
-    coded by nothing. A Fenwick tree over the counts makes each draw
-    O(log r) for r labels. Raises ParameterError for bad counts and
-    ContractViolation, before the message changes, unless labels is such an
-    arrangement."""
-    left, tree, live = _arrangement_state(counts)
+    push_exact rounds. Once a single label is left each draw has the whole
+    total as its mass, so it codes nothing and leaves the head as it is. A
+    Fenwick tree over the counts makes each draw O(log r) for r labels.
+    Raises ParameterError for bad counts and ContractViolation, before the
+    message changes, unless labels is such an arrangement."""
+    left, tree = _arrangement_state(counts)
     r, total = len(left), sum(left)
     if len(labels) != total:
         raise ContractViolation(f"{len(labels)} labels for counts totalling {total}")
     subranges = []
     for x in labels:
-        if live <= 1:
-            break
         if type(x) is not int or not 0 <= x < r or not left[x]:
             raise ContractViolation(f"label {x!r} outside [0, {r}) or over its count")
         start = 0
@@ -457,18 +454,11 @@ def push_arrangement(m: Message, labels: Sequence[int], counts: Sequence[int]) -
         mass = left[x]
         subranges.append((start, mass, total))
         left[x] = mass - 1
-        if mass == 1:
-            live -= 1
         i = x + 1
         while i <= r:
             tree[i] -= 1
             i += i & -i
         total -= 1
-    if total:
-        last = next(j for j, c in enumerate(left) if c)
-        for x in labels[len(labels) - total:]:
-            if type(x) is not int or x != last:
-                raise ContractViolation(f"label {x!r} over its count")
     _push_subranges(m, subranges)
 
 
@@ -476,13 +466,13 @@ def pop_arrangement(m: Message, counts: Sequence[int]) -> List[int]:
     """Pop an arrangement pushed by push_arrangement with the same counts,
     first element first. Raises ParameterError, before the message changes,
     for bad counts."""
-    left, tree, live = _arrangement_state(counts)
+    left, tree = _arrangement_state(counts)
     r, total = len(left), sum(left)
     top = 1 << (r.bit_length() - 1) if r else 0
     head, tail = m.head, m.tail
     out: List[int] = []
     append = out.append
-    while live > 1:
+    while total:
         precision = (total - 1).bit_length() + _HEADROOM_BITS
         if precision > MAX_PRECISION:
             precision = MAX_PRECISION
@@ -504,16 +494,12 @@ def pop_arrangement(m: Message, counts: Sequence[int]) -> List[int]:
             head = (head << WORD_BITS) | (tail.pop() if tail else m.pop_word())
         append(x)
         left[x] = mass - 1
-        if mass == 1:
-            live -= 1
         i = x + 1
         while i <= r:
             tree[i] -= 1
             i += i & -i
         total -= 1
     m.head = head
-    if total:
-        out.extend([next(j for j, c in enumerate(left) if c)] * total)
     return out
 
 
@@ -634,13 +620,11 @@ def message_serialize(m: Message) -> bytes:
     )
 
 
-def message_deserialize(
-    data: bytes, pad_seed: Optional[int] = None
-) -> Message:
+def message_deserialize(data: bytes) -> Message:
     """Inverse of message_serialize; raises FormatError on any corruption.
 
-    The returned message has no pad source unless one is supplied: decoding
-    more than was encoded raises rather than fabricating content.
+    The returned message has no pad source: decoding more than was encoded
+    raises MessageUnderflow rather than fabricating content.
     """
     if len(data) < 18:
         raise FormatError("truncated message")
@@ -661,4 +645,4 @@ def message_deserialize(
     (head,) = struct.unpack_from("<Q", data, 10 + 2 * count)
     if not HEAD_MIN <= head < HEAD_LIMIT:
         raise FormatError("head outside renormalization interval")
-    return Message(head, words, pad_seed)
+    return Message(head, words, None)

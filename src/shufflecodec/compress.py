@@ -31,7 +31,6 @@ from .graphs import Graph, pair_count, plain_graph
 from .models import (
     ErParams,
     PuParams,
-    clamp_probability,
     erdos_renyi_codec,
     polya_urn_codec,
     with_attributes,
@@ -156,8 +155,7 @@ def validate_dataset_params(params: DatasetParams, corpus: Corpus, attrs: str) -
 def _er_probability(params: DatasetParams) -> Fraction:
     edges, non_edges = params.er_counts
     total = edges + non_edges
-    p = Fraction(edges, total) if total else Fraction(1, 2)
-    return clamp_probability(p)
+    return Fraction(edges, total) if total else Fraction(1, 2)
 
 
 def graph_codec_for(params: DatasetParams, n: int, num_edges: Optional[int] = None) -> Codec:

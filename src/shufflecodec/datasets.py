@@ -138,9 +138,6 @@ def load_tu_dataset(directory: str) -> Corpus:
         for (gi, li), label in zip(local, node_labels):
             vertex_attrs_of[gi][li] = node_map[label]
 
-    # Loop permission is a dataset-level property: a uniform flag keeps graphs
-    # comparable across a compress/decompress round trip.
-    loops = any(i == j for g in per_graph_edges for i, j in g)
     graphs = []
     for gi in range(num_graphs):
         n = counters[gi]
@@ -151,9 +148,7 @@ def load_tu_dataset(directory: str) -> Corpus:
             if edge_labels is not None
             else None
         )
-        graphs.append(
-            Graph(n, edges, vertex_attrs, edge_attrs, self_loops_allowed=loops)
-        )
+        graphs.append(Graph(n, edges, vertex_attrs, edge_attrs))
 
     return Corpus(
         tuple(graphs),

@@ -25,7 +25,7 @@ def sample_er_graph(
     edge_attrs = (
         {e: rng.randrange(edge_alphabet) for e in edges} if edge_alphabet else None
     )
-    return Graph(n, edges, vertex_attrs, edge_attrs, self_loops)
+    return Graph(n, edges, vertex_attrs, edge_attrs)
 
 
 def sample_pa_graph(rng: random.Random, n: int, attachment: int = 2) -> Graph:

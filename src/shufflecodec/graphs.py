@@ -1,9 +1,10 @@
 """Attributed graphs and the vertex-relabeling action on them.
 
 A Graph holds a vertex count, a set of undirected edges (stored as (i, j)
-tuples with i <= j; i == j only when self-loops are enabled), optional
-categorical vertex attributes, and optional categorical edge attributes
-covering every edge.
+tuples with i <= j; a self-loop is the edge (i, i)), optional categorical
+vertex attributes, and optional categorical edge attributes covering every
+edge. Whether loops are coded is the model parameters' choice, not the
+graph's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .perms import DegreeMismatch, Perm, is_perm
 class Graph:
     """Immutable-by-convention attributed graph on vertex set {0..n-1}."""
 
-    __slots__ = ("n", "edges", "vertex_attrs", "edge_attrs", "self_loops_allowed")
+    __slots__ = ("n", "edges", "vertex_attrs", "edge_attrs")
 
     def __init__(
         self,
@@ -24,7 +25,6 @@ class Graph:
         edges: Iterable = (),
         vertex_attrs: Optional[Sequence[int]] = None,
         edge_attrs: Optional[Mapping] = None,
-        self_loops_allowed: bool = False,
     ):
         edge_list = [(i, j) if i <= j else (j, i) for i, j in edges]
         edge_set = frozenset(edge_list)
@@ -33,8 +33,6 @@ class Graph:
         for i, j in edge_set:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) outside vertex range [0, {n})")
-            if i == j and not self_loops_allowed:
-                raise ValueError(f"self-loop at {i} but self-loops are disabled")
         self.n = n
         self.edges = edge_set
         if vertex_attrs is not None:
@@ -53,8 +51,6 @@ class Graph:
             if any(a < 0 for a in edge_attrs.values()):
                 raise ValueError("negative edge attribute")
         self.edge_attrs = edge_attrs
-
-        self.self_loops_allowed = self_loops_allowed
 
     @property
     def num_edges(self) -> int:
@@ -85,7 +81,6 @@ class Graph:
             and self.edges == other.edges
             and self.vertex_attrs == other.vertex_attrs
             and self.edge_attrs == other.edge_attrs
-            and self.self_loops_allowed == other.self_loops_allowed
         )
 
     __hash__ = None  # not hashable: use key()
@@ -102,15 +97,14 @@ def trusted_graph(
     edges: frozenset,
     vertex_attrs: Optional[tuple] = None,
     edge_attrs: Optional[dict] = None,
-    self_loops_allowed: bool = False,
 ) -> Graph:
     """A Graph from parts that are valid by construction, without checking
-    them again: edges a frozenset of (i, j), i <= j, inside [0, n) and loops
-    only when allowed; vertex_attrs a tuple of n naturals; edge_attrs a dict
-    of naturals keyed by exactly the edges. The relabeling action and the
-    model decoders build their graphs this way."""
+    them again: edges a frozenset of (i, j), i <= j, inside [0, n);
+    vertex_attrs a tuple of n naturals; edge_attrs a dict of naturals keyed
+    by exactly the edges. The relabeling action and the model decoders build
+    their graphs this way."""
     g = Graph.__new__(Graph)
-    g.n, g.edges, g.self_loops_allowed = n, edges, self_loops_allowed
+    g.n, g.edges = n, edges
     g.vertex_attrs, g.edge_attrs = vertex_attrs, edge_attrs
     return g
 
@@ -144,7 +138,7 @@ def apply_perm(s: Perm, g: Graph) -> Graph:
         edges = frozenset(
             [(s[i], s[j]) if s[i] <= s[j] else (s[j], s[i]) for i, j in g.edges]
         )
-    return trusted_graph(n, edges, vertex_attrs, edge_attrs, g.self_loops_allowed)
+    return trusted_graph(n, edges, vertex_attrs, edge_attrs)
 
 
 def plain_graph(g: Graph) -> Graph:
@@ -152,14 +146,14 @@ def plain_graph(g: Graph) -> Graph:
     set instead of checking it again."""
     if g.vertex_attrs is None and g.edge_attrs is None:
         return g
-    return trusted_graph(g.n, g.edges, self_loops_allowed=g.self_loops_allowed)
+    return trusted_graph(g.n, g.edges)
 
 
 def graph_pairs(n: int, self_loops: bool = False):
     """Vertex pairs in the model coding order: for each i, all j <= i."""
     for i in range(n):
         for j in range(i + 1 if self_loops else i):
-            yield (j, i) if j < i else (i, i)
+            yield (j, i)
 
 
 def pair_count(n: int, self_loops: bool = False) -> int:

@@ -161,7 +161,7 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
         for block, x in zip(block_pairs, blocks):
             if x:
                 edges += map(block.__getitem__, _SET_BITS[x])
-        return trusted_graph(n, frozenset(edges), self_loops_allowed=loops)
+        return trusted_graph(n, frozenset(edges))
 
     def prob(g: Graph) -> Fraction:
         q0, q1 = bernoulli_weights(p)
@@ -353,9 +353,7 @@ def with_attributes(
         if e_codec is not None:
             ordered = sorted(g.edges, key=_pair_order)
             edge_attrs = dict(zip(ordered, pop_symbols(m, e_codec.table, len(ordered))))
-        return trusted_graph(
-            g.n, g.edges, vertex_attrs, edge_attrs, g.self_loops_allowed
-        )
+        return trusted_graph(g.n, g.edges, vertex_attrs, edge_attrs)
 
     def prob(g: Graph) -> Fraction:
         p = base.prob(plain_graph(g))
@@ -391,6 +389,6 @@ def polya_urn_codec(params: PuParams) -> Codec:
         # Decoded pairs are eligible by construction: i <= j inside [0, n),
         # loops only when allowed.
         edges = frozenset(inner.decode(m))
-        return trusted_graph(params.n, edges, self_loops_allowed=params.allow_self_loops)
+        return trusted_graph(params.n, edges)
 
     return Codec(encode, decode)

@@ -14,11 +14,10 @@ cannot demand 2**46 of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .ans import Codec, ContractViolation, FormatError, Message
-from .ans import bernoulli_codec, pop_uniforms, push_uniforms
+from .ans import pop_uniforms, push_uniforms
 from .graphs import pair_count
 
 _LENGTH_LIMIT = 1 << 46
@@ -26,7 +25,7 @@ _ELEMENT_LIMIT = 1 << 32
 _ZERO_LIST_LIMIT = 1 << 16
 
 _HEADER_SIZES = (_LENGTH_LIMIT, 33)  # list length, bit count of the maximum
-_bit = bernoulli_codec(Fraction(1, 2))
+_FLAG = (2,)  # a flag is one uniform symbol over {0, 1}
 
 
 def natural_list_codec() -> Codec:
@@ -160,36 +159,38 @@ def encode_dataset_params(m: Message, params: DatasetParams) -> None:
         push_uniforms(m, counts, _edge_count_sizes(sizes, params.self_loops))
     if params.edge_attr_counts is not None:
         _naturals.encode(m, list(params.edge_attr_counts))
-    _bit.encode(m, 1 if params.edge_attr_counts is not None else 0)
+    push_uniforms(m, [int(params.edge_attr_counts is not None)], _FLAG)
     if params.vertex_attr_counts is not None:
         _naturals.encode(m, list(params.vertex_attr_counts))
-    _bit.encode(m, 1 if params.vertex_attr_counts is not None else 0)
+    push_uniforms(m, [int(params.vertex_attr_counts is not None)], _FLAG)
     lengths, diffs = _runs_to_lists(params.vertex_count_runs)
     _naturals.encode(m, diffs)
     _naturals.encode(m, lengths)
-    _bit.encode(m, 1 if params.order_perm is not None else 0)
-    _bit.encode(m, 1 if params.redraws else 0)
-    _bit.encode(m, 1 if params.uniform_attrs else 0)
-    _bit.encode(m, 1 if params.self_loops else 0)
-    _bit.encode(m, 1 if params.model == "pu" else 0)
+    flags = (
+        params.model == "pu",
+        params.self_loops,
+        params.uniform_attrs,
+        params.redraws,
+        params.order_perm is not None,
+    )
+    push_uniforms(m, [1 if f else 0 for f in flags], _FLAG * len(flags))
 
 
 def decode_dataset_params(m: Message) -> DatasetParams:
     """Pop the parameter block. Raises FormatError for vertex-count runs,
     er_counts or a graph order that encode_dataset_params never writes,
     before any graph is decoded."""
-    model = "pu" if _bit.decode(m) else "er"
-    self_loops = bool(_bit.decode(m))
-    uniform_attrs = bool(_bit.decode(m))
-    redraws = bool(_bit.decode(m))
-    has_order = bool(_bit.decode(m))
+    is_pu, self_loops, uniform_attrs, redraws, has_order = map(
+        bool, pop_uniforms(m, _FLAG * 5)
+    )
+    model = "pu" if is_pu else "er"
     lengths = _naturals.decode(m)
     diffs = _naturals.decode(m)
     runs = _lists_to_runs(lengths, diffs)
     if 0 in lengths or 0 in diffs[1:]:
         raise FormatError("vertex-count runs need positive lengths and distinct counts")
-    vertex_attr_counts = tuple(_naturals.decode(m)) if _bit.decode(m) else None
-    edge_attr_counts = tuple(_naturals.decode(m)) if _bit.decode(m) else None
+    vertex_attr_counts = tuple(_naturals.decode(m)) if pop_uniforms(m, _FLAG)[0] else None
+    edge_attr_counts = tuple(_naturals.decode(m)) if pop_uniforms(m, _FLAG)[0] else None
     er_counts = None
     pu_edge_counts = None
     if model == "er":

@@ -828,7 +828,7 @@ class TestArrangement:
             [0, 2, 2, 0],  # too short
             [0, 2, 2, 0, 2, 2],  # too long
             [0, 0, 0, 2, 2],  # label 0 over its count
-            [2, 2, 2, 2, 0],  # label 2 over its count, in the uncoded tail
+            [2, 2, 2, 2, 0],  # label 2 over its count, after label 0 is used up
             [0, 1, 2, 2, 0],  # label 1 has count 0
             [0, 3, 2, 2, 0],  # no label 3
             [0, 2.0, 2, 2, 0],

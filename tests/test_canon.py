@@ -228,10 +228,10 @@ class TestCanonize:
             assert canonize(apply_perm(s, g)).canon_graph == canonize(g).canon_graph
 
     def test_loops_as_vertex_flavor(self):
-        g = Graph(3, [(0, 0), (0, 1)], self_loops_allowed=True)
-        h = Graph(3, [(2, 2), (1, 2)], self_loops_allowed=True)
+        g = Graph(3, [(0, 0), (0, 1)])
+        h = Graph(3, [(2, 2), (1, 2)])
         assert canon_equal(g, h)
-        assert not canon_equal(g, Graph(3, [(0, 1)], self_loops_allowed=True))
+        assert not canon_equal(g, Graph(3, [(0, 1)]))
 
     def test_empty_and_tiny(self):
         assert canonize(Graph(0)).aut_order == 1
@@ -317,7 +317,6 @@ class TestStructuredOracle:
                     n,
                     [(i, i) for i in range(0, n, 3)] + [(0, 1), (1, 2)],
                     vertex_attrs=[i % 2 for i in range(n)],
-                    self_loops_allowed=True,
                 )
             c, bf = canonize(g), canonize_bruteforce(g)
             assert c.aut_order == bf.aut_order

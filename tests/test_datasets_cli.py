@@ -85,17 +85,17 @@ class TestTuLoader:
         again = load_tu_dataset(str(tmp_path))
         assert again.graphs == corpus.graphs
 
-    def test_loop_flag_is_dataset_wide(self, tmp_path):
-        # one graph with a loop, one without: both carry the loop permission
+    def test_loop_in_one_graph_round_trips(self, tmp_path):
+        # one graph with a loop, one without: the loop-free graph is the same
+        # graph as one built by hand, and both decode to their canonical forms
         (tmp_path / "X_A.txt").write_text("1, 1\n2, 3\n3, 2\n")
         (tmp_path / "X_graph_indicator.txt").write_text("1\n2\n2\n")
         corpus = load_tu_dataset(str(tmp_path))
         assert corpus.self_loops
-        assert all(g.self_loops_allowed for g in corpus.graphs)
+        assert corpus.graphs[1] == Graph(2, [(0, 1)])
         data, _ = compress_corpus(corpus, keep_order=True)
         out = decompress_corpus(data)
-        for got, want in zip(out.graphs, corpus.graphs):
-            assert canon_equal(got, want)
+        assert list(out.graphs) == [canonize(g).canon_graph for g in corpus.graphs]
 
 
 def synthetic_corpus(seed=0, num=12, with_attrs=False, loops=False):
@@ -162,10 +162,7 @@ class TestCompressDecompress:
         for pos, original_index in enumerate(order):
             reference = corpus.graphs[original_index]
             if attrs == "none":
-                reference = Graph(
-                    reference.n, reference.edges,
-                    self_loops_allowed=reference.self_loops_allowed,
-                )
+                reference = Graph(reference.n, reference.edges)
             assert canon_equal(out.graphs[pos], reference)
 
     @pytest.mark.parametrize("model", ["er", "pu"])
@@ -188,6 +185,12 @@ class TestCompressDecompress:
         for got, want in zip(out.graphs, graphs):
             assert canon_equal(got, want)
             assert got.has_edge_attrs == edge_attrs
+
+    @pytest.mark.parametrize("model", ["er", "pu"])
+    def test_loop_round_trips(self, model):
+        g = Graph(2, [(0, 0)])
+        data, _ = compress_corpus(Corpus((g,), "loop", False, False), model=model)
+        assert list(decompress_corpus(data).graphs) == [canonize(g).canon_graph]
 
     @pytest.mark.parametrize("model", ["er", "pu"])
     def test_keep_order_restores_positions(self, model):

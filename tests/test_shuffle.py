@@ -236,7 +236,8 @@ def _attributed_er4():
 
 # Objects the ordered codec refuses after the ordering step has popped: a
 # sequence of the wrong length, a symbol outside the table, a graph on too
-# many vertices, with and without attributes.
+# many vertices, with and without attributes, and a graph with a loop under
+# loop-free ER and urn parameters.
 _REFUSED = {
     "short-sequence": (
         lambda: ShuffleCodec(string_codec((1, 1), 6), sequence_class()),
@@ -258,6 +259,14 @@ _REFUSED = {
             vertex_attrs=[0, 1, 1, 0, 1],
             edge_attrs={(0, 1): 0, (1, 2): 1, (3, 4): 0},
         ),
+    ),
+    "loop-under-loop-free-er": (
+        lambda: ShuffleCodec(erdos_renyi_codec(ErParams(4, Fraction(1, 2))), graph_class()),
+        Graph(4, [(0, 0), (1, 2)]),
+    ),
+    "loop-under-loop-free-urn": (
+        lambda: ShuffleCodec(polya_urn_codec(PuParams(4, 2)), graph_class()),
+        Graph(4, [(0, 0), (1, 2)]),
     ),
 }
 
