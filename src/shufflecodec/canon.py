@@ -7,6 +7,12 @@ automorphisms, which generate Aut and prune the search: a backjump past the
 automorphic subtree, and orbit pruning at each node. Sequences
 (strings) are canonized by stable sorting.
 
+Refinement signatures are tuples of ints (see _refine). The first pass reads
+them off the edge list; adjacency lists are built only for a graph that pass
+leaves with a non-singleton cell. The canonical form is built from the
+canonical permutation only when read, so a caller that relabels the graph
+anyway relabels it once.
+
 The canonical form of a graph depends only on its isomorphism class, never on
 the input labeling. The automorphisms found by its one search are conjugated
 onto the canonical form. The chain they build may have other Schreier trees
@@ -18,7 +24,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import repeat
+from operator import add
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, apply_perm
 from .perms import (
@@ -37,45 +46,88 @@ from .perms import (
 
 @dataclass(frozen=True)
 class Canonized:
-    """Result of canonizing a graph: the class representative, a permutation
-    mapping the input onto it, and the representative's automorphism group."""
+    """Result of canonizing a graph: the input graph, a permutation mapping it
+    onto its class representative, and the representative's automorphism
+    group. The representative itself, canon_graph, is built on first access."""
 
-    canon_graph: Graph
+    graph: Graph
     canon_perm: Perm
     aut_generators: PermGroup
     aut_order: int
     chain: StabilizerChain
 
+    @cached_property
+    def canon_graph(self) -> Graph:
+        return apply_perm(self.canon_perm, self.graph)
 
-def _adjacency(g: Graph) -> List[List[Tuple[int, int]]]:
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(g.n)]
+
+class _Adjacency(NamedTuple):
+    """Each vertex's neighbours and the attributes of the edges to them, in
+    the same order, loops left out; base exceeds every edge attribute."""
+
+    base: int
+    neighbours: List[List[int]]
+    attrs: List[List[int]]
+
+
+def _labelled_edges(g: Graph) -> Iterable[Tuple[Tuple[int, int], int]]:
     if g.edge_attrs is not None:
-        labelled = g.edge_attrs.items()
-    else:
-        labelled = [(e, 0) for e in g.edges]
-    for (i, j), a in labelled:
+        return g.edge_attrs.items()
+    return zip(g.edges, repeat(0))
+
+
+def _adjacency(g: Graph, base: int) -> _Adjacency:
+    neighbours: List[List[int]] = [[] for _ in range(g.n)]
+    attrs: List[List[int]] = [[] for _ in range(g.n)]
+    for (i, j), a in _labelled_edges(g):
         if i != j:  # loops are folded into vertex colors
-            adj[i].append((j, a))
-            adj[j].append((i, a))
-    return adj
+            neighbours[i].append(j)
+            attrs[i].append(a)
+            neighbours[j].append(i)
+            attrs[j].append(a)
+    return _Adjacency(base, neighbours, attrs)
 
 
 def _initial_colors(g: Graph) -> List[int]:
-    loops = {i for i, j in g.edges if i == j}
-    keys = [
-        (g.vertex_attrs[v] if g.vertex_attrs is not None else 0, v in loops)
-        for v in range(g.n)
-    ]
-    rank = {key: c for c, key in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
+    """The ranks of 2 * vertex attribute + (1 if the vertex has a loop),
+    which order as the (attribute, has a loop) pairs."""
+    keys = [2 * a for a in g.vertex_attrs] if g.vertex_attrs is not None else [0] * g.n
+    for i, j in g.edges:
+        if i == j:
+            keys[i] += 1
+    return _ranks(keys)
 
 
-def _refine(adj: List[List[Tuple[int, int]]], colors: List[int]) -> List[int]:
+def _ranks(sigs: list) -> List[int]:
+    """Each signature's rank among the distinct signatures: colors 0..k-1
+    in signature order."""
+    rank = {sig: c for c, sig in enumerate(sorted(set(sigs)))}
+    return list(map(rank.__getitem__, sigs))
+
+
+def _first_pass(g: Graph, colors: List[int], base: int) -> List[int]:
+    """_refine_pass read straight off g's edges, with no adjacency lists.
+
+    Each vertex's list starts with its color minus n, below every code, so it
+    stays first when the list is sorted: the sorted lists order as the
+    signatures (color, *sorted codes) do."""
+    n = len(colors)
+    codes = [[c - n] for c in colors]
+    for (i, j), a in _labelled_edges(g):
+        if i != j:
+            codes[i].append(colors[j] * base + a)
+            codes[j].append(colors[i] * base + a)
+    return _ranks(list(map(tuple, map(sorted, codes))))
+
+
+def _refine(adj: _Adjacency, colors: List[int]) -> List[int]:
     """1-WL refinement to the coarsest stable coloring finer than the input.
 
-    Signatures are full sorted multisets of (neighbor color, edge attribute)
-    pairs; new color ids follow signature order, so the result is canonical
-    for isomorphic (graph, coloring) pairs. Colors are 0..k-1, so a discrete
+    A vertex's signature is its color followed by the sorted codes
+    color * base + attribute of its neighbours: the full multiset of
+    (neighbour color, edge attribute) pairs, in their lexicographic order.
+    New color ids follow signature order, so the result is canonical for
+    isomorphic (graph, coloring) pairs. Colors are 0..k-1, so a discrete
     coloring is returned as it is: one more pass could only give it back.
     """
     n = len(colors)
@@ -89,15 +141,18 @@ def _refine(adj: List[List[Tuple[int, int]]], colors: List[int]) -> List[int]:
     return colors
 
 
-def _refine_pass(adj: List[List[Tuple[int, int]]], colors: List[int]) -> List[int]:
+def _refine_pass(adj: _Adjacency, colors: List[int]) -> List[int]:
     """One refinement pass: each vertex's color becomes the rank of its
-    signature, so the new colors are 0..k-1."""
-    sigs = [
-        (colors[v], tuple(sorted([(colors[u], a) for u, a in adj[v]])))
-        for v in range(len(colors))
-    ]
-    rank = {sig: c for c, sig in enumerate(sorted(set(sigs)))}
-    return [rank[sig] for sig in sigs]
+    signature (color, *sorted neighbour codes), so the new colors are 0..k-1.
+    The codes are built by C-level maps over the adjacency lists."""
+    scaled = [c * adj.base for c in colors]
+    code = scaled.__getitem__
+    return _ranks(
+        [
+            (c, *sorted(map(add, map(code, nbrs), attrs)))
+            for c, nbrs, attrs in zip(colors, adj.neighbours, adj.attrs)
+        ]
+    )
 
 
 def _individualize(colors: List[int], v: int) -> List[int]:
@@ -142,8 +197,23 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
 
     A leaf with the key of the first or the best leaf maps that leaf's subtree
     onto its own, so the search jumps back to where their paths split
-    (McKay & Piperno, "Practical graph isomorphism, II", 2014)."""
-    adj = _adjacency(g)
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+
+    The first refinement pass is read off the edges; adjacency lists are
+    built only when its coloring is not discrete, so a graph it splits into
+    singletons costs one pass and its one leaf."""
+    base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
+    colors = _initial_colors(g)
+    num = max(colors, default=-1) + 1
+    if num == g.n:
+        return tuple(colors), []
+    colors = _first_pass(g, colors, base)
+    new_num = max(colors) + 1
+    if new_num == g.n:
+        return tuple(colors), []
+    adj = _adjacency(g, base)
+    if new_num > num:
+        colors = _refine(adj, colors)
     # [key, perm, path] of the first and of the best leaf so far.
     best: Optional[list] = None
     first: Optional[list] = None
@@ -186,18 +256,19 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
             processed.append(v)
         return len(path)
 
-    rec(_refine(adj, _initial_colors(g)), [])
+    rec(colors, [])
     assert best is not None
     return best[1], auts
 
 
 def canonize(g: Graph) -> Canonized:
-    """Canonical form, canonical permutation, and Aut of the canonical form."""
+    """Canonical permutation and Aut of the canonical form; the canonical
+    form itself is built only when read."""
     perm, auts = _search(g)
     perm_inv = inverse(perm)
     grp = PermGroup(g.n, tuple(compose(perm, compose(a, perm_inv)) for a in auts))
     chain = schreier_sims(grp)
-    return Canonized(apply_perm(perm, g), perm, grp, group_order(chain), chain)
+    return Canonized(g, perm, grp, group_order(chain), chain)
 
 
 def canon_equal(a: Graph, b: Graph) -> bool:

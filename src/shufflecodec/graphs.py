@@ -3,8 +3,9 @@
 A Graph holds a vertex count, a set of undirected edges (stored as (i, j)
 tuples with i <= j; a self-loop is the edge (i, i)), optional categorical
 vertex attributes, and optional categorical edge attributes covering every
-edge. Whether loops are coded is the model parameters' choice, not the
-graph's.
+edge. Vertex ids and attributes are ints (a bool or a float equal to an int
+is refused) and attributes are non-negative. Whether loops are coded is the
+model parameters' choice, not the graph's.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .perms import DegreeMismatch, Perm, is_perm
+
+
+def _all_ints(xs: Iterable) -> bool:
+    """Whether every x is an int; bools and floats equal to ints are not."""
+    return set(map(type, xs)) <= {int}
 
 
 class Graph:
@@ -31,24 +37,34 @@ class Graph:
         if len(edge_list) != len(edge_set):
             raise ValueError("duplicate edges")
         for i, j in edge_set:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) outside vertex range [0, {n})")
+            if not (0 <= i < n and 0 <= j < n and type(i) is int and type(j) is int):
+                raise ValueError(f"edge ({i!r}, {j!r}) is not a pair of ints in [0, {n})")
         self.n = n
         self.edges = edge_set
         if vertex_attrs is not None:
             vertex_attrs = tuple(vertex_attrs)
             if len(vertex_attrs) != n:
                 raise ValueError("vertex attribute count != vertex count")
-            if any(a < 0 for a in vertex_attrs):
+            if not _all_ints(vertex_attrs):
+                raise ValueError("vertex attributes must be ints")
+            if vertex_attrs and min(vertex_attrs) < 0:
                 raise ValueError("negative vertex attribute")
         self.vertex_attrs = vertex_attrs
         if edge_attrs is not None:
-            edge_attrs = {
+            named = {
                 ((i, j) if i <= j else (j, i)): a for (i, j), a in edge_attrs.items()
             }
-            if set(edge_attrs) != edge_set:
+            if len(named) != len(edge_attrs):
+                raise ValueError("an edge is named twice in the edge attributes")
+            if named.keys() != edge_set:
                 raise ValueError("edge attributes must cover exactly the edge set")
-            if any(a < 0 for a in edge_attrs.values()):
+            # Keyed by the edge set's own tuples: a key such as (0.0, 1)
+            # equals (0, 1), and update keeps the key already present.
+            edge_attrs = dict.fromkeys(edge_set)
+            edge_attrs.update(named)
+            if not _all_ints(edge_attrs.values()):
+                raise ValueError("edge attributes must be ints")
+            if edge_attrs and min(edge_attrs.values()) < 0:
                 raise ValueError("negative edge attribute")
         self.edge_attrs = edge_attrs
 

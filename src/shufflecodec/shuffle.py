@@ -5,12 +5,12 @@ Encoding bits-back pops a uniformly random ordered member of the object's
 class (log2(n!/|Aut|) bits) and encodes it under the model; decoding decodes
 it, pushes its ordering back and returns the canonical member. The class owns
 that ordering step: in general a coset of the canonical form's automorphism
-group, coded as a permutation and applied to the canonical form; for
-sequences the arrangement of the values, one label per distinct value, with
-the bytes of that coset and no permutation. Near the initial message the pop
-draws deterministic pseudo-random pad words instead of content, so the first
-object costs about its ordered rate and the discount is amortized over later
-objects.
+group, coded as a permutation, composed with the canonical permutation and
+applied to the object in one relabeling; for sequences the arrangement of the
+values, one label per distinct value, with the bytes of that coset and no
+permutation. Near the initial message the pop draws deterministic
+pseudo-random pad words instead of content, so the first object costs about
+its ordered rate and the discount is amortized over later objects.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from .ans import WORD_BITS, Codec, CodecError, Message, pop_arrangement, push_ar
 from .canon import apply_sequence, canonize, canonize_string, equal_runs
 from .graphs import Graph, apply_perm
 from .perm_codecs import uniform_l_coset_codec
-from .perms import Perm, StabilizerChain, SymmetricRuns, inverse
+from .perms import Perm, StabilizerChain, SymmetricRuns, compose, inverse
 
 
 class CanonInfo(NamedTuple):
-    """Canonizer output in the shape the shuffle codec needs."""
+    """Canonizer output in the shape the shuffle codec needs: the permutation
+    mapping the object onto its canonical member, and that member's
+    automorphism group."""
 
-    value: Any
     perm: Perm
     aut_group: Union[StabilizerChain, SymmetricRuns]
     aut_order: int
@@ -56,25 +57,30 @@ class PermutableClass:
 
     def pop_ordered(self, m: Message, f) -> Drawn:
         """Pop a uniformly random ordered member of f's class: the canonical
-        member relabeled by a coset of its automorphism group."""
+        member relabeled by a member s of a coset of its automorphism group,
+        built as f relabeled once by s composed with the canonical
+        permutation."""
         started = time.perf_counter()
         info = self.canonize(f)
         canonize_seconds = time.perf_counter() - started
         s = uniform_l_coset_codec(info.aut_group).decode(m)
-        return Drawn(self.apply(s, info.value), info.aut_order, canonize_seconds)
+        return Drawn(self.apply(compose(s, info.perm), f), info.aut_order, canonize_seconds)
 
     def push_ordering(self, m: Message, g):
         """Push back the ordering of g, an ordered member, as the coset that
-        maps the canonical member onto it; return the canonical member."""
+        maps the canonical member onto it; return the canonical member, g
+        relabeled by the canonical permutation."""
         info = self.canonize(g)
         uniform_l_coset_codec(info.aut_group).encode(m, inverse(info.perm))
-        return info.value
+        return self.apply(info.perm, g)
 
 
 def graph_class() -> PermutableClass:
     def canon(g: Graph) -> CanonInfo:
+        # Looked up in this module at each call, so that rebinding the
+        # name here (a tracer, a test) sees every canonization.
         c = canonize(g)
-        return CanonInfo(c.canon_graph, c.canon_perm, c.chain, c.aut_order)
+        return CanonInfo(c.canon_perm, c.chain, c.aut_order)
 
     return PermutableClass(apply_perm, canon, lambda g: g.n)
 
@@ -109,7 +115,7 @@ class _SequenceClass(PermutableClass):
 def sequence_class() -> PermutableClass:
     def canon(x) -> CanonInfo:
         c = canonize_string(x)
-        return CanonInfo(c.canon_seq, c.canon_perm, c.aut_group, c.aut_order)
+        return CanonInfo(c.canon_perm, c.aut_group, c.aut_order)
 
     return _SequenceClass(apply_sequence, canon, len)
 

@@ -2,6 +2,7 @@
 
 Each is a slow, direct version of something the package computes fast, or a
 diagnostic only tests run: brute-force canonization over all n! relabelings,
+a color refinement pass over (color, attribute) pair signatures,
 canonization of edge-attributed graphs through a vertex-colored embedding, an
 exchangeability check for ordered codecs, orbits by breadth-first closure,
 enumeration of a stabilizer chain's group, the Schreier-Sims chain of a
@@ -54,9 +55,21 @@ def canonize_bruteforce(g: Graph) -> Canonized:
     grp = PermGroup(g.n, tuple(a for a in auts if a != identity(g.n)))
     chain = schreier_sims(grp)
     assert group_order(chain) == len(auts)
-    return Canonized(
-        apply_perm(best_perm, g), best_perm, grp, len(auts), chain
-    )
+    return Canonized(g, best_perm, grp, len(auts), chain)
+
+
+def refine_pass_by_pairs(g: Graph, colors: List[int]) -> List[int]:
+    """One color refinement pass whose signatures are (color, sorted tuple of
+    (neighbour color, edge attribute) pairs), loops left out: the reference
+    for canon's integer-coded passes, which must give equal colorings."""
+    pairs: List[list] = [[] for _ in range(g.n)]
+    for (i, j), a in (g.edge_attrs or dict.fromkeys(g.edges, 0)).items():
+        if i != j:
+            pairs[i].append((colors[j], a))
+            pairs[j].append((colors[i], a))
+    sigs = [(c, tuple(sorted(p))) for c, p in zip(colors, pairs)]
+    rank = {sig: c for c, sig in enumerate(sorted(set(sigs)))}
+    return [rank[sig] for sig in sigs]
 
 
 def embed_edge_colors(g: Graph) -> Tuple[Graph, Tuple[Tuple[int, int], ...]]:
@@ -101,7 +114,7 @@ def canonize_via_embedding(g: Graph) -> Canonized:
     )
     grp = PermGroup(g.n, restricted)
     chain = schreier_sims(grp)
-    result = Canonized(apply_perm(perm, g), perm, grp, group_order(chain), chain)
+    result = Canonized(g, perm, grp, group_order(chain), chain)
     assert result.aut_order == c.aut_order
     return result
 
@@ -142,8 +155,9 @@ def symmetrize_check(
     by_class = {}
     for f in samples:
         info = pclass.canonize(f)
-        key = info.value.key() if isinstance(info.value, Graph) else tuple(info.value)
-        by_class.setdefault(key, (info, []))[1].append(f)
+        canon = pclass.apply(info.perm, f)
+        key = canon.key() if isinstance(canon, Graph) else tuple(canon)
+        by_class.setdefault(key, (info, canon, []))[2].append(f)
 
     def measured_bits(f) -> float:
         m = Message(pad_seed=1)
@@ -154,7 +168,7 @@ def symmetrize_check(
     classes = []
     exchangeable = True
     total_mass = Fraction(0) if codec.prob is not None else None
-    for key, (info, members) in sorted(by_class.items()):
+    for key, (info, canon, members) in sorted(by_class.items()):
         n = pclass.degree(members[0])
         orbit_ok = len(members) * info.aut_order == math.factorial(n)
         if codec.prob is not None:
@@ -171,7 +185,7 @@ def symmetrize_check(
         exchangeable = exchangeable and equal
         classes.append(
             ClassReport(
-                representative=info.value,
+                representative=canon,
                 size=len(members),
                 aut_order=info.aut_order,
                 orbit_formula_holds=orbit_ok,

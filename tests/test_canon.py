@@ -28,6 +28,7 @@ from oracles import (
     canonize_bruteforce,
     canonize_via_embedding,
     embed_edge_colors,
+    refine_pass_by_pairs,
 )
 
 
@@ -42,10 +43,68 @@ def random_graph(rng, n, p=0.5, attr_alphabet=0, edge_alphabet=0):
     return Graph(n, edges, vertex_attrs, edge_attrs)
 
 
+def random_loopy_graph(rng, n):
+    """A graph with loops, optional vertex attributes and optional edge
+    attributes drawn from {0, 7}."""
+    p = rng.choice([0.1, 0.3, 0.6])
+    edges = [
+        (i, j) for j in range(n) for i in range(j + 1)
+        if rng.random() < (0.3 if i == j else p)
+    ]
+    vertex_attrs = [rng.choice([0, 2, 3]) for _ in range(n)] if rng.random() < 0.5 else None
+    edge_attrs = {e: rng.choice([0, 7]) for e in edges} if rng.random() < 0.7 else None
+    return Graph(n, edges, vertex_attrs, edge_attrs)
+
+
 def all_simple_graphs(n):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+
+
+class TestGraphConstruction:
+    def test_an_edge_named_twice_in_the_attributes_rejected(self):
+        with pytest.raises(ValueError, match="named twice"):
+            Graph(2, [(0, 1)], edge_attrs={(0, 1): 0, (1, 0): 1})
+        with pytest.raises(ValueError, match="named twice"):
+            Graph(2, [(0, 1)], edge_attrs={(0, 1): 1, (1, 0): 1})
+        assert Graph(2, [(0, 1)], edge_attrs={(1, 0): 1}).edge_attrs == {(0, 1): 1}
+
+    @pytest.mark.parametrize(
+        "edges", [[(0.0, 1)], [(0, 1.0)], [(True, 2)], [(0, 1), (1, 2.0)]]
+    )
+    def test_vertex_ids_that_are_not_ints_rejected(self, edges):
+        with pytest.raises(ValueError, match="not a pair of ints"):
+            Graph(3, edges)
+
+    def test_out_of_range_vertex_ids_rejected(self):
+        for edges in ([(0, 3)], [(-1, 0)]):
+            with pytest.raises(ValueError, match="not a pair of ints"):
+                Graph(3, edges)
+
+    @pytest.mark.parametrize("attrs", [[0, 1.5, 0], [0, 1.0, 0], [0, True, 0], [0, "1", 0]])
+    def test_vertex_attributes_that_are_not_ints_rejected(self, attrs):
+        with pytest.raises(ValueError, match="vertex attributes must be ints"):
+            Graph(3, [(0, 1)], vertex_attrs=attrs)
+
+    @pytest.mark.parametrize("attr", [1.5, 1.0, True, None])
+    def test_edge_attributes_that_are_not_ints_rejected(self, attr):
+        with pytest.raises(ValueError, match="edge attributes must be ints"):
+            Graph(3, [(0, 1), (1, 2)], edge_attrs={(0, 1): 0, (1, 2): attr})
+
+    def test_attribute_keys_take_the_edge_tuples(self):
+        # (0.0, 1) equals (0, 1), so it names that edge; the stored key is
+        # the edge's own int pair, and the graph canonizes.
+        g = Graph(2, [(0, 1)], edge_attrs={(0.0, 1): 2})
+        (key,) = g.edge_attrs
+        assert key == (0, 1) and all(type(x) is int for x in key)
+        assert canonize(g).aut_order == 2
+
+    def test_negative_attributes_rejected(self):
+        with pytest.raises(ValueError, match="negative vertex attribute"):
+            Graph(2, [], vertex_attrs=[0, -1])
+        with pytest.raises(ValueError, match="negative edge attribute"):
+            Graph(2, [(0, 1)], edge_attrs={(0, 1): -1})
 
 
 class TestApplyPerm:
@@ -180,27 +239,73 @@ class TestCanonize:
         self, monkeypatch
     ):
         # A path with one odd vertex label: its initial coloring is not
-        # discrete, one refinement pass makes it so. Refinement stops there,
-        # and the single leaf is canonical without a key to compare.
-        passes, keys = [], []
-        refine_pass, graph_key = canon._refine_pass, Graph.key
+        # discrete, one refinement pass, read off the edge list, makes it so.
+        # Refinement stops there: no adjacency lists, no pass over them, and
+        # the single leaf is canonical without a key to compare.
+        calls = []
 
-        def counted_pass(adj, colors):
-            passes.append(colors)
-            return refine_pass(adj, colors)
+        def counted(name):
+            original = getattr(canon, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(canon, name, wrapper)
+
+        for name in ("_first_pass", "_adjacency", "_refine_pass"):
+            counted(name)
+        graph_key = Graph.key
 
         def counted_key(g):
-            keys.append(g)
+            calls.append("key")
             return graph_key(g)
 
-        monkeypatch.setattr(canon, "_refine_pass", counted_pass)
         monkeypatch.setattr(Graph, "key", counted_key)
         g = Graph(3, [(0, 1), (1, 2)], vertex_attrs=[0, 0, 1])
         c = canonize(g)
-        assert len(passes) == 1 and keys == []
+        assert calls == ["_first_pass"]
         assert c.aut_order == 1
         for s in permutations(range(3)):
             assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
+
+    def test_first_pass_equals_the_pass_over_adjacency_lists(self):
+        # Loops, vertex attributes and edge attributes with gaps: the pass
+        # read off the edge list, the pass over adjacency lists and the pass
+        # over sorted (neighbour color, attribute) pairs give equal colorings.
+        rng = random.Random(19)
+        for trial in range(400):
+            g = random_loopy_graph(rng, rng.randint(1, 30))
+            base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
+            colors = canon._initial_colors(g)
+            first = canon._first_pass(g, colors, base)
+            assert first == canon._refine_pass(canon._adjacency(g, base), colors)
+            assert first == refine_pass_by_pairs(g, colors)
+
+    def test_loopy_gapped_graphs_match_bruteforce(self):
+        rng = random.Random(23)
+        for trial in range(150):
+            g = random_loopy_graph(rng, rng.randint(1, 6))
+            c, bf = canonize(g), canonize_bruteforce(g)
+            assert c.aut_order == bf.aut_order
+            s = tuple(rng.sample(range(g.n), g.n))
+            assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
+            assert canon_equal(c.canon_graph, bf.canon_graph)
+
+    def test_canonical_form_is_built_when_read(self, monkeypatch):
+        applied = []
+
+        def counted(s, g):
+            applied.append(s)
+            return apply_perm(s, g)
+
+        monkeypatch.setattr(canon, "apply_perm", counted)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], vertex_attrs=[0, 1, 2, 3])
+        c = canonize(g)
+        assert applied == [] and c.graph is g
+        assert c.canon_graph == apply_perm(c.canon_perm, g)
+        assert c.canon_graph is c.canon_graph
+        assert applied == [c.canon_perm]
 
     def test_leaf_keys_only_once_a_second_leaf_exists(self, monkeypatch):
         # The 4-cycle reaches several leaves; keys are computed then, and the

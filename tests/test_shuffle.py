@@ -92,6 +92,30 @@ class TestDiscountBits:
 
 
 class TestShuffleEncodeDecode:
+    def test_one_relabeling_per_direction(self, monkeypatch):
+        # A graph with a trivial automorphism group: encode relabels the
+        # input once, by the coset member composed with the canonical
+        # permutation, and decode relabels the decoded graph once.
+        applied = []
+
+        def counted(s, g):
+            applied.append(s)
+            return apply_perm(s, g)
+
+        monkeypatch.setattr(shuffle, "apply_perm", counted)
+        monkeypatch.setattr(canon, "apply_perm", counted)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], vertex_attrs=[0, 1, 2, 3])
+        codec = ShuffleCodec(
+            with_attributes(erdos_renyi_codec(ErParams(4, Fraction(1, 2))), (1, 1, 1, 1)),
+            graph_class(),
+        )
+        m = random_message(seed=3, tail_words=32)
+        codec.encode(m, g)
+        assert len(applied) == 1
+        out = codec.decode(m)
+        assert len(applied) == 2
+        assert out == canon.canonize(g).canon_graph
+
     def test_edgeless_three_costs_three_bits(self):
         codec = er_shuffle(3, Fraction(1, 2))
         m = random_message(seed=1, tail_words=16)
@@ -121,7 +145,7 @@ class TestShuffleEncodeDecode:
             codec.encode(m, g)
             out = codec.decode(m)
             assert m == snapshot
-            assert out == codec.pclass.canonize(g).value
+            assert out == codec.pclass.apply(codec.pclass.canonize(g).perm, g)
             assert canon_equal(out, g)
 
     def test_bitstream_isomorphism_invariant(self, rng):
