@@ -22,16 +22,17 @@ step itself adds about log2(1 + f/h) bits for mass f and head h >= 2**48.
 
 Four kernel pairs code runs of symbols with the head in a local variable:
 push_symbols/pop_symbols over one Table (the floors of a weight vector),
-push_uniforms/pop_uniforms over uniform symbols of varying sizes,
-push_exact/pop_exact over symbols given only by their subrange of an exact
-total, for alphabets too large or too short-lived to tabulate (there the
-decoder maps the popped value back to the exact target in [0, T) and lets
-the caller find the symbol), and push_arrangement/pop_arrangement over a
-uniformly random arrangement of a label multiset, one exact-mass draw
-without replacement per element. A push checks every symbol before the
-message changes. The uniform, categorical and Bernoulli codecs code
-one-symbol runs. Tables are shared: table_for builds one per weight tuple,
-and bernoulli_block_table tabulates up to 8 Bernoulli bits as one symbol.
+push_uniforms/pop_uniforms over uniform symbols of varying sizes (pushed
+by push_exact's loop), push_exact/pop_exact over symbols given only by
+their subrange of an exact total, for alphabets too large or too
+short-lived to tabulate (there the decoder maps the popped value back to
+the exact target in [0, T) and lets the caller find the symbol), and
+push_arrangement/pop_arrangement over a uniformly random arrangement of a
+label multiset, one exact-mass draw without replacement per element. A
+push checks every symbol before the message changes. The uniform,
+categorical and Bernoulli codecs code one-symbol runs. Tables are shared:
+table_for builds one per weight tuple, and bernoulli_block_table tabulates
+up to 8 Bernoulli bits as one symbol.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import operator
 import struct
 import zlib
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 WORD_BITS = 16
@@ -313,20 +314,7 @@ def push_uniforms(m: Message, symbols: Sequence[int], sizes: Sequence[int]) -> N
     for x, n in zip(symbols, sizes):
         if type(x) is not int or not 0 <= x < n:
             raise ContractViolation(f"symbol {x!r} outside [0, {n})")
-    head = m.head
-    append = m.tail.append
-    for x, n in zip(reversed(symbols), reversed(sizes)):
-        precision = (n - 1).bit_length() + _HEADROOM_BITS
-        if precision > MAX_PRECISION:
-            precision = MAX_PRECISION
-        lo = (x << precision) // n
-        freq = ((x + 1) << precision) // n - lo
-        limit = freq << (64 - precision)
-        while head >= limit:
-            append(head & WORD_MASK)
-            head >>= WORD_BITS
-        head = ((head // freq) << precision) + head % freq + lo
-    m.head = head
+    _push_subranges(m, list(zip(symbols, repeat(1), sizes)))
 
 
 def pop_uniforms(m: Message, sizes: Sequence[int]) -> List[int]:

@@ -7,11 +7,10 @@ automorphisms, which generate Aut and prune the search: a backjump past the
 automorphic subtree, and orbit pruning at each node. Sequences
 (strings) are canonized by stable sorting.
 
-Refinement signatures are tuples of ints (see _refine). The first pass reads
-them off the edge list; adjacency lists are built only for a graph that pass
-leaves with a non-singleton cell. The canonical form is built from the
-canonical permutation only when read, so a caller that relabels the graph
-anyway relabels it once.
+Refinement signatures are tuples of ints (see _refine), and every pass reads
+them off the edge list. The canonical form is built from the canonical
+permutation only when read, so a caller that relabels the graph anyway
+relabels it once.
 
 The canonical form of a graph depends only on its isomorphism class, never on
 the input labeling. The automorphisms found by its one search are conjugated
@@ -26,8 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import add
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, apply_perm
 from .perms import (
@@ -48,44 +46,18 @@ from .perms import (
 class Canonized:
     """Result of canonizing a graph: the input graph, a permutation mapping it
     onto its class representative, and the representative's automorphism
-    group. The representative itself, canon_graph, is built on first access."""
+    group: generators, order and chain. The representative itself,
+    canon_graph, is built on first access."""
 
     graph: Graph
     canon_perm: Perm
     aut_generators: PermGroup
     aut_order: int
-    chain: StabilizerChain
+    aut_group: StabilizerChain
 
     @cached_property
     def canon_graph(self) -> Graph:
         return apply_perm(self.canon_perm, self.graph)
-
-
-class _Adjacency(NamedTuple):
-    """Each vertex's neighbours and the attributes of the edges to them, in
-    the same order, loops left out; base exceeds every edge attribute."""
-
-    base: int
-    neighbours: List[List[int]]
-    attrs: List[List[int]]
-
-
-def _labelled_edges(g: Graph) -> Iterable[Tuple[Tuple[int, int], int]]:
-    if g.edge_attrs is not None:
-        return g.edge_attrs.items()
-    return zip(g.edges, repeat(0))
-
-
-def _adjacency(g: Graph, base: int) -> _Adjacency:
-    neighbours: List[List[int]] = [[] for _ in range(g.n)]
-    attrs: List[List[int]] = [[] for _ in range(g.n)]
-    for (i, j), a in _labelled_edges(g):
-        if i != j:  # loops are folded into vertex colors
-            neighbours[i].append(j)
-            attrs[i].append(a)
-            neighbours[j].append(i)
-            attrs[j].append(a)
-    return _Adjacency(base, neighbours, attrs)
 
 
 def _initial_colors(g: Graph) -> List[int]:
@@ -105,35 +77,21 @@ def _ranks(sigs: list) -> List[int]:
     return list(map(rank.__getitem__, sigs))
 
 
-def _first_pass(g: Graph, colors: List[int], base: int) -> List[int]:
-    """_refine_pass read straight off g's edges, with no adjacency lists.
-
-    Each vertex's list starts with its color minus n, below every code, so it
-    stays first when the list is sorted: the sorted lists order as the
-    signatures (color, *sorted codes) do."""
-    n = len(colors)
-    codes = [[c - n] for c in colors]
-    for (i, j), a in _labelled_edges(g):
-        if i != j:
-            codes[i].append(colors[j] * base + a)
-            codes[j].append(colors[i] * base + a)
-    return _ranks(list(map(tuple, map(sorted, codes))))
-
-
-def _refine(adj: _Adjacency, colors: List[int]) -> List[int]:
+def _refine(g: Graph, colors: List[int], base: int) -> List[int]:
     """1-WL refinement to the coarsest stable coloring finer than the input.
 
     A vertex's signature is its color followed by the sorted codes
     color * base + attribute of its neighbours: the full multiset of
-    (neighbour color, edge attribute) pairs, in their lexicographic order.
-    New color ids follow signature order, so the result is canonical for
-    isomorphic (graph, coloring) pairs. Colors are 0..k-1, so a discrete
-    coloring is returned as it is: one more pass could only give it back.
+    (neighbour color, edge attribute) pairs, in their lexicographic order;
+    base exceeds every edge attribute. New color ids follow signature order,
+    so the result is canonical for isomorphic (graph, coloring) pairs. Colors
+    are 0..k-1, so a discrete coloring is returned as it is: one more pass
+    could only give it back.
     """
     n = len(colors)
-    num = len(set(colors))
+    num = max(colors, default=-1) + 1
     while num < n:
-        new = _refine_pass(adj, colors)
+        new = _refine_pass(g, colors, base)
         new_num = max(new) + 1
         if new_num == num:
             return new
@@ -141,18 +99,22 @@ def _refine(adj: _Adjacency, colors: List[int]) -> List[int]:
     return colors
 
 
-def _refine_pass(adj: _Adjacency, colors: List[int]) -> List[int]:
-    """One refinement pass: each vertex's color becomes the rank of its
-    signature (color, *sorted neighbour codes), so the new colors are 0..k-1.
-    The codes are built by C-level maps over the adjacency lists."""
-    scaled = [c * adj.base for c in colors]
-    code = scaled.__getitem__
-    return _ranks(
-        [
-            (c, *sorted(map(add, map(code, nbrs), attrs)))
-            for c, nbrs, attrs in zip(colors, adj.neighbours, adj.attrs)
-        ]
-    )
+def _refine_pass(g: Graph, colors: List[int], base: int) -> List[int]:
+    """One refinement pass, read off g's edges: each vertex's color becomes
+    the rank of its signature (color, *sorted neighbour codes), so the new
+    colors are 0..k-1.
+
+    Each vertex's list starts with its color minus n, below every code, so it
+    stays first when the list is sorted: the sorted lists order as the
+    signatures do."""
+    n = len(colors)
+    codes = [[c - n] for c in colors]
+    labelled = g.edge_attrs.items() if g.edge_attrs is not None else zip(g.edges, repeat(0))
+    for (i, j), a in labelled:
+        if i != j:  # loops are folded into vertex colors
+            codes[i].append(colors[j] * base + a)
+            codes[j].append(colors[i] * base + a)
+    return _ranks(list(map(tuple, map(sorted, codes))))
 
 
 def _individualize(colors: List[int], v: int) -> List[int]:
@@ -199,21 +161,12 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
     onto its own, so the search jumps back to where their paths split
     (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 
-    The first refinement pass is read off the edges; adjacency lists are
-    built only when its coloring is not discrete, so a graph it splits into
-    singletons costs one pass and its one leaf."""
+    Every refinement pass reads the edge list, so a graph whose first
+    refinement is discrete costs that refinement and its one leaf."""
     base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
-    colors = _initial_colors(g)
-    num = max(colors, default=-1) + 1
-    if num == g.n:
+    colors = _refine(g, _initial_colors(g), base)
+    if max(colors, default=-1) + 1 == g.n:
         return tuple(colors), []
-    colors = _first_pass(g, colors, base)
-    new_num = max(colors) + 1
-    if new_num == g.n:
-        return tuple(colors), []
-    adj = _adjacency(g, base)
-    if new_num > num:
-        colors = _refine(adj, colors)
     # [key, perm, path] of the first and of the best leaf so far.
     best: Optional[list] = None
     first: Optional[list] = None
@@ -250,7 +203,7 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
                 gens = [a for a in auts if all(a[u] == u for u in path)]
                 if gens and v in _orbit_closure(processed, gens):
                     continue
-            depth = rec(_refine(adj, _individualize(colors, v)), path + [v])
+            depth = rec(_refine(g, _individualize(colors, v), base), path + [v])
             if depth < len(path):
                 return depth
             processed.append(v)

@@ -3,9 +3,10 @@
 A Graph holds a vertex count, a set of undirected edges (stored as (i, j)
 tuples with i <= j; a self-loop is the edge (i, i)), optional categorical
 vertex attributes, and optional categorical edge attributes covering every
-edge. Vertex ids and attributes are ints (a bool or a float equal to an int
-is refused) and attributes are non-negative. Whether loops are coded is the
-model parameters' choice, not the graph's.
+edge. The vertex count, vertex ids and attributes are ints (a bool or a
+float equal to an int is refused); the count and attributes are
+non-negative. Whether loops are coded is the model parameters' choice, not
+the graph's.
 """
 
 from __future__ import annotations
@@ -20,6 +21,24 @@ def _all_ints(xs: Iterable) -> bool:
     return set(map(type, xs)) <= {int}
 
 
+def _check_edges(pairs: Iterable, n: int) -> None:
+    """Raises ValueError naming the first of pairs that is not two ints in
+    [0, n)."""
+    for i, j in pairs:
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i!r}, {j!r}) is not a pair of ints in [0, {n})")
+
+
+def _ordered(pairs: Iterable, n: int) -> list:
+    """Each pair as (i, j) with i <= j; _check_edges's ValueError for a pair
+    whose ids do not order against each other, such as ("a", 1)."""
+    try:
+        return [(i, j) if i <= j else (j, i) for i, j in pairs]
+    except TypeError:
+        _check_edges(pairs, n)
+        raise  # pairs was an iterator, spent past the pair
+
+
 class Graph:
     """Immutable-by-convention attributed graph on vertex set {0..n-1}."""
 
@@ -32,13 +51,13 @@ class Graph:
         vertex_attrs: Optional[Sequence[int]] = None,
         edge_attrs: Optional[Mapping] = None,
     ):
-        edge_list = [(i, j) if i <= j else (j, i) for i, j in edges]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count {n!r} is not a nonnegative int")
+        edge_list = _ordered(edges, n)
         edge_set = frozenset(edge_list)
         if len(edge_list) != len(edge_set):
             raise ValueError("duplicate edges")
-        for i, j in edge_set:
-            if not (0 <= i < n and 0 <= j < n and type(i) is int and type(j) is int):
-                raise ValueError(f"edge ({i!r}, {j!r}) is not a pair of ints in [0, {n})")
+        _check_edges(edge_set, n)
         self.n = n
         self.edges = edge_set
         if vertex_attrs is not None:
@@ -51,9 +70,7 @@ class Graph:
                 raise ValueError("negative vertex attribute")
         self.vertex_attrs = vertex_attrs
         if edge_attrs is not None:
-            named = {
-                ((i, j) if i <= j else (j, i)): a for (i, j), a in edge_attrs.items()
-            }
+            named = dict(zip(_ordered(edge_attrs, n), edge_attrs.values()))
             if len(named) != len(edge_attrs):
                 raise ValueError("an edge is named twice in the edge attributes")
             if named.keys() != edge_set:

@@ -22,20 +22,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from .ans import WORD_BITS, Codec, CodecError, Message, pop_arrangement, push_arrangement
-from .canon import apply_sequence, canonize, canonize_string, equal_runs
+from .canon import (
+    Canonized,
+    SequenceCanonized,
+    apply_sequence,
+    canonize,
+    canonize_string,
+    equal_runs,
+)
 from .graphs import Graph, apply_perm
 from .perm_codecs import uniform_l_coset_codec
-from .perms import Perm, StabilizerChain, SymmetricRuns, compose, inverse
-
-
-class CanonInfo(NamedTuple):
-    """Canonizer output in the shape the shuffle codec needs: the permutation
-    mapping the object onto its canonical member, and that member's
-    automorphism group."""
-
-    perm: Perm
-    aut_group: Union[StabilizerChain, SymmetricRuns]
-    aut_order: int
+from .perms import Perm, compose, inverse
 
 
 class Drawn(NamedTuple):
@@ -49,10 +46,13 @@ class Drawn(NamedTuple):
 @dataclass(frozen=True)
 class PermutableClass:
     """A set with a vertex/position relabeling action and a canonizer, and
-    the bits-back ordering step over it: pop_ordered and push_ordering."""
+    the bits-back ordering step over it: pop_ordered and push_ordering. The
+    canonizer returns canon.Canonized or canon.SequenceCanonized: the
+    permutation mapping the object onto its canonical member (canon_perm),
+    and that member's automorphism group (aut_group) and its order."""
 
     apply: Callable[[Perm, Any], Any]
-    canonize: Callable[[Any], CanonInfo]
+    canonize: Callable[[Any], Union[Canonized, SequenceCanonized]]
     degree: Callable[[Any], int]
 
     def pop_ordered(self, m: Message, f) -> Drawn:
@@ -64,25 +64,22 @@ class PermutableClass:
         info = self.canonize(f)
         canonize_seconds = time.perf_counter() - started
         s = uniform_l_coset_codec(info.aut_group).decode(m)
-        return Drawn(self.apply(compose(s, info.perm), f), info.aut_order, canonize_seconds)
+        ordered = self.apply(compose(s, info.canon_perm), f)
+        return Drawn(ordered, info.aut_order, canonize_seconds)
 
     def push_ordering(self, m: Message, g):
         """Push back the ordering of g, an ordered member, as the coset that
         maps the canonical member onto it; return the canonical member, g
         relabeled by the canonical permutation."""
         info = self.canonize(g)
-        uniform_l_coset_codec(info.aut_group).encode(m, inverse(info.perm))
-        return self.apply(info.perm, g)
+        uniform_l_coset_codec(info.aut_group).encode(m, inverse(info.canon_perm))
+        return self.apply(info.canon_perm, g)
 
 
 def graph_class() -> PermutableClass:
-    def canon(g: Graph) -> CanonInfo:
-        # Looked up in this module at each call, so that rebinding the
-        # name here (a tracer, a test) sees every canonization.
-        c = canonize(g)
-        return CanonInfo(c.canon_perm, c.chain, c.aut_order)
-
-    return PermutableClass(apply_perm, canon, lambda g: g.n)
+    # canonize is looked up in this module at each call, so that rebinding
+    # the name here (a tracer, a test) sees every canonization.
+    return PermutableClass(apply_perm, lambda g: canonize(g), lambda g: g.n)
 
 
 def _value_counts(xs: Sequence) -> Tuple[List[Any], List[Any], List[int]]:
@@ -113,11 +110,8 @@ class _SequenceClass(PermutableClass):
 
 
 def sequence_class() -> PermutableClass:
-    def canon(x) -> CanonInfo:
-        c = canonize_string(x)
-        return CanonInfo(c.canon_perm, c.aut_group, c.aut_order)
-
-    return _SequenceClass(apply_sequence, canon, len)
+    # Looked up at each call, as in graph_class.
+    return _SequenceClass(apply_sequence, lambda x: canonize_string(x), len)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def symmetrize_check(
     by_class = {}
     for f in samples:
         info = pclass.canonize(f)
-        canon = pclass.apply(info.perm, f)
+        canon = pclass.apply(info.canon_perm, f)
         key = canon.key() if isinstance(canon, Graph) else tuple(canon)
         by_class.setdefault(key, (info, canon, []))[2].append(f)
 

@@ -71,11 +71,31 @@ class TestGraphConstruction:
         assert Graph(2, [(0, 1)], edge_attrs={(1, 0): 1}).edge_attrs == {(0, 1): 1}
 
     @pytest.mark.parametrize(
-        "edges", [[(0.0, 1)], [(0, 1.0)], [(True, 2)], [(0, 1), (1, 2.0)]]
+        "edges",
+        [
+            [(0.0, 1)],
+            [(0, 1.0)],
+            [(True, 2)],
+            [(0, 1), (1, 2.0)],
+            [("a", 1)],
+            [("a", "b")],
+            [(0, 1), (None, 2)],
+        ],
     )
     def test_vertex_ids_that_are_not_ints_rejected(self, edges):
         with pytest.raises(ValueError, match="not a pair of ints"):
             Graph(3, edges)
+
+    def test_attribute_keys_that_are_not_int_pairs_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 'x'\) is not a pair of ints"):
+            Graph(2, [(0, 1)], edge_attrs={(0, "x"): 1})
+
+    @pytest.mark.parametrize("n", [-1, 2.0, True, None, "3"])
+    def test_vertex_counts_that_are_not_nonnegative_ints_rejected(self, n):
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(n, [])
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(n, [(0, 1)])
 
     def test_out_of_range_vertex_ids_rejected(self):
         for edges in ([(0, 3)], [(-1, 0)]):
@@ -239,22 +259,16 @@ class TestCanonize:
         self, monkeypatch
     ):
         # A path with one odd vertex label: its initial coloring is not
-        # discrete, one refinement pass, read off the edge list, makes it so.
-        # Refinement stops there: no adjacency lists, no pass over them, and
-        # the single leaf is canonical without a key to compare.
+        # discrete, one refinement pass makes it so. Refinement stops there,
+        # and the single leaf is canonical without a key to compare.
         calls = []
+        refine_pass = canon._refine_pass
 
-        def counted(name):
-            original = getattr(canon, name)
+        def counted_pass(*args):
+            calls.append("_refine_pass")
+            return refine_pass(*args)
 
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(canon, name, wrapper)
-
-        for name in ("_first_pass", "_adjacency", "_refine_pass"):
-            counted(name)
+        monkeypatch.setattr(canon, "_refine_pass", counted_pass)
         graph_key = Graph.key
 
         def counted_key(g):
@@ -264,23 +278,35 @@ class TestCanonize:
         monkeypatch.setattr(Graph, "key", counted_key)
         g = Graph(3, [(0, 1), (1, 2)], vertex_attrs=[0, 0, 1])
         c = canonize(g)
-        assert calls == ["_first_pass"]
+        assert calls == ["_refine_pass"]
         assert c.aut_order == 1
         for s in permutations(range(3)):
             assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
 
-    def test_first_pass_equals_the_pass_over_adjacency_lists(self):
+    def test_refine_pass_equals_the_pass_by_pairs_on_searched_colorings(self):
         # Loops, vertex attributes and edge attributes with gaps: the pass
-        # read off the edge list, the pass over adjacency lists and the pass
-        # over sorted (neighbour color, attribute) pairs give equal colorings.
+        # read off the edge list and the pass over sorted (neighbour color,
+        # attribute) pairs give equal colorings, on the initial coloring and
+        # on the colorings the search refines below it, up to 3 levels down.
         rng = random.Random(19)
+        searched = 0
         for trial in range(400):
             g = random_loopy_graph(rng, rng.randint(1, 30))
             base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
             colors = canon._initial_colors(g)
-            first = canon._first_pass(g, colors, base)
-            assert first == canon._refine_pass(canon._adjacency(g, base), colors)
-            assert first == refine_pass_by_pairs(g, colors)
+            assert canon._refine_pass(g, colors, base) == refine_pass_by_pairs(g, colors)
+            colors = canon._refine(g, colors, base)
+            for depth in range(3):
+                if len(set(colors)) == g.n:
+                    break
+                v = rng.choice(canon._target_cell(colors))
+                colors = canon._individualize(colors, v)
+                assert canon._refine_pass(g, colors, base) == refine_pass_by_pairs(
+                    g, colors
+                )
+                searched += 1
+                colors = canon._refine(g, colors, base)
+        assert searched > 100
 
     def test_loopy_gapped_graphs_match_bruteforce(self):
         rng = random.Random(23)
@@ -347,7 +373,7 @@ class TestCanonize:
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         c = canonize(g)
         assert c.aut_order == 8
-        assert group_order(c.chain) == 8
+        assert group_order(c.aut_group) == 8
 
     def test_apply_perm_degree_mismatch(self):
         from shufflecodec.perms import DegreeMismatch
@@ -462,7 +488,7 @@ class TestStructuredOracle:
                 s = tuple(rng.sample(range(n), n))
                 c2 = canonize(apply_perm(s, g))
                 assert c2.canon_graph == ref.canon_graph
-                assert signature(c2.chain) == signature(ref.chain)
+                assert signature(c2.aut_group) == signature(ref.aut_group)
 
 
 def grid_graph(a, b):

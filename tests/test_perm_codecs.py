@@ -246,7 +246,7 @@ class TestUniformLCoset:
         # and walks one Schreier-tree element per level each way, so it
         # makes at most a few compose calls per level. Lex-min transversal
         # elements, each built over the levels below, took over a thousand.
-        chain = canonize(Graph(40)).chain
+        chain = canonize(Graph(40)).aut_group
         assert len(chain.levels) == 39
         codec = uniform_l_coset_codec(chain)
         calls = [0]

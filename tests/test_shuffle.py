@@ -145,7 +145,7 @@ class TestShuffleEncodeDecode:
             codec.encode(m, g)
             out = codec.decode(m)
             assert m == snapshot
-            assert out == codec.pclass.apply(codec.pclass.canonize(g).perm, g)
+            assert out == codec.pclass.apply(codec.pclass.canonize(g).canon_perm, g)
             assert canon_equal(out, g)
 
     def test_bitstream_isomorphism_invariant(self, rng):
