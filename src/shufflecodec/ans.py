@@ -167,8 +167,8 @@ def _precision(total: int, size: int) -> int:
     sum to `total`; ParameterError unless total is an integer in [1, 2**48]."""
     if not (type(total) is int and 1 <= total <= _TOTAL_LIMIT):
         raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
-    # Plain comparisons: the uniform kernels call this once per symbol, and
-    # builtin min/max calls would make it about three times as slow.
+    # Plain comparisons: push_exact and pop_exact call this once per symbol,
+    # and builtin min/max calls would make it about three times as slow.
     precision = (size - 1).bit_length() + _HEADROOM_BITS
     exact = (total - 1).bit_length()
     if exact > precision:

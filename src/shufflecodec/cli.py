@@ -18,16 +18,6 @@ from .compress import (
 )
 from .datasets import DatasetError, load_tu_dataset, write_tu_dataset
 
-SEED_ENV = "SHUFFLECODEC_SEED"
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else DEFAULT_PAD_SEED
-
-
 def _cmd_compress(args) -> int:
     corpus = load_tu_dataset(args.dataset)
     data, report = compress_corpus(
@@ -36,7 +26,7 @@ def _cmd_compress(args) -> int:
         attrs=args.attrs,
         redraws=args.redraws,
         keep_order=args.keep_order,
-        seed=_seed_from(args),
+        seed=args.seed,
     )
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -70,7 +60,7 @@ def _cmd_bench(args) -> int:
         corpus = load_tu_dataset(directory)
         for model in models:
             data, report = compress_corpus(
-                corpus, model=model, attrs=args.attrs, seed=_seed_from(args)
+                corpus, model=model, attrs=args.attrs, seed=args.seed
             )
             started = time.perf_counter()
             decompress_corpus(data)
@@ -101,7 +91,7 @@ def main(argv=None) -> int:
         prog="shufflecodec",
         description="Lossless compression of unordered graphs by shuffle coding.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="pad seed override")
+    parser.add_argument("--seed", type=int, default=DEFAULT_PAD_SEED, help="pad seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compress", help="compress a TU-format dataset directory")

@@ -20,11 +20,9 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from .ans import (
     DEFAULT_PAD_SEED,
     Codec,
-    Message,
     message_deserialize,
     message_init,
     message_serialize,
-    pad_word,
 )
 from .datasets import Corpus, DatasetError
 from .graphs import Graph, pair_count, plain_graph
@@ -36,7 +34,7 @@ from .models import (
     with_attributes,
 )
 from .params import DatasetParams, decode_dataset_params, encode_dataset_params
-from .shuffle import ShuffleCodec, discount_bits, graph_class, log2_factorial
+from .shuffle import ShuffleCodec, graph_class
 
 ATTR_MODES = ("auto", "none", "uniform")
 MODELS = ("er", "pu")
@@ -222,12 +220,13 @@ def compress_corpus(
 
     m = message_init(pad_seed=seed)
     initial_bits = m.length_bits
-    ordered_bits = canonize_seconds = 0.0
+    ordered_bits = pad_bits = canonize_seconds = 0.0
     # Encode in reverse coding order so decoding runs largest-first.
     codecs = _slot_codecs(params, reversed(_slots(params)))
     for i, codec in zip(reversed(order), codecs):
         report = codec.encode(m, graphs[i])
         ordered_bits += report.ordered_bits
+        pad_bits += report.initial_bits_overhead
         canonize_seconds += report.canonize_seconds
     before_params = m.length_bits
     encode_dataset_params(m, params)
@@ -236,7 +235,6 @@ def compress_corpus(
     encode_seconds = time.perf_counter() - started
 
     total_bits = m.length_bits - initial_bits
-    pad_bits = 16.0 * m.pad_consumed
     edges = sum(g.num_edges for g in graphs)
 
     def per_edge(bits: float) -> Optional[float]:
@@ -289,30 +287,20 @@ def decompress_corpus(data: bytes, name: str = "decoded") -> Corpus:
 
 
 def net_rate_single(
-    graph: Graph,
-    model: str = "er",
-    er_p=None,
-    seed: int = DEFAULT_PAD_SEED,
+    graph: Graph, model: str = "er", er_p=None, seed: int = DEFAULT_PAD_SEED
 ) -> float:
-    """Net cost in bits of shuffle-coding one graph into a message that
-    already holds data: the fair single-graph comparison (model parameter
-    bits excluded). The codec is the one compress_corpus would use for a
-    one-graph corpus; er_p, when given, replaces the empirical edge density."""
+    """Net bits of shuffle-coding one graph: one encode's message growth less
+    the pad its bits-back pop drew, which is its cost in a message that
+    already holds data, model parameter bits excluded. The codec is the one
+    compress_corpus would use for a one-graph corpus; er_p, when given,
+    replaces the empirical edge density and must lie in [0, 1]."""
     corpus = Corpus((graph,), "single", graph.has_vertex_attrs, graph.has_edge_attrs)
     params, _ = build_dataset_params(corpus, model)
     if model == "er" and er_p is not None:
         p = Fraction(er_p)
         params = replace(params, er_counts=(p.numerator, p.denominator - p.numerator))
     shuffler = ShuffleCodec(graph_codec_for(params, graph.n, graph.num_edges), graph_class())
-    # The urn model's inner edge-list shuffle decodes up to log2(m!) more.
-    prefill_bits = discount_bits(graph) + 64
-    if model == "pu":
-        prefill_bits += log2_factorial(graph.num_edges)
-    words = int(prefill_bits) // 16 + 1
-    while True:
-        m = Message(tail=[pad_word(seed, i) for i in range(words)], pad_seed=seed)
-        before = m.length_bits
-        shuffler.encode(m, graph)
-        if m.pad_consumed == 0:
-            return m.length_bits - before
-        words *= 2
+    m = message_init(pad_seed=seed)
+    before = m.length_bits
+    report = shuffler.encode(m, graph)
+    return m.length_bits - before - report.initial_bits_overhead

@@ -29,12 +29,14 @@ from .ans import (
 )
 from .graphs import Graph, graph_pairs, pair_count, plain_graph, trusted_graph
 
-# Degenerate empirical edge probabilities are clamped into [_P_FLOOR, 1 - _P_FLOOR].
+# Edge probabilities in [0, 1] are clamped into [_P_FLOOR, 1 - _P_FLOOR].
 _P_FLOOR = Fraction(1, 1 << 20)
 
 
 def clamp_probability(p) -> Fraction:
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ParameterError(f"edge probability {p} outside [0, 1]")
     return min(max(p, _P_FLOOR), 1 - _P_FLOOR)
 
 
@@ -129,9 +131,9 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
     bernoulli_block_table(p, 8), the last block one symbol over
     bernoulli_block_table(p, N mod 8): p is rounded as bernoulli_codec rounds
     it, and the tables' rounding costs below 256 * 2**-32 relative per block.
-    Encode sets bit k of a mask per edge, k the edge's pair index, so both
-    directions cost O(m + N/8) for m edges. Equal pair probabilities make it
-    exchangeable; ``prob`` is the exact model probability.
+    Encode sets bit k & 7 of block k >> 3 per edge, k the edge's pair index,
+    so both directions cost O(m + N/8) for m edges. Equal pair probabilities
+    make it exchangeable; ``prob`` is the exact model probability.
     """
     n, loops, p = params.n, params.self_loops, params.edge_p
     pairs = list(graph_pairs(n, loops))
@@ -142,13 +144,13 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
 
     def encode(m: Message, g: Graph) -> None:
         _check_plain(g, n)
-        mask = 0
+        blocks = bytearray(len(block_pairs))
         # Pair (j, i), j <= i, has index i(i-1)/2 + j, or i(i+1)/2 + j with loops.
         for j, i in g.edges:
             if j == i and not loops:
                 raise ContractViolation("graph has self-loops but params disallow them")
-            mask |= 1 << (i * (i + 1) >> 1 if loops else i * (i - 1) >> 1) + j
-        blocks = mask.to_bytes(len(block_pairs), "little")
+            k = (i * (i + 1) >> 1 if loops else i * (i - 1) >> 1) + j
+            blocks[k >> 3] |= 1 << (k & 7)
         if rest:
             push_symbols(m, rest_table, blocks[full:])
         push_symbols(m, block_table, blocks[:full])

@@ -116,9 +116,9 @@ def sequence_class() -> PermutableClass:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Exact accounting for one shuffle-coded object, from measured message
-    length deltas (so it stays meaningful for stochastic models), and the
-    wall time its canonization took."""
+    """One shuffle-coded object's accounting: the measured ordered_bits and
+    pad drawn (initial_bits_overhead), the ideal discount_bits log2 n! -
+    log2 |Aut| and net_bits = ordered - discount, and canonization's time."""
 
     ordered_bits: float
     discount_bits: float

@@ -5,9 +5,12 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+from fractions import Fraction
+
 import pytest
 
 from shufflecodec import compress, shuffle
+from shufflecodec.ans import DEFAULT_PAD_SEED, ParameterError, message_init
 from shufflecodec.canon import canon_equal, canonize
 from shufflecodec.cli import main
 from shufflecodec.compress import (
@@ -24,6 +27,7 @@ from shufflecodec.datasets import (
 )
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph
+from shufflecodec.shuffle import ShuffleCodec, graph_class
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "toy_tu")
 GEN_CORPUS = os.path.join(os.path.dirname(__file__), "..", "scripts", "gen_corpus.py")
@@ -330,21 +334,16 @@ class TestCompressDecompress:
 
 class TestNetRateSingle:
     def test_edgeless_three(self):
-        from fractions import Fraction
-
         rate = net_rate_single(Graph(3), er_p=Fraction(1, 2))
         assert abs(rate - 3) <= 0.05
 
     def test_single_edge_three_vertices(self):
-        from fractions import Fraction
         import math
 
         rate = net_rate_single(Graph(3, [(0, 1)]), er_p=Fraction(1, 2))
         assert abs(rate - (3 - math.log2(3))) <= 0.05
 
     def test_triangle(self):
-        from fractions import Fraction
-
         rate = net_rate_single(
             Graph(3, [(0, 1), (0, 2), (1, 2)]), er_p=Fraction(1, 2)
         )
@@ -362,8 +361,8 @@ class TestNetRateSingle:
         rng = random.Random(16)
         g = sample_er_graph(rng, 14, 0.4)
         assert net_rate_single(g, model="pu") == net_rate_single(g, model="pu")
-        # with prefilled content the full order discount is reclaimed, so the
-        # net rate sits well below the ordered cost
+        # less the pad its pop drew, the full order discount is reclaimed, so
+        # the net rate sits well below the ordered cost
         from shufflecodec.shuffle import discount_bits
 
         pairs = 14 * 13 // 2
@@ -371,6 +370,43 @@ class TestNetRateSingle:
         ordered = pairs * (-p * math.log2(p) - (1 - p) * math.log2(1 - p))
         assert net_rate_single(g) <= ordered - discount_bits(g) + 2
 
+    def test_canonizes_once(self, monkeypatch):
+        calls = []
+        original = shuffle.canonize
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(shuffle, "canonize", counting)
+        g = sample_er_graph(random.Random(18), 10, 0.4)
+        for model in ("er", "pu"):
+            calls.clear()
+            net_rate_single(g, model=model)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", ["er", "pu"])
+    @pytest.mark.parametrize("seed", [DEFAULT_PAD_SEED, 12345])
+    def test_one_encode_less_its_pad(self, model, seed):
+        # The net rate is one encode's message growth less the pad words its
+        # bits-back pop drew from the empty message.
+        g = sample_er_graph(random.Random(19), 12, 0.3)
+        corpus = Corpus((g,), "single", False, False)
+        params, _ = build_dataset_params(corpus, model)
+        codec = ShuffleCodec(
+            compress.graph_codec_for(params, g.n, g.num_edges), graph_class()
+        )
+        m = message_init(pad_seed=seed)
+        before = m.length_bits
+        report = codec.encode(m, g)
+        assert report.initial_bits_overhead > 0
+        expected = m.length_bits - before - report.initial_bits_overhead
+        assert net_rate_single(g, model=model, seed=seed) == expected
+
+    def test_er_p_outside_unit_interval_refused(self):
+        for p in (2, -3, Fraction(3, 2)):
+            with pytest.raises(ParameterError):
+                net_rate_single(Graph(3, [(0, 1)]), er_p=p)
 
     def test_pu_codes_attributes(self):
         # Attributes cost about the same under either model; the urn's inner
@@ -493,15 +529,17 @@ class TestCli:
             main(["compress", "--model", "bogus"])
         assert exc.value.code == 2
 
-    def test_seed_env_var(self, tmp_path, monkeypatch):
-        corpus_dir = FIXTURE
-        out1 = tmp_path / "a.shuf"
-        out2 = tmp_path / "b.shuf"
-        monkeypatch.setenv("SHUFFLECODEC_SEED", "12345")
-        main(["compress", "--dataset", corpus_dir, "--out", str(out1)])
-        monkeypatch.delenv("SHUFFLECODEC_SEED")
-        main(["--seed", "12345", "compress", "--dataset", corpus_dir, "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_seed_option(self, tmp_path):
+        # --seed is the pad seed compress_corpus codes with; without it the
+        # default seed gives other bytes.
+        seeded = tmp_path / "seeded.shuf"
+        default = tmp_path / "default.shuf"
+        argv = ["compress", "--dataset", FIXTURE, "--out"]
+        assert main(["--seed", "12345", *argv, str(seeded)]) == 0
+        assert main([*argv, str(default)]) == 0
+        data, _ = compress_corpus(fixture_corpus(), seed=12345)
+        assert seeded.read_bytes() == data
+        assert default.read_bytes() != data
 
     def test_closed_stdout_exits_quietly(self):
         # A reader that is gone before any output (`bench --json | head -c 0`)

@@ -162,6 +162,13 @@ class TestErdosRenyi:
         assert 0 < clamp_probability(1) < 1
         p = ErParams(4, Fraction(0)).edge_p
         assert 0 < p < 1
+        # Only p in [0, 1] is clamped; anything else is refused, not coded as
+        # the nearest clamp bound.
+        for bad in (1.5, -3, Fraction(-1, 1 << 30), 1 + Fraction(1, 1 << 30)):
+            with pytest.raises(ParameterError):
+                clamp_probability(bad)
+            with pytest.raises(ParameterError):
+                ErParams(4, bad)
 
 
 # Edge probabilities of the block tests: the clamp floor and ceiling, a float
