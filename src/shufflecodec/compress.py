@@ -293,10 +293,13 @@ def net_rate_single(
     the pad its bits-back pop drew, which is its cost in a message that
     already holds data, model parameter bits excluded. The codec is the one
     compress_corpus would use for a one-graph corpus; er_p, when given,
-    replaces the empirical edge density and must lie in [0, 1]."""
+    replaces the empirical edge density and must lie in [0, 1]; it is
+    refused with any other model."""
+    if er_p is not None and model != "er":
+        raise ValueError(f"er_p applies to model 'er' only, got model {model!r}")
     corpus = Corpus((graph,), "single", graph.has_vertex_attrs, graph.has_edge_attrs)
     params, _ = build_dataset_params(corpus, model)
-    if model == "er" and er_p is not None:
+    if er_p is not None:
         p = Fraction(er_p)
         params = replace(params, er_counts=(p.numerator, p.denominator - p.numerator))
     shuffler = ShuffleCodec(graph_codec_for(params, graph.n, graph.num_edges), graph_class())

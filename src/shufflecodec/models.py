@@ -40,6 +40,13 @@ def clamp_probability(p) -> Fraction:
     return min(max(p, _P_FLOOR), 1 - _P_FLOOR)
 
 
+def _check_count(x, what: str) -> None:
+    """ParameterError unless x is a nonnegative int, as Graph checks its
+    vertex count (a bool or a float equal to an int is refused)."""
+    if type(x) is not int or x < 0:
+        raise ParameterError(f"{what} {x!r} is not a nonnegative int")
+
+
 @dataclass(frozen=True)
 class ErParams:
     """Erdős-Rényi model on plain graphs: the edge probability of every
@@ -50,6 +57,7 @@ class ErParams:
     self_loops: bool = False
 
     def __post_init__(self):
+        _check_count(self.n, "vertex count")
         object.__setattr__(self, "edge_p", clamp_probability(self.edge_p))
 
 
@@ -64,8 +72,8 @@ class PuParams:
     allow_self_loops: bool = False
 
     def __post_init__(self):
-        if self.num_edges < 0:
-            raise ParameterError("negative edge count")
+        _check_count(self.n, "vertex count")
+        _check_count(self.num_edges, "edge count")
         if not self.allow_redraws:
             cap = pair_count(self.n, self.allow_self_loops)
             if self.num_edges > cap:
@@ -189,10 +197,17 @@ class _Urn:
     C_i of the blocks below it. Within the block, j starts at w_i * P_i(j),
     with P_i(j) the weight of i's eligible partners below j. The total T is
     the sum of all eligible pair masses, so the symbol's probability is
-    w_i * w_j / T, the joint exactly. C and P_i are prefix sums over at most
-    n vertices, and the drawn partners' weights are kept up to date as
-    weights grow, so a step costs O(n) integer work for n vertices, most of
-    it in C-level accumulate and bisect.
+    w_i * w_j / T, the joint exactly.
+
+    With d_i the weight of i's drawn partners and P_k, Q_k, D_k the sums of
+    w_i, w_i**2 and w_i * d_i over i < k, the block start is
+    C_k = W * P_k - (P_k**2 + Q_k) / 2 - D_k, with P_k**2 - Q_k in place of
+    P_k**2 + Q_k when self-loops are allowed, and T = C_n. The urn keeps W
+    and T as running totals, which a draw updates from that closed form in
+    O(deg) integer work. So T costs O(1), and the subrange of a pair to
+    encode costs C-level sums over the vertices below i and over i's
+    partners below j. Decoding alone builds all n block starts, in one
+    C-level pass per draw, to find the block that holds its target.
     """
 
     def __init__(self, params: PuParams):
@@ -204,70 +219,84 @@ class _Urn:
         self.drawn_by: List[List[int]] = [[] for _ in range(params.n)]
         self.drawn_weight = [0] * params.n
         self.offset = 0 if params.allow_self_loops else 1
-        self._lower_cums()
+        self.w_sum = params.n
+        self._total = pair_count(params.n, params.allow_self_loops)
 
-    def _lower_cums(self) -> None:
-        """C_0..C_n: the prefix sums of the lower-endpoint block masses."""
+    def _block_start(self, k: int) -> int:
+        """C_k from W and C-level sums over the vertices below k (both
+        P_k**2 - Q_k and P_k**2 + Q_k are even, so the halving is exact)."""
+        below = self.weights[:k]
+        p = sum(below)
+        q = sum(map(operator.mul, below, below))
+        d = sum(map(operator.mul, below, self.drawn_weight))
+        return self.w_sum * p - ((p * p + (q if self.offset else -q)) >> 1) - d
+
+    def _block_starts(self) -> List[int]:
+        """C_0..C_n, in one C-level pass over the vertices."""
         w = self.weights
         suffix = list(accumulate(reversed(w), initial=0))
         suffix.reverse()  # suffix[i]: the total weight of the vertices >= i
         partners = map(operator.sub, suffix[self.offset :], self.drawn_weight)
-        self.cums = list(accumulate(map(operator.mul, w, partners), initial=0))
+        return list(accumulate(map(operator.mul, w, partners), initial=0))
 
     @property
     def total(self) -> int:
         """T, the sum of the eligible pair masses; raises once none is left."""
-        total = self.cums[-1]
-        if not total:
+        if not self._total:
             raise ContractViolation("no eligible pairs left")
-        return total
-
-    def _partner_cums(self, i: int) -> List[int]:
-        """P_i at the partners j = i + offset + k, indexed by k."""
-        lo = i + self.offset
-        masses = self.weights[lo:]
-        for j in self.drawn[i]:
-            masses[j - lo] = 0
-        return list(accumulate(masses, initial=0))
+        return self._total
 
     def subrange(self, i: int, j: int) -> Tuple[int, int]:
         """(start, mass) of the pair (i, j); ContractViolation if it is not
         eligible."""
-        k = j - i - self.offset
-        cums = self._partner_cums(i) if 0 <= i < len(self.weights) else [0]
-        if not (0 <= k < len(cums) - 1 and cums[k] < cums[k + 1]):
+        w, lo = self.weights, i + self.offset
+        if not (0 <= i and lo <= j < len(w)) or j in self.drawn[i]:
             raise ContractViolation(f"pair {(i, j)} not eligible")
-        w_i = self.weights[i]
-        return self.cums[i] + w_i * cums[k], w_i * self.weights[j]
+        partners = sum(w[lo:j]) - sum(w[a] for a in self.drawn[i] if a < j)
+        w_i = w[i]
+        return self._block_start(i) + w_i * partners, w_i * w[j]
 
     def locate(self, t: int) -> Tuple[Tuple[int, int], int, int]:
         """The pair whose subrange holds t in [0, T), with its start and mass."""
-        i = bisect.bisect_right(self.cums, t) - 1
-        w_i = self.weights[i]
-        cums = self._partner_cums(i)
-        k = bisect.bisect_right(cums, (t - self.cums[i]) // w_i) - 1
-        j = i + self.offset + k
-        return (i, j), self.cums[i] + w_i * cums[k], w_i * self.weights[j]
+        w, starts = self.weights, self._block_starts()
+        i = bisect.bisect_right(starts, t) - 1
+        w_i, lo = w[i], i + self.offset
+        masses = w[lo:]
+        for j in self.drawn[i]:
+            masses[j - lo] = 0
+        cums = list(accumulate(masses, initial=0))  # P_i at the partners lo + k
+        k = bisect.bisect_right(cums, (t - starts[i]) // w_i) - 1
+        return (i, lo + k), starts[i] + w_i * cums[k], w_i * w[lo + k]
 
     def draw(self, i: int, j: int) -> None:
-        w, drawn_weight = self.weights, self.drawn_weight
+        w, drawn_weight, drawn_by = self.weights, self.drawn_weight, self.drawn_by
+        w_sum, total, loops = self.w_sum, self._total, not self.offset
         if not self.allow_redraws:
             self.drawn[i].append(j)
-            self.drawn_by[j].append(i)
+            drawn_by[j].append(i)
             drawn_weight[i] += w[j]
+            total -= w[i] * w[j]
+        # Raising w_v by 1 raises W by 1, Q by 2 * w_v + 1 and D by d_v, so T
+        # gains W - w_v - d_v, or W + w_v + 1 - d_v with loops; each d_a that
+        # then grows by 1 lowers T by w_a.
         for v in (i, j):  # a self-loop adds 2 to w_i
-            w[v] += 1
-            for a in self.drawn_by[v]:
+            w_v = w[v]
+            w[v] = w_v + 1
+            total += w_sum - drawn_weight[v] + (w_v + 1 if loops else -w_v)
+            w_sum += 1
+            for a in drawn_by[v]:
                 drawn_weight[a] += 1
-        self._lower_cums()
+                total -= w[a]
+        self.w_sum, self._total = w_sum, total
 
 
 def pu_sequence_codec(params: PuParams) -> Codec:
     """Ordered codec over length-m edge sequences under the urn model.
 
     Each step codes one pair as one exact-mass symbol (see _Urn): one
-    push_exact symbol to encode, one pop_exact to decode, at O(n) integer
-    work and with no table built. The encoder checks every pair, the
+    push_exact symbol to encode, its subrange read from the urn's running
+    totals and C-level sums below the pair, and one pop_exact to decode, at
+    O(n) integer work; no table is built. The encoder checks every pair, the
     exhausted urn and the 2**48 bound on T before the message changes.
     Without redraws the masses depend on the draw history, so the model is
     not edge-exchangeable: a graph's bits depend on the edge order that the
@@ -293,11 +322,12 @@ def pu_sequence_codec(params: PuParams) -> Codec:
 
     def decode(msg: Message) -> Tuple[Tuple[int, int], ...]:
         urn = _Urn(params)
+        locate, draw = urn.locate, urn.draw
         seq = []
         for _ in range(m_edges):
-            pair = pop_exact(msg, urn.total, urn.locate)
+            pair = pop_exact(msg, urn.total, locate)
             seq.append(pair)
-            urn.draw(*pair)
+            draw(*pair)
         return tuple(seq)
 
     return Codec(encode, decode)

@@ -408,6 +408,14 @@ class TestNetRateSingle:
             with pytest.raises(ParameterError):
                 net_rate_single(Graph(3, [(0, 1)]), er_p=p)
 
+    def test_er_p_refused_with_other_models(self):
+        # er_p sets the ER edge probability; any other model would ignore it.
+        g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="er_p"):
+            net_rate_single(g, "pu", er_p=7)
+        with pytest.raises(ValueError, match="er_p"):
+            net_rate_single(g, "pu", er_p=Fraction(1, 2))
+
     def test_pu_codes_attributes(self):
         # Attributes cost about the same under either model; the urn's inner
         # edge-list shuffle moves its bits by a fraction of a bit.

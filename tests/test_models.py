@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from shufflecodec import ans, models
-from shufflecodec.ans import ContractViolation, ParameterError, message_init
+from shufflecodec.ans import (
+    ContractViolation,
+    ParameterError,
+    message_init,
+    message_serialize,
+)
 from shufflecodec.canon import canonize
 from shufflecodec.compress import compress_corpus, decompress_corpus
 from shufflecodec.datasets import Corpus
@@ -494,6 +500,85 @@ class TestPolyaUrn:
         with pytest.raises(Exception):
             PuParams(3, 4)
         PuParams(3, 4, allow_redraws=True)
+
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_block_starts_match_running_totals(self, redraws, loops):
+        # After every draw, each closed-form block start C_k (running totals
+        # and sums below k) equals the start that decode's one pass builds,
+        # and T equals C_n.
+        rng = random.Random(f"urn-totals:{redraws}:{loops}")
+        for _ in range(50):
+            n = rng.randint(0, 12)
+            cap = pair_count(n, loops)
+            length = rng.randint(0, 20 if redraws and cap else cap)
+            seq = _random_urn_sequence(rng, n, length, redraws, loops)
+            urn = models._Urn(PuParams(n, length, redraws, loops))
+            for pair in (*seq, None):
+                starts = urn._block_starts()
+                assert [urn._block_start(k) for k in range(n + 1)] == starts
+                if starts[-1]:
+                    assert urn.total == starts[-1]
+                else:
+                    with pytest.raises(ContractViolation):
+                        urn.total
+                if pair is not None:
+                    urn.draw(*pair)
+
+    def test_encode_skips_the_block_start_pass(self, monkeypatch):
+        # Encode reads each subrange from the running totals; only decode's
+        # locate builds all n block starts, once per draw.
+        calls = []
+        block_starts = models._Urn._block_starts
+
+        def spy(urn):
+            calls.append(urn)
+            return block_starts(urn)
+
+        monkeypatch.setattr(models._Urn, "_block_starts", spy)
+        g = sample_pa_graph(random.Random(12), 40, 2)
+        seq = tuple(sorted(g.edges))
+        codec = pu_sequence_codec(PuParams(g.n, len(seq)))
+        m = message_init()
+        codec.encode(m, seq)
+        assert calls == []
+        assert codec.decode(m) == seq
+        assert len(calls) == len(seq)
+
+    def test_long_sequence_bytes_pinned(self):
+        # One 300-vertex preferential-attachment edge sequence, large enough
+        # that the block starts run over many vertices, as version 11 writes
+        # it.
+        g = sample_pa_graph(random.Random(300), 300, 2)
+        seq = tuple(sorted(g.edges))
+        codec = pu_sequence_codec(PuParams(g.n, len(seq)))
+        m = message_init()
+        codec.encode(m, seq)
+        data = message_serialize(m)
+        assert data[:6] == b"SHUF\x0b\x00"
+        assert len(data) == 1154
+        assert hashlib.sha256(data[6:]).hexdigest() == (
+            "50b32c6ec13fbdcd9e9fd75084a51449ac6edf800ea77901c45fc6276254e0fa"
+        )
+        assert codec.decode(m) == seq
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ErParams(-2, Fraction(1, 2)),
+            lambda: ErParams(2.0, Fraction(1, 2)),
+            lambda: ErParams(True, Fraction(1, 2)),
+            lambda: PuParams(-1, 0),
+            lambda: PuParams(2.0, 1),
+            lambda: PuParams(3, 1.5),
+            lambda: PuParams(3, True),
+            lambda: PuParams(3, -1),
+        ],
+    )
+    def test_counts_must_be_nonnegative_ints(self, make):
+        # The rule Graph applies to its vertex count: a float or a bool equal
+        # to an int is refused, not coded as that int.
+        with pytest.raises(ParameterError):
+            make()
 
     def test_pu_beats_er_on_preferential_corpus(self, rng):
         # Directional: same graphs, net rates under PU vs ER with matched
