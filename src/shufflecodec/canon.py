@@ -7,6 +7,16 @@ automorphisms, which generate Aut and prune the search: a backjump past the
 automorphic subtree, and orbit pruning at each node. Sequences
 (strings) are canonized by stable sorting.
 
+Twins, vertices whose swap is an automorphism, are taken in closed form. A
+discrete first refinement is the canonical order, and its group is trivial.
+Otherwise each class of twins becomes one vertex of a quotient graph, only
+the quotient is searched, and each class takes a run of consecutive
+canonical positions. When the quotient has no automorphism, Aut is exactly
+the product of the symmetric groups on the runs (a SymmetricRuns, as for a
+sorted sequence), with no Schreier-Sims; otherwise the quotient's
+automorphisms, lifted class by class, and the runs' generators go to
+schreier_sims.
+
 Refinement signatures are tuples of ints (see _refine), and every pass reads
 them off the edge list. The canonical form is built from the canonical
 permutation only when read, so a caller that relabels the graph anyway
@@ -16,7 +26,8 @@ The canonical form of a graph depends only on its isomorphism class, never on
 the input labeling. The automorphisms found by its one search are conjugated
 onto the canonical form. The chain they build may have other Schreier trees
 for another input, but its base points, orbits and coset codes depend only on
-the group (see perms): compressed bitstreams match across isomorphic inputs.
+the group (see perms), and a group of runs is coded from its runs alone:
+compressed bitstreams match across isomorphic inputs.
 """
 
 from __future__ import annotations
@@ -25,9 +36,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .graphs import Graph, apply_perm
+from .graphs import Graph, apply_perm, trusted_graph
 from .perms import (
     DegreeMismatch,
     Perm,
@@ -46,14 +57,17 @@ from .perms import (
 class Canonized:
     """Result of canonizing a graph: the input graph, a permutation mapping it
     onto its class representative, and the representative's automorphism
-    group: generators, order and chain. The representative itself,
-    canon_graph, is built on first access."""
+    group: generators, order and group. The group is either a SymmetricRuns
+    (the trivial group has no runs), which also stands for its generators,
+    read off the runs, or a chain, given with the PermGroup it was built
+    from. The representative itself, canon_graph, is built on first
+    access."""
 
     graph: Graph
     canon_perm: Perm
-    aut_generators: PermGroup
+    aut_generators: Union[PermGroup, SymmetricRuns]
     aut_order: int
-    aut_group: StabilizerChain
+    aut_group: Union[StabilizerChain, SymmetricRuns]
 
     @cached_property
     def canon_graph(self) -> Graph:
@@ -109,11 +123,16 @@ def _refine_pass(g: Graph, colors: List[int], base: int) -> List[int]:
     signatures do."""
     n = len(colors)
     codes = [[c - n] for c in colors]
-    labelled = g.edge_attrs.items() if g.edge_attrs is not None else zip(g.edges, repeat(0))
-    for (i, j), a in labelled:
-        if i != j:  # loops are folded into vertex colors
-            codes[i].append(colors[j] * base + a)
-            codes[j].append(colors[i] * base + a)
+    if g.edge_attrs is None:  # base is 1: a code is the neighbour's color
+        for i, j in g.edges:
+            if i != j:  # loops are folded into vertex colors
+                codes[i].append(colors[j])
+                codes[j].append(colors[i])
+    else:
+        for (i, j), a in g.edge_attrs.items():
+            if i != j:
+                codes[i].append(colors[j] * base + a)
+                codes[j].append(colors[i] * base + a)
     return _ranks(list(map(tuple, map(sorted, codes))))
 
 
@@ -152,19 +171,18 @@ def _orbit_closure(points: List[int], gens: List[Perm]) -> set:
     return seen
 
 
-def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
-    """Individualization-refinement: returns the canonical labeling (the
-    permutation minimizing apply(s, g).key() over the leaves) and a list of
-    discovered automorphisms of g (complete as a generating set).
+def _search(g: Graph, colors: List[int], base: int) -> Tuple[Perm, List[Perm]]:
+    """Individualization-refinement from colors, an equitable coloring of g:
+    returns the canonical labeling (the permutation minimizing
+    apply(s, g).key() over the leaves) and a list of discovered automorphisms
+    of g (complete as a generating set).
 
     A leaf with the key of the first or the best leaf maps that leaf's subtree
     onto its own, so the search jumps back to where their paths split
     (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 
-    Every refinement pass reads the edge list, so a graph whose first
-    refinement is discrete costs that refinement and its one leaf."""
-    base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
-    colors = _refine(g, _initial_colors(g), base)
+    Every refinement pass reads the edge list, so a discrete coloring costs
+    nothing more: it is the one leaf."""
     if max(colors, default=-1) + 1 == g.n:
         return tuple(colors), []
     # [key, perm, path] of the first and of the best leaf so far.
@@ -214,14 +232,127 @@ def _search(g: Graph) -> Tuple[Perm, List[Perm]]:
     return best[1], auts
 
 
+def _twin_classes(
+    g: Graph, colors: List[int], base: int
+) -> Tuple[List[Tuple[List[int], int]], List[int]]:
+    """The classes of two or more twins, each in increasing vertex order and
+    with its internal edge attribute (-1 for open twins), and every vertex's
+    loop attribute (-1 for no loop).
+
+    Twins have one refined color and one loop attribute, and the same
+    neighbours with the same edge attributes apart from each other: open
+    twins are not adjacent, closed twins are, all by one internal attribute
+    a. Swapping two twins is an automorphism. Both relations are
+    equivalences, and a vertex is in a nontrivial class of at most one kind
+    (and one a), so each vertex is keyed once as open and once per attribute
+    a of its edges into its own cell, with its own code v * base + a added
+    to its neighbour codes as closed: members of a class share the key. Only
+    vertices of non-singleton cells are keyed."""
+    n = g.n
+    size = [0] * n
+    for c in colors:
+        size[c] += 1
+    codes = {v: [] for v in range(n) if size[colors[v]] > 1}
+    loop = [-1] * n
+    labelled = g.edge_attrs.items() if g.edge_attrs is not None else zip(g.edges, repeat(0))
+    for (i, j), a in labelled:
+        if i == j:
+            loop[i] = a
+            continue
+        if i in codes:
+            codes[i].append(j * base + a)
+        if j in codes:
+            codes[j].append(i * base + a)
+    keyed: Dict[tuple, List[int]] = {}
+    for v, nb in codes.items():
+        c = colors[v]
+        nb.sort()
+        keyed.setdefault((c, loop[v], -1, tuple(nb)), []).append(v)
+        for a in {x % base for x in nb if colors[x // base] == c}:
+            keyed.setdefault((c, loop[v], a, tuple(sorted(nb + [v * base + a]))), []).append(v)
+    return [(vs, key[2]) for key, vs in keyed.items() if len(vs) > 1], loop
+
+
+def _quotient(
+    g: Graph, colors: List[int], classes: List[Tuple[List[int], int]], loop: List[int]
+) -> Tuple[Graph, List[List[int]]]:
+    """The twin quotient Q: one vertex per twin class and per vertex in no
+    class, numbered by least member, with g's edges between them and their
+    attributes. Its vertex attributes are the ranks of (refined color, loop
+    attribute, class size, internal attribute), which carry the loops, so Q
+    has none. Returns Q and the members of each of its vertices."""
+    n = g.n
+    least = list(range(n))
+    inner = {}
+    for vs, a in classes:
+        for v in vs:
+            least[v] = vs[0]
+        inner[vs[0]] = a
+    reps = [v for v in range(n) if least[v] == v]
+    index = {v: x for x, v in enumerate(reps)}
+    of = [index[v] for v in least]
+    groups: List[List[int]] = [[] for _ in reps]
+    for v, x in enumerate(of):
+        groups[x].append(v)
+    pairs: Dict[Tuple[int, int], int] = {}
+    labelled = g.edge_attrs.items() if g.edge_attrs is not None else zip(g.edges, repeat(0))
+    for (i, j), a in labelled:
+        x, y = of[i], of[j]
+        if x != y:
+            pairs[(x, y) if x < y else (y, x)] = a
+    attrs = _ranks([(colors[v], loop[v], len(vs), inner.get(v, -1)) for v, vs in zip(reps, groups)])
+    edge_attrs = pairs if g.edge_attrs is not None else None
+    return trusted_graph(len(reps), frozenset(pairs), tuple(attrs), edge_attrs), groups
+
+
 def canonize(g: Graph) -> Canonized:
     """Canonical permutation and Aut of the canonical form; the canonical
-    form itself is built only when read."""
-    perm, auts = _search(g)
-    perm_inv = inverse(perm)
-    grp = PermGroup(g.n, tuple(compose(perm, compose(a, perm_inv)) for a in auts))
+    form itself is built only when read.
+
+    A discrete first refinement is the canonical order, with the trivial
+    group. Otherwise each class of twins becomes one vertex of the quotient
+    Q (with no twins, Q is g and keeps its refined coloring), only Q is
+    searched, and each class takes a run of consecutive canonical positions
+    in Q's canonical order, its members in increasing order (they are
+    interchangeable). Aut is the product of the symmetric groups on the runs
+    extended by Aut(Q) lifted blockwise: exactly a SymmetricRuns when the
+    search finds no automorphism of Q, and otherwise the schreier_sims chain
+    of the lifted automorphisms and each run's generators."""
+    n = g.n
+    base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
+    colors = _refine(g, _initial_colors(g), base)
+    if max(colors, default=-1) + 1 == n:
+        trivial = SymmetricRuns(n, ())
+        return Canonized(g, tuple(colors), trivial, 1, trivial)
+    classes, loop = _twin_classes(g, colors, base)
+    if classes:
+        q, groups = _quotient(g, colors, classes, loop)
+        q_colors = _refine(q, list(q.vertex_attrs), base)
+    else:
+        q, groups, q_colors = g, [[v] for v in range(n)], colors
+    q_perm, q_auts = _search(q, q_colors, base)
+    start = [0] * len(groups)
+    pos = 0
+    for x in inverse(q_perm):
+        start[x] = pos
+        pos += len(groups[x])
+    perm = [0] * n
+    for x, vs in enumerate(groups):
+        for k, v in enumerate(vs, start[x]):
+            perm[v] = k
+    runs = sorted((start[x], start[x] + len(vs)) for x, vs in enumerate(groups) if len(vs) > 1)
+    group = SymmetricRuns(n, runs)
+    if not q_auts:
+        return Canonized(g, tuple(perm), group, group_order(group), group)
+    lifted = []
+    for a in q_auts:
+        image = list(range(n))
+        for x, vs in enumerate(groups):
+            image[start[x] : start[x] + len(vs)] = range(start[a[x]], start[a[x]] + len(vs))
+        lifted.append(tuple(image))
+    grp = PermGroup(n, tuple(lifted) + group.generators)
     chain = schreier_sims(grp)
-    return Canonized(g, perm, grp, group_order(chain), chain)
+    return Canonized(g, tuple(perm), grp, group_order(chain), chain)
 
 
 def canon_equal(a: Graph, b: Graph) -> bool:

@@ -8,19 +8,20 @@ encodes that member as a permutation of the full symmetric group (paying
 log2 n!), for a net rate of log2(n!/|H|). Decoding pops the permutation,
 pushes its rank back and returns the coset's lex-min member; no group
 element is formed. The uniform codec over the symmetric group is the coset
-codec of the trivial chain.
+codec of the trivial group.
 
-On a product of symmetric groups on runs (SymmetricRuns, a multiset's
-automorphism group) the codec codes the coset itself instead, as one
-arrangement of labels over the values (ans.push_arrangement), one label per
-group of positions: log2(n!/|H|) bits. The sequence class codes a
-multiset's ordering with the same arrangement directly, with no
-permutation. A chain's member keeps its Fisher-Yates draws, O(1) per point,
-because each arrangement draw walks a Fenwick tree, O(log n): coding
-graphs' coset members as arrangements of n labels of one copy each cost
-about 8% of encode and 3% of decode throughput on small attributed ER
-graphs (perfbench er-attr, median ratio of 5 alternating 6 s pairs on a
-2-core Xeon VM, Python 3.11).
+On a product of symmetric groups on runs (SymmetricRuns: a multiset's
+automorphism group, and a graph's when only twins move) the codec codes the
+coset itself instead, as one arrangement of labels over the values
+(ans.push_arrangement), one label per group of positions: log2(n!/|H|)
+bits. The sequence class codes a multiset's ordering with the same
+arrangement directly, with no permutation. The trivial group, a
+SymmetricRuns with no run, takes the trivial chain's path: a Fisher-Yates
+shuffle, O(1) per point, where each arrangement draw walks a Fenwick tree,
+O(log n). So does a chain's member: coding graphs' coset members as
+arrangements of n labels of one copy each cost about 8% of encode and 3%
+of decode throughput on small attributed ER graphs (perfbench er-attr,
+median ratio of 5 alternating 6 s pairs on a 2-core Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .perms import (
 )
 
 
-def _push_shuffle(m: Message, s: Perm) -> None:
+def push_shuffle(m: Message, s: Perm) -> None:
     """Push the Fisher-Yates draws that shuffle the identity into s, a
     permutation already checked, as one run of the uniform kernel."""
     n = len(s)
@@ -64,7 +65,7 @@ def _push_shuffle(m: Message, s: Perm) -> None:
     push_uniforms(m, draws, range(n, 1, -1))
 
 
-def _pop_shuffle(m: Message, n: int) -> Perm:
+def pop_shuffle(m: Message, n: int) -> Perm:
     """Pop the Fisher-Yates draws for j = n..2 and shuffle the identity."""
     s = list(range(n))
     sizes = range(n, 1, -1)
@@ -75,10 +76,10 @@ def _pop_shuffle(m: Message, n: int) -> Perm:
 
 def uniform_s_codec(n: int) -> Codec:
     """Uniform codec over the symmetric group on n points: the coset codec of
-    the trivial chain, a Fisher-Yates shuffle driven by Uniform(j) draws for
+    the trivial group, a Fisher-Yates shuffle driven by Uniform(j) draws for
     j = n..2. One run of the uniform kernel each way; the aggregate rate is
     log2 n! per permutation."""
-    return uniform_l_coset_codec(StabilizerChain(n, ()))
+    return uniform_l_coset_codec(SymmetricRuns(n, ()))
 
 
 def uniform_perm_grp_codec(chain: StabilizerChain) -> Codec:
@@ -115,19 +116,22 @@ def uniform_l_coset_codec(group: Union[StabilizerChain, SymmetricRuns]) -> Codec
     A chain codes the lexicographic rank of the shuffled member within its
     coset (coset_rank/coset_unrank) and its Fisher-Yates draws; only the
     permutation passed to encode is checked. SymmetricRuns codes its cosets
-    directly (see _runs_coset_codec).
+    directly (see _runs_coset_codec), and with no run, the trivial group,
+    codes the Fisher-Yates draws alone, the bytes of the trivial chain.
     """
-    if isinstance(group, SymmetricRuns):
-        return _runs_coset_codec(group.degree, group.runs)
     n = group.degree
+    if isinstance(group, SymmetricRuns):
+        if group.runs:
+            return _runs_coset_codec(n, group.runs)
+        return Codec(lambda m, s: push_shuffle(m, _checked(s, n)), lambda m: pop_shuffle(m, n))
     sizes = [len(lvl.orbit) for lvl in group.levels]
 
     def encode(m: Message, s) -> None:
         s = _checked(s, n)
-        _push_shuffle(m, coset_unrank(group, s, pop_uniforms(m, sizes)))
+        push_shuffle(m, coset_unrank(group, s, pop_uniforms(m, sizes)))
 
     def decode(m: Message) -> Perm:
-        u = _pop_shuffle(m, n)
+        u = pop_shuffle(m, n)
         push_uniforms(m, coset_rank(group, u), sizes)
         return coset_canon(group, u)
 

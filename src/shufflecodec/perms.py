@@ -13,9 +13,10 @@ generators; coset_canon is rank zero, and element_rank/element_unrank are the
 same order on the group itself.
 
 A product of symmetric groups on runs of consecutive points (a sorted
-sequence's automorphism group) is no chain but a SymmetricRuns value: its
-order is a product of factorials, and its coset codec codes the runs directly
-(see perm_codecs).
+sequence's automorphism group, and a graph's when only twins move) is no
+chain but a SymmetricRuns value: its order is a product of factorials, its
+coset codec codes the runs directly (see perm_codecs), and its generators
+are read off the runs. The trivial group is a SymmetricRuns with no run.
 """
 
 from __future__ import annotations
@@ -192,6 +193,24 @@ class SymmetricRuns:
                 )
             prev = b
         object.__setattr__(self, "runs", tuple((a, b) for a, b in runs if b - a > 1))
+
+    @property
+    def generators(self) -> Tuple[Perm, ...]:
+        """A transposition of a run's first two points and the cycle over the
+        run, for each run (the transposition alone for a run of two): a
+        generating set, built when read."""
+        n = self.degree
+        gens = []
+        for a, b in self.runs:
+            swap = list(range(n))
+            swap[a], swap[a + 1] = a + 1, a
+            gens.append(tuple(swap))
+            if b - a > 2:
+                cycle = list(range(n))
+                cycle[a : b - 1] = range(a + 1, b)
+                cycle[b - 1] = a
+                gens.append(tuple(cycle))
+        return tuple(gens)
 
 
 def schreier_sims(group: PermGroup) -> StabilizerChain:

@@ -5,20 +5,24 @@ Encoding bits-back pops a uniformly random ordered member of the object's
 class (log2(n!/|Aut|) bits) and encodes it under the model; decoding decodes
 it, pushes its ordering back and returns the canonical member. The class owns
 that ordering step: in general a coset of the canonical form's automorphism
-group, coded as a permutation, composed with the canonical permutation and
-applied to the object in one relabeling; for sequences the arrangement of the
-values, one label per distinct value, with the bytes of that coset and no
-permutation. Near the initial message the pop draws deterministic
-pseudo-random pad words instead of content, so the first object costs about
-its ordered rate and the discount is amortized over later objects.
+group, coded as a permutation (a Fisher-Yates shuffle when the group is
+trivial), composed with the canonical permutation and applied to the object
+in one relabeling; for sequences the arrangement of the values, one label
+per distinct value, or the Fisher-Yates shuffle of the sorted values when no
+value repeats, with the bytes of that coset and no permutation check. Near
+the initial message the pop draws deterministic pseudo-random pad words
+instead of content, so the first object costs about its ordered rate and
+the discount is amortized over later objects.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from .ans import WORD_BITS, Codec, CodecError, Message, pop_arrangement, push_arrangement
@@ -31,7 +35,7 @@ from .canon import (
     equal_runs,
 )
 from .graphs import Graph, apply_perm
-from .perm_codecs import uniform_l_coset_codec
+from .perm_codecs import pop_shuffle, push_shuffle, uniform_l_coset_codec
 from .perms import Perm, compose, inverse
 
 
@@ -83,29 +87,44 @@ def graph_class() -> PermutableClass:
 
 
 def _value_counts(xs: Sequence) -> Tuple[List[Any], List[Any], List[int]]:
-    """xs sorted, its distinct values, increasing, and how often each occurs."""
+    """xs sorted, its distinct values, increasing, and how often each occurs.
+    A sequence with no repeated value is recognized by one C-level pass over
+    neighbouring pairs, with no search for runs."""
     ordered = sorted(xs)
+    if all(map(operator.lt, ordered, islice(ordered, 1, None))):
+        return ordered, ordered, [1] * len(ordered)
     runs = equal_runs(ordered)
     return ordered, [ordered[a] for a, _ in runs], [b - a for a, b in runs]
 
 
 class _SequenceClass(PermutableClass):
-    """Sequences under rearrangement. The ordering step is the arrangement of
-    the values, each labelled by its index among the distinct values
-    (ans.pop_arrangement), with the bytes of the sorted sequence's
-    SymmetricRuns coset and no permutation."""
+    """Sequences under rearrangement, with the bytes of the sorted sequence's
+    SymmetricRuns coset and no permutation check. When a value repeats, the
+    ordering step is the arrangement of the values, each labelled by its
+    index among the distinct values (ans.pop_arrangement). When none does,
+    the group is trivial and the ordering is the Fisher-Yates shuffle that
+    puts the sorted values in place, O(1) per element where an arrangement
+    draw walks a Fenwick tree."""
 
     def pop_ordered(self, m: Message, f) -> Drawn:
         started = time.perf_counter()
         _, values, sizes = _value_counts(f)
         canonize_seconds = time.perf_counter() - started
-        g = list(map(values.__getitem__, pop_arrangement(m, sizes)))
+        if len(values) == len(f):
+            g = [None] * len(f)
+            for v, i in zip(values, pop_shuffle(m, len(f))):
+                g[i] = v
+        else:
+            g = list(map(values.__getitem__, pop_arrangement(m, sizes)))
         g = "".join(g) if isinstance(f, str) else tuple(g)
         return Drawn(g, math.prod(map(math.factorial, sizes)), canonize_seconds)
 
     def push_ordering(self, m: Message, g):
         canon, values, sizes = _value_counts(g)
-        push_arrangement(m, [bisect_left(values, x) for x in g], sizes)
+        if len(values) == len(g):
+            push_shuffle(m, tuple(sorted(range(len(g)), key=g.__getitem__)))
+        else:
+            push_arrangement(m, [bisect_left(values, x) for x in g], sizes)
         return tuple(canon)
 
 

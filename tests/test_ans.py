@@ -419,8 +419,8 @@ class TestSerialization:
                 message_deserialize(bytes(data))
 
     def test_er_corpus_bytes_unchanged_by_version_2(self):
-        # ER and attribute tables, pinned as versions 10 and 11 write them:
-        # the ER pairs are coded eight per block symbol, the block and
+        # ER and attribute tables, pinned as version 12 writes them (its
+        # searched graphs canonize through the twin quotient): the ER pairs are coded eight per block symbol, the block and
         # attribute tables are the cumulative floors of their integer
         # weights, the parameter block's lists are runs of uniform symbols
         # under the same rule.
@@ -432,28 +432,30 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x0b\x00"
+        assert data[:6] == b"SHUF\x0c\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "c48e6da291a1c04cb5df26f6820e0b8864e87e3d4f5784c3e149659e4e7befcf"
+            "cd4cfad233a9a7f9c7daf7bd31e833bf5f0729477b45efbd35d0eec40f289217"
         )
 
     def test_pu_corpus_bytes_pinned(self):
         # Seeded preferential-attachment graphs under the urn model: the urn's
         # exact-mass pair symbols and both shuffle levels (graph and edge list),
-        # as version 11 writes them: one arrangement label per distinct edge.
+        # as version 12 writes them: a twin class takes a run of canonical
+        # positions, and an edge list, whose edges are distinct, is one
+        # Fisher-Yates shuffle.
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x0b\x00"
+        assert data[:6] == b"SHUF\x0c\x00"
         assert len(data) == 104
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "8173664f290b0f11c7cd6221ac2b1d4e5d04fa3338e01fb0b42ce7102c340e1a"
+            "c65bc6ce6190e7b5ddba12574a2138b54904b1ab4ae1270808a9df71fdab2f37"
         )
 
     def test_uniform_attrs_er_corpus_bytes_pinned(self):
         # The uniform-attribute ablation: attributes coded uniformly over the
-        # alphabets of the count tables, as versions 10 and 11 write it.
+        # alphabets of the count tables, as version 12 writes it.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -463,10 +465,10 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x0b\x00"
+        assert data[:6] == b"SHUF\x0c\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "d259fda9c068041a8ba687113d316024e46ed2d0cedc1f1c4bfd6e88d940ee7b"
+            "ce9eb290028abff3663e7e0efc4c23a33bc1033f491a32edbb4a1d1f409d23fe"
         )
 
     def test_truncation_detected(self):

@@ -15,6 +15,7 @@ from shufflecodec.compress import compress_corpus, decompress_corpus
 from shufflecodec.datasets import Corpus
 from shufflecodec.graphs import Graph, apply_perm
 from shufflecodec.perms import (
+    SymmetricRuns,
     compose,
     coset_rank,
     coset_unrank,
@@ -245,15 +246,18 @@ class TestCanonize:
         calls = []
         search = canon._search
 
-        def counted(g):
+        def counted(g, *args):
             calls.append(g)
-            return search(g)
+            return search(g, *args)
 
         monkeypatch.setattr(canon, "_search", counted)
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         c = canonize(g)
         assert c.canon_perm != identity(4) and c.aut_order == 6
         assert len(calls) == 1
+        # The three leaves are twins: the search runs on the quotient, one
+        # vertex for the hub and one for the leaves.
+        assert calls[0].n == 2
 
     def test_discrete_first_refinement_needs_one_pass_and_no_leaf_key(
         self, monkeypatch
@@ -460,6 +464,8 @@ class TestStructuredOracle:
         # labeling-independent; the generators and Schreier trees come from
         # whichever automorphisms the search found, and no rank reads them
         def signature(chain):
+            if isinstance(chain, SymmetricRuns):
+                return chain  # its coset codec reads nothing but the runs
             probe = random.Random(chain.degree)
             n = chain.degree
             members = [tuple(probe.sample(range(n), n)) for _ in range(5)]
@@ -610,6 +616,141 @@ class TestTwinHeavyGraphs:
             assert c.aut_order == canonize_bruteforce(g).aut_order
             s = tuple(rng.sample(range(g.n), g.n))
             assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
+
+
+def attributed_blow_up(rng):
+    """A twin blow-up with edge attributes, one per joined pair of classes
+    and one inside each clique class, loops whose attributes differ between
+    classes, optional vertex labels and, now and then, one attribute
+    changed, which splits a class; at most 7 vertices, randomly labelled."""
+    n = rng.randint(1, 7)
+    classes, v = [], 0
+    while v < n:
+        size = min(rng.randint(1, 3), n - v)
+        classes.append(range(v, v + size))
+        v += size
+    edges = {}
+    for a, ca in enumerate(classes):
+        if rng.random() < 0.5:
+            edges.update(dict.fromkeys(combinations(ca, 2), rng.randrange(2)))
+        if rng.random() < 0.4:
+            edges.update(dict.fromkeys(((u, u) for u in ca), rng.randrange(2)))
+        for cb in classes[a + 1 :]:
+            if rng.random() < 0.5:
+                edges.update(dict.fromkeys(((u, w) for u in ca for w in cb), rng.randrange(3)))
+    for _ in range(2):
+        if edges and rng.random() < 0.4:
+            edges[rng.choice(sorted(edges))] = rng.randrange(3)
+    labels = [rng.randrange(2) for _ in classes] if rng.random() < 0.5 else None
+    vertex_attrs = labels and [labels[c] for c, cls in enumerate(classes) for _ in cls]
+    g = Graph(n, edges, vertex_attrs, edges)
+    return apply_perm(tuple(rng.sample(range(n), n)), g)
+
+
+def twin_quotient_cases():
+    """Twin-rich graphs on at most 7 vertices: open and closed twins, edge
+    attributes, loops with differing attributes, and quotients with
+    automorphisms (disjoint K2s, K3,3, twin blow-ups)."""
+    rng = random.Random(2024)
+    cases = [
+        # Two looped twins of equal color whose loop attributes differ.
+        Graph(2, [(0, 0), (0, 1), (1, 1)], edge_attrs={(0, 0): 1, (0, 1): 0, (1, 1): 0}),
+        Graph(2, [(0, 0), (0, 1), (1, 1)], edge_attrs={(0, 0): 1, (0, 1): 0, (1, 1): 1}),
+        Graph(3, [(0, 0), (1, 1), (2, 2)], edge_attrs={(0, 0): 0, (1, 1): 1, (2, 2): 0}),
+        # Equal neighbours whose edge attributes differ are no twins: K4
+        # whose perfect matching has attribute 0 (closed twins, one class
+        # per matching edge), and C4 with alternating attributes (no twins).
+        Graph(4, list(combinations(range(4), 2)),
+              edge_attrs={e: int(e not in ((0, 1), (2, 3))) for e in combinations(range(4), 2)}),
+        Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+              edge_attrs={(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}),
+        disjoint_copies(3, Graph(2, [(0, 1)])),
+        Graph(7, [(0, 1), (2, 3), (4, 5)]),
+        complete_bipartite(3, 3),
+        complete_bipartite(2, 4),
+        star(5),
+        Graph(6),
+        Graph(5, list(combinations(range(5), 2))),
+        hub(2, 2),
+    ]
+    cases += [twin_blow_up(rng) for _ in range(60)]
+    cases = [g for g in cases if g.n <= 7]
+    cases += [attributed_blow_up(rng) for _ in range(200)]
+    return cases
+
+
+class TestTwinQuotient:
+    # Twin classes are collapsed into one quotient vertex each and take runs
+    # of consecutive canonical positions; the group is a SymmetricRuns when
+    # the quotient has no automorphism.
+    def test_seeded_twin_graphs_match_bruteforce(self):
+        rng = random.Random(77)
+        kinds = set()
+        for g in twin_quotient_cases():
+            c, bf = canonize(g), canonize_bruteforce(g)
+            kinds.add(type(c.aut_group).__name__)
+            assert c.aut_order == bf.aut_order == group_order(c.aut_group)
+            assert apply_perm(c.canon_perm, g) == c.canon_graph
+            for _ in range(4):
+                s = tuple(rng.sample(range(g.n), g.n))
+                assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
+            for a in c.aut_generators.generators:
+                assert apply_perm(a, c.canon_graph) == c.canon_graph
+            if isinstance(c.aut_group, SymmetricRuns):
+                for a, b in c.aut_group.runs:
+                    for k in range(a, b - 1):
+                        swap = (*range(k), k + 1, k, *range(k + 2, g.n))
+                        assert apply_perm(swap, c.canon_graph) == c.canon_graph
+        assert kinds == {"SymmetricRuns", "StabilizerChain"}
+
+    def test_discrete_first_refinement_looks_for_no_twins(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("twin finder or schreier_sims reached")
+
+        monkeypatch.setattr(canon, "_twin_classes", refuse)
+        monkeypatch.setattr(canon, "schreier_sims", refuse)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], vertex_attrs=[0, 0, 0, 1])
+        c = canonize(g)
+        assert c.aut_group == c.aut_generators == SymmetricRuns(4, ())
+        assert c.aut_order == 1 and c.aut_generators.generators == ()
+
+    @pytest.mark.parametrize(
+        "g, k",
+        [
+            (Graph(60), 60),
+            (star(60), 60),
+            (Graph(6, [(i, j) for j in range(6) for i in range(j + 1)],
+                   edge_attrs={(i, j): 1 + (i != j) for j in range(6) for i in range(j + 1)}), 6),
+        ],
+        ids=["E60", "K1,60", "looped-K6"],
+    )
+    def test_one_twin_class_is_a_run_without_schreier_sims(self, monkeypatch, g, k):
+        # All 60 vertices, all 60 leaves, or all 6 vertices of a K6 with
+        # edge attribute 2 and loops of attribute 1 are twins: the quotient
+        # has one or two vertices, its refinement is discrete, and no leaf
+        # key is compared and no chain is built.
+        def refuse(*args):
+            raise AssertionError("schreier_sims reached")
+
+        monkeypatch.setattr(canon, "schreier_sims", refuse)
+        keys = []
+        graph_key = Graph.key
+        monkeypatch.setattr(Graph, "key", lambda h: keys.append(h) or graph_key(h))
+        c = canonize(g)
+        assert isinstance(c.aut_group, SymmetricRuns)
+        assert c.aut_order == math.factorial(k) and keys == []
+        assert [b - a for a, b in c.aut_group.runs] == [k]
+
+    @pytest.mark.parametrize("n, bits", [(40, 187.6), (80, 191.3)])
+    def test_empty_graphs_cost_only_the_parameter_block(self, n, bits):
+        # Two empty graphs: the coset step of S_n codes nothing, and the ER
+        # pairs at the smallest coded probability cost about 1e-3 bits a
+        # graph; the chain of S_n popped a full shuffle of pad for them.
+        corpus = Corpus((Graph(n), Graph(n)), "empty", False, False)
+        data, report = compress_corpus(corpus)
+        assert round(report.total_bits, 1) == round(report.param_bits, 1) == bits
+        assert report.total_bits - report.param_bits < 0.01
+        assert list(decompress_corpus(data).graphs) == [Graph(n), Graph(n)]
 
 
 class TestEdgeColorEmbedding:

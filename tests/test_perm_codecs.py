@@ -4,10 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from shufflecodec import perms
+from shufflecodec import perm_codecs, perms
 from shufflecodec.ans import message_init, uniform_codec
-from shufflecodec.canon import canonize
-from shufflecodec.graphs import Graph
 from shufflecodec.perm_codecs import (
     uniform_l_coset_codec,
     uniform_perm_grp_codec,
@@ -241,12 +239,14 @@ class TestUniformLCoset:
         assert m == snapshot
 
     def test_coset_step_composes_once_per_level(self, monkeypatch, rng):
-        # Bounded work on a large group: the coset step on the empty graph on
-        # 40 vertices (Aut = S_40, 39 levels) reads its ranks off the members
-        # and walks one Schreier-tree element per level each way, so it
-        # makes at most a few compose calls per level. Lex-min transversal
-        # elements, each built over the levels below, took over a thousand.
-        chain = canonize(Graph(40)).aut_group
+        # Bounded work on a large group: the coset step on the chain of S_40
+        # (39 levels) reads its ranks off the members and walks one
+        # Schreier-tree element per level each way, so it makes at most a
+        # few compose calls per level. Lex-min transversal elements, each
+        # built over the levels below, took over a thousand. (The empty graph
+        # on 40 vertices, which this chain used to come from, now canonizes
+        # to a SymmetricRuns and builds no chain.)
+        chain = schreier_sims(PermGroup.symmetric(40))
         assert len(chain.levels) == 39
         codec = uniform_l_coset_codec(chain)
         calls = [0]
@@ -321,11 +321,16 @@ class TestRunsCoset:
             coset_canon(ref, s) for s in reversed(cosets)
         ]
 
-    def test_no_runs_codes_the_shuffle_of_uniform_s(self, rng):
+    def test_no_runs_codes_the_shuffle_of_uniform_s(self, rng, monkeypatch):
         # uniform_s_codec is the trivial chain's coset codec, a Fisher-Yates
         # shuffle, byte for byte. With no run the SymmetricRuns cosets are the
-        # permutations too, coded as an arrangement of n labels: other bytes,
-        # the same round trip.
+        # permutations too, and the trivial group takes the same shuffle:
+        # the same bytes, and no arrangement draw.
+        def refuse(*args):
+            raise AssertionError("arrangement draw reached")
+
+        monkeypatch.setattr(perm_codecs, "pop_arrangement", refuse)
+        monkeypatch.setattr(perm_codecs, "push_arrangement", refuse)
         trivial = uniform_l_coset_codec(schreier_sims(PermGroup.trivial(9)))
         no_runs = uniform_l_coset_codec(SymmetricRuns(9, []))
         for trial in range(10):
@@ -336,6 +341,7 @@ class TestRunsCoset:
             trivial.encode(b, s)
             assert a == b
             no_runs.encode(c, s)
+            assert c == a
             assert no_runs.decode(c) == s
             assert c == start
 

@@ -215,9 +215,10 @@ class TestShuffleEncodeDecode:
             assert m1 == m2
 
     def test_symmetric_graph_bytes_pinned(self, rng):
-        # Large automorphism groups in one message, as versions 10 and 11
-        # write it: each coset member is coded by its lexicographic rank,
-        # each graph's vertex pairs eight per block symbol. The empty graph
+        # Large automorphism groups in one message, as version 12 writes it:
+        # a group of twin runs alone (the empty graph, the star) is coded as
+        # its runs coset and any other by the lexicographic rank of the coset
+        # member, each graph's vertex pairs eight per block symbol. The empty graph
         # on 12 vertices, K1,8, C10, the cube Q3 and 3 disjoint K3, each
         # under ER(n, 1/2), under any relabeling.
         triangle = ((0, 1), (1, 2), (0, 2))
@@ -235,9 +236,9 @@ class TestShuffleEncodeDecode:
                 s = tuple(rng.sample(range(g.n), g.n)) if trial else tuple(range(g.n))
                 codec.encode(m, apply_perm(s, g))
             data = message_serialize(m)
-            assert data[:6] == b"SHUF\x0b\x00"
+            assert data[:6] == b"SHUF\x0c\x00"
             assert hashlib.sha256(data[6:]).hexdigest() == (
-                "886065aca63976e2e61b4b49b3dc38c204e1d1231643ffab40520ff818d75096"
+                "addb27be8a9ffd7e7854769a394d87e1a5e3cca911a60b35ae875678c9316c05"
             )
             for codec, g in reversed(list(zip(codecs, graphs))):
                 assert canon_equal(codec.decode(m), g)
@@ -393,16 +394,16 @@ class TestMultisets:
             assert m == snapshot
 
     def test_sequence_ordering_draws_no_shuffle(self, monkeypatch):
-        # Every distinct value has a label of its own, so the ordering is one
-        # arrangement draw: values that occur once go through no Fisher-Yates
+        # Every distinct value has a label of its own, so when a value
+        # repeats the ordering is one arrangement draw: no Fisher-Yates
         # shuffle.
         def refuse(*args):
             raise AssertionError("Fisher-Yates shuffle reached")
 
-        monkeypatch.setattr(perm_codecs, "_pop_shuffle", refuse)
-        monkeypatch.setattr(perm_codecs, "_push_shuffle", refuse)
+        monkeypatch.setattr(shuffle, "pop_shuffle", refuse)
+        monkeypatch.setattr(shuffle, "push_shuffle", refuse)
         pclass = sequence_class()
-        for xs in ((2, 0, 1, 1, 0, 2, 2, 3), (5, 1, 4, 0), "shuffle", (3,) * 6, ()):
+        for xs in ((2, 0, 1, 1, 0, 2, 2, 3), (5, 1, 4, 4, 0), "shuffle", (3,) * 6):
             m = random_message(seed=6, tail_words=8)
             snapshot = m.copy()
             drawn = pclass.pop_ordered(m, xs)
@@ -410,11 +411,37 @@ class TestMultisets:
             assert pclass.push_ordering(m, drawn.ordered) == tuple(sorted(xs))
             assert m == snapshot
 
+    def test_distinct_values_draw_no_arrangement(self, monkeypatch):
+        # With no repeated value the group is trivial: the ordering is one
+        # Fisher-Yates shuffle, O(1) per element, and no arrangement draw,
+        # which walks a Fenwick tree per element.
+        def refuse(*args):
+            raise AssertionError("arrangement draw reached")
+
+        monkeypatch.setattr(shuffle, "pop_arrangement", refuse)
+        monkeypatch.setattr(shuffle, "push_arrangement", refuse)
+        pclass = sequence_class()
+        rng = random.Random(24)
+        for xs in ((5, 1, 4, 0), "shuf", tuple(rng.sample(range(10**6), 500)), (7,), ()):
+            m = random_message(seed=6, tail_words=400)
+            snapshot = m.copy()
+            drawn = pclass.pop_ordered(m, xs)
+            assert sorted(drawn.ordered) == sorted(xs) and drawn.aut_order == 1
+            assert pclass.push_ordering(m, drawn.ordered) == tuple(sorted(xs))
+            assert m == snapshot
+            codec = ShuffleCodec(string_codec([1] * 128, len(xs)), sequence_class())
+            if all(type(x) is int and x < 128 for x in xs):
+                codec.encode(m, xs)
+                assert codec.decode(m) == tuple(sorted(xs))
+                assert m == snapshot
+
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field, as version 11 writes it: each
-        # ordering is one exact-mass draw per element, without replacement,
-        # of the labels 0..r-1 of its r distinct values.
+        # everything after the version field, as versions 11 and 12 write it:
+        # each ordering is one exact-mass draw per element, without
+        # replacement, of the labels 0..r-1 of its r distinct values. (The
+        # one sequence here with no repeated value has one element, and
+        # codes no ordering either way.)
         rng = random.Random(2408)
         masses = (5, 2, 1)
         m = message_init()
@@ -423,7 +450,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0b\x00"
+        assert data[:6] == b"SHUF\x0c\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "97dea0b19c12facb24fecccf9c00de60aaf4eecc9abee9557e8a508014784b55"
         )
