@@ -50,11 +50,7 @@ from .params import (
     encode_dataset_params,
     natural_list_codec,
 )
-from .perm_codecs import (
-    uniform_l_coset_codec,
-    uniform_perm_grp_codec,
-    uniform_s_codec,
-)
+from .perm_codecs import uniform_l_coset_codec
 from .perms import (
     PermGroup,
     StabilizerChain,

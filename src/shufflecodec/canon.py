@@ -15,7 +15,8 @@ canonical positions. When the quotient has no automorphism, Aut is exactly
 the product of the symmetric groups on the runs (a SymmetricRuns, as for a
 sorted sequence), with no Schreier-Sims; otherwise the quotient's
 automorphisms, lifted class by class, and the runs' generators go to
-schreier_sims.
+schreier_sims. Either way the automorphism group is one value, the runs or
+the chain.
 
 Refinement signatures are tuples of ints (see _refine), and every pass reads
 them off the edge list. The canonical form is built from the canonical
@@ -56,16 +57,14 @@ from .perms import (
 @dataclass(frozen=True)
 class Canonized:
     """Result of canonizing a graph: the input graph, a permutation mapping it
-    onto its class representative, and the representative's automorphism
-    group: generators, order and group. The group is either a SymmetricRuns
-    (the trivial group has no runs), which also stands for its generators,
-    read off the runs, or a chain, given with the PermGroup it was built
-    from. The representative itself, canon_graph, is built on first
+    onto its class representative, and the order and automorphism group of
+    the representative. The group is one value, a SymmetricRuns (the
+    trivial group has no runs) or a stabilizer chain, and is what the coset
+    codec reads. The representative itself, canon_graph, is built on first
     access."""
 
     graph: Graph
     canon_perm: Perm
-    aut_generators: Union[PermGroup, SymmetricRuns]
     aut_order: int
     aut_group: Union[StabilizerChain, SymmetricRuns]
 
@@ -322,8 +321,7 @@ def canonize(g: Graph) -> Canonized:
     base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
     colors = _refine(g, _initial_colors(g), base)
     if max(colors, default=-1) + 1 == n:
-        trivial = SymmetricRuns(n, ())
-        return Canonized(g, tuple(colors), trivial, 1, trivial)
+        return Canonized(g, tuple(colors), 1, SymmetricRuns(n, ()))
     classes, loop = _twin_classes(g, colors, base)
     if classes:
         q, groups = _quotient(g, colors, classes, loop)
@@ -343,16 +341,15 @@ def canonize(g: Graph) -> Canonized:
     runs = sorted((start[x], start[x] + len(vs)) for x, vs in enumerate(groups) if len(vs) > 1)
     group = SymmetricRuns(n, runs)
     if not q_auts:
-        return Canonized(g, tuple(perm), group, group_order(group), group)
+        return Canonized(g, tuple(perm), group_order(group), group)
     lifted = []
     for a in q_auts:
         image = list(range(n))
         for x, vs in enumerate(groups):
             image[start[x] : start[x] + len(vs)] = range(start[a[x]], start[a[x]] + len(vs))
         lifted.append(tuple(image))
-    grp = PermGroup(n, tuple(lifted) + group.generators)
-    chain = schreier_sims(grp)
-    return Canonized(g, tuple(perm), grp, group_order(chain), chain)
+    chain = schreier_sims(PermGroup(n, tuple(lifted) + group.generators))
+    return Canonized(g, tuple(perm), group_order(chain), chain)
 
 
 def canon_equal(a: Graph, b: Graph) -> bool:

@@ -300,8 +300,9 @@ def pu_sequence_codec(params: PuParams) -> Codec:
     exhausted urn and the 2**48 bound on T before the message changes.
     Without redraws the masses depend on the draw history, so the model is
     not edge-exchangeable: a graph's bits depend on the edge order that the
-    inner shuffle codec picks, by a fraction of a percent. It stays exactly
-    invertible either way.
+    inner shuffle codec picks. On K4, certain when m = N, a uniformly picked
+    order costs 0.11358720 bits more than -log2 P(graph) = 0 in expectation.
+    It stays exactly invertible either way.
     """
     m_edges = params.num_edges
 

@@ -1,27 +1,29 @@
-"""Uniform codecs over permutations: the full symmetric group, an arbitrary
-permutation group given by a stabilizer chain, and left cosets of such a group.
+"""The bits-back coset step: uniform_l_coset_codec, the one uniform codec
+over the left cosets of an automorphism group H in the symmetric group.
 
-The coset codec is the bits-back workhorse. Encoding a coset s*H first
-*decodes* the lexicographic rank of one of its members from the message
-(reclaiming log2 |H| bits, one uniform digit per chain level) and then
-encodes that member as a permutation of the full symmetric group (paying
-log2 n!), for a net rate of log2(n!/|H|). Decoding pops the permutation,
-pushes its rank back and returns the coset's lex-min member; no group
-element is formed. The uniform codec over the symmetric group is the coset
-codec of the trivial group.
+H is a stabilizer chain or a SymmetricRuns. On a chain, encoding a coset
+s*H first *decodes* the lexicographic rank of one of its members from the
+message (reclaiming log2 |H| bits, one uniform digit per chain level) and
+then encodes that member as a permutation of the full symmetric group
+(paying log2 n!), for a net rate of log2(n!/|H|). Decoding pops the
+permutation, pushes its rank back and returns the coset's lex-min member; no
+group element is formed.
 
 On a product of symmetric groups on runs (SymmetricRuns: a multiset's
 automorphism group, and a graph's when only twins move) the codec codes the
 coset itself instead, as one arrangement of labels over the values
 (ans.push_arrangement), one label per group of positions: log2(n!/|H|)
 bits. The sequence class codes a multiset's ordering with the same
-arrangement directly, with no permutation. The trivial group, a
-SymmetricRuns with no run, takes the trivial chain's path: a Fisher-Yates
-shuffle, O(1) per point, where each arrangement draw walks a Fenwick tree,
-O(log n). So does a chain's member: coding graphs' coset members as
-arrangements of n labels of one copy each cost about 8% of encode and 3%
-of decode throughput on small attributed ER graphs (perfbench er-attr,
-median ratio of 5 alternating 6 s pairs on a 2-core Xeon VM, Python 3.11).
+arrangement directly, with no permutation.
+
+The uniform codec over S_n is the coset codec of the trivial group,
+uniform_l_coset_codec(SymmetricRuns(n, ())): a Fisher-Yates shuffle, the
+trivial chain's bytes, O(1) per point, where each arrangement draw walks a
+Fenwick tree, O(log n). A chain's member is coded the same way: coding
+graphs' coset members as arrangements of n labels of one copy each cost
+about 8% of encode and 3% of decode throughput on small attributed ER graphs
+(perfbench er-attr, median ratio of 5 alternating 6 s pairs on a 2-core
+Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .perms import (
     coset_canon,
     coset_rank,
     coset_unrank,
-    element_rank,
-    element_unrank,
 )
 
 
@@ -72,32 +72,6 @@ def pop_shuffle(m: Message, n: int) -> Perm:
     for j, i in zip(sizes, pop_uniforms(m, sizes)):
         s[i], s[j - 1] = s[j - 1], s[i]
     return tuple(s)
-
-
-def uniform_s_codec(n: int) -> Codec:
-    """Uniform codec over the symmetric group on n points: the coset codec of
-    the trivial group, a Fisher-Yates shuffle driven by Uniform(j) draws for
-    j = n..2. One run of the uniform kernel each way; the aggregate rate is
-    log2 n! per permutation."""
-    return uniform_l_coset_codec(SymmetricRuns(n, ()))
-
-
-def uniform_perm_grp_codec(chain: StabilizerChain) -> Codec:
-    """Uniform codec over the members of a permutation group.
-
-    Codes a member's lexicographic rank among the members (element_rank),
-    one uniform digit per chain level, for a total of sum_k log2 |O_k| =
-    log2 |H| bits.
-    """
-    sizes = [len(lvl.orbit) for lvl in chain.levels]
-
-    def encode(m: Message, h) -> None:
-        push_uniforms(m, element_rank(chain, as_perm(h)), sizes)
-
-    def decode(m: Message) -> Perm:
-        return element_unrank(chain, pop_uniforms(m, sizes))
-
-    return Codec(encode, decode)
 
 
 def _checked(s, n: int) -> Perm:

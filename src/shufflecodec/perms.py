@@ -1,8 +1,9 @@
 """Permutations and permutation groups.
 
 Permutations are tuples in one-line notation (p[i] is the image of i) and
-compose like functions: compose(s, t) performs t, then s. Groups are stored as
-generator lists; stabilizer chains built here use the fixed base 0, 1, ..., n-1
+compose like functions: compose(s, t) performs t, then s. A PermGroup takes
+its generators, and schreier_sims turns it into the stabilizer chain that
+coding reads; stabilizer chains built here use the fixed base 0, 1, ..., n-1
 (levels with trivial orbits are omitted), so a level's subgroup fixes every
 point below its base point. The members of a left coset s*H are coded by
 their lexicographic rank in one-line notation: coset_rank reads one digit per
@@ -82,7 +83,8 @@ def smallest_moved(s: Perm) -> Optional[int]:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group given by its degree and a generator list."""
+    """A permutation group given by its degree and its generators: the input
+    of schreier_sims."""
 
     degree: int
     generators: Tuple[Perm, ...]
@@ -94,18 +96,6 @@ class PermGroup:
                     f"generator degree {len(g)} != group degree {self.degree}"
                 )
             as_perm(g)
-
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, ())
-
-    @classmethod
-    def symmetric(cls, degree: int) -> "PermGroup":
-        if degree < 2:
-            return cls.trivial(degree)
-        swap = (1, 0) + tuple(range(2, degree))
-        cycle = tuple(range(1, degree)) + (0,)
-        return cls(degree, (swap, cycle))
 
 
 class ChainLevel:

@@ -5,6 +5,7 @@ diagnostic only tests run: brute-force canonization over all n! relabelings,
 a color refinement pass over (color, attribute) pair signatures,
 canonization of edge-attributed graphs through a vertex-colored embedding, an
 exchangeability check for ordered codecs, orbits by breadth-first closure,
+generators of an automorphism group read off its runs or its chain,
 enumeration of a stabilizer chain's group, the Schreier-Sims chain of a
 product of symmetric groups on runs, the sequence class's ordering step coded
 through permutations, and stripping re-materialized pad words from a
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from shufflecodec.ans import Codec, Message, pad_word
 from shufflecodec.canon import Canonized, canonize
@@ -26,6 +27,7 @@ from shufflecodec.perms import (
     Perm,
     PermGroup,
     StabilizerChain,
+    SymmetricRuns,
     element_unrank,
     group_order,
     identity,
@@ -52,10 +54,9 @@ def canonize_bruteforce(g: Graph) -> Canonized:
             best_key, best_perm = key, s
         if key == g_key:
             auts.append(s)
-    grp = PermGroup(g.n, tuple(a for a in auts if a != identity(g.n)))
-    chain = schreier_sims(grp)
+    chain = schreier_sims(PermGroup(g.n, tuple(a for a in auts if a != identity(g.n))))
     assert group_order(chain) == len(auts)
-    return Canonized(g, best_perm, grp, len(auts), chain)
+    return Canonized(g, best_perm, len(auts), chain)
 
 
 def refine_pass_by_pairs(g: Graph, colors: List[int]) -> List[int]:
@@ -110,11 +111,10 @@ def canonize_via_embedding(g: Graph) -> Canonized:
     rank = {v: r for r, v in enumerate(sorted(originals, key=lambda v: c.canon_perm[v]))}
     perm = tuple(rank[v] for v in originals)
     restricted = tuple(
-        tuple(a[v] for v in originals) for a in c.aut_generators.generators
+        tuple(a[v] for v in originals) for a in group_generators(c.aut_group)
     )
-    grp = PermGroup(g.n, restricted)
-    chain = schreier_sims(grp)
-    result = Canonized(g, perm, grp, group_order(chain), chain)
+    chain = schreier_sims(PermGroup(g.n, restricted))
+    result = Canonized(g, perm, group_order(chain), chain)
     assert result.aut_order == c.aut_order
     return result
 
@@ -200,6 +200,17 @@ def symmetrize_check(
         classes=classes,
         total_mass=total_mass,
     )
+
+
+def group_generators(group: Union[StabilizerChain, SymmetricRuns]) -> Tuple[Perm, ...]:
+    """Generators of an automorphism group as canonize returns it: those of
+    a SymmetricRuns, read off its runs, or a chain's distinct Schreier-tree
+    labels, in level order. Every coset representative of a chain is a
+    product of its tree labels, and the representatives generate the group."""
+    if isinstance(group, SymmetricRuns):
+        return group.generators
+    labels = (edge[1] for lvl in group.levels for edge in lvl.tree.values() if edge)
+    return tuple(dict.fromkeys(labels))
 
 
 def orbit_of(group: PermGroup, point: int) -> frozenset:

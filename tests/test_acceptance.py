@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from shufflecodec.ans import message_init
+from shufflecodec.ans import message_init, push_uniforms
 from shufflecodec.canon import canon_equal, canonize
 from shufflecodec.compress import compress_corpus
 from shufflecodec.datasets import Corpus, load_tu_dataset
@@ -27,9 +27,10 @@ from shufflecodec.models import (
     polya_urn_codec,
     with_attributes,
 )
-from shufflecodec.perm_codecs import uniform_perm_grp_codec, uniform_s_codec
+from shufflecodec.perm_codecs import uniform_l_coset_codec
 from shufflecodec.perms import (
     PermGroup,
+    SymmetricRuns,
     compose,
     coset_canon,
     element_rank,
@@ -41,7 +42,7 @@ from shufflecodec.perms import (
 from shufflecodec.shuffle import ShuffleCodec, discount_bits, graph_class
 
 from conftest import random_message
-from oracles import canonize_bruteforce, chain_elements
+from oracles import canonize_bruteforce, chain_elements, runs_chain
 
 
 def report(criterion: str, detail: str = "") -> None:
@@ -161,7 +162,7 @@ def test_criterion_4_group_machinery_oracle():
         gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3)))
         assert group_order(schreier_sims(PermGroup(n, gens))) == len(closure(n, gens))
 
-    chain = schreier_sims(PermGroup.symmetric(7))
+    chain = runs_chain(7, [(0, 7)])
     assert group_order(chain) == 5040
     seen = set()
     for h in chain_elements(chain):
@@ -283,7 +284,7 @@ def test_criterion_8_amortization():
 
 def test_criterion_9_permutation_codec_rates():
     rng = random.Random(0xC9)
-    codec = uniform_s_codec(10)
+    codec = uniform_l_coset_codec(SymmetricRuns(10, ()))
     m = message_init()
     before = m.length_bits
     for _ in range(1000):
@@ -291,15 +292,16 @@ def test_criterion_9_permutation_codec_rates():
     fy_added = m.length_bits - before
     assert abs(fy_added - 1000 * math.log2(math.factorial(10))) <= 4.0
 
-    # |H| = 8: the dihedral symmetries of a 4-cycle
+    # |H| = 8: the dihedral symmetries of a 4-cycle, each member coded as its
+    # element_rank digits, one uniform digit per chain level
     chain = schreier_sims(PermGroup(4, ((1, 2, 3, 0), (0, 3, 2, 1))))
     assert group_order(chain) == 8
     members = sorted(chain_elements(chain))
-    grp_codec = uniform_perm_grp_codec(chain)
+    sizes = [len(lvl.orbit) for lvl in chain.levels]
     m = message_init()
     before = m.length_bits
     for _ in range(1000):
-        grp_codec.encode(m, members[rng.randrange(8)])
+        push_uniforms(m, element_rank(chain, members[rng.randrange(8)]), sizes)
     grp_added = m.length_bits - before
     assert abs(grp_added - 3000) <= 1.0
     report(

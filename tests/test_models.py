@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -616,3 +617,54 @@ class TestPolyaUrn:
                 else:
                     strict += bits
         assert strict <= loose
+
+
+def _urn_order_probs(n):
+    """The probability of every edge order of K_n under the urn without
+    redraws and with m = N edges, so that the graph itself is certain: the
+    product of _Urn's own subrange masses over its totals, as Fractions."""
+    params = PuParams(n, pair_count(n, False))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    probs = {}
+    for seq in permutations(pairs):
+        urn = models._Urn(params)
+        p = Fraction(1)
+        for pair in seq:
+            total = urn.total
+            p *= Fraction(urn.subrange(*pair)[1], total)
+            urn.draw(*pair)
+        probs[seq] = p
+    return params, probs
+
+
+class TestUrnOrderGap:
+    """Without redraws the urn is not edge-exchangeable: the inner shuffle
+    codes a uniformly popped edge order, whose expected cost
+    E[-log2 P(seq)] - log2 m! exceeds -log2 P(graph) by a Jensen gap. On a
+    complete graph P(graph) = 1, so the gap is the whole expected rate."""
+
+    def test_k3_orders_are_equally_likely(self):
+        _, probs = _urn_order_probs(3)
+        assert len(probs) == 6
+        assert set(probs.values()) == {Fraction(1, 6)}
+
+    def test_k4_gap_pinned(self):
+        params, probs = _urn_order_probs(4)
+        assert len(probs) == 720
+        assert sum(probs.values()) == 1
+        assert len(set(probs.values())) == 6
+        assert all(p == _urn_sequence_prob(params, seq) for seq, p in probs.items())
+        log_orders = math.log2(720)
+        costs = [-math.log2(p) - log_orders for p in probs.values()]
+        assert abs(sum(costs) / 720 - 0.11358720) <= 1e-8
+        assert abs(min(costs) - -0.6925715) <= 1e-7
+        assert abs(max(costs) - 1.2630344) <= 1e-7
+
+    def test_k4_message_growth_is_minus_log2_p(self):
+        params, probs = _urn_order_probs(4)
+        codec = pu_sequence_codec(params)
+        for k, (seq, p) in enumerate(probs.items()):
+            m = random_message(seed=k % 7, tail_words=16)
+            before = m.length_bits
+            codec.encode(m, seq)
+            assert abs(m.length_bits - before + math.log2(p)) <= 1e-4

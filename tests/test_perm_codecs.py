@@ -5,18 +5,15 @@ from itertools import permutations
 import pytest
 
 from shufflecodec import perm_codecs, perms
-from shufflecodec.ans import message_init, uniform_codec
-from shufflecodec.perm_codecs import (
-    uniform_l_coset_codec,
-    uniform_perm_grp_codec,
-    uniform_s_codec,
-)
+from shufflecodec.ans import message_init, pop_uniforms, push_uniforms, uniform_codec
+from shufflecodec.perm_codecs import uniform_l_coset_codec
 from shufflecodec.perms import (
-    NotInGroup,
     PermGroup,
     SymmetricRuns,
     compose,
     coset_canon,
+    element_rank,
+    element_unrank,
     group_order,
     identity,
     schreier_sims,
@@ -27,10 +24,13 @@ from oracles import chain_elements, runs_chain
 
 
 class TestUniformS:
+    """The uniform codec over S_n: the coset codec of the trivial group, a
+    Fisher-Yates shuffle."""
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_degenerate_sizes_cost_nothing(self, n):
         m = message_init()
-        codec = uniform_s_codec(n)
+        codec = uniform_l_coset_codec(SymmetricRuns(n, ()))
         before = m.length_bits
         codec.encode(m, identity(n))
         assert m.length_bits == before
@@ -41,14 +41,14 @@ class TestUniformS:
         # permutation is the identity; check the encoder emits just that.
         n = 6
         m = message_init()
-        uniform_s_codec(n).encode(m, identity(n))
+        uniform_l_coset_codec(SymmetricRuns(n, ())).encode(m, identity(n))
         for j in reversed(range(2, n + 1)):
             assert uniform_codec(j).decode(m) == j - 1
         assert m == message_init()
 
     def test_round_trip_exhaustive_small(self):
         for n in range(6):
-            codec = uniform_s_codec(n)
+            codec = uniform_l_coset_codec(SymmetricRuns(n, ()))
             for s in permutations(range(n)):
                 m = random_message(seed=11, tail_words=4)
                 snapshot = m.copy()
@@ -57,7 +57,7 @@ class TestUniformS:
                 assert m == snapshot
 
     def test_rate_s10(self, rng):
-        codec = uniform_s_codec(10)
+        codec = uniform_l_coset_codec(SymmetricRuns(10, ()))
         m = message_init()
         perms = [tuple(rng.sample(range(10), 10)) for _ in range(1000)]
         before = m.length_bits
@@ -69,7 +69,7 @@ class TestUniformS:
 
     def test_decode_samples_uniformly(self):
         m = random_message(seed=3)
-        codec = uniform_s_codec(3)
+        codec = uniform_l_coset_codec(SymmetricRuns(3, ()))
         counts = {}
         n = 6000
         for _ in range(n):
@@ -80,35 +80,32 @@ class TestUniformS:
 
 
 class TestUniformPermGrp:
-    def test_trivial_group_zero_bits(self):
-        chain = schreier_sims(PermGroup.trivial(4))
-        codec = uniform_perm_grp_codec(chain)
-        m = message_init()
-        before = m.length_bits
-        codec.encode(m, identity(4))
-        assert m.length_bits == before
-        assert codec.decode(m) == identity(4)
+    """Group members coded uniformly by their element_rank digits, one
+    push_uniforms digit per chain level, as criterion 9 codes them: log2 |H|
+    bits a member."""
+
+    @staticmethod
+    def sizes(chain):
+        return [len(lvl.orbit) for lvl in chain.levels]
 
     def test_s3_rate(self, rng):
-        chain = schreier_sims(PermGroup.symmetric(3))
-        codec = uniform_perm_grp_codec(chain)
+        chain = runs_chain(3, [(0, 3)])
         members = sorted(chain_elements(chain))
         m = message_init()
         symbols = [members[rng.randrange(6)] for _ in range(2000)]
         before = m.length_bits
         for h in symbols:
-            codec.encode(m, h)
+            push_uniforms(m, element_rank(chain, h), self.sizes(chain))
         assert abs((m.length_bits - before) - 2000 * math.log2(6)) <= 2.0
 
     def test_path_automorphisms_one_bit(self, rng):
         # Aut of the path 0-1-2 is {e, 0<->2}.
         chain = schreier_sims(PermGroup(3, ((2, 1, 0),)))
-        codec = uniform_perm_grp_codec(chain)
         m = message_init()
         symbols = [((2, 1, 0), (0, 1, 2))[rng.randrange(2)] for _ in range(1000)]
         before = m.length_bits
         for h in symbols:
-            codec.encode(m, h)
+            push_uniforms(m, element_rank(chain, h), self.sizes(chain))
         assert abs((m.length_bits - before) - 1000) <= 1.0
 
     def test_round_trip_all_members(self):
@@ -117,25 +114,20 @@ class TestUniformPermGrp:
             n = rng.randint(2, 6)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
             chain = schreier_sims(PermGroup(n, gens))
-            codec = uniform_perm_grp_codec(chain)
+            sizes = self.sizes(chain)
             m = random_message(seed=n, tail_words=8)
             snapshot = m.copy()
             members = list(chain_elements(chain))
             for h in members:
-                codec.encode(m, h)
+                push_uniforms(m, element_rank(chain, h), sizes)
             for h in reversed(members):
-                assert codec.decode(m) == h
+                assert element_unrank(chain, pop_uniforms(m, sizes)) == h
             assert m == snapshot
-
-    def test_non_member_rejected(self):
-        chain = schreier_sims(PermGroup(4, ((1, 0, 3, 2),)))
-        with pytest.raises(NotInGroup):
-            uniform_perm_grp_codec(chain).encode(message_init(), (1, 2, 3, 0))
 
 
 class TestUniformLCoset:
     def test_single_coset_full_group(self, rng):
-        chain = schreier_sims(PermGroup.symmetric(4))
+        chain = runs_chain(4, [(0, 4)])
         codec = uniform_l_coset_codec(chain)
         m = random_message(seed=2, tail_words=16)
         before = m.length_bits
@@ -146,7 +138,7 @@ class TestUniformLCoset:
         assert codec.decode(m) == identity(4)
 
     def test_trivial_subgroup_full_rate(self, rng):
-        chain = schreier_sims(PermGroup.trivial(5))
+        chain = schreier_sims(PermGroup(5, ()))
         codec = uniform_l_coset_codec(chain)
         m = random_message(seed=4, tail_words=16)
         perms = [tuple(rng.sample(range(5), 5)) for _ in range(500)]
@@ -196,12 +188,12 @@ class TestUniformLCoset:
             assert m == snapshot
 
     def test_underflow_near_initial_message_uses_pad(self):
-        chain = schreier_sims(PermGroup.trivial(3))
+        chain = schreier_sims(PermGroup(3, ()))
         codec = uniform_l_coset_codec(chain)
         m = message_init()
         codec.encode(m, (2, 0, 1))
         assert m.pad_consumed == 0  # trivial H decodes nothing
-        chain2 = schreier_sims(PermGroup.symmetric(6))
+        chain2 = runs_chain(6, [(0, 6)])
         m2 = message_init()
         uniform_l_coset_codec(chain2).encode(m2, (5, 4, 3, 2, 1, 0))
         assert m2.pad_consumed > 0
@@ -209,7 +201,7 @@ class TestUniformLCoset:
     def test_underflow_raises_without_pad(self):
         from shufflecodec.ans import Message, MessageUnderflow
 
-        chain = schreier_sims(PermGroup.symmetric(6))
+        chain = runs_chain(6, [(0, 6)])
         with pytest.raises(MessageUnderflow):
             uniform_l_coset_codec(chain).encode(
                 Message(pad_seed=None), (5, 4, 3, 2, 1, 0)
@@ -246,7 +238,7 @@ class TestUniformLCoset:
         # built over the levels below, took over a thousand. (The empty graph
         # on 40 vertices, which this chain used to come from, now canonizes
         # to a SymmetricRuns and builds no chain.)
-        chain = schreier_sims(PermGroup.symmetric(40))
+        chain = runs_chain(40, [(0, 40)])
         assert len(chain.levels) == 39
         codec = uniform_l_coset_codec(chain)
         calls = [0]
@@ -322,33 +314,31 @@ class TestRunsCoset:
         ]
 
     def test_no_runs_codes_the_shuffle_of_uniform_s(self, rng, monkeypatch):
-        # uniform_s_codec is the trivial chain's coset codec, a Fisher-Yates
-        # shuffle, byte for byte. With no run the SymmetricRuns cosets are the
-        # permutations too, and the trivial group takes the same shuffle:
-        # the same bytes, and no arrangement draw.
+        # With no run the SymmetricRuns cosets are the permutations, and the
+        # trivial group codes the trivial chain's Fisher-Yates shuffle, byte
+        # for byte, with no arrangement draw.
         def refuse(*args):
             raise AssertionError("arrangement draw reached")
 
         monkeypatch.setattr(perm_codecs, "pop_arrangement", refuse)
         monkeypatch.setattr(perm_codecs, "push_arrangement", refuse)
-        trivial = uniform_l_coset_codec(schreier_sims(PermGroup.trivial(9)))
+        trivial = uniform_l_coset_codec(schreier_sims(PermGroup(9, ())))
         no_runs = uniform_l_coset_codec(SymmetricRuns(9, []))
         for trial in range(10):
             s = tuple(rng.sample(range(9), 9))
             start = random_message(seed=trial, tail_words=4)
-            a, b, c = start.copy(), start.copy(), start.copy()
-            uniform_s_codec(9).encode(a, s)
-            trivial.encode(b, s)
-            assert a == b
-            no_runs.encode(c, s)
-            assert c == a
-            assert no_runs.decode(c) == s
-            assert c == start
+            a, b = start.copy(), start.copy()
+            trivial.encode(a, s)
+            no_runs.encode(b, s)
+            assert b == a
+            assert no_runs.decode(b) == s
+            assert b == start
 
     def test_bad_input_rejected_before_the_message_changes(self):
         m = random_message(seed=1, tail_words=4)
         before = m.copy()
-        for codec in (uniform_l_coset_codec(SymmetricRuns(4, [(0, 2)])), uniform_s_codec(4)):
+        for runs in ([(0, 2)], []):
+            codec = uniform_l_coset_codec(SymmetricRuns(4, runs))
             with pytest.raises(perms.DegreeMismatch):
                 codec.encode(m, (0, 1, 2))
             with pytest.raises(ValueError):
