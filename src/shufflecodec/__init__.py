@@ -13,13 +13,10 @@ from .ans import (
     Message,
     MessageUnderflow,
     ParameterError,
-    bernoulli_codec,
-    categorical_codec,
     message_deserialize,
     message_init,
     message_serialize,
     quantize_masses,
-    uniform_codec,
 )
 from .canon import (
     Canonized,

@@ -29,10 +29,10 @@ short-lived to tabulate (there the decoder maps the popped value back to
 the exact target in [0, T) and lets the caller find the symbol), and
 push_arrangement/pop_arrangement over a uniformly random arrangement of a
 label multiset, one exact-mass draw without replacement per element. A
-push checks every symbol before the message changes. The uniform,
-categorical and Bernoulli codecs code one-symbol runs. Tables are shared:
-table_for builds one per weight tuple, and bernoulli_block_table tabulates
-up to 8 Bernoulli bits as one symbol.
+push checks every symbol before the message changes. A single symbol
+is a run of one: there are no scalar codecs. Tables are shared: table_for
+builds one per weight tuple (bernoulli_weights gives a Bernoulli bit's),
+and bernoulli_block_table tabulates up to 8 Bernoulli bits as one symbol.
 """
 
 from __future__ import annotations
@@ -496,55 +496,20 @@ class Codec:
 
     encode(m, x) pushes x onto the message; decode(m) pops the last-pushed
     value and restores the message exactly (LIFO discipline). ``prob``, when
-    set, maps a value to its exact probability as a Fraction. ``table``, when
-    set, is the one Table the codec codes its symbol over, so that runs of
-    such symbols can go through push_symbols/pop_symbols.
+    set, maps a value to its exact probability as a Fraction.
     """
 
-    __slots__ = ("encode", "decode", "prob", "table")
+    __slots__ = ("encode", "decode", "prob")
 
     def __init__(
         self,
         encode: Callable[[Message, Any], None],
         decode: Callable[[Message], Any],
         prob: Optional[Callable[[Any], Fraction]] = None,
-        table: Optional[Table] = None,
     ):
         self.encode = encode
         self.decode = decode
         self.prob = prob
-        self.table = table
-
-
-def uniform_codec(n: int) -> Codec:
-    """Codec for the uniform distribution on {0..n-1}, 1 <= n <= 2**48."""
-    _precision(n, n)
-    sizes = (n,)
-
-    def encode(m: Message, x: Any) -> None:
-        push_uniforms(m, (x,), sizes)
-
-    def decode(m: Message) -> int:
-        return pop_uniforms(m, sizes)[0]
-
-    return Codec(encode, decode, prob=lambda x: Fraction(1, n))
-
-
-def categorical_codec(weights: Sequence[int]) -> Codec:
-    """Codec for the categorical distribution of nonnegative integer weights
-    with total in [1, 2**48], coded over their shared Table (see table_for).
-    ``prob`` is the exact weight ratio."""
-    weights = tuple(weights)
-    table = table_for(weights)
-    total = sum(weights)
-
-    def encode(m: Message, x: Any) -> None:
-        push_symbols(m, table, (x,))
-
-    def decode(m: Message) -> int:
-        return pop_symbols(m, table, 1)[0]
-
-    return Codec(encode, decode, lambda x: Fraction(weights[x], total), table)
 
 
 def bernoulli_weights(p) -> Tuple[int, int]:
@@ -588,12 +553,6 @@ def bernoulli_block_table(p, size: int) -> Table:
     weights = list(_BY_POPCOUNT(by_count)[: 1 << size])
     weights[0 if q0 >= q1 else -1] += (1 << 32) - sum(weights)
     return _cached_table(tuple(weights))
-
-
-def bernoulli_codec(p) -> Codec:
-    """Codec for a Bernoulli(p) bit, p strictly in (0, 1): the categorical
-    codec of bernoulli_weights(p)."""
-    return categorical_codec(bernoulli_weights(p))
 
 
 def message_serialize(m: Message) -> bytes:

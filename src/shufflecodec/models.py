@@ -1,12 +1,16 @@
 """Exchangeable ordered-object models: i.i.d.-categorical strings,
 Erdős-Rényi graphs, the Pólya-urn edge-sequence model (preferential
 attachment) with an inner shuffle over the edge list, and one i.i.d.
-attribute layer over either graph model.
+attribute layer over either graph model, on the tables of ans.table_for.
+An encoder's refusal leaves the message as it was. The attribute layer
+restores a snapshot of the head and stack depth: pushes only append words,
+and the one base that pops (the urn's inner shuffle) restores itself first.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,13 +25,14 @@ from .ans import (
     ParameterError,
     bernoulli_block_table,
     bernoulli_weights,
-    categorical_codec,
     pop_exact,
     pop_symbols,
     push_exact,
     push_symbols,
+    table_for,
 )
 from .graphs import Graph, graph_pairs, pair_count, plain_graph, trusted_graph
+from .shuffle import ShuffleCodec, sequence_class
 
 # Edge probabilities in [0, 1] are clamped into [_P_FLOOR, 1 - _P_FLOOR].
 _P_FLOOR = Fraction(1, 1 << 20)
@@ -82,13 +87,20 @@ class PuParams:
                 )
 
 
+def _iid_prob(weights: Tuple[int, ...], symbols) -> Fraction:
+    """The exact probability of i.i.d. symbols under integer weights."""
+    symbols = list(symbols)
+    numerator = math.prod(map(weights.__getitem__, symbols))
+    return Fraction(numerator, sum(weights) ** len(symbols))
+
+
 def string_codec(ps: Sequence[int], length: int) -> Codec:
-    """Fixed-length strings of alphabet symbols, coded i.i.d. categorical,
-    as one run of the table kernel."""
+    """Fixed-length strings of alphabet symbols, coded i.i.d. categorical
+    over table_for(ps), as one run of the table kernel."""
     if length < 0:
         raise ParameterError("negative length")
-    char_codec = categorical_codec(ps)
-    table = char_codec.table
+    weights = tuple(ps)
+    table = table_for(weights)
 
     def encode(m: Message, string) -> None:
         if len(string) != length:
@@ -98,25 +110,19 @@ def string_codec(ps: Sequence[int], length: int) -> Codec:
     def decode(m: Message) -> Tuple[int, ...]:
         return tuple(pop_symbols(m, table, length))
 
-    def prob(string) -> Fraction:
-        p = Fraction(1)
-        for c in string:
-            p *= char_codec.prob(c)
-        return p
-
-    return Codec(encode, decode, prob)
+    return Codec(encode, decode, lambda string: _iid_prob(weights, string))
 
 
-def _attr_codec(ps: Optional[Tuple[int, ...]], uniform_attrs: bool) -> Optional[Codec]:
-    """The categorical codec of one attribute over its count table. Uniform
-    attributes use equal weights, which round as uniform symbols do. Counts
-    that are all zero (no vertex or no edge carries the attribute) get a
-    one-symbol table, which never codes a symbol."""
+def _attr_weights(ps: Optional[Sequence[int]], uniform_attrs: bool) -> Optional[tuple]:
+    """The weights of one attribute: its counts, or equal weights under
+    uniform_attrs, which round as uniform symbols do. Counts that are all
+    zero (no vertex or no edge carries the attribute) give the one-symbol
+    weights (1,), whose table never codes a symbol."""
     if ps is None:
         return None
     if not any(ps):
-        return categorical_codec([1])
-    return categorical_codec([1] * len(ps) if uniform_attrs else ps)
+        return (1,)
+    return (1,) * len(ps) if uniform_attrs else tuple(ps)
 
 
 def _check_plain(g, n: int) -> None:
@@ -137,7 +143,7 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
     block of N mod 8; a block is the symbol whose bit t says whether its pair
     t is an edge. The blocks of 8 are one run of the table kernel over
     bernoulli_block_table(p, 8), the last block one symbol over
-    bernoulli_block_table(p, N mod 8): p is rounded as bernoulli_codec rounds
+    bernoulli_block_table(p, N mod 8): p is rounded as bernoulli_weights rounds
     it, and the tables' rounding costs below 256 * 2**-32 relative per block.
     Encode sets bit k & 7 of block k >> 3 per edge, k the edge's pair index,
     so both directions cost O(m + N/8) for m edges. Equal pair probabilities
@@ -350,52 +356,54 @@ def with_attributes(
     edge in graph_pairs order. Each attribute is coded over the table of its
     integer counts; uniform_attrs codes every attribute uniformly over the
     table's alphabet. ``prob`` is the base probability times the attribute
-    probabilities, when the base has one.
+    probabilities, when the base has one. An encode refused with a
+    CodecError restores the head and stack depth it found: pushes only
+    append words, and a base that pops (the urn's inner shuffle) restores
+    itself before it raises.
     """
-    v_codec = _attr_codec(vertex_attr_ps, uniform_attrs)
-    e_codec = _attr_codec(edge_attr_ps, uniform_attrs)
+    v_weights = _attr_weights(vertex_attr_ps, uniform_attrs)
+    e_weights = _attr_weights(edge_attr_ps, uniform_attrs)
+    v_table = None if v_weights is None else table_for(v_weights)
+    e_table = None if e_weights is None else table_for(e_weights)
 
     def encode(m: Message, g: Graph) -> None:
         if not isinstance(g, Graph):
             raise ContractViolation("expected a graph")
-        if g.has_vertex_attrs != (v_codec is not None):
+        if g.has_vertex_attrs != (v_table is not None):
             raise ContractViolation("vertex attribute presence mismatch")
-        if g.has_edge_attrs != (e_codec is not None):
+        if g.has_edge_attrs != (e_table is not None):
             raise ContractViolation("edge attribute presence mismatch")
-        if e_codec is not None:
-            edge_attrs = g.edge_attrs
-            attrs = [edge_attrs[e] for e in sorted(g.edges, key=_pair_order)]
-            push_symbols(m, e_codec.table, attrs)
-        if v_codec is not None:
-            push_symbols(m, v_codec.table, g.vertex_attrs)
+        head, depth = m.head, len(m.tail)
         try:
+            if e_table is not None:
+                edge_attrs = g.edge_attrs
+                attrs = [edge_attrs[e] for e in sorted(g.edges, key=_pair_order)]
+                push_symbols(m, e_table, attrs)
+            if v_table is not None:
+                push_symbols(m, v_table, g.vertex_attrs)
             base.encode(m, plain_graph(g))
         except CodecError:
-            if v_codec is not None:
-                pop_symbols(m, v_codec.table, g.n)
-            if e_codec is not None:
-                pop_symbols(m, e_codec.table, len(attrs))
+            del m.tail[depth:]
+            m.head = head
             raise
 
     def decode(m: Message) -> Graph:
         g = base.decode(m)
         vertex_attrs = None
-        if v_codec is not None:
-            vertex_attrs = tuple(pop_symbols(m, v_codec.table, g.n))
+        if v_table is not None:
+            vertex_attrs = tuple(pop_symbols(m, v_table, g.n))
         edge_attrs = None
-        if e_codec is not None:
+        if e_table is not None:
             ordered = sorted(g.edges, key=_pair_order)
-            edge_attrs = dict(zip(ordered, pop_symbols(m, e_codec.table, len(ordered))))
+            edge_attrs = dict(zip(ordered, pop_symbols(m, e_table, len(ordered))))
         return trusted_graph(g.n, g.edges, vertex_attrs, edge_attrs)
 
     def prob(g: Graph) -> Fraction:
         p = base.prob(plain_graph(g))
-        if v_codec is not None:
-            for a in g.vertex_attrs:
-                p *= v_codec.prob(a)
-        if e_codec is not None:
-            for a in g.edge_attrs.values():
-                p *= e_codec.prob(a)
+        if v_weights is not None:
+            p *= _iid_prob(v_weights, g.vertex_attrs)
+        if e_weights is not None:
+            p *= _iid_prob(e_weights, g.edge_attrs.values())
         return p
 
     return Codec(encode, decode, prob if base.prob is not None else None)
@@ -404,8 +412,6 @@ def with_attributes(
 def polya_urn_codec(params: PuParams) -> Codec:
     """Graphs coded as an unordered edge list under the urn model: the edge
     sequence codec wrapped in an inner shuffle codec over list order."""
-    from .shuffle import ShuffleCodec, sequence_class
-
     inner = ShuffleCodec(pu_sequence_codec(params), sequence_class())
 
     def encode(m: Message, g: Graph) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .ans import Codec, ContractViolation, FormatError, Message
+from .ans import Codec, CodecError, ContractViolation, FormatError, Message
 from .ans import pop_uniforms, push_uniforms
 from .graphs import pair_count
 
@@ -146,34 +146,42 @@ def _edge_count_sizes(sizes: List[int], self_loops: bool) -> List[int]:
 
 
 def encode_dataset_params(m: Message, params: DatasetParams) -> None:
-    """Push the parameter block; the reverse of decode_dataset_params."""
-    if params.order_perm is not None:
-        _naturals.encode(m, list(params.order_perm))
-    if params.model == "er":
-        _naturals.encode(m, list(params.er_counts))
-    else:
-        sizes = params.sizes_in_coding_order()
-        counts = params.pu_edge_counts
-        if len(counts) != len(sizes):
-            raise ContractViolation("one edge count per graph required")
-        push_uniforms(m, counts, _edge_count_sizes(sizes, params.self_loops))
-    if params.edge_attr_counts is not None:
-        _naturals.encode(m, list(params.edge_attr_counts))
-    push_uniforms(m, [int(params.edge_attr_counts is not None)], _FLAG)
-    if params.vertex_attr_counts is not None:
-        _naturals.encode(m, list(params.vertex_attr_counts))
-    push_uniforms(m, [int(params.vertex_attr_counts is not None)], _FLAG)
-    lengths, diffs = _runs_to_lists(params.vertex_count_runs)
-    _naturals.encode(m, diffs)
-    _naturals.encode(m, lengths)
-    flags = (
-        params.model == "pu",
-        params.self_loops,
-        params.uniform_attrs,
-        params.redraws,
-        params.order_perm is not None,
-    )
-    push_uniforms(m, [1 if f else 0 for f in flags], _FLAG * len(flags))
+    """Push the parameter block; the reverse of decode_dataset_params. A
+    refused block restores the head and stack depth it found, which leaves
+    the message as it was: every push only appends words."""
+    head, depth = m.head, len(m.tail)
+    try:
+        if params.order_perm is not None:
+            _naturals.encode(m, list(params.order_perm))
+        if params.model == "er":
+            _naturals.encode(m, list(params.er_counts))
+        else:
+            sizes = params.sizes_in_coding_order()
+            counts = params.pu_edge_counts
+            if len(counts) != len(sizes):
+                raise ContractViolation("one edge count per graph required")
+            push_uniforms(m, counts, _edge_count_sizes(sizes, params.self_loops))
+        if params.edge_attr_counts is not None:
+            _naturals.encode(m, list(params.edge_attr_counts))
+        push_uniforms(m, [int(params.edge_attr_counts is not None)], _FLAG)
+        if params.vertex_attr_counts is not None:
+            _naturals.encode(m, list(params.vertex_attr_counts))
+        push_uniforms(m, [int(params.vertex_attr_counts is not None)], _FLAG)
+        lengths, diffs = _runs_to_lists(params.vertex_count_runs)
+        _naturals.encode(m, diffs)
+        _naturals.encode(m, lengths)
+        flags = (
+            params.model == "pu",
+            params.self_loops,
+            params.uniform_attrs,
+            params.redraws,
+            params.order_perm is not None,
+        )
+        push_uniforms(m, [1 if f else 0 for f in flags], _FLAG * len(flags))
+    except CodecError:
+        del m.tail[depth:]
+        m.head = head
+        raise
 
 
 def decode_dataset_params(m: Message) -> DatasetParams:

@@ -178,7 +178,7 @@ class ShuffleCodec:
         try:
             self.ordered_codec.encode(m, drawn.ordered)
         except CodecError:
-            # The ordered codec raises before it changes the message, so
+            # A refusing ordered codec leaves the message as it found it, so
             # pushing the ordering back restores it, with the pad words the
             # pop drew re-materialized at the bottom of the stack.
             self.pclass.push_ordering(m, drawn.ordered)

@@ -15,8 +15,7 @@ from shufflecodec.ans import (
     FormatError,
     Message,
     ParameterError,
-    bernoulli_codec,
-    categorical_codec,
+    bernoulli_weights,
     message_deserialize,
     message_init,
     message_serialize,
@@ -29,7 +28,7 @@ from shufflecodec.ans import (
     push_symbols,
     push_uniforms,
     quantize_masses,
-    uniform_codec,
+    table_for,
 )
 from shufflecodec.compress import compress_corpus
 from shufflecodec.datasets import Corpus
@@ -50,25 +49,22 @@ class TestMessage:
 
     def test_head_interval_invariant(self, rng):
         m = message_init()
-        codec = uniform_codec(1000)
         for _ in range(500):
-            codec.encode(m, rng.randrange(1000))
+            push_uniforms(m, [rng.randrange(1000)], [1000])
             assert ans.HEAD_MIN <= m.head < ans.HEAD_LIMIT
         for _ in range(500):
-            codec.decode(m)
+            pop_uniforms(m, [1000])
             assert ans.HEAD_MIN <= m.head < ans.HEAD_LIMIT
 
     def test_underflow_without_pad(self):
         m = Message(pad_seed=None)
         with pytest.raises(ans.MessageUnderflow):
-            uniform_codec(1 << 20).decode(m)
+            pop_uniforms(m, [1 << 20])
 
     def test_pad_pop_is_deterministic(self):
         a, b = message_init(), message_init()
-        codec = uniform_codec(1 << 20)
-        assert [codec.decode(a) for _ in range(50)] == [
-            codec.decode(b) for _ in range(50)
-        ]
+        sizes = [1 << 20] * 50
+        assert pop_uniforms(a, sizes) == pop_uniforms(b, sizes)
         assert a.pad_consumed == b.pad_consumed > 0
 
 
@@ -76,107 +72,106 @@ class TestUniform:
     def test_size_one_is_free(self):
         m = message_init()
         before = m.length_bits
-        codec = uniform_codec(1)
-        codec.encode(m, 0)
+        push_uniforms(m, [0], [1])
         assert m.length_bits == before
-        assert codec.decode(m) == 0
+        assert pop_uniforms(m, [1]) == [0]
 
     def test_rate_n6(self, rng):
         m = message_init()
-        codec = uniform_codec(6)
         symbols = [rng.randrange(6) for _ in range(1000)]
         before = m.length_bits
-        for x in symbols:
-            codec.encode(m, x)
+        push_uniforms(m, symbols, [6] * 1000)
         added = m.length_bits - before
         assert abs(added - 1000 * math.log2(6)) <= 1.0
-        assert [codec.decode(m) for _ in range(1000)] == symbols[::-1]
+        assert pop_uniforms(m, [6] * 1000) == symbols
 
     def test_boundary_2_pow_48(self):
         m = message_init()
-        codec = uniform_codec(1 << 48)
-        codec.encode(m, (1 << 48) - 1)
-        assert codec.decode(m) == (1 << 48) - 1
+        push_uniforms(m, [(1 << 48) - 1], [1 << 48])
+        assert pop_uniforms(m, [1 << 48]) == [(1 << 48) - 1]
         assert m == message_init()
 
     def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            uniform_codec(0)
-        with pytest.raises(ParameterError):
-            uniform_codec((1 << 48) + 1)
+        for n in (0, (1 << 48) + 1):
+            with pytest.raises(ParameterError):
+                push_uniforms(message_init(), [0], [n])
+            with pytest.raises(ParameterError):
+                pop_uniforms(message_init(), [n])
 
     def test_out_of_range_symbol(self):
         with pytest.raises(ContractViolation):
-            uniform_codec(5).encode(message_init(), 5)
+            push_uniforms(message_init(), [5], [5])
 
 
 class TestBernoulli:
+    """A Bernoulli(p) bit is a symbol over table_for(bernoulli_weights(p))."""
+
     def test_half_is_one_bit(self, rng):
         m = message_init()
-        codec = bernoulli_codec(Fraction(1, 2))
+        table = table_for(bernoulli_weights(Fraction(1, 2)))
         before = m.length_bits
         bits = [rng.randrange(2) for _ in range(1000)]
-        for b in bits:
-            codec.encode(m, b)
+        push_symbols(m, table, bits)
         assert abs((m.length_bits - before) - 1000) <= 1.0
 
     def test_quarter_rates(self, rng):
-        codec = bernoulli_codec(Fraction(1, 4))
+        table = table_for(bernoulli_weights(Fraction(1, 4)))
         bits = [1 if rng.random() < 0.25 else 0 for _ in range(10_000)]
         ones = sum(bits)
         m = message_init()
         before = m.length_bits
-        for b in bits:
-            codec.encode(m, b)
+        push_symbols(m, table, bits)
         expected = ones * 2.0 + (len(bits) - ones) * -math.log2(0.75)
         assert abs((m.length_bits - before) - expected) <= 0.001 * expected
 
     def test_round_trip_exact(self, rng):
-        codec = bernoulli_codec(0.3)
+        table = table_for(bernoulli_weights(0.3))
         bits = [rng.randrange(2) for _ in range(10_000)]
         m = message_init()
         snapshot = m.copy()
         for b in bits:
-            codec.encode(m, b)
-        assert [codec.decode(m) for _ in bits] == bits[::-1]
+            push_symbols(m, table, [b])
+        assert [pop_symbols(m, table, 1)[0] for _ in bits] == bits[::-1]
         assert m == snapshot
 
     def test_float_rate_tracks_the_entropy(self):
         # A float's denominator is 2**54; rounded to a 2**-48 grid its table
         # cost 7.6e-4 bits per symbol over the entropy on these draws.
         rng = random.Random(3)
-        codec = bernoulli_codec(0.3)
+        table = table_for(bernoulli_weights(0.3))
         bits = [1 if rng.random() < 0.3 else 0 for _ in range(20_000)]
         m = message_init()
         before = m.length_bits
-        for b in bits:
-            codec.encode(m, b)
+        push_symbols(m, table, bits)
         ideal = sum(-math.log2(0.3 if b else 0.7) for b in bits)
         assert abs((m.length_bits - before) - ideal) / len(bits) < 1e-5
 
     def test_parameter_errors(self):
         for bad in (0, 1, -0.5, 1.5):
             with pytest.raises(ParameterError):
-                bernoulli_codec(bad)
+                bernoulli_weights(bad)
 
 
 class TestCategorical:
+    """A categorical symbol is string_codec(weights, 1): one symbol over the
+    shared table of the weights."""
+
     def test_uniform_reduction(self, rng):
-        codec = categorical_codec([1, 1, 1, 1])
+        codec = string_codec([1, 1, 1, 1], 1)
         m = message_init()
         before = m.length_bits
         for _ in range(1000):
-            codec.encode(m, rng.randrange(4))
+            codec.encode(m, (rng.randrange(4),))
         assert abs((m.length_bits - before) - 2000) <= 1.0
 
     def test_three_one_entropy(self, rng):
         # H(3/4, 1/4) = 2 - (3/4) log2 3 = 0.811278...
-        codec = categorical_codec([3, 1])
+        codec = string_codec([3, 1], 1)
         symbols = [0 if rng.random() < 0.75 else 1 for _ in range(10_000)]
         m = message_init()
         before = m.length_bits
         for x in symbols:
-            codec.encode(m, x)
+            codec.encode(m, (x,))
         expected = sum(-math.log2([0.75, 0.25][x]) for x in symbols)
         assert abs((m.length_bits - before) - expected) <= 0.001 * expected
 
@@ -185,12 +180,12 @@ class TestCategorical:
         from scipy.stats import chi2
 
         masses = [3, 1, 4]
-        codec = categorical_codec(masses)
+        codec = string_codec(masses, 1)
         m = random_message(seed=7)
         n = 100_000
         counts = [0, 0, 0]
         for _ in range(n):
-            counts[codec.decode(m)] += 1
+            counts[codec.decode(m)[0]] += 1
         total = sum(masses)
         stat = sum(
             (counts[i] - n * masses[i] / total) ** 2 / (n * masses[i] / total)
@@ -199,40 +194,41 @@ class TestCategorical:
         assert stat < chi2.ppf(1 - 0.001, df=2)
 
     def test_zero_mass_encode_rejected(self):
-        codec = categorical_codec([2, 0, 2])
+        codec = string_codec([2, 0, 2], 1)
         with pytest.raises(ContractViolation):
-            codec.encode(message_init(), 1)
+            codec.encode(message_init(), (1,))
 
     def test_equal_weights_code_as_uniform(self, rng):
-        # The uniform-attribute layer codes through categorical_codec([1] * k):
-        # its table must be uniform_codec(k)'s, spare units on the lowest
-        # symbols, so that both give the same bytes.
+        # The uniform-attribute layer codes over table_for([1] * k): its
+        # symbols must have the bytes of uniform symbols over k, spare units
+        # on the lowest symbols.
         for k in list(range(1, 70)) + [255, 256, 1000, 4097]:
             xs = [rng.randrange(k) for _ in range(20)]
             a, b = random_message(k, 2), random_message(k, 2)
-            cat, uni = categorical_codec([1] * k), uniform_codec(k)
-            for x in xs:
-                cat.encode(a, x)
-                uni.encode(b, x)
+            table = table_for([1] * k)
+            push_symbols(a, table, xs)
+            push_uniforms(b, xs, [k] * len(xs))
             assert a == b
-            assert [cat.decode(a) for _ in xs] == [uni.decode(b) for _ in xs]
+            assert pop_symbols(a, table, len(xs)) == pop_uniforms(b, [k] * len(xs))
 
     def test_mass_overflow_rejected(self):
         with pytest.raises(ParameterError):
-            categorical_codec([1 << 48, 1])
+            string_codec([1 << 48, 1], 1)
 
     def test_tables_shared_per_weight_tuple(self):
-        assert categorical_codec([5, 2, 1]).table is categorical_codec((5, 2, 1)).table
-        assert categorical_codec([5, 2, 1]).table is not categorical_codec([5, 2, 2]).table
+        assert table_for([5, 2, 1]) is table_for((5, 2, 1))
+        assert table_for([5, 2, 1]) is not table_for([5, 2, 2])
 
     def test_bools_refused_with_equal_ints_cached(self):
         # (True, True) == (1, 1) and both hash alike: the weight check must
         # run before the cached (1, 1) table is looked up.
-        categorical_codec((1, 1))
+        table_for((1, 1))
         with pytest.raises(ParameterError):
-            categorical_codec((True, True))
+            table_for((True, True))
         with pytest.raises(ParameterError):
-            categorical_codec((1, True))
+            table_for((1, True))
+        with pytest.raises(ParameterError):
+            string_codec((True, True), 1)
 
 
 @st.composite
@@ -336,19 +332,21 @@ def _fraction_quantize(weights, precision):
 
 
 def _arbitrary_codec(draw):
+    """A one-symbol string codec, uniform, Bernoulli or categorical, and a
+    string it can code."""
     kind = draw(st.integers(0, 2))
     if kind == 0:
         n = draw(st.integers(1, 5000))
-        return uniform_codec(n), draw(st.integers(0, n - 1))
+        return string_codec([1] * n, 1), (draw(st.integers(0, n - 1)),)
     if kind == 1:
         num = draw(st.integers(1, 99))
         bit = draw(st.integers(0, 1))
-        return bernoulli_codec(Fraction(num, 100)), bit
+        return string_codec(bernoulli_weights(Fraction(num, 100)), 1), (bit,)
     size = draw(st.integers(1, 12))
     masses = draw(
         st.lists(st.integers(1, 1000), min_size=size, max_size=size)
     )
-    return categorical_codec(masses), draw(st.integers(0, size - 1))
+    return string_codec(masses, 1), (draw(st.integers(0, size - 1)),)
 
 
 class TestStackDiscipline:
@@ -370,16 +368,16 @@ class TestStackDiscipline:
     def test_rate_optimality_bound(self, rng):
         # |added - sum(-log2 P)| <= 32 + 0.001 * sum(-log2 P) over 10^4 draws.
         pool = [
-            (uniform_codec(6), 6),
-            (bernoulli_codec(Fraction(1, 10)), 2),
-            (categorical_codec([5, 2, 2, 1]), 4),
+            (string_codec([1] * 6, 1), 6),
+            (string_codec(bernoulli_weights(Fraction(1, 10)), 1), 2),
+            (string_codec([5, 2, 2, 1], 1), 4),
         ]
         m = message_init()
         before = m.length_bits
         optimal = 0.0
         for _ in range(10_000):
             codec, size = pool[rng.randrange(len(pool))]
-            x = rng.randrange(size)
+            x = (rng.randrange(size),)
             codec.encode(m, x)
             optimal += -math.log2(float(codec.prob(x)))
         added = m.length_bits - before
@@ -393,16 +391,12 @@ class TestSerialization:
 
     def test_round_trip_bitwise(self, rng):
         m = message_init()
-        codec = uniform_codec(999)
-        for _ in range(1000):
-            codec.encode(m, rng.randrange(999))
+        push_uniforms(m, [rng.randrange(999) for _ in range(1000)], [999] * 1000)
         assert message_deserialize(message_serialize(m)) == m
 
     def test_byte_flips_detected(self, rng):
         m = message_init()
-        codec = uniform_codec(256)
-        for _ in range(20):
-            codec.encode(m, rng.randrange(256))
+        push_uniforms(m, [rng.randrange(256) for _ in range(20)], [256] * 20)
         data = bytearray(message_serialize(m))
         for i in range(len(data)):
             corrupted = bytearray(data)
@@ -500,13 +494,13 @@ def _messages(draw):
 
 
 @st.composite
-def _table_codecs(draw):
-    """categorical_codec over weights whose tables span every precision
-    from 16 to 48, each table the Fraction reference's cumulative floors."""
+def _tables(draw):
+    """The shared tables of weights that span every precision from 16 to 48,
+    each the Fraction reference's cumulative floors."""
     weights = draw(_weight_lists())
-    codec = categorical_codec(weights)
-    assert codec.table.masses == _fraction_quantize(weights, codec.table.precision)
-    return codec
+    table = table_for(weights)
+    assert table.masses == _fraction_quantize(weights, table.precision)
+    return table
 
 
 # Sizes of uniform symbols: small, powers of two up to 2**48, and large.
@@ -518,21 +512,21 @@ _sizes = st.one_of(
 
 
 class TestRunKernels:
-    """The run kernels against the single-symbol codecs they replace."""
+    """The run kernels against runs of one symbol each."""
 
-    @given(_messages(), _table_codecs(), st.data())
+    @given(_messages(), _tables(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_table_kernel_matches_per_symbol(self, m, codec, data):
-        support = [x for x, w in enumerate(codec.table.masses) if w]
+    def test_table_kernel_matches_per_symbol(self, m, table, data):
+        support = [x for x, w in enumerate(table.masses) if w]
         xs = data.draw(st.lists(st.sampled_from(support), max_size=30))
         a, b = m.copy(), m.copy()
-        push_symbols(a, codec.table, xs)
+        push_symbols(a, table, xs)
         for x in reversed(xs):
-            codec.encode(b, x)
+            push_symbols(b, table, [x])
         assert _state(a) == _state(b)
         count = data.draw(st.integers(0, 30))
-        popped = pop_symbols(a, codec.table, count)
-        assert popped == [codec.decode(b) for _ in range(count)]
+        popped = pop_symbols(a, table, count)
+        assert popped == [pop_symbols(b, table, 1)[0] for _ in range(count)]
         assert _state(a) == _state(b)
 
     @given(_messages(), st.lists(_sizes, max_size=30), st.data())
@@ -542,10 +536,10 @@ class TestRunKernels:
         a, b = m.copy(), m.copy()
         push_uniforms(a, xs, sizes)
         for x, n in zip(reversed(xs), reversed(sizes)):
-            uniform_codec(n).encode(b, x)
+            push_uniforms(b, [x], [n])
         assert _state(a) == _state(b)
         sizes = data.draw(st.lists(_sizes, max_size=30))
-        assert pop_uniforms(a, sizes) == [uniform_codec(n).decode(b) for n in sizes]
+        assert pop_uniforms(a, sizes) == [pop_uniforms(b, [n])[0] for n in sizes]
         assert _state(a) == _state(b)
 
     def test_uniform_kernel_has_the_bytes_of_exact_symbols(self):
@@ -572,25 +566,24 @@ class TestRunKernels:
             assert pop_uniforms(a, [n] * len(xs)) == xs
             assert pop_exact(b, n, lambda t: (t, t, 1)) == xs[0]
 
-    @given(_messages(), _table_codecs(), st.data())
+    @given(_messages(), _tables(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_bad_table_symbol_leaves_message_unchanged(self, m, codec, data):
-        masses = codec.table.masses
+    def test_bad_table_symbol_leaves_message_unchanged(self, m, table, data):
+        masses = table.masses
         bad = [-1, len(masses)] + [x for x, w in enumerate(masses) if not w]
         support = [x for x, w in enumerate(masses) if w]
         xs = data.draw(st.lists(st.sampled_from(support), max_size=10))
         xs.insert(data.draw(st.integers(0, len(xs))), data.draw(st.sampled_from(bad)))
         before = _state(m)
         with pytest.raises(ContractViolation):
-            push_symbols(m, codec.table, xs)
+            push_symbols(m, table, xs)
         assert _state(m) == before
 
     def test_zero_mass_symbol_in_a_run_rejected(self):
-        codec = categorical_codec([2, 0, 2])
         m = random_message(5, 2)
         before = _state(m)
         with pytest.raises(ContractViolation, match="zero mass"):
-            push_symbols(m, codec.table, [0, 2, 1, 0])
+            push_symbols(m, table_for([2, 0, 2]), [0, 2, 1, 0])
         assert _state(m) == before
 
     def test_non_integer_table_symbol_leaves_message_unchanged(self):
@@ -602,7 +595,7 @@ class TestRunKernels:
         with pytest.raises(ContractViolation, match="'a' outside"):
             codec.encode(m, "abca")
         assert _state(m) == before
-        table = categorical_codec([2, 1, 1]).table
+        table = table_for([2, 1, 1])
         for bad in (1.0, None):
             for xs in ([bad], [0, bad, 2], [2, 1, bad]):
                 with pytest.raises(ContractViolation, match="outside"):
@@ -647,17 +640,16 @@ class TestRunKernels:
         assert _state(m) == before
 
     def test_sizes_that_are_not_ints_rejected(self):
-        # The kernels check the set of size types once; the one-symbol codec
-        # must refuse the same sizes when it is built.
+        # The kernels check the set of size types once; a run of one symbol
+        # must refuse the same sizes.
         m = random_message(3, 2)
         before = _state(m)
         for sizes in ([True], [4, 2.0]):
-            with pytest.raises(ParameterError):
-                push_uniforms(m, [0] * len(sizes), sizes)
-            with pytest.raises(ParameterError):
-                pop_uniforms(m, sizes)
-            with pytest.raises(ParameterError):
-                uniform_codec(sizes[-1])
+            for run in (sizes, sizes[-1:]):
+                with pytest.raises(ParameterError):
+                    push_uniforms(m, [0] * len(run), run)
+                with pytest.raises(ParameterError):
+                    pop_uniforms(m, run)
         assert _state(m) == before
 
 

@@ -28,6 +28,7 @@ from shufflecodec.models import (
     string_codec,
     with_attributes,
 )
+from shufflecodec.shuffle import ShuffleCodec, graph_class
 
 from conftest import random_message
 
@@ -322,6 +323,35 @@ class TestAttributeLayer:
             with pytest.raises(ContractViolation):
                 codec.encode(message_init(), g)
 
+    @pytest.mark.parametrize("tail_words", [0, 6])
+    @pytest.mark.parametrize(
+        "base,g",
+        [
+            # Vertex attribute 1 has zero mass: refused after the edge
+            # attribute run is pushed.
+            (
+                erdos_renyi_codec(ErParams(2, Fraction(1, 2))),
+                Graph(2, [(0, 1)], (1, 0), {(0, 1): 1}),
+            ),
+            # The urn expects two edges: refused by the base, after both
+            # attribute runs are pushed.
+            (polya_urn_codec(PuParams(3, 2)), Graph(3, [(0, 1)], (0, 0, 0), {(0, 1): 1})),
+        ],
+        ids=["zero-mass-vertex-attr", "urn-edge-count"],
+    )
+    def test_refused_encode_leaves_the_message_unchanged(self, base, g, tail_words):
+        # Alone and under ShuffleCodec, whose refusal path pushes the
+        # ordering back and so needs the ordered codec to leave the message
+        # as it found it; with no stack words the bits-back pop draws pad.
+        codec = with_attributes(base, (1, 0), (1, 1))
+        for coder in (codec, ShuffleCodec(codec, graph_class())):
+            m = random_message(seed=12, tail_words=tail_words)
+            snapshot = m.copy()
+            with pytest.raises(ContractViolation):
+                coder.encode(m, g)
+            assert m == snapshot
+            assert m.pad_consumed == snapshot.pad_consumed
+
     def test_presence_mismatch_rejected(self):
         codec = with_attributes(erdos_renyi_codec(ErParams(3, Fraction(1, 2))), (1, 1))
         with pytest.raises(ContractViolation):
@@ -480,7 +510,7 @@ class TestPolyaUrn:
 
     @pytest.mark.parametrize("redraws", [False, True])
     def test_corpus_without_quantized_tables(self, monkeypatch, redraws):
-        # Each urn draw is one exact-mass symbol: no categorical codec and no
+        # Each urn draw is one exact-mass symbol: no table and no
         # quantize_masses call on either side of a PU corpus round trip.
         def refuse(*args, **kwargs):
             raise AssertionError("quantized table built")
@@ -488,7 +518,7 @@ class TestPolyaUrn:
         rng = random.Random(41)
         graphs = tuple(sample_pa_graph(rng, rng.randint(2, 16), 2) for _ in range(12))
         monkeypatch.setattr(ans, "quantize_masses", refuse)
-        monkeypatch.setattr(models, "categorical_codec", refuse)
+        monkeypatch.setattr(models, "table_for", refuse)
         data, _ = compress_corpus(
             Corpus(graphs, "pa", False, False), model="pu", redraws=redraws
         )

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +11,10 @@ from shufflecodec.ans import (
     CodecError,
     ContractViolation,
     FormatError,
-    bernoulli_codec,
     message_deserialize,
     message_init,
     message_serialize,
-    uniform_codec,
+    push_uniforms,
 )
 from shufflecodec.cli import main
 from shufflecodec.compress import compress_corpus, decompress_corpus
@@ -94,8 +92,7 @@ class TestNaturalList:
 
 def zero_list_header(m, length):
     """Push the header of a list of `length` zeros: bit count 0, then length."""
-    uniform_codec(33).encode(m, 0)
-    uniform_codec(1 << 46).encode(m, length)
+    push_uniforms(m, [length, 0], [1 << 46, 33])
 
 
 class TestUntrustedLists:
@@ -110,9 +107,8 @@ class TestUntrustedLists:
     def test_framed_message_with_long_zero_list_refused(self):
         m = message_init()
         zero_list_header(m, (1 << 20) + 1)
-        bit = bernoulli_codec(Fraction(1, 2))
-        for _ in range(5):  # model, loops, uniform attrs, redraws, order flags
-            bit.encode(m, 0)
+        # model, loops, uniform attrs, redraws and order flags, all 0
+        push_uniforms(m, [0] * 5, [2] * 5)
         with pytest.raises(CodecError, match="all-zero"):
             decompress_corpus(message_serialize(m))
 
@@ -228,6 +224,25 @@ class TestDatasetParams:
         encode_dataset_params(m, params)
         assert decode_dataset_params(m) == params
         assert m == snapshot
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # 5 edges on 3 vertices, refused after the graph order is pushed.
+            DatasetParams("pu", ((3, 1),), pu_edge_counts=(5,), order_perm=(0,)),
+            # A vertex attribute count of 2**32, refused after the edge
+            # counts, the edge attribute counts and their flag are pushed.
+            make_params(vertex_attr_counts=(1 << 32,), edge_attr_counts=(2, 2)),
+        ],
+        ids=["pu-edge-count", "vertex-attr-count"],
+    )
+    def test_refused_block_leaves_the_message_unchanged(self, params):
+        m = random_message(seed=6, tail_words=8)
+        snapshot = m.copy()
+        with pytest.raises(ContractViolation):
+            encode_dataset_params(m, params)
+        assert m == snapshot
+        assert m.pad_consumed == snapshot.pad_consumed
 
     def test_round_trip_pu(self):
         params = make_params(
