@@ -11,12 +11,11 @@ Twins, vertices whose swap is an automorphism, are taken in closed form. A
 discrete first refinement is the canonical order, and its group is trivial.
 Otherwise each class of twins becomes one vertex of a quotient graph, only
 the quotient is searched, and each class takes a run of consecutive
-canonical positions. When the quotient has no automorphism, Aut is exactly
-the product of the symmetric groups on the runs (a SymmetricRuns, as for a
-sorted sequence), with no Schreier-Sims; otherwise the quotient's
-automorphisms, lifted class by class, and the runs' generators go to
-schreier_sims. Either way the automorphism group is one value, the runs or
-the chain.
+canonical positions. Aut is the product of the symmetric groups on the runs
+(as for a sorted sequence), extended by the quotient's automorphisms, which
+permute whole blocks: one SymmetricRuns value, whose block chain, if the
+quotient has automorphisms, is built by schreier_sims on the quotient's own
+degree. Nothing is lifted to degree n.
 
 Refinement signatures are tuples of ints (see _refine), and every pass reads
 them off the edge list. The canonical form is built from the canonical
@@ -25,9 +24,9 @@ relabels it once.
 
 The canonical form of a graph depends only on its isomorphism class, never on
 the input labeling. The automorphisms found by its one search are conjugated
-onto the canonical form. The chain they build may have other Schreier trees
-for another input, but its base points, orbits and coset codes depend only on
-the group (see perms), and a group of runs is coded from its runs alone:
+onto the canonical form. The block chain they build may have other Schreier
+trees for another input, but its base points, orbits and coset codes depend
+only on the group (see perms), and the runs are read off the canonical form:
 compressed bitstreams match across isomorphic inputs.
 """
 
@@ -37,14 +36,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, apply_perm, trusted_graph
 from .perms import (
     DegreeMismatch,
     Perm,
     PermGroup,
-    StabilizerChain,
     SymmetricRuns,
     compose,
     group_order,
@@ -58,15 +56,15 @@ from .perms import (
 class Canonized:
     """Result of canonizing a graph: the input graph, a permutation mapping it
     onto its class representative, and the order and automorphism group of
-    the representative. The group is one value, a SymmetricRuns (the
-    trivial group has no runs) or a stabilizer chain, and is what the coset
-    codec reads. The representative itself, canon_graph, is built on first
-    access."""
+    the representative. The group is one SymmetricRuns value, runs and an
+    optional block chain (the trivial group has neither), and is what the
+    coset codec reads. The representative itself, canon_graph, is built on
+    first access."""
 
     graph: Graph
     canon_perm: Perm
     aut_order: int
-    aut_group: Union[StabilizerChain, SymmetricRuns]
+    aut_group: SymmetricRuns
 
     @cached_property
     def canon_graph(self) -> Graph:
@@ -314,9 +312,10 @@ def canonize(g: Graph) -> Canonized:
     searched, and each class takes a run of consecutive canonical positions
     in Q's canonical order, its members in increasing order (they are
     interchangeable). Aut is the product of the symmetric groups on the runs
-    extended by Aut(Q) lifted blockwise: exactly a SymmetricRuns when the
-    search finds no automorphism of Q, and otherwise the schreier_sims chain
-    of the lifted automorphisms and each run's generators."""
+    extended by Aut(Q), which permutes the blocks (the runs and the points
+    outside them, which are Q's vertices in canonical order): a SymmetricRuns
+    whose block chain, when the search finds automorphisms of Q, is the
+    schreier_sims chain of those automorphisms in Q's canonical order."""
     n = g.n
     base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
     colors = _refine(g, _initial_colors(g), base)
@@ -329,27 +328,20 @@ def canonize(g: Graph) -> Canonized:
     else:
         q, groups, q_colors = g, [[v] for v in range(n)], colors
     q_perm, q_auts = _search(q, q_colors, base)
+    q_inv = inverse(q_perm)
     start = [0] * len(groups)
     pos = 0
-    for x in inverse(q_perm):
+    for x in q_inv:
         start[x] = pos
         pos += len(groups[x])
     perm = [0] * n
     for x, vs in enumerate(groups):
         for k, v in enumerate(vs, start[x]):
             perm[v] = k
-    runs = sorted((start[x], start[x] + len(vs)) for x, vs in enumerate(groups) if len(vs) > 1)
-    group = SymmetricRuns(n, runs)
-    if not q_auts:
-        return Canonized(g, tuple(perm), group_order(group), group)
-    lifted = []
-    for a in q_auts:
-        image = list(range(n))
-        for x, vs in enumerate(groups):
-            image[start[x] : start[x] + len(vs)] = range(start[a[x]], start[a[x]] + len(vs))
-        lifted.append(tuple(image))
-    chain = schreier_sims(PermGroup(n, tuple(lifted) + group.generators))
-    return Canonized(g, tuple(perm), group_order(chain), chain)
+    runs = [(start[x], start[x] + len(groups[x])) for x in q_inv if len(groups[x]) > 1]
+    auts = tuple(tuple(q_perm[a[x]] for x in q_inv) for a in q_auts)
+    group = SymmetricRuns(n, runs, schreier_sims(PermGroup(len(groups), auts)) if auts else None)
+    return Canonized(g, tuple(perm), group_order(group), group)
 
 
 def canon_equal(a: Graph, b: Graph) -> bool:

@@ -1,34 +1,30 @@
 """The bits-back coset step: uniform_l_coset_codec, the one uniform codec
 over the left cosets of an automorphism group H in the symmetric group.
 
-H is a stabilizer chain or a SymmetricRuns. On a chain, encoding a coset
-s*H first *decodes* the lexicographic rank of one of its members from the
-message (reclaiming log2 |H| bits, one uniform digit per chain level) and
-then encodes that member as a permutation of the full symmetric group
-(paying log2 n!), for a net rate of log2(n!/|H|). Decoding pops the
-permutation, pushes its rank back and returns the coset's lex-min member; no
-group element is formed.
+H is a SymmetricRuns: symmetric groups on runs of positions (a multiset's
+group, and a twin graph's), extended by a chain that permutes whole blocks,
+the runs and the points outside them. A coset s*H is coded in two stages.
+Encoding first *decodes*, bits back, the lexicographic rank of the blocks'
+order within its coset of the block chain (log2 of the chain's order) and
+moves the blocks to that order; it then encodes which values each block
+holds, as one arrangement of block labels over the values, or as a
+Fisher-Yates shuffle when every block is a point (log2 of n!/(k1! ... kr!)
+for runs of k1, ..., kr points). The net rate is log2(n!/|H|). Decoding
+pops the values, pushes the blocks' rank back and returns the coset's
+lex-min member. The sequence class codes a multiset's ordering with the
+same arrangement directly, with no permutation.
 
-On a product of symmetric groups on runs (SymmetricRuns: a multiset's
-automorphism group, and a graph's when only twins move) the codec codes the
-coset itself instead, as one arrangement of labels over the values
-(ans.push_arrangement), one label per group of positions: log2(n!/|H|)
-bits. The sequence class codes a multiset's ordering with the same
-arrangement directly, with no permutation.
-
-The uniform codec over S_n is the coset codec of the trivial group,
-uniform_l_coset_codec(SymmetricRuns(n, ())): a Fisher-Yates shuffle, the
-trivial chain's bytes, O(1) per point, where each arrangement draw walks a
-Fenwick tree, O(log n). A chain's member is coded the same way: coding
+The trivial group's codec is the Fisher-Yates shuffle alone, O(1) per
+point, where an arrangement draw walks a Fenwick tree, O(log n): coding
 graphs' coset members as arrangements of n labels of one copy each cost
-about 8% of encode and 3% of decode throughput on small attributed ER graphs
-(perfbench er-attr, median ratio of 5 alternating 6 s pairs on a 2-core
-Xeon VM, Python 3.11).
+about 8% of encode and 3% of decode throughput on small attributed ER
+graphs (perfbench er-attr, median ratio of 5 alternating 6 s pairs on a
+2-core Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .ans import (
     Codec,
@@ -41,12 +37,12 @@ from .ans import (
 from .perms import (
     DegreeMismatch,
     Perm,
-    StabilizerChain,
     SymmetricRuns,
     as_perm,
     coset_canon,
     coset_rank,
     coset_unrank,
+    inverse,
 )
 
 
@@ -82,62 +78,60 @@ def _checked(s, n: int) -> Perm:
     return s
 
 
-def uniform_l_coset_codec(group: Union[StabilizerChain, SymmetricRuns]) -> Codec:
+def _ranked(s: Perm, spans) -> Tuple[Perm, List[Perm]]:
+    """Each block's rank by the least value s puts on it, and the values of
+    the blocks in rank order."""
+    parts = [s[a:b] for a, b in spans]
+    order = sorted(range(len(parts)), key=lambda j: min(parts[j]))
+    return inverse(order), [parts[j] for j in order]
+
+
+def uniform_l_coset_codec(group: SymmetricRuns) -> Codec:
     """Uniform codec over left cosets of H in the symmetric group.
 
     encode accepts any member of the coset and is constant on it; decode
     returns the canonical (lex-min) member. Net rate: log2 n! - log2 |H|.
-    A chain codes the lexicographic rank of the shuffled member within its
-    coset (coset_rank/coset_unrank) and its Fisher-Yates draws; only the
-    permutation passed to encode is checked. SymmetricRuns codes its cosets
-    directly (see _runs_coset_codec), and with no run, the trivial group,
-    codes the Fisher-Yates draws alone, the bytes of the trivial chain.
+    Only the permutation passed to encode is checked. With a block chain,
+    encode ranks the blocks by their least values, pops the chain's digits
+    and moves the blocks so that their ranks become the member of the
+    ranking's coset that the digits name; then it pushes the arrangement,
+    or, when every block is a point, the shuffle. The trivial group codes
+    the shuffle alone and builds no block layout.
     """
-    n = group.degree
-    if isinstance(group, SymmetricRuns):
-        if group.runs:
-            return _runs_coset_codec(n, group.runs)
+    n, chain = group.degree, group.blocks
+    if not group.runs and chain is None:
         return Codec(lambda m, s: push_shuffle(m, _checked(s, n)), lambda m: pop_shuffle(m, n))
-    sizes = [len(lvl.orbit) for lvl in group.levels]
+    spans = group.block_spans()
+    sizes = [b - a for a, b in spans]
+    block_of = [j for j, (a, b) in enumerate(spans) for _ in range(a, b)]
+    orbit_sizes = [len(lvl.orbit) for lvl in chain.levels] if chain is not None else []
 
     def encode(m: Message, s) -> None:
         s = _checked(s, n)
-        push_shuffle(m, coset_unrank(group, s, pop_uniforms(m, sizes)))
-
-    def decode(m: Message) -> Perm:
-        u = pop_shuffle(m, n)
-        push_uniforms(m, coset_rank(group, u), sizes)
-        return coset_canon(group, u)
-
-    return Codec(encode, decode)
-
-
-def _runs_coset_codec(n: int, runs: Tuple[Tuple[int, int], ...]) -> Codec:
-    """The coset codec of S_{k1} x ... x S_{kr}, one factor per run [a, b).
-
-    A coset s*H is fixed by which values s puts on each run, and by the
-    value on each position outside the runs. So the positions fall into
-    groups, each run one group and each other position one of its own, in
-    position order, and the coset is the arrangement of the group labels
-    over the values 0..n-1: log2 of n!/(k1! ... kr!) bits.
-    """
-    inside = {i for a, b in runs for i in range(a + 1, b)}
-    first = [i for i in range(n) if i not in inside]
-    sizes = [b - a for a, b in zip(first, first[1:] + [n])]
-    group_of = [g for g, k in enumerate(sizes) for _ in range(k)]
-
-    def encode(m: Message, s) -> None:
+        if chain is not None:
+            t, ranked = _ranked(s, spans)
+            u = coset_unrank(chain, t, pop_uniforms(m, orbit_sizes))
+            s = tuple(v for r in u for v in ranked[r])
+        if not group.runs:
+            return push_shuffle(m, s)
         labels = [0] * n
-        for i, v in enumerate(_checked(s, n)):
-            labels[v] = group_of[i]
+        for i, v in enumerate(s):
+            labels[v] = block_of[i]
         push_arrangement(m, labels, sizes)
 
     def decode(m: Message) -> Perm:
-        fill = list(first)
-        s = [0] * n
-        for v, g in enumerate(pop_arrangement(m, sizes)):
-            s[fill[g]] = v
-            fill[g] += 1
-        return tuple(s)
+        if group.runs:
+            fill = [a for a, _ in spans]
+            s = [0] * n
+            for v, j in enumerate(pop_arrangement(m, sizes)):
+                s[fill[j]] = v
+                fill[j] += 1
+        else:
+            s = pop_shuffle(m, n)
+        if chain is None:
+            return tuple(s)
+        t, ranked = _ranked(s, spans)
+        push_uniforms(m, coset_rank(chain, t), orbit_sizes)
+        return tuple(v for r in coset_canon(chain, t) for v in ranked[r])
 
     return Codec(encode, decode)

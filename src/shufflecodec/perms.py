@@ -13,11 +13,13 @@ the orbits and so every rank depend only on the group, never on its
 generators; coset_canon is rank zero, and element_rank/element_unrank are the
 same order on the group itself.
 
-A product of symmetric groups on runs of consecutive points (a sorted
-sequence's automorphism group, and a graph's when only twins move) is no
-chain but a SymmetricRuns value: its order is a product of factorials, its
-coset codec codes the runs directly (see perm_codecs), and its generators
-are read off the runs. The trivial group is a SymmetricRuns with no run.
+An automorphism group as canonize returns it is one SymmetricRuns value:
+symmetric groups on runs of consecutive points (a sorted sequence's group,
+and a graph's twins), and optionally a chain over the blocks, the runs and
+the points outside them, that permutes whole blocks. Its order is a product
+of factorials times the chain's order, and its coset codec codes the runs
+directly (see perm_codecs). The trivial group is a SymmetricRuns with no
+run and no chain.
 """
 
 from __future__ import annotations
@@ -159,16 +161,21 @@ class StabilizerChain:
 @dataclass(frozen=True)
 class SymmetricRuns:
     """S_{k1} x ... x S_{kr}, one symmetric group per run [a, b) of
-    consecutive points: the automorphism group of a sorted sequence.
+    consecutive points, extended by a block chain: a sorted sequence's
+    automorphism group, and a twin graph's.
 
     Runs must be disjoint, increasing and inside [0, degree), with int
-    endpoints; runs of one point contribute nothing and are dropped. No chain
-    is built: group_order and the coset codec (see perm_codecs) read the
-    runs.
+    endpoints; runs of one point contribute nothing and are dropped. The
+    blocks are the runs and the points outside them, in position order;
+    blocks, if given, is a stabilizer chain over them whose members move
+    each block onto an equal-sized block, its points in order. No chain on
+    the points themselves is built: group_order and the coset codec (see
+    perm_codecs) read the runs.
     """
 
     degree: int
     runs: Tuple[Tuple[int, int], ...]
+    blocks: Optional[StabilizerChain] = None
 
     def __post_init__(self):
         n = self.degree
@@ -183,24 +190,20 @@ class SymmetricRuns:
                 )
             prev = b
         object.__setattr__(self, "runs", tuple((a, b) for a, b in runs if b - a > 1))
+        if self.blocks is not None:
+            sizes = [b - a for a, b in self.block_spans()]
+            labels = [e[1] for lvl in self.blocks.levels for e in lvl.tree.values() if e]
+            if self.blocks.degree != len(sizes) or any(
+                sizes[x] != k for g in labels for x, k in zip(g, sizes)
+            ):
+                raise ValueError(f"blocks is no size-keeping chain on {len(sizes)} blocks")
 
-    @property
-    def generators(self) -> Tuple[Perm, ...]:
-        """A transposition of a run's first two points and the cycle over the
-        run, for each run (the transposition alone for a run of two): a
-        generating set, built when read."""
-        n = self.degree
-        gens = []
-        for a, b in self.runs:
-            swap = list(range(n))
-            swap[a], swap[a + 1] = a + 1, a
-            gens.append(tuple(swap))
-            if b - a > 2:
-                cycle = list(range(n))
-                cycle[a : b - 1] = range(a + 1, b)
-                cycle[b - 1] = a
-                gens.append(tuple(cycle))
-        return tuple(gens)
+    def block_spans(self) -> List[Tuple[int, int]]:
+        """The blocks, the runs and the points outside them, as [a, b) in
+        position order."""
+        inside = {i for a, b in self.runs for i in range(a + 1, b)}
+        first = [i for i in range(self.degree) if i not in inside]
+        return list(zip(first, first[1:] + [self.degree]))
 
 
 def schreier_sims(group: PermGroup) -> StabilizerChain:
@@ -271,7 +274,8 @@ def schreier_sims(group: PermGroup) -> StabilizerChain:
 
 def group_order(group: Union[StabilizerChain, SymmetricRuns]) -> int:
     if isinstance(group, SymmetricRuns):
-        return math.prod(math.factorial(b - a) for a, b in group.runs)
+        order = math.prod(math.factorial(b - a) for a, b in group.runs)
+        return order if group.blocks is None else order * group_order(group.blocks)
     return math.prod(len(lvl.orbit) for lvl in group.levels)
 
 

@@ -162,8 +162,9 @@ class ShuffleCodec:
     The ordered codec should be exchangeable for the optimal-rate guarantee;
     invertibility holds regardless. encode accepts any member of the class and
     produces the same bitstream for all of them; decode returns the canonical
-    member. An encode that the ordered codec refuses with a CodecError leaves
-    the message and its pad count as they were.
+    member. An encode that raises a CodecError, an ordered codec's refusal
+    or a bits-back pop from a message with no pad source that runs out,
+    leaves the message and its pad count as they were.
     """
 
     def __init__(self, ordered_codec: Codec, pclass: PermutableClass):
@@ -173,14 +174,20 @@ class ShuffleCodec:
     def encode(self, m: Message, f) -> RateReport:
         n = self.pclass.degree(f)
         pad_before = m.pad_consumed
-        drawn = self.pclass.pop_ordered(m, f)
-        length_mid = m.length_bits
+        # Only a message with no pad source can run out mid-pop: only it is
+        # copied, and the coding paths, which all have a pad seed, copy none.
+        saved = m.copy() if m.pad_seed is None else None
         try:
+            drawn = self.pclass.pop_ordered(m, f)
+            length_mid = m.length_bits
             self.ordered_codec.encode(m, drawn.ordered)
         except CodecError:
-            # A refusing ordered codec leaves the message as it found it, so
-            # pushing the ordering back restores it, with the pad words the
-            # pop drew re-materialized at the bottom of the stack.
+            if saved is not None:
+                m.head, m.tail = saved.head, saved.tail
+                raise
+            # The ordered codec refused, leaving the message as the pop left
+            # it: pushing the ordering back restores it, with the pad words
+            # the pop drew re-materialized at the bottom of the stack.
             self.pclass.push_ordering(m, drawn.ordered)
             del m.tail[: m.pad_consumed - pad_before]
             m.pad_consumed = pad_before

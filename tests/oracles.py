@@ -5,11 +5,11 @@ diagnostic only tests run: brute-force canonization over all n! relabelings,
 a color refinement pass over (color, attribute) pair signatures,
 canonization of edge-attributed graphs through a vertex-colored embedding, an
 exchangeability check for ordered codecs, orbits by breadth-first closure,
-generators of an automorphism group read off its runs or its chain,
-enumeration of a stabilizer chain's group, the Schreier-Sims chain of a
-product of symmetric groups on runs, the sequence class's ordering step coded
-through permutations, and stripping re-materialized pad words from a
-message.
+generators of an automorphism group on its n points (the runs' generators
+and the block chain's labels lifted blockwise) and the degree-n Schreier-Sims
+chain they generate, enumeration of a stabilizer chain's group, the
+sequence class's ordering step coded through permutations, and stripping
+re-materialized pad words from a message.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
 from shufflecodec.ans import Codec, Message, pad_word
 from shufflecodec.canon import Canonized, canonize
@@ -56,7 +56,7 @@ def canonize_bruteforce(g: Graph) -> Canonized:
             auts.append(s)
     chain = schreier_sims(PermGroup(g.n, tuple(a for a in auts if a != identity(g.n))))
     assert group_order(chain) == len(auts)
-    return Canonized(g, best_perm, len(auts), chain)
+    return Canonized(g, best_perm, len(auts), SymmetricRuns(g.n, (), chain))
 
 
 def refine_pass_by_pairs(g: Graph, colors: List[int]) -> List[int]:
@@ -114,7 +114,7 @@ def canonize_via_embedding(g: Graph) -> Canonized:
         tuple(a[v] for v in originals) for a in group_generators(c.aut_group)
     )
     chain = schreier_sims(PermGroup(g.n, restricted))
-    result = Canonized(g, perm, group_order(chain), chain)
+    result = Canonized(g, perm, group_order(chain), SymmetricRuns(g.n, (), chain))
     assert result.aut_order == c.aut_order
     return result
 
@@ -202,15 +202,50 @@ def symmetrize_check(
     )
 
 
-def group_generators(group: Union[StabilizerChain, SymmetricRuns]) -> Tuple[Perm, ...]:
-    """Generators of an automorphism group as canonize returns it: those of
-    a SymmetricRuns, read off its runs, or a chain's distinct Schreier-tree
-    labels, in level order. Every coset representative of a chain is a
-    product of its tree labels, and the representatives generate the group."""
-    if isinstance(group, SymmetricRuns):
-        return group.generators
-    labels = (edge[1] for lvl in group.levels for edge in lvl.tree.values() if edge)
-    return tuple(dict.fromkeys(labels))
+def run_generators(n: int, runs: Sequence[Tuple[int, int]]) -> Tuple[Perm, ...]:
+    """A transposition of a run's first two points and the cycle over the
+    run, for each run [a, b) (the transposition alone for a run of two):
+    generators of the product of the symmetric groups on the runs."""
+    gens = []
+    for a, b in runs:
+        swap = list(range(n))
+        swap[a], swap[a + 1] = a + 1, a
+        gens.append(tuple(swap))
+        if b - a > 2:
+            cycle = list(range(n))
+            cycle[a : b - 1] = range(a + 1, b)
+            cycle[b - 1] = a
+            gens.append(tuple(cycle))
+    return tuple(gens)
+
+
+def lift_blocks(group: SymmetricRuns, b: Perm) -> Perm:
+    """The permutation of the n points that moves each block j onto block
+    b[j], its points in order: b lifted blockwise."""
+    spans = group.block_spans()
+    image = list(range(group.degree))
+    for (a, end), j in zip(spans, b):
+        image[a:end] = range(spans[j][0], spans[j][0] + end - a)
+    return tuple(image)
+
+
+def group_generators(group: SymmetricRuns) -> Tuple[Perm, ...]:
+    """Generators of an automorphism group as canonize returns it, on its n
+    points: the runs' generators and the block chain's distinct
+    Schreier-tree labels, lifted blockwise, in level order. Every coset
+    representative of a chain is a product of its tree labels, and the
+    representatives generate the group."""
+    gens = run_generators(group.degree, group.runs)
+    if group.blocks is None:
+        return gens
+    labels = (edge[1] for lvl in group.blocks.levels for edge in lvl.tree.values() if edge)
+    return gens + tuple(lift_blocks(group, b) for b in dict.fromkeys(labels))
+
+
+def reference_chain(group: SymmetricRuns) -> StabilizerChain:
+    """The degree-n schreier_sims chain of group_generators: the reference
+    for a SymmetricRuns's order and coset codec, for small n."""
+    return schreier_sims(PermGroup(group.degree, group_generators(group)))
 
 
 def orbit_of(group: PermGroup, point: int) -> frozenset:
@@ -251,7 +286,7 @@ def run_transpositions(n: int, runs: Sequence[Tuple[int, int]]) -> Tuple[Perm, .
 
 def runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerChain:
     """The schreier_sims chain of the product of the symmetric groups on the
-    runs: the reference for SymmetricRuns, for small n."""
+    runs, from their adjacent transpositions, for small n."""
     return schreier_sims(PermGroup(n, run_transpositions(n, runs)))
 
 

@@ -466,13 +466,15 @@ class TestStructuredOracle:
                 assert apply_perm(a, c.canon_graph) == c.canon_graph
 
     def test_chain_identical_across_relabelings(self):
-        # the coset codec's bitstream depends on the chain's points, orbits
-        # and the lexicographic ranks of coset members, so all three must be
-        # labeling-independent; the generators and Schreier trees come from
-        # whichever automorphisms the search found, and no rank reads them
-        def signature(chain):
-            if isinstance(chain, SymmetricRuns):
-                return chain  # its coset codec reads nothing but the runs
+        # the coset codec's bitstream depends on the runs and on the block
+        # chain's points, orbits and the lexicographic ranks of coset
+        # members, so all must be labeling-independent; the generators and
+        # Schreier trees come from whichever automorphisms the search found,
+        # and no rank reads them
+        def signature(group):
+            chain = group.blocks
+            if chain is None:
+                return group.runs
             probe = random.Random(chain.degree)
             n = chain.degree
             members = [tuple(probe.sample(range(n), n)) for _ in range(5)]
@@ -481,6 +483,7 @@ class TestStructuredOracle:
                 for _ in range(5)
             ]
             return (
+                group.runs,
                 [(l.point, l.orbit) for l in chain.levels],
                 [coset_rank(chain, s) for s in members],
                 [coset_unrank(chain, s, d) for s in members for d in digits],
@@ -688,14 +691,14 @@ def twin_quotient_cases():
 
 class TestTwinQuotient:
     # Twin classes are collapsed into one quotient vertex each and take runs
-    # of consecutive canonical positions; the group is a SymmetricRuns when
-    # the quotient has no automorphism.
+    # of consecutive canonical positions; the group has a block chain when
+    # the quotient has automorphisms.
     def test_seeded_twin_graphs_match_bruteforce(self):
         rng = random.Random(77)
         kinds = set()
         for g in twin_quotient_cases():
             c, bf = canonize(g), canonize_bruteforce(g)
-            kinds.add(type(c.aut_group).__name__)
+            kinds.add("no blocks" if c.aut_group.blocks is None else "blocks")
             assert c.aut_order == bf.aut_order == group_order(c.aut_group)
             assert apply_perm(c.canon_perm, g) == c.canon_graph
             for _ in range(4):
@@ -703,12 +706,38 @@ class TestTwinQuotient:
                 assert canonize(apply_perm(s, g)).canon_graph == c.canon_graph
             for a in group_generators(c.aut_group):
                 assert apply_perm(a, c.canon_graph) == c.canon_graph
-            if isinstance(c.aut_group, SymmetricRuns):
+            if c.aut_group.blocks is None:
                 for a, b in c.aut_group.runs:
                     for k in range(a, b - 1):
                         swap = (*range(k), k + 1, k, *range(k + 2, g.n))
                         assert apply_perm(swap, c.canon_graph) == c.canon_graph
-        assert kinds == {"SymmetricRuns", "StabilizerChain"}
+        assert kinds == {"no blocks", "blocks"}
+
+    @pytest.mark.parametrize(
+        "g, blocks, order",
+        [
+            (disjoint_copies(40, cycle(3)), 40, 6**40 * math.factorial(40)),
+            (disjoint_copies(3, Graph(2, [(0, 1)])), 3, 2**3 * 6),
+            (cycle(6), 6, 12),
+            (hub(3, 4), 7, 24**3 * 6),
+        ],
+        ids=["40K3", "3K2", "C6", "hub3x4"],
+    )
+    def test_schreier_sims_runs_on_the_blocks(self, monkeypatch, g, blocks, order):
+        # The quotient's automorphisms build a chain on its own vertices,
+        # the blocks, and are never lifted to the n points.
+        degrees = []
+        schreier_sims_ = canon.schreier_sims
+
+        def recorded(group):
+            degrees.append(group.degree)
+            return schreier_sims_(group)
+
+        monkeypatch.setattr(canon, "schreier_sims", recorded)
+        c = canonize(g)
+        assert degrees == [blocks] == [len(c.aut_group.block_spans())]
+        assert c.aut_group.blocks.degree == blocks
+        assert c.aut_order == group_order(c.aut_group) == order
 
     def test_discrete_first_refinement_looks_for_no_twins(self, monkeypatch):
         def refuse(*args):
@@ -744,7 +773,7 @@ class TestTwinQuotient:
         graph_key = Graph.key
         monkeypatch.setattr(Graph, "key", lambda h: keys.append(h) or graph_key(h))
         c = canonize(g)
-        assert isinstance(c.aut_group, SymmetricRuns)
+        assert c.aut_group.blocks is None
         assert c.aut_order == math.factorial(k) and keys == []
         assert [b - a for a, b in c.aut_group.runs] == [k]
 

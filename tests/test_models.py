@@ -577,7 +577,7 @@ class TestPolyaUrn:
 
     def test_long_sequence_bytes_pinned(self):
         # One 300-vertex preferential-attachment edge sequence, large enough
-        # that the block starts run over many vertices, as versions 11 and 12
+        # that the block starts run over many vertices, as versions 11 to 13
         # write it.
         g = sample_pa_graph(random.Random(300), 300, 2)
         seq = tuple(sorted(g.edges))
@@ -585,7 +585,7 @@ class TestPolyaUrn:
         m = message_init()
         codec.encode(m, seq)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0c\x00"
+        assert data[:6] == b"SHUF\x0d\x00"
         assert len(data) == 1154
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "50b32c6ec13fbdcd9e9fd75084a51449ac6edf800ea77901c45fc6276254e0fa"

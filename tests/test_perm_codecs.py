@@ -5,7 +5,9 @@ from itertools import permutations
 import pytest
 
 from shufflecodec import perm_codecs, perms
-from shufflecodec.ans import message_init, pop_uniforms, push_uniforms
+from shufflecodec.ans import HEAD_MIN, Message, message_init, pop_uniforms, push_uniforms
+from shufflecodec.canon import canonize
+from shufflecodec.graphs import Graph
 from shufflecodec.perm_codecs import uniform_l_coset_codec
 from shufflecodec.perms import (
     PermGroup,
@@ -20,7 +22,12 @@ from shufflecodec.perms import (
 )
 
 from conftest import random_message
-from oracles import chain_elements, runs_chain
+from oracles import chain_elements, reference_chain, runs_chain
+
+
+def chain_codec(chain):
+    """The coset codec of a chain on points: a group with no run."""
+    return uniform_l_coset_codec(SymmetricRuns(chain.degree, (), chain))
 
 
 class TestUniformS:
@@ -128,7 +135,7 @@ class TestUniformPermGrp:
 class TestUniformLCoset:
     def test_single_coset_full_group(self, rng):
         chain = runs_chain(4, [(0, 4)])
-        codec = uniform_l_coset_codec(chain)
+        codec = chain_codec(chain)
         m = random_message(seed=2, tail_words=16)
         before = m.length_bits
         for _ in range(50):
@@ -139,7 +146,7 @@ class TestUniformLCoset:
 
     def test_trivial_subgroup_full_rate(self, rng):
         chain = schreier_sims(PermGroup(5, ()))
-        codec = uniform_l_coset_codec(chain)
+        codec = chain_codec(chain)
         m = random_message(seed=4, tail_words=16)
         perms = [tuple(rng.sample(range(5), 5)) for _ in range(500)]
         before = m.length_bits
@@ -152,7 +159,7 @@ class TestUniformLCoset:
     def test_three_cosets_net_rate(self, rng):
         # |H| = 2 inside S3: three cosets, net rate log2(3).
         chain = schreier_sims(PermGroup(3, ((2, 1, 0),)))
-        codec = uniform_l_coset_codec(chain)
+        codec = chain_codec(chain)
         m = random_message(seed=5, tail_words=64)
         before = m.length_bits
         for _ in range(1000):
@@ -165,7 +172,7 @@ class TestUniformLCoset:
             n = rng.randrange(2, 6)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
             chain = schreier_sims(PermGroup(n, gens))
-            codec = uniform_l_coset_codec(chain)
+            codec = chain_codec(chain)
             s = tuple(rng.sample(range(n), n))
             reference = None
             for h in chain_elements(chain):
@@ -178,7 +185,7 @@ class TestUniformLCoset:
 
     def test_decode_returns_canonical_member(self, rng):
         chain = schreier_sims(PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1))))
-        codec = uniform_l_coset_codec(chain)
+        codec = chain_codec(chain)
         for trial in range(50):
             m = random_message(seed=trial, tail_words=32)
             snapshot = m.copy()
@@ -189,13 +196,13 @@ class TestUniformLCoset:
 
     def test_underflow_near_initial_message_uses_pad(self):
         chain = schreier_sims(PermGroup(3, ()))
-        codec = uniform_l_coset_codec(chain)
+        codec = chain_codec(chain)
         m = message_init()
         codec.encode(m, (2, 0, 1))
         assert m.pad_consumed == 0  # trivial H decodes nothing
         chain2 = runs_chain(6, [(0, 6)])
         m2 = message_init()
-        uniform_l_coset_codec(chain2).encode(m2, (5, 4, 3, 2, 1, 0))
+        chain_codec(chain2).encode(m2, (5, 4, 3, 2, 1, 0))
         assert m2.pad_consumed > 0
 
     def test_underflow_raises_without_pad(self):
@@ -203,7 +210,7 @@ class TestUniformLCoset:
 
         chain = runs_chain(6, [(0, 6)])
         with pytest.raises(MessageUnderflow):
-            uniform_l_coset_codec(chain).encode(
+            chain_codec(chain).encode(
                 Message(pad_seed=None), (5, 4, 3, 2, 1, 0)
             )
 
@@ -212,7 +219,7 @@ class TestUniformLCoset:
         # coded without a second check: one is_perm call per encode (its
         # input), none per decode.
         chain = schreier_sims(PermGroup(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2))))
-        codec = uniform_l_coset_codec(chain)
+        codec = chain_codec(chain)
         calls = []
         is_perm = perms.is_perm
 
@@ -240,7 +247,7 @@ class TestUniformLCoset:
         # to a SymmetricRuns and builds no chain.)
         chain = runs_chain(40, [(0, 40)])
         assert len(chain.levels) == 39
-        codec = uniform_l_coset_codec(chain)
+        codec = chain_codec(chain)
         calls = [0]
         compose_ = perms.compose
 
@@ -322,7 +329,7 @@ class TestRunsCoset:
 
         monkeypatch.setattr(perm_codecs, "pop_arrangement", refuse)
         monkeypatch.setattr(perm_codecs, "push_arrangement", refuse)
-        trivial = uniform_l_coset_codec(schreier_sims(PermGroup(9, ())))
+        trivial = chain_codec(schreier_sims(PermGroup(9, ())))
         no_runs = uniform_l_coset_codec(SymmetricRuns(9, []))
         for trial in range(10):
             s = tuple(rng.sample(range(9), 9))
@@ -344,3 +351,52 @@ class TestRunsCoset:
             with pytest.raises(ValueError):
                 codec.encode(m, (0, 1, 1, 3))
         assert m == before
+
+
+def cliques(*sizes):
+    """Disjoint cliques of the given sizes."""
+    edges, v = [], 0
+    for k in sizes:
+        edges += [(v + i, v + j) for i in range(k) for j in range(i + 1, k)]
+        v += k
+    return Graph(v, edges)
+
+
+class TestBlockChainCoset:
+    """uniform_l_coset_codec on a twin graph's group: runs, and a chain that
+    permutes whole blocks. The reference is the degree-n schreier_sims chain
+    of the runs' generators and the chain's labels lifted blockwise."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cliques(2, 2),
+            Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            cliques(3, 3),
+            cliques(2, 2, 2),
+            Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            Graph(6, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 5)]),
+        ],
+        ids=["2K2", "C4", "2K3", "3K2", "P5", "K2,2+2"],
+    )
+    def test_exhaustive_over_the_symmetric_group(self, g):
+        # Every permutation of S_n: encode is constant on each coset,
+        # distinct cosets give distinct messages, decode returns the
+        # reference's lex-min member and the start message comes back.
+        group = canonize(g).aut_group
+        assert group.blocks is not None
+        ref = reference_chain(group)
+        assert group_order(ref) == group_order(group)
+        codec = uniform_l_coset_codec(group)
+        start = Message(HEAD_MIN + 987654321, [7, 40000, 123, 9, 65535, 1, 2, 3], None)
+        by_coset = {}
+        for s in permutations(range(g.n)):
+            m = start.copy()
+            codec.encode(m, s)
+            canon = coset_canon(ref, s)
+            written = (m.head, tuple(m.tail))
+            assert by_coset.setdefault(canon, written) == written
+            assert codec.decode(m) == canon
+            assert m == start
+        assert len(by_coset) == math.factorial(g.n) // group_order(group)
+        assert len(set(by_coset.values())) == len(by_coset)

@@ -28,7 +28,7 @@ from shufflecodec.perms import (
 )
 
 from conftest import random_message
-from oracles import chain_elements, orbit_of, run_transpositions, runs_chain
+from oracles import chain_elements, orbit_of, run_generators, run_transpositions, runs_chain
 
 
 def closure(n, gens):
@@ -150,7 +150,7 @@ class TestSchreierSims:
         # every coset code, depend only on the group: from any member of
         # s*H, coset_unrank enumerates sorted(s*H) for two generating lists.
         s5 = PermGroup(5, run_transpositions(5, [(0, 5)]))
-        pairs = [(PermGroup(5, SymmetricRuns(5, [(0, 5)]).generators), s5)]
+        pairs = [(PermGroup(5, run_generators(5, [(0, 5)])), s5)]
         rng = random.Random(2024)
         for _ in range(60):
             n = rng.randint(2, 6)
@@ -391,6 +391,19 @@ class TestSymmetricRunsChain:
         assert tuple(canon) == tuple(closed) == coset_canon(ref, s)
         h = compose(inverse(s), canon)
         assert element_unrank(ref, element_rank(ref, h)) == h
+
+    def test_block_chain_validated(self):
+        # Runs (1, 3) and (4, 6) make blocks of sizes 1, 2, 1, 2 on 6 points:
+        # a chain swapping blocks 1 and 3 is accepted, one of another degree
+        # or swapping blocks of sizes 1 and 2 is refused.
+        ok = schreier_sims(PermGroup(4, ((0, 3, 2, 1),)))
+        group = SymmetricRuns(6, [(1, 3), (4, 6)], ok)
+        assert group.block_spans() == [(0, 1), (1, 3), (3, 4), (4, 6)]
+        assert group_order(group) == 2 * 2 * 2
+        with pytest.raises(ValueError):
+            SymmetricRuns(6, [(1, 3), (4, 6)], schreier_sims(PermGroup(6, ())))
+        with pytest.raises(ValueError):
+            SymmetricRuns(6, [(1, 3), (4, 6)], schreier_sims(PermGroup(4, ((1, 0, 2, 3),))))
 
     def test_runs_validated(self):
         bad = (

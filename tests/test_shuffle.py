@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 import shufflecodec
 from shufflecodec import canon, perm_codecs, perms, shuffle
-from shufflecodec.ans import CodecError, ContractViolation, message_init, message_serialize
+from shufflecodec.ans import (
+    HEAD_MIN,
+    CodecError,
+    ContractViolation,
+    Message,
+    MessageUnderflow,
+    message_init,
+    message_serialize,
+)
 from shufflecodec.canon import canon_equal
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, apply_perm
@@ -215,12 +223,13 @@ class TestShuffleEncodeDecode:
             assert m1 == m2
 
     def test_symmetric_graph_bytes_pinned(self, rng):
-        # Large automorphism groups in one message, as version 12 writes it:
-        # a group of twin runs alone (the empty graph, the star) is coded as
-        # its runs coset and any other by the lexicographic rank of the coset
-        # member, each graph's vertex pairs eight per block symbol. The empty graph
-        # on 12 vertices, K1,8, C10, the cube Q3 and 3 disjoint K3, each
-        # under ER(n, 1/2), under any relabeling.
+        # Large automorphism groups in one message, as version 13 writes it:
+        # a group's twin runs are coded as one arrangement of block labels
+        # (the empty graph, the star, 3 K3) or, with no run, by a shuffle,
+        # after the blocks' order pops its rank in the quotient's block
+        # chain (C10, Q3, 3 K3); each graph's vertex pairs eight per block
+        # symbol. The empty graph on 12 vertices, K1,8, C10, the cube Q3 and
+        # 3 disjoint K3, each under ER(n, 1/2), under any relabeling.
         triangle = ((0, 1), (1, 2), (0, 2))
         graphs = [
             Graph(12),
@@ -236,9 +245,9 @@ class TestShuffleEncodeDecode:
                 s = tuple(rng.sample(range(g.n), g.n)) if trial else tuple(range(g.n))
                 codec.encode(m, apply_perm(s, g))
             data = message_serialize(m)
-            assert data[:6] == b"SHUF\x0c\x00"
+            assert data[:6] == b"SHUF\x0d\x00"
             assert hashlib.sha256(data[6:]).hexdigest() == (
-                "addb27be8a9ffd7e7854769a394d87e1a5e3cca911a60b35ae875678c9316c05"
+                "229ca4aa4d0a1ec67a721ba164ac6933547c7c369f2c0d86967618c6d3e06bfc"
             )
             for codec, g in reversed(list(zip(codecs, graphs))):
                 assert canon_equal(codec.decode(m), g)
@@ -318,6 +327,16 @@ class TestFailedEncode:
             make().encode(m, obj)
         assert m == snapshot
         assert m.pad_consumed == 0
+
+    def test_underflow_without_pad_leaves_the_message(self):
+        # With no pad source, the bits-back pop of a 20-edge path on 30
+        # vertices runs out of the three stack words: the encode raises and
+        # gives every word back.
+        codec = ShuffleCodec(erdos_renyi_codec(ErParams(30, Fraction(1, 2))), graph_class())
+        m = Message(HEAD_MIN, [1, 2, 3], pad_seed=None)
+        with pytest.raises(MessageUnderflow):
+            codec.encode(m, Graph(30, [(i, i + 1) for i in range(20)]))
+        assert m == Message(HEAD_MIN, [1, 2, 3]) and m.pad_consumed == 0
 
     @pytest.mark.parametrize("words", [8, 1, 0])
     def test_attribute_layer_pops_its_symbols_back(self, words):
@@ -437,7 +456,7 @@ class TestMultisets:
 
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field, as versions 11 and 12 write it:
+        # everything after the version field, as versions 11 to 13 write it:
         # each ordering is one exact-mass draw per element, without
         # replacement, of the labels 0..r-1 of its r distinct values. (The
         # one sequence here with no repeated value has one element, and
@@ -450,7 +469,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0c\x00"
+        assert data[:6] == b"SHUF\x0d\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "97dea0b19c12facb24fecccf9c00de60aaf4eecc9abee9557e8a508014784b55"
         )
@@ -534,7 +553,7 @@ class TestPackageScope:
             "canonize_via_embedding", "symmetrize_check", "ClassReport",
             "SymmetrizeReport", "orbit_of", "chain_elements",
             "without_pad_residue", "CanonStats", "run_transpositions",
-            "runs_chain",
+            "runs_chain", "run_generators", "lift_blocks", "reference_chain",
         }
         defined = set()
         for path in pathlib.Path(shufflecodec.__file__).parent.glob("*.py"):
