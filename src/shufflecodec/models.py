@@ -212,8 +212,9 @@ class _Urn:
     and T as running totals, which a draw updates from that closed form in
     O(deg) integer work. So T costs O(1), and the subrange of a pair to
     encode costs C-level sums over the vertices below i and over i's
-    partners below j. Decoding alone builds all n block starts, in one
-    C-level pass per draw, to find the block that holds its target.
+    partners below j. Decoding finds the block that holds its target in one
+    pass from C_0 that stops there, O(i + 1) work for the lower endpoint i,
+    then sums i's partners in one C-level pass.
     """
 
     def __init__(self, params: PuParams):
@@ -237,14 +238,6 @@ class _Urn:
         d = sum(map(operator.mul, below, self.drawn_weight))
         return self.w_sum * p - ((p * p + (q if self.offset else -q)) >> 1) - d
 
-    def _block_starts(self) -> List[int]:
-        """C_0..C_n, in one C-level pass over the vertices."""
-        w = self.weights
-        suffix = list(accumulate(reversed(w), initial=0))
-        suffix.reverse()  # suffix[i]: the total weight of the vertices >= i
-        partners = map(operator.sub, suffix[self.offset :], self.drawn_weight)
-        return list(accumulate(map(operator.mul, w, partners), initial=0))
-
     @property
     def total(self) -> int:
         """T, the sum of the eligible pair masses; raises once none is left."""
@@ -263,16 +256,33 @@ class _Urn:
         return self._block_start(i) + w_i * partners, w_i * w[j]
 
     def locate(self, t: int) -> Tuple[Tuple[int, int], int, int]:
-        """The pair whose subrange holds t in [0, T), with its start and mass."""
-        w, starts = self.weights, self._block_starts()
-        i = bisect.bisect_right(starts, t) - 1
-        w_i, lo = w[i], i + self.offset
+        """The pair whose subrange holds t in [0, T), with its start and mass;
+        ContractViolation for t outside [0, T).
+
+        One pass over the blocks stops at the first block k whose end passes
+        t: with rest = W - P_k, the weight of the vertices at or above k,
+        block k's mass is w_k * (rest - d_k), less w_k**2 without self-loops.
+        Within the block, the partners' weights are summed up to j."""
+        if t < 0:
+            raise ContractViolation(f"target {t} is negative")
+        w, drawn_weight, offset = self.weights, self.drawn_weight, self.offset
+        end, rest = 0, self.w_sum
+        for i, w_i in enumerate(w):
+            mass = w_i * (rest - offset * w_i - drawn_weight[i])
+            end += mass
+            if t < end:
+                break
+            rest -= w_i
+        else:
+            raise ContractViolation(f"target {t} is not below the total {end}")
+        start = end - mass
+        lo = i + offset
         masses = w[lo:]
         for j in self.drawn[i]:
             masses[j - lo] = 0
         cums = list(accumulate(masses, initial=0))  # P_i at the partners lo + k
-        k = bisect.bisect_right(cums, (t - starts[i]) // w_i) - 1
-        return (i, lo + k), starts[i] + w_i * cums[k], w_i * w[lo + k]
+        k = bisect.bisect_right(cums, (t - start) // w_i) - 1
+        return (i, lo + k), start + w_i * cums[k], w_i * w[lo + k]
 
     def draw(self, i: int, j: int) -> None:
         w, drawn_weight, drawn_by = self.weights, self.drawn_weight, self.drawn_by
@@ -301,9 +311,11 @@ def pu_sequence_codec(params: PuParams) -> Codec:
 
     Each step codes one pair as one exact-mass symbol (see _Urn): one
     push_exact symbol to encode, its subrange read from the urn's running
-    totals and C-level sums below the pair, and one pop_exact to decode, at
-    O(n) integer work; no table is built. The encoder checks every pair, the
-    exhausted urn and the 2**48 bound on T before the message changes.
+    totals and C-level sums below the pair, and one pop_exact to decode,
+    whose block search stops at the pair's lower endpoint i, O(i + 1)
+    integer work, before one C-level pass over i's partners; no table is
+    built. The encoder checks every pair, the exhausted urn and the 2**48
+    bound on T before the message changes.
     Without redraws the masses depend on the draw history, so the model is
     not edge-exchangeable: a graph's bits depend on the edge order that the
     inner shuffle codec picks. On K4, certain when m = N, a uniformly picked

@@ -149,13 +149,36 @@ class ChainLevel:
 
 class StabilizerChain:
     """Stabilizer chain with base points in increasing order; levels with
-    trivial orbits are omitted. The terminal subgroup is trivial."""
+    trivial orbits are omitted. The terminal subgroup is trivial.
+
+    Two chains are equal when they hold the same group: the same degree, base
+    points and orbits (so the same order), and every Schreier-tree label of
+    one a member of the other. The base points and orbits alone do not tell
+    groups apart: the cyclic group and the Klein group on 4 points both have
+    one level, point 0 with orbit (0, 1, 2, 3)."""
 
     __slots__ = ("degree", "levels")
 
     def __init__(self, degree: int, levels: Tuple[ChainLevel, ...]):
         self.degree = degree
         self.levels = levels
+
+    def labels(self) -> List[Perm]:
+        """The Schreier-tree labels of every level, which generate the group."""
+        return [e[1] for lvl in self.levels for e in lvl.tree.values() if e]
+
+    def _shape(self) -> tuple:
+        return self.degree, tuple((lvl.point, lvl.orbit) for lvl in self.levels)
+
+    def __eq__(self, other):
+        if not isinstance(other, StabilizerChain):
+            return NotImplemented
+        return self._shape() == other._shape() and all(
+            is_identity(coset_canon(self, g)) for g in other.labels()
+        )
+
+    def __hash__(self):
+        return hash(self._shape())
 
 
 @dataclass(frozen=True)
@@ -192,9 +215,8 @@ class SymmetricRuns:
         object.__setattr__(self, "runs", tuple((a, b) for a, b in runs if b - a > 1))
         if self.blocks is not None:
             sizes = [b - a for a, b in self.block_spans()]
-            labels = [e[1] for lvl in self.blocks.levels for e in lvl.tree.values() if e]
             if self.blocks.degree != len(sizes) or any(
-                sizes[x] != k for g in labels for x, k in zip(g, sizes)
+                sizes[x] != k for g in self.blocks.labels() for x, k in zip(g, sizes)
             ):
                 raise ValueError(f"blocks is no size-keeping chain on {len(sizes)} blocks")
 

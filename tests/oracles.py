@@ -8,16 +8,20 @@ exchangeability check for ordered codecs, orbits by breadth-first closure,
 generators of an automorphism group on its n points (the runs' generators
 and the block chain's labels lifted blockwise) and the degree-n Schreier-Sims
 chain they generate, enumeration of a stabilizer chain's group, the
-sequence class's ordering step coded through permutations, and stripping
-re-materialized pad words from a message.
+sequence class's ordering step coded through permutations, the urn's
+block starts in one pass over all vertices with the bisection that finds a
+decode target's pair in them, and stripping re-materialized pad words from
+a message.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from typing import Any, List, Optional, Sequence, Tuple
 
 from shufflecodec.ans import Codec, Message, pad_word
@@ -238,8 +242,8 @@ def group_generators(group: SymmetricRuns) -> Tuple[Perm, ...]:
     gens = run_generators(group.degree, group.runs)
     if group.blocks is None:
         return gens
-    labels = (edge[1] for lvl in group.blocks.levels for edge in lvl.tree.values() if edge)
-    return gens + tuple(lift_blocks(group, b) for b in dict.fromkeys(labels))
+    labels = dict.fromkeys(group.blocks.labels())
+    return gens + tuple(lift_blocks(group, b) for b in labels)
 
 
 def reference_chain(group: SymmetricRuns) -> StabilizerChain:
@@ -298,6 +302,32 @@ def permutation_sequence_class() -> PermutableClass:
     permutation."""
     seq = sequence_class()
     return PermutableClass(seq.apply, seq.canonize, seq.degree)
+
+
+def urn_block_starts(urn) -> List[int]:
+    """C_0..C_n of a models._Urn, in one C-level pass over the vertices:
+    block k's mass is w_k times the weight of the vertices at or above
+    k + offset, less the weight of k's drawn partners."""
+    w = urn.weights
+    suffix = list(accumulate(reversed(w), initial=0))
+    suffix.reverse()  # suffix[i]: the total weight of the vertices >= i
+    partners = map(operator.sub, suffix[urn.offset :], urn.drawn_weight)
+    return list(accumulate(map(operator.mul, w, partners), initial=0))
+
+
+def urn_locate(urn, t: int):
+    """The pair of a models._Urn whose subrange holds t in [0, T), with its
+    start and mass: the block found by bisection over urn_block_starts, the
+    partner by bisection over the block's partner weights."""
+    w, starts = urn.weights, urn_block_starts(urn)
+    i = bisect.bisect_right(starts, t) - 1
+    w_i, lo = w[i], i + urn.offset
+    masses = w[lo:]
+    for j in urn.drawn[i]:
+        masses[j - lo] = 0
+    cums = list(accumulate(masses, initial=0))  # P_i at the partners lo + k
+    k = bisect.bisect_right(cums, (t - starts[i]) // w_i) - 1
+    return (i, lo + k), starts[i] + w_i * cums[k], w_i * w[lo + k]
 
 
 def without_pad_residue(m: Message) -> Message:

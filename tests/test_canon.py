@@ -739,6 +739,20 @@ class TestTwinQuotient:
         assert c.aut_group.blocks.degree == blocks
         assert c.aut_order == group_order(c.aut_group) == order
 
+    def test_groups_compare_by_value(self):
+        # The group of C6 (a block chain, no runs) from five relabelings is
+        # one value with one hash; a group of runs alone compares as before.
+        rng = random.Random(6)
+        groups = [canonize(apply_perm(tuple(rng.sample(range(6), 6)), cycle(6))).aut_group
+                  for _ in range(5)]
+        assert groups[0].blocks is not None
+        assert all(g == groups[0] for g in groups)
+        assert len({hash(g) for g in groups}) == 1 and len(set(groups)) == 1
+        runs = [canonize(apply_perm(tuple(rng.sample(range(8), 8)), star(7))).aut_group
+                for _ in range(2)]
+        assert runs[0] == runs[1] == SymmetricRuns(8, [(0, 7)])
+        assert groups[0] != SymmetricRuns(6, ())
+
     def test_discrete_first_refinement_looks_for_no_twins(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("twin finder or schreier_sims reached")

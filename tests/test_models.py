@@ -31,6 +31,7 @@ from shufflecodec.models import (
 from shufflecodec.shuffle import ShuffleCodec, graph_class
 
 from conftest import random_message
+from oracles import urn_block_starts, urn_locate
 
 
 class TestStringCodec:
@@ -535,8 +536,8 @@ class TestPolyaUrn:
     @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
     def test_block_starts_match_running_totals(self, redraws, loops):
         # After every draw, each closed-form block start C_k (running totals
-        # and sums below k) equals the start that decode's one pass builds,
-        # and T equals C_n.
+        # and sums below k) equals the oracle's start from one pass over all
+        # vertices, and T equals C_n.
         rng = random.Random(f"urn-totals:{redraws}:{loops}")
         for _ in range(50):
             n = rng.randint(0, 12)
@@ -545,7 +546,7 @@ class TestPolyaUrn:
             seq = _random_urn_sequence(rng, n, length, redraws, loops)
             urn = models._Urn(PuParams(n, length, redraws, loops))
             for pair in (*seq, None):
-                starts = urn._block_starts()
+                starts = urn_block_starts(urn)
                 assert [urn._block_start(k) for k in range(n + 1)] == starts
                 if starts[-1]:
                     assert urn.total == starts[-1]
@@ -555,25 +556,46 @@ class TestPolyaUrn:
                 if pair is not None:
                     urn.draw(*pair)
 
-    def test_encode_skips_the_block_start_pass(self, monkeypatch):
-        # Encode reads each subrange from the running totals; only decode's
-        # locate builds all n block starts, once per draw.
-        calls = []
-        block_starts = models._Urn._block_starts
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_locate_matches_the_block_start_oracle(self, redraws, loops):
+        # After every draw, locate's early-exit pass gives the oracle's pair,
+        # start and mass for every target t in [0, T): bisection over all
+        # n + 1 block starts.
+        rng = random.Random(f"urn-locate:{redraws}:{loops}")
+        targets = 0
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            cap = pair_count(n, loops)
+            length = rng.randint(0, 12 if redraws and cap else cap)
+            seq = _random_urn_sequence(rng, n, length, redraws, loops)
+            urn = models._Urn(PuParams(n, length, redraws, loops))
+            for pair in (*seq, None):
+                if urn._total:
+                    for t in range(urn.total):
+                        assert urn.locate(t) == urn_locate(urn, t)
+                    targets += urn.total
+                if pair is not None:
+                    urn.draw(*pair)
+        assert targets > 10_000
 
-        def spy(urn):
-            calls.append(urn)
-            return block_starts(urn)
-
-        monkeypatch.setattr(models._Urn, "_block_starts", spy)
-        g = sample_pa_graph(random.Random(12), 40, 2)
-        seq = tuple(sorted(g.edges))
-        codec = pu_sequence_codec(PuParams(g.n, len(seq)))
-        m = message_init()
-        codec.encode(m, seq)
-        assert calls == []
-        assert codec.decode(m) == seq
-        assert len(calls) == len(seq)
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_locate_refuses_targets_outside_the_total(self, redraws, loops):
+        # A target below 0 or at T or above is no pair's: ContractViolation,
+        # on a fresh urn, after draws, and on an urn with no pair left.
+        n = 5
+        urn = models._Urn(PuParams(n, 3, redraws, loops))
+        for pair in ((0, 1), (1, 2), None):
+            total = urn.total
+            assert urn.locate(total - 1)[0][1] == n - 1
+            for t in (-1, -total, total, total + 1, 10 * total):
+                with pytest.raises(ContractViolation):
+                    urn.locate(t)
+            if pair is not None:
+                urn.draw(*pair)
+        empty = models._Urn(PuParams(0 if loops else 1, 0, redraws, loops))
+        for t in (-1, 0, 1):
+            with pytest.raises(ContractViolation):
+                empty.locate(t)
 
     def test_long_sequence_bytes_pinned(self):
         # One 300-vertex preferential-attachment edge sequence, large enough

@@ -405,6 +405,24 @@ class TestSymmetricRunsChain:
         with pytest.raises(ValueError):
             SymmetricRuns(6, [(1, 3), (4, 6)], schreier_sims(PermGroup(4, ((1, 0, 2, 3),))))
 
+    def test_chains_equal_when_their_groups_are(self):
+        # C4 and the Klein group share degree, base point and orbit, so only
+        # membership of the labels tells them apart. One group from two
+        # generating lists gives equal chains with one hash.
+        c4 = schreier_sims(PermGroup(4, ((1, 2, 3, 0),)))
+        klein = schreier_sims(PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1))))
+        assert [(l.point, l.orbit) for l in c4.levels] == [
+            (l.point, l.orbit) for l in klein.levels
+        ]
+        assert c4 != klein and klein != c4
+        assert c4 == schreier_sims(PermGroup(4, ((3, 0, 1, 2), (2, 3, 0, 1))))
+        s5 = [schreier_sims(PermGroup(5, gens)) for gens in (
+            run_generators(5, [(0, 5)]), run_transpositions(5, [(0, 5)])
+        )]
+        assert s5[0] == s5[1] and hash(s5[0]) == hash(s5[1])
+        assert schreier_sims(PermGroup(4, ())) != schreier_sims(PermGroup(5, ()))
+        assert SymmetricRuns(4, (), c4) != SymmetricRuns(4, (), klein)
+
     def test_runs_validated(self):
         bad = (
             [(0, 3), (2, 4)], [(2, 4), (0, 2)], [(0, 5)], [(1, 1)],
