@@ -188,16 +188,12 @@ def _search(g: Graph, colors: List[int], base: int) -> Tuple[Perm, List[Perm]]:
     auts: List[Perm] = []
 
     def leaf(colors: List[int], path: List[int]) -> int:
-        # A leaf's key is computed only once a second leaf needs it: most
-        # graphs reach one leaf, which is then canonical without comparison.
         nonlocal best, first
         perm = tuple(colors)
-        if first is None:
-            first = best = [None, perm, path]
-            return len(path)
-        if first[0] is None:
-            first[0] = apply_perm(first[1], g).key()
         key = apply_perm(perm, g).key()
+        if first is None:
+            first = best = [key, perm, path]
+            return len(path)
         for ref in (first, best):
             if key == ref[0]:
                 # Distinct leaves have distinct perms and split paths, so

@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .ans import (
@@ -87,7 +88,7 @@ def build_dataset_params(
     keep_order: bool = False,
 ) -> Tuple[DatasetParams, List[int]]:
     """Empirical parameters plus the coding order (original indices,
-    largest graph first, stable)."""
+    largest graph first, stable). redraws applies to model 'pu' only."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     graphs = _prepared_graphs(corpus, attrs)
@@ -115,13 +116,10 @@ def build_dataset_params(
             )
 
     er_counts = None
-    pu_edge_counts = None
     if model == "er":
         edges = sum(g.num_edges for g in graphs)
         pairs = sum(pair_count(g.n, self_loops) for g in graphs)
         er_counts = (edges, pairs - edges)
-    else:
-        pu_edge_counts = tuple(graphs[i].num_edges for i in order)
 
     params = DatasetParams(
         model=model,
@@ -129,7 +127,6 @@ def build_dataset_params(
         vertex_attr_counts=vertex_attr_counts,
         edge_attr_counts=edge_attr_counts,
         er_counts=er_counts,
-        pu_edge_counts=pu_edge_counts,
         self_loops=self_loops,
         uniform_attrs=attrs == "uniform",
         redraws=redraws,
@@ -156,21 +153,14 @@ def _er_probability(params: DatasetParams) -> Fraction:
     return Fraction(edges, total) if total else Fraction(1, 2)
 
 
-def graph_codec_for(params: DatasetParams, n: int, num_edges: Optional[int] = None) -> Codec:
-    """The ordered-graph codec for one graph slot under the dataset params:
-    the plain-graph model, under the attribute layer when the dataset has
-    attributes."""
+def graph_codec_for(params: DatasetParams, n: int) -> Codec:
+    """The ordered-graph codec for graphs on n vertices under the dataset
+    params: the plain-graph model, under the attribute layer when the
+    dataset has attributes."""
     if params.model == "er":
         base = erdos_renyi_codec(ErParams(n, _er_probability(params), params.self_loops))
     else:
-        base = polya_urn_codec(
-            PuParams(
-                n,
-                num_edges,
-                allow_redraws=params.redraws,
-                allow_self_loops=params.self_loops,
-            )
-        )
+        base = polya_urn_codec(PuParams(n, params.redraws, params.self_loops))
     if params.vertex_attr_counts is None and params.edge_attr_counts is None:
         return base
     return with_attributes(
@@ -181,28 +171,15 @@ def graph_codec_for(params: DatasetParams, n: int, num_edges: Optional[int] = No
     )
 
 
-def _slots(params: DatasetParams) -> List[Tuple[int, Optional[int]]]:
-    """The (vertex count, edge count) key of each graph slot in coding order.
-    The edge count is None under er, whose codec does not depend on it."""
-    sizes = params.sizes_in_coding_order()
-    if params.model == "pu":
-        return list(zip(sizes, params.pu_edge_counts))
-    return [(n, None) for n in sizes]
-
-
 def _slot_codecs(
-    params: DatasetParams, slots: Iterable[Tuple[int, Optional[int]]]
+    params: DatasetParams, runs: Iterable[Tuple[int, int]]
 ) -> Iterator[ShuffleCodec]:
-    """The shuffle codec of each slot in turn. A slot whose key repeats the
-    previous slot's reuses its codec, so each run of equal keys builds one and
-    at most one is alive at a time."""
+    """The shuffle codec of each graph slot in turn, for runs of
+    (vertex count, multiplicity): one codec per run, yielded once per graph
+    of the run, so at most one is alive at a time."""
     pclass = graph_class()
-    key = codec = None
-    for slot in slots:
-        if slot != key:
-            key = slot
-            codec = ShuffleCodec(graph_codec_for(params, *slot), pclass)
-        yield codec
+    for n, count in runs:
+        yield from repeat(ShuffleCodec(graph_codec_for(params, n), pclass), count)
 
 
 def compress_corpus(
@@ -222,7 +199,7 @@ def compress_corpus(
     initial_bits = m.length_bits
     ordered_bits = pad_bits = canonize_seconds = 0.0
     # Encode in reverse coding order so decoding runs largest-first.
-    codecs = _slot_codecs(params, reversed(_slots(params)))
+    codecs = _slot_codecs(params, params.vertex_count_runs)
     for i, codec in zip(reversed(order), codecs):
         report = codec.encode(m, graphs[i])
         ordered_bits += report.ordered_bits
@@ -272,7 +249,7 @@ def decompress_corpus(data: bytes, name: str = "decoded") -> Corpus:
     """
     m = message_deserialize(data)
     params = decode_dataset_params(m)
-    graphs = [codec.decode(m) for codec in _slot_codecs(params, _slots(params))]
+    graphs = [c.decode(m) for c in _slot_codecs(params, reversed(params.vertex_count_runs))]
     if params.order_perm is not None:
         restored: List[Optional[Graph]] = [None] * len(graphs)
         for pos, original in enumerate(params.order_perm):
@@ -291,7 +268,8 @@ def net_rate_single(
 ) -> float:
     """Net bits of shuffle-coding one graph: one encode's message growth less
     the pad its bits-back pop drew, which is its cost in a message that
-    already holds data, model parameter bits excluded. The codec is the one
+    already holds data, model parameter bits excluded (under pu the urn
+    codes the edge count with the graph). The codec is the one
     compress_corpus would use for a one-graph corpus; er_p, when given,
     replaces the empirical edge density and must lie in [0, 1]; it is
     refused with any other model."""
@@ -302,7 +280,7 @@ def net_rate_single(
     if er_p is not None:
         p = Fraction(er_p)
         params = replace(params, er_counts=(p.numerator, p.denominator - p.numerator))
-    shuffler = ShuffleCodec(graph_codec_for(params, graph.n, graph.num_edges), graph_class())
+    shuffler = ShuffleCodec(graph_codec_for(params, graph.n), graph_class())
     m = message_init(pad_seed=seed)
     before = m.length_bits
     report = shuffler.encode(m, graph)

@@ -1,7 +1,7 @@
 """Exchangeable ordered-object models: i.i.d.-categorical strings,
 Erdős-Rényi graphs, the Pólya-urn edge-sequence model (preferential
-attachment) with an inner shuffle over the edge list, and one i.i.d.
-attribute layer over either graph model, on the tables of ans.table_for.
+attachment) under its edge count and an inner shuffle over the edge list,
+and one i.i.d. attribute layer over either graph model, on ans.table_for.
 An encoder's refusal leaves the message as it was. The attribute layer
 restores a snapshot of the head and stack depth: pushes only append words,
 and the one base that pops (the urn's inner shuffle) restores itself first.
@@ -18,6 +18,7 @@ from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .ans import (
+    MAX_PRECISION,
     Codec,
     CodecError,
     ContractViolation,
@@ -27,8 +28,10 @@ from .ans import (
     bernoulli_weights,
     pop_exact,
     pop_symbols,
+    pop_uniforms,
     push_exact,
     push_symbols,
+    push_uniforms,
     table_for,
 )
 from .graphs import Graph, graph_pairs, pair_count, plain_graph, trusted_graph
@@ -68,23 +71,15 @@ class ErParams:
 
 @dataclass(frozen=True)
 class PuParams:
-    """Pólya-urn model: a fixed number of edges drawn sequentially with
+    """Pólya-urn model on n vertices: edges drawn sequentially with
     probability proportional to (degree + 1) products."""
 
     n: int
-    num_edges: int
     allow_redraws: bool = False
     allow_self_loops: bool = False
 
     def __post_init__(self):
         _check_count(self.n, "vertex count")
-        _check_count(self.num_edges, "edge count")
-        if not self.allow_redraws:
-            cap = pair_count(self.n, self.allow_self_loops)
-            if self.num_edges > cap:
-                raise ParameterError(
-                    f"{self.num_edges} edges exceed the {cap} available pairs"
-                )
 
 
 def _iid_prob(weights: Tuple[int, ...], symbols) -> Fraction:
@@ -306,8 +301,10 @@ class _Urn:
         self.w_sum, self._total = w_sum, total
 
 
-def pu_sequence_codec(params: PuParams) -> Codec:
-    """Ordered codec over length-m edge sequences under the urn model.
+def pu_sequence_codec(params: PuParams, num_edges: int) -> Codec:
+    """Ordered codec over num_edges-long edge sequences under the urn model;
+    ParameterError for a count that is not a nonnegative int or, without
+    redraws, exceeds the pairs.
 
     Each step codes one pair as one exact-mass symbol (see _Urn): one
     push_exact symbol to encode, its subrange read from the urn's running
@@ -322,11 +319,14 @@ def pu_sequence_codec(params: PuParams) -> Codec:
     order costs 0.11358720 bits more than -log2 P(graph) = 0 in expectation.
     It stays exactly invertible either way.
     """
-    m_edges = params.num_edges
+    _check_count(num_edges, "edge count")
+    cap = pair_count(params.n, params.allow_self_loops)
+    if not params.allow_redraws and num_edges > cap:
+        raise ParameterError(f"{num_edges} edges exceed the {cap} available pairs")
 
     def encode(msg: Message, seq) -> None:
-        if len(seq) != m_edges:
-            raise ContractViolation(f"sequence length {len(seq)} != {m_edges}")
+        if len(seq) != num_edges:
+            raise ContractViolation(f"sequence length {len(seq)} != {num_edges}")
         urn = _Urn(params)
         plan = []
         for pair in seq:
@@ -343,7 +343,7 @@ def pu_sequence_codec(params: PuParams) -> Codec:
         urn = _Urn(params)
         locate, draw = urn.locate, urn.draw
         seq = []
-        for _ in range(m_edges):
+        for _ in range(num_edges):
             pair = pop_exact(msg, urn.total, locate)
             seq.append(pair)
             draw(*pair)
@@ -422,24 +422,29 @@ def with_attributes(
 
 
 def polya_urn_codec(params: PuParams) -> Codec:
-    """Graphs coded as an unordered edge list under the urn model: the edge
-    sequence codec wrapped in an inner shuffle codec over list order."""
-    inner = ShuffleCodec(pu_sequence_codec(params), sequence_class())
+    """Graphs on params.n vertices under the urn model: the edge count m,
+    one uniform symbol over 0..N (N the vertex pairs) that decode pops
+    first, then the length-m edge sequence codec wrapped in an inner
+    shuffle codec over list order."""
+    count_size = (pair_count(params.n, params.allow_self_loops) + 1,)
+    if count_size[0] > 1 << MAX_PRECISION:
+        raise ParameterError(f"{params.n} vertices: too many pairs to count edges")
+
+    def inner(num_edges: int) -> ShuffleCodec:
+        return ShuffleCodec(pu_sequence_codec(params, num_edges), sequence_class())
 
     def encode(m: Message, g: Graph) -> None:
         _check_plain(g, params.n)
-        if g.num_edges != params.num_edges:
-            raise ContractViolation(
-                f"graph has {g.num_edges} edges, params say {params.num_edges}"
-            )
         if any(i == j for i, j in g.edges) and not params.allow_self_loops:
             raise ContractViolation("graph has self-loops but params disallow them")
-        inner.encode(m, tuple(sorted(g.edges)))
+        inner(g.num_edges).encode(m, tuple(sorted(g.edges)))
+        push_uniforms(m, [g.num_edges], count_size)
 
     def decode(m: Message) -> Graph:
+        (num_edges,) = pop_uniforms(m, count_size)
         # Decoded pairs are eligible by construction: i <= j inside [0, n),
         # loops only when allowed.
-        edges = frozenset(inner.decode(m))
+        edges = frozenset(inner(num_edges).decode(m))
         return trusted_graph(params.n, edges)
 
     return Codec(encode, decode)

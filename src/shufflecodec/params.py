@@ -2,7 +2,8 @@
 
 Everything the decoder needs is carried inside the single compressed message,
 decoded before any graph: model and flag bits, run-length coded vertex counts,
-attribute count tables, and the model's count parameters. Lists of naturals
+attribute count tables, and er's edge and non-edge counts (the urn codes
+each graph's edge count with the graph, in models). Lists of naturals
 are coded as one run of uniform symbols: list length (46-bit uniform), the
 bit count B of the maximum element (uniform over 0..32), then each element
 with a log-uniform code: a bit-length k uniform on {0..B} followed by the
@@ -18,7 +19,6 @@ from typing import List, Optional, Tuple
 
 from .ans import Codec, CodecError, ContractViolation, FormatError, Message
 from .ans import pop_uniforms, push_uniforms
-from .graphs import pair_count
 
 _LENGTH_LIMIT = 1 << 46
 _ELEMENT_LIMIT = 1 << 32
@@ -80,7 +80,7 @@ class DatasetParams:
 
     vertex_count_runs holds (vertex count, multiplicity) pairs ascending by
     count; graphs are coded largest-first, so the coding order is the runs
-    expanded in reverse. pu_edge_counts and order_perm follow coding order.
+    expanded in reverse, which order_perm follows. redraws is the urn's.
     """
 
     model: str  # "er" | "pu"
@@ -88,7 +88,6 @@ class DatasetParams:
     vertex_attr_counts: Optional[Tuple[int, ...]] = None
     edge_attr_counts: Optional[Tuple[int, ...]] = None
     er_counts: Optional[Tuple[int, int]] = None  # (edges, non-edges)
-    pu_edge_counts: Optional[Tuple[int, ...]] = None
     self_loops: bool = False
     uniform_attrs: bool = False
     redraws: bool = False
@@ -104,19 +103,8 @@ class DatasetParams:
             raise ValueError("runs must be strictly ascending in vertex count")
         if self.model == "er" and self.er_counts is None:
             raise ValueError("er model requires er_counts")
-        if self.model == "pu" and self.pu_edge_counts is None:
-            raise ValueError("pu model requires pu_edge_counts")
-
-    def sizes_in_coding_order(self) -> List[int]:
-        return sizes_largest_first(self.vertex_count_runs)
-
-
-def sizes_largest_first(runs) -> List[int]:
-    """Vertex counts expanded largest-first from ascending runs."""
-    sizes = []
-    for n, count in reversed(runs):
-        sizes.extend([n] * count)
-    return sizes
+        if self.redraws and self.model != "pu":
+            raise ValueError(f"redraws applies to model 'pu' only, got {self.model!r}")
 
 
 def _runs_to_lists(runs) -> Tuple[List[int], List[int]]:
@@ -140,11 +128,6 @@ def _lists_to_runs(lengths, diffs) -> Tuple[Tuple[int, int], ...]:
     return tuple(runs)
 
 
-def _edge_count_sizes(sizes: List[int], self_loops: bool) -> List[int]:
-    """The uniform alphabet sizes of the urn edge counts: 0..pairs per graph."""
-    return [pair_count(n, self_loops) + 1 for n in sizes]
-
-
 def encode_dataset_params(m: Message, params: DatasetParams) -> None:
     """Push the parameter block; the reverse of decode_dataset_params. A
     refused block restores the head and stack depth it found, which leaves
@@ -155,12 +138,6 @@ def encode_dataset_params(m: Message, params: DatasetParams) -> None:
             _naturals.encode(m, list(params.order_perm))
         if params.model == "er":
             _naturals.encode(m, list(params.er_counts))
-        else:
-            sizes = params.sizes_in_coding_order()
-            counts = params.pu_edge_counts
-            if len(counts) != len(sizes):
-                raise ContractViolation("one edge count per graph required")
-            push_uniforms(m, counts, _edge_count_sizes(sizes, params.self_loops))
         if params.edge_attr_counts is not None:
             _naturals.encode(m, list(params.edge_attr_counts))
         push_uniforms(m, [int(params.edge_attr_counts is not None)], _FLAG)
@@ -185,13 +162,15 @@ def encode_dataset_params(m: Message, params: DatasetParams) -> None:
 
 
 def decode_dataset_params(m: Message) -> DatasetParams:
-    """Pop the parameter block. Raises FormatError for vertex-count runs,
-    er_counts or a graph order that encode_dataset_params never writes,
-    before any graph is decoded."""
+    """Pop the parameter block. Raises FormatError for flags, vertex-count
+    runs, er_counts or a graph order that encode_dataset_params never
+    writes, before any graph is decoded."""
     is_pu, self_loops, uniform_attrs, redraws, has_order = map(
         bool, pop_uniforms(m, _FLAG * 5)
     )
     model = "pu" if is_pu else "er"
+    if redraws and not is_pu:
+        raise FormatError("redraws flag set under model 'er'")
     lengths = _naturals.decode(m)
     diffs = _naturals.decode(m)
     runs = _lists_to_runs(lengths, diffs)
@@ -200,15 +179,11 @@ def decode_dataset_params(m: Message) -> DatasetParams:
     vertex_attr_counts = tuple(_naturals.decode(m)) if pop_uniforms(m, _FLAG)[0] else None
     edge_attr_counts = tuple(_naturals.decode(m)) if pop_uniforms(m, _FLAG)[0] else None
     er_counts = None
-    pu_edge_counts = None
     if model == "er":
         pair = _naturals.decode(m)
         if len(pair) != 2:
             raise FormatError("er_counts must hold two numbers")
         er_counts = (pair[0], pair[1])
-    else:
-        sizes = _edge_count_sizes(sizes_largest_first(runs), self_loops)
-        pu_edge_counts = tuple(pop_uniforms(m, sizes))
     order_perm = None
     if has_order:
         order_perm = tuple(_naturals.decode(m))
@@ -221,7 +196,6 @@ def decode_dataset_params(m: Message) -> DatasetParams:
         vertex_attr_counts,
         edge_attr_counts,
         er_counts,
-        pu_edge_counts,
         self_loops,
         uniform_attrs,
         redraws,

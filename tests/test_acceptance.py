@@ -82,7 +82,7 @@ def shuffle_codec_for(g, model, p, loops):
             ErParams(g.n, Fraction(p).limit_denominator(100), loops)
         )
     else:
-        ordered = polya_urn_codec(PuParams(g.n, g.num_edges, allow_self_loops=loops))
+        ordered = polya_urn_codec(PuParams(g.n, allow_self_loops=loops))
     if v_ps or e_ps:
         ordered = with_attributes(ordered, v_ps, e_ps)
     return ShuffleCodec(ordered, graph_class())

@@ -413,7 +413,7 @@ class TestSerialization:
                 message_deserialize(bytes(data))
 
     def test_er_corpus_bytes_unchanged_by_version_2(self):
-        # ER and attribute tables, pinned as versions 12 and 13 write them (its
+        # ER and attribute tables, pinned as versions 12 to 14 write them (its
         # searched graphs canonize through the twin quotient): the ER pairs are coded eight per block symbol, the block and
         # attribute tables are the cumulative floors of their integer
         # weights, the parameter block's lists are runs of uniform symbols
@@ -426,7 +426,7 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x0d\x00"
+        assert data[:6] == b"SHUF\x0e\x00"
         assert len(data) == 294
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "cd4cfad233a9a7f9c7daf7bd31e833bf5f0729477b45efbd35d0eec40f289217"
@@ -435,22 +435,23 @@ class TestSerialization:
     def test_pu_corpus_bytes_pinned(self):
         # Seeded preferential-attachment graphs under the urn model: the urn's
         # exact-mass pair symbols and both shuffle levels (graph and edge list),
-        # as version 13 writes them: a twin class takes a run of canonical
+        # as version 14 writes them: a twin class takes a run of canonical
         # positions, a quotient with automorphisms codes the blocks' order
-        # by its chain on the blocks, and an edge list, whose edges are
-        # distinct, is one Fisher-Yates shuffle.
+        # by its chain on the blocks, an edge list, whose edges are
+        # distinct, is one Fisher-Yates shuffle, and each graph's edge count
+        # is one uniform symbol above its edge list.
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x0d\x00"
+        assert data[:6] == b"SHUF\x0e\x00"
         assert len(data) == 104
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "eb86bd3b7a8f7c87f9c8276a040738fb83549be852a9bb6d3168d3a788f0df65"
+            "3d24c3f2ddf2cb208a995769e5e4221122542fd313d9a082bdcb0678bd43b43e"
         )
 
     def test_uniform_attrs_er_corpus_bytes_pinned(self):
         # The uniform-attribute ablation: attributes coded uniformly over the
-        # alphabets of the count tables, as versions 12 and 13 write it.
+        # alphabets of the count tables, as versions 12 to 14 write it.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -460,7 +461,7 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x0d\x00"
+        assert data[:6] == b"SHUF\x0e\x00"
         assert len(data) == 338
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "ce9eb290028abff3663e7e0efc4c23a33bc1033f491a32edbb4a1d1f409d23fe"

@@ -375,6 +375,11 @@ class TestCanonize:
         assert canon_equal(g, h)
         assert not canon_equal(g, Graph(3, [(0, 1)]))
 
+    def test_graphs_of_different_orders_unequal(self):
+        # An isolated vertex more: equal edge sets, different n.
+        assert not canon_equal(Graph(3, [(0, 1)]), Graph(4, [(0, 1)]))
+        assert not canon_equal(Graph(0), Graph(1))
+
     def test_empty_and_tiny(self):
         assert canonize(Graph(0)).aut_order == 1
         assert canonize(Graph(1)).aut_order == 1

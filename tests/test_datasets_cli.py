@@ -18,6 +18,7 @@ from shufflecodec.compress import (
     compress_corpus,
     decompress_corpus,
     net_rate_single,
+    validate_dataset_params,
 )
 from shufflecodec.datasets import (
     Corpus,
@@ -152,6 +153,25 @@ class TestBuildParams:
         params, order = build_dataset_params(corpus, "er", "auto")
         assert params.vertex_count_runs == ((5, 2), (7, 1))
         assert order == [1, 0, 2]  # largest first, ties stable
+
+    def test_redraws_refused_with_other_models(self):
+        # Only the urn draws edges, so redraws would change the block's
+        # flags and nothing else.
+        corpus = Corpus((Graph(3, [(0, 1)]),), "one", False, False)
+        with pytest.raises(ValueError, match="redraws"):
+            build_dataset_params(corpus, "er", redraws=True)
+        with pytest.raises(ValueError, match="redraws"):
+            compress_corpus(corpus, "er", redraws=True)
+
+    @pytest.mark.parametrize("model,redraws", [("er", False), ("pu", False), ("pu", True)])
+    def test_validate_accepts_its_own_block_only(self, model, redraws):
+        corpus = synthetic_corpus(seed=21, num=6, with_attrs=True)
+        other = synthetic_corpus(seed=22, num=6, with_attrs=True)
+        for keep_order in (False, True):
+            params, _ = build_dataset_params(corpus, model, "auto", redraws, keep_order)
+            validate_dataset_params(params, corpus, "auto")
+            with pytest.raises(DatasetError, match="inconsistent"):
+                validate_dataset_params(params, other, "auto")
 
 
 class TestCompressDecompress:
@@ -294,23 +314,23 @@ class TestCompressDecompress:
 
     @pytest.mark.parametrize("model", ["er", "pu"])
     def test_one_codec_per_run_of_equal_slots(self, model, monkeypatch):
-        # Coding order is largest-first, so graphs with equal codec keys are
-        # adjacent: each run of them builds one codec, on both sides.
+        # Coding order is largest-first, so graphs with equal vertex counts
+        # are adjacent: each run of them builds one codec, on both sides,
+        # under the urn too, whose codec codes each graph's edge count.
         corpus = synthetic_corpus(seed=5, num=15, with_attrs=True)
         params, order = build_dataset_params(corpus, model)
-        keys = [
-            (g.n, g.num_edges if model == "pu" else None)
-            for g in (corpus.graphs[i] for i in order)
-        ]
+        keys = [corpus.graphs[i].n for i in order]
         runs = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
-        if model == "er":
-            assert runs == len(params.vertex_count_runs) < len(keys)
+        assert runs == len(params.vertex_count_runs) < len(keys)
+        if model == "pu":
+            edge_counts = {(g.n, g.num_edges) for g in corpus.graphs}
+            assert len(edge_counts) > runs
         built = []
         original = compress.graph_codec_for
 
-        def counting(params, n, num_edges=None):
-            built.append((n, num_edges))
-            return original(params, n, num_edges)
+        def counting(params, n):
+            built.append(n)
+            return original(params, n)
 
         monkeypatch.setattr(compress, "graph_codec_for", counting)
         data, _ = compress_corpus(corpus, model=model)
@@ -394,7 +414,7 @@ class TestNetRateSingle:
         corpus = Corpus((g,), "single", False, False)
         params, _ = build_dataset_params(corpus, model)
         codec = ShuffleCodec(
-            compress.graph_codec_for(params, g.n, g.num_edges), graph_class()
+            compress.graph_codec_for(params, g.n), graph_class()
         )
         m = message_init(pad_seed=seed)
         before = m.length_bits
@@ -524,8 +544,26 @@ class TestCli:
         assert main(["bench", "--dataset", corpus_dir, "--json"]) == 0
         (entry,) = json.loads(capsys.readouterr().out)
         assert [entry[k] for k in rates] == [None] * 4
-        assert main(["bench", "--dataset", corpus_dir]) == 0
-        assert capsys.readouterr().out.startswith("EMPTY er: no edges (")
+        assert main(["bench", "--dataset", corpus_dir, "--models", "er,pu"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            "EMPTY er: no edges", "EMPTY pu: no edges",
+        ]
+
+    def test_bench_refuses_an_unknown_model(self, capsys):
+        # Refused before any corpus is coded: one error line, no report.
+        assert main(["bench", "--dataset", FIXTURE, "--models", "er,xx"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unknown model 'xx'\n"
+
+    def test_redraws_under_er_exit_one(self, tmp_path, capsys):
+        blob = tmp_path / "x.shuf"
+        argv = ["compress", "--dataset", FIXTURE, "--model", "er", "--redraws"]
+        assert main(argv + ["--out", str(blob)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "redraws" in err
+        assert not blob.exists()
 
     def test_data_error_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "nope"

@@ -12,12 +12,13 @@ from shufflecodec.ans import (
     ParameterError,
     message_init,
     message_serialize,
+    pop_uniforms,
 )
 from shufflecodec.canon import canonize
 from shufflecodec.compress import compress_corpus, decompress_corpus
 from shufflecodec.datasets import Corpus
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
-from shufflecodec.graphs import Graph, apply_perm, pair_count
+from shufflecodec.graphs import Graph, apply_perm, graph_pairs, pair_count
 from shufflecodec.models import (
     ErParams,
     PuParams,
@@ -312,14 +313,14 @@ class TestAttributeLayer:
             assert abs(bits + math.log2(codec.prob(g))) <= 0.01
 
     def test_prob_only_over_a_base_with_prob(self):
-        urn = with_attributes(polya_urn_codec(PuParams(3, 1)), (1, 1))
+        urn = with_attributes(polya_urn_codec(PuParams(3)), (1, 1))
         assert urn.prob is None
 
     def test_plain_codecs_reject_attributes(self):
         g = Graph(3, [(0, 1)], vertex_attrs=[0, 1, 0])
         for codec in (
             erdos_renyi_codec(ErParams(3, Fraction(1, 2))),
-            polya_urn_codec(PuParams(3, 1)),
+            polya_urn_codec(PuParams(3)),
         ):
             with pytest.raises(ContractViolation):
                 codec.encode(message_init(), g)
@@ -334,11 +335,11 @@ class TestAttributeLayer:
                 erdos_renyi_codec(ErParams(2, Fraction(1, 2))),
                 Graph(2, [(0, 1)], (1, 0), {(0, 1): 1}),
             ),
-            # The urn expects two edges: refused by the base, after both
-            # attribute runs are pushed.
-            (polya_urn_codec(PuParams(3, 2)), Graph(3, [(0, 1)], (0, 0, 0), {(0, 1): 1})),
+            # A self-loop the urn's params exclude: refused by the base,
+            # after both attribute runs are pushed.
+            (polya_urn_codec(PuParams(3)), Graph(3, [(0, 0)], (0, 0, 0), {(0, 0): 1})),
         ],
-        ids=["zero-mass-vertex-attr", "urn-edge-count"],
+        ids=["zero-mass-vertex-attr", "urn-self-loop"],
     )
     def test_refused_encode_leaves_the_message_unchanged(self, base, g, tail_words):
         # Alone and under ShuffleCodec, whose refusal path pushes the
@@ -352,6 +353,15 @@ class TestAttributeLayer:
                 coder.encode(m, g)
             assert m == snapshot
             assert m.pad_consumed == snapshot.pad_consumed
+
+    def test_non_graph_refused(self):
+        codec = with_attributes(erdos_renyi_codec(ErParams(2, Fraction(1, 2))), (1, 1))
+        for obj in (((0, 1),), None, "graph"):
+            m = random_message(seed=3, tail_words=4)
+            snapshot = m.copy()
+            with pytest.raises(ContractViolation, match="expected a graph"):
+                codec.encode(m, obj)
+            assert m == snapshot
 
     def test_presence_mismatch_rejected(self):
         codec = with_attributes(erdos_renyi_codec(ErParams(3, Fraction(1, 2))), (1, 1))
@@ -401,26 +411,63 @@ def _urn_sequence_prob(params, seq):
 
 class TestPolyaUrn:
     def test_empty_graph(self):
-        codec = polya_urn_codec(PuParams(4, 0))
+        # No edge to code: only the edge count 0, one of 0..6 on 4 vertices.
+        codec = polya_urn_codec(PuParams(4))
         m = message_init()
         before = m.length_bits
         codec.encode(m, Graph(4))
-        assert m.length_bits == before
+        assert abs((m.length_bits - before) - math.log2(7)) <= 1e-4
         assert codec.decode(m) == Graph(4)
 
     def test_single_edge_net_rate_log2_3(self):
-        codec = polya_urn_codec(PuParams(3, 1))
+        # log2 3 for the edge among 3 pairs, log2 4 for its count in 0..3.
+        codec = polya_urn_codec(PuParams(3))
         m = random_message(seed=9, tail_words=32)
         before = m.length_bits
         codec.encode(m, Graph(3, [(0, 2)]))
-        assert abs((m.length_bits - before) - math.log2(3)) <= 0.01
+        assert abs((m.length_bits - before) - math.log2(12)) <= 0.01
+
+    @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
+    def test_one_codec_codes_every_edge_count(self, redraws, loops):
+        # Graphs on 5 vertices with 0 to N edges go through one urn codec;
+        # decode pops the edge count first, one uniform symbol over 0..N.
+        n = 5
+        size = pair_count(n, loops) + 1
+        codec = polya_urn_codec(PuParams(n, redraws, loops))
+        pairs = list(graph_pairs(n, loops))
+        rng = random.Random(f"urn-counts:{redraws}:{loops}")
+        graphs = [Graph(n, rng.sample(pairs, k)) for k in range(size)]
+        m = random_message(seed=8, tail_words=32)
+        snapshot = m.copy()
+        for g in graphs:
+            codec.encode(m, g)
+        for g in reversed(graphs):
+            assert pop_uniforms(m.copy(), (size,)) == [g.num_edges]
+            assert codec.decode(m) == g
+        assert m == snapshot
+
+    def test_too_many_pairs_to_count_refused(self):
+        # 2**25 vertices have about 2**49 pairs: the edge count's uniform
+        # symbol would exceed the coder's 2**48 total, so the codec is
+        # refused when built, before any graph is coded.
+        with pytest.raises(ParameterError):
+            polya_urn_codec(PuParams(1 << 25))
+
+    def test_sequence_of_the_wrong_length_refused(self):
+        codec = pu_sequence_codec(PuParams(4), 2)
+        for seq in ((), ((0, 1),), ((0, 1), (0, 2), (0, 3))):
+            m = random_message(seed=4, tail_words=8)
+            snapshot = m.copy()
+            with pytest.raises(ContractViolation, match="sequence length"):
+                codec.encode(m, seq)
+            assert m == snapshot
 
     @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
     def test_round_trips(self, rng, redraws, loops):
         for _ in range(250):
             n = rng.randint(2, 8)
             g = sample_er_graph(rng, n, 0.4, self_loops=loops)
-            params = PuParams(n, g.num_edges, allow_redraws=redraws, allow_self_loops=loops)
+            params = PuParams(n, allow_redraws=redraws, allow_self_loops=loops)
             codec = polya_urn_codec(params)
             m = random_message(seed=n, tail_words=64)
             snapshot = m.copy()
@@ -436,16 +483,13 @@ class TestPolyaUrn:
         rng = random.Random(23)
         for seed in range(60):
             n = rng.randint(1, 7)
-            params = PuParams(n, rng.randint(0, pair_count(n, loops)), redraws, loops)
+            params = PuParams(n, redraws, loops)
             g = polya_urn_codec(params).decode(random_message(seed, rng.randint(0, 8)))
             assert g == Graph(n, g.edges)
             assert loops or all(i != j for i, j in g.edges)
-            if not redraws:
-                assert g.num_edges == params.num_edges
 
     def test_sequence_codec_tracks_urn_state(self, rng):
-        params = PuParams(5, 4)
-        codec = pu_sequence_codec(params)
+        codec = pu_sequence_codec(PuParams(5), 4)
         seq = ((0, 1), (1, 2), (1, 3), (0, 4))
         m = random_message(seed=6, tail_words=32)
         snapshot = m.copy()
@@ -454,7 +498,7 @@ class TestPolyaUrn:
         assert m == snapshot
 
     def test_ineligible_pair_rejected(self):
-        codec = pu_sequence_codec(PuParams(3, 2))
+        codec = pu_sequence_codec(PuParams(3), 2)
         with pytest.raises(ContractViolation):
             codec.encode(message_init(), ((0, 1), (0, 1)))
 
@@ -465,8 +509,8 @@ class TestPolyaUrn:
         seqs = [_FIXED_SEQUENCES[redraws, loops]]
         seqs += [_random_urn_sequence(rng, n, 12, redraws, loops) for _ in range(6)]
         for seq in seqs:
-            params = PuParams(n, len(seq), allow_redraws=redraws, allow_self_loops=loops)
-            codec = pu_sequence_codec(params)
+            params = PuParams(n, allow_redraws=redraws, allow_self_loops=loops)
+            codec = pu_sequence_codec(params, len(seq))
             m = random_message(seed=len(seq), tail_words=64)
             snapshot = m.copy()
             before = m.length_bits
@@ -485,22 +529,23 @@ class TestPolyaUrn:
         if not redraws:
             bad.append(((0, 1), (0, 1)))
         for seq in bad:
-            params = PuParams(4, len(seq), allow_redraws=redraws, allow_self_loops=loops)
+            params = PuParams(4, allow_redraws=redraws, allow_self_loops=loops)
             m = random_message(seed=5, tail_words=16)
             snapshot = m.copy()
             with pytest.raises(ContractViolation):
-                pu_sequence_codec(params).encode(m, seq)
+                pu_sequence_codec(params, len(seq)).encode(m, seq)
             assert m == snapshot
 
     @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
     def test_exhausted_urn_is_contract_violation(self, redraws, loops):
-        # Without redraws PuParams already refuses more edges than pairs.
+        # Without redraws pu_sequence_codec already refuses more edges than
+        # pairs.
         n = 0 if loops else 1
         if not redraws:
             with pytest.raises(ParameterError):
-                PuParams(n, 1, allow_self_loops=loops)
+                pu_sequence_codec(PuParams(n, allow_self_loops=loops), 1)
             return
-        codec = pu_sequence_codec(PuParams(n, 1, True, loops))
+        codec = pu_sequence_codec(PuParams(n, True, loops), 1)
         m = random_message(seed=2, tail_words=4)
         snapshot = m.copy()
         with pytest.raises(ContractViolation):
@@ -529,9 +574,14 @@ class TestPolyaUrn:
         )
 
     def test_edge_count_cap_validated(self):
-        with pytest.raises(Exception):
-            PuParams(3, 4)
-        PuParams(3, 4, allow_redraws=True)
+        # The cap is the sequence codec's: 3 pairs on 3 vertices, 6 with
+        # loops, and none with redraws.
+        with pytest.raises(ParameterError):
+            pu_sequence_codec(PuParams(3), 4)
+        with pytest.raises(ParameterError):
+            pu_sequence_codec(PuParams(3, allow_self_loops=True), 7)
+        pu_sequence_codec(PuParams(3, allow_self_loops=True), 6)
+        pu_sequence_codec(PuParams(3, allow_redraws=True), 4)
 
     @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
     def test_block_starts_match_running_totals(self, redraws, loops):
@@ -544,7 +594,7 @@ class TestPolyaUrn:
             cap = pair_count(n, loops)
             length = rng.randint(0, 20 if redraws and cap else cap)
             seq = _random_urn_sequence(rng, n, length, redraws, loops)
-            urn = models._Urn(PuParams(n, length, redraws, loops))
+            urn = models._Urn(PuParams(n, redraws, loops))
             for pair in (*seq, None):
                 starts = urn_block_starts(urn)
                 assert [urn._block_start(k) for k in range(n + 1)] == starts
@@ -568,7 +618,7 @@ class TestPolyaUrn:
             cap = pair_count(n, loops)
             length = rng.randint(0, 12 if redraws and cap else cap)
             seq = _random_urn_sequence(rng, n, length, redraws, loops)
-            urn = models._Urn(PuParams(n, length, redraws, loops))
+            urn = models._Urn(PuParams(n, redraws, loops))
             for pair in (*seq, None):
                 if urn._total:
                     for t in range(urn.total):
@@ -583,7 +633,7 @@ class TestPolyaUrn:
         # A target below 0 or at T or above is no pair's: ContractViolation,
         # on a fresh urn, after draws, and on an urn with no pair left.
         n = 5
-        urn = models._Urn(PuParams(n, 3, redraws, loops))
+        urn = models._Urn(PuParams(n, redraws, loops))
         for pair in ((0, 1), (1, 2), None):
             total = urn.total
             assert urn.locate(total - 1)[0][1] == n - 1
@@ -592,22 +642,22 @@ class TestPolyaUrn:
                     urn.locate(t)
             if pair is not None:
                 urn.draw(*pair)
-        empty = models._Urn(PuParams(0 if loops else 1, 0, redraws, loops))
+        empty = models._Urn(PuParams(0 if loops else 1, redraws, loops))
         for t in (-1, 0, 1):
             with pytest.raises(ContractViolation):
                 empty.locate(t)
 
     def test_long_sequence_bytes_pinned(self):
         # One 300-vertex preferential-attachment edge sequence, large enough
-        # that the block starts run over many vertices, as versions 11 to 13
+        # that the block starts run over many vertices, as versions 11 to 14
         # write it.
         g = sample_pa_graph(random.Random(300), 300, 2)
         seq = tuple(sorted(g.edges))
-        codec = pu_sequence_codec(PuParams(g.n, len(seq)))
+        codec = pu_sequence_codec(PuParams(g.n), len(seq))
         m = message_init()
         codec.encode(m, seq)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0d\x00"
+        assert data[:6] == b"SHUF\x0e\x00"
         assert len(data) == 1154
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "50b32c6ec13fbdcd9e9fd75084a51449ac6edf800ea77901c45fc6276254e0fa"
@@ -620,11 +670,11 @@ class TestPolyaUrn:
             lambda: ErParams(-2, Fraction(1, 2)),
             lambda: ErParams(2.0, Fraction(1, 2)),
             lambda: ErParams(True, Fraction(1, 2)),
-            lambda: PuParams(-1, 0),
-            lambda: PuParams(2.0, 1),
-            lambda: PuParams(3, 1.5),
-            lambda: PuParams(3, True),
-            lambda: PuParams(3, -1),
+            lambda: PuParams(-1),
+            lambda: PuParams(2.0),
+            lambda: pu_sequence_codec(PuParams(3), 1.5),
+            lambda: pu_sequence_codec(PuParams(3), True),
+            lambda: pu_sequence_codec(PuParams(3), -1),
         ],
     )
     def test_counts_must_be_nonnegative_ints(self, make):
@@ -635,14 +685,15 @@ class TestPolyaUrn:
 
     def test_pu_beats_er_on_preferential_corpus(self, rng):
         # Directional: same graphs, net rates under PU vs ER with matched
-        # empirical parameters.
+        # empirical parameters. ER's matched p comes free, so the urn's
+        # edge count, log2(N + 1) bits per graph, is left out of its side.
         graphs = [sample_pa_graph(rng, 30, attachment=2) for _ in range(30)]
         pu_bits = er_bits = 0.0
         for g in graphs:
             m = random_message(seed=1, tail_words=512)
             before = m.length_bits
-            polya_urn_codec(PuParams(g.n, g.num_edges)).encode(m, g)
-            pu_bits += m.length_bits - before
+            polya_urn_codec(PuParams(g.n)).encode(m, g)
+            pu_bits += m.length_bits - before - math.log2(pair_count(g.n, False) + 1)
 
             pairs = g.n * (g.n - 1) // 2
             p = clamp_probability(Fraction(g.num_edges, pairs))
@@ -659,9 +710,7 @@ class TestPolyaUrn:
             for redraws, acc in ((False, "strict"), (True, "loose")):
                 m = random_message(seed=3, tail_words=512)
                 before = m.length_bits
-                codec = polya_urn_codec(
-                    PuParams(g.n, g.num_edges, allow_redraws=redraws)
-                )
+                codec = polya_urn_codec(PuParams(g.n, allow_redraws=redraws))
                 codec.encode(m, g)
                 bits = m.length_bits - before
                 if redraws:
@@ -675,7 +724,7 @@ def _urn_order_probs(n):
     """The probability of every edge order of K_n under the urn without
     redraws and with m = N edges, so that the graph itself is certain: the
     product of _Urn's own subrange masses over its totals, as Fractions."""
-    params = PuParams(n, pair_count(n, False))
+    params = PuParams(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     probs = {}
     for seq in permutations(pairs):
@@ -714,7 +763,7 @@ class TestUrnOrderGap:
 
     def test_k4_message_growth_is_minus_log2_p(self):
         params, probs = _urn_order_probs(4)
-        codec = pu_sequence_codec(params)
+        codec = pu_sequence_codec(params, pair_count(4, False))
         for k, (seq, p) in enumerate(probs.items()):
             m = random_message(seed=k % 7, tail_words=16)
             before = m.length_bits

@@ -25,7 +25,6 @@ from shufflecodec.params import (
     decode_dataset_params,
     encode_dataset_params,
     natural_list_codec,
-    sizes_largest_first,
 )
 
 from conftest import random_message
@@ -137,6 +136,7 @@ MALFORMED_BLOCKS = {
     "order shorter than the graphs": dict(order_perm=(1, 2)),
     "order with a duplicate": dict(order_perm=(1, 1, 0)),
     "er_counts of three numbers": dict(er_counts=(4, 9, 1)),
+    "redraws flag under er": dict(redraws=True),
 }
 
 
@@ -201,6 +201,10 @@ class TestDatasetParams:
         with pytest.raises(ValueError):
             DatasetParams("er", ((3, 1),), er_counts=None)
 
+    def test_unknown_model_refused(self):
+        with pytest.raises(ValueError, match="unknown model 'xx'"):
+            DatasetParams("xx", ((3, 1),), er_counts=(1, 2))
+
     def test_runs_and_diffs_convention(self):
         # counts {5, 5, 7}: runs (5 x2), (7 x1); diff sequence [5, 2]
         from shufflecodec.params import _runs_to_lists
@@ -208,9 +212,6 @@ class TestDatasetParams:
         lengths, diffs = _runs_to_lists(((5, 2), (7, 1)))
         assert lengths == [2, 1]
         assert diffs == [5, 2]
-
-    def test_sizes_largest_first(self):
-        assert sizes_largest_first(((3, 2), (5, 1))) == [5, 3, 3]
 
     def test_round_trip_er(self):
         params = make_params(
@@ -228,13 +229,14 @@ class TestDatasetParams:
     @pytest.mark.parametrize(
         "params",
         [
-            # 5 edges on 3 vertices, refused after the graph order is pushed.
-            DatasetParams("pu", ((3, 1),), pu_edge_counts=(5,), order_perm=(0,)),
+            # An edge attribute count of 2**32 in a pu block, refused after
+            # the graph order is pushed.
+            DatasetParams("pu", ((3, 1),), edge_attr_counts=(1 << 32,), order_perm=(0,)),
             # A vertex attribute count of 2**32, refused after the edge
             # counts, the edge attribute counts and their flag are pushed.
             make_params(vertex_attr_counts=(1 << 32,), edge_attr_counts=(2, 2)),
         ],
-        ids=["pu-edge-count", "vertex-attr-count"],
+        ids=["pu-edge-attr-count", "vertex-attr-count"],
     )
     def test_refused_block_leaves_the_message_unchanged(self, params):
         m = random_message(seed=6, tail_words=8)
@@ -245,12 +247,7 @@ class TestDatasetParams:
         assert m.pad_consumed == snapshot.pad_consumed
 
     def test_round_trip_pu(self):
-        params = make_params(
-            model="pu",
-            er_counts=None,
-            pu_edge_counts=(7, 2, 3),
-            redraws=True,
-        )
+        params = make_params(model="pu", er_counts=None, redraws=True)
         m = random_message(seed=3, tail_words=16)
         encode_dataset_params(m, params)
         assert decode_dataset_params(m) == params
@@ -282,12 +279,8 @@ class TestDatasetParams:
                     self_loops=loops,
                 )
             else:
-                counts = []
-                for n in sizes_largest_first(runs):
-                    cap = n * (n + 1) // 2 if loops else n * (n - 1) // 2
-                    counts.append(rng.randint(0, cap))
                 params = DatasetParams(
-                    "pu", runs, pu_edge_counts=tuple(counts), self_loops=loops
+                    "pu", runs, self_loops=loops, redraws=rng.random() < 0.5
                 )
             m = random_message(seed=5, tail_words=16)
             snapshot = m.copy()

@@ -100,6 +100,10 @@ class TestSchreierSims:
         chain = schreier_sims(grp)
         assert group_order(chain) == len(closure(3, grp.generators)) == 6
 
+    def test_generator_of_another_degree_refused(self):
+        with pytest.raises(DegreeMismatch, match="generator degree 3 != group degree 4"):
+            PermGroup(4, ((1, 0, 2, 3), (1, 0, 2)))
+
     def test_trivial_group(self):
         chain = schreier_sims(PermGroup(4, ()))
         assert group_order(chain) == 1

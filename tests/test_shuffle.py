@@ -199,7 +199,7 @@ class TestShuffleEncodeDecode:
             n = rng.randint(3, 7)
             g = sample_er_graph(rng, n, 0.5)
             codec = ShuffleCodec(
-                polya_urn_codec(PuParams(n, g.num_edges)), graph_class()
+                polya_urn_codec(PuParams(n)), graph_class()
             )
             m = random_message(seed=n, tail_words=128)
             snapshot = m.copy()
@@ -214,7 +214,7 @@ class TestShuffleEncodeDecode:
             g = sample_er_graph(rng, n, 0.5)
             s = tuple(rng.sample(range(n), n))
             codec = ShuffleCodec(
-                polya_urn_codec(PuParams(n, g.num_edges)), graph_class()
+                polya_urn_codec(PuParams(n)), graph_class()
             )
             m1 = random_message(seed=100 + trial, tail_words=128)
             m2 = random_message(seed=100 + trial, tail_words=128)
@@ -223,7 +223,7 @@ class TestShuffleEncodeDecode:
             assert m1 == m2
 
     def test_symmetric_graph_bytes_pinned(self, rng):
-        # Large automorphism groups in one message, as version 13 writes it:
+        # Large automorphism groups in one message, as versions 13 and 14 write it:
         # a group's twin runs are coded as one arrangement of block labels
         # (the empty graph, the star, 3 K3) or, with no run, by a shuffle,
         # after the blocks' order pops its rank in the quotient's block
@@ -245,7 +245,7 @@ class TestShuffleEncodeDecode:
                 s = tuple(rng.sample(range(g.n), g.n)) if trial else tuple(range(g.n))
                 codec.encode(m, apply_perm(s, g))
             data = message_serialize(m)
-            assert data[:6] == b"SHUF\x0d\x00"
+            assert data[:6] == b"SHUF\x0e\x00"
             assert hashlib.sha256(data[6:]).hexdigest() == (
                 "229ca4aa4d0a1ec67a721ba164ac6933547c7c369f2c0d86967618c6d3e06bfc"
             )
@@ -299,7 +299,7 @@ _REFUSED = {
         Graph(4, [(0, 0), (1, 2)]),
     ),
     "loop-under-loop-free-urn": (
-        lambda: ShuffleCodec(polya_urn_codec(PuParams(4, 2)), graph_class()),
+        lambda: ShuffleCodec(polya_urn_codec(PuParams(4)), graph_class()),
         Graph(4, [(0, 0), (1, 2)]),
     ),
 }
@@ -456,7 +456,7 @@ class TestMultisets:
 
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field, as versions 11 to 13 write it:
+        # everything after the version field, as versions 11 to 14 write it:
         # each ordering is one exact-mass draw per element, without
         # replacement, of the labels 0..r-1 of its r distinct values. (The
         # one sequence here with no repeated value has one element, and
@@ -469,7 +469,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0d\x00"
+        assert data[:6] == b"SHUF\x0e\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "97dea0b19c12facb24fecccf9c00de60aaf4eecc9abee9557e8a508014784b55"
         )
@@ -536,7 +536,7 @@ class TestSymmetrize:
         # of the same edge set, which the diagnostic reports as such.
         from shufflecodec.models import pu_sequence_codec
 
-        codec = pu_sequence_codec(PuParams(4, 3))
+        codec = pu_sequence_codec(PuParams(4), 3)
         seqs = [
             ((0, 1), (0, 2), (0, 3)),
             ((0, 2), (0, 1), (0, 3)),
