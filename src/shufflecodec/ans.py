@@ -61,7 +61,7 @@ _TOTAL_LIMIT = 1 << MAX_PRECISION
 _BERNOULLI_GRID = 1 << 32
 
 MAGIC = b"SHUF"
-FORMAT_VERSION = 14
+FORMAT_VERSION = 15
 
 DEFAULT_PAD_SEED = 0x53485546  # arbitrary fixed constant; see Message.pop_word
 

@@ -73,8 +73,13 @@ def _prepared_graphs(corpus: Corpus, attrs: str) -> List[Graph]:
     return list(corpus.graphs)
 
 
-def _attr_counts(values) -> Tuple[int, ...]:
-    counts = [0] * (max(values, default=-1) + 1)
+def _attr_counts(values, uniform: bool) -> Tuple[int, ...]:
+    """How often each value 0..max occurs; under uniform a count of 1 for
+    each, so every value is coded at the same cost."""
+    size = max(values, default=-1) + 1
+    if uniform:
+        return (1,) * size
+    counts = [0] * size
     for v in values:
         counts[v] += 1
     return tuple(counts)
@@ -106,13 +111,14 @@ def build_dataset_params(
     vertex_attr_counts = None
     edge_attr_counts = None
     if attrs != "none":
+        uniform = attrs == "uniform"
         if corpus.has_vertex_attrs:
             vertex_attr_counts = _attr_counts(
-                [a for g in graphs for a in g.vertex_attrs]
+                [a for g in graphs for a in g.vertex_attrs], uniform
             )
         if corpus.has_edge_attrs:
             edge_attr_counts = _attr_counts(
-                [a for g in graphs for a in g.edge_attrs.values()]
+                [a for g in graphs for a in g.edge_attrs.values()], uniform
             )
 
     er_counts = None
@@ -128,7 +134,6 @@ def build_dataset_params(
         edge_attr_counts=edge_attr_counts,
         er_counts=er_counts,
         self_loops=self_loops,
-        uniform_attrs=attrs == "uniform",
         redraws=redraws,
         order_perm=tuple(order) if keep_order else None,
     )
@@ -163,12 +168,7 @@ def graph_codec_for(params: DatasetParams, n: int) -> Codec:
         base = polya_urn_codec(PuParams(n, params.redraws, params.self_loops))
     if params.vertex_attr_counts is None and params.edge_attr_counts is None:
         return base
-    return with_attributes(
-        base,
-        params.vertex_attr_counts,
-        params.edge_attr_counts,
-        params.uniform_attrs,
-    )
+    return with_attributes(base, params.vertex_attr_counts, params.edge_attr_counts)
 
 
 def _slot_codecs(

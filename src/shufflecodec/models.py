@@ -34,7 +34,7 @@ from .ans import (
     push_uniforms,
     table_for,
 )
-from .graphs import Graph, graph_pairs, pair_count, plain_graph, trusted_graph
+from .graphs import Graph, pair_count, plain_graph, trusted_graph
 from .shuffle import ShuffleCodec, sequence_class
 
 # Edge probabilities in [0, 1] are clamped into [_P_FLOOR, 1 - _P_FLOOR].
@@ -55,6 +55,13 @@ def _check_count(x, what: str) -> None:
         raise ParameterError(f"{what} {x!r} is not a nonnegative int")
 
 
+def _check_flag(x, what: str) -> None:
+    """ParameterError unless x is a bool: a truthy string such as "no" would
+    otherwise turn the option on."""
+    if type(x) is not bool:
+        raise ParameterError(f"{what} {x!r} is not a bool")
+
+
 @dataclass(frozen=True)
 class ErParams:
     """Erdős-Rényi model on plain graphs: the edge probability of every
@@ -66,6 +73,7 @@ class ErParams:
 
     def __post_init__(self):
         _check_count(self.n, "vertex count")
+        _check_flag(self.self_loops, "self_loops")
         object.__setattr__(self, "edge_p", clamp_probability(self.edge_p))
 
 
@@ -80,6 +88,8 @@ class PuParams:
 
     def __post_init__(self):
         _check_count(self.n, "vertex count")
+        _check_flag(self.allow_redraws, "allow_redraws")
+        _check_flag(self.allow_self_loops, "allow_self_loops")
 
 
 def _iid_prob(weights: Tuple[int, ...], symbols) -> Fraction:
@@ -92,8 +102,7 @@ def _iid_prob(weights: Tuple[int, ...], symbols) -> Fraction:
 def string_codec(ps: Sequence[int], length: int) -> Codec:
     """Fixed-length strings of alphabet symbols, coded i.i.d. categorical
     over table_for(ps), as one run of the table kernel."""
-    if length < 0:
-        raise ParameterError("negative length")
+    _check_count(length, "string length")
     weights = tuple(ps)
     table = table_for(weights)
 
@@ -108,16 +117,13 @@ def string_codec(ps: Sequence[int], length: int) -> Codec:
     return Codec(encode, decode, lambda string: _iid_prob(weights, string))
 
 
-def _attr_weights(ps: Optional[Sequence[int]], uniform_attrs: bool) -> Optional[tuple]:
-    """The weights of one attribute: its counts, or equal weights under
-    uniform_attrs, which round as uniform symbols do. Counts that are all
-    zero (no vertex or no edge carries the attribute) give the one-symbol
+def _attr_weights(ps: Optional[Sequence[int]]) -> Optional[tuple]:
+    """The weights of one attribute: its counts. Counts that are all zero
+    (no vertex or no edge carries the attribute) give the one-symbol
     weights (1,), whose table never codes a symbol."""
     if ps is None:
         return None
-    if not any(ps):
-        return (1,)
-    return (1,) * len(ps) if uniform_attrs else tuple(ps)
+    return tuple(ps) if any(ps) else (1,)
 
 
 def _check_plain(g, n: int) -> None:
@@ -140,20 +146,21 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
     bernoulli_block_table(p, 8), the last block one symbol over
     bernoulli_block_table(p, N mod 8): p is rounded as bernoulli_weights rounds
     it, and the tables' rounding costs below 256 * 2**-32 relative per block.
-    Encode sets bit k & 7 of block k >> 3 per edge, k the edge's pair index,
-    so both directions cost O(m + N/8) for m edges. Equal pair probabilities
-    make it exchangeable; ``prob`` is the exact model probability.
+    Encode sets bit k & 7 of block k >> 3 per edge, k the edge's pair index;
+    decode walks the rows of the set bits' indices, row i holding the pairs
+    (j, i), so both directions cost O(n + m + N/8) for m edges, and the codec
+    keeps no list of pairs. Equal pair probabilities make it exchangeable;
+    ``prob`` is the exact model probability.
     """
     n, loops, p = params.n, params.self_loops, params.edge_p
-    pairs = list(graph_pairs(n, loops))
-    block_pairs = [pairs[k : k + 8] for k in range(0, len(pairs), 8)]
-    full, rest = divmod(len(pairs), 8)
+    num_pairs = pair_count(n, loops)
+    full, rest = divmod(num_pairs, 8)
     block_table = bernoulli_block_table(p, 8)
     rest_table = bernoulli_block_table(p, rest) if rest else None
 
     def encode(m: Message, g: Graph) -> None:
         _check_plain(g, n)
-        blocks = bytearray(len(block_pairs))
+        blocks = bytearray(full + (rest > 0))
         # Pair (j, i), j <= i, has index i(i-1)/2 + j, or i(i+1)/2 + j with loops.
         for j, i in g.edges:
             if j == i and not loops:
@@ -169,18 +176,25 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
         if rest:
             blocks += pop_symbols(m, rest_table, 1)
         edges = []
-        for block, x in zip(block_pairs, blocks):
+        i = start = 0  # row i holds the indices [start, end)
+        end = 1 if loops else 0
+        for b, x in enumerate(blocks):
             if x:
-                edges += map(block.__getitem__, _SET_BITS[x])
+                for t in _SET_BITS[x]:
+                    k = b << 3 | t
+                    while k >= end:
+                        i += 1
+                        start, end = end, end + i + loops
+                    edges.append((k - start, i))
         return trusted_graph(n, frozenset(edges))
 
     def prob(g: Graph) -> Fraction:
+        if any(i >= n or (j == i and not loops) for j, i in g.edges):
+            return Fraction(0)  # an edge the model cannot draw
         q0, q1 = bernoulli_weights(p)
         p_edge = Fraction(q1, q0 + q1)
-        present = sum(1 for e in pairs if e in g.edges)
-        if present != len(g.edges):  # an edge the model cannot draw
-            return Fraction(0)
-        return p_edge**present * (1 - p_edge) ** (len(pairs) - present)
+        present = len(g.edges)
+        return p_edge**present * (1 - p_edge) ** (num_pairs - present)
 
     return Codec(encode, decode, prob)
 
@@ -360,21 +374,19 @@ def with_attributes(
     base: Codec,
     vertex_attr_ps: Optional[Tuple[int, ...]] = None,
     edge_attr_ps: Optional[Tuple[int, ...]] = None,
-    uniform_attrs: bool = False,
 ) -> Codec:
     """Layer i.i.d. attribute coding over a plain-graph codec (either model).
 
     Decode order: the base graph, then one attribute per vertex, then one per
     edge in graph_pairs order. Each attribute is coded over the table of its
-    integer counts; uniform_attrs codes every attribute uniformly over the
-    table's alphabet. ``prob`` is the base probability times the attribute
-    probabilities, when the base has one. An encode refused with a
-    CodecError restores the head and stack depth it found: pushes only
-    append words, and a base that pops (the urn's inner shuffle) restores
-    itself before it raises.
+    integer counts (equal counts code it uniformly). ``prob`` is the base
+    probability times the attribute probabilities, when the base has one.
+    An encode refused with a CodecError restores the head and stack depth
+    it found: pushes only append words, and a base that pops (the urn's
+    inner shuffle) restores itself before it raises.
     """
-    v_weights = _attr_weights(vertex_attr_ps, uniform_attrs)
-    e_weights = _attr_weights(edge_attr_ps, uniform_attrs)
+    v_weights = _attr_weights(vertex_attr_ps)
+    e_weights = _attr_weights(edge_attr_ps)
     v_table = None if v_weights is None else table_for(v_weights)
     e_table = None if e_weights is None else table_for(e_weights)
 

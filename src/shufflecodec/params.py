@@ -1,82 +1,78 @@
 """Per-dataset model parameter coding.
 
 Everything the decoder needs is carried inside the single compressed message,
-decoded before any graph: model and flag bits, run-length coded vertex counts,
-attribute count tables, and er's edge and non-edge counts (the urn codes
-each graph's edge count with the graph, in models). Lists of naturals
-are coded as one run of uniform symbols: list length (46-bit uniform), the
-bit count B of the maximum element (uniform over 0..32), then each element
-with a log-uniform code: a bit-length k uniform on {0..B} followed by the
-k-1 free bits (k = 0 encodes the value 0). Zeros cost no bits when B = 0,
-so such a list is capped at _ZERO_LIST_LIMIT elements: a few header bits
-cannot demand 2**46 of them.
+decoded before any graph: the flags, the vertex-count runs, the attribute
+count tables, er's edge and non-edge counts (the urn codes each graph's edge
+count with the graph, in models) and the optional graph order. The runs are
+one list of (rise over the previous vertex count, multiplicity) pairs.
+
+Every number of the block is a natural below 2**46, coded one way: its bit
+length k as one uniform symbol over 0..46, then x - 2**(k-1) as one uniform
+symbol over 2**(k-1) values (over one value, which costs nothing, for
+k <= 1). A list is its length followed by its elements. Each number costs at
+least log2(47) ~ 5.55 bits, so a decoder reads at most one number per 5.55
+bits of message. DatasetParams is the block's one validator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .ans import Codec, CodecError, ContractViolation, FormatError, Message
+from .ans import Codec, ContractViolation, FormatError, Message
 from .ans import pop_uniforms, push_uniforms
 
-_LENGTH_LIMIT = 1 << 46
-_ELEMENT_LIMIT = 1 << 32
-_ZERO_LIST_LIMIT = 1 << 16
+_NATURAL_LIMIT = 1 << 46
+_BIT_LENGTHS = _NATURAL_LIMIT.bit_length()  # k in 0..46
+# The block's lists after the vertex-count runs, each under a flag: er_counts
+# is present under model 'er' alone, so it tells the model.
+_LISTS = ("vertex_attr_counts", "edge_attr_counts", "er_counts", "order_perm")
+_FLAGS = (2,) * (2 + len(_LISTS))  # self-loops, redraws, then each list present
 
-_HEADER_SIZES = (_LENGTH_LIMIT, 33)  # list length, bit count of the maximum
-_FLAG = (2,)  # a flag is one uniform symbol over {0, 1}
+
+def _natural_symbols(xs: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The uniform symbols and sizes of naturals xs, first number first;
+    ContractViolation unless each is an int in [0, 2**46), bools refused."""
+    if not {int}.issuperset(map(type, xs)) or not all(
+        0 <= x < _NATURAL_LIMIT for x in xs
+    ):
+        raise ContractViolation("numbers must be ints in [0, 2**46)")
+    symbols, sizes = [], []
+    for x in xs:
+        k = x.bit_length()
+        lead = 1 << k >> 1
+        symbols += (k, x - lead)
+        sizes += (_BIT_LENGTHS, lead or 1)
+    return symbols, sizes
+
+
+def _pop_natural(m: Message) -> int:
+    (k,) = pop_uniforms(m, (_BIT_LENGTHS,))
+    lead = 1 << k >> 1
+    return lead + pop_uniforms(m, (lead or 1,))[0]
+
+
+def _pop_list(m: Message) -> List[int]:
+    return [_pop_natural(m) for _ in range(_pop_natural(m))]
 
 
 def natural_list_codec() -> Codec:
-    """Codec over lists of naturals below 2**32, any length below 2**46.
-    Element x is its bit length k and then x - 2**(k-1) as one uniform symbol
-    over 2**(k-1) values (over one value, which costs nothing, for k <= 1).
-    encode raises ContractViolation, before the message changes, for a list
-    it cannot code, bools and other non-int elements included."""
+    """Codec over lists of naturals below 2**46, any length below 2**46: the
+    length, then the elements. encode raises ContractViolation, before the
+    message changes, for a list it cannot code, bools and other non-int
+    elements included."""
 
     def encode(m: Message, xs) -> None:
         xs = list(xs)
-        if len(xs) >= _LENGTH_LIMIT:
-            raise ContractViolation("list too long")
-        if not {int}.issuperset(map(type, xs)):
-            raise ContractViolation("elements must be ints")
-        top = max(xs, default=0)
-        if any(x < 0 for x in xs) or top >= _ELEMENT_LIMIT:
-            raise ContractViolation("element outside [0, 2**32)")
-        bit_count = top.bit_length()
-        if bit_count == 0 and len(xs) > _ZERO_LIST_LIMIT:
-            raise ContractViolation(f"all-zero list longer than {_ZERO_LIST_LIMIT}")
-        symbols = [len(xs), bit_count]
-        sizes = list(_HEADER_SIZES)
-        for x in xs:
-            k = x.bit_length()
-            lead = 1 << k >> 1
-            symbols += (k, x - lead)
-            sizes += (bit_count + 1, lead or 1)
-        push_uniforms(m, symbols, sizes)
+        push_uniforms(m, *_natural_symbols([len(xs), *xs]))
 
-    def decode(m: Message) -> List[int]:
-        length, bit_count = pop_uniforms(m, _HEADER_SIZES)
-        if bit_count == 0 and length > _ZERO_LIST_LIMIT:
-            raise FormatError(f"all-zero list of length {length}")
-        k_sizes = (bit_count + 1,)
-        xs = []
-        for _ in range(length):
-            (k,) = pop_uniforms(m, k_sizes)
-            lead = 1 << k >> 1
-            xs.append(lead + pop_uniforms(m, (lead or 1,))[0])
-        return xs
-
-    return Codec(encode, decode)
-
-
-_naturals = natural_list_codec()
+    return Codec(encode, _pop_list)
 
 
 @dataclass(frozen=True)
 class DatasetParams:
-    """Everything shared by encoder and decoder for one dataset.
+    """Everything shared by encoder and decoder for one dataset, checked
+    here alone: decode_dataset_params refuses what this refuses.
 
     vertex_count_runs holds (vertex count, multiplicity) pairs ascending by
     count; graphs are coded largest-first, so the coding order is the runs
@@ -89,7 +85,6 @@ class DatasetParams:
     edge_attr_counts: Optional[Tuple[int, ...]] = None
     er_counts: Optional[Tuple[int, int]] = None  # (edges, non-edges)
     self_loops: bool = False
-    uniform_attrs: bool = False
     redraws: bool = False
     order_perm: Optional[Tuple[int, ...]] = None
 
@@ -101,103 +96,51 @@ class DatasetParams:
             raise ValueError("non-positive run length")
         if list(runs) != sorted(runs) or len({n for n, _ in runs}) != len(runs):
             raise ValueError("runs must be strictly ascending in vertex count")
-        if self.model == "er" and self.er_counts is None:
-            raise ValueError("er model requires er_counts")
+        if (self.er_counts is not None) != (self.model == "er"):
+            raise ValueError("er_counts go with model 'er', and only with it")
+        if self.er_counts is not None and len(self.er_counts) != 2:
+            raise ValueError("er_counts must hold two numbers")
         if self.redraws and self.model != "pu":
             raise ValueError(f"redraws applies to model 'pu' only, got {self.model!r}")
-
-
-def _runs_to_lists(runs) -> Tuple[List[int], List[int]]:
-    lengths = [count for _, count in runs]
-    diffs = []
-    prev = 0
-    for n, _ in runs:
-        diffs.append(n - prev)
-        prev = n
-    return lengths, diffs
-
-
-def _lists_to_runs(lengths, diffs) -> Tuple[Tuple[int, int], ...]:
-    if len(lengths) != len(diffs):
-        raise FormatError("run/diff length mismatch")
-    runs = []
-    n = 0
-    for count, diff in zip(lengths, diffs):
-        n += diff
-        runs.append((n, count))
-    return tuple(runs)
+        order, graphs = self.order_perm, sum(count for _, count in runs)
+        # The length first: a block that claims 2**40 graphs builds no range.
+        if order is not None and (
+            len(order) != graphs or sorted(order) != list(range(graphs))
+        ):
+            raise ValueError("graph order is not a permutation of the graphs")
 
 
 def encode_dataset_params(m: Message, params: DatasetParams) -> None:
-    """Push the parameter block; the reverse of decode_dataset_params. A
-    refused block restores the head and stack depth it found, which leaves
-    the message as it was: every push only appends words."""
-    head, depth = m.head, len(m.tail)
-    try:
-        if params.order_perm is not None:
-            _naturals.encode(m, list(params.order_perm))
-        if params.model == "er":
-            _naturals.encode(m, list(params.er_counts))
-        if params.edge_attr_counts is not None:
-            _naturals.encode(m, list(params.edge_attr_counts))
-        push_uniforms(m, [int(params.edge_attr_counts is not None)], _FLAG)
-        if params.vertex_attr_counts is not None:
-            _naturals.encode(m, list(params.vertex_attr_counts))
-        push_uniforms(m, [int(params.vertex_attr_counts is not None)], _FLAG)
-        lengths, diffs = _runs_to_lists(params.vertex_count_runs)
-        _naturals.encode(m, diffs)
-        _naturals.encode(m, lengths)
-        flags = (
-            params.model == "pu",
-            params.self_loops,
-            params.uniform_attrs,
-            params.redraws,
-            params.order_perm is not None,
-        )
-        push_uniforms(m, [1 if f else 0 for f in flags], _FLAG * len(flags))
-    except CodecError:
-        del m.tail[depth:]
-        m.head = head
-        raise
+    """Push the parameter block, the reverse of decode_dataset_params, as one
+    run of uniform symbols: ContractViolation, before the message changes,
+    for a number that is not an int in [0, 2**46)."""
+    lists = [getattr(params, name) for name in _LISTS]
+    flags = [params.self_loops, params.redraws] + [xs is not None for xs in lists]
+    numbers = [len(params.vertex_count_runs)]
+    previous = 0
+    for n, count in params.vertex_count_runs:
+        numbers += (n - previous, count)
+        previous = n
+    for xs in lists:
+        if xs is not None:
+            numbers += (len(xs), *xs)
+    symbols, sizes = _natural_symbols(numbers)
+    push_uniforms(m, [1 if f else 0 for f in flags] + symbols, list(_FLAGS) + sizes)
 
 
 def decode_dataset_params(m: Message) -> DatasetParams:
-    """Pop the parameter block. Raises FormatError for flags, vertex-count
-    runs, er_counts or a graph order that encode_dataset_params never
-    writes, before any graph is decoded."""
-    is_pu, self_loops, uniform_attrs, redraws, has_order = map(
-        bool, pop_uniforms(m, _FLAG * 5)
-    )
-    model = "pu" if is_pu else "er"
-    if redraws and not is_pu:
-        raise FormatError("redraws flag set under model 'er'")
-    lengths = _naturals.decode(m)
-    diffs = _naturals.decode(m)
-    runs = _lists_to_runs(lengths, diffs)
-    if 0 in lengths or 0 in diffs[1:]:
-        raise FormatError("vertex-count runs need positive lengths and distinct counts")
-    vertex_attr_counts = tuple(_naturals.decode(m)) if pop_uniforms(m, _FLAG)[0] else None
-    edge_attr_counts = tuple(_naturals.decode(m)) if pop_uniforms(m, _FLAG)[0] else None
-    er_counts = None
-    if model == "er":
-        pair = _naturals.decode(m)
-        if len(pair) != 2:
-            raise FormatError("er_counts must hold two numbers")
-        er_counts = (pair[0], pair[1])
-    order_perm = None
-    if has_order:
-        order_perm = tuple(_naturals.decode(m))
-        k = len(order_perm)
-        if k != sum(lengths) or sorted(order_perm) != list(range(k)):
-            raise FormatError("graph order is not a permutation of the graphs")
-    return DatasetParams(
-        model,
-        runs,
-        vertex_attr_counts,
-        edge_attr_counts,
-        er_counts,
-        self_loops,
-        uniform_attrs,
-        redraws,
-        order_perm,
-    )
+    """Pop the parameter block; FormatError, before any graph is decoded, for
+    a block that DatasetParams refuses."""
+    self_loops, redraws, *present = map(bool, pop_uniforms(m, _FLAGS))
+    runs, n = [], 0
+    for _ in range(_pop_natural(m)):
+        n += _pop_natural(m)
+        runs.append((n, _pop_natural(m)))
+    lists = dict(zip(_LISTS, (tuple(_pop_list(m)) if has else None for has in present)))
+    model = "pu" if lists["er_counts"] is None else "er"
+    try:
+        return DatasetParams(
+            model, tuple(runs), self_loops=self_loops, redraws=redraws, **lists
+        )
+    except ValueError as e:
+        raise FormatError(str(e)) from None

@@ -125,7 +125,7 @@ class _SequenceClass(PermutableClass):
             push_shuffle(m, tuple(sorted(range(len(g)), key=g.__getitem__)))
         else:
             push_arrangement(m, [bisect_left(values, x) for x in g], sizes)
-        return tuple(canon)
+        return "".join(canon) if isinstance(g, str) else tuple(canon)
 
 
 def sequence_class() -> PermutableClass:

@@ -413,11 +413,13 @@ class TestSerialization:
                 message_deserialize(bytes(data))
 
     def test_er_corpus_bytes_unchanged_by_version_2(self):
-        # ER and attribute tables, pinned as versions 12 to 14 write them (its
-        # searched graphs canonize through the twin quotient): the ER pairs are coded eight per block symbol, the block and
-        # attribute tables are the cumulative floors of their integer
-        # weights, the parameter block's lists are runs of uniform symbols
-        # under the same rule.
+        # ER and attribute tables, pinned as version 15 writes them (its
+        # searched graphs canonize through the twin quotient): the ER pairs
+        # are coded eight per block symbol, the block and attribute tables
+        # are the cumulative floors of their integer weights, and each
+        # number of the parameter block is its bit length and its free bits,
+        # two uniform symbols. The graphs' bytes are those of versions 12 to
+        # 14; version 15 changed the parameter block alone.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -426,16 +428,16 @@ class TestSerialization:
             for _ in range(40)
         )
         data, _ = compress_corpus(Corpus(graphs, "golden", True, True), model="er")
-        assert data[:6] == b"SHUF\x0e\x00"
-        assert len(data) == 294
+        assert data[:6] == b"SHUF\x0f\x00"
+        assert len(data) == 276
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "cd4cfad233a9a7f9c7daf7bd31e833bf5f0729477b45efbd35d0eec40f289217"
+            "97b3f02e598dac074725503643fcac3c2b99cbd2a4f149515bb26f8570450779"
         )
 
     def test_pu_corpus_bytes_pinned(self):
         # Seeded preferential-attachment graphs under the urn model: the urn's
         # exact-mass pair symbols and both shuffle levels (graph and edge list),
-        # as version 14 writes them: a twin class takes a run of canonical
+        # as version 15 writes them: a twin class takes a run of canonical
         # positions, a quotient with automorphisms codes the blocks' order
         # by its chain on the blocks, an edge list, whose edges are
         # distinct, is one Fisher-Yates shuffle, and each graph's edge count
@@ -443,15 +445,16 @@ class TestSerialization:
         rng = random.Random(2408)
         graphs = tuple(sample_pa_graph(rng, rng.randint(6, 14), 2) for _ in range(20))
         data, _ = compress_corpus(Corpus(graphs, "golden-pu", False, False), model="pu")
-        assert data[:6] == b"SHUF\x0e\x00"
-        assert len(data) == 104
+        assert data[:6] == b"SHUF\x0f\x00"
+        assert len(data) == 98
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "3d24c3f2ddf2cb208a995769e5e4221122542fd313d9a082bdcb0678bd43b43e"
+            "16c2ae3d87f7c392bde561090d6142fb12f9d615757b05151ff1a141f28b7e17"
         )
 
     def test_uniform_attrs_er_corpus_bytes_pinned(self):
         # The uniform-attribute ablation: attributes coded uniformly over the
-        # alphabets of the count tables, as versions 12 to 14 write it.
+        # alphabets of the count tables, stored as one count per value, as
+        # version 15 writes it.
         rng = random.Random(2408)
         graphs = tuple(
             sample_er_graph(
@@ -461,10 +464,10 @@ class TestSerialization:
         )
         corpus = Corpus(graphs, "golden-uniform", True, True)
         data, _ = compress_corpus(corpus, model="er", attrs="uniform")
-        assert data[:6] == b"SHUF\x0e\x00"
-        assert len(data) == 338
+        assert data[:6] == b"SHUF\x0f\x00"
+        assert len(data) == 314
         assert hashlib.sha256(data[6:]).hexdigest() == (
-            "ce9eb290028abff3663e7e0efc4c23a33bc1033f491a32edbb4a1d1f409d23fe"
+            "710d9ecc68b1facc174aa00b4e731f602b0e7c5453b28a8c81e3b2cb5a32842f"
         )
 
     def test_truncation_detected(self):

@@ -796,7 +796,7 @@ class TestTwinQuotient:
         assert c.aut_order == math.factorial(k) and keys == []
         assert [b - a for a, b in c.aut_group.runs] == [k]
 
-    @pytest.mark.parametrize("n, bits", [(40, 187.6), (80, 191.3)])
+    @pytest.mark.parametrize("n, bits", [(40, 56.3), (80, 59.3)])
     def test_empty_graphs_cost_only_the_parameter_block(self, n, bits):
         # Two empty graphs: the coset step of S_n codes nothing, and the ER
         # pairs at the smallest coded probability cost about 1e-3 bits a

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -68,6 +69,13 @@ class TestStringCodec:
     def test_symbol_outside_alphabet(self):
         with pytest.raises(ContractViolation):
             string_codec([1, 1], 1).encode(message_init(), (2,))
+
+    @pytest.mark.parametrize("length", [2.5, True, -1, "3"])
+    def test_length_must_be_a_nonnegative_int(self, length):
+        # 2.5 would build a codec that can never encode, and True would act
+        # as length 1.
+        with pytest.raises(ParameterError):
+            string_codec((1, 1), length)
 
 
 class TestErdosRenyi:
@@ -256,6 +264,56 @@ class TestErBlocks:
         assert m == snapshot
         assert m.pad_consumed == snapshot.pad_consumed
 
+    def test_ordered_bytes_pinned(self):
+        # Seeded graphs on 0..40 vertices, with and without self-loops, at
+        # each block-test probability, coded into one message: the bytes of
+        # the blocks of eight pairs and of the last N mod 8 pairs, as
+        # versions 14 and 15 write them.
+        rng = random.Random(2408)
+        m = message_init()
+        graphs = []
+        for loops in (False, True):
+            for p in BLOCK_PS:
+                for n in range(0, 41, 3):
+                    params = ErParams(n, p, loops)
+                    codec = erdos_renyi_codec(params)
+                    q = max(float(params.edge_p), 0.05)
+                    g = sample_er_graph(rng, n, q, self_loops=loops)
+                    codec.encode(m, g)
+                    graphs.append((codec, g))
+        data = message_serialize(m)
+        assert len(data) == 3400
+        assert hashlib.sha256(data[6:]).hexdigest() == (
+            "ceacb349f5ab13190a3a5691c3fd9a9262170ae87443a184a800f43db3e2def1"
+        )
+        for codec, g in reversed(graphs):
+            assert codec.decode(m) == g
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_complete_graphs_round_trip(self, loops):
+        # Every bit of every block set: decode walks each row to its end.
+        for n in range(41):
+            codec = erdos_renyi_codec(ErParams(n, Fraction(9, 10), loops))
+            g = Graph(n, graph_pairs(n, loops))
+            m = random_message(seed=n, tail_words=4)
+            snapshot = m.copy()
+            codec.encode(m, g)
+            assert codec.decode(m) == g
+            assert m == snapshot
+
+    def test_building_keeps_no_pair_list(self):
+        # G(2000, 1/500) has 1 999 000 pairs; a list of them takes over
+        # 100 MB.
+        erdos_renyi_codec(ErParams(2000, Fraction(1, 500)))  # tables cached
+        tracemalloc.start()
+        try:
+            codec = erdos_renyi_codec(ErParams(2000, Fraction(1, 500)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert codec.prob(Graph(2000, [(0, 1), (1, 1)])) == 0
+
     @pytest.mark.parametrize("p", BLOCK_PS)
     def test_every_block_mass_positive(self, p):
         p = clamp_probability(p)
@@ -286,10 +344,9 @@ class TestAttributeLayer:
     def test_probabilities_sum_to_one_n3(self):
         from itertools import combinations, product
 
-        for uniform in (False, True):
-            codec = with_attributes(
-                erdos_renyi_codec(ErParams(3, Fraction(1, 3))), (3, 1), (1, 2), uniform
-            )
+        # Count weights, and the uniform weights of `--attrs uniform`.
+        for v_ps, e_ps in (((3, 1), (1, 2)), ((1, 1), (1, 1))):
+            codec = with_attributes(erdos_renyi_codec(ErParams(3, Fraction(1, 3))), v_ps, e_ps)
             pairs = list(combinations(range(3), 2))
             total = Fraction(0)
             for bits in range(8):
@@ -649,7 +706,7 @@ class TestPolyaUrn:
 
     def test_long_sequence_bytes_pinned(self):
         # One 300-vertex preferential-attachment edge sequence, large enough
-        # that the block starts run over many vertices, as versions 11 to 14
+        # that the block starts run over many vertices, as versions 11 to 15
         # write it.
         g = sample_pa_graph(random.Random(300), 300, 2)
         seq = tuple(sorted(g.edges))
@@ -657,7 +714,7 @@ class TestPolyaUrn:
         m = message_init()
         codec.encode(m, seq)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0e\x00"
+        assert data[:6] == b"SHUF\x0f\x00"
         assert len(data) == 1154
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "50b32c6ec13fbdcd9e9fd75084a51449ac6edf800ea77901c45fc6276254e0fa"
@@ -680,6 +737,22 @@ class TestPolyaUrn:
     def test_counts_must_be_nonnegative_ints(self, make):
         # The rule Graph applies to its vertex count: a float or a bool equal
         # to an int is refused, not coded as that int.
+        with pytest.raises(ParameterError):
+            make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ErParams(3, Fraction(1, 2), self_loops="no"),
+            lambda: ErParams(3, Fraction(1, 2), self_loops=1),
+            lambda: PuParams(3, allow_redraws="no"),
+            lambda: PuParams(3, allow_redraws=0),
+            lambda: PuParams(3, allow_self_loops="no"),
+            lambda: PuParams(3, allow_self_loops=None),
+        ],
+    )
+    def test_flags_must_be_bools(self, make):
+        # A truthy string such as "no" would turn the option on.
         with pytest.raises(ParameterError):
             make()
 

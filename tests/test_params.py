@@ -14,6 +14,7 @@ from shufflecodec.ans import (
     message_deserialize,
     message_init,
     message_serialize,
+    pop_uniforms,
     push_uniforms,
 )
 from shufflecodec.cli import main
@@ -30,23 +31,28 @@ from shufflecodec.params import (
 from conftest import random_message
 
 
+# Every number costs its bit-length symbol, one of 47, plus its free bits.
+NUMBER_BITS = math.log2(47)
+
+
 class TestNaturalList:
     def test_empty_list(self):
         codec = natural_list_codec()
         m = message_init()
         before = m.length_bits
         codec.encode(m, [])
-        # length header (46 bits) plus the bit-count header (log2 33)
-        assert abs((m.length_bits - before) - (46 + math.log2(33))) <= 0.5
+        # the length 0: its bit length alone
+        assert abs((m.length_bits - before) - NUMBER_BITS) <= 0.01
         assert codec.decode(m) == []
 
-    def test_all_zero_elements_cost_nothing_extra(self):
+    def test_each_zero_costs_its_bit_length_symbol(self):
         codec = natural_list_codec()
         m = message_init()
         before = m.length_bits
         codec.encode(m, [0, 0, 0])
-        # B = 0, so each element's bit-length symbol is over {0}: free
-        assert abs((m.length_bits - before) - (46 + math.log2(33))) <= 0.5
+        # the length 3 = 11b with its one free bit, then three zeros, which
+        # have none
+        assert abs((m.length_bits - before) - (4 * NUMBER_BITS + 1)) <= 0.01
         assert codec.decode(m) == [0, 0, 0]
 
     def test_five_five_seven_cost(self):
@@ -54,13 +60,13 @@ class TestNaturalList:
         m = message_init()
         before = m.length_bits
         codec.encode(m, [5, 5, 7])
-        # headers 46 + log2(33); three bit-length symbols over {0..3}; and
-        # two free bits for each element (5 = 101b, 7 = 111b).
-        expected = 46 + math.log2(33) + 3 * math.log2(4) + 6
-        assert abs((m.length_bits - before) - expected) <= 2.0
+        # four bit-length symbols; one free bit for the length 3 = 11b and
+        # two for each element (5 = 101b, 7 = 111b).
+        expected = 4 * NUMBER_BITS + 1 + 6
+        assert abs((m.length_bits - before) - expected) <= 0.01
         assert codec.decode(m) == [5, 5, 7]
 
-    @given(st.lists(st.integers(0, 2**32 - 1), max_size=60))
+    @given(st.lists(st.integers(0, 2**46 - 1), max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, xs):
         codec = natural_list_codec()
@@ -72,12 +78,12 @@ class TestNaturalList:
 
     def test_bounds(self):
         codec = natural_list_codec()
-        with pytest.raises(ContractViolation):
-            codec.encode(message_init(), [1 << 32])
-        with pytest.raises(ContractViolation):
-            codec.encode(message_init(), [-1])
-        with pytest.raises(ContractViolation, match="all-zero"):
-            codec.encode(message_init(), [0] * (1 << 20))
+        for xs in ([1 << 46], [-1], [3, 1 << 60]):
+            m = random_message(seed=2, tail_words=8)
+            snapshot = m.copy()
+            with pytest.raises(ContractViolation):
+                codec.encode(m, xs)
+            assert m == snapshot
 
     def test_non_int_elements_refused_before_the_message_changes(self):
         codec = natural_list_codec()
@@ -89,27 +95,27 @@ class TestNaturalList:
             assert m == snapshot
 
 
-def zero_list_header(m, length):
-    """Push the header of a list of `length` zeros: bit count 0, then length."""
-    push_uniforms(m, [length, 0], [1 << 46, 33])
-
-
 class TestUntrustedLists:
-    # Zeros cost no bits when the bit count is 0, so without a cap a few
-    # header bits could make the decoder loop for 2**46 elements.
-    def test_long_zero_list_refused(self):
+    # No number is free, so a list length read from a few bits cannot make
+    # the decoder loop past the end of the message.
+    def test_framed_runs_list_of_2_40_numbers_refused_within_a_few_pops(
+        self, monkeypatch
+    ):
         m = message_init()
-        zero_list_header(m, (1 << 20) + 1)
-        with pytest.raises(FormatError, match="all-zero"):
-            natural_list_codec().decode(m)
+        push_uniforms(m, [41, 0], [47, 1 << 40])  # the natural 2**40
+        push_uniforms(m, [0] * 6, [2] * 6)  # flags: no loops, lists or redraws
+        calls = []
+        pop = params_module.pop_uniforms
 
-    def test_framed_message_with_long_zero_list_refused(self):
-        m = message_init()
-        zero_list_header(m, (1 << 20) + 1)
-        # model, loops, uniform attrs, redraws and order flags, all 0
-        push_uniforms(m, [0] * 5, [2] * 5)
-        with pytest.raises(CodecError, match="all-zero"):
+        def counted(m, sizes):
+            calls.append(sizes)
+            return pop(m, sizes)
+
+        monkeypatch.setattr(params_module, "pop_uniforms", counted)
+        with pytest.raises(CodecError):
             decompress_corpus(message_serialize(m))
+        # the flags, the length's two symbols, the first rise's bit length
+        assert len(calls) == 4
 
 
 def tampered_message(**fields) -> bytes:
@@ -136,6 +142,7 @@ MALFORMED_BLOCKS = {
     "order shorter than the graphs": dict(order_perm=(1, 2)),
     "order with a duplicate": dict(order_perm=(1, 1, 0)),
     "er_counts of three numbers": dict(er_counts=(4, 9, 1)),
+    "er_counts of one number": dict(er_counts=(4,)),
     "redraws flag under er": dict(redraws=True),
 }
 
@@ -158,24 +165,6 @@ class TestMalformedParameterBlocks:
         argv = ["decompress", "--in", str(blob), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_run_and_diff_lists_of_different_lengths(self, monkeypatch):
-        m = message_deserialize(tampered_message())
-        params = decode_dataset_params(m)
-        real = params_module._runs_to_lists
-
-        def uneven(runs):
-            lengths, diffs = real(runs)
-            return lengths, diffs[:-1]
-
-        monkeypatch.setattr(params_module, "_runs_to_lists", uneven)
-        encode_dataset_params(m, params)
-        monkeypatch.undo()
-        data = message_serialize(m)
-        with pytest.raises(FormatError, match="run/diff length mismatch"):
-            decode_dataset_params(message_deserialize(data))
-        with pytest.raises(FormatError):
-            decompress_corpus(data)
 
     def test_untampered_message_decodes(self):
         corpus = decompress_corpus(tampered_message())
@@ -206,19 +195,45 @@ class TestDatasetParams:
             DatasetParams("xx", ((3, 1),), er_counts=(1, 2))
 
     def test_runs_and_diffs_convention(self):
-        # counts {5, 5, 7}: runs (5 x2), (7 x1); diff sequence [5, 2]
-        from shufflecodec.params import _runs_to_lists
+        # counts {5, 5, 7}: runs (5 x2), (7 x1), coded after the six flags as
+        # the run count, then (rise over the previous count, multiplicity)
+        # pairs: 2, then (5, 2) and (2, 1).
+        m = message_init()
+        encode_dataset_params(m, DatasetParams("pu", ((5, 2), (7, 1))))
+        assert pop_uniforms(m, [2] * 6) == [0] * 6
+        assert [params_module._pop_natural(m) for _ in range(5)] == [2, 5, 2, 2, 1]
+        assert m == message_init()
 
-        lengths, diffs = _runs_to_lists(((5, 2), (7, 1)))
-        assert lengths == [2, 1]
-        assert diffs == [5, 2]
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(er_counts=(4, 9, 1)),
+            dict(er_counts=(4,)),
+            dict(model="pu", er_counts=(4, 9)),
+            dict(vertex_count_runs=((3, 2),), order_perm=(0, 0)),
+            dict(order_perm=(0, 1)),
+            dict(order_perm=(0, 1, 3)),
+        ],
+        ids=[
+            "three-er-counts",
+            "one-er-count",
+            "er-counts-under-pu",
+            "order-with-a-repeat",
+            "order-too-short",
+            "order-past-the-end",
+        ],
+    )
+    def test_malformed_fields_refused(self, fields):
+        # Each passed DatasetParams at format 14, where some were refused
+        # by the decoder alone.
+        with pytest.raises(ValueError):
+            make_params(**fields)
 
     def test_round_trip_er(self):
         params = make_params(
             vertex_attr_counts=(3, 0, 7),
             edge_attr_counts=(2, 2),
             self_loops=True,
-            uniform_attrs=True,
         )
         m = random_message(seed=2, tail_words=16)
         snapshot = m.copy()
@@ -229,12 +244,12 @@ class TestDatasetParams:
     @pytest.mark.parametrize(
         "params",
         [
-            # An edge attribute count of 2**32 in a pu block, refused after
-            # the graph order is pushed.
-            DatasetParams("pu", ((3, 1),), edge_attr_counts=(1 << 32,), order_perm=(0,)),
-            # A vertex attribute count of 2**32, refused after the edge
-            # counts, the edge attribute counts and their flag are pushed.
-            make_params(vertex_attr_counts=(1 << 32,), edge_attr_counts=(2, 2)),
+            # An edge attribute count of 2**46 in a pu block with a graph
+            # order.
+            DatasetParams("pu", ((3, 1),), edge_attr_counts=(1 << 46,), order_perm=(0,)),
+            # A vertex attribute count of 2**46 with er counts and edge
+            # attribute counts.
+            make_params(vertex_attr_counts=(1 << 46,), edge_attr_counts=(2, 2)),
         ],
         ids=["pu-edge-attr-count", "vertex-attr-count"],
     )
@@ -249,6 +264,13 @@ class TestDatasetParams:
     def test_round_trip_pu(self):
         params = make_params(model="pu", er_counts=None, redraws=True)
         m = random_message(seed=3, tail_words=16)
+        encode_dataset_params(m, params)
+        assert decode_dataset_params(m) == params
+
+    def test_er_counts_past_2_32_round_trip(self):
+        # An er corpus with 2**32 or more vertex pairs.
+        params = make_params(er_counts=(1000, 1 << 32))
+        m = random_message(seed=7, tail_words=16)
         encode_dataset_params(m, params)
         assert decode_dataset_params(m) == params
 

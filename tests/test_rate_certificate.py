@@ -71,7 +71,7 @@ def test_two_colour_er_graphs(n):
     classes = graph_classes(n, colours=2)
     assert len(classes) == TWO_COLOUR_CLASSES[n]
     base = erdos_renyi_codec(ErParams(n, Fraction(1, 2)))
-    codec = ShuffleCodec(with_attributes(base, (1, 1), None, True), graph_class())
+    codec = ShuffleCodec(with_attributes(base, (1, 1)), graph_class())
     kraft = sum(2 ** -net_bits(codec, g) for g in classes)
     assert abs(kraft - 1) <= KRAFT_BOUND
 

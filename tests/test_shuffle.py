@@ -16,6 +16,7 @@ import shufflecodec
 from shufflecodec import canon, perm_codecs, perms, shuffle
 from shufflecodec.ans import (
     HEAD_MIN,
+    Codec,
     CodecError,
     ContractViolation,
     Message,
@@ -23,7 +24,7 @@ from shufflecodec.ans import (
     message_init,
     message_serialize,
 )
-from shufflecodec.canon import canon_equal
+from shufflecodec.canon import canon_equal, canonize_string
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, apply_perm
 from shufflecodec.models import (
@@ -223,7 +224,7 @@ class TestShuffleEncodeDecode:
             assert m1 == m2
 
     def test_symmetric_graph_bytes_pinned(self, rng):
-        # Large automorphism groups in one message, as versions 13 and 14 write it:
+        # Large automorphism groups in one message, as versions 13 to 15 write it:
         # a group's twin runs are coded as one arrangement of block labels
         # (the empty graph, the star, 3 K3) or, with no run, by a shuffle,
         # after the blocks' order pops its rank in the quotient's block
@@ -245,7 +246,7 @@ class TestShuffleEncodeDecode:
                 s = tuple(rng.sample(range(g.n), g.n)) if trial else tuple(range(g.n))
                 codec.encode(m, apply_perm(s, g))
             data = message_serialize(m)
-            assert data[:6] == b"SHUF\x0e\x00"
+            assert data[:6] == b"SHUF\x0f\x00"
             assert hashlib.sha256(data[6:]).hexdigest() == (
                 "229ca4aa4d0a1ec67a721ba164ac6933547c7c369f2c0d86967618c6d3e06bfc"
             )
@@ -262,6 +263,33 @@ class TestShuffleEncodeDecode:
             codec.encode(m, xs)
             assert codec.decode(m) == tuple(sorted(xs))
             assert m == snapshot
+
+
+def _letters_codec(alphabet: str, length: int) -> Codec:
+    """An ordered codec over str values: strings of the alphabet's letters,
+    i.i.d. uniform, decoded as a str."""
+    base = string_codec([1] * len(alphabet), length)
+    return Codec(
+        lambda m, s: base.encode(m, [alphabet.index(c) for c in s]),
+        lambda m: "".join(alphabet[x] for x in base.decode(m)),
+    )
+
+
+class TestStrings:
+    def test_str_decodes_to_the_canonical_str(self):
+        # canonize_string and pop_ordered give a str for a str; decode must
+        # too, not a tuple of letters.
+        codec = ShuffleCodec(_letters_codec("abn", 6), sequence_class())
+        for word in ("banana", "nabana", "aaabnn"):
+            m = random_message(seed=5, tail_words=8)
+            snapshot = m.copy()
+            codec.encode(m, word)
+            assert codec.decode(m) == "aaabnn" == canonize_string(word).canon_seq
+            assert m == snapshot
+        distinct = ShuffleCodec(_letters_codec("abn", 3), sequence_class())
+        m = message_init()
+        distinct.encode(m, "nba")
+        assert distinct.decode(m) == "abn"
 
 
 def _attributed_er4():
@@ -360,6 +388,12 @@ _SEQUENCES = st.one_of(
 ).map(tuple)
 
 
+def _sorted_like(xs):
+    """xs sorted, a str for a str and a tuple otherwise, as push_ordering
+    gives the canonical member."""
+    return "".join(sorted(xs)) if isinstance(xs, str) else tuple(sorted(xs))
+
+
 class TestMultisets:
     # An empty stack draws pad words; 16 words are more than any draw here.
     @given(_SEQUENCES, st.integers(0, 1 << 16), st.sampled_from([0, 16]))
@@ -427,7 +461,7 @@ class TestMultisets:
             snapshot = m.copy()
             drawn = pclass.pop_ordered(m, xs)
             assert sorted(drawn.ordered) == sorted(xs)
-            assert pclass.push_ordering(m, drawn.ordered) == tuple(sorted(xs))
+            assert pclass.push_ordering(m, drawn.ordered) == _sorted_like(xs)
             assert m == snapshot
 
     def test_distinct_values_draw_no_arrangement(self, monkeypatch):
@@ -446,7 +480,7 @@ class TestMultisets:
             snapshot = m.copy()
             drawn = pclass.pop_ordered(m, xs)
             assert sorted(drawn.ordered) == sorted(xs) and drawn.aut_order == 1
-            assert pclass.push_ordering(m, drawn.ordered) == tuple(sorted(xs))
+            assert pclass.push_ordering(m, drawn.ordered) == _sorted_like(xs)
             assert m == snapshot
             codec = ShuffleCodec(string_codec([1] * 128, len(xs)), sequence_class())
             if all(type(x) is int and x < 128 for x in xs):
@@ -456,7 +490,7 @@ class TestMultisets:
 
     def test_message_bytes_unchanged(self):
         # Seeded multisets shuffle-coded into one message; the SHA-256 of
-        # everything after the version field, as versions 11 to 14 write it:
+        # everything after the version field, as versions 11 to 15 write it:
         # each ordering is one exact-mass draw per element, without
         # replacement, of the labels 0..r-1 of its r distinct values. (The
         # one sequence here with no repeated value has one element, and
@@ -469,7 +503,7 @@ class TestMultisets:
             xs = tuple(rng.choices(range(3), weights=masses, k=length))
             ShuffleCodec(string_codec(masses, length), sequence_class()).encode(m, xs)
         data = message_serialize(m)
-        assert data[:6] == b"SHUF\x0e\x00"
+        assert data[:6] == b"SHUF\x0f\x00"
         assert hashlib.sha256(data[6:]).hexdigest() == (
             "97dea0b19c12facb24fecccf9c00de60aaf4eecc9abee9557e8a508014784b55"
         )
