@@ -16,11 +16,9 @@ from .ans import (
     message_deserialize,
     message_init,
     message_serialize,
-    quantize_masses,
 )
 from .canon import (
     Canonized,
-    canon_equal,
     canonize,
     canonize_string,
 )
@@ -45,7 +43,6 @@ from .params import (
     DatasetParams,
     decode_dataset_params,
     encode_dataset_params,
-    natural_list_codec,
 )
 from .perm_codecs import uniform_l_coset_codec
 from .perms import (
@@ -57,7 +54,6 @@ from .perms import (
     element_unrank,
     group_order,
     inverse,
-    schreier_sims,
 )
 from .shuffle import (
     RateReport,

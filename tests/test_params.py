@@ -25,10 +25,10 @@ from shufflecodec.params import (
     DatasetParams,
     decode_dataset_params,
     encode_dataset_params,
-    natural_list_codec,
 )
 
 from conftest import random_message
+from oracles import natural_list_codec
 
 
 # Every number costs its bit-length symbol, one of 47, plus its free bits.

@@ -10,7 +10,6 @@ from shufflecodec.canon import canonize
 from shufflecodec.graphs import Graph
 from shufflecodec.perm_codecs import uniform_l_coset_codec
 from shufflecodec.perms import (
-    PermGroup,
     SymmetricRuns,
     compose,
     coset_canon,
@@ -18,11 +17,10 @@ from shufflecodec.perms import (
     element_unrank,
     group_order,
     identity,
-    schreier_sims,
 )
 
 from conftest import random_message
-from oracles import chain_elements, reference_chain, runs_chain
+from oracles import chain_elements, reference_chain, runs_chain, schreier_sims
 
 
 def chain_codec(chain):
@@ -107,7 +105,7 @@ class TestUniformPermGrp:
 
     def test_path_automorphisms_one_bit(self, rng):
         # Aut of the path 0-1-2 is {e, 0<->2}.
-        chain = schreier_sims(PermGroup(3, ((2, 1, 0),)))
+        chain = schreier_sims(3, ((2, 1, 0),))
         m = message_init()
         symbols = [((2, 1, 0), (0, 1, 2))[rng.randrange(2)] for _ in range(1000)]
         before = m.length_bits
@@ -120,7 +118,7 @@ class TestUniformPermGrp:
         for _ in range(20):
             n = rng.randint(2, 6)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
-            chain = schreier_sims(PermGroup(n, gens))
+            chain = schreier_sims(n, gens)
             sizes = self.sizes(chain)
             m = random_message(seed=n, tail_words=8)
             snapshot = m.copy()
@@ -145,7 +143,7 @@ class TestUniformLCoset:
         assert codec.decode(m) == identity(4)
 
     def test_trivial_subgroup_full_rate(self, rng):
-        chain = schreier_sims(PermGroup(5, ()))
+        chain = schreier_sims(5, ())
         codec = chain_codec(chain)
         m = random_message(seed=4, tail_words=16)
         perms = [tuple(rng.sample(range(5), 5)) for _ in range(500)]
@@ -158,7 +156,7 @@ class TestUniformLCoset:
 
     def test_three_cosets_net_rate(self, rng):
         # |H| = 2 inside S3: three cosets, net rate log2(3).
-        chain = schreier_sims(PermGroup(3, ((2, 1, 0),)))
+        chain = schreier_sims(3, ((2, 1, 0),))
         codec = chain_codec(chain)
         m = random_message(seed=5, tail_words=64)
         before = m.length_bits
@@ -171,7 +169,7 @@ class TestUniformLCoset:
         for trial in range(20):
             n = rng.randrange(2, 6)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
-            chain = schreier_sims(PermGroup(n, gens))
+            chain = schreier_sims(n, gens)
             codec = chain_codec(chain)
             s = tuple(rng.sample(range(n), n))
             reference = None
@@ -184,7 +182,7 @@ class TestUniformLCoset:
                     assert m == reference
 
     def test_decode_returns_canonical_member(self, rng):
-        chain = schreier_sims(PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1))))
+        chain = schreier_sims(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
         codec = chain_codec(chain)
         for trial in range(50):
             m = random_message(seed=trial, tail_words=32)
@@ -195,7 +193,7 @@ class TestUniformLCoset:
             assert m == snapshot
 
     def test_underflow_near_initial_message_uses_pad(self):
-        chain = schreier_sims(PermGroup(3, ()))
+        chain = schreier_sims(3, ())
         codec = chain_codec(chain)
         m = message_init()
         codec.encode(m, (2, 0, 1))
@@ -218,7 +216,7 @@ class TestUniformLCoset:
         # The coset member and the shuffle that the codec builds itself are
         # coded without a second check: one is_perm call per encode (its
         # input), none per decode.
-        chain = schreier_sims(PermGroup(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2))))
+        chain = schreier_sims(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)))
         codec = chain_codec(chain)
         calls = []
         is_perm = perms.is_perm
@@ -329,7 +327,7 @@ class TestRunsCoset:
 
         monkeypatch.setattr(perm_codecs, "pop_arrangement", refuse)
         monkeypatch.setattr(perm_codecs, "push_arrangement", refuse)
-        trivial = chain_codec(schreier_sims(PermGroup(9, ())))
+        trivial = chain_codec(schreier_sims(9, ()))
         no_runs = uniform_l_coset_codec(SymmetricRuns(9, []))
         for trial in range(10):
             s = tuple(rng.sample(range(9), 9))

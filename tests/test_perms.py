@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflecodec.canon import canonize_string
+from shufflecodec import perms
+from shufflecodec.canon import canonize, canonize_string
+from shufflecodec.compress import compress_corpus
+from shufflecodec.datasets import Corpus
+from shufflecodec.graphs import Graph
 from shufflecodec.perm_codecs import uniform_l_coset_codec
 from shufflecodec.perms import (
     DegreeMismatch,
@@ -23,12 +27,19 @@ from shufflecodec.perms import (
     group_order,
     identity,
     inverse,
-    schreier_sims,
     smallest_moved,
 )
+from shufflecodec.perms import schreier_sims as complete_chain
 
 from conftest import random_message
-from oracles import chain_elements, orbit_of, run_generators, run_transpositions, runs_chain
+from oracles import (
+    chain_elements,
+    orbit_of,
+    run_generators,
+    run_transpositions,
+    runs_chain,
+    schreier_sims,
+)
 
 
 def closure(n, gens):
@@ -96,23 +107,23 @@ class TestPermOps:
 
 class TestSchreierSims:
     def test_s3_from_generators(self):
-        grp = PermGroup(3, ((1, 0, 2), (0, 2, 1)))
-        chain = schreier_sims(grp)
-        assert group_order(chain) == len(closure(3, grp.generators)) == 6
+        gens = ((1, 0, 2), (0, 2, 1))
+        chain = schreier_sims(3, gens)
+        assert group_order(chain) == len(closure(3, gens)) == 6
 
     def test_generator_of_another_degree_refused(self):
         with pytest.raises(DegreeMismatch, match="generator degree 3 != group degree 4"):
-            PermGroup(4, ((1, 0, 2, 3), (1, 0, 2)))
+            PermGroup(4, ((1, 0, 2, 3), (1, 0, 2)), ())
 
     def test_trivial_group(self):
-        chain = schreier_sims(PermGroup(4, ()))
+        chain = schreier_sims(4, ())
         assert group_order(chain) == 1
         assert chain.levels == ()
 
     def test_klein_four(self):
-        grp = PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
-        chain = schreier_sims(grp)
-        assert group_order(chain) == len(closure(4, grp.generators)) == 4
+        gens = ((1, 0, 3, 2), (2, 3, 0, 1))
+        chain = schreier_sims(4, gens)
+        assert group_order(chain) == len(closure(4, gens)) == 4
 
     def test_symmetric_group_order(self):
         chain = runs_chain(8, [(0, 8)])
@@ -126,8 +137,7 @@ class TestSchreierSims:
             gens = tuple(
                 tuple(rng.sample(range(n), n)) for _ in range(k)
             )
-            grp = PermGroup(n, gens)
-            assert group_order(schreier_sims(grp)) == len(closure(n, gens))
+            assert group_order(schreier_sims(n, gens)) == len(closure(n, gens))
 
     def test_orders_vs_sympy(self):
         from sympy.combinatorics import Permutation, PermutationGroup
@@ -136,14 +146,14 @@ class TestSchreierSims:
         for _ in range(30):
             n = rng.randint(2, 9)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
-            ours = group_order(schreier_sims(PermGroup(n, gens)))
+            ours = group_order(schreier_sims(n, gens))
             theirs = PermutationGroup([Permutation(list(g)) for g in gens]).order()
             assert ours == theirs
 
     def test_deterministic_for_fixed_input(self):
-        grp = PermGroup(6, ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)))
-        a = schreier_sims(grp)
-        b = schreier_sims(grp)
+        gens = ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5))
+        a = schreier_sims(6, gens)
+        b = schreier_sims(6, gens)
         assert [lvl.point for lvl in a.levels] == [lvl.point for lvl in b.levels]
         assert [lvl.orbit for lvl in a.levels] == [lvl.orbit for lvl in b.levels]
         s = (3, 5, 0, 2, 1, 4)
@@ -153,20 +163,18 @@ class TestSchreierSims:
         # Points, orbits and the lexicographic order of every coset, and so
         # every coset code, depend only on the group: from any member of
         # s*H, coset_unrank enumerates sorted(s*H) for two generating lists.
-        s5 = PermGroup(5, run_transpositions(5, [(0, 5)]))
-        pairs = [(PermGroup(5, run_generators(5, [(0, 5)])), s5)]
+        pairs = [(5, run_generators(5, [(0, 5)]), run_transpositions(5, [(0, 5)]))]
         rng = random.Random(2024)
         for _ in range(60):
             n = rng.randint(2, 6)
             gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
             other = gens[::-1] + [compose(gens[0], gens[-1])]
-            pairs.append((PermGroup(n, tuple(gens)), PermGroup(n, tuple(other))))
-        for a, b in pairs:
-            n = a.degree
-            members = closure(n, a.generators)
+            pairs.append((n, gens, other))
+        for n, a, b in pairs:
+            members = closure(n, a)
             s = tuple(rng.sample(range(n), n))
             coset = sorted(compose(s, h) for h in members)
-            ca, cb = schreier_sims(a), schreier_sims(b)
+            ca, cb = schreier_sims(n, a), schreier_sims(n, b)
             assert [(l.point, l.orbit) for l in ca.levels] == [
                 (l.point, l.orbit) for l in cb.levels
             ]
@@ -178,7 +186,7 @@ class TestSchreierSims:
         for _ in range(40):
             n = rng.randint(2, 6)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
-            chain = schreier_sims(PermGroup(n, gens))
+            chain = schreier_sims(n, gens)
             want = sorted(closure(n, gens))
             assert [element_unrank(chain, d) for d in digit_tuples(chain)] == want
             assert list(chain_elements(chain)) == want
@@ -188,7 +196,7 @@ class TestSchreierSims:
         for _ in range(40):
             n = rng.randint(2, 6)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 2)))
-            chain = schreier_sims(PermGroup(n, gens))
+            chain = schreier_sims(n, gens)
             s = tuple(rng.sample(range(n), n))
             for d in digit_tuples(chain):
                 t = coset_unrank(chain, s, d)
@@ -200,14 +208,109 @@ class TestSchreierSims:
         for _ in range(50):
             n = rng.randint(2, 8)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
-            chain = schreier_sims(PermGroup(n, gens))
+            chain = schreier_sims(n, gens)
             points = [lvl.point for lvl in chain.levels]
             assert points == sorted(set(points))
 
 
+RANDOM = random.Random
+
+
+def sym11():
+    """CI's SYM11 graphs: 2 to 6 disjoint triangles, C6, C9, C12, K3,3, Q4
+    and the Petersen graph."""
+    def cycle(n):
+        return [(i, (i + 1) % n) for i in range(n)]
+
+    graphs = [Graph(3 * k, [(3 * c + i, 3 * c + j) for c in range(k) for i, j in cycle(3)])
+              for k in range(2, 7)]
+    graphs += [Graph(n, cycle(n)) for n in (6, 9, 12)]
+    graphs.append(Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]))
+    graphs.append(Graph(16, [(v, v | 1 << b) for v in range(16) for b in range(4)
+                             if not v >> b & 1]))
+    graphs.append(Graph(10, cycle(5) + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                        + [(i, i + 5) for i in range(5)]))
+    return graphs
+
+
+class TestKnownOrderCompletion:
+    """perms.schreier_sims completes the chain on 0..n-1 from generators that
+    are strong relative to a given base, by sifting them and then seeded
+    random members until the order the base's levels give is reached. The
+    reference is the oracle's full Schreier-Sims over the same generators."""
+
+    # The smallest case the generators do not complete when sifted alone:
+    # S4, from generators strong relative to the base (1, 3, 2).
+    PINNED = PermGroup(4, ((1, 0, 2, 3), (2, 1, 3, 0), (2, 1, 0, 3)), (1, 3, 2))
+
+    @staticmethod
+    def seeded(monkeypatch, offset, draws=None):
+        """Rebind perms.random.Random to one whose seed is moved by offset
+        and which counts its draws in draws."""
+
+        class Shifted(RANDOM):
+            def __init__(self, seed):
+                super().__init__(seed + offset)
+
+            def choice(self, seq):
+                if draws is not None:
+                    draws.append(1)
+                return super().choice(seq)
+
+        monkeypatch.setattr(perms.random, "Random", Shifted)
+
+    def test_equals_the_oracle_on_relabeled_strong_sets(self, monkeypatch):
+        # An oracle chain's labels are strong relative to its base points;
+        # relabeled by r, they are strong relative to the images under r.
+        rng = random.Random(31)
+        draws = []
+        self.seeded(monkeypatch, 0, draws)
+        needed_random = 0
+        for _ in range(1500):
+            n = rng.randint(3, 7)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+            ref = schreier_sims(n, gens)
+            r = tuple(rng.sample(range(n), n))
+            labels = tuple(compose(r, compose(g, inverse(r))) for g in ref.labels())
+            base = tuple(r[lvl.point] for lvl in ref.levels)
+            del draws[:]
+            chain = complete_chain(PermGroup(n, labels, base))
+            needed_random += bool(draws)
+            assert chain == schreier_sims(n, labels)  # base points, orbits, group
+        assert needed_random > 100
+
+    def test_smallest_case_needing_random_members(self, monkeypatch):
+        chain = complete_chain(self.PINNED)
+        assert chain == schreier_sims(4, self.PINNED.generators)
+        assert group_order(chain) == 24
+
+        class NoRandom(random.Random):
+            def choice(self, seq):
+                raise LookupError("random member drawn")
+
+        monkeypatch.setattr(perms.random, "Random", NoRandom)
+        with pytest.raises(LookupError):
+            complete_chain(self.PINNED)
+
+    def test_seed_changes_no_chain_and_no_bytes(self, monkeypatch):
+        corpus = Corpus(tuple(sym11()), "SYM11", False, False)
+        results = []
+        for offset in (0, 1, 2):
+            self.seeded(monkeypatch, offset)
+            groups = [canonize(g).aut_group for g in corpus.graphs]
+            results.append((complete_chain(self.PINNED), groups, compress_corpus(corpus)[0]))
+        assert all(group.blocks is not None for group in results[0][1])
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("base", [(0, 0), (3,), (-1,), (1, 2, 1)])
+    def test_base_points_repeated_or_out_of_range_refused(self, base):
+        with pytest.raises(ValueError, match="base"):
+            PermGroup(3, ((1, 0, 2),), base)
+
+
 class TestCosetCanon:
     def test_trivial_subgroup_fixes_input(self):
-        chain = schreier_sims(PermGroup(4, ()))
+        chain = schreier_sims(4, ())
         s = (2, 0, 3, 1)
         assert coset_canon(chain, s) == s
 
@@ -217,7 +320,7 @@ class TestCosetCanon:
 
     def test_two_element_subgroup_example(self):
         # H = {e, 0<->2} on 3 points; the coset of (2,1,0) contains the identity.
-        chain = schreier_sims(PermGroup(3, ((2, 1, 0),)))
+        chain = schreier_sims(3, ((2, 1, 0),))
         assert coset_canon(chain, (2, 1, 0)) == (0, 1, 2)
 
     def test_lex_min_constant_and_idempotent(self):
@@ -228,7 +331,7 @@ class TestCosetCanon:
             members = closure(n, gens)
             if len(members) > 120:
                 continue
-            chain = schreier_sims(PermGroup(n, gens))
+            chain = schreier_sims(n, gens)
             for _ in range(10):
                 s = tuple(rng.sample(range(n), n))
                 canon = coset_canon(chain, s)
@@ -238,26 +341,26 @@ class TestCosetCanon:
                 assert coset_canon(chain, canon) == canon
 
     def test_degree_mismatch(self):
-        chain = schreier_sims(PermGroup(3, ()))
+        chain = schreier_sims(3, ())
         with pytest.raises(DegreeMismatch):
             coset_canon(chain, (0, 1, 2, 3))
 
 
 class TestRankUnrank:
     def test_trivial_group(self):
-        chain = schreier_sims(PermGroup(3, ()))
+        chain = schreier_sims(3, ())
         assert element_rank(chain, identity(3)) == ()
         assert element_unrank(chain, ()) == identity(3)
 
     def test_order_six_bijection(self):
-        grp = PermGroup(3, ((1, 0, 2), (0, 2, 1)))
-        chain = schreier_sims(grp)
+        gens = ((1, 0, 2), (0, 2, 1))
+        chain = schreier_sims(3, gens)
         sizes = [len(lvl.orbit) for lvl in chain.levels]
         tuples = [()]
         for size in sizes:
             tuples = [t + (i,) for t in tuples for i in range(size)]
         image = {element_unrank(chain, t) for t in tuples}
-        assert image == closure(3, grp.generators)
+        assert image == closure(3, gens)
 
     def test_exhaustive_round_trip_s7(self):
         chain = runs_chain(7, [(0, 7)])
@@ -274,7 +377,7 @@ class TestRankUnrank:
             n = rng.randint(2, 7)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
             members = closure(n, gens)
-            chain = schreier_sims(PermGroup(n, gens))
+            chain = schreier_sims(n, gens)
             assert group_order(chain) == len(members)
             for h in members:
                 assert element_unrank(chain, element_rank(chain, h)) == h
@@ -297,31 +400,30 @@ class TestRankUnrank:
             element_unrank(chain, (0, 0))
 
     def test_non_member_detected(self):
-        chain = schreier_sims(PermGroup(4, ((1, 0, 3, 2),)))
+        chain = schreier_sims(4, ((1, 0, 3, 2),))
         with pytest.raises(NotInGroup):
             element_rank(chain, (1, 2, 3, 0))
 
 
 class TestOrbits:
     def test_trivial_group_orbit(self):
-        assert orbit_of(PermGroup(5, ()), 3) == {3}
+        assert orbit_of(5, (), 3) == {3}
 
     def test_symmetric_group_transitive(self):
-        assert orbit_of(PermGroup(3, run_transpositions(3, [(0, 3)])), 0) == {0, 1, 2}
+        assert orbit_of(3, run_transpositions(3, [(0, 3)]), 0) == {0, 1, 2}
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            orbit_of(PermGroup(3, ()), 3)
+            orbit_of(3, (), 3)
 
     def test_orbits_partition_matches_bruteforce(self):
         rng = random.Random(3)
         for _ in range(20):
             n = rng.randint(2, 7)
             gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
-            grp = PermGroup(n, gens)
             members = closure(n, gens)
             for point in range(n):
-                assert orbit_of(grp, point) == {h[point] for h in members}
+                assert orbit_of(n, gens, point) == {h[point] for h in members}
 
 
 def test_chain_handles_all_subgroups_of_s4():
@@ -332,7 +434,7 @@ def test_chain_handles_all_subgroups_of_s4():
     for g1 in all_perms:
         for g2 in all_perms:
             members = closure(4, (g1, g2))
-            chain = schreier_sims(PermGroup(4, (g1, g2)))
+            chain = schreier_sims(4, (g1, g2))
             assert group_order(chain) == len(members)
             seen_orders.add(len(members))
             canon = coset_canon(chain, (3, 2, 1, 0))
@@ -349,7 +451,7 @@ def test_deep_schreier_tree_reps():
     lvl.grow((cycle,))
     for w in reversed(range(n)):
         assert lvl.any_rep(w)[0] == w
-    chain = schreier_sims(PermGroup(n, (cycle,)))
+    chain = complete_chain(PermGroup(n, (cycle,), (0,)))
     for k in (1, 311, 750, 1499):
         h = tuple((i + k) % n for i in range(n))
         assert element_rank(chain, h) == (k,)
@@ -400,31 +502,31 @@ class TestSymmetricRunsChain:
         # Runs (1, 3) and (4, 6) make blocks of sizes 1, 2, 1, 2 on 6 points:
         # a chain swapping blocks 1 and 3 is accepted, one of another degree
         # or swapping blocks of sizes 1 and 2 is refused.
-        ok = schreier_sims(PermGroup(4, ((0, 3, 2, 1),)))
+        ok = schreier_sims(4, ((0, 3, 2, 1),))
         group = SymmetricRuns(6, [(1, 3), (4, 6)], ok)
         assert group.block_spans() == [(0, 1), (1, 3), (3, 4), (4, 6)]
         assert group_order(group) == 2 * 2 * 2
         with pytest.raises(ValueError):
-            SymmetricRuns(6, [(1, 3), (4, 6)], schreier_sims(PermGroup(6, ())))
+            SymmetricRuns(6, [(1, 3), (4, 6)], schreier_sims(6, ()))
         with pytest.raises(ValueError):
-            SymmetricRuns(6, [(1, 3), (4, 6)], schreier_sims(PermGroup(4, ((1, 0, 2, 3),))))
+            SymmetricRuns(6, [(1, 3), (4, 6)], schreier_sims(4, ((1, 0, 2, 3),)))
 
     def test_chains_equal_when_their_groups_are(self):
         # C4 and the Klein group share degree, base point and orbit, so only
         # membership of the labels tells them apart. One group from two
         # generating lists gives equal chains with one hash.
-        c4 = schreier_sims(PermGroup(4, ((1, 2, 3, 0),)))
-        klein = schreier_sims(PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1))))
+        c4 = schreier_sims(4, ((1, 2, 3, 0),))
+        klein = schreier_sims(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
         assert [(l.point, l.orbit) for l in c4.levels] == [
             (l.point, l.orbit) for l in klein.levels
         ]
         assert c4 != klein and klein != c4
-        assert c4 == schreier_sims(PermGroup(4, ((3, 0, 1, 2), (2, 3, 0, 1))))
-        s5 = [schreier_sims(PermGroup(5, gens)) for gens in (
+        assert c4 == schreier_sims(4, ((3, 0, 1, 2), (2, 3, 0, 1)))
+        s5 = [schreier_sims(5, gens) for gens in (
             run_generators(5, [(0, 5)]), run_transpositions(5, [(0, 5)])
         )]
         assert s5[0] == s5[1] and hash(s5[0]) == hash(s5[1])
-        assert schreier_sims(PermGroup(4, ())) != schreier_sims(PermGroup(5, ()))
+        assert schreier_sims(4, ()) != schreier_sims(5, ())
         assert SymmetricRuns(4, (), c4) != SymmetricRuns(4, (), klein)
 
     def test_runs_validated(self):

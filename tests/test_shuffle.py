@@ -24,7 +24,7 @@ from shufflecodec.ans import (
     message_init,
     message_serialize,
 )
-from shufflecodec.canon import canon_equal, canonize_string
+from shufflecodec.canon import canonize_string
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, apply_perm
 from shufflecodec.models import (
@@ -44,7 +44,12 @@ from shufflecodec.shuffle import (
 )
 
 from conftest import random_message
-from oracles import permutation_sequence_class, symmetrize_check, without_pad_residue
+from oracles import (
+    canon_equal,
+    permutation_sequence_class,
+    symmetrize_check,
+    without_pad_residue,
+)
 
 
 def er_shuffle(n, p, vertex_attr_ps=None):
