@@ -56,20 +56,23 @@ from .perms import (
 @dataclass(frozen=True)
 class Canonized:
     """Result of canonizing a graph: the input graph, a permutation mapping it
-    onto its class representative, and the order and automorphism group of
-    the representative. The group is one SymmetricRuns value, runs and an
+    onto its class representative, and the automorphism group of the
+    representative. The group is one SymmetricRuns value, runs and an
     optional block chain (the trivial group has neither), and is what the
-    coset codec reads. The representative itself, canon_graph, is built on
-    first access."""
+    coset codec reads. The representative, canon_graph, is built on first
+    access, and the group's order, aut_order, on each read."""
 
     graph: Graph
     canon_perm: Perm
-    aut_order: int
     aut_group: SymmetricRuns
 
     @cached_property
     def canon_graph(self) -> Graph:
         return apply_perm(self.canon_perm, self.graph)
+
+    @property
+    def aut_order(self) -> int:
+        return group_order(self.aut_group)
 
 
 def _initial_colors(g: Graph) -> List[int]:
@@ -321,7 +324,7 @@ def canonize(g: Graph) -> Canonized:
     base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
     colors = _refine(g, _initial_colors(g), base)
     if max(colors, default=-1) + 1 == n:
-        return Canonized(g, tuple(colors), 1, SymmetricRuns(n, ()))
+        return Canonized(g, tuple(colors), SymmetricRuns(n, ()))
     classes, loop = _twin_classes(g, colors, base)
     if classes:
         q, groups = _quotient(g, colors, classes, loop)
@@ -343,7 +346,7 @@ def canonize(g: Graph) -> Canonized:
     auts = tuple(tuple(q_perm[a[x]] for x in q_inv) for a in q_auts)
     blocks = PermGroup(len(groups), auts, tuple(q_perm[x] for x in q_path))
     group = SymmetricRuns(n, runs, schreier_sims(blocks) if auts else None)
-    return Canonized(g, tuple(perm), group_order(group), group)
+    return Canonized(g, tuple(perm), group)
 
 
 @dataclass(frozen=True)

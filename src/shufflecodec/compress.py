@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import repeat
@@ -99,13 +100,6 @@ def build_dataset_params(
     graphs = _prepared_graphs(corpus, attrs)
     order = sorted(range(len(graphs)), key=lambda i: (-graphs[i].n, i))
 
-    sizes = sorted(g.n for g in graphs)
-    runs = []
-    for n in sizes:
-        if runs and runs[-1][0] == n:
-            runs[-1][1] += 1
-        else:
-            runs.append([n, 1])
     self_loops = corpus.self_loops
 
     vertex_attr_counts = None
@@ -129,7 +123,7 @@ def build_dataset_params(
 
     params = DatasetParams(
         model=model,
-        vertex_count_runs=tuple((n, c) for n, c in runs),
+        vertex_count_runs=tuple(sorted(Counter(g.n for g in graphs).items())),
         vertex_attr_counts=vertex_attr_counts,
         edge_attr_counts=edge_attr_counts,
         er_counts=er_counts,

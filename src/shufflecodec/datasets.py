@@ -51,8 +51,17 @@ def _read_lines(path: str) -> List[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _dense_remap(values: List[int]) -> Dict[int, int]:
-    return {v: i for i, v in enumerate(sorted(set(values)))}
+def _read_labels(path: str, count: int, miscount: str) -> Optional[List[int]]:
+    """A label file's labels as dense ids 0..K-1 in sorted order of the raw
+    values, or None if there is no such file; DatasetError(miscount) unless
+    it holds count labels."""
+    if not os.path.exists(path):
+        return None
+    raw = [int(x) for x in _read_lines(path)]
+    if len(raw) != count:
+        raise DatasetError(miscount)
+    dense = {v: i for i, v in enumerate(sorted(set(raw)))}
+    return [dense[v] for v in raw]
 
 
 def load_tu_dataset(directory: str) -> Corpus:
@@ -84,118 +93,74 @@ def load_tu_dataset(directory: str) -> Corpus:
     if sorted(set(indicator)) != list(range(1, num_graphs + 1)):
         raise DatasetError("graph ids must cover 1..N")
 
-    # global vertex id (1-based) -> (graph index, local id)
+    # Each graph's vertices as global ids from 0, and each vertex's (graph, local id).
+    members: List[List[int]] = [[] for _ in range(num_graphs)]
     local: List[Tuple[int, int]] = []
-    counters = [0] * num_graphs
-    for gid in indicator:
-        local.append((gid - 1, counters[gid - 1]))
-        counters[gid - 1] += 1
+    for x, gid in enumerate(indicator):
+        local.append((gid - 1, len(members[gid - 1])))
+        members[gid - 1].append(x)
 
-    edge_lines = _read_lines(path("A")) if os.path.exists(path("A")) else []
-    raw_edges: List[Tuple[int, int]] = []
-    for lineno, line in enumerate(edge_lines, 1):
+    pairs: List[Tuple[int, int]] = []
+    for lineno, line in enumerate(_read_lines(a_files[0]), 1):
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise DatasetError(f"{prefix}_A.txt:{lineno}: expected two ids")
         u, v = int(parts[0]), int(parts[1])
         if not (1 <= u <= len(indicator) and 1 <= v <= len(indicator)):
             raise DatasetError(f"{prefix}_A.txt:{lineno}: dangling vertex id")
-        raw_edges.append((u, v))
+        pairs.append((u, v))
 
-    node_labels = None
-    if os.path.exists(path("node_labels")):
-        node_labels = [int(x) for x in _read_lines(path("node_labels"))]
-        if len(node_labels) != len(indicator):
-            raise DatasetError("node label count != vertex count")
-        node_map = _dense_remap(node_labels)
+    node_labels = _read_labels(
+        path("node_labels"), len(indicator), "node label count != vertex count"
+    )
+    edge_labels = _read_labels(
+        path("edge_labels"), len(pairs), "edge label count != edge line count"
+    )
 
-    edge_labels = None
-    if os.path.exists(path("edge_labels")):
-        edge_labels = [int(x) for x in _read_lines(path("edge_labels"))]
-        if len(edge_labels) != len(raw_edges):
-            raise DatasetError("edge label count != edge line count")
-        edge_map = _dense_remap(edge_labels)
-
-    per_graph_edges: List[Dict[Tuple[int, int], Optional[int]]] = [
-        {} for _ in range(num_graphs)
-    ]
-    for k, (u, v) in enumerate(raw_edges):
-        gu, lu = local[u - 1]
-        gv, lv = local[v - 1]
+    # Each graph's edges, keyed (i, j) with i <= j, with their labels.
+    edges_of: List[Dict[Tuple[int, int], Optional[int]]] = [{} for _ in members]
+    for k, (u, v) in enumerate(pairs):
+        (gu, lu), (gv, lv) = local[u - 1], local[v - 1]
         if gu != gv:
             raise DatasetError(f"edge ({u}, {v}) crosses graphs")
-        e = (lu, lv) if lu <= lv else (lv, lu)
-        label = edge_map[edge_labels[k]] if edge_labels is not None else None
-        seen = per_graph_edges[gu]
-        if e in seen:
-            if seen[e] != label:
-                raise DatasetError(f"conflicting labels for edge ({u}, {v})")
-        else:
-            seen[e] = label
-
-    vertex_attrs_of = [[0] * n for n in counters]
-    if node_labels is not None:
-        for (gi, li), label in zip(local, node_labels):
-            vertex_attrs_of[gi][li] = node_map[label]
+        label = edge_labels[k] if edge_labels is not None else None
+        if edges_of[gu].setdefault((min(lu, lv), max(lu, lv)), label) != label:
+            raise DatasetError(f"conflicting labels for edge ({u}, {v})")
 
     graphs = []
-    for gi in range(num_graphs):
-        n = counters[gi]
-        edges = sorted(per_graph_edges[gi])
-        vertex_attrs = vertex_attrs_of[gi] if node_labels is not None else None
-        edge_attrs = (
-            {e: per_graph_edges[gi][e] for e in edges}
-            if edge_labels is not None
-            else None
-        )
-        graphs.append(Graph(n, edges, vertex_attrs, edge_attrs))
-
-    return Corpus(
-        tuple(graphs),
-        prefix,
-        has_vertex_attrs=node_labels is not None,
-        has_edge_attrs=edge_labels is not None,
-    )
+    for xs, edges in zip(members, edges_of):
+        vertex_attrs = [node_labels[x] for x in xs] if node_labels is not None else None
+        edge_attrs = edges if edge_labels is not None else None
+        graphs.append(Graph(len(xs), edges, vertex_attrs, edge_attrs))
+    return Corpus(tuple(graphs), prefix, node_labels is not None, edge_labels is not None)
 
 
 def write_tu_dataset(corpus: Corpus, directory: str, name: Optional[str] = None) -> None:
-    """Write a corpus back out in TU text format (both edge directions)."""
+    """Write a corpus back out in TU text format (both edge directions).
+
+    All lines are built before anything is created, so a graph with no
+    vertices, which the format cannot hold, raises DatasetError first."""
+    files: Dict[str, List[str]] = {"graph_indicator": [], "A": []}
+    if corpus.has_edge_attrs:
+        files["edge_labels"] = []
+    if corpus.has_vertex_attrs:
+        files["node_labels"] = []
+    offset = 0
+    for gi, g in enumerate(corpus.graphs, 1):
+        if g.n == 0:
+            raise DatasetError(f"graph {gi} has no vertices; the TU format cannot hold it")
+        files["graph_indicator"] += [str(gi)] * g.n
+        for i, j in sorted(g.edges):
+            u, v = i + offset + 1, j + offset + 1
+            directed = [f"{u}, {v}"] if i == j else [f"{u}, {v}", f"{v}, {u}"]
+            files["A"] += directed
+            if corpus.has_edge_attrs:
+                files["edge_labels"] += [str(g.edge_attrs[(i, j)])] * len(directed)
+        if corpus.has_vertex_attrs:
+            files["node_labels"] += map(str, g.vertex_attrs)
+        offset += g.n
     os.makedirs(directory, exist_ok=True)
     prefix = name or corpus.name
-
-    def path(suffix: str) -> str:
-        return os.path.join(directory, f"{prefix}_{suffix}.txt")
-
-    offsets = []
-    total = 0
-    for g in corpus.graphs:
-        offsets.append(total)
-        total += g.n
-
-    with open(path("graph_indicator"), "w", encoding="utf-8") as fh:
-        for gi, g in enumerate(corpus.graphs, 1):
-            for _ in range(g.n):
-                fh.write(f"{gi}\n")
-
-    a_lines = []
-    label_lines = []
-    for g, off in zip(corpus.graphs, offsets):
-        for i, j in sorted(g.edges):
-            u, v = i + off + 1, j + off + 1
-            a_lines.append(f"{u}, {v}")
-            if corpus.has_edge_attrs:
-                label_lines.append(str(g.edge_attrs[(i, j)]))
-            if i != j:
-                a_lines.append(f"{v}, {u}")
-                if corpus.has_edge_attrs:
-                    label_lines.append(str(g.edge_attrs[(i, j)]))
-    with open(path("A"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(a_lines) + ("\n" if a_lines else ""))
-    if corpus.has_edge_attrs:
-        with open(path("edge_labels"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(label_lines) + ("\n" if label_lines else ""))
-    if corpus.has_vertex_attrs:
-        with open(path("node_labels"), "w", encoding="utf-8") as fh:
-            for g in corpus.graphs:
-                for a in g.vertex_attrs:
-                    fh.write(f"{a}\n")
+    for suffix, lines in files.items():
+        with open(os.path.join(directory, f"{prefix}_{suffix}.txt"), "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)

@@ -135,7 +135,7 @@ def canonize_bruteforce(g: Graph) -> Canonized:
             auts.append(s)
     chain = schreier_sims(g.n, [a for a in auts if a != identity(g.n)])
     assert group_order(chain) == len(auts)
-    return Canonized(g, best_perm, len(auts), SymmetricRuns(g.n, (), chain))
+    return Canonized(g, best_perm, SymmetricRuns(g.n, (), chain))
 
 
 def canon_equal(a: Graph, b: Graph) -> bool:
@@ -200,7 +200,7 @@ def canonize_via_embedding(g: Graph) -> Canonized:
         tuple(a[v] for v in originals) for a in group_generators(c.aut_group)
     )
     chain = schreier_sims(g.n, restricted)
-    result = Canonized(g, perm, group_order(chain), SymmetricRuns(g.n, (), chain))
+    result = Canonized(g, perm, SymmetricRuns(g.n, (), chain))
     assert result.aut_order == c.aut_order
     return result
 

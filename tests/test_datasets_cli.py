@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from shufflecodec import compress, shuffle
+from shufflecodec import canon, compress, perms, shuffle
 from shufflecodec.ans import DEFAULT_PAD_SEED, ParameterError, message_init
 from shufflecodec.canon import canonize
 from shufflecodec.cli import main
@@ -85,6 +85,156 @@ class TestTuLoader:
         (tmp_path / "X_node_labels.txt").write_text("4\n")
         with pytest.raises(DatasetError):
             load_tu_dataset(str(tmp_path))
+
+    # Each malformed directory by its files, the path handed to the loader
+    # (relative to the directory) and the exception with its exact message;
+    # {dir} stands for the directory.
+    MALFORMED = {
+        "crossing-edge": (
+            {"X_A.txt": "1, 3\n", "X_graph_indicator.txt": "1\n1\n2\n"},
+            ".", DatasetError, "edge (1, 3) crosses graphs",
+        ),
+        "three-ids": (
+            {"X_A.txt": "1 2 3\n", "X_graph_indicator.txt": "1\n1\n1\n"},
+            ".", DatasetError, "X_A.txt:1: expected two ids",
+        ),
+        "dangling-id": (
+            {"X_A.txt": "1, 9\n", "X_graph_indicator.txt": "1\n1\n"},
+            ".", DatasetError, "X_A.txt:1: dangling vertex id",
+        ),
+        "conflicting-labels": (
+            {
+                "X_A.txt": "1, 2\n2, 1\n",
+                "X_graph_indicator.txt": "1\n1\n",
+                "X_edge_labels.txt": "0\n1\n",
+            },
+            ".", DatasetError, "conflicting labels for edge (2, 1)",
+        ),
+        "edge-label-count": (
+            {
+                "X_A.txt": "1, 2\n2, 1\n",
+                "X_graph_indicator.txt": "1\n1\n",
+                "X_edge_labels.txt": "0\n",
+            },
+            ".", DatasetError, "edge label count != edge line count",
+        ),
+        "node-label-count": (
+            {
+                "X_A.txt": "1, 2\n2, 1\n",
+                "X_graph_indicator.txt": "1\n1\n",
+                "X_node_labels.txt": "4\n",
+            },
+            ".", DatasetError, "node label count != vertex count",
+        ),
+        "label-count-before-crossing": (
+            {
+                "X_A.txt": "1, 3\n",
+                "X_graph_indicator.txt": "1\n1\n2\n",
+                "X_node_labels.txt": "4\n",
+            },
+            ".", DatasetError, "node label count != vertex count",
+        ),
+        "graph-id-gap": (
+            {"X_A.txt": "1, 2\n", "X_graph_indicator.txt": "1\n3\n"},
+            ".", DatasetError, "graph ids must cover 1..N",
+        ),
+        "empty-indicator": (
+            {"X_A.txt": "", "X_graph_indicator.txt": "\n\n"},
+            ".", DatasetError, "empty graph indicator file",
+        ),
+        "missing-indicator": (
+            {"X_A.txt": "1, 2\n"},
+            ".", DatasetError, "missing X_graph_indicator.txt",
+        ),
+        "two-a-files": (
+            {"X_A.txt": "", "Y_A.txt": "", "X_graph_indicator.txt": "1\n"},
+            ".", DatasetError, "multiple *_A.txt files in {dir}",
+        ),
+        "no-a-file": (
+            {"X_graph_indicator.txt": "1\n"},
+            ".", DatasetError, "no *_A.txt in {dir}",
+        ),
+        "not-a-directory": (
+            {"X_A.txt": ""},
+            "X_A.txt", DatasetError, "not a directory: {dir}/X_A.txt",
+        ),
+        "non-integer-edge-id": (
+            {"X_A.txt": "1, x\n", "X_graph_indicator.txt": "1\n1\n"},
+            ".", ValueError, "invalid literal for int() with base 10: 'x'",
+        ),
+        "non-integer-graph-id": (
+            {"X_A.txt": "", "X_graph_indicator.txt": "1\none\n"},
+            ".", ValueError, "invalid literal for int() with base 10: 'one'",
+        ),
+        "non-integer-label": (
+            {
+                "X_A.txt": "1, 2\n",
+                "X_graph_indicator.txt": "1\n1\n",
+                "X_edge_labels.txt": "0.5\n",
+            },
+            ".", ValueError, "invalid literal for int() with base 10: '0.5'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_directory(self, tmp_path, case):
+        files, target, error, message = self.MALFORMED[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        target = os.path.normpath(os.path.join(str(tmp_path), target))
+        with pytest.raises(ValueError) as exc:
+            load_tu_dataset(target)
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(dir=tmp_path)
+
+    def test_blank_lines_skipped_and_negative_labels_remapped(self, tmp_path):
+        (tmp_path / "X_A.txt").write_text("\n1 2\n  \n2, 1\n3, 3\n\n")
+        (tmp_path / "X_graph_indicator.txt").write_text("1\n\n1\n2\n")
+        (tmp_path / "X_node_labels.txt").write_text("-3\n5\n\n-3\n")
+        (tmp_path / "X_edge_labels.txt").write_text("-1\n-1\n\n7\n")
+        corpus = load_tu_dataset(str(tmp_path))
+        assert corpus.name == "X"
+        assert corpus.graphs == (
+            Graph(2, [(0, 1)], (0, 1), {(0, 1): 0}),
+            Graph(1, [(0, 0)], (0,), {(0, 0): 1}),
+        )
+
+    def test_written_files_exact(self, tmp_path):
+        # Graph ids per vertex; each edge as both directions in sorted edge
+        # order, a loop once; one edge label per edge line; vertex labels in
+        # vertex order.
+        corpus = Corpus(
+            (
+                Graph(3, [(1, 2), (0, 1), (1, 1)], (2, 0, 1), {(0, 1): 1, (1, 1): 0, (1, 2): 1}),
+                Graph(2, [(0, 1)], (0, 0), {(0, 1): 0}),
+            ),
+            "W",
+            True,
+            True,
+        )
+        write_tu_dataset(corpus, str(tmp_path / "out"))
+        assert {p.name: p.read_text() for p in (tmp_path / "out").iterdir()} == {
+            "W_graph_indicator.txt": "1\n1\n1\n2\n2\n",
+            "W_A.txt": "1, 2\n2, 1\n2, 2\n2, 3\n3, 2\n4, 5\n5, 4\n",
+            "W_edge_labels.txt": "1\n1\n0\n1\n1\n0\n0\n",
+            "W_node_labels.txt": "2\n0\n1\n0\n0\n",
+        }
+        assert load_tu_dataset(str(tmp_path / "out")).graphs == corpus.graphs
+        plain = Corpus((Graph(2), Graph(1)), "P", False, False)
+        write_tu_dataset(plain, str(tmp_path / "plain"), name="Q")
+        assert {p.name: p.read_text() for p in (tmp_path / "plain").iterdir()} == {
+            "Q_graph_indicator.txt": "1\n1\n2\n",
+            "Q_A.txt": "",
+        }
+
+    def test_graph_with_no_vertices_refused(self, tmp_path):
+        # The TU format has no line for a graph without vertices: the writer
+        # refuses it before it creates anything.
+        corpus = Corpus((Graph(0), Graph(2, [(0, 1)]), Graph(0)), "Z", False, False)
+        out = tmp_path / "out"
+        with pytest.raises(DatasetError, match="graph 1 has no vertices"):
+            write_tu_dataset(corpus, str(out))
+        assert not out.exists()
 
     def test_write_read_round_trip(self, tmp_path):
         corpus = fixture_corpus()
@@ -237,6 +387,28 @@ class TestCompressDecompress:
         for pos, original_index in enumerate(order):
             assert canon_equal(out.graphs[pos], corpus.graphs[original_index])
         assert report.num_graphs == 15
+
+    @pytest.mark.parametrize("model", ["er", "pu"])
+    def test_decoding_never_computes_the_group_order(self, model, monkeypatch):
+        # |Aut| enters only the encoder's rate report; decoding reads the
+        # group itself. Twin graphs (K1,5, two disjoint triangles) and C6,
+        # whose group is a block chain found by search.
+        graphs = (
+            Graph(6, [(0, i) for i in range(1, 6)]),
+            Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            Graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+        )
+        data, _ = compress_corpus(Corpus(graphs, "twins", False, False), model=model)
+
+        def no_order(group):
+            raise AssertionError("group_order called while decoding")
+
+        monkeypatch.setattr(canon, "group_order", no_order)
+        monkeypatch.setattr(perms, "group_order", no_order)
+        out = decompress_corpus(data)
+        assert sorted(g.key() for g in out.graphs) == sorted(
+            canonize(g).canon_graph.key() for g in graphs
+        )
 
     def test_self_loop_corpus(self):
         corpus = synthetic_corpus(seed=7, num=10, loops=True)
@@ -566,6 +738,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "redraws" in err
         assert not blob.exists()
+
+    @pytest.mark.parametrize("keep_order", [False, True])
+    def test_decompress_refuses_a_graph_with_no_vertices(self, tmp_path, capsys, keep_order):
+        # A dropped empty graph would leave a directory of fewer graphs, or,
+        # with the stored order, one that does not load: refused instead.
+        corpus = Corpus((Graph(0), Graph(2, [(0, 1)]), Graph(0)), "Z", False, False)
+        data, _ = compress_corpus(corpus, keep_order=keep_order)
+        blob = tmp_path / "z.shuf"
+        blob.write_bytes(data)
+        out = tmp_path / "decoded"
+        assert main(["decompress", "--in", str(blob), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no vertices" in err
+        assert not out.exists()
 
     def test_data_error_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "nope"
