@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, apply_perm, trusted_graph
+from .graphs import Graph, apply_perm, pair_sorted, trusted_graph
 from .perms import (
     DegreeMismatch,
     Perm,
@@ -130,7 +130,7 @@ def _refine_pass(g: Graph, colors: List[int], base: int) -> List[int]:
                 codes[i].append(colors[j])
                 codes[j].append(colors[i])
     else:
-        for (i, j), a in g.edge_attrs.items():
+        for (i, j), a in zip(g.edges, g.edge_attrs):
             if i != j:
                 codes[i].append(colors[j] * base + a)
                 codes[j].append(colors[i] * base + a)
@@ -254,8 +254,7 @@ def _twin_classes(
         size[c] += 1
     codes = {v: [] for v in range(n) if size[colors[v]] > 1}
     loop = [-1] * n
-    labelled = g.edge_attrs.items() if g.edge_attrs is not None else zip(g.edges, repeat(0))
-    for (i, j), a in labelled:
+    for (i, j), a in zip(g.edges, g.edge_attrs or repeat(0)):
         if i == j:
             loop[i] = a
             continue
@@ -295,14 +294,14 @@ def _quotient(
     for v, x in enumerate(of):
         groups[x].append(v)
     pairs: Dict[Tuple[int, int], int] = {}
-    labelled = g.edge_attrs.items() if g.edge_attrs is not None else zip(g.edges, repeat(0))
-    for (i, j), a in labelled:
+    for (i, j), a in zip(g.edges, g.edge_attrs or repeat(0)):
         x, y = of[i], of[j]
         if x != y:
             pairs[(x, y) if x < y else (y, x)] = a
     attrs = _ranks([(colors[v], loop[v], len(vs), inner.get(v, -1)) for v, vs in zip(reps, groups)])
-    edge_attrs = pairs if g.edge_attrs is not None else None
-    return trusted_graph(len(reps), frozenset(pairs), tuple(attrs), edge_attrs), groups
+    edges = pair_sorted(pairs)
+    edge_attrs = tuple(map(pairs.__getitem__, edges)) if g.edge_attrs is not None else None
+    return trusted_graph(len(reps), edges, tuple(attrs), edge_attrs), groups
 
 
 def canonize(g: Graph) -> Canonized:
@@ -321,7 +320,7 @@ def canonize(g: Graph) -> Canonized:
     schreier_sims chain of those automorphisms in Q's canonical order, with
     the search's first path, in canonical positions, as their base."""
     n = g.n
-    base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
+    base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
     colors = _refine(g, _initial_colors(g), base)
     if max(colors, default=-1) + 1 == n:
         return Canonized(g, tuple(colors), SymmetricRuns(n, ()))

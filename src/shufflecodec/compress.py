@@ -112,7 +112,7 @@ def build_dataset_params(
             )
         if corpus.has_edge_attrs:
             edge_attr_counts = _attr_counts(
-                [a for g in graphs for a in g.edge_attrs.values()], uniform
+                [a for g in graphs for a in g.edge_attrs], uniform
             )
 
     er_counts = None

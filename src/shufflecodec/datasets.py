@@ -9,10 +9,12 @@ Continuous-attribute files (DS_node_attributes.txt etc.) are ignored.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph
@@ -138,8 +140,12 @@ def load_tu_dataset(directory: str) -> Corpus:
 def write_tu_dataset(corpus: Corpus, directory: str, name: Optional[str] = None) -> None:
     """Write a corpus back out in TU text format (both edge directions).
 
-    All lines are built before anything is created, so a graph with no
-    vertices, which the format cannot hold, raises DatasetError first."""
+    All lines are built before anything is created, so a corpus with no
+    graphs or a graph with no vertices, which the format cannot hold, raises
+    DatasetError first. A label file of the prefix that the corpus has no
+    labels for, left by an earlier write, is removed."""
+    if not corpus.graphs:
+        raise DatasetError("the corpus has no graphs; the TU format cannot hold it")
     files: Dict[str, List[str]] = {"graph_indicator": [], "A": []}
     if corpus.has_edge_attrs:
         files["edge_labels"] = []
@@ -150,17 +156,21 @@ def write_tu_dataset(corpus: Corpus, directory: str, name: Optional[str] = None)
         if g.n == 0:
             raise DatasetError(f"graph {gi} has no vertices; the TU format cannot hold it")
         files["graph_indicator"] += [str(gi)] * g.n
-        for i, j in sorted(g.edges):
+        for (i, j), label in sorted(zip(g.edges, g.edge_attrs or repeat(None))):
             u, v = i + offset + 1, j + offset + 1
             directed = [f"{u}, {v}"] if i == j else [f"{u}, {v}", f"{v}, {u}"]
             files["A"] += directed
             if corpus.has_edge_attrs:
-                files["edge_labels"] += [str(g.edge_attrs[(i, j)])] * len(directed)
+                files["edge_labels"] += [str(label)] * len(directed)
         if corpus.has_vertex_attrs:
             files["node_labels"] += map(str, g.vertex_attrs)
         offset += g.n
     os.makedirs(directory, exist_ok=True)
     prefix = name or corpus.name
+    for suffix in ("node_labels", "edge_labels"):
+        if suffix not in files:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(directory, f"{prefix}_{suffix}.txt"))
     for suffix, lines in files.items():
         with open(os.path.join(directory, f"{prefix}_{suffix}.txt"), "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines)

@@ -1,16 +1,20 @@
 """Attributed graphs and the vertex-relabeling action on them.
 
-A Graph holds a vertex count, a set of undirected edges (stored as (i, j)
-tuples with i <= j; a self-loop is the edge (i, i)), optional categorical
-vertex attributes, and optional categorical edge attributes covering every
-edge. The vertex count, vertex ids and attributes are ints (a bool or a
-float equal to an int is refused); the count and attributes are
-non-negative. Whether loops are coded is the model parameters' choice, not
-the graph's.
+A Graph holds a vertex count, its undirected edges as one tuple of (i, j)
+pairs with i <= j (a self-loop is the edge (i, i)) in graph_pairs order, by
+the larger endpoint and then the smaller, optional categorical vertex
+attributes, and optional categorical edge attributes as one tuple aligned
+with the edges. Equal graphs have equal tuples, and the models code the
+edges and their attributes in the order they are kept; this module is the
+one that knows that order. The vertex count, vertex ids and attributes are
+ints (a bool or a float equal to an int is refused); the count and
+attributes are non-negative. Whether loops are coded is the model
+parameters' choice, not the graph's.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .perms import DegreeMismatch, Perm, is_perm
@@ -39,8 +43,19 @@ def _ordered(pairs: Iterable, n: int) -> list:
         raise  # pairs was an iterator, spent past the pair
 
 
+def pair_sorted(pairs: Iterable) -> tuple:
+    """Edges (i, j), i <= j, as a tuple in graph_pairs order: by j, then i.
+    Sorted by (i, j) and then stably by j, which is faster than one sort by
+    (j, i) and finds sorted input in one pass."""
+    return tuple(sorted(sorted(pairs), key=operator.itemgetter(1)))
+
+
 class Graph:
-    """Immutable-by-convention attributed graph on vertex set {0..n-1}."""
+    """Immutable-by-convention attributed graph on vertex set {0..n-1}.
+
+    The constructor takes the edges as any iterable of pairs, in any order
+    and either orientation, and the edge attributes as a Mapping from pairs
+    to attributes; it keeps both as tuples in graph_pairs order."""
 
     __slots__ = ("n", "edges", "vertex_attrs", "edge_attrs")
 
@@ -54,12 +69,12 @@ class Graph:
         if type(n) is not int or n < 0:
             raise ValueError(f"vertex count {n!r} is not a nonnegative int")
         edge_list = _ordered(edges, n)
-        edge_set = frozenset(edge_list)
+        edge_set = set(edge_list)
         if len(edge_list) != len(edge_set):
             raise ValueError("duplicate edges")
-        _check_edges(edge_set, n)
+        _check_edges(edge_list, n)
         self.n = n
-        self.edges = edge_set
+        self.edges = pair_sorted(edge_list)
         if vertex_attrs is not None:
             vertex_attrs = tuple(vertex_attrs)
             if len(vertex_attrs) != n:
@@ -75,13 +90,10 @@ class Graph:
                 raise ValueError("an edge is named twice in the edge attributes")
             if named.keys() != edge_set:
                 raise ValueError("edge attributes must cover exactly the edge set")
-            # Keyed by the edge set's own tuples: a key such as (0.0, 1)
-            # equals (0, 1), and update keeps the key already present.
-            edge_attrs = dict.fromkeys(edge_set)
-            edge_attrs.update(named)
-            if not _all_ints(edge_attrs.values()):
+            edge_attrs = tuple(map(named.__getitem__, self.edges))
+            if not _all_ints(edge_attrs):
                 raise ValueError("edge attributes must be ints")
-            if edge_attrs and min(edge_attrs.values()) < 0:
+            if edge_attrs and min(edge_attrs) < 0:
                 raise ValueError("negative edge attribute")
         self.edge_attrs = edge_attrs
 
@@ -98,12 +110,13 @@ class Graph:
         return self.edge_attrs is not None
 
     def key(self) -> tuple:
-        """Total-order encoding: graphs are compared/canonized under this key."""
+        """Total-order encoding: graphs are compared/canonized under this key.
+        It lists the edges, and the (edge, attribute) pairs, in (i, j) order."""
         return (
             self.n,
             self.vertex_attrs if self.vertex_attrs is not None else (),
             tuple(sorted(self.edges)),
-            tuple(sorted(self.edge_attrs.items())) if self.edge_attrs else (),
+            tuple(sorted(zip(self.edges, self.edge_attrs))) if self.edge_attrs else (),
         )
 
     def __eq__(self, other) -> bool:
@@ -120,22 +133,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return (
-            f"Graph(n={self.n}, edges={sorted(self.edges)!r},"
+            f"Graph(n={self.n}, edges={self.edges!r},"
             f" vertex_attrs={self.vertex_attrs!r}, edge_attrs={self.edge_attrs!r})"
         )
 
 
 def trusted_graph(
     n: int,
-    edges: frozenset,
+    edges: tuple,
     vertex_attrs: Optional[tuple] = None,
-    edge_attrs: Optional[dict] = None,
+    edge_attrs: Optional[tuple] = None,
 ) -> Graph:
     """A Graph from parts that are valid by construction, without checking
-    them again: edges a frozenset of (i, j), i <= j, inside [0, n);
-    vertex_attrs a tuple of n naturals; edge_attrs a dict of naturals keyed
-    by exactly the edges. The relabeling action and the model decoders build
-    their graphs this way."""
+    them again: edges a tuple of distinct (i, j), i <= j, inside [0, n), in
+    graph_pairs order; vertex_attrs a tuple of n naturals; edge_attrs a
+    tuple of naturals, one per edge in the edges' order. The relabeling
+    action and the model decoders build their graphs this way."""
     g = Graph.__new__(Graph)
     g.n, g.edges = n, edges
     g.vertex_attrs, g.edge_attrs = vertex_attrs, edge_attrs
@@ -148,7 +161,8 @@ def apply_perm(s: Perm, g: Graph) -> Graph:
 
     Raises DegreeMismatch for a wrong length and ValueError if s is not a
     permutation, in O(n); g's edges are valid already, so the result is
-    built without checking them again."""
+    built without checking them again. Each moved edge (a, b), a <= b, is
+    sorted as the int b * n + a, which orders as graph_pairs does."""
     n = g.n
     if len(s) != n:
         raise DegreeMismatch(f"permutation degree {len(s)} != graph order {n}")
@@ -160,23 +174,24 @@ def apply_perm(s: Perm, g: Graph) -> Graph:
         for i, a in enumerate(g.vertex_attrs):
             out[s[i]] = a
         vertex_attrs = tuple(out)
+    keys = []
+    for i, j in g.edges:
+        a, b = s[i], s[j]
+        keys.append(a * n + b if a >= b else b * n + a)
     edge_attrs = None
     if g.edge_attrs is not None:
-        edge_attrs = {
-            ((s[i], s[j]) if s[i] <= s[j] else (s[j], s[i])): attr
-            for (i, j), attr in g.edge_attrs.items()
-        }
-        edges = frozenset(edge_attrs)  # the attributes cover exactly the edges
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[k] for k in order]
+        edge_attrs = tuple([g.edge_attrs[k] for k in order])
     else:
-        edges = frozenset(
-            [(s[i], s[j]) if s[i] <= s[j] else (s[j], s[i]) for i, j in g.edges]
-        )
+        keys.sort()
+    edges = tuple([(k % n, k // n) for k in keys])
     return trusted_graph(n, edges, vertex_attrs, edge_attrs)
 
 
 def plain_graph(g: Graph) -> Graph:
     """The graph with its attributes dropped. It shares g's validated edge
-    set instead of checking it again."""
+    tuple instead of checking it again."""
     if g.vertex_attrs is None and g.edge_attrs is None:
         return g
     return trusted_graph(g.n, g.edges)

@@ -34,7 +34,7 @@ from .ans import (
     push_uniforms,
     table_for,
 )
-from .graphs import Graph, pair_count, plain_graph, trusted_graph
+from .graphs import Graph, pair_count, pair_sorted, plain_graph, trusted_graph
 from .shuffle import ShuffleCodec, sequence_class
 
 # Edge probabilities in [0, 1] are clamped into [_P_FLOOR, 1 - _P_FLOOR].
@@ -148,9 +148,10 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
     it, and the tables' rounding costs below 256 * 2**-32 relative per block.
     Encode sets bit k & 7 of block k >> 3 per edge, k the edge's pair index;
     decode walks the rows of the set bits' indices, row i holding the pairs
-    (j, i), so both directions cost O(n + m + N/8) for m edges, and the codec
-    keeps no list of pairs. Equal pair probabilities make it exchangeable;
-    ``prob`` is the exact model probability.
+    (j, i), so it lists the edges in graph_pairs order, the order a Graph
+    keeps them in. Both directions cost O(n + m + N/8) for m edges, and the
+    codec keeps no list of pairs. Equal pair probabilities make it
+    exchangeable; ``prob`` is the exact model probability.
     """
     n, loops, p = params.n, params.self_loops, params.edge_p
     num_pairs = pair_count(n, loops)
@@ -186,7 +187,7 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
                         i += 1
                         start, end = end, end + i + loops
                     edges.append((k - start, i))
-        return trusted_graph(n, frozenset(edges))
+        return trusted_graph(n, tuple(edges))
 
     def prob(g: Graph) -> Fraction:
         if any(i >= n or (j == i and not loops) for j, i in g.edges):
@@ -201,7 +202,8 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
 
 class _Urn:
     """Mutable preferential-attachment state: per-vertex weights (degree + 1)
-    and, without redraws, the partners already drawn with each lower endpoint.
+    and, without redraws, the partners already drawn with each lower endpoint,
+    listed only for the vertices drawn so far.
 
     The urn draws a pair (i, j), i < j (i <= j with self-loops), with
     probability proportional to w_i * w_j among the eligible pairs: all of
@@ -229,10 +231,12 @@ class _Urn:
     def __init__(self, params: PuParams):
         self.allow_redraws = params.allow_redraws
         self.weights = [1] * params.n
-        self.drawn: List[List[int]] = [[] for _ in range(params.n)]
-        # drawn_by[j]: the lower endpoints i with j in drawn[i]; drawn_weight[i]:
-        # the total weight of drawn[i], kept up to date as weights grow.
-        self.drawn_by: List[List[int]] = [[] for _ in range(params.n)]
+        # drawn[i]: the partners drawn with i; drawn_by[j]: the lower endpoints
+        # i with j in drawn[i]. Each is the shared empty tuple until the
+        # vertex's first draw makes it a list. drawn_weight[i]: the total
+        # weight of drawn[i], kept up to date as weights grow.
+        self.drawn: List[Sequence[int]] = [()] * params.n
+        self.drawn_by: List[Sequence[int]] = [()] * params.n
         self.drawn_weight = [0] * params.n
         self.offset = 0 if params.allow_self_loops else 1
         self.w_sum = params.n
@@ -294,11 +298,18 @@ class _Urn:
         return (i, lo + k), start + w_i * cums[k], w_i * w[lo + k]
 
     def draw(self, i: int, j: int) -> None:
-        w, drawn_weight, drawn_by = self.weights, self.drawn_weight, self.drawn_by
+        w, drawn, drawn_by = self.weights, self.drawn, self.drawn_by
+        drawn_weight = self.drawn_weight
         w_sum, total, loops = self.w_sum, self._total, not self.offset
         if not self.allow_redraws:
-            self.drawn[i].append(j)
-            drawn_by[j].append(i)
+            if drawn[i]:
+                drawn[i].append(j)
+            else:
+                drawn[i] = [j]
+            if drawn_by[j]:
+                drawn_by[j].append(i)
+            else:
+                drawn_by[j] = [i]
             drawn_weight[i] += w[j]
             total -= w[i] * w[j]
         # Raising w_v by 1 raises W by 1, Q by 2 * w_v + 1 and D by d_v, so T
@@ -366,10 +377,6 @@ def pu_sequence_codec(params: PuParams, num_edges: int) -> Codec:
     return Codec(encode, decode)
 
 
-# Sort key that lists edges (i, j), i <= j, in graph_pairs order.
-_pair_order = operator.itemgetter(1, 0)
-
-
 def with_attributes(
     base: Codec,
     vertex_attr_ps: Optional[Tuple[int, ...]] = None,
@@ -378,7 +385,8 @@ def with_attributes(
     """Layer i.i.d. attribute coding over a plain-graph codec (either model).
 
     Decode order: the base graph, then one attribute per vertex, then one per
-    edge in graph_pairs order. Each attribute is coded over the table of its
+    edge in graph_pairs order, the order in which a Graph keeps its edges and
+    their attributes. Each attribute is coded over the table of its
     integer counts (equal counts code it uniformly). ``prob`` is the base
     probability times the attribute probabilities, when the base has one.
     An encode refused with a CodecError restores the head and stack depth
@@ -400,9 +408,7 @@ def with_attributes(
         head, depth = m.head, len(m.tail)
         try:
             if e_table is not None:
-                edge_attrs = g.edge_attrs
-                attrs = [edge_attrs[e] for e in sorted(g.edges, key=_pair_order)]
-                push_symbols(m, e_table, attrs)
+                push_symbols(m, e_table, g.edge_attrs)
             if v_table is not None:
                 push_symbols(m, v_table, g.vertex_attrs)
             base.encode(m, plain_graph(g))
@@ -418,8 +424,7 @@ def with_attributes(
             vertex_attrs = tuple(pop_symbols(m, v_table, g.n))
         edge_attrs = None
         if e_table is not None:
-            ordered = sorted(g.edges, key=_pair_order)
-            edge_attrs = dict(zip(ordered, pop_symbols(m, e_table, len(ordered))))
+            edge_attrs = tuple(pop_symbols(m, e_table, g.num_edges))
         return trusted_graph(g.n, g.edges, vertex_attrs, edge_attrs)
 
     def prob(g: Graph) -> Fraction:
@@ -427,7 +432,7 @@ def with_attributes(
         if v_weights is not None:
             p *= _iid_prob(v_weights, g.vertex_attrs)
         if e_weights is not None:
-            p *= _iid_prob(e_weights, g.edge_attrs.values())
+            p *= _iid_prob(e_weights, g.edge_attrs)
         return p
 
     return Codec(encode, decode, prob if base.prob is not None else None)
@@ -449,14 +454,16 @@ def polya_urn_codec(params: PuParams) -> Codec:
         _check_plain(g, params.n)
         if any(i == j for i, j in g.edges) and not params.allow_self_loops:
             raise ContractViolation("graph has self-loops but params disallow them")
-        inner(g.num_edges).encode(m, tuple(sorted(g.edges)))
+        inner(g.num_edges).encode(m, g.edges)
         push_uniforms(m, [g.num_edges], count_size)
 
     def decode(m: Message) -> Graph:
         (num_edges,) = pop_uniforms(m, count_size)
         # Decoded pairs are eligible by construction: i <= j inside [0, n),
-        # loops only when allowed.
-        edges = frozenset(inner(num_edges).decode(m))
+        # loops only when allowed. A pair repeated under redraws is one edge:
+        # dict.fromkeys drops the repeat and keeps the sorted order in which
+        # the inner codec returns the pairs, which pair_sorted takes in one pass.
+        edges = pair_sorted(dict.fromkeys(inner(num_edges).decode(m)))
         return trusted_graph(params.n, edges)
 
     return Codec(encode, decode)

@@ -11,8 +11,9 @@ breadth-first closure, generators of an automorphism group on its n points
 degree-n chain they generate, enumeration of a stabilizer chain's group, the
 sequence class's ordering step coded through permutations, the parameter
 block's list code on its own, the urn's block starts in one pass over all
-vertices with the bisection that finds a decode target's pair in them, and
-stripping re-materialized pad words from a message.
+vertices with the bisection that finds a decode target's pair in them,
+stripping re-materialized pad words from a message, and a check of the
+layout a Graph keeps its edges and edge attributes in.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, product
@@ -150,7 +152,7 @@ def refine_pass_by_pairs(g: Graph, colors: List[int]) -> List[int]:
     (neighbour color, edge attribute) pairs), loops left out: the reference
     for canon's integer-coded passes, which must give equal colorings."""
     pairs: List[list] = [[] for _ in range(g.n)]
-    for (i, j), a in (g.edge_attrs or dict.fromkeys(g.edges, 0)).items():
+    for (i, j), a in zip(g.edges, g.edge_attrs or [0] * g.num_edges):
         if i != j:
             pairs[i].append((colors[j], a))
             pairs[j].append((colors[i], a))
@@ -170,12 +172,13 @@ def embed_edge_colors(g: Graph) -> Tuple[Graph, Tuple[Tuple[int, int], ...]]:
     if g.edge_attrs is None:
         raise ValueError("graph has no edge attributes to embed")
     base = (max(g.vertex_attrs) + 1) if g.vertex_attrs else 1
-    edge_order = tuple(sorted(g.edges))
+    labelled = sorted(zip(g.edges, g.edge_attrs))
+    edge_order = tuple(e for e, _ in labelled)
     attrs = list(g.vertex_attrs) if g.vertex_attrs is not None else [0] * g.n
     edges = []
-    for k, (i, j) in enumerate(edge_order):
+    for k, ((i, j), a) in enumerate(labelled):
         ve = g.n + k
-        attrs.append(base + g.edge_attrs[(i, j)])
+        attrs.append(base + a)
         edges.append((i, ve))
         if j != i:
             edges.append((j, ve))
@@ -440,3 +443,34 @@ def without_pad_residue(m: Message) -> Message:
         m.tail.pop()
         index += 1
     return m
+
+
+def assert_graph_layout(g: Graph) -> None:
+    """Asserts the layout a Graph keeps: its edges a tuple of distinct int
+    pairs (i, j), 0 <= i <= j < n, in graph_pairs order (by j, then i), its
+    edge attributes None or a tuple of naturals aligned with the edges, its
+    vertex attributes None or a tuple of n naturals; and that the graph
+    built from its pairs in another order, or reversed, equals it."""
+    assert type(g.edges) is tuple
+    rank = []  # each edge's index among the pairs (i, j), i <= j, by j then i
+    for e in g.edges:
+        assert type(e) is tuple and len(e) == 2
+        i, j = e
+        assert type(i) is int and type(j) is int and 0 <= i <= j < g.n
+        rank.append(j * (j + 1) // 2 + i)
+    assert all(a < b for a, b in zip(rank, rank[1:])), "edges not in graph_pairs order"
+    if g.vertex_attrs is not None:
+        assert type(g.vertex_attrs) is tuple and len(g.vertex_attrs) == g.n
+        assert all(type(a) is int and a >= 0 for a in g.vertex_attrs)
+    labels = None
+    if g.edge_attrs is not None:
+        assert type(g.edge_attrs) is tuple and len(g.edge_attrs) == g.num_edges
+        assert all(type(a) is int and a >= 0 for a in g.edge_attrs)
+        labels = dict(zip(g.edges, g.edge_attrs))
+    shuffled = list(g.edges)
+    random.Random(g.num_edges).shuffle(shuffled)
+    flipped = [(j, i) for i, j in reversed(g.edges)]
+    for pairs in (shuffled, flipped):
+        named = None if labels is None else {p: labels[tuple(sorted(p))] for p in pairs}
+        other = Graph(g.n, pairs, g.vertex_attrs, named)
+        assert other == g and other.key() == g.key()

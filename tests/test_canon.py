@@ -25,6 +25,7 @@ from shufflecodec.perms import (
 
 from oracles import (
     SizeError,
+    assert_graph_layout,
     canon_equal,
     canonize_bruteforce,
     canonize_via_embedding,
@@ -71,7 +72,8 @@ class TestGraphConstruction:
             Graph(2, [(0, 1)], edge_attrs={(0, 1): 0, (1, 0): 1})
         with pytest.raises(ValueError, match="named twice"):
             Graph(2, [(0, 1)], edge_attrs={(0, 1): 1, (1, 0): 1})
-        assert Graph(2, [(0, 1)], edge_attrs={(1, 0): 1}).edge_attrs == {(0, 1): 1}
+        g = Graph(2, [(0, 1)], edge_attrs={(1, 0): 1})
+        assert g.edges == ((0, 1),) and g.edge_attrs == (1,)
 
     @pytest.mark.parametrize(
         "edges",
@@ -116,11 +118,12 @@ class TestGraphConstruction:
             Graph(3, [(0, 1), (1, 2)], edge_attrs={(0, 1): 0, (1, 2): attr})
 
     def test_attribute_keys_take_the_edge_tuples(self):
-        # (0.0, 1) equals (0, 1), so it names that edge; the stored key is
+        # (0.0, 1) equals (0, 1), so it names that edge; the label goes to
         # the edge's own int pair, and the graph canonizes.
         g = Graph(2, [(0, 1)], edge_attrs={(0.0, 1): 2})
-        (key,) = g.edge_attrs
-        assert key == (0, 1) and all(type(x) is int for x in key)
+        ((key,), (label,)) = g.edges, g.edge_attrs
+        assert key == (0, 1) and all(type(x) is int for x in key) and label == 2
+        assert_graph_layout(g)
         assert canonize(g).aut_order == 2
 
     def test_negative_attributes_rejected(self):
@@ -134,7 +137,8 @@ class TestApplyPerm:
     def test_worked_example(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         out = apply_perm((2, 0, 1, 3), g)
-        assert out.edges == {(0, 1), (0, 2), (1, 2), (1, 3)}
+        assert out.edges == ((0, 1), (0, 2), (1, 2), (1, 3))
+        assert_graph_layout(out)
 
     def test_identity_action(self):
         g = Graph(3, [(0, 1)], vertex_attrs=[5, 6, 7])
@@ -149,6 +153,7 @@ class TestApplyPerm:
             t = tuple(rng.sample(range(n), n))
             assert apply_perm(s, apply_perm(t, g)) == apply_perm(compose(s, t), g)
             assert apply_perm(s, apply_perm(inverse(s), g)) == g
+            assert_graph_layout(apply_perm(s, g))
 
     def test_attr_positions_follow_vertices(self):
         g = Graph(3, [(0, 1)], vertex_attrs=[9, 8, 7])
@@ -172,10 +177,11 @@ class TestApplyPerm:
                 n,
                 [(s[i], s[j]) for i, j in g.edges],
                 vertex_attrs,
-                {(s[i], s[j]): a for (i, j), a in g.edge_attrs.items()},
+                {(s[i], s[j]): a for (i, j), a in zip(g.edges, g.edge_attrs)},
             )
             assert out == want and out.key() == want.key()
-            assert type(out.edges) is frozenset
+            assert type(out.edges) is tuple
+            assert_graph_layout(out)
             assert out.vertex_attrs is None or type(out.vertex_attrs) is tuple
 
     def test_non_permutations_rejected(self):
@@ -194,7 +200,7 @@ class TestApplyPerm:
         for s in ((1.0, 0.0), (1, 0.0), (True, False), (1, False)):
             with pytest.raises(ValueError, match="not a permutation"):
                 apply_perm(s, g)
-        assert apply_perm((1, 0), g).edges == {(0, 1)}
+        assert apply_perm((1, 0), g).edges == ((0, 1),)
 
     def test_apply_sequence_rejects_non_permutations(self):
         from shufflecodec.perms import DegreeMismatch
@@ -302,7 +308,7 @@ class TestCanonize:
         searched = 0
         for trial in range(400):
             g = random_loopy_graph(rng, rng.randint(1, 30))
-            base = max(g.edge_attrs.values(), default=0) + 1 if g.edge_attrs else 1
+            base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
             colors = canon._initial_colors(g)
             assert canon._refine_pass(g, colors, base) == refine_pass_by_pairs(g, colors)
             colors = canon._refine(g, colors, base)
@@ -703,6 +709,13 @@ class TestTwinQuotient:
         for g in twin_quotient_cases():
             c, bf = canonize(g), canonize_bruteforce(g)
             kinds.add("no blocks" if c.aut_group.blocks is None else "blocks")
+            # The quotient is built without the Graph checks: it keeps the
+            # layout of a checked graph.
+            base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
+            colors = canon._refine(g, canon._initial_colors(g), base)
+            classes, loop = canon._twin_classes(g, colors, base)
+            if classes:
+                assert_graph_layout(canon._quotient(g, colors, classes, loop)[0])
             assert c.aut_order == bf.aut_order == group_order(c.aut_group)
             assert apply_perm(c.canon_perm, g) == c.canon_graph
             for _ in range(4):

@@ -27,10 +27,10 @@ from shufflecodec.datasets import (
     write_tu_dataset,
 )
 from shufflecodec.generate import sample_er_graph
-from shufflecodec.graphs import Graph
+from shufflecodec.graphs import Graph, plain_graph
 from shufflecodec.shuffle import ShuffleCodec, graph_class
 
-from oracles import canon_equal
+from oracles import assert_graph_layout, canon_equal
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "toy_tu")
 GEN_CORPUS = os.path.join(os.path.dirname(__file__), "..", "scripts", "gen_corpus.py")
@@ -45,8 +45,11 @@ class TestTuLoader:
         corpus = fixture_corpus()
         assert corpus.name == "TOY"
         assert [g.n for g in corpus.graphs] == [3, 4]
-        assert corpus.graphs[0].edges == {(0, 1), (1, 2)}
-        assert corpus.graphs[1].edges == {(0, 1), (1, 2), (2, 3), (0, 2)}
+        # Edges in graph_pairs order: by the larger endpoint, then the smaller.
+        assert corpus.graphs[0].edges == ((0, 1), (1, 2))
+        assert corpus.graphs[1].edges == ((0, 1), (0, 2), (1, 2), (2, 3))
+        for g in corpus.graphs:
+            assert_graph_layout(g)
 
     def test_fixture_labels_remapped_dense(self):
         corpus = fixture_corpus()
@@ -54,13 +57,19 @@ class TestTuLoader:
         assert corpus.graphs[0].vertex_attrs == (0, 1, 0)
         assert corpus.graphs[1].vertex_attrs == (2, 1, 1, 0)
         # raw edge labels {1, 3} -> dense {0, 1}
-        assert corpus.graphs[0].edge_attrs == {(0, 1): 1, (1, 2): 0}
-        assert corpus.graphs[1].edge_attrs == {
+        # One label per edge, in the edges' order.
+        assert dict(zip(corpus.graphs[0].edges, corpus.graphs[0].edge_attrs)) == {
+            (0, 1): 1,
+            (1, 2): 0,
+        }
+        assert dict(zip(corpus.graphs[1].edges, corpus.graphs[1].edge_attrs)) == {
             (0, 1): 1,
             (1, 2): 1,
             (2, 3): 0,
             (0, 2): 0,
         }
+        assert corpus.graphs[0].edge_attrs == (1, 0)
+        assert corpus.graphs[1].edge_attrs == (1, 0, 1, 0)
 
     def test_empty_indicator_rejected(self, tmp_path):
         (tmp_path / "X_A.txt").write_text("")
@@ -235,6 +244,24 @@ class TestTuLoader:
         with pytest.raises(DatasetError, match="graph 1 has no vertices"):
             write_tu_dataset(corpus, str(out))
         assert not out.exists()
+
+    def test_corpus_with_no_graphs_refused(self, tmp_path):
+        # Empty files would make a directory that the reader refuses: the
+        # writer refuses the corpus before it creates anything.
+        out = tmp_path / "out"
+        with pytest.raises(DatasetError, match="no graphs"):
+            write_tu_dataset(Corpus((), "E", False, False), str(out))
+        assert not out.exists()
+
+    def test_label_files_of_an_earlier_write_removed(self, tmp_path):
+        # An unlabelled corpus written where a labelled one was, under the
+        # same prefix, loads as the unlabelled corpus: the old label files go.
+        out = str(tmp_path / "out")
+        write_tu_dataset(fixture_corpus(), out, name="S")
+        plain = Corpus(tuple(plain_graph(g) for g in fixture_corpus().graphs), "S", False, False)
+        write_tu_dataset(plain, out)
+        assert sorted(os.listdir(out)) == ["S_A.txt", "S_graph_indicator.txt"]
+        assert load_tu_dataset(out) == plain
 
     def test_write_read_round_trip(self, tmp_path):
         corpus = fixture_corpus()
@@ -753,6 +780,20 @@ class TestCli:
         assert stdout == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "no vertices" in err
+        assert not out.exists()
+
+    def test_decompress_refuses_an_empty_corpus(self, tmp_path, capsys):
+        # A corpus with no graphs has no TU directory that loads: refused,
+        # with one error line and no directory.
+        data, _ = compress_corpus(Corpus((), "E", False, False))
+        blob = tmp_path / "e.shuf"
+        blob.write_bytes(data)
+        out = tmp_path / "decoded"
+        assert main(["decompress", "--in", str(blob), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no graphs" in err
         assert not out.exists()
 
     def test_data_error_exit_one(self, tmp_path, capsys):

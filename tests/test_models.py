@@ -14,6 +14,7 @@ from shufflecodec.ans import (
     message_init,
     message_serialize,
     pop_uniforms,
+    push_uniforms,
 )
 from shufflecodec.canon import canonize
 from shufflecodec.compress import compress_corpus, decompress_corpus
@@ -33,7 +34,7 @@ from shufflecodec.models import (
 from shufflecodec.shuffle import ShuffleCodec, graph_class
 
 from conftest import random_message
-from oracles import urn_block_starts, urn_locate
+from oracles import assert_graph_layout, urn_block_starts, urn_locate
 
 
 class TestStringCodec:
@@ -120,7 +121,9 @@ class TestErdosRenyi:
             m = random_message(seed=3, tail_words=8)
             snapshot = m.copy()
             codec.encode(m, g)
-            assert codec.decode(m) == g
+            out = codec.decode(m)
+            assert out == g
+            assert_graph_layout(out)
             assert m == snapshot
 
     def test_round_trip_with_self_loops(self, rng):
@@ -130,7 +133,9 @@ class TestErdosRenyi:
             g = sample_er_graph(rng, 5, 0.3, self_loops=True)
             m = random_message(seed=4, tail_words=8)
             codec.encode(m, g)
-            assert codec.decode(m) == g
+            out = codec.decode(m)
+            assert out == g
+            assert_graph_layout(out)
 
     def test_exchangeable_exact(self, rng):
         codec = with_attributes(
@@ -221,7 +226,9 @@ class TestErBlocks:
                 m = random_message(seed=n, tail_words=4)
                 snapshot = m.copy()
                 codec.encode(m, g)
-                assert codec.decode(m) == g
+                out = codec.decode(m)
+                assert out == g
+                assert_graph_layout(out)
                 assert m == snapshot
         assert residues == set(range(8))
 
@@ -298,7 +305,9 @@ class TestErBlocks:
             m = random_message(seed=n, tail_words=4)
             snapshot = m.copy()
             codec.encode(m, g)
-            assert codec.decode(m) == g
+            out = codec.decode(m)
+            assert out == g
+            assert_graph_layout(out)
             assert m == snapshot
 
     def test_building_keeps_no_pair_list(self):
@@ -503,6 +512,30 @@ class TestPolyaUrn:
             assert codec.decode(m) == g
         assert m == snapshot
 
+    def test_a_pair_drawn_twice_is_one_edge(self):
+        # Under redraws a message can hold a sequence that draws a pair
+        # twice; the decoded graph has that pair once.
+        params = PuParams(3, allow_redraws=True)
+        m = message_init()
+        pu_sequence_codec(params, 3).encode(m, ((0, 1), (1, 2), (0, 1)))
+        push_uniforms(m, [3], (pair_count(3) + 1,))
+        g = polya_urn_codec(params).decode(m)
+        assert g == Graph(3, [(1, 2), (0, 1)])
+        assert_graph_layout(g)
+
+    def test_decoding_without_edges_lists_no_partners(self):
+        # Partner lists are made at a vertex's first draw: an urn on 10**6
+        # vertices that draws nothing holds four lists of 10**6 pointers,
+        # 32 MB. Two of them as lists of 10**6 empty lists took 145 MB.
+        decode = pu_sequence_codec(PuParams(10**6), 0).decode
+        tracemalloc.start()
+        try:
+            assert decode(message_init()) == ()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 10**6
+
     def test_too_many_pairs_to_count_refused(self):
         # 2**25 vertices have about 2**49 pairs: the edge count's uniform
         # symbol would exceed the coder's 2**48 total, so the codec is
@@ -531,6 +564,7 @@ class TestPolyaUrn:
             codec.encode(m, g)
             out = codec.decode(m)
             assert out == g
+            assert_graph_layout(out)
             assert m == snapshot
 
     @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
@@ -543,6 +577,7 @@ class TestPolyaUrn:
             params = PuParams(n, redraws, loops)
             g = polya_urn_codec(params).decode(random_message(seed, rng.randint(0, 8)))
             assert g == Graph(n, g.edges)
+            assert_graph_layout(g)
             assert loops or all(i != j for i, j in g.edges)
 
     def test_sequence_codec_tracks_urn_state(self, rng):

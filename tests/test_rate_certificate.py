@@ -44,7 +44,7 @@ def graph_classes(n: int, colours=None):
             attrs = None if colour is None else g.vertex_attrs + (colour,)
             for size in range(n):
                 for nbrs in combinations(range(n - 1), size):
-                    edges = g.edges | {(v, n - 1) for v in nbrs}
+                    edges = g.edges + tuple((v, n - 1) for v in nbrs)
                     canon = canonize(Graph(n, edges, attrs)).canon_graph
                     members.setdefault(canon.key(), canon)
     return list(members.values())
