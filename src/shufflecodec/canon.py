@@ -247,25 +247,27 @@ def _twin_classes(
     (and one a), so each vertex is keyed once as open and once per attribute
     a of its edges into its own cell, with its own code v * base + a added
     to its neighbour codes as closed: members of a class share the key. Only
-    vertices of non-singleton cells are keyed."""
+    vertices of non-singleton cells are keyed, in vertex order, and only
+    those with a non-loop edge get a list of codes: the others have none."""
     n = g.n
     size = [0] * n
     for c in colors:
         size[c] += 1
-    codes = {v: [] for v in range(n) if size[colors[v]] > 1}
+    codes: Dict[int, List[int]] = {}
     loop = [-1] * n
     for (i, j), a in zip(g.edges, g.edge_attrs or repeat(0)):
         if i == j:
             loop[i] = a
             continue
-        if i in codes:
-            codes[i].append(j * base + a)
-        if j in codes:
-            codes[j].append(i * base + a)
+        if size[colors[i]] > 1:
+            codes.setdefault(i, []).append(j * base + a)
+        if size[colors[j]] > 1:
+            codes.setdefault(j, []).append(i * base + a)
     keyed: Dict[tuple, List[int]] = {}
-    for v, nb in codes.items():
-        c = colors[v]
-        nb.sort()
+    for v, c in enumerate(colors):
+        if size[c] == 1:
+            continue
+        nb = sorted(codes.get(v, ()))
         keyed.setdefault((c, loop[v], -1, tuple(nb)), []).append(v)
         for a in {x % base for x in nb if colors[x // base] == c}:
             keyed.setdefault((c, loop[v], a, tuple(sorted(nb + [v * base + a]))), []).append(v)

@@ -66,6 +66,13 @@ def _read_labels(path: str, count: int, miscount: str) -> Optional[List[int]]:
     return [dense[v] for v in raw]
 
 
+def _prefixes(directory: str) -> List[str]:
+    """The sorted prefixes of the *_A.txt files in directory, one per TU
+    dataset in it."""
+    a_files = glob.glob(os.path.join(glob.escape(directory), "*_A.txt"))
+    return sorted(os.path.basename(f)[: -len("_A.txt")] for f in a_files)
+
+
 def load_tu_dataset(directory: str) -> Corpus:
     """Parse a TU-format dataset directory into a Corpus.
 
@@ -75,12 +82,12 @@ def load_tu_dataset(directory: str) -> Corpus:
     """
     if not os.path.isdir(directory):
         raise DatasetError(f"not a directory: {directory}")
-    a_files = sorted(glob.glob(os.path.join(directory, "*_A.txt")))
-    if not a_files:
+    prefixes = _prefixes(directory)
+    if not prefixes:
         raise DatasetError(f"no *_A.txt in {directory}")
-    if len(a_files) > 1:
+    if len(prefixes) > 1:
         raise DatasetError(f"multiple *_A.txt files in {directory}")
-    prefix = os.path.basename(a_files[0])[: -len("_A.txt")]
+    prefix = prefixes[0]
 
     def path(suffix: str) -> str:
         return os.path.join(directory, f"{prefix}_{suffix}.txt")
@@ -103,7 +110,7 @@ def load_tu_dataset(directory: str) -> Corpus:
         members[gid - 1].append(x)
 
     pairs: List[Tuple[int, int]] = []
-    for lineno, line in enumerate(_read_lines(a_files[0]), 1):
+    for lineno, line in enumerate(_read_lines(path("A")), 1):
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise DatasetError(f"{prefix}_A.txt:{lineno}: expected two ids")
@@ -142,8 +149,10 @@ def write_tu_dataset(corpus: Corpus, directory: str, name: Optional[str] = None)
 
     All lines are built before anything is created, so a corpus with no
     graphs or a graph with no vertices, which the format cannot hold, raises
-    DatasetError first. A label file of the prefix that the corpus has no
-    labels for, left by an earlier write, is removed."""
+    DatasetError first, as does a directory that holds another prefix's
+    dataset, which would then not load: an earlier write of the same prefix
+    is overwritten, and its label files that the corpus has no labels for
+    are removed."""
     if not corpus.graphs:
         raise DatasetError("the corpus has no graphs; the TU format cannot hold it")
     files: Dict[str, List[str]] = {"graph_indicator": [], "A": []}
@@ -165,8 +174,11 @@ def write_tu_dataset(corpus: Corpus, directory: str, name: Optional[str] = None)
         if corpus.has_vertex_attrs:
             files["node_labels"] += map(str, g.vertex_attrs)
         offset += g.n
-    os.makedirs(directory, exist_ok=True)
     prefix = name or corpus.name
+    others = [p for p in _prefixes(directory) if p != prefix]
+    if others:
+        raise DatasetError(f"{directory} holds another dataset, {others[0]}")
+    os.makedirs(directory, exist_ok=True)
     for suffix in ("node_labels", "edge_labels"):
         if suffix not in files:
             with contextlib.suppress(FileNotFoundError):

@@ -10,11 +10,18 @@ one that knows that order. The vertex count, vertex ids and attributes are
 ints (a bool or a float equal to an int is refused); the count and
 attributes are non-negative. Whether loops are coded is the model
 parameters' choice, not the graph's.
+
+The pair tuples of a graph on at most PAIR_TABLE_ORDER vertices, built by
+the constructor, the relabeling action or the ER decoder, are objects of
+one shared table, so equal pairs of two such graphs are one object; only
+their values, never their identity, are part of a graph.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
+from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .perms import DegreeMismatch, Perm, is_perm
@@ -41,6 +48,37 @@ def _ordered(pairs: Iterable, n: int) -> list:
     except TypeError:
         _check_edges(pairs, n)
         raise  # pairs was an iterator, spent past the pair
+
+
+# Graphs on at most PAIR_TABLE_ORDER vertices share their pairs: _PAIRS[k]
+# is the pair (i, j), i <= j, of index k = j * (j + 1) // 2 + i, the
+# graph_pairs order with loops. It grows on demand, to at most 32896 pairs,
+# under _GROWING, so that two threads never append the same rows.
+PAIR_TABLE_ORDER = 256
+_PAIRS: list = []
+_GROWING = threading.Lock()
+
+
+def indexed_pairs(n: int, keys: Iterable[int]) -> tuple:
+    """The pairs of the pair indices keys, j * (j + 1) // 2 + i for (i, j),
+    of a graph on n vertices, as a tuple in the keys' order: the shared
+    table's pair objects for n <= PAIR_TABLE_ORDER, and above it new tuples,
+    with one square root per run of keys in one row j."""
+    if n <= PAIR_TABLE_ORDER:
+        if len(_PAIRS) < n * (n + 1) >> 1:
+            with _GROWING:
+                rows = isqrt(2 * len(_PAIRS))  # the table holds rows j < rows
+                _PAIRS.extend([(i, j) for j in range(rows, n) for i in range(j + 1)])
+        return tuple(map(_PAIRS.__getitem__, keys))
+    pairs = []
+    j = start = end = 0  # row j holds the indices [start, end)
+    for k in keys:
+        if not start <= k < end:
+            j = (isqrt(8 * k + 1) - 1) >> 1
+            start = j * (j + 1) >> 1
+            end = start + j + 1
+        pairs.append((k - start, j))
+    return tuple(pairs)
 
 
 def pair_sorted(pairs: Iterable) -> tuple:
@@ -74,7 +112,7 @@ class Graph:
             raise ValueError("duplicate edges")
         _check_edges(edge_list, n)
         self.n = n
-        self.edges = pair_sorted(edge_list)
+        self.edges = indexed_pairs(n, sorted([j * (j + 1) // 2 + i for i, j in edge_list]))
         if vertex_attrs is not None:
             vertex_attrs = tuple(vertex_attrs)
             if len(vertex_attrs) != n:
@@ -147,8 +185,10 @@ def trusted_graph(
     """A Graph from parts that are valid by construction, without checking
     them again: edges a tuple of distinct (i, j), i <= j, inside [0, n), in
     graph_pairs order; vertex_attrs a tuple of n naturals; edge_attrs a
-    tuple of naturals, one per edge in the edges' order. The relabeling
-    action and the model decoders build their graphs this way."""
+    tuple of naturals, one per edge in the edges' order. The pairs may be
+    objects shared with other graphs (see indexed_pairs), as the relabeling
+    action and the model decoders, which build their graphs this way, pass
+    them."""
     g = Graph.__new__(Graph)
     g.n, g.edges = n, edges
     g.vertex_attrs, g.edge_attrs = vertex_attrs, edge_attrs
@@ -162,7 +202,8 @@ def apply_perm(s: Perm, g: Graph) -> Graph:
     Raises DegreeMismatch for a wrong length and ValueError if s is not a
     permutation, in O(n); g's edges are valid already, so the result is
     built without checking them again. Each moved edge (a, b), a <= b, is
-    sorted as the int b * n + a, which orders as graph_pairs does."""
+    sorted as its pair index b * (b + 1) // 2 + a, which orders as
+    graph_pairs does."""
     n = g.n
     if len(s) != n:
         raise DegreeMismatch(f"permutation degree {len(s)} != graph order {n}")
@@ -177,7 +218,7 @@ def apply_perm(s: Perm, g: Graph) -> Graph:
     keys = []
     for i, j in g.edges:
         a, b = s[i], s[j]
-        keys.append(a * n + b if a >= b else b * n + a)
+        keys.append(a * (a + 1) // 2 + b if a >= b else b * (b + 1) // 2 + a)
     edge_attrs = None
     if g.edge_attrs is not None:
         order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -185,8 +226,7 @@ def apply_perm(s: Perm, g: Graph) -> Graph:
         edge_attrs = tuple([g.edge_attrs[k] for k in order])
     else:
         keys.sort()
-    edges = tuple([(k % n, k // n) for k in keys])
-    return trusted_graph(n, edges, vertex_attrs, edge_attrs)
+    return trusted_graph(n, indexed_pairs(n, keys), vertex_attrs, edge_attrs)
 
 
 def plain_graph(g: Graph) -> Graph:

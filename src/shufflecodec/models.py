@@ -34,7 +34,7 @@ from .ans import (
     push_uniforms,
     table_for,
 )
-from .graphs import Graph, pair_count, pair_sorted, plain_graph, trusted_graph
+from .graphs import Graph, indexed_pairs, pair_count, pair_sorted, plain_graph, trusted_graph
 from .shuffle import ShuffleCodec, sequence_class
 
 # Edge probabilities in [0, 1] are clamped into [_P_FLOOR, 1 - _P_FLOOR].
@@ -149,9 +149,10 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
     Encode sets bit k & 7 of block k >> 3 per edge, k the edge's pair index;
     decode walks the rows of the set bits' indices, row i holding the pairs
     (j, i), so it lists the edges in graph_pairs order, the order a Graph
-    keeps them in. Both directions cost O(n + m + N/8) for m edges, and the
-    codec keeps no list of pairs. Equal pair probabilities make it
-    exchangeable; ``prob`` is the exact model probability.
+    keeps them in, and takes each pair by its index from indexed_pairs. Both
+    directions cost O(n + m + N/8) for m edges, and the codec keeps no list
+    of pairs. Equal pair probabilities make it exchangeable; ``prob`` is the
+    exact model probability.
     """
     n, loops, p = params.n, params.self_loops, params.edge_p
     num_pairs = pair_count(n, loops)
@@ -176,8 +177,8 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
         blocks = pop_symbols(m, block_table, full)
         if rest:
             blocks += pop_symbols(m, rest_table, 1)
-        edges = []
-        i = start = 0  # row i holds the indices [start, end)
+        keys = []
+        i = 0  # row i holds the indices below end
         end = 1 if loops else 0
         for b, x in enumerate(blocks):
             if x:
@@ -185,9 +186,9 @@ def erdos_renyi_codec(params: ErParams) -> Codec:
                     k = b << 3 | t
                     while k >= end:
                         i += 1
-                        start, end = end, end + i + loops
-                    edges.append((k - start, i))
-        return trusted_graph(n, tuple(edges))
+                        end += i + loops
+                    keys.append(k if loops else k + i)
+        return trusted_graph(n, indexed_pairs(n, keys))
 
     def prob(g: Graph) -> Fraction:
         if any(i >= n or (j == i and not loops) for j, i in g.edges):

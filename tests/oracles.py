@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from shufflecodec.ans import Codec, Message, pad_word, push_uniforms
 from shufflecodec.canon import Canonized, canonize
-from shufflecodec.graphs import Graph, apply_perm
+from shufflecodec.graphs import PAIR_TABLE_ORDER, Graph, apply_perm
 from shufflecodec.params import _natural_symbols, _pop_list
 from shufflecodec.perms import (
     ChainLevel,
@@ -474,3 +474,12 @@ def assert_graph_layout(g: Graph) -> None:
         named = None if labels is None else {p: labels[tuple(sorted(p))] for p in pairs}
         other = Graph(g.n, pairs, g.vertex_attrs, named)
         assert other == g and other.key() == g.key()
+
+
+def assert_pairs_shared(g: Graph, h: Graph) -> None:
+    """Asserts that g and h, graphs on at most PAIR_TABLE_ORDER vertices,
+    hold each pair they both have as one object."""
+    assert max(g.n, h.n) <= PAIR_TABLE_ORDER
+    held = {p: p for p in h.edges}
+    for p in g.edges:
+        assert held.get(p, p) is p, f"pair {p} is two objects"

@@ -1,10 +1,15 @@
 import math
 import random
+import subprocess
+import sys
+import threading
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
 
-from shufflecodec import canon
+from shufflecodec import canon, graphs
+from shufflecodec.ans import message_init
 from shufflecodec.canon import (
     apply_sequence,
     canonize,
@@ -12,7 +17,8 @@ from shufflecodec.canon import (
 )
 from shufflecodec.compress import compress_corpus, decompress_corpus
 from shufflecodec.datasets import Corpus
-from shufflecodec.graphs import Graph, apply_perm
+from shufflecodec.graphs import PAIR_TABLE_ORDER, Graph, apply_perm
+from shufflecodec.models import ErParams, erdos_renyi_codec
 from shufflecodec.perms import (
     SymmetricRuns,
     compose,
@@ -26,6 +32,7 @@ from shufflecodec.perms import (
 from oracles import (
     SizeError,
     assert_graph_layout,
+    assert_pairs_shared,
     canon_equal,
     canonize_bruteforce,
     canonize_via_embedding,
@@ -212,6 +219,114 @@ class TestApplyPerm:
             apply_sequence((0,), (5, 6))
         assert apply_sequence((1, 0), (5, 6)) == (6, 5)
         assert apply_sequence((1, 2, 0), "abc") == "cab"
+
+
+class TestPairTable:
+    # Graphs on at most PAIR_TABLE_ORDER vertices take their pairs from one
+    # shared table; graphs above it build their own pairs, of the same values.
+    def test_constructor_and_apply_perm_share_pairs(self):
+        rng = random.Random(34)
+        for n in (2, 9, 20, PAIR_TABLE_ORDER):
+            g = random_graph(rng, n, p=min(0.5, 20 / n), edge_alphabet=3)
+            pairs = [(j, i) for i, j in g.edges]
+            rng.shuffle(pairs)
+            again = Graph(n, pairs, None, dict(zip(pairs, rng.choices(range(3), k=len(pairs)))))
+            s = tuple(rng.sample(range(n), n))
+            moved = apply_perm(s, g)
+            smaller = Graph(n - 1, [(i, j) for i, j in g.edges if j < n - 1])
+            for a, b in ((g, again), (g, moved), (moved, again), (smaller, g), (moved, smaller)):
+                assert_pairs_shared(a, b)
+
+    @pytest.mark.parametrize("n", [PAIR_TABLE_ORDER, PAIR_TABLE_ORDER + 1])
+    def test_edges_at_the_top_vertex(self, n):
+        # The table's last row and the first row above it: the constructor,
+        # apply_perm and the ER decoder build the pairs, order and key that
+        # sorting the pairs by (j, i) gives.
+        rng = random.Random(n)
+        top = n - 1
+        pairs = {(0, top), (top - 1, top), (top, top), (0, 0)}
+        pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(300)}
+        labels = {p: rng.randrange(4) for p in pairs}
+        flipped = {(j, i): a for (i, j), a in labels.items()}
+        g = Graph(n, flipped, None, flipped)
+        want = tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
+        assert g.edges == want
+        assert g.edge_attrs == tuple(labels[p] for p in want)
+        assert g.key() == (n, (), tuple(sorted(pairs)), tuple(sorted(labels.items())))
+        assert_graph_layout(g)
+        s = tuple(rng.sample(range(n), n))
+        moved = {tuple(sorted((s[i], s[j]))): a for (i, j), a in labels.items()}
+        out = apply_perm(s, g)
+        assert out.edges == tuple(sorted(moved, key=lambda p: (p[1], p[0])))
+        assert out.key() == (n, (), tuple(sorted(moved)), tuple(sorted(moved.items())))
+        assert_graph_layout(out)
+        plain = Graph(n, pairs)
+        codec = erdos_renyi_codec(ErParams(n, 0.01, self_loops=True))
+        m = message_init()
+        codec.encode(m, plain)
+        decoded = codec.decode(m)
+        assert decoded.edges == want and decoded.key() == plain.key()
+        assert_graph_layout(decoded)
+
+    def test_the_table_grows_to_the_cap_and_no_further(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_PAIRS", [])
+        Graph(20, [(0, 19)])
+        assert len(graphs._PAIRS) == 20 * 21 // 2
+        rng = random.Random(5)
+        big = random_graph(rng, 300, p=0.01)
+        apply_perm(tuple(rng.sample(range(300), 300)), big)
+        codec = erdos_renyi_codec(ErParams(300, 0.01))
+        m = message_init()
+        codec.encode(m, big)
+        assert codec.decode(m) == big
+        assert len(graphs._PAIRS) == 20 * 21 // 2
+        Graph(PAIR_TABLE_ORDER + 1, [(0, PAIR_TABLE_ORDER)])
+        Graph(PAIR_TABLE_ORDER, [(0, 0)])
+        Graph(PAIR_TABLE_ORDER + 1, [(0, PAIR_TABLE_ORDER)])
+        assert len(graphs._PAIRS) == 32896
+        assert graphs._PAIRS == [(i, j) for j in range(PAIR_TABLE_ORDER) for i in range(j + 1)]
+
+    def test_threads_grow_one_table(self, monkeypatch):
+        # Four threads build graphs of rising order at once, with a thread
+        # switch every microsecond: no row of the table is lost or repeated.
+        monkeypatch.setattr(graphs, "_PAIRS", [])
+        wrong = []
+
+        def build():
+            for n in range(1, PAIR_TABLE_ORDER + 1, 3):
+                if Graph(n, {(0, n - 1), (n - 1, n - 1)}).edges[-1] != (n - 1, n - 1):
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert graphs._PAIRS == [(i, j) for j in range(PAIR_TABLE_ORDER) for i in range(j + 1)]
+
+    def test_coding_sequences_builds_no_table(self):
+        # A process that only shuffle-codes sequences builds no pair.
+        code = (
+            "from shufflecodec import ShuffleCodec, graphs, message_init, sequence_class,"
+            " string_codec\n"
+            "codec = ShuffleCodec(string_codec([1, 1], 30), sequence_class())\n"
+            "m = message_init()\n"
+            "codec.encode(m, [i % 2 for i in range(30)])\n"
+            "assert codec.decode(m) == (0,) * 15 + (1,) * 15\n"
+            "print(len(graphs._PAIRS))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
 
 
 class TestCanonize:
@@ -769,6 +884,24 @@ class TestTwinQuotient:
                 for _ in range(2)]
         assert runs[0] == runs[1] == SymmetricRuns(8, [(0, 7)])
         assert groups[0] != SymmetricRuns(6, ())
+
+    def test_vertices_without_edges_get_no_neighbour_list(self):
+        # The edge-free graph on 10^5 vertices is one class of open twins.
+        # Beyond the classes and loop list it returns, the twin finder's
+        # traced peak is the cell sizes' list; a list per vertex took 11.6 MB
+        # more (16.4 MB in all).
+        n = 10**5
+        g = Graph(n)
+        colors = canon._refine(g, canon._initial_colors(g), 1)
+        tracemalloc.start()
+        try:
+            classes, loop = canon._twin_classes(g, colors, 1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert classes == [(list(range(n)), -1)] and loop == [-1] * n
+        assert peak - kept < 2 << 20
+        assert peak < 8 << 20
 
     def test_discrete_first_refinement_looks_for_no_twins(self, monkeypatch):
         def refuse(*args):

@@ -30,7 +30,7 @@ from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, plain_graph
 from shufflecodec.shuffle import ShuffleCodec, graph_class
 
-from oracles import assert_graph_layout, canon_equal
+from oracles import assert_graph_layout, assert_pairs_shared, canon_equal
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "toy_tu")
 GEN_CORPUS = os.path.join(os.path.dirname(__file__), "..", "scripts", "gen_corpus.py")
@@ -263,6 +263,22 @@ class TestTuLoader:
         assert sorted(os.listdir(out)) == ["S_A.txt", "S_graph_indicator.txt"]
         assert load_tu_dataset(out) == plain
 
+    @pytest.mark.parametrize("directory", ["out", "out[1]"])
+    def test_another_dataset_in_the_directory_refused(self, tmp_path, directory):
+        # Two prefixes in one directory would not load: writing a second is
+        # refused before any file is created or removed, and rewriting the
+        # same prefix stays allowed. A directory name is not a glob pattern.
+        out = tmp_path / directory
+        write_tu_dataset(fixture_corpus(), str(out), name="decoded")
+        before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        plain = tuple(plain_graph(g) for g in fixture_corpus().graphs)
+        other = Corpus(plain, "other", False, False)
+        with pytest.raises(DatasetError, match="another dataset, decoded"):
+            write_tu_dataset(other, str(out))
+        assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+        write_tu_dataset(other, str(out), name="decoded")
+        assert load_tu_dataset(str(out)) == Corpus(plain, "decoded", False, False)
+
     def test_write_read_round_trip(self, tmp_path):
         corpus = fixture_corpus()
         write_tu_dataset(corpus, str(tmp_path))
@@ -436,6 +452,18 @@ class TestCompressDecompress:
         assert sorted(g.key() for g in out.graphs) == sorted(
             canonize(g).canon_graph.key() for g in graphs
         )
+
+    @pytest.mark.parametrize("model", ["er", "pu"])
+    def test_decoded_graphs_share_their_pairs(self, model):
+        # The decoded graphs, and the corpus's graphs, which the constructor
+        # built, hold each pair they have in common as one object.
+        corpus = synthetic_corpus(seed=7, num=10, with_attrs=True)
+        data, _ = compress_corpus(corpus, model=model)
+        out = decompress_corpus(data).graphs
+        for g in out:
+            assert_graph_layout(g)
+            for h in out + corpus.graphs:
+                assert_pairs_shared(g, h)
 
     def test_self_loop_corpus(self):
         corpus = synthetic_corpus(seed=7, num=10, loops=True)
@@ -795,6 +823,23 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "no graphs" in err
         assert not out.exists()
+
+    def test_decompress_refuses_a_directory_with_another_dataset(self, tmp_path, capsys):
+        # --name other into a directory that holds the dataset "decoded":
+        # one error line, exit 1, and the directory as it was.
+        blob = tmp_path / "fixture.shuf"
+        blob.write_bytes(compress_corpus(fixture_corpus())[0])
+        out = tmp_path / "decoded"
+        assert main(["decompress", "--in", str(blob), "--out", str(out)]) == 0
+        before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        capsys.readouterr()
+        argv = ["decompress", "--in", str(blob), "--out", str(out), "--name", "other"]
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "another dataset, decoded" in err
+        assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
 
     def test_data_error_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "nope"

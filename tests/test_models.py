@@ -34,7 +34,7 @@ from shufflecodec.models import (
 from shufflecodec.shuffle import ShuffleCodec, graph_class
 
 from conftest import random_message
-from oracles import assert_graph_layout, urn_block_starts, urn_locate
+from oracles import assert_graph_layout, assert_pairs_shared, urn_block_starts, urn_locate
 
 
 class TestStringCodec:
@@ -309,6 +309,22 @@ class TestErBlocks:
             assert out == g
             assert_graph_layout(out)
             assert m == snapshot
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_decoded_graphs_share_their_pairs(self, loops):
+        # Two decodes, and a graph built by the constructor, hold each pair
+        # they have in common as one object.
+        rng = random.Random(35)
+        for n in (5, 20, 40):
+            codec = erdos_renyi_codec(ErParams(n, Fraction(1, 3), loops))
+            g, h = (sample_er_graph(rng, n, 0.3, self_loops=loops) for _ in range(2))
+            m = random_message(seed=n, tail_words=4)
+            codec.encode(m, g)
+            codec.encode(m, h)
+            decoded_h, decoded_g = codec.decode(m), codec.decode(m)
+            assert (decoded_g, decoded_h) == (g, h)
+            assert_pairs_shared(decoded_g, decoded_h)
+            assert_pairs_shared(decoded_g, Graph(n, graph_pairs(n, loops)))
 
     def test_building_keeps_no_pair_list(self):
         # G(2000, 1/500) has 1 999 000 pairs; a list of them takes over
