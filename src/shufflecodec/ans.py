@@ -20,16 +20,19 @@ cost by k * 2**-p nats <= 2**-16 nats (about 2.2e-5 bits) per symbol. A
 uniform symbol x < n is the subrange (x, 1, n), with k = T = n. The rANS
 step itself adds about log2(1 + f/h) bits for mass f and head h >= 2**48.
 
-Four kernel pairs code runs of symbols with the head in a local variable:
+Five kernel pairs code runs of symbols with the head in a local variable:
 push_symbols/pop_symbols over one Table (the floors of a weight vector),
 push_uniforms/pop_uniforms over uniform symbols of varying sizes (pushed
 by push_exact's loop), push_exact/pop_exact over symbols given only by
 their subrange of an exact total, for alphabets too large or too
 short-lived to tabulate (there the decoder maps the popped value back to
-the exact target in [0, T) and lets the caller find the symbol), and
+the exact target in [0, T) and lets the caller find the symbol),
 push_arrangement/pop_arrangement over a uniformly random arrangement of a
-label multiset, one exact-mass draw without replacement per element. A
-push checks every symbol before the message changes. A single symbol
+label multiset, one exact-mass draw without replacement per element, and
+push_shuffle/pop_shuffle over a uniformly random permutation, the
+Fisher-Yates draws for sizes n..2 as uniform symbols, the trivial group's
+bits-back step. A push checks every symbol before the message changes,
+except push_shuffle, whose caller checks the permutation. A single symbol
 is a run of one: there are no scalar codecs. Tables are shared: table_for
 builds one per weight tuple (bernoulli_weights gives a Bernoulli bit's),
 and bernoulli_block_table tabulates up to 8 Bernoulli bits as one symbol.
@@ -395,6 +398,64 @@ def pop_exact(
         head = (head << WORD_BITS) | m.pop_word()
     m.head = head
     return symbol
+
+
+def push_shuffle(m: Message, s: Sequence[int]) -> None:
+    """Push the Fisher-Yates draws that shuffle the identity into s, a
+    permutation the caller has checked: for j = n..2, the position i < j
+    whose value swaps into position j - 1, uniform on {0..j-1}, with the
+    bytes of push_uniforms(m, draws, range(n, 1, -1)). The draws are found
+    first, largest j first, then pushed smallest j first, so that
+    pop_shuffle pops them in order."""
+    n = len(s)
+    p = list(range(n))  # the values of the partial shuffle, by position
+    p_inv = list(range(n))  # and their positions, by value
+    draws = [0] * n
+    for j in range(n - 1, 0, -1):
+        # Positions >= j are final: only positions and values below are read.
+        i = p_inv[s[j]]
+        u = p[j]
+        p[i] = u
+        p_inv[u] = i
+        draws[j] = i
+    head = m.head
+    append = m.tail.append
+    for j in range(1, n):
+        size = j + 1
+        precision = j.bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
+        x = draws[j]
+        lo = (x << precision) // size
+        freq = ((x + 1) << precision) // size - lo
+        limit = freq << (64 - precision)
+        while head >= limit:
+            append(head & WORD_MASK)
+            head >>= WORD_BITS
+        head = ((head // freq) << precision) + head % freq + lo
+    m.head = head
+
+
+def pop_shuffle(m: Message, n: int) -> Tuple[int, ...]:
+    """Pop the Fisher-Yates draws for j = n..2, each uniform on {0..j-1},
+    swapping each into place in the identity as it is popped: the inverse
+    of push_shuffle."""
+    s = list(range(n))
+    head, tail = m.head, m.tail
+    for j in range(n - 1, 0, -1):
+        size = j + 1
+        precision = j.bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
+        cf = head & ((1 << precision) - 1)
+        i = ((cf + 1) * size - 1) >> precision
+        lo = (i << precision) // size
+        head = (((i + 1) << precision) // size - lo) * (head >> precision) + cf - lo
+        while head < HEAD_MIN:
+            head = (head << WORD_BITS) | (tail.pop() if tail else m.pop_word())
+        s[i], s[j] = s[j], s[i]
+    m.head = head
+    return tuple(s)
 
 
 def _arrangement_state(counts: Sequence[int]) -> Tuple[List[int], List[int]]:

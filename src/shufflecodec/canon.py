@@ -50,6 +50,7 @@ from .perms import (
     inverse,
     is_perm,
     schreier_sims,
+    trivial_group,
 )
 
 
@@ -87,9 +88,17 @@ def _initial_colors(g: Graph) -> List[int]:
 
 def _ranks(sigs: list) -> List[int]:
     """Each signature's rank among the distinct signatures: colors 0..k-1
-    in signature order."""
-    rank = {sig: c for c, sig in enumerate(sorted(set(sigs)))}
-    return list(map(rank.__getitem__, sigs))
+    in signature order. One sort of the indices by signature, then one pass
+    that counts the distinct signatures: no signature is hashed."""
+    ranks = [0] * len(sigs)
+    color, prev = -1, None
+    for v in sorted(range(len(sigs)), key=sigs.__getitem__):
+        sig = sigs[v]
+        if sig != prev:
+            color += 1
+            prev = sig
+        ranks[v] = color
+    return ranks
 
 
 def _refine(g: Graph, colors: List[int], base: int) -> List[int]:
@@ -120,8 +129,8 @@ def _refine_pass(g: Graph, colors: List[int], base: int) -> List[int]:
     colors are 0..k-1.
 
     Each vertex's list starts with its color minus n, below every code, so it
-    stays first when the list is sorted: the sorted lists order as the
-    signatures do."""
+    stays first when the list is sorted: the sorted lists, ranked as they
+    are, order as the signatures do."""
     n = len(colors)
     codes = [[c - n] for c in colors]
     if g.edge_attrs is None:  # base is 1: a code is the neighbour's color
@@ -134,7 +143,9 @@ def _refine_pass(g: Graph, colors: List[int], base: int) -> List[int]:
             if i != j:
                 codes[i].append(colors[j] * base + a)
                 codes[j].append(colors[i] * base + a)
-    return _ranks(list(map(tuple, map(sorted, codes))))
+    for c in codes:
+        c.sort()
+    return _ranks(codes)
 
 
 def _individualize(colors: List[int], v: int) -> List[int]:
@@ -311,10 +322,11 @@ def canonize(g: Graph) -> Canonized:
     form itself is built only when read.
 
     A discrete first refinement is the canonical order, with the trivial
-    group. Otherwise each class of twins becomes one vertex of the quotient
-    Q (with no twins, Q is g and keeps its refined coloring), only Q is
-    searched, and each class takes a run of consecutive canonical positions
-    in Q's canonical order, its members in increasing order (they are
+    group, one shared value per degree (perms.trivial_group). Otherwise
+    each class of twins becomes one vertex of the quotient Q (with no
+    twins, Q is g and keeps its refined coloring), only Q is searched, and
+    each class takes a run of consecutive canonical positions in Q's
+    canonical order, its members in increasing order (they are
     interchangeable). Aut is the product of the symmetric groups on the runs
     extended by Aut(Q), which permutes the blocks (the runs and the points
     outside them, which are Q's vertices in canonical order): a SymmetricRuns
@@ -325,7 +337,7 @@ def canonize(g: Graph) -> Canonized:
     base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
     colors = _refine(g, _initial_colors(g), base)
     if max(colors, default=-1) + 1 == n:
-        return Canonized(g, tuple(colors), SymmetricRuns(n, ()))
+        return Canonized(g, tuple(colors), trivial_group(n))
     classes, loop = _twin_classes(g, colors, base)
     if classes:
         q, groups = _quotient(g, colors, classes, loop)

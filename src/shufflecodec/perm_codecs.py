@@ -19,22 +19,28 @@ point, where an arrangement draw walks a Fenwick tree, O(log n): coding
 graphs' coset members as arrangements of n labels of one copy each cost
 about 8% of encode and 3% of decode throughput on small attributed ER
 graphs (perfbench er-attr, median ratio of 5 alternating 6 s pairs on a
-2-core Xeon VM, Python 3.11).
+2-core Xeon VM, Python 3.11). The Fisher-Yates kernels, push_shuffle and
+pop_shuffle, live in ans beside the other coder loops; the trivial group's
+codec is built once per degree and shared.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple
 
 from .ans import (
     Codec,
     Message,
     pop_arrangement,
+    pop_shuffle,
     pop_uniforms,
     push_arrangement,
+    push_shuffle,
     push_uniforms,
 )
 from .perms import (
+    SHARED_DEGREES,
     DegreeMismatch,
     Perm,
     SymmetricRuns,
@@ -46,36 +52,19 @@ from .perms import (
 )
 
 
-def push_shuffle(m: Message, s: Perm) -> None:
-    """Push the Fisher-Yates draws that shuffle the identity into s, a
-    permutation already checked, as one run of the uniform kernel."""
-    n = len(s)
-    p = list(range(n))
-    p_inv = list(range(n))
-    draws: List[int] = []
-    for j in range(n, 1, -1):
-        i = p_inv[s[j - 1]]
-        p_inv[p[j - 1]], p_inv[s[j - 1]] = p_inv[s[j - 1]], p_inv[p[j - 1]]
-        p[i], p[j - 1] = p[j - 1], p[i]
-        draws.append(i)
-    push_uniforms(m, draws, range(n, 1, -1))
-
-
-def pop_shuffle(m: Message, n: int) -> Perm:
-    """Pop the Fisher-Yates draws for j = n..2 and shuffle the identity."""
-    s = list(range(n))
-    sizes = range(n, 1, -1)
-    for j, i in zip(sizes, pop_uniforms(m, sizes)):
-        s[i], s[j - 1] = s[j - 1], s[i]
-    return tuple(s)
-
-
 def _checked(s, n: int) -> Perm:
     """s as a permutation of degree n; raises before any coding."""
     s = as_perm(s)
     if len(s) != n:
         raise DegreeMismatch(f"degrees {len(s)} and {n} differ")
     return s
+
+
+@functools.lru_cache(maxsize=SHARED_DEGREES)
+def _shuffle_codec(n: int) -> Codec:
+    """The trivial group's coset codec on degree n, shared by every caller,
+    which must not change it."""
+    return Codec(lambda m, s: push_shuffle(m, _checked(s, n)), lambda m: pop_shuffle(m, n))
 
 
 def _ranked(s: Perm, spans) -> Tuple[Perm, List[Perm]]:
@@ -96,11 +85,12 @@ def uniform_l_coset_codec(group: SymmetricRuns) -> Codec:
     and moves the blocks so that their ranks become the member of the
     ranking's coset that the digits name; then it pushes the arrangement,
     or, when every block is a point, the shuffle. The trivial group codes
-    the shuffle alone and builds no block layout.
+    the shuffle alone and builds no block layout: its codec is one shared
+    value per degree.
     """
     n, chain = group.degree, group.blocks
     if not group.runs and chain is None:
-        return Codec(lambda m, s: push_shuffle(m, _checked(s, n)), lambda m: pop_shuffle(m, n))
+        return _shuffle_codec(n)
     spans = group.block_spans()
     sizes = [b - a for a, b in spans]
     block_of = [j for j, (a, b) in enumerate(spans) for _ in range(a, b)]

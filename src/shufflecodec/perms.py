@@ -21,7 +21,7 @@ and a graph's twins), and optionally a chain over the blocks, the runs and
 the points outside them, that permutes whole blocks. Its order is a product
 of factorials times the chain's order, and its coset codec codes the runs
 directly (see perm_codecs). The trivial group is a SymmetricRuns with no
-run and no chain.
+run and no chain; trivial_group shares one per degree.
 """
 
 from __future__ import annotations
@@ -32,10 +32,14 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Perm = Tuple[int, ...]
+
+# Degrees whose trivial group, and its coset codec (see perm_codecs), are kept
+# and shared: a corpus of small graphs has a few dozen vertex counts.
+SHARED_DEGREES = 64
 
 
 class DegreeMismatch(ValueError):
@@ -67,7 +71,7 @@ def compose(s: Perm, t: Perm) -> Perm:
     """The permutation performing t, then s."""
     if len(s) != len(t):
         raise DegreeMismatch(f"degrees {len(s)} and {len(t)} differ")
-    return tuple(s[x] for x in t)
+    return tuple(map(s.__getitem__, t))
 
 
 def inverse(s: Perm) -> Perm:
@@ -236,6 +240,12 @@ class SymmetricRuns:
         inside = {i for a, b in self.runs for i in range(a + 1, b)}
         first = [i for i in range(self.degree) if i not in inside]
         return list(zip(first, first[1:] + [self.degree]))
+
+
+@lru_cache(maxsize=SHARED_DEGREES)
+def trivial_group(n: int) -> SymmetricRuns:
+    """SymmetricRuns(n, ()), one shared value per degree."""
+    return SymmetricRuns(n, ())
 
 
 def schreier_sims(group: PermGroup) -> StabilizerChain:

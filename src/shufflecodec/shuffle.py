@@ -13,6 +13,12 @@ value repeats, with the bytes of that coset and no permutation check. Near
 the initial message the pop draws deterministic pseudo-random pad words
 instead of content, so the first object costs about its ordered rate and
 the discount is amortized over later objects.
+
+Each encode returns a RateReport. Its discount_bits, log2 n! - log2 |Aut|,
+is summed from log-factorials over n and over the group's runs, less log2
+of the block chain's orbit lengths, so encoding multiplies out no
+factorial; its aut_order, the exact |Aut|, is multiplied out from the runs
+and the chain the ordering step holds only when it is read.
 """
 
 from __future__ import annotations
@@ -21,11 +27,20 @@ import math
 import operator
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .ans import WORD_BITS, Codec, CodecError, Message, pop_arrangement, push_arrangement
+from .ans import (
+    WORD_BITS,
+    Codec,
+    CodecError,
+    Message,
+    pop_arrangement,
+    pop_shuffle,
+    push_arrangement,
+    push_shuffle,
+)
 from .canon import (
     Canonized,
     SequenceCanonized,
@@ -35,16 +50,29 @@ from .canon import (
     equal_runs,
 )
 from .graphs import Graph, apply_perm
-from .perm_codecs import pop_shuffle, push_shuffle, uniform_l_coset_codec
-from .perms import Perm, compose, inverse
+from .perm_codecs import uniform_l_coset_codec
+from .perms import Perm, StabilizerChain, compose, group_order, inverse
+
+
+def _aut_order(runs: Sequence[int], blocks: Optional[StabilizerChain]) -> int:
+    """|Aut| of a group with symmetric groups on runs of the given sizes and
+    an optional block chain: the runs' factorials times the chain's order."""
+    order = math.prod(map(math.factorial, runs))
+    return order if blocks is None else order * group_order(blocks)
 
 
 class Drawn(NamedTuple):
-    """pop_ordered's member, its automorphism group order and canonize time."""
+    """pop_ordered's member, its automorphism group as the sizes of its runs
+    and its block chain (see perms.SymmetricRuns), and canonize time."""
 
     ordered: Any
-    aut_order: int
+    aut_runs: Sequence[int]
+    aut_blocks: Optional[StabilizerChain]
     canonize_seconds: float
+
+    @property
+    def aut_order(self) -> int:
+        return _aut_order(self.aut_runs, self.aut_blocks)
 
 
 @dataclass(frozen=True)
@@ -67,9 +95,10 @@ class PermutableClass:
         started = time.perf_counter()
         info = self.canonize(f)
         canonize_seconds = time.perf_counter() - started
-        s = uniform_l_coset_codec(info.aut_group).decode(m)
+        group = info.aut_group
+        s = uniform_l_coset_codec(group).decode(m)
         ordered = self.apply(compose(s, info.canon_perm), f)
-        return Drawn(ordered, info.aut_order, canonize_seconds)
+        return Drawn(ordered, [b - a for a, b in group.runs], group.blocks, canonize_seconds)
 
     def push_ordering(self, m: Message, g):
         """Push back the ordering of g, an ordered member, as the coset that
@@ -86,13 +115,14 @@ def graph_class() -> PermutableClass:
     return PermutableClass(apply_perm, lambda g: canonize(g), lambda g: g.n)
 
 
-def _value_counts(xs: Sequence) -> Tuple[List[Any], List[Any], List[int]]:
-    """xs sorted, its distinct values, increasing, and how often each occurs.
-    A sequence with no repeated value is recognized by one C-level pass over
-    neighbouring pairs, with no search for runs."""
+def _value_counts(xs: Sequence) -> Tuple[List[Any], List[Any], Sequence[int]]:
+    """xs sorted, its distinct values, increasing, and how often each
+    occurs, or no counts when no value repeats (the group is trivial). Such
+    a sequence is recognized by one C-level pass over neighbouring pairs,
+    with no search for runs."""
     ordered = sorted(xs)
     if all(map(operator.lt, ordered, islice(ordered, 1, None))):
-        return ordered, ordered, [1] * len(ordered)
+        return ordered, ordered, ()
     runs = equal_runs(ordered)
     return ordered, [ordered[a] for a, _ in runs], [b - a for a, b in runs]
 
@@ -117,7 +147,7 @@ class _SequenceClass(PermutableClass):
         else:
             g = list(map(values.__getitem__, pop_arrangement(m, sizes)))
         g = "".join(g) if isinstance(f, str) else tuple(g)
-        return Drawn(g, math.prod(map(math.factorial, sizes)), canonize_seconds)
+        return Drawn(g, sizes, None, canonize_seconds)
 
     def push_ordering(self, m: Message, g):
         canon, values, sizes = _value_counts(g)
@@ -137,23 +167,43 @@ def sequence_class() -> PermutableClass:
 class RateReport:
     """One shuffle-coded object's accounting: the measured ordered_bits and
     pad drawn (initial_bits_overhead), the ideal discount_bits log2 n! -
-    log2 |Aut| and net_bits = ordered - discount, and canonization's time."""
+    log2 |Aut| and net_bits = ordered - discount, and canonization's time.
+
+    The discount is summed from log-factorials, with no factorial multiplied
+    out: log n! less log k! for each run of k points (math.lgamma), in bits,
+    less log2 of each of the block chain's orbit lengths. The exact |Aut|,
+    aut_order, is computed from the runs and the chain the ordering step
+    found, and only when read."""
 
     ordered_bits: float
     discount_bits: float
     net_bits: float
-    aut_order: int
     initial_bits_overhead: float
     canonize_seconds: float
+    aut_runs: Sequence[int] = field(repr=False)
+    aut_blocks: Optional[StabilizerChain] = field(repr=False)
+
+    @property
+    def aut_order(self) -> int:
+        return _aut_order(self.aut_runs, self.aut_blocks)
 
 
-def log2_factorial(n: int) -> float:
-    return math.log2(math.factorial(n))
+_LN2 = math.log(2)
+
+
+def _discount_bits(n: int, runs: Sequence[int], blocks: Optional[StabilizerChain]) -> float:
+    """log2 n! - log2 |Aut| for RateReport, from log-factorials; 0.0 exactly
+    when Aut is S_n, one run of n points."""
+    bits = (math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in runs)) / _LN2
+    if blocks is not None:
+        bits -= sum(math.log2(len(lvl.orbit)) for lvl in blocks.levels)
+    return bits
 
 
 def discount_bits(f: Graph) -> float:
-    """log2 n! - log2 |Aut(f)|: the rate saved by forgetting vertex order."""
-    return log2_factorial(f.n) - math.log2(canonize(f).aut_order)
+    """log2 n! - log2 |Aut(f)|: the rate saved by forgetting vertex order,
+    from the exact integers."""
+    return math.log2(math.factorial(f.n) // canonize(f).aut_order)
 
 
 class ShuffleCodec:
@@ -193,14 +243,15 @@ class ShuffleCodec:
             m.pad_consumed = pad_before
             raise
         ordered = m.length_bits - length_mid
-        discount = log2_factorial(n) - math.log2(drawn.aut_order)
+        discount = _discount_bits(n, drawn.aut_runs, drawn.aut_blocks)
         return RateReport(
             ordered_bits=ordered,
             discount_bits=discount,
             net_bits=ordered - discount,
-            aut_order=drawn.aut_order,
             initial_bits_overhead=WORD_BITS * (m.pad_consumed - pad_before),
             canonize_seconds=drawn.canonize_seconds,
+            aut_runs=drawn.aut_runs,
+            aut_blocks=drawn.aut_blocks,
         )
 
     def decode(self, m: Message):

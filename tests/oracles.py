@@ -12,8 +12,10 @@ degree-n chain they generate, enumeration of a stabilizer chain's group, the
 sequence class's ordering step coded through permutations, the parameter
 block's list code on its own, the urn's block starts in one pass over all
 vertices with the bisection that finds a decode target's pair in them,
-stripping re-materialized pad words from a message, and a check of the
-layout a Graph keeps its edges and edge attributes in.
+stripping re-materialized pad words from a message, a check of the
+layout a Graph keeps its edges and edge attributes in, the Fisher-Yates
+shuffle coded through the uniform kernel, and refinement's ranking of
+signatures through a dict of the distinct ones.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations, product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from shufflecodec.ans import Codec, Message, pad_word, push_uniforms
+from shufflecodec.ans import Codec, Message, pad_word, pop_uniforms, push_uniforms
 from shufflecodec.canon import Canonized, canonize
 from shufflecodec.graphs import PAIR_TABLE_ORDER, Graph, apply_perm
 from shufflecodec.params import _natural_symbols, _pop_list
@@ -483,3 +485,40 @@ def assert_pairs_shared(g: Graph, h: Graph) -> None:
     held = {p: p for p in h.edges}
     for p in g.edges:
         assert held.get(p, p) is p, f"pair {p} is two objects"
+
+
+def push_shuffle_by_uniforms(m: Message, s: Perm) -> None:
+    """The reference for ans.push_shuffle: the Fisher-Yates draws that
+    shuffle the identity into s, found by the swap loop for j = n..2 and
+    pushed as one push_uniforms run over the sizes n..2."""
+    n = len(s)
+    p = list(range(n))
+    p_inv = list(range(n))
+    draws: List[int] = []
+    for j in range(n, 1, -1):
+        i = p_inv[s[j - 1]]
+        p_inv[p[j - 1]], p_inv[s[j - 1]] = p_inv[s[j - 1]], p_inv[p[j - 1]]
+        p[i], p[j - 1] = p[j - 1], p[i]
+        draws.append(i)
+    push_uniforms(m, draws, range(n, 1, -1))
+
+
+def pop_shuffle_by_uniforms(m: Message, n: int) -> Perm:
+    """The reference for ans.pop_shuffle: one pop_uniforms run over the
+    sizes n..2, then the swaps that shuffle the identity."""
+    s = list(range(n))
+    sizes = range(n, 1, -1)
+    for j, i in zip(sizes, pop_uniforms(m, sizes)):
+        s[i], s[j - 1] = s[j - 1], s[i]
+    return tuple(s)
+
+
+def ranks_by_dict(sigs: list) -> List[int]:
+    """The reference for canon._ranks: each signature's rank among the
+    sorted set of distinct signatures, looked up in a dict."""
+    rank = {sig: c for c, sig in enumerate(sorted(set(map(_hashable, sigs))))}
+    return [rank[_hashable(sig)] for sig in sigs]
+
+
+def _hashable(sig):
+    return tuple(sig) if isinstance(sig, list) else sig

@@ -21,10 +21,12 @@ from shufflecodec.ans import (
     message_serialize,
     pop_arrangement,
     pop_exact,
+    pop_shuffle,
     pop_symbols,
     pop_uniforms,
     push_arrangement,
     push_exact,
+    push_shuffle,
     push_symbols,
     push_uniforms,
     quantize_masses,
@@ -36,6 +38,7 @@ from shufflecodec.generate import sample_er_graph, sample_pa_graph
 from shufflecodec.models import string_codec
 
 from conftest import random_message
+from oracles import pop_shuffle_by_uniforms, push_shuffle_by_uniforms
 
 
 class TestMessage:
@@ -850,6 +853,49 @@ class TestArrangement:
         assert pop_arrangement(m, [0, 9, 0]) == [1] * 9
         assert pop_arrangement(m, []) == []
         assert m == before
+
+
+class TestShuffleKernels:
+    """push_shuffle/pop_shuffle against the swap loop coded through
+    push_uniforms/pop_uniforms: the same messages and permutations."""
+
+    def test_messages_and_permutations_match_the_uniform_kernel(self):
+        rng = random.Random(35)
+        for _ in range(2000):
+            n = rng.randrange(301)
+            s = list(range(n))
+            rng.shuffle(s)
+            s = tuple(s)
+            seed, words = rng.getrandbits(32), rng.randrange(8)
+            a, b = random_message(seed, words), random_message(seed, words)
+            push_shuffle(a, s)
+            push_shuffle_by_uniforms(b, s)
+            assert a == b
+            assert pop_shuffle(a, n) == pop_shuffle_by_uniforms(b, n) == s
+            assert a == b
+            # Pops from a message holding other content, past its stack
+            # into pad words.
+            assert pop_shuffle(a, n) == pop_shuffle_by_uniforms(b, n)
+            assert a == b and a.pad_consumed == b.pad_consumed
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 300])
+    def test_running_short_raises_as_the_uniform_kernel(self, n):
+        rng = random.Random(n)
+        raised = 0
+        for words in range(0, 160, 3):
+            head = ans.HEAD_MIN | rng.getrandbits(48)
+            tail = [rng.getrandbits(16) for _ in range(words)]
+            a, b = Message(head, tail, None), Message(head, tail, None)
+            try:
+                expected = pop_shuffle_by_uniforms(b, n)
+            except ans.MessageUnderflow:
+                with pytest.raises(ans.MessageUnderflow):
+                    pop_shuffle(a, n)
+                raised += 1
+            else:
+                assert pop_shuffle(a, n) == expected
+            assert a == b
+        assert raised
 
 
 class TestTableRate:

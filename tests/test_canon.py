@@ -27,6 +27,7 @@ from shufflecodec.perms import (
     group_order,
     identity,
     inverse,
+    trivial_group,
 )
 
 from oracles import (
@@ -38,6 +39,7 @@ from oracles import (
     canonize_via_embedding,
     embed_edge_colors,
     group_generators,
+    ranks_by_dict,
     refine_pass_by_pairs,
     schreier_sims,
 )
@@ -438,6 +440,31 @@ class TestCanonize:
                 searched += 1
                 colors = canon._refine(g, colors, base)
         assert searched > 100
+
+    @pytest.mark.parametrize("kind", [int, tuple, list])
+    def test_ranks_equal_the_dict_ranking(self, kind):
+        # One sort of the indices and a pass over them gives the colors the
+        # dict of distinct signatures gives, for the int keys of the first
+        # coloring, the tuples of the twin quotient and the lists of a pass.
+        rng = random.Random(35)
+        for trial in range(500):
+            width = rng.choice([1, 3, 50])
+            if kind is int:
+                sigs = [rng.randrange(-width, width) for _ in range(rng.randrange(40))]
+            else:
+                sigs = [
+                    kind(rng.randrange(width) for _ in range(rng.randrange(4)))
+                    for _ in range(rng.randrange(40))
+                ]
+            assert canon._ranks(sigs) == ranks_by_dict(sigs)
+
+    def test_discrete_colorings_share_one_trivial_group_per_degree(self):
+        rng = random.Random(36)
+        for n in (0, 1, 12, 20, 300):
+            g = Graph(n, [], vertex_attrs=list(range(n)))
+            h = Graph(n, random_graph(rng, n, 0.3).edges, list(range(n)))
+            assert canonize(g).aut_group == SymmetricRuns(n, ())
+            assert canonize(g).aut_group is canonize(h).aut_group is trivial_group(n)
 
     def test_loopy_gapped_graphs_match_bruteforce(self):
         rng = random.Random(23)

@@ -24,7 +24,7 @@ from shufflecodec.ans import (
     message_init,
     message_serialize,
 )
-from shufflecodec.canon import canonize_string
+from shufflecodec.canon import canonize, canonize_string
 from shufflecodec.generate import sample_er_graph
 from shufflecodec.graphs import Graph, apply_perm
 from shufflecodec.models import (
@@ -35,6 +35,8 @@ from shufflecodec.models import (
     string_codec,
     with_attributes,
 )
+from shufflecodec.perm_codecs import uniform_l_coset_codec
+from shufflecodec.perms import SymmetricRuns
 from shufflecodec.shuffle import (
     PermutableClass,
     ShuffleCodec,
@@ -95,14 +97,134 @@ class TestDiscountBits:
 
     def test_ethylene_components(self):
         # log2 6! = 9.49, |Aut| = 8 -> 9.49 - 3.00 = 6.49
-        from shufflecodec.canon import canonize
-
         assert canonize(ETHYLENE).aut_order == 8
         assert abs(discount_bits(ETHYLENE) - (math.log2(720) - 3.0)) < 1e-9
 
     def test_fully_symmetric_zero(self):
         assert discount_bits(Graph(3)) == 0.0
         assert discount_bits(Graph(3, [(0, 1), (0, 2), (1, 2)])) == 0.0
+
+
+def _graphs_with_groups(rng):
+    """Graphs of up to 200 vertices whose groups have runs, block chains,
+    both or neither, and seeded ER graphs."""
+    yield Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])  # asymmetric
+    yield Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    yield Graph(60, [(3 * k + i, 3 * k + j) for k in range(20) for i, j in ((0, 1), (1, 2), (0, 2))])
+    yield Graph(61, [(0, i) for i in range(1, 61)])
+    yield Graph(8, [(0, 1), (2, 3), (4, 5)])
+    for n, p in ((20, 0.05), (50, 0.04), (120, 0.01), (200, 0.005), (30, 0.5)):
+        yield sample_er_graph(rng, n, p)
+
+
+class TestRateReport:
+    """ShuffleCodec.encode sums the discount from log-factorials and
+    multiplies out no factorial; |Aut| is exact when read."""
+
+    def test_encoding_calls_no_factorial(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError("math.factorial called")
+
+        xs = [0] * 10**4
+        seq_codec = ShuffleCodec(string_codec([1], len(xs)), sequence_class())
+        urn_codec = ShuffleCodec(polya_urn_codec(PuParams(2000)), graph_class())
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "factorial", refuse)
+            reports = [
+                (seq_codec.encode(message_init(), xs), len(xs)),
+                (urn_codec.encode(message_init(), Graph(2000)), 2000),
+            ]
+        for report, n in reports:
+            assert report.discount_bits == 0.0
+            assert report.aut_order == math.factorial(n)
+
+    def test_discount_bits_match_the_exact_value(self):
+        rng = random.Random(35)
+        objects = [(g, er_shuffle(g.n, Fraction(1, 3))) for g in _graphs_with_groups(rng)]
+        for length in (1, 5, 40, 200):
+            for alphabet in (1, 3, 50, 400):
+                xs = [rng.randrange(alphabet) for _ in range(length)]
+                codec = ShuffleCodec(string_codec([1] * alphabet, length), sequence_class())
+                objects.append((xs, codec))
+        m = random_message(seed=35, tail_words=64)
+        for f, codec in objects:
+            report = codec.encode(m, f)
+            n = len(f) if isinstance(f, list) else f.n
+            exact = math.log2(math.factorial(n) // report.aut_order)
+            assert abs(report.discount_bits - exact) < 1e-9
+            if isinstance(f, Graph):
+                assert report.aut_order == canonize(f).aut_order
+                assert exact == discount_bits(f)
+            else:
+                assert report.aut_order == math.prod(math.factorial(f.count(v)) for v in set(f))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 200])
+    def test_discount_is_zero_when_aut_is_symmetric(self, n):
+        complete = [(i, j) for j in range(n) for i in range(j)]
+        m = random_message(seed=n, tail_words=8)
+        for g in (Graph(n), Graph(n, complete)):
+            report = er_shuffle(n, Fraction(1, 2)).encode(m, g)
+            assert report.discount_bits == 0.0 and report.aut_order == math.factorial(n)
+        report = ShuffleCodec(string_codec([1, 1], n), sequence_class()).encode(m, [1] * n)
+        assert report.discount_bits == 0.0 and report.aut_order == math.factorial(n)
+
+
+def _discrete(g: Graph) -> bool:
+    """Whether g's first refinement is discrete: canonize's trivial case."""
+    base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
+    return len(set(canon._refine(g, canon._initial_colors(g), base))) == g.n
+
+
+class TestSharedTrivialGroup:
+    def test_the_trivial_group_has_one_codec_per_degree(self):
+        for n in range(21):
+            shared = uniform_l_coset_codec(perms.trivial_group(n))
+            assert uniform_l_coset_codec(SymmetricRuns(n, ())) is shared
+            if n > 1:
+                assert uniform_l_coset_codec(SymmetricRuns(n, [(0, 2)])) is not shared
+
+    def test_coding_builds_no_group_or_codec_after_the_first_graph_of_a_size(self, monkeypatch):
+        # Graphs shaped like the er-attr benchmark's: n = 12..20, p = 0.3,
+        # 5 vertex and 3 edge labels, under one shuffle codec per size.
+        rng = random.Random(35)
+        graphs = []
+        for i in range(100):
+            n = 12 + i % 9
+            edges = [(j, k) for k in range(n) for j in range(k) if rng.random() < 0.3]
+            labels = {e: rng.randrange(3) for e in edges}
+            graphs.append(Graph(n, edges, [rng.randrange(5) for _ in range(n)], labels))
+        codecs = {
+            n: ShuffleCodec(
+                with_attributes(
+                    erdos_renyi_codec(ErParams(n, Fraction(3, 10))), (1,) * 5, (1,) * 3
+                ),
+                graph_class(),
+            )
+            for n in range(12, 21)
+        }
+        perms.trivial_group.cache_clear()
+        perm_codecs._shuffle_codec.cache_clear()
+        built = []
+        for cls, name in ((perms.SymmetricRuns, "__post_init__"), (Codec, "__init__")):
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        m = message_init()
+        seen = set()
+        checked = 0
+        for g in graphs:
+            del built[:]
+            codecs[g.n].encode(m, g)
+            codecs[g.n].decode(m)
+            if g.n in seen and _discrete(g):
+                assert built == [], f"built {built} for a second graph on {g.n} vertices"
+                checked += 1
+            seen.add(g.n)
+        assert checked >= 80
 
 
 class TestShuffleEncodeDecode:

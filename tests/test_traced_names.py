@@ -14,6 +14,8 @@ from shufflecodec.canon import canonize
 from shufflecodec.compress import compress_corpus, decompress_corpus
 from shufflecodec.datasets import Corpus
 from shufflecodec.graphs import Graph
+from shufflecodec.perm_codecs import uniform_l_coset_codec
+from shufflecodec.perms import SymmetricRuns
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
@@ -80,3 +82,22 @@ def test_traced_round_writes_the_untraced_bytes(monkeypatch):
     assert metrics["perms.schreier_sims.calls"] >= 1
     assert metrics["perm_codecs.uniform_l_coset_codec.calls"] >= 1
     assert metrics["canon.canonize.nontrivial_aut_share"] == 1.0
+
+
+def test_traced_round_leaves_the_shared_trivial_codec_untraced(monkeypatch):
+    # The tracer wraps each codec the coset factory returns in a new Codec;
+    # the trivial group's codec, one per degree, must keep its own functions.
+    asymmetric = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    assert canonize(asymmetric).aut_order == 1
+    shared = uniform_l_coset_codec(SymmetricRuns(7, ()))
+    encode, decode = shared.encode, shared.decode
+    corpus = Corpus((asymmetric,), "asymmetric", False, False)
+    untraced, _ = compress_corpus(corpus)
+    tracer = load_perfbench("tracing", monkeypatch).Tracer()
+    with tracer.installed():
+        traced, _ = compress_corpus(corpus)
+        decompress_corpus(traced)
+    assert traced == untraced
+    assert tracer.metrics()["perm_codecs.uniform_l_coset_codec.calls"] == 2
+    assert uniform_l_coset_codec(SymmetricRuns(7, ())) is shared
+    assert (shared.encode, shared.decode) == (encode, decode)
