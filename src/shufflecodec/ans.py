@@ -25,10 +25,12 @@ push_symbols/pop_symbols over one Table (the floors of a weight vector),
 push_uniforms/pop_uniforms over uniform symbols of varying sizes (pushed
 by push_exact's loop), push_exact/pop_exact over symbols given only by
 their subrange of an exact total, for alphabets too large or too
-short-lived to tabulate (there the decoder maps the popped value back to
-the exact target in [0, T) and lets the caller find the symbol),
+short-lived to tabulate (pop_exact maps each popped value back to the
+exact target in [0, T) and the caller's step returns the symbol that owns
+it, its subrange and the next symbol's total),
 push_arrangement/pop_arrangement over a uniformly random arrangement of a
-label multiset, one exact-mass draw without replacement per element, and
+label multiset, one exact-mass draw without replacement per element (the
+draws of a single label left code nothing and are skipped), and
 push_shuffle/pop_shuffle over a uniformly random permutation, the
 Fisher-Yates draws for sizes n..2 as uniform symbols, the trivial group's
 bits-back step. A push checks every symbol before the message changes,
@@ -170,8 +172,7 @@ def _precision(total: int, size: int) -> int:
     sum to `total`; ParameterError unless total is an integer in [1, 2**48]."""
     if not (type(total) is int and 1 <= total <= _TOTAL_LIMIT):
         raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
-    # Plain comparisons: push_exact and pop_exact call this once per symbol,
-    # and builtin min/max calls would make it about three times as slow.
+    # Plain comparisons: builtin min/max calls would make it three times as slow.
     precision = (size - 1).bit_length() + _HEADROOM_BITS
     exact = (total - 1).bit_length()
     if exact > precision:
@@ -348,7 +349,8 @@ def push_exact(m: Message, symbols: Sequence[Tuple[int, int, int]]) -> None:
     ParameterError for a total outside [1, 2**48] and ContractViolation for
     an empty, non-integral or out-of-range subrange."""
     for start, mass, total in symbols:
-        _precision(total, total)
+        if not (type(total) is int and 1 <= total <= _TOTAL_LIMIT):
+            raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
         if not (type(start) is int and type(mass) is int):
             raise ContractViolation(f"subrange ({start!r}, {mass!r}) is not integral")
         if not 0 <= start < start + mass <= total:
@@ -377,27 +379,39 @@ def _push_subranges(m: Message, symbols: Sequence[Tuple[int, int, int]]) -> None
 
 
 def pop_exact(
-    m: Message, total: int, locate: Callable[[int], "tuple[Any, int, int]"]
-) -> Any:
-    """Pop a symbol pushed by push_exact with the same total. locate maps the
-    exact target t in [0, total) to (symbol, start, mass) with
-    start <= t < start + mass, for the symbol that owns t. Raises, before the
-    message changes, ParameterError for a bad total and ContractViolation if
-    locate's subrange misses t."""
-    precision = _precision(total, total)
-    head = m.head
-    cf = head & ((1 << precision) - 1)
-    t = ((cf + 1) * total - 1) >> precision
-    symbol, start, mass = locate(t)
-    if not start <= t < start + mass:
-        raise ContractViolation(f"located subrange [{start}, {start + mass}) misses {t}")
-    lo = (start << precision) // total
-    freq = ((start + mass) << precision) // total - lo
-    head = freq * (head >> precision) + cf - lo
-    while head < HEAD_MIN:
-        head = (head << WORD_BITS) | m.pop_word()
+    m: Message, total: int, count: int, step: Callable[[int], "tuple[Any, int, int, int]"]
+) -> List[Any]:
+    """Pop a run of count symbols pushed by push_exact, first symbol first.
+    step maps the exact target t in [0, total) to (symbol, start, mass,
+    next_total): the symbol that owns t, start <= t < start + mass <= total,
+    and the next symbol's total. Raises, before that symbol changes the
+    message, ParameterError for a total outside [1, 2**48] and
+    ContractViolation for a subrange that misses t or runs past the total."""
+    head, tail = m.head, m.tail
+    out: List[Any] = []
+    for _ in range(count):
+        if not (type(total) is int and 1 <= total <= _TOTAL_LIMIT):
+            m.head = head
+            raise ParameterError(f"total {total!r} outside [1, 2**{MAX_PRECISION}]")
+        precision = (total - 1).bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
+        cf = head & ((1 << precision) - 1)
+        t = ((cf + 1) * total - 1) >> precision
+        symbol, start, mass, next_total = step(t)
+        if not start <= t < start + mass <= total:
+            m.head = head
+            raise ContractViolation(
+                f"subrange [{start}, {start + mass}) misses {t} or runs past {total}"
+            )
+        lo = (start << precision) // total
+        head = (((start + mass) << precision) // total - lo) * (head >> precision) + cf - lo
+        while head < HEAD_MIN:
+            head = (head << WORD_BITS) | (tail.pop() if tail else m.pop_word())
+        out.append(symbol)
+        total = next_total
     m.head = head
-    return symbol
+    return out
 
 
 def push_shuffle(m: Message, s: Sequence[int]) -> None:
@@ -458,22 +472,14 @@ def pop_shuffle(m: Message, n: int) -> Tuple[int, ...]:
     return tuple(s)
 
 
-def _arrangement_state(counts: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """The counts as a list and their Fenwick tree (tree[i] sums the counts
-    of labels i - (i & -i) .. i - 1). ParameterError unless the counts are
-    nonnegative ints with total at most 2**48."""
+def _label_counts(counts: Sequence[int]) -> List[int]:
+    """The counts as a list: ParameterError unless nonnegative ints, total <= 2**48."""
     left = list(counts)
     if not {int}.issuperset(map(type, left)) or min(left, default=0) < 0:
         raise ParameterError("label counts must be nonnegative integers")
     if sum(left) > _TOTAL_LIMIT:
         raise ParameterError(f"label count total above 2**{MAX_PRECISION}")
-    tree = [0, *left]
-    r = len(left)
-    for i in range(1, r + 1):
-        j = i + (i & -i)
-        if j <= r:
-            tree[j] += tree[i]
-    return left, tree
+    return left
 
 
 def push_arrangement(m: Message, labels: Sequence[int], counts: Sequence[int]) -> None:
@@ -482,41 +488,65 @@ def push_arrangement(m: Message, labels: Sequence[int], counts: Sequence[int]) -
     arrangements. Element i is one exact-mass symbol drawn without
     replacement from the n - i labels left: its start is the count left of
     the lower labels, its mass the count left of its own label, rounded as
-    push_exact rounds. Once a single label is left each draw has the whole
-    total as its mass, so it codes nothing and leaves the head as it is. A
-    Fenwick tree over the counts makes each draw O(log r) for r labels.
+    push_exact rounds. Walked from the last element back, each label joins a
+    Fenwick tree of the counts left before its draw, O(log r) for r labels;
+    a draw whose mass is the whole total (one label left) is skipped.
     Raises ParameterError for bad counts and ContractViolation, before the
     message changes, unless labels is such an arrangement."""
-    left, tree = _arrangement_state(counts)
+    left = _label_counts(counts)
     r, total = len(left), sum(left)
     if len(labels) != total:
         raise ContractViolation(f"{len(labels)} labels for counts totalling {total}")
-    subranges = []
     for x in labels:
         if type(x) is not int or not 0 <= x < r or not left[x]:
             raise ContractViolation(f"label {x!r} outside [0, {r}) or over its count")
+        left[x] -= 1
+    # No count is left: walking back, each label returns to left and to its
+    # Fenwick tree (tree[i] sums the counts of labels i - (i & -i) .. i - 1).
+    tree = [0] * (r + 1)
+    total = 0
+    head = m.head
+    append = m.tail.append
+    for x in reversed(labels):
+        mass = left[x] + 1
+        left[x] = mass
+        i = x + 1
+        while i <= r:
+            tree[i] += 1
+            i += i & -i
+        total += 1
+        if mass == total:
+            continue
         start = 0
         i = x
         while i:
             start += tree[i]
             i &= i - 1
-        mass = left[x]
-        subranges.append((start, mass, total))
-        left[x] = mass - 1
-        i = x + 1
-        while i <= r:
-            tree[i] -= 1
-            i += i & -i
-        total -= 1
-    _push_subranges(m, subranges)
+        precision = (total - 1).bit_length() + _HEADROOM_BITS
+        if precision > MAX_PRECISION:
+            precision = MAX_PRECISION
+        lo = (start << precision) // total
+        freq = ((start + mass) << precision) // total - lo
+        limit = freq << (64 - precision)
+        while head >= limit:
+            append(head & WORD_MASK)
+            head >>= WORD_BITS
+        head = ((head // freq) << precision) + head % freq + lo
+    m.head = head
 
 
 def pop_arrangement(m: Message, counts: Sequence[int]) -> List[int]:
     """Pop an arrangement pushed by push_arrangement with the same counts,
-    first element first. Raises ParameterError, before the message changes,
-    for bad counts."""
-    left, tree = _arrangement_state(counts)
+    first element first. Once a single label keeps the whole count its
+    draws code nothing: the label fills the rest of the arrangement. Raises
+    ParameterError, before the message changes, for bad counts."""
+    left = _label_counts(counts)
     r, total = len(left), sum(left)
+    tree = [0, *left]  # the Fenwick tree push_arrangement builds, all labels in
+    for i in range(1, r + 1):
+        j = i + (i & -i)
+        if j <= r:
+            tree[j] += tree[i]
     top = 1 << (r.bit_length() - 1) if r else 0
     head, tail = m.head, m.tail
     out: List[int] = []
@@ -537,6 +567,9 @@ def pop_arrangement(m: Message, counts: Sequence[int]) -> List[int]:
                 rest -= tree[i]
             step >>= 1
         start, mass = t - rest, left[x]
+        if mass == total:
+            out += repeat(x, total)
+            break
         lo = (start << precision) // total
         head = (((start + mass) << precision) // total - lo) * (head >> precision) + cf - lo
         while head < HEAD_MIN:

@@ -9,14 +9,17 @@ automorphic subtree, and orbit pruning at each node. Sequences
 
 Twins, vertices whose swap is an automorphism, are taken in closed form. A
 discrete first refinement is the canonical order, and its group is trivial.
-Otherwise each class of twins becomes one vertex of a quotient graph, only
-the quotient is searched, and each class takes a run of consecutive
-canonical positions. Aut is the product of the symmetric groups on the runs
-(as for a sorted sequence), extended by the quotient's automorphisms, which
-permute whole blocks: one SymmetricRuns value, whose block chain, if the
-quotient has automorphisms, schreier_sims completes on the quotient's own
-degree from the search's automorphisms, strong relative to its first path,
-to the order they give. Nothing is lifted to degree n.
+When each non-singleton cell of the refined coloring is one class of twins,
+the cells in color order are the canonical order and Aut is the symmetric
+groups on them, with no quotient and no search. Otherwise each class of
+twins becomes one vertex of a quotient graph, only the quotient is
+searched, and each class takes a run of consecutive canonical positions.
+Aut is the product of the symmetric groups on the runs (as for a sorted
+sequence), extended by the quotient's automorphisms, which permute whole
+blocks: one SymmetricRuns value, whose block chain, if the quotient has
+automorphisms, schreier_sims completes on the quotient's own degree from
+the search's automorphisms, strong relative to its first path, to the
+order they give. Nothing is lifted to degree n.
 
 Refinement signatures are tuples of ints (see _refine), and every pass reads
 them off the edge list. The canonical form is built from the canonical
@@ -332,19 +335,31 @@ def canonize(g: Graph) -> Canonized:
     outside them, which are Q's vertices in canonical order): a SymmetricRuns
     whose block chain, when the search finds automorphisms of Q, is the
     schreier_sims chain of those automorphisms in Q's canonical order, with
-    the search's first path, in canonical positions, as their base."""
+    the search's first path, in canonical positions, as their base.
+
+    Twin classes that fill their cells (class sizes + cells - classes = n)
+    need no Q: its first coloring would be discrete, so its canonical order
+    is the cells' color order and Aut the runs alone."""
     n = g.n
     base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
     colors = _refine(g, _initial_colors(g), base)
-    if max(colors, default=-1) + 1 == n:
+    cells = max(colors, default=-1) + 1
+    if cells == n:
         return Canonized(g, tuple(colors), trivial_group(n))
     classes, loop = _twin_classes(g, colors, base)
-    if classes:
-        q, groups = _quotient(g, colors, classes, loop)
-        q_colors = _refine(q, list(q.vertex_attrs), base)
+    if sum(len(vs) for vs, _ in classes) + cells - len(classes) == n:
+        # Each non-singleton cell is one class: Q's first coloring is discrete.
+        groups = [[] for _ in range(cells)]
+        for v, c in enumerate(colors):
+            groups[c].append(v)
+        q_perm, q_auts, q_path = tuple(range(cells)), [], []
     else:
-        q, groups, q_colors = g, [[v] for v in range(n)], colors
-    q_perm, q_auts, q_path = _search(q, q_colors, base)
+        if classes:
+            q, groups = _quotient(g, colors, classes, loop)
+            q_colors = _refine(q, list(q.vertex_attrs), base)
+        else:
+            q, groups, q_colors = g, [[v] for v in range(n)], colors
+        q_perm, q_auts, q_path = _search(q, q_colors, base)
     q_inv = inverse(q_perm)
     start = [0] * len(groups)
     pos = 0

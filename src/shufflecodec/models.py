@@ -221,12 +221,9 @@ class _Urn:
     w_i, w_i**2 and w_i * d_i over i < k, the block start is
     C_k = W * P_k - (P_k**2 + Q_k) / 2 - D_k, with P_k**2 - Q_k in place of
     P_k**2 + Q_k when self-loops are allowed, and T = C_n. The urn keeps W
-    and T as running totals, which a draw updates from that closed form in
-    O(deg) integer work. So T costs O(1), and the subrange of a pair to
-    encode costs C-level sums over the vertices below i and over i's
-    partners below j. Decoding finds the block that holds its target in one
-    pass from C_0 that stops there, O(i + 1) work for the lower endpoint i,
-    then sums i's partners in one C-level pass.
+    (w_sum) and T (total) as running totals, which draw updates from that
+    closed form in O(deg) integer work; pu_sequence_codec's coder loops read
+    the subranges off this state.
     """
 
     def __init__(self, params: PuParams):
@@ -241,67 +238,12 @@ class _Urn:
         self.drawn_weight = [0] * params.n
         self.offset = 0 if params.allow_self_loops else 1
         self.w_sum = params.n
-        self._total = pair_count(params.n, params.allow_self_loops)
-
-    def _block_start(self, k: int) -> int:
-        """C_k from W and C-level sums over the vertices below k (both
-        P_k**2 - Q_k and P_k**2 + Q_k are even, so the halving is exact)."""
-        below = self.weights[:k]
-        p = sum(below)
-        q = sum(map(operator.mul, below, below))
-        d = sum(map(operator.mul, below, self.drawn_weight))
-        return self.w_sum * p - ((p * p + (q if self.offset else -q)) >> 1) - d
-
-    @property
-    def total(self) -> int:
-        """T, the sum of the eligible pair masses; raises once none is left."""
-        if not self._total:
-            raise ContractViolation("no eligible pairs left")
-        return self._total
-
-    def subrange(self, i: int, j: int) -> Tuple[int, int]:
-        """(start, mass) of the pair (i, j); ContractViolation if it is not
-        eligible."""
-        w, lo = self.weights, i + self.offset
-        if not (0 <= i and lo <= j < len(w)) or j in self.drawn[i]:
-            raise ContractViolation(f"pair {(i, j)} not eligible")
-        partners = sum(w[lo:j]) - sum(w[a] for a in self.drawn[i] if a < j)
-        w_i = w[i]
-        return self._block_start(i) + w_i * partners, w_i * w[j]
-
-    def locate(self, t: int) -> Tuple[Tuple[int, int], int, int]:
-        """The pair whose subrange holds t in [0, T), with its start and mass;
-        ContractViolation for t outside [0, T).
-
-        One pass over the blocks stops at the first block k whose end passes
-        t: with rest = W - P_k, the weight of the vertices at or above k,
-        block k's mass is w_k * (rest - d_k), less w_k**2 without self-loops.
-        Within the block, the partners' weights are summed up to j."""
-        if t < 0:
-            raise ContractViolation(f"target {t} is negative")
-        w, drawn_weight, offset = self.weights, self.drawn_weight, self.offset
-        end, rest = 0, self.w_sum
-        for i, w_i in enumerate(w):
-            mass = w_i * (rest - offset * w_i - drawn_weight[i])
-            end += mass
-            if t < end:
-                break
-            rest -= w_i
-        else:
-            raise ContractViolation(f"target {t} is not below the total {end}")
-        start = end - mass
-        lo = i + offset
-        masses = w[lo:]
-        for j in self.drawn[i]:
-            masses[j - lo] = 0
-        cums = list(accumulate(masses, initial=0))  # P_i at the partners lo + k
-        k = bisect.bisect_right(cums, (t - start) // w_i) - 1
-        return (i, lo + k), start + w_i * cums[k], w_i * w[lo + k]
+        self.total = pair_count(params.n, params.allow_self_loops)
 
     def draw(self, i: int, j: int) -> None:
         w, drawn, drawn_by = self.weights, self.drawn, self.drawn_by
         drawn_weight = self.drawn_weight
-        w_sum, total, loops = self.w_sum, self._total, not self.offset
+        w_sum, total, loops = self.w_sum, self.total, not self.offset
         if not self.allow_redraws:
             if drawn[i]:
                 drawn[i].append(j)
@@ -324,7 +266,7 @@ class _Urn:
             for a in drawn_by[v]:
                 drawn_weight[a] += 1
                 total -= w[a]
-        self.w_sum, self._total = w_sum, total
+        self.w_sum, self.total = w_sum, total
 
 
 def pu_sequence_codec(params: PuParams, num_edges: int) -> Codec:
@@ -332,13 +274,15 @@ def pu_sequence_codec(params: PuParams, num_edges: int) -> Codec:
     ParameterError for a count that is not a nonnegative int or, without
     redraws, exceeds the pairs.
 
-    Each step codes one pair as one exact-mass symbol (see _Urn): one
-    push_exact symbol to encode, its subrange read from the urn's running
-    totals and C-level sums below the pair, and one pop_exact to decode,
-    whose block search stops at the pair's lower endpoint i, O(i + 1)
-    integer work, before one C-level pass over i's partners; no table is
-    built. The encoder checks every pair, the exhausted urn and the 2**48
-    bound on T before the message changes.
+    Each pair is one exact-mass symbol (see _Urn), and each direction one
+    loop that calls the urn's draw once per pair; no table is built. Encode
+    reads (i, j)'s subrange off the urn: C_i from C-level sums over the
+    weights below i, plus w_i times i's eligible partners below j. It checks
+    every pair, the exhausted urn and the 2**48 bound on T before one
+    push_exact run changes the message. Decode is one pop_exact run, whose
+    step finds the block that holds its target in one pass from C_0 that
+    stops there, O(i + 1) work for the lower endpoint i, sums i's partners
+    in one C-level pass, and draws the pair.
     Without redraws the masses depend on the draw history, so the model is
     not edge-exchangeable: a graph's bits depend on the edge order that the
     inner shuffle codec picks. On K4, certain when m = N, a uniformly picked
@@ -346,7 +290,8 @@ def pu_sequence_codec(params: PuParams, num_edges: int) -> Codec:
     It stays exactly invertible either way.
     """
     _check_count(num_edges, "edge count")
-    cap = pair_count(params.n, params.allow_self_loops)
+    n, loops = params.n, params.allow_self_loops
+    cap = pair_count(n, loops)
     if not params.allow_redraws and num_edges > cap:
         raise ParameterError(f"{num_edges} edges exceed the {cap} available pairs")
 
@@ -354,26 +299,63 @@ def pu_sequence_codec(params: PuParams, num_edges: int) -> Codec:
         if len(seq) != num_edges:
             raise ContractViolation(f"sequence length {len(seq)} != {num_edges}")
         urn = _Urn(params)
+        w, drawn, drawn_weight, offset = urn.weights, urn.drawn, urn.drawn_weight, urn.offset
+        draw = urn.draw
+        if num_edges and not urn.total:  # only an urn with no pair at all runs out
+            raise ContractViolation("no eligible pairs left")
         plan = []
         for pair in seq:
             total = urn.total
             try:
-                i, j = map(operator.index, pair)
+                i, j = pair
+                if type(i) is not int or type(j) is not int:
+                    i, j = operator.index(i), operator.index(j)
             except (TypeError, ValueError):
                 raise ContractViolation(f"{pair!r} is not a vertex pair") from None
-            plan.append((*urn.subrange(i, j), total))
-            urn.draw(i, j)
+            if not (0 <= i and i + offset <= j < n) or j in drawn[i]:
+                raise ContractViolation(f"pair {(i, j)} not eligible")
+            # C_i (the halving is exact), then i's eligible partners below j.
+            below = w[:i]
+            p = sum(below)
+            q = sum(map(operator.mul, below, below))
+            d = sum(map(operator.mul, below, drawn_weight))
+            partners = sum(w[i + offset : j])
+            if drawn[i]:
+                partners -= sum([w[a] for a in drawn[i] if a < j])
+            w_i = w[i]
+            start = urn.w_sum * p - ((p * p + (-q if loops else q)) >> 1) - d
+            plan.append((start + w_i * partners, w_i * w[j], total))
+            draw(i, j)
         push_exact(msg, plan)
 
     def decode(msg: Message) -> Tuple[Tuple[int, int], ...]:
         urn = _Urn(params)
-        locate, draw = urn.locate, urn.draw
-        seq = []
-        for _ in range(num_edges):
-            pair = pop_exact(msg, urn.total, locate)
-            seq.append(pair)
-            draw(*pair)
-        return tuple(seq)
+        w, drawn, drawn_weight, offset = urn.weights, urn.drawn, urn.drawn_weight, urn.offset
+        draw = urn.draw
+
+        def step(t: int):
+            # Block i's mass is w_i times rest - d_i, rest the weight of the
+            # vertices at or above i, less w_i**2 without self-loops.
+            end, rest = 0, urn.w_sum
+            for i, w_i in enumerate(w):
+                mass = w_i * (rest - offset * w_i - drawn_weight[i])
+                end += mass
+                if t < end:
+                    break
+                rest -= w_i
+            start, lo = end - mass, i + offset
+            masses = w[lo:]
+            for j in drawn[i]:
+                masses[j - lo] = 0
+            cums = list(accumulate(masses, initial=0))  # P_i at the partners lo + k
+            k = bisect.bisect_right(cums, (t - start) // w_i) - 1
+            j, mass = lo + k, w_i * w[lo + k]
+            draw(i, j)
+            return (i, j), start + w_i * cums[k], mass, urn.total
+
+        if num_edges and not urn.total:  # as in encode
+            raise ContractViolation("no eligible pairs left")
+        return tuple(pop_exact(msg, urn.total, num_edges, step))
 
     return Codec(encode, decode)
 

@@ -10,12 +10,15 @@ breadth-first closure, generators of an automorphism group on its n points
 (the runs' generators and the block chain's labels lifted blockwise) and the
 degree-n chain they generate, enumeration of a stabilizer chain's group, the
 sequence class's ordering step coded through permutations, the parameter
-block's list code on its own, the urn's block starts in one pass over all
-vertices with the bisection that finds a decode target's pair in them,
-stripping re-materialized pad words from a message, a check of the
-layout a Graph keeps its edges and edge attributes in, the Fisher-Yates
-shuffle coded through the uniform kernel, and refinement's ranking of
-signatures through a dict of the distinct ones.
+block's list code on its own, the urn's block starts in closed form and in
+one pass over all vertices, a pair's subrange from them and the bisection
+that finds a decode target's pair in them, the exact-mass pop one symbol at
+a time, the arrangement kernels that code every draw, stripping
+re-materialized pad words from a message, a check of the layout a Graph
+keeps its edges and edge attributes in, the Fisher-Yates shuffle coded
+through the uniform kernel, refinement's ranking of signatures through a
+dict of the distinct ones, and canonization through the twin quotient for
+every graph with twins.
 """
 
 from __future__ import annotations
@@ -29,13 +32,26 @@ from fractions import Fraction
 from itertools import accumulate, permutations, product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from shufflecodec.ans import Codec, Message, pad_word, pop_uniforms, push_uniforms
+from shufflecodec import canon, perms
+from shufflecodec.ans import (
+    HEAD_MIN,
+    WORD_BITS,
+    Codec,
+    ContractViolation,
+    Message,
+    _precision,
+    pad_word,
+    pop_uniforms,
+    push_exact,
+    push_uniforms,
+)
 from shufflecodec.canon import Canonized, canonize
 from shufflecodec.graphs import PAIR_TABLE_ORDER, Graph, apply_perm
 from shufflecodec.params import _natural_symbols, _pop_list
 from shufflecodec.perms import (
     ChainLevel,
     Perm,
+    PermGroup,
     StabilizerChain,
     SymmetricRuns,
     as_perm,
@@ -404,6 +420,28 @@ def natural_list_codec() -> Codec:
     return Codec(encode, _pop_list)
 
 
+def urn_block_start(urn, k: int) -> int:
+    """C_k of a models._Urn in closed form, from its running W and C-level
+    sums over the vertices below k: W * P_k - (P_k**2 + Q_k) / 2 - D_k,
+    P_k**2 - Q_k in place of P_k**2 + Q_k with self-loops."""
+    below = urn.weights[:k]
+    p = sum(below)
+    q = sum(map(operator.mul, below, below))
+    d = sum(map(operator.mul, below, urn.drawn_weight))
+    return urn.w_sum * p - ((p * p + (q if urn.offset else -q)) >> 1) - d
+
+
+def urn_subrange(urn, i: int, j: int) -> Tuple[int, int]:
+    """(start, mass) of the pair (i, j) of a models._Urn, ContractViolation
+    if it is not eligible: the reference for pu_sequence_codec's encode
+    loop, which reads the same sums off the urn inline."""
+    w, lo = urn.weights, i + urn.offset
+    if not (0 <= i and lo <= j < len(w)) or j in urn.drawn[i]:
+        raise ContractViolation(f"pair {(i, j)} not eligible")
+    partners = sum(w[lo:j]) - sum(w[a] for a in urn.drawn[i] if a < j)
+    return urn_block_start(urn, i) + w[i] * partners, w[i] * w[j]
+
+
 def urn_block_starts(urn) -> List[int]:
     """C_0..C_n of a models._Urn, in one C-level pass over the vertices:
     block k's mass is w_k times the weight of the vertices at or above
@@ -428,6 +466,116 @@ def urn_locate(urn, t: int):
     cums = list(accumulate(masses, initial=0))  # P_i at the partners lo + k
     k = bisect.bisect_right(cums, (t - starts[i]) // w_i) - 1
     return (i, lo + k), starts[i] + w_i * cums[k], w_i * w[lo + k]
+
+
+def pop_exact_one(m: Message, total: int, locate) -> Any:
+    """The reference for ans.pop_exact: one symbol, whose locate maps the
+    exact target t in [0, total) to (symbol, start, mass), each step
+    through the precision rule's _precision and the message's pop_word."""
+    precision = _precision(total, total)
+    head = m.head
+    cf = head & ((1 << precision) - 1)
+    t = ((cf + 1) * total - 1) >> precision
+    symbol, start, mass = locate(t)
+    if not start <= t < start + mass:
+        raise ContractViolation(f"located subrange [{start}, {start + mass}) misses {t}")
+    lo = (start << precision) // total
+    freq = ((start + mass) << precision) // total - lo
+    head = freq * (head >> precision) + cf - lo
+    while head < HEAD_MIN:
+        head = (head << WORD_BITS) | m.pop_word()
+    m.head = head
+    return symbol
+
+
+def _fenwick(counts: Sequence[int]) -> List[int]:
+    """The Fenwick tree of counts: tree[i] sums labels i - (i & -i) .. i - 1."""
+    tree = [0, *counts]
+    for i in range(1, len(counts) + 1):
+        j = i + (i & -i)
+        if j < len(tree):
+            tree[j] += tree[i]
+    return tree
+
+
+def push_arrangement_by_subranges(m: Message, labels: Sequence[int], counts: Sequence[int]) -> None:
+    """The reference for ans.push_arrangement: the subrange of every draw,
+    first element first, finished draws of one label included, pushed as
+    one push_exact run."""
+    left, tree = list(counts), _fenwick(counts)
+    r, total = len(left), sum(left)
+    if len(labels) != total:
+        raise ContractViolation(f"{len(labels)} labels for counts totalling {total}")
+    subranges = []
+    for x in labels:
+        if type(x) is not int or not 0 <= x < r or not left[x]:
+            raise ContractViolation(f"label {x!r} outside [0, {r}) or over its count")
+        start, i = 0, x
+        while i:
+            start += tree[i]
+            i &= i - 1
+        subranges.append((start, left[x], total))
+        left[x] -= 1
+        i = x + 1
+        while i <= r:
+            tree[i] -= 1
+            i += i & -i
+        total -= 1
+    push_exact(m, subranges)
+
+
+def pop_arrangement_by_draws(m: Message, counts: Sequence[int]) -> List[int]:
+    """The reference for ans.pop_arrangement: one pop_exact_one per element,
+    the finished draws of a single label included."""
+    left, tree = list(counts), _fenwick(counts)
+    r, total = len(left), sum(left)
+    out = []
+    while total:
+
+        def locate(t):
+            x, rest = 0, t  # the largest prefix x whose counts sum to at most t
+            for step in reversed([1 << b for b in range(r.bit_length())]):
+                if x + step <= r and tree[x + step] <= rest:
+                    x += step
+                    rest -= tree[x]
+            return x, t - rest, left[x]
+
+        x = pop_exact_one(m, total, locate)
+        out.append(x)
+        left[x] -= 1
+        i = x + 1
+        while i <= r:
+            tree[i] -= 1
+            i += i & -i
+        total -= 1
+    return out
+
+
+def canonize_by_quotient(g: Graph) -> Canonized:
+    """The reference for canon.canonize on a graph with twins: the twin
+    quotient Q refined from its vertex attributes and searched, then the
+    runs and Q's canonical order and automorphisms read back onto g, for
+    every twin graph, whether or not its classes fill their cells."""
+    base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
+    colors = canon._refine(g, canon._initial_colors(g), base)
+    classes, loop = canon._twin_classes(g, colors, base)
+    assert classes, "a graph without twins has no quotient"
+    q, groups = canon._quotient(g, colors, classes, loop)
+    q_perm, q_auts, q_path = canon._search(q, canon._refine(q, list(q.vertex_attrs), base), base)
+    q_inv = inverse(q_perm)
+    start, pos = [0] * len(groups), 0
+    for x in q_inv:
+        start[x] = pos
+        pos += len(groups[x])
+    perm = [0] * g.n
+    for x, vs in enumerate(groups):
+        for k, v in enumerate(vs, start[x]):
+            perm[v] = k
+    runs = [(start[x], start[x] + len(groups[x])) for x in q_inv if len(groups[x]) > 1]
+    auts = tuple(tuple(q_perm[a[x]] for x in q_inv) for a in q_auts)
+    blocks = PermGroup(len(groups), auts, tuple(q_perm[x] for x in q_path))
+    chain = perms.schreier_sims(blocks) if auts else None
+    return Canonized(g, tuple(perm), SymmetricRuns(g.n, runs, chain))
 
 
 def without_pad_residue(m: Message) -> Message:

@@ -38,7 +38,13 @@ from shufflecodec.generate import sample_er_graph, sample_pa_graph
 from shufflecodec.models import string_codec
 
 from conftest import random_message
-from oracles import pop_shuffle_by_uniforms, push_shuffle_by_uniforms
+from oracles import (
+    pop_arrangement_by_draws,
+    pop_exact_one,
+    pop_shuffle_by_uniforms,
+    push_arrangement_by_subranges,
+    push_shuffle_by_uniforms,
+)
 
 
 class TestMessage:
@@ -572,7 +578,7 @@ class TestRunKernels:
             push_exact(b, [(x, 1, n) for x in xs])
             assert _state(a) == _state(b)
             assert pop_uniforms(a, [n] * len(xs)) == xs
-            assert pop_exact(b, n, lambda t: (t, t, 1)) == xs[0]
+            assert pop_exact(b, n, len(xs), lambda t: (t, t, 1, n)) == xs
 
     @given(_messages(), _tables(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -690,19 +696,38 @@ def _exact_locate(masses):
     return locate
 
 
+def _exact_step(tables):
+    """pop_exact's step over a run of mass lists: each symbol's locate, and
+    the next list's total (0 after the last)."""
+    locates = iter([_exact_locate(masses) for masses in tables])
+    totals = iter([sum(masses) for masses in tables[1:]] + [0])
+    return lambda t: (*next(locates)(t), next(totals))
+
+
 class TestExactMass:
-    """push_exact/pop_exact: one symbol per exact integer subrange."""
+    """push_exact/pop_exact: runs of symbols given by exact integer subranges."""
 
     @given(_messages(), st.lists(_exact_tables(), max_size=20))
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, m, run):
         before = m.copy()
         push_exact(m, [_exact_symbol(masses, x) for masses, x in run])
-        popped = [
-            pop_exact(m, sum(masses), _exact_locate(masses)) for masses, _ in run
-        ]
+        tables = [masses for masses, _ in run]
+        first = sum(tables[0]) if run else 1
+        popped = pop_exact(m, first, len(run), _exact_step(tables))
         assert popped == [x for _, x in run]
         assert m == before
+
+    @given(_messages(), st.lists(_exact_tables(), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_run_equals_single_pops_of_the_one_symbol_kernel(self, m, run):
+        # A run of k symbols leaves the message, pad draws included, and
+        # the symbols that k single pops of the one-symbol kernel leave.
+        tables = [masses for masses, _ in run]
+        a, b = m.copy(), m.copy()
+        popped = pop_exact(a, sum(tables[0]), len(run), _exact_step(tables))
+        assert popped == [pop_exact_one(b, sum(ms), _exact_locate(ms)) for ms in tables]
+        assert _state(a) == _state(b) and a.pad_consumed == b.pad_consumed
 
     @given(_messages(), st.lists(_exact_tables(1 << 20), max_size=30), st.data())
     @settings(max_examples=300, deadline=None)
@@ -724,8 +749,13 @@ class TestExactMass:
             with pytest.raises(ParameterError):
                 push_exact(m, [(0, 1, 4), (0, 1, total)])
             with pytest.raises(ParameterError):
-                pop_exact(m, total, _exact_locate([1] * 4))
+                pop_exact(m, total, 1, _exact_step([[1] * 4]))
             assert _state(m) == before
+            # A bad total later in the run: the symbols before it stay popped.
+            a, b = m.copy(), m.copy()
+            with pytest.raises(ParameterError):
+                pop_exact(a, 4, 2, lambda t: (t, t, 1, total))
+            assert pop_exact(b, 4, 1, lambda t: (t, t, 1, 4)) and _state(a) == _state(b)
 
     def test_bad_subranges_rejected(self):
         m = random_message(3, 2)
@@ -739,8 +769,22 @@ class TestExactMass:
         m = random_message(8, 2)
         before = _state(m)
         with pytest.raises(ContractViolation, match="misses"):
-            pop_exact(m, 5, lambda t: (0, t + 1, 1))
+            pop_exact(m, 5, 1, lambda t: (0, t + 1, 1, 5))
         assert _state(m) == before
+
+    def test_subrange_past_the_total_rejected(self):
+        # A step whose subrange holds t but runs past the total would give
+        # its symbol more than its share and corrupt the head: refused, with
+        # the message as the symbols before it in the run left it.
+        total = 1000
+        for k in range(3):
+            m = random_message(k, 3)
+            expected = m.copy()
+            pop_exact(expected, total, k, lambda t: (0, t, 1, total))
+            steps = iter([*[lambda t: (0, t, 1, total)] * k, lambda t: (0, t, total + 1, total)])
+            with pytest.raises(ContractViolation, match="past"):
+                pop_exact(m, total, k + 1, lambda t: next(steps)(t))
+            assert _state(m) == _state(expected)
 
     def test_zero_mass_rejected_message_unchanged(self):
         m = random_message(6, 2)
@@ -844,6 +888,45 @@ class TestArrangement:
             with pytest.raises(ParameterError):
                 pop_arrangement(m, bad)
             assert _state(m) == before
+
+    def test_kernels_equal_the_kernels_that_code_every_draw(self):
+        # Seeded count vectors, zeros included, on random heads and stacks:
+        # the kernels that skip a finished run leave the message, pad draws
+        # included, and the labels of the kernels that code every draw.
+        rng = random.Random(36)
+        single = 0
+        for k in range(3000):
+            counts = [rng.randint(0, 8) for _ in range(rng.randint(0, 6))]
+            labels = [j for j, c in enumerate(counts) for _ in range(c)]
+            rng.shuffle(labels)
+            m = Message(
+                ans.HEAD_MIN | rng.getrandbits(rng.choice([1, 30, 48])),
+                [rng.getrandbits(16) for _ in range(rng.randint(0, 3))],
+                pad_seed=k,
+            )
+            a, b = m.copy(), m.copy()
+            push_arrangement(a, labels, counts)
+            push_arrangement_by_subranges(b, labels, counts)
+            assert _state(a) == _state(b)
+            if sum(1 for c in counts if c) <= 1:
+                single += 1
+                assert a == m
+            assert pop_arrangement(a, counts) == pop_arrangement_by_draws(b, counts) == labels
+            assert _state(a) == _state(b)
+            # And on a message that holds no arrangement, pad words included.
+            a, b = m.copy(), m.copy()
+            assert pop_arrangement(a, counts) == pop_arrangement_by_draws(b, counts)
+            assert _state(a) == _state(b)
+        assert single > 100
+
+    def test_running_short_without_pad_underflows(self):
+        # A finished run is filled without a pop, but the draws before it
+        # still need the message's words.
+        m = Message(ans.HEAD_MIN, [], pad_seed=None)
+        with pytest.raises(ans.MessageUnderflow):
+            pop_arrangement(m, [3, 1, 40])
+        m = Message(ans.HEAD_MIN, [], pad_seed=None)
+        assert pop_arrangement(m, [0, 40, 0]) == [1] * 40
 
     def test_one_label_codes_nothing(self):
         m = random_message(2, 3)

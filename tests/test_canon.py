@@ -30,12 +30,14 @@ from shufflecodec.perms import (
     trivial_group,
 )
 
+from families import FAMILIES
 from oracles import (
     SizeError,
     assert_graph_layout,
     assert_pairs_shared,
     canon_equal,
     canonize_bruteforce,
+    canonize_by_quotient,
     canonize_via_embedding,
     embed_edge_colors,
     group_generators,
@@ -380,13 +382,16 @@ class TestCanonize:
             return search(g, *args)
 
         monkeypatch.setattr(canon, "_search", counted)
-        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        # C4 with two pendant leaves on each cycle vertex: the leaves of a
+        # cycle vertex are twins, four classes in one cell, so the search
+        # runs on the quotient, one vertex per cycle vertex and per class.
+        edges = [(i, (i + 1) % 4) for i in range(4)]
+        edges += [(i, 4 + 2 * i + t) for i in range(4) for t in range(2)]
+        g = Graph(12, edges)
         c = canonize(g)
-        assert c.canon_perm != identity(4) and c.aut_order == 6
+        assert c.canon_perm != identity(12) and c.aut_order == 8 * 2**4
         assert len(calls) == 1
-        # The three leaves are twins: the search runs on the quotient, one
-        # vertex for the hub and one for the leaves.
-        assert calls[0].n == 2
+        assert calls[0].n == 8
 
     def test_discrete_first_refinement_needs_one_pass_and_no_leaf_key(
         self, monkeypatch
@@ -978,6 +983,67 @@ class TestTwinQuotient:
         assert round(report.total_bits, 1) == round(report.param_bits, 1) == bits
         assert report.total_bits - report.param_bits < 0.01
         assert list(decompress_corpus(data).graphs) == [Graph(n), Graph(n)]
+
+
+def complete_multipartite(sizes):
+    starts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    parts = [range(a, b) for a, b in zip(starts, starts[1:])]
+    return Graph(starts[-1], [(u, v) for a, pa in enumerate(parts) for pb in parts[a + 1 :]
+                               for u in pa for v in pb])
+
+
+class TestTwinsThatFillTheirCells:
+    # When every non-singleton cell of the refined coloring is one twin
+    # class, the quotient's first coloring is discrete: canonize reads the
+    # order and the runs off the cells, with no quotient and no search.
+    @pytest.mark.parametrize(
+        "g, order",
+        [
+            (star(3), 6),
+            (Graph(5, list(combinations(range(5), 2))), 120),
+            (Graph(6), 720),
+            (complete_bipartite(3, 4), 6 * 24),
+        ],
+        ids=["K1,3", "K5", "E6", "K3,4"],
+    )
+    def test_no_quotient_and_no_search(self, monkeypatch, g, order):
+        def refuse(*args):
+            raise AssertionError("quotient built or searched")
+
+        expected = canonize_by_quotient(g)
+        monkeypatch.setattr(canon, "_quotient", refuse)
+        monkeypatch.setattr(canon, "_search", refuse)
+        c = canonize(g)
+        assert c.aut_order == order and c.aut_group.blocks is None
+        assert (c.canon_perm, c.aut_group) == (expected.canon_perm, expected.aut_group)
+
+    def test_equal_to_the_quotient_path(self):
+        # Seeded twin-rich graphs, and the conformance families that have
+        # twins: the canonical permutation and the group equal those of the
+        # quotient path, whether or not the classes fill their cells.
+        rng = random.Random(36)
+        graphs = [twin_blow_up(rng) for _ in range(800)]
+        graphs += [attributed_blow_up(rng) for _ in range(800)]
+        for _ in range(400):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            g = complete_multipartite(sizes)
+            graphs.append(apply_perm(tuple(rng.sample(range(g.n), g.n)), g))
+        graphs += [g for _, g, _ in FAMILIES]
+        shortcut = quotient = 0
+        for g in graphs:
+            base = max(g.edge_attrs, default=0) + 1 if g.edge_attrs else 1
+            colors = canon._refine(g, canon._initial_colors(g), base)
+            classes, _ = canon._twin_classes(g, colors, base)
+            if not classes:
+                continue
+            c, expected = canonize(g), canonize_by_quotient(g)
+            assert c.canon_perm == expected.canon_perm
+            assert c.aut_group == expected.aut_group
+            if sum(len(vs) for vs, _ in classes) + max(colors) + 1 - len(classes) == g.n:
+                shortcut += 1
+            else:
+                quotient += 1
+        assert shortcut > 500 and quotient > 200
 
 
 class TestEdgeColorEmbedding:

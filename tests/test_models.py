@@ -14,6 +14,7 @@ from shufflecodec.ans import (
     message_init,
     message_serialize,
     pop_uniforms,
+    push_exact,
     push_uniforms,
 )
 from shufflecodec.canon import canonize
@@ -34,7 +35,15 @@ from shufflecodec.models import (
 from shufflecodec.shuffle import ShuffleCodec, graph_class
 
 from conftest import random_message
-from oracles import assert_graph_layout, assert_pairs_shared, urn_block_starts, urn_locate
+from oracles import (
+    assert_graph_layout,
+    assert_pairs_shared,
+    pop_exact_one,
+    urn_block_start,
+    urn_block_starts,
+    urn_locate,
+    urn_subrange,
+)
 
 
 class TestStringCodec:
@@ -464,6 +473,16 @@ def _eligible_pairs(n, drawn, redraws, loops):
     ]
 
 
+class _Index:
+    """An int stand-in that converts only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def _random_urn_sequence(rng, n, length, redraws, loops):
     drawn = set()
     seq = []
@@ -705,20 +724,18 @@ class TestPolyaUrn:
             urn = models._Urn(PuParams(n, redraws, loops))
             for pair in (*seq, None):
                 starts = urn_block_starts(urn)
-                assert [urn._block_start(k) for k in range(n + 1)] == starts
-                if starts[-1]:
-                    assert urn.total == starts[-1]
-                else:
-                    with pytest.raises(ContractViolation):
-                        urn.total
+                assert [urn_block_start(urn, k) for k in range(n + 1)] == starts
+                assert urn.total == starts[-1]
                 if pair is not None:
                     urn.draw(*pair)
 
     @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
     def test_locate_matches_the_block_start_oracle(self, redraws, loops):
-        # After every draw, locate's early-exit pass gives the oracle's pair,
-        # start and mass for every target t in [0, T): bisection over all
-        # n + 1 block starts.
+        # After every draw, decode locates each target t in [0, T) as the
+        # oracle does, by bisection over all n + 1 block starts. The message
+        # holds (t, 1, T) under the encoded prefix: decoding one pair more
+        # than the prefix gives the oracle's pair and leaves the message that
+        # popping the oracle's subrange leaves.
         rng = random.Random(f"urn-locate:{redraws}:{loops}")
         targets = 0
         for _ in range(60):
@@ -726,34 +743,112 @@ class TestPolyaUrn:
             cap = pair_count(n, loops)
             length = rng.randint(0, 12 if redraws and cap else cap)
             seq = _random_urn_sequence(rng, n, length, redraws, loops)
-            urn = models._Urn(PuParams(n, redraws, loops))
-            for pair in (*seq, None):
-                if urn._total:
-                    for t in range(urn.total):
-                        assert urn.locate(t) == urn_locate(urn, t)
-                    targets += urn.total
-                if pair is not None:
-                    urn.draw(*pair)
-        assert targets > 10_000
+            params = PuParams(n, redraws, loops)
+            urn = models._Urn(params)
+            for k in range(len(seq) + 1):
+                total = urn.total
+                if total:
+                    prefix = pu_sequence_codec(params, k)
+                    longer = pu_sequence_codec(params, k + 1)
+                    # Both ends of every pair's subrange, and a few targets
+                    # inside them.
+                    ends = set(rng.sample(range(total), min(total, 8)))
+                    for i in range(n):
+                        for j in range(i, n):
+                            try:
+                                start, mass = urn_subrange(urn, i, j)
+                            except ContractViolation:
+                                continue
+                            ends.update((start, start + mass - 1))
+                    for t in sorted(ends):
+                        m = random_message(t % 5, 2)
+                        push_exact(m, [(t, 1, total)])
+                        expected = m.copy()
+                        pair = pop_exact_one(expected, total, lambda t: urn_locate(urn, t))
+                        prefix.encode(m, seq[:k])
+                        assert longer.decode(m) == (*seq[:k], pair)
+                        assert m == expected
+                    targets += len(ends)
+                if k < len(seq):
+                    urn.draw(*seq[k])
+        assert targets > 5_000
 
     @pytest.mark.parametrize("redraws,loops", URN_SETTINGS)
     def test_locate_refuses_targets_outside_the_total(self, redraws, loops):
-        # A target below 0 or at T or above is no pair's: ContractViolation,
-        # on a fresh urn, after draws, and on an urn with no pair left.
+        # Targets run over [0, T): target 0 decodes to the oracle's first
+        # pair and T - 1 to its last, whose partner is n - 1, on a fresh urn
+        # and after draws. An urn with no pair left has no target: decoding
+        # from it is refused.
         n = 5
-        urn = models._Urn(PuParams(n, redraws, loops))
-        for pair in ((0, 1), (1, 2), None):
+        params = PuParams(n, redraws, loops)
+        urn = models._Urn(params)
+        seq = ((0, 1), (1, 2))
+        for k in range(len(seq) + 1):
             total = urn.total
-            assert urn.locate(total - 1)[0][1] == n - 1
-            for t in (-1, -total, total, total + 1, 10 * total):
-                with pytest.raises(ContractViolation):
-                    urn.locate(t)
-            if pair is not None:
+            for t in (0, total - 1):
+                m = random_message(t, 2)
+                push_exact(m, [(t, 1, total)])
+                pu_sequence_codec(params, k).encode(m, seq[:k])
+                pair = pu_sequence_codec(params, k + 1).decode(m)[-1]
+                assert pair == urn_locate(urn, t)[0]
+            assert pair[1] == n - 1
+            if k < len(seq):
+                urn.draw(*seq[k])
+        empty = PuParams(0 if loops else 1, True, loops)
+        assert models._Urn(empty).total == 0
+        with pytest.raises(ContractViolation, match="no eligible pairs"):
+            pu_sequence_codec(empty, 1).decode(random_message(1, 2))
+
+    def test_coder_loops_match_the_subrange_oracle(self):
+        # 500 seeded sequences on 1 to 40 vertices, with and without redraws
+        # and self-loops: encode leaves the message of one push_exact run
+        # over the oracle's subranges and the urn's draws, and decode gives
+        # the sequence back. Each refused sequence leaves the message as it
+        # was.
+        rng = random.Random("urn-loops")
+        for k in range(500):
+            redraws, loops = URN_SETTINGS[k % 4]
+            n = rng.randint(1, 40)
+            cap = pair_count(n, loops)
+            length = rng.randint(0, (30 if cap else 0) if redraws else min(cap, 30))
+            seq = _random_urn_sequence(rng, n, length, redraws, loops)
+            params = PuParams(n, redraws, loops)
+            urn = models._Urn(params)
+            plan = []
+            for pair in seq:
+                plan.append((*urn_subrange(urn, *pair), urn.total))
                 urn.draw(*pair)
-        empty = models._Urn(PuParams(0 if loops else 1, redraws, loops))
-        for t in (-1, 0, 1):
-            with pytest.raises(ContractViolation):
-                empty.locate(t)
+            m = random_message(k, rng.randint(0, 4))
+            before, expected = m.copy(), m.copy()
+            push_exact(expected, plan)
+            codec = pu_sequence_codec(params, length)
+            codec.encode(m, seq)
+            assert m == expected
+            assert codec.decode(m) == seq
+            assert m == before
+            # Values that are not ints code as the ints their __index__ gives.
+            mixed = [(_Index(i), j) if k % 2 else [i, _Index(j)] for k, (i, j) in enumerate(seq)]
+            codec.encode(m, mixed)
+            assert m == expected
+            assert codec.decode(m) == seq
+            if not seq:
+                continue
+            x = rng.randrange(len(seq))
+            bad = [(0, n), (-1, 0), (0.0, 1), ("a", 1), (0,), None, (1, 0) if n > 1 else (0, n)]
+            wrongs = [(*seq[:x], pair, *seq[x + 1 :]) for pair in bad]
+            if not redraws and x:
+                wrongs.append((*seq[:x], seq[0], *seq[x + 1 :]))  # a repeated pair
+            for wrong in wrongs:
+                with pytest.raises(ContractViolation):
+                    codec.encode(m, wrong)
+                assert m == before
+            with pytest.raises(ContractViolation, match="sequence length"):
+                codec.encode(m, seq[1:])
+            assert m == before
+        m = random_message(2, 2)
+        with pytest.raises(ContractViolation, match="no eligible pairs"):
+            pu_sequence_codec(PuParams(1, True), 1).encode(m, ((0, 0),))
+        assert m == random_message(2, 2)
 
     def test_long_sequence_bytes_pinned(self):
         # One 300-vertex preferential-attachment edge sequence, large enough
@@ -856,7 +951,7 @@ def _urn_order_probs(n):
         p = Fraction(1)
         for pair in seq:
             total = urn.total
-            p *= Fraction(urn.subrange(*pair)[1], total)
+            p *= Fraction(urn_subrange(urn, *pair)[1], total)
             urn.draw(*pair)
         probs[seq] = p
     return params, probs
