@@ -14,24 +14,12 @@ Examples:
 
 import argparse
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from shufflecodec.datasets import Corpus, write_tu_dataset
-from shufflecodec.generate import sample_er_graph, sample_pa_graph
-
-
-def dataset_name(args: argparse.Namespace) -> str:
-    if args.kind == "pa":
-        return f"PA{args.num}-n{args.n}-a{args.attachment}"
-    name = f"ER{args.num}-n{args.n}-p{args.p:g}"
-    if args.vertex_alphabet:
-        name += f"-v{args.vertex_alphabet}"
-    if args.edge_alphabet:
-        name += f"-e{args.edge_alphabet}"
-    return name
+from shufflecodec.datasets import write_tu_dataset
+from shufflecodec.generate import generate_corpus
 
 
 def main() -> int:
@@ -46,35 +34,12 @@ def main() -> int:
     ap.add_argument("--vertex-alphabet", type=int, default=0)
     ap.add_argument("--edge-alphabet", type=int, default=0)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
-    rng = random.Random(args.seed)
-    graphs = []
-    for _ in range(args.num):
-        n = args.n + rng.randint(-args.n_jitter, args.n_jitter)
-        n = max(n, args.attachment + 1 if args.kind == "pa" else 0)
-        if args.kind == "er":
-            graphs.append(
-                sample_er_graph(
-                    rng,
-                    n,
-                    args.p,
-                    vertex_alphabet=args.vertex_alphabet or None,
-                    edge_alphabet=args.edge_alphabet or None,
-                )
-            )
-        else:
-            graphs.append(sample_pa_graph(rng, n, args.attachment))
-    name = dataset_name(args)
-    corpus = Corpus(
-        tuple(graphs),
-        name,
-        has_vertex_attrs=bool(args.vertex_alphabet) and args.kind == "er",
-        has_edge_attrs=bool(args.edge_alphabet) and args.kind == "er",
-    )
-    write_tu_dataset(corpus, args.out, name=name)
+    args = vars(ap.parse_args())
+    out = args.pop("out")
+    corpus = generate_corpus(**args)
+    write_tu_dataset(corpus, out)
     edges = corpus.total_edges
-    print(f"wrote {args.num} graphs ({edges} edges) to {args.out} as {name}_*.txt")
+    print(f"wrote {len(corpus.graphs)} graphs ({edges} edges) to {out} as {corpus.name}_*.txt")
     return 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .datasets import Corpus
 from .graphs import Graph, graph_pairs
 
 
@@ -53,3 +54,36 @@ def sample_pa_graph(rng: random.Random, n: int, attachment: int = 2) -> Graph:
             degree[u] += 1
             degree[v] += 1
     return Graph(n, edges)
+
+
+def generate_corpus(
+    kind: str = "er",
+    num: int = 100,
+    n: int = 16,
+    n_jitter: int = 4,
+    p: float = 0.3,
+    attachment: int = 2,
+    vertex_alphabet: int = 0,
+    edge_alphabet: int = 0,
+    seed: int = 0,
+) -> Corpus:
+    """`num` seeded ER (`kind="er"`) or PA (`kind="pa"`) graphs on n ± n_jitter
+    vertices, named by their parameters: ER500-n16-p0.3-v5-e3, PA100-n50-a2.
+    An alphabet of 0 gives no attributes; PA graphs have none."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(num):
+        size = n + rng.randint(-n_jitter, n_jitter)
+        if kind == "er":
+            attrs = (vertex_alphabet or None, edge_alphabet or None)
+            graphs.append(sample_er_graph(rng, max(size, 0), p, *attrs))
+        else:
+            graphs.append(sample_pa_graph(rng, max(size, attachment + 1), attachment))
+    if kind == "pa":
+        return Corpus(tuple(graphs), f"PA{num}-n{n}-a{attachment}", False, False)
+    name = f"ER{num}-n{n}-p{p:g}"
+    if vertex_alphabet:
+        name += f"-v{vertex_alphabet}"
+    if edge_alphabet:
+        name += f"-e{edge_alphabet}"
+    return Corpus(tuple(graphs), name, bool(vertex_alphabet), bool(edge_alphabet))

@@ -1,5 +1,6 @@
 """Seeded generators of graph families whose automorphism group order has a
-closed form, for the canonizer conformance suite (test_conformance.py).
+closed form, for the canonizer conformance suite (test_conformance.py) and
+the corpus-level tests (test_corpora.py).
 
 Each family function returns a Graph; `FAMILIES` lists the suite's members
 with their orders:
@@ -60,6 +61,14 @@ def binary_tree(depth: int) -> Graph:
     children 2v+1 and 2v+2."""
     n = (1 << depth + 1) - 1
     return Graph(n, [((v - 1) // 2, v) for v in range(1, n)])
+
+
+def cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def copies(k: int, g: Graph) -> Graph:
@@ -128,6 +137,12 @@ def cfi(base: Graph, twisted: bool = False) -> Graph:
 CFI_BASES = ((12, 0),)
 
 PETERSEN = kneser(5, 2)
+
+# Groups with a block chain, where coset bytes must depend on the group
+# alone: 2 to 6 disjoint triangles, C6, C9, C12, K3,3, Q4 and the Petersen
+# graph.
+SYM11 = (*(copies(k, cycle(3)) for k in range(2, 7)), *(cycle(n) for n in (6, 9, 12)),
+         complete_bipartite(3, 3), hypercube(4), PETERSEN)
 
 # (name, graph, |Aut|)
 FAMILIES = [

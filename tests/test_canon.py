@@ -30,7 +30,7 @@ from shufflecodec.perms import (
     trivial_group,
 )
 
-from families import FAMILIES
+from families import FAMILIES, complete_bipartite, copies, cycle, grid, hypercube
 from oracles import (
     SizeError,
     assert_graph_layout,
@@ -664,25 +664,12 @@ class TestStructuredOracle:
                 assert signature(c2.aut_group) == signature(ref.aut_group)
 
 
-def grid_graph(a, b):
-    edges = [(v, v + 1) for v in range(a * b) if v % b + 1 < b]
-    edges += [(v, v + b) for v in range(a * b - b)]
-    return Graph(a * b, edges)
-
-
-def hypercube(d):
-    return Graph(
-        1 << d,
-        [(v, v | 1 << k) for v in range(1 << d) for k in range(d) if not v >> k & 1],
-    )
-
-
 class TestLabelIndependence:
     # These graphs refine to many equal-size cells. If the target cell among
     # them depended on vertex labels, relabelings would search different
     # trees and could reach different canonical forms.
     @pytest.mark.parametrize(
-        "name, g", [("grid5x5", grid_graph(5, 5)), ("Q4", hypercube(4))]
+        "name, g", [("grid5x5", grid(5, 5)), ("Q4", hypercube(4))]
     )
     def test_relabelings_share_one_canonical_form(self, name, g):
         rng = random.Random(name)
@@ -693,15 +680,6 @@ class TestLabelIndependence:
         assert all(canonize(h).canon_graph == canon for h in relabeled)
         data, _ = compress_corpus(Corpus(tuple(relabeled), name, False, False))
         assert list(decompress_corpus(data).graphs) == [canon] * len(relabeled)
-
-
-def disjoint_copies(k, g):
-    edges = [(c * g.n + i, c * g.n + j) for c in range(k) for i, j in g.edges]
-    return Graph(k * g.n, edges)
-
-
-def complete_bipartite(a, b):
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def star(leaves):
@@ -717,10 +695,6 @@ def hub(spokes, twins):
         for t in range(twins)
     ]
     return Graph(1 + spokes * (1 + twins), edges)
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def twin_blow_up(rng):
@@ -758,7 +732,7 @@ class TestTwinHeavyGraphs:
             for name, g, order in [
                 ("E30", Graph(30), math.factorial(30)),
                 ("K1,30", star(30), math.factorial(30)),
-                ("10K3", disjoint_copies(10, cycle(3)), 6**10 * math.factorial(10)),
+                ("10K3", copies(10, cycle(3)), 6**10 * math.factorial(10)),
                 ("hub3x4", hub(3, 4), 24**3 * 6),
                 ("K4,4", complete_bipartite(4, 4), 24 * 24 * 2),
                 ("K3,5", complete_bipartite(3, 5), 6 * 120),
@@ -831,7 +805,7 @@ def twin_quotient_cases():
               edge_attrs={e: int(e not in ((0, 1), (2, 3))) for e in combinations(range(4), 2)}),
         Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
               edge_attrs={(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}),
-        disjoint_copies(3, Graph(2, [(0, 1)])),
+        copies(3, Graph(2, [(0, 1)])),
         Graph(7, [(0, 1), (2, 3), (4, 5)]),
         complete_bipartite(3, 3),
         complete_bipartite(2, 4),
@@ -880,8 +854,8 @@ class TestTwinQuotient:
     @pytest.mark.parametrize(
         "g, blocks, order",
         [
-            (disjoint_copies(40, cycle(3)), 40, 6**40 * math.factorial(40)),
-            (disjoint_copies(3, Graph(2, [(0, 1)])), 3, 2**3 * 6),
+            (copies(40, cycle(3)), 40, 6**40 * math.factorial(40)),
+            (copies(3, Graph(2, [(0, 1)])), 3, 2**3 * 6),
             (cycle(6), 6, 12),
             (hub(3, 4), 7, 24**3 * 6),
         ],

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from shufflecodec import canon, compress, perms, shuffle
-from shufflecodec.ans import DEFAULT_PAD_SEED, ParameterError, message_init
+from shufflecodec.ans import DEFAULT_PAD_SEED, FORMAT_VERSION, ParameterError, message_init
 from shufflecodec.canon import canonize
 from shufflecodec.cli import main
 from shufflecodec.compress import (
@@ -26,7 +26,7 @@ from shufflecodec.datasets import (
     load_tu_dataset,
     write_tu_dataset,
 )
-from shufflecodec.generate import sample_er_graph
+from shufflecodec.generate import generate_corpus, sample_er_graph
 from shufflecodec.graphs import Graph, plain_graph
 from shufflecodec.shuffle import ShuffleCodec, graph_class
 
@@ -255,13 +255,17 @@ class TestTuLoader:
 
     def test_label_files_of_an_earlier_write_removed(self, tmp_path):
         # An unlabelled corpus written where a labelled one was, under the
-        # same prefix, loads as the unlabelled corpus: the old label files go.
-        out = str(tmp_path / "out")
+        # same prefix, loads as the unlabelled corpus: the old label files
+        # go, and the directory compresses to the bytes of a fresh one.
+        out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
         write_tu_dataset(fixture_corpus(), out, name="S")
-        plain = Corpus(tuple(plain_graph(g) for g in fixture_corpus().graphs), "S", False, False)
-        write_tu_dataset(plain, out)
+        plain = decompress_corpus(compress_corpus(fixture_corpus(), attrs="none")[0], "S")
+        for directory in (out, fresh):
+            write_tu_dataset(plain, directory)
         assert sorted(os.listdir(out)) == ["S_A.txt", "S_graph_indicator.txt"]
         assert load_tu_dataset(out) == plain
+        reused, _ = compress_corpus(load_tu_dataset(out))
+        assert reused == compress_corpus(load_tu_dataset(fresh))[0]
 
     @pytest.mark.parametrize("directory", ["out", "out[1]"])
     def test_another_dataset_in_the_directory_refused(self, tmp_path, directory):
@@ -285,7 +289,8 @@ class TestTuLoader:
         again = load_tu_dataset(str(tmp_path))
         assert again.graphs == corpus.graphs
 
-    def test_loop_in_one_graph_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("model", ["er", "pu"])
+    def test_loop_in_one_graph_round_trips(self, tmp_path, model):
         # one graph with a loop, one without: the loop-free graph is the same
         # graph as one built by hand, and both decode to their canonical forms
         (tmp_path / "X_A.txt").write_text("1, 1\n2, 3\n3, 2\n")
@@ -293,7 +298,7 @@ class TestTuLoader:
         corpus = load_tu_dataset(str(tmp_path))
         assert corpus.self_loops
         assert corpus.graphs[1] == Graph(2, [(0, 1)])
-        data, _ = compress_corpus(corpus, keep_order=True)
+        data, _ = compress_corpus(corpus, model, keep_order=True)
         out = decompress_corpus(data)
         assert list(out.graphs) == [canonize(g).canon_graph for g in corpus.graphs]
 
@@ -414,12 +419,13 @@ class TestCompressDecompress:
     @pytest.mark.parametrize("model", ["er", "pu"])
     def test_keep_order_restores_positions(self, model):
         corpus = synthetic_corpus(seed=3, with_attrs=True)
-        data, _ = compress_corpus(corpus, model=model, keep_order=True)
-        out = decompress_corpus(data)
-        assert len(out.graphs) == len(corpus.graphs)
-        for got, want in zip(out.graphs, corpus.graphs):
-            assert got.n == want.n
-            assert canon_equal(got, want)
+        for attrs in ("auto", "uniform"):
+            data, _ = compress_corpus(corpus, model, attrs, keep_order=True)
+            out = decompress_corpus(data)
+            assert len(out.graphs) == len(corpus.graphs)
+            for got, want in zip(out.graphs, corpus.graphs):
+                assert got.n == want.n
+                assert canon_equal(got, want)
 
     @pytest.mark.parametrize("model", ["er", "pu"])
     def test_synthetic_round_trip(self, model):
@@ -681,30 +687,28 @@ class TestGenCorpus:
     @pytest.mark.parametrize(
         "args, name, model",
         [
-            (
-                ["--kind", "er", "--vertex-alphabet", "3", "--edge-alphabet", "2"],
-                "ER6-n8-p0.3-v3-e2",
-                "er",
-            ),
-            (["--kind", "pa", "--attachment", "2"], "PA6-n8-a2", "pu"),
+            ({"kind": "er", "vertex_alphabet": 3, "edge_alphabet": 2}, "ER6-n8-p0.3-v3-e2", "er"),
+            ({"kind": "pa", "attachment": 2}, "PA6-n8-a2", "pu"),
         ],
     )
     def test_generated_corpus_round_trips(self, tmp_path, args, name, model):
+        # The script writes the corpus that generate_corpus builds in memory.
         out = tmp_path / "corpus"
-        argv = ["--out", str(out), "--num", "6", "--n", "8", "--n-jitter", "2"]
-        subprocess.run(
-            [sys.executable, GEN_CORPUS, *argv, *args], check=True, capture_output=True
-        )
+        options = {"num": 6, "n": 8, "n_jitter": 2, **args}
+        argv = [s for k, v in options.items() for s in (f"--{k.replace('_', '-')}", str(v))]
+        subprocess.run([sys.executable, GEN_CORPUS, "--out", str(out), *argv], check=True)
         assert (out / f"{name}_A.txt").exists()
         corpus = load_tu_dataset(str(out))
+        assert corpus == generate_corpus(**options)
         assert corpus.name == name
         assert len(corpus.graphs) == 6
         assert corpus.has_vertex_attrs == corpus.has_edge_attrs == (model == "er")
-        data, _ = compress_corpus(corpus, model)
         _, order = build_dataset_params(corpus, model)
-        assert list(decompress_corpus(data).graphs) == [
-            canonize(corpus.graphs[i]).canon_graph for i in order
-        ]
+        for redraws in (False, True) if model == "pu" else (False,):
+            data, _ = compress_corpus(corpus, model, redraws=redraws)
+            assert list(decompress_corpus(data).graphs) == [
+                canonize(corpus.graphs[i]).canon_graph for i in order
+            ]
 
 
 class TestCli:
@@ -791,7 +795,7 @@ class TestCli:
         argv = ["compress", "--dataset", FIXTURE, "--model", "er", "--redraws"]
         assert main(argv + ["--out", str(blob)]) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "redraws" in err
+        assert err.count("error:") == 1 and err.count("\n") == 1 and "redraws" in err
         assert not blob.exists()
 
     @pytest.mark.parametrize("keep_order", [False, True])
@@ -841,6 +845,19 @@ class TestCli:
         assert "another dataset, decoded" in err
         assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
 
+    def test_decompress_refuses_an_older_format_version(self, tmp_path, capsys):
+        # The version field, bytes 4-6, of the previous format: one error
+        # line, exit 1, and no directory.
+        old = FORMAT_VERSION - 1
+        data = bytearray(compress_corpus(fixture_corpus())[0])
+        data[4:6] = old.to_bytes(2, "little")
+        blob = tmp_path / "old.shuf"
+        blob.write_bytes(data)
+        out = tmp_path / "decoded"
+        assert main(["decompress", "--in", str(blob), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: unsupported format version {old}\n")
+        assert not out.exists()
+
     def test_data_error_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         assert main(["compress", "--dataset", str(missing), "--out", "x"]) == 1
@@ -852,15 +869,16 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_seed_option(self, tmp_path):
-        # --seed is the pad seed compress_corpus codes with; without it the
-        # default seed gives other bytes.
+        # --seed is the pad seed compress_corpus codes with, the same bytes
+        # each run; without it the default seed gives other bytes.
         seeded = tmp_path / "seeded.shuf"
         default = tmp_path / "default.shuf"
         argv = ["compress", "--dataset", FIXTURE, "--out"]
-        assert main(["--seed", "12345", *argv, str(seeded)]) == 0
-        assert main([*argv, str(default)]) == 0
         data, _ = compress_corpus(fixture_corpus(), seed=12345)
-        assert seeded.read_bytes() == data
+        for _ in range(2):
+            assert main(["--seed", "12345", *argv, str(seeded)]) == 0
+            assert seeded.read_bytes() == data
+        assert main([*argv, str(default)]) == 0
         assert default.read_bytes() != data
 
     def test_closed_stdout_exits_quietly(self):
@@ -882,7 +900,7 @@ class TestCli:
         assert result.returncode == 141
         assert result.stderr == ""
 
-    def test_console_script_installed(self):
+    def test_module_entry_point_prints_help(self):
         result = subprocess.run(
             [sys.executable, "-m", "shufflecodec.cli", "--help"],
             capture_output=True,

@@ -32,6 +32,7 @@ from shufflecodec.perms import (
 from shufflecodec.perms import schreier_sims as complete_chain
 
 from conftest import random_message
+from families import SYM11
 from oracles import (
     chain_elements,
     orbit_of,
@@ -216,23 +217,6 @@ class TestSchreierSims:
 RANDOM = random.Random
 
 
-def sym11():
-    """CI's SYM11 graphs: 2 to 6 disjoint triangles, C6, C9, C12, K3,3, Q4
-    and the Petersen graph."""
-    def cycle(n):
-        return [(i, (i + 1) % n) for i in range(n)]
-
-    graphs = [Graph(3 * k, [(3 * c + i, 3 * c + j) for c in range(k) for i, j in cycle(3)])
-              for k in range(2, 7)]
-    graphs += [Graph(n, cycle(n)) for n in (6, 9, 12)]
-    graphs.append(Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]))
-    graphs.append(Graph(16, [(v, v | 1 << b) for v in range(16) for b in range(4)
-                             if not v >> b & 1]))
-    graphs.append(Graph(10, cycle(5) + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-                        + [(i, i + 5) for i in range(5)]))
-    return graphs
-
-
 class TestKnownOrderCompletion:
     """perms.schreier_sims completes the chain on 0..n-1 from generators that
     are strong relative to a given base, by sifting them and then seeded
@@ -293,7 +277,7 @@ class TestKnownOrderCompletion:
             complete_chain(self.PINNED)
 
     def test_seed_changes_no_chain_and_no_bytes(self, monkeypatch):
-        corpus = Corpus(tuple(sym11()), "SYM11", False, False)
+        corpus = Corpus(SYM11, "SYM11", False, False)
         results = []
         for offset in (0, 1, 2):
             self.seeded(monkeypatch, offset)
